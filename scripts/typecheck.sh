@@ -14,10 +14,9 @@
 # server (ServerConfig / collector / HTTP framing / client), and
 # sntindex/store.py + sntindex/compaction.py (the ShardStore protocol,
 # its local/object backends, and the sealed-shard compactor).  These
-# call into the not-yet-annotated
-# core/service/sntindex modules, so untyped *calls* are allowed and
-# imports are followed silently; everything the checked files
-# themselves define is held to --strict.
+# call into the not-yet-annotated core/sntindex modules, so untyped
+# *calls* are allowed and imports are followed silently; everything
+# the checked files themselves define is held to --strict.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if ! python -m mypy --version >/dev/null 2>&1; then

@@ -66,7 +66,6 @@ from .service import (
     CacheStats,
     SharedCacheTier,
     SubQueryCache,
-    TravelTimeService,
 )
 from .sntindex import (
     IndexReader,
@@ -148,7 +147,6 @@ __all__ = [
     "naive_travel_times",
     "naive_match_count",
     # serving layer
-    "TravelTimeService",
     "SubQueryCache",
     "CacheStats",
     "CacheBackend",

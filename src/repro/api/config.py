@@ -1,8 +1,7 @@
 """`EngineConfig`: one frozen, validated configuration object.
 
 Replaces the constructor-kwarg sprawl of
-:class:`repro.core.engine.QueryEngine` and
-:class:`repro.service.TravelTimeService`: everything that shapes *how*
+:class:`repro.core.engine.QueryEngine`: everything that shapes *how*
 queries are answered (partitioner, splitter, ladder, bucket width,
 estimator default, relaxation limits, serving knobs) lives here, is
 validated once at construction, and is hashable/comparable — so two

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from itertools import islice
 from os import PathLike
 from pathlib import Path
 from typing import (
@@ -44,8 +45,12 @@ from ..errors import ConfigurationError, RequestValidationError
 from ..network.graph import RoadNetwork
 from ..network.io import load_network
 from ..service.cache import CacheStats
-from ..service.cachetier import CacheBackend
-from ..service.service import TravelTimeService, TripTask
+from ..service.cachetier import (
+    CacheBackend,
+    SharedCacheTier,
+    SharedTierStats,
+    resolve_cache_backend,
+)
 from ..sntindex.reader import IndexReader
 from ..sntindex.sharded import load_any_index
 from .config import EngineConfig
@@ -54,10 +59,6 @@ from .request import TripRequest
 __all__ = ["TravelTimeDB", "open_db"]
 
 PathSource = Union[str, PathLike]
-
-
-def _as_task(request: TripRequest) -> TripTask:
-    return (request.to_spq(), request.exclude_ids, request.estimator)
 
 
 class TravelTimeDB:
@@ -69,7 +70,19 @@ class TravelTimeDB:
     multiple threads (the engine is stateless per call and the cache is
     locked).
 
-    Usable as a context manager; closing clears the shared cache.
+    Usable as a context manager; closing releases the session's own
+    cache backend (see :meth:`close`).
+
+    ``cache`` selects the cross-query cache: ``"default"`` resolves the
+    backend from ``config`` (the ``config.cache`` spec — in-process
+    :class:`SubQueryCache`, cross-process
+    :class:`~repro.service.cachetier.SharedCacheTier`, or none; with
+    ``config.cache=None`` the legacy ``cache_enabled``/``cache_entries``
+    knobs apply); ``None`` disables cross-query caching (every trip
+    uses a per-trip cache); or pass a pre-configured backend to control
+    the bounds or share one cache between sessions *over the same index
+    and network* — the cache binds permanently to the first
+    (index, network) pair it serves and rejects any other.
     """
 
     def __init__(
@@ -91,14 +104,24 @@ class TravelTimeDB:
         self._config = config if config is not None else EngineConfig()
         # A cache object the caller passed in may be shared with other
         # sessions over the same index; only a session-built cache is
-        # cleared on close().
+        # closed on close().
         self._owns_cache = cache == "default"
-        self._service = TravelTimeService(
-            index,
-            cast(RoadNetwork, network),
-            cache=cache,
-            config=self._config,
+        if cache == "default":
+            cache = resolve_cache_backend(self._config, index)
+        elif isinstance(cache, str):
+            raise ConfigurationError(
+                f"cache must be a cache backend (SubQueryCache / "
+                f"SharedCacheTier), None, or 'default'; got {cache!r}"
+            )
+        self._engine = QueryEngine(
+            index, cast(RoadNetwork, network), self._config, cache=cache
         )
+        #: Dedup accounting of the most recent batch (or whole stream)
+        #: answered through the deduplicating executor: how many
+        #: sub-queries it planned, how many were unique, and how many
+        #: scans the deduplication absorbed.  ``None`` before the first
+        #: such batch, or after one that ran without dedup.
+        self.last_dedup_stats: Optional[DedupStats] = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -106,11 +129,11 @@ class TravelTimeDB:
 
     @property
     def index(self) -> IndexReader:
-        return cast(IndexReader, self._service.index)
+        return cast(IndexReader, self._engine.index)
 
     @property
     def network(self) -> Optional[RoadNetwork]:
-        return cast(Optional[RoadNetwork], self._service.network)
+        return cast(Optional[RoadNetwork], self._engine.network)
 
     @property
     def config(self) -> EngineConfig:
@@ -119,30 +142,25 @@ class TravelTimeDB:
     @property
     def engine(self) -> QueryEngine:
         """The underlying engine (advanced use; prefer the db methods)."""
-        return cast(QueryEngine, self._service.engine)
+        return self._engine
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Shared-cache statistics, or ``None`` when caching is off."""
-        return cast(
-            Optional[CacheStats], self._service.cache_stats()
-        )
+        cache = self._engine.cache
+        return cache.stats() if cache is not None else None
 
-    @property
-    def last_dedup_stats(self) -> Optional[DedupStats]:
-        """Dedup accounting of the most recent batch.
-
-        Populated when ``config.dedup_subqueries`` routed the batch
-        through the deduplicating executor: how many sub-queries the
-        batch planned, how many were unique, and how many scans the
-        deduplication absorbed.  ``None`` before the first such batch
-        (or after one that ran without dedup).
-        """
-        return cast(
-            Optional[DedupStats], self._service.last_dedup_stats
-        )
+    def tier_stats(self) -> Optional[SharedTierStats]:
+        """Where the cross-process tier's hits came from (L1 / shared
+        store), or ``None`` when the session's cache is not a
+        :class:`~repro.service.cachetier.SharedCacheTier`."""
+        cache = self._engine.cache
+        if isinstance(cache, SharedCacheTier):
+            return cache.tier_stats()
+        return None
 
     def clear_cache(self) -> None:
-        self._service.clear_cache()
+        if self._engine.cache is not None:
+            self._engine.cache.clear()
 
     def __enter__(self) -> "TravelTimeDB":
         return self
@@ -161,8 +179,8 @@ class TravelTimeDB:
         is left untouched — other sessions may still be serving warm
         hits from it.  Use :meth:`clear_cache` to empty one explicitly.
         """
-        if self._owns_cache:
-            self._service.close_cache()
+        if self._owns_cache and self._engine.cache is not None:
+            self._engine.cache.close()
 
     def __repr__(self) -> str:
         return (
@@ -178,9 +196,7 @@ class TravelTimeDB:
     def query(self, request: TripRequest) -> TripQueryResult:
         """Answer one :class:`TripRequest` through the shared cache."""
         # engine.query guards the request type itself.
-        return cast(
-            TripQueryResult, self.engine.query(request)
-        )
+        return cast(TripQueryResult, self._engine.query(request))
 
     def query_many(
         self,
@@ -196,8 +212,8 @@ class TravelTimeDB:
         sub-queries scanned once; accounting in
         :attr:`last_dedup_stats`).  ``use_processes`` fans out over
         forked worker processes instead (Linux/macOS; see
-        :meth:`repro.service.TravelTimeService._run_batch_forked` for
-        the quiescing contract).
+        :meth:`repro.core.engine.QueryEngine.run_forked` for the
+        quiescing contract).
         """
         results, _ = self.query_many_with_stats(
             requests, n_workers=n_workers, use_processes=use_processes
@@ -220,18 +236,10 @@ class TravelTimeDB:
         deduplicating executor (``config.dedup_subqueries`` off, or
         process fan-out).
         """
-        requests = list(requests)
-        for request in requests:
-            self._check_request(request)
-        batch = self._service._run_batch_with_stats(
-            [_as_task(r) for r in requests],
-            n_workers=n_workers,
-            use_processes=use_processes,
+        results, stats = self._run_batch(
+            list(requests), self._workers(n_workers), use_processes
         )
-        results = cast(List[TripQueryResult], batch[0])
-        stats = cast(Optional[DedupStats], batch[1])
-        for request, result in zip(requests, results):
-            result.request = request
+        self.last_dedup_stats = stats
         return results, stats
 
     def stream(
@@ -258,9 +266,7 @@ class TravelTimeDB:
         tasks are scanned once, and results still come back in request
         order with at most ``window`` requests materialised.
         """
-        workers = self._config.n_workers if n_workers is None else n_workers
-        if workers < 1:
-            raise ConfigurationError("n_workers must be positive")
+        workers = self._workers(n_workers)
         if window is None:
             window = workers * 4
         if window < 1:
@@ -270,10 +276,50 @@ class TravelTimeDB:
             # dedup to find, but the stats stay coherent per stream.
             return self._stream_dedup(requests, workers, window)
         if workers == 1:
-            return (
-                self.query(request) for request in requests
-            )
-        return self._stream_fanout(requests, workers, window)
+            return (self._engine.query(request) for request in requests)
+        return self._fan_out(requests, workers, window)
+
+    def _workers(self, n_workers: Optional[int]) -> int:
+        workers = self._config.n_workers if n_workers is None else n_workers
+        if workers < 1:
+            raise ConfigurationError("n_workers must be positive")
+        return workers
+
+    def _run_batch(
+        self,
+        requests: List[TripRequest],
+        workers: int,
+        use_processes: bool = False,
+    ) -> Tuple[List[TripQueryResult], Optional[DedupStats]]:
+        """Pick the executor for one materialised batch and run it.
+
+        The one place the session chooses among the engine's three
+        executors; results come back in submission order from all of
+        them, with the batch's dedup accounting when the deduplicating
+        executor ran.
+        """
+        for request in requests:
+            self._check_request(request)
+        workers = min(workers, max(1, len(requests)))
+        if use_processes and workers > 1:
+            # Fork fan-out ships whole trips to workers; cross-trip dedup
+            # would need cross-process demand collection — the shared
+            # cache tier already covers that ground.
+            return self._engine.run_forked(requests, workers), None
+        if self._config.dedup_subqueries:
+            return self._engine.run_batch(requests, n_workers=workers)
+        # Without dedup each trip runs the sequential driver; it is not
+        # ``run_batch([r])`` because a batch of one is not free yet.
+        # Measured for ISSUE 17 (trip-cold's 360 requests, seed-0 small
+        # world, quietest of 8-10 alternating passes, answers and scan
+        # counts equal): ``query`` 374 trips/s at p50 1.74 ms against
+        # 239 trips/s (-36 %) at p50 2.44 ms through the BatchExecutor —
+        # ``first_segment_matches_many`` at one item plus ~25 us of
+        # round bookkeeping x ~18 rounds per trip.  Merge the drivers
+        # once ROADMAP item 2 has cut the rounds per trip.
+        if workers == 1:
+            return [self._engine.query(r) for r in requests], None
+        return list(self._fan_out(requests, workers, len(requests))), None
 
     def _stream_dedup(
         self,
@@ -287,54 +333,44 @@ class TravelTimeDB:
         chunks are a scheduling detail, and per-chunk numbers would
         misreport a long stream as its final ``window`` requests.
         """
-        from itertools import islice
-
         total = DedupStats()
         iterator = iter(requests)
         while True:
             chunk = list(islice(iterator, window))
             if not chunk:
                 return
-            for request in chunk:
-                self._check_request(request)
-            batch = self._service._run_batch_with_stats(
-                [_as_task(r) for r in chunk], n_workers=workers
-            )
-            results = cast(List[TripQueryResult], batch[0])
-            chunk_stats = cast(Optional[DedupStats], batch[1])
+            results, chunk_stats = self._run_batch(chunk, workers)
             if chunk_stats is not None:
                 total.absorb(chunk_stats)
-                self._service.last_dedup_stats = total
-            for request, result in zip(chunk, results):
-                result.request = request
-                yield result
+                self.last_dedup_stats = total
+            yield from results
 
-    def _stream_fanout(
+    def _fan_out(
         self,
         requests: Iterable[TripRequest],
         workers: int,
         window: int,
     ) -> Iterator[TripQueryResult]:
-        def answer(request: TripRequest) -> TripQueryResult:
-            # self.query validates and attaches the request back-ref;
-            # the engine-bound shared cache serves all workers.
-            return self.query(request)
+        """Whole trips on a thread pool, at most ``window`` in flight,
+        yielded in request order.
 
+        Trip execution touches no engine state and the shared cache is
+        locked, so one engine serves every worker (the index is
+        immutable during a batch, numpy kernels release the GIL).
+        """
+        answer = self._engine.query  # guards the request type itself
         iterator = iter(requests)
         pool: Executor = ThreadPoolExecutor(max_workers=workers)
         try:
             pending: Deque["Future[TripQueryResult]"] = deque()
-            for request in iterator:
+            for request in islice(iterator, window):
                 pending.append(pool.submit(answer, request))
-                if len(pending) >= window:
-                    break
             while pending:
                 result = pending.popleft().result()
                 # Refill before yielding so the pool stays saturated
                 # while the consumer processes this result.
-                for request in iterator:
+                for request in islice(iterator, 1):
                     pending.append(pool.submit(answer, request))
-                    break
                 yield result
         finally:
             # On early generator close, drop unconsumed work quickly.
@@ -348,8 +384,7 @@ class TravelTimeDB:
             raise RequestValidationError(
                 "expected a TripRequest; got "
                 f"{type(request).__name__} — legacy StrictPathQuery "
-                "callers should use TripRequest.from_spq(...) or the "
-                "deprecated TravelTimeService methods"
+                "callers should use TripRequest.from_spq(...)"
             )
 
 
@@ -375,16 +410,15 @@ def open_db(
         The road network the index was built over — a
         :class:`RoadNetwork` or a path to its ``network.json``.  When a
         network is given and the index is loaded from disk, the
-        manifest's alphabet size is validated *before* any FM partition
-        is unpickled.
+        manifest's alphabet size is validated *before* any partition
+        payload is opened.
     config:
         An :class:`EngineConfig`; ``None`` uses defaults.
     cache:
-        As for :class:`repro.service.TravelTimeService`: ``"default"``
-        resolves the backend from ``config`` (its ``cache`` spec can
-        select the cross-process shared tier), ``None`` disables
-        cross-query caching, or pass a backend
-        (:class:`SubQueryCache` /
+        As for :class:`TravelTimeDB`: ``"default"`` resolves the
+        backend from ``config`` (its ``cache`` spec can select the
+        cross-process shared tier), ``None`` disables cross-query
+        caching, or pass a backend (:class:`SubQueryCache` /
         :class:`~repro.service.cachetier.SharedCacheTier`) directly.
     """
     if path_or_index is None:
@@ -398,8 +432,8 @@ def open_db(
             )
         path_or_index = config.store
     if network is None:
-        # Fail before load_any_index touches disk: unpickling a large
-        # sharded index only to reject the session would waste minutes.
+        # Fail before load_any_index touches disk: opening a large
+        # sharded index only to reject the session would waste time.
         raise ConfigurationError(
             "open_db requires the road network the index was built over "
             "— pass network=RoadNetwork or a path to its network.json"

@@ -14,8 +14,8 @@ Commands
     Build the SNT-index over a stored world and save it to disk, so
     later ``query``/``batch`` runs skip the build.
 ``batch``
-    Answer a file (or inline list) of strict path queries through the
-    :class:`~repro.service.TravelTimeService` — shared sub-query cache,
+    Answer a file (or inline list) of strict path queries through one
+    :class:`~repro.api.TravelTimeDB` session — shared sub-query cache,
     optional thread-pool fan-out.
 ``serve``
     Serve a stored world over HTTP: concurrent connections are
@@ -25,14 +25,11 @@ Commands
     Merge runs of small adjacent sealed shards of a saved sharded
     index in place (atomic manifest swap, epoch/lineage bump) —
     answers stay bit-identical, per-query shard fan-out drops.
-``migrate``
-    Upgrade a pre-v2 saved index directory (monolithic or sharded) to
-    the current on-disk format, in place.
 
 ``query``/``batch``/``serve`` accept the saved index as ``--index DIR``
 or ``--store URI`` (``file:...`` or ``object://...`` — see
-:mod:`repro.sntindex.store`); ``compact``/``migrate`` take the
-directory or URI directly.
+:mod:`repro.sntindex.store`); ``compact`` takes the directory or URI
+directly.
 
 Example
 -------
@@ -70,7 +67,6 @@ from .network.io import (
 )
 from .sntindex.compaction import CompactionPolicy, compact_index_dir
 from .sntindex.index import SNTIndex
-from .sntindex.migrate import migrate_index_dir
 from .sntindex.sharded import ShardedSNTIndex, load_any_index, read_any_meta
 from .sntindex.store import is_store_uri
 from .trajectories.generator import generate_dataset
@@ -347,16 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on shards merged into one (default: unbounded)",
     )
 
-    migrate = commands.add_parser(
-        "migrate",
-        help="upgrade a pre-v2 saved index directory to the current "
-        "on-disk format, in place",
-    )
-    migrate.add_argument(
-        "path",
-        help="saved index (monolithic or sharded): a directory or "
-        "store URI",
-    )
     return parser
 
 
@@ -440,7 +426,7 @@ def _obtain_index(args, network):
     trajectory file — the point of the rebuild-free cold start.
     Library-made saves without the digest fall back to a parsed
     fingerprint.  The network's alphabet size is checked against the
-    manifest *before* any FM partition is unpickled.
+    manifest *before* any partition payload is opened.
     """
     source = getattr(args, "store", None) or getattr(args, "index", None)
     if source is not None:
@@ -681,9 +667,9 @@ def _cmd_batch(args) -> int:
     dedup = db.last_dedup_stats
     if dedup is not None:
         print(f"dedup: {dedup.summary()}")
-    tier_stats = getattr(db.engine.cache, "tier_stats", None)
+    tier_stats = db.tier_stats()
     if tier_stats is not None:
-        print(f"shared tier: {tier_stats().summary()}")
+        print(f"shared tier: {tier_stats.summary()}")
     shard_stats = getattr(index, "shard_stats", None)
     if shard_stats is not None:
         routing = shard_stats()
@@ -770,22 +756,6 @@ def _cmd_compact(args) -> int:
     return 0
 
 
-def _cmd_migrate(args) -> int:
-    report = migrate_index_dir(args.path)
-    if report.changed:
-        print(
-            f"migrated {args.path} ({report.layout}) from format "
-            f"version {report.from_version} to {report.to_version} "
-            f"({len(report.shard_dirs_migrated)} dir(s) rewritten)"
-        )
-    else:
-        print(
-            f"{args.path} ({report.layout}) is already at format "
-            f"version {report.to_version}; nothing to do"
-        )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -819,7 +789,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "batch": _cmd_batch,
         "serve": _cmd_serve,
         "compact": _cmd_compact,
-        "migrate": _cmd_migrate,
     }
     try:
         return handlers[args.command](args)

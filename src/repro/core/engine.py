@@ -14,19 +14,22 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
    histogram and convolves them into the answer for the full path.
 
 The engine itself is a thin driver over those stages: :meth:`query`
-drives one :class:`~repro.core.exec.TripMachine` sequentially, and
+drives one :class:`~repro.core.exec.TripMachine` sequentially,
 :meth:`run_batch` drives many through the deduplicating
-:class:`~repro.core.exec.BatchExecutor`.
+:class:`~repro.core.exec.BatchExecutor`, and :meth:`run_forked` runs
+:meth:`query` in forked worker processes.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import QueryError, RequestValidationError
+from ..forkpool import fork_map
 from ..histogram.histogram import Histogram
 from ..network.graph import RoadNetwork
 from ..sntindex.reader import IndexReader
@@ -45,6 +48,7 @@ from .spq import StrictPathQuery
 if TYPE_CHECKING:  # the api layer sits above core; runtime imports are lazy
     from ..api.config import EngineConfig
     from ..api.request import TripRequest
+    from ..service.cachetier import CacheBackend
 
 __all__ = [
     "SubQueryOutcome",
@@ -52,18 +56,6 @@ __all__ = [
     "QueryEngine",
     "PerTripCache",
 ]
-
-#: Sentinel distinguishing "use the engine default estimator" from an
-#: explicit ``None`` ("no estimator for this trip").
-_DEFAULT_ESTIMATOR = object()
-
-
-def _default_config() -> "EngineConfig":
-    """The default :class:`EngineConfig` (lazy: api sits above core)."""
-    from ..api.config import EngineConfig
-
-    return EngineConfig()
-
 
 class PerTripCache:
     """Default sub-query cache: one FM-index backward search per distinct
@@ -231,13 +223,46 @@ class TripQueryResult:
         return float(np.mean(lengths)) if lengths else 0.0
 
 
+#: A forked worker's private engine: a copy of the inherited one whose
+#: cache came from ``spawn_for_worker`` (called in the child, lock-free).
+#: The parent's backend must not be touched from a fork — its locks may
+#: have been snapshotted mid-critical-section by a concurrently running
+#: thread batch, and a child blocking on an inherited locked lock hangs
+#: forever.  An in-process SubQueryCache spawns a fresh empty cache with
+#: the same LRU bounds (cross-trip sharing within the worker's chunk
+#: only); a SharedCacheTier spawns a new handle onto the same
+#: cross-process store, so workers warm each other and later processes.
+_WORKER_ENGINE: Optional["QueryEngine"] = None
+
+
+def _answer_forked(
+    payload: Tuple["QueryEngine", "TripRequest"]
+) -> TripQueryResult:
+    """Fork-side worker: answer one request of an inherited batch."""
+    global _WORKER_ENGINE
+    engine, request = payload
+    if engine.cache is not None:
+        if _WORKER_ENGINE is None:
+            _WORKER_ENGINE = copy.copy(engine)
+            _WORKER_ENGINE.cache = engine.cache.spawn_for_worker()
+            _WORKER_ENGINE.cache.bind_index(engine.index, engine.network)
+        engine = _WORKER_ENGINE
+    return engine.query(request)
+
+
 class QueryEngine:
-    """Answers strict path queries over any :class:`IndexReader`.
+    """Answers trip requests over any :class:`IndexReader`.
 
     The engine never touches index internals: spatial lookups, estimator
     statistics, and retrieval all go through the reader protocol, so the
     monolithic :class:`repro.sntindex.SNTIndex` and the time-sliced
     :class:`repro.sntindex.ShardedSNTIndex` answer identically here.
+
+    Three executors, all bit-identical to sequential Procedure 6:
+    :meth:`query` drives one :class:`~repro.core.exec.TripMachine` on
+    the calling thread, :meth:`run_batch` drives many through the
+    deduplicating :class:`~repro.core.exec.BatchExecutor`, and
+    :meth:`run_forked` ships whole trips to forked worker processes.
     """
 
     def __init__(
@@ -247,7 +272,7 @@ class QueryEngine:
         config: Optional["EngineConfig"] = None,
         *,
         estimator: Optional[CardinalityEstimator] = None,
-        cache=None,
+        cache: Optional["CacheBackend"] = None,
     ):
         """
         Parameters
@@ -257,23 +282,22 @@ class QueryEngine:
             road network.
         config:
             An :class:`repro.api.EngineConfig`; ``None`` uses defaults.
-            (The pre-redesign keyword/positional forms — ``partitioner=``
-            and friends — were removed on the PR-3 deprecation schedule;
-            pass a config object.)
         estimator:
             Optional :class:`CardinalityEstimator` instance used as the
             engine default.  When omitted and ``config.estimator_mode``
             is set, one is built from the mode.  A request's own
             ``estimator`` mode always overrides the engine default.
         cache:
-            Optional sub-query cache shared across trips (e.g.
-            :class:`repro.service.SubQueryCache`).  ``None`` keeps the
-            historical behaviour: a fresh :class:`PerTripCache` per
-            trip.  A shared cache must be thread-safe when the engine is
-            used from multiple threads.
+            Optional :class:`~repro.service.cachetier.CacheBackend`
+            shared across trips (e.g. :class:`repro.service.SubQueryCache`).
+            ``None`` gives every trip a fresh :class:`PerTripCache`.  A
+            shared cache must be thread-safe when the engine is used
+            from multiple threads.
         """
         if config is None:
-            config = _default_config()
+            from ..api.config import EngineConfig  # api sits above core
+
+            config = EngineConfig()
         if not hasattr(config, "partitioner"):
             raise TypeError(
                 f"config must be an EngineConfig; got "
@@ -295,12 +319,6 @@ class QueryEngine:
         self.config = config
         #: The planner's config snapshot; shared by every trip machine.
         self.policy = PlanPolicy.from_config(config)
-        self.partitioner_name = self.policy.partitioner_name
-        self.splitter_name = self.policy.splitter
-        self.ladder = self.policy.ladder
-        self.bucket_width_s = self.policy.bucket_width_s
-        self.shift_and_enlarge = self.policy.shift_and_enlarge
-        self.beta_policy = self.policy.beta_policy
         #: Estimators built per requested mode, shared across trips.  A
         #: CardinalityEstimator is stateless after construction, so one
         #: instance per mode serves concurrent threads; the dict itself
@@ -311,44 +329,20 @@ class QueryEngine:
             estimator = self._resolve_estimator(config.estimator_mode)
         self.estimator = estimator
         self.cache = cache
-        self._bind_cache(cache)
+        if cache is not None:
+            # Pin the shared cache to this index and network for good:
+            # keys carry no data identity — and cached fallback results
+            # embed the network's ``estimateTT`` — so cross-data sharing
+            # must be rejected.
+            cache.bind_index(index, network)
 
-    def _bind_cache(self, cache) -> None:
-        """Pin a shared cache to this engine's index and network (keys
-        carry no data identity — and cached fallback results embed the
-        network's ``estimateTT`` — so cross-data sharing must be
-        rejected)."""
-        bind = getattr(cache, "bind_index", None)
-        if bind is not None:
-            bind(self.index, self.network)
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-
-    def query(
-        self, request: "TripRequest", cache=None
-    ) -> TripQueryResult:
-        """Answer one typed :class:`repro.api.TripRequest`.
-
-        The unified entry point (also what :class:`repro.api.TravelTimeDB`
-        calls): the request's estimator mode overrides the engine default,
-        and the result carries the request as a back-reference.
-        """
-        if not hasattr(request, "to_spq"):
-            # The exact migration mistake the deprecation message invites:
-            # passing a legacy StrictPathQuery here.  Keep it typed.
-            raise RequestValidationError(
-                f"QueryEngine.query expects a TripRequest; got "
-                f"{type(request).__name__} — wrap legacy queries with "
-                "TripRequest.from_spq(...)"
-            )
-        result = self._run_task(
-            request.to_spq(), request.exclude_ids, request.estimator,
-            cache=cache,
-        )
-        result.request = request
-        return result
+    def _synced_cache(self) -> Optional["CacheBackend"]:
+        """The shared cache at the reader's current epoch (``None``
+        without one): appendable readers bump their epoch on mutation,
+        and the cache drops entries cached against the earlier state."""
+        if self.cache is not None:
+            self.cache.sync_epoch(self.index)
+        return self.cache
 
     def _resolve_estimator(
         self, mode
@@ -374,47 +368,41 @@ class QueryEngine:
             self._estimators[value] = built
         return built
 
-    def _run_task(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int],
-        estimator_mode,
-        cache=None,
-    ) -> TripQueryResult:
-        """One batch item: spq + exclusions + per-request estimator mode.
+    # ------------------------------------------------------------------ #
+    # Executors
+    # ------------------------------------------------------------------ #
 
-        The shared execution primitive behind the service fan-out and the
-        streaming API (thread and fork workers both land here).
-        """
-        return self._run_trip(
-            query,
-            exclude_ids=exclude_ids,
-            cache=cache,
-            estimator=self._resolve_estimator(estimator_mode),
-        )
-
-    def _run_trip(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int] = (),
-        cache=None,
-        estimator=_DEFAULT_ESTIMATOR,
-    ) -> TripQueryResult:
-        """Procedure 6 as a staged pipeline: plan, fetch, combine.
+    def query(self, request: "TripRequest") -> TripQueryResult:
+        """Answer one :class:`repro.api.TripRequest`: Procedure 6 as a
+        staged pipeline — plan, fetch, combine — on the calling thread.
 
         A thin driver: the :class:`~repro.core.exec.TripMachine` owns
         planning and combining, and every retrieval goes through the
-        fetch stage (:func:`~repro.core.exec.execute_fetch`).
-
-        ``cache`` overrides the engine-level cache for this call; by
-        default a fresh :class:`PerTripCache` is used, preserving the
-        single-trip semantics.  A shared cache returns bit-identical
-        histograms — cached retrievals re-enter the procedure at the
-        exact point the index scan would have, so only ``n_index_scans``
-        (and ``n_cache_hits``) differ.  ``estimator`` overrides the
-        engine default for this trip (``None`` disables the pre-check).
+        fetch stage (:func:`~repro.core.exec.execute_fetch`).  The
+        request's estimator mode overrides the engine default, and the
+        result carries the request as a back-reference.  A shared cache
+        returns bit-identical histograms — cached retrievals re-enter
+        the procedure at the exact point the index scan would have, so
+        only ``n_index_scans`` (and ``n_cache_hits``) differ.
         """
-        machine = self._make_machine(query, exclude_ids, cache, estimator)
+        if not hasattr(request, "to_spq"):
+            # The exact migration mistake the deprecation message invites:
+            # passing a legacy StrictPathQuery here.  Keep it typed.
+            raise RequestValidationError(
+                f"QueryEngine.query expects a TripRequest; got "
+                f"{type(request).__name__} — wrap legacy queries with "
+                "TripRequest.from_spq(...)"
+            )
+        cache = self._synced_cache()
+        machine = TripMachine(
+            self.policy,
+            self.index,
+            self.network,
+            cache if cache is not None else PerTripCache(),
+            self._resolve_estimator(request.estimator),
+            request.to_spq(),
+            request.exclude_ids,
+        )
         demand = machine.advance()
         while demand is not None:
             result, from_scan = execute_fetch(
@@ -422,19 +410,17 @@ class QueryEngine:
             )
             demand = machine.resume(result, from_scan)
         assert machine.result is not None
+        machine.result.request = request
         return machine.result
 
     def run_batch(
         self,
-        tasks: Sequence[Tuple[StrictPathQuery, Tuple[int, ...], Any]],
+        requests: Sequence["TripRequest"],
         n_workers: int = 1,
-        cache=None,
     ) -> Tuple[List[TripQueryResult], DedupStats]:
         """Answer a batch with cross-trip sub-query deduplication.
 
-        ``tasks`` are ``(query, exclude_ids, estimator_mode)`` triples
-        (the service's batch item shape).  All trips plan against the
-        shared cache backend (the engine's, or ``cache`` when given; a
+        All trips plan against the engine's shared cache backend (a
         ``None`` engine cache means per-trip caches and in-batch dedup
         only), and the :class:`~repro.core.exec.BatchExecutor` scans
         each unique planned sub-query once per round — bit-identical to
@@ -442,9 +428,7 @@ class QueryEngine:
         when a shared scan comes back empty.  Returns the results in
         submission order plus the batch's dedup accounting.
         """
-        shared = cache if cache is not None else self.cache
-        if shared is not None:
-            self._prepare_cache(shared)
+        shared = self._synced_cache()
         # Machines are built (and their clocks started) together, so in
         # batch mode a result's ``elapsed_s`` is its completion latency
         # relative to the batch start — the serving-side metric — not
@@ -460,12 +444,12 @@ class QueryEngine:
                 self.index,
                 self.network,
                 shared if shared is not None else PerTripCache(),
-                self._resolve_estimator(estimator_mode),
-                query,
-                exclude_ids,
+                self._resolve_estimator(request.estimator),
+                request.to_spq(),
+                request.exclude_ids,
                 prefetch=False,
             )
-            for query, exclude_ids, estimator_mode in tasks
+            for request in requests
         ]
         prefetch_ranges_many(self.index, machines)
         executor = BatchExecutor(
@@ -474,44 +458,52 @@ class QueryEngine:
             cache=shared,
             n_workers=n_workers,
         )
-        return executor.run(machines), executor.stats
+        results = executor.run(machines)
+        for request, result in zip(requests, results):
+            result.request = request
+        return results, executor.stats
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
+    def run_forked(
+        self, requests: Sequence["TripRequest"], workers: int
+    ) -> List[TripQueryResult]:
+        """Process fan-out: forked workers each answer whole trips
+        against their copy-on-write view of the index — with a sharded
+        index every worker scans only the shards its trips route to, so
+        a batch's shard work spreads across real cores instead of GIL
+        slices.  Results come back in submission order.
 
-    def _prepare_cache(self, cache) -> None:
-        """Bind a cache backend and adopt the reader's current epoch."""
-        self._bind_cache(cache)
-        # Appendable readers bump their epoch on mutation; a shared
-        # cache drops entries cached against the earlier index state.
-        sync_epoch = getattr(cache, "sync_epoch", None)
-        if sync_epoch is not None:
-            sync_epoch(self.index)
+        The engine and requests travel to the workers via fork
+        copy-on-write (locks and numpy payloads never cross a pickle on
+        the way in); ``TripQueryResult`` payloads come back.  No pickled
+        fallback exists — the engine holds cache locks — so on platforms
+        without ``fork`` this raises ``RuntimeError``; use thread
+        fan-out there.
 
-    def _make_machine(
-        self,
-        query: StrictPathQuery,
-        exclude_ids: Sequence[int],
-        cache,
-        estimator=_DEFAULT_ESTIMATOR,
-    ) -> TripMachine:
-        if estimator is _DEFAULT_ESTIMATOR:
-            estimator = self.estimator
-        if cache is None:
-            cache = self.cache if self.cache is not None else PerTripCache()
-        self._prepare_cache(cache)
-        return TripMachine(
-            self.policy,
-            self.index,
-            self.network,
-            cache,
-            estimator,
-            query,
-            exclude_ids,
+        Process mode must be quiesced: only one process-mode batch per
+        process (a concurrent second one raises ``RuntimeError``), and
+        no thread-mode batch should run on the same index concurrently —
+        forking can snapshot another thread mid-critical-section,
+        leaving a child waiting on a lock that is never released.
+        Each worker gets its own cache (see ``_WORKER_ENGINE``), so
+        cross-trip sharing happens per worker.  Side-effect statistics
+        accumulate in the children and die with the pool: after a
+        process-mode batch, parent-side ``cache_stats()`` and a sharded
+        index's ``shard_stats()`` do not reflect that batch's work (the
+        ``TripQueryResult`` scan/hit counters are returned as usual).
+        """
+        results = fork_map(
+            _answer_forked,
+            [(self, request) for request in requests],
+            workers,
+            chunksize=max(1, len(requests) // (workers * 4)),
         )
+        # The back-reference crossed a pickle; restore the caller's own
+        # request objects.
+        for request, result in zip(requests, results):
+            result.request = request
+        return results
 
     def _convolve(self, histograms: List[Histogram]) -> Histogram:
         """Combine stage over this engine's bucket width
         (:func:`repro.core.exec.convolve_histograms`)."""
-        return convolve_histograms(histograms, self.bucket_width_s)
+        return convolve_histograms(histograms, self.policy.bucket_width_s)

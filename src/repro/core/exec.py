@@ -20,8 +20,7 @@ it.  Three pieces:
   pending demands of every in-flight trip, deduplicate identical
   :class:`~repro.core.plan.SubQueryTask` keys, answer each unique task
   once (bulk cache probe, then one index scan per unique miss — grouped
-  per edge and per shard when the reader supports
-  ``get_travel_times_many``), and
+  per edge and per shard by ``get_travel_times_many``), and
   fan each answer out to every owning trip.  Owners that did not pay
   the scan account a cache hit, exactly as they would have in a
   sequential pass over a shared cache, so ``scans + hits`` stays
@@ -199,26 +198,20 @@ class TripMachine:
     def _prefetch_ranges(self) -> None:
         """Warm the range cache for the whole planned queue in one batch.
 
-        When the index offers the batched backward search
-        (``isa_ranges_many``), the planned sub-queries' ISA ranges are
-        resolved together up front instead of one ``isa_ranges`` call
-        per :meth:`advance` step — same ranges (the batched search is
-        bit-identical), fetched through one amortised descent.  Served
-        through the cache, so dedup/statistics behave as if each lookup
-        happened at its usual point.
+        The planned sub-queries' ISA ranges are resolved together up
+        front by the batched backward search (``isa_ranges_many``)
+        instead of one ``isa_ranges`` call per :meth:`advance` step —
+        same ranges (the batched search is bit-identical), fetched
+        through one amortised descent.  Served through the cache, so
+        dedup/statistics behave as if each lookup happened at its usual
+        point.
         """
-        batched = getattr(self._index, "isa_ranges_many", None)
-        if batched is None:
-            return
         pending = self._pending_prefetch()
         if len(pending) < 2:  # nothing to amortise
             return
-        for path, ranges in zip(pending, batched(pending)):
+        found = self._index.isa_ranges_many(pending)
+        for path, ranges in zip(pending, found):
             self.cache.put_ranges(path, ranges)
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
 
     def advance(self) -> Optional[FetchDemand]:
         """Plan until the next fetch is needed, or finish the trip.
@@ -351,9 +344,6 @@ def prefetch_ranges_many(
     been built with ``prefetch=False`` (otherwise they already warmed
     their caches solo, and this finds nothing left to pool).
     """
-    batched = getattr(index, "isa_ranges_many", None)
-    if batched is None:
-        return
     order: List[Sequence[int]] = []
     owners: Dict[Tuple[int, ...], List[TripMachine]] = {}
     for machine in machines:
@@ -367,7 +357,7 @@ def prefetch_ranges_many(
                 holders.append(machine)
     if len(order) < 2:  # nothing to amortise
         return
-    for path, ranges in zip(order, batched(order)):
+    for path, ranges in zip(order, index.isa_ranges_many(order)):
         for machine in owners[tuple(path)]:
             machine.cache.put_ranges(path, ranges)
 
@@ -406,57 +396,42 @@ def _scan_demands(
 ) -> List[Any]:
     """Scan stage over unique demands, in demand order.
 
-    Readers that expose ``get_travel_times_many`` (both built-in index
-    kinds) answer the whole set in one call — the monolithic index
-    groups queries by first/last edge so each edge's interval selection
-    and probe join run once per round, and the sharded router
-    additionally walks each shard's columns contiguously; duck-typed
-    readers without the method loop.  Thread fan-out is safe because
-    every demand is a distinct key and index reads are immutable during
-    a batch.
+    ``get_travel_times_many`` answers the whole set in one call — the
+    monolithic index groups queries by first/last edge so each edge's
+    interval selection and probe join run once per round, and the
+    sharded router additionally walks each shard's columns contiguously.
+    Thread fan-out is safe because every demand is a distinct key and
+    index reads are immutable during a batch.
     """
-    many = getattr(index, "get_travel_times_many", None)
-    if many is not None:
-        items = [
-            (demand.task.query, demand.task.exclude_ids, demand.ranges)
-            for demand in demands
+    items = [
+        (demand.task.query, demand.task.exclude_ids, demand.ranges)
+        for demand in demands
+    ]
+    if n_workers > 1 and len(items) > 1:
+        # Contiguous slices, one grouped call per worker: per-shard
+        # locality within each slice, real fan-out across slices
+        # (router reads are immutable; its counters are locked).
+        width = min(n_workers, len(items))
+        step = -(-len(items) // width)  # ceil division
+        slices = [
+            items[start : start + step]
+            for start in range(0, len(items), step)
         ]
-        if n_workers > 1 and len(items) > 1:
-            # Contiguous slices, one grouped call per worker: per-shard
-            # locality within each slice, real fan-out across slices
-            # (router reads are immutable; its counters are locked).
-            width = min(n_workers, len(items))
-            step = -(-len(items) // width)  # ceil division
-            slices = [
-                items[start : start + step]
-                for start in range(0, len(items), step)
-            ]
-            with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-                parts = list(
-                    pool.map(
-                        lambda chunk: list(
-                            many(chunk, fallback_tt=network.estimate_tt)
-                        ),
-                        slices,
-                    )
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            parts = list(
+                pool.map(
+                    lambda chunk: list(
+                        index.get_travel_times_many(
+                            chunk, fallback_tt=network.estimate_tt
+                        )
+                    ),
+                    slices,
                 )
-            return [result for part in parts for result in part]
-        return list(many(items, fallback_tt=network.estimate_tt))
-
-    def scan(demand: FetchDemand) -> Any:
-        return index.get_travel_times(
-            demand.task.query,
-            fallback_tt=network.estimate_tt,
-            exclude_ids=demand.task.exclude_ids,
-            isa_ranges=demand.ranges,
-        )
-
-    if n_workers > 1 and len(demands) > 1:
-        with ThreadPoolExecutor(
-            max_workers=min(n_workers, len(demands))
-        ) as pool:
-            return list(pool.map(scan, demands))
-    return [scan(demand) for demand in demands]
+            )
+        return [result for part in parts for result in part]
+    return list(
+        index.get_travel_times_many(items, fallback_tt=network.estimate_tt)
+    )
 
 
 @dataclass
@@ -531,49 +506,6 @@ class BatchExecutor:
         self.n_workers = max(1, int(n_workers))
         self.stats = DedupStats()
 
-    # ------------------------------------------------------------------ #
-    # Fetch plumbing
-    # ------------------------------------------------------------------ #
-
-    def _probe_cache(
-        self, keys: Sequence[SubQueryKey]
-    ) -> Dict[SubQueryKey, Any]:
-        """Bulk result-cache probe (``get_results_many`` when offered).
-
-        The single-key fallback here (and in :meth:`_store_results`)
-        keeps duck-typed backends written against the pre-batched
-        protocol working — the ``*_many`` methods are an optimisation,
-        not a correctness requirement.
-        """
-        if self.cache is None:
-            return {}
-        many = getattr(self.cache, "get_results_many", None)
-        if many is not None:
-            found = many(keys)
-        else:
-            found = {}
-            for key in keys:
-                result = self.cache.get_result(key)
-                if result is not None:
-                    found[key] = result
-        return dict(found)
-
-    def _store_results(
-        self, answered: Sequence[Tuple[SubQueryKey, Any]]
-    ) -> None:
-        if self.cache is None or not answered:
-            return
-        many = getattr(self.cache, "put_results_many", None)
-        if many is not None:
-            many(answered)
-            return
-        for key, result in answered:
-            self.cache.put_result(key, result)
-
-    # ------------------------------------------------------------------ #
-    # Driver
-    # ------------------------------------------------------------------ #
-
     def run(
         self, machines: Sequence[TripMachine]
     ) -> List["TripQueryResult"]:
@@ -598,7 +530,11 @@ class BatchExecutor:
             unique_keys = list(groups)
             self.stats.unique_subqueries += len(unique_keys)
 
-            found = self._probe_cache(unique_keys)
+            found: Dict[SubQueryKey, Any] = (
+                self.cache.get_results_many(unique_keys)
+                if self.cache is not None
+                else {}
+            )
             self.stats.cache_hits += sum(
                 len(groups[key]) for key in found
             )
@@ -608,7 +544,8 @@ class BatchExecutor:
                 self.index, self.network, scan_demands, self.n_workers
             )
             self.stats.n_index_scans += len(scanned)
-            self._store_results(list(zip(missing, scanned)))
+            if self.cache is not None and scanned:
+                self.cache.put_results_many(list(zip(missing, scanned)))
             answers = dict(found)
             answers.update(zip(missing, scanned))
             scanned_keys = set(missing)

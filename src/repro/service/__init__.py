@@ -1,4 +1,4 @@
-"""Serving layer: batched queries, shared caches, index persistence."""
+"""Cache layer: the shared sub-query cache and its cross-process tier."""
 
 from .cache import CacheStats, LRUCache, SectionStats, SubQueryCache
 from .cachetier import (
@@ -7,10 +7,8 @@ from .cachetier import (
     SharedTierStats,
     resolve_cache_backend,
 )
-from .service import TravelTimeService
 
 __all__ = [
-    "TravelTimeService",
     "SubQueryCache",
     "LRUCache",
     "CacheStats",

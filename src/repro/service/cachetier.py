@@ -86,8 +86,9 @@ _SECTIONS = ("ranges", "results", "histograms")
 
 @runtime_checkable
 class CacheBackend(Protocol):
-    """The cache protocol :meth:`repro.core.engine.QueryEngine._run_trip`
-    consumes, plus the serving-layer lifecycle hooks.
+    """The cache protocol :class:`repro.core.exec.TripMachine` and the
+    :class:`repro.core.engine.QueryEngine` drivers consume, plus the
+    session lifecycle hooks.
 
     ``get_*`` returns ``None`` on a miss; cached values are treated as
     immutable by all parties.  ``spawn_for_worker`` is called *inside a

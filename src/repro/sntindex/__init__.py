@@ -6,7 +6,6 @@ from .compaction import (
     compact_index_dir,
 )
 from .index import BuildStats, SNTIndex
-from .migrate import MigrationReport, migrate_index_dir
 from .partition import IndexPartition, build_partition
 from .persistence import FORMAT_VERSION, load_index, read_meta, save_index
 from .procedures import TravelTimeResult, count_matches, get_travel_times
@@ -61,6 +60,4 @@ __all__ = [
     "CompactionPolicy",
     "CompactionReport",
     "compact_index_dir",
-    "MigrationReport",
-    "migrate_index_dir",
 ]

@@ -43,8 +43,8 @@ executed whatever the pickle said.  Version 2 removes that file — the
 monolithic format contains **no pickle at all** — which both closes the
 load-time code-execution surface for this format and removes the
 unpickle cost from the open path.  Version-1 directories are refused
-with :class:`~repro.errors.IndexFormatError`; ``repro migrate`` (see
-:mod:`repro.sntindex.migrate`) upgrades them in place.
+with :class:`~repro.errors.IndexFormatError`; rebuild them from the
+source data with ``repro index``.
 
 ``FORMAT_VERSION`` gates compatibility: loaders refuse newer or older
 versions outright rather than guessing.
@@ -329,9 +329,8 @@ def read_meta(path: StoreLike) -> dict:
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"saved index has format version {version!r}; this build "
-            f"reads version {FORMAT_VERSION} only — run `repro migrate` "
-            "to upgrade it in place, or rebuild the index from source "
-            "data"
+            f"reads version {FORMAT_VERSION} only — rebuild the index "
+            "from source data with `repro index`"
         )
     return meta
 

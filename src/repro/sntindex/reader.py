@@ -1,8 +1,8 @@
 """The ``IndexReader`` protocol: what the query stack needs from an index.
 
-:class:`repro.core.engine.QueryEngine`, the cardinality estimator, and
-the batched service historically consumed :class:`SNTIndex` directly.
-This module names the surface they actually touch, so any structure that
+:class:`repro.core.engine.QueryEngine` and the cardinality estimator
+historically consumed :class:`SNTIndex` directly.  This module names
+the surface they actually touch, so any structure that
 can answer these calls — the monolithic :class:`SNTIndex` or the
 time-sliced :class:`repro.sntindex.sharded.ShardedSNTIndex` — plugs into
 the same engine unchanged:
@@ -13,9 +13,10 @@ the same engine unchanged:
   (record counts, time bounds, exact range counts) via
   :meth:`IndexReader.edge_index`, and time-of-day selectivity via
   :attr:`IndexReader.tod_store`;
-* the **retrieval** side: Procedure 5 (:meth:`IndexReader.get_travel_times`)
-  and the exact match counter backing the ``sigma_L`` splitter
-  (:meth:`IndexReader.count_matches`);
+* the **retrieval** side: Procedure 5 (:meth:`IndexReader.get_travel_times`,
+  and :meth:`IndexReader.get_travel_times_many` for a batch round's
+  demand set) and the exact match counter backing the ``sigma_L``
+  splitter (:meth:`IndexReader.count_matches`);
 * the **user** container ``U: d -> u``;
 * scalar identity: ``t_min``/``t_max``, ``alphabet_size``, ``kind``,
   ``n_partitions``, and the mutation ``epoch`` consumed by shared caches.
@@ -85,6 +86,12 @@ class IndexReader(Protocol):
     def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
         ...
 
+    def isa_ranges_many(
+        self, paths: Sequence[Sequence[int]]
+    ) -> List[List[Tuple[int, int, int]]]:
+        """``[isa_ranges(p) for p in paths]`` through one batched search."""
+        ...
+
     def path_traversal_count(self, path: Sequence[int]) -> int:
         ...
 
@@ -117,6 +124,15 @@ class IndexReader(Protocol):
         exclude_ids: Sequence[int] = (),
         isa_ranges=None,
     ):
+        ...
+
+    def get_travel_times_many(
+        self,
+        items: Sequence[Tuple],
+        fallback_tt: Optional[Callable[[int], float]] = None,
+    ):
+        """:meth:`get_travel_times` per ``(query, exclude_ids,
+        isa_ranges)`` item, in item order, with the scans grouped."""
         ...
 
     def count_matches(

@@ -678,9 +678,9 @@ class ShardedSNTIndex:
 
     Implements the same :class:`~repro.sntindex.reader.IndexReader`
     surface as :class:`SNTIndex`, so :class:`repro.core.engine.QueryEngine`
-    and :class:`repro.service.TravelTimeService` use it unchanged — with
-    answers bit-identical to the monolithic index over the same corpus
-    and ``partition_days`` (see the module docstring for why).
+    uses it unchanged — with answers bit-identical to the monolithic
+    index over the same corpus and ``partition_days`` (see the module
+    docstring for why).
     """
 
     def __init__(
@@ -1418,9 +1418,8 @@ def read_sharded_meta(path: StoreLike) -> dict:
     if version != SHARDED_FORMAT_VERSION:
         raise IndexFormatError(
             f"saved sharded index has format version {version!r}; this "
-            f"build reads version {SHARDED_FORMAT_VERSION} only — run "
-            "`repro migrate` to upgrade it in place, or rebuild the "
-            "index from source data"
+            f"build reads version {SHARDED_FORMAT_VERSION} only — "
+            "rebuild the index from source data with `repro index`"
         )
     return manifest
 

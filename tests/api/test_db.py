@@ -19,7 +19,6 @@ from repro import (
     SNTIndex,
     StrictPathQuery,
     TravelTimeDB,
-    TravelTimeService,
     TripQueryResult,
     TripRequest,
     generate_dataset,
@@ -219,27 +218,42 @@ class TestRoundTripProperty:
         for request in requests:
             assert TripRequest.from_dict(request.to_dict()) == request
 
-    @pytest.mark.parametrize("estimator", (None, "CSS-Fast"))
-    def test_fanout_matches_sequential(self, world, estimator):
+    @pytest.mark.parametrize(
+        "estimator, n_workers, window",
+        (
+            pytest.param(None, 4, 3, id="None"),
+            pytest.param("CSS-Fast", 4, 3, id="CSS-Fast"),
+            # query_many and stream share one thread fan-out; the
+            # default window exercises stream's refill path too.
+            pytest.param(None, 3, None, id="shared-fanout"),
+        ),
+    )
+    def test_fanout_matches_sequential(
+        self, world, estimator, n_workers, window
+    ):
         dataset, index = world
         requests = random_requests(
             dataset, index, seed=99, estimator=estimator
         )
         config = EngineConfig()
-        sequential = open_db(
+        uncached = open_db(
             index, network=dataset.network, cache=None, config=config
-        ).query_many(requests)
+        )
+        sequential = uncached.query_many(requests)
+        per_request = [uncached.query(request) for request in requests]
         fanned = open_db(
             index, network=dataset.network, config=config
-        ).query_many(requests, n_workers=4)
+        ).query_many(requests, n_workers=n_workers)
         streamed = list(
             open_db(index, network=dataset.network, config=config).stream(
-                requests, n_workers=4, window=3
+                requests, n_workers=n_workers, window=window
             )
         )
+        assert_bit_identical(per_request, sequential)
         # Concurrent fan-out can over-count scans on racy same-key
         # misses, so only the answers are compared here.
         for results in (fanned, streamed):
+            assert [r.request for r in results] == requests
             for result, reference in zip(results, sequential):
                 assert result.histogram == reference.histogram
                 assert result.estimated_mean == reference.estimated_mean
@@ -376,10 +390,10 @@ class TestLegacySurfaceRemoved:
 
         dataset, index = world
         engine = QueryEngine(index, dataset.network)
-        service = TravelTimeService(index, dataset.network)
+        db = TravelTimeDB(index, dataset.network)
         assert not hasattr(engine, "trip_query")
-        assert not hasattr(service, "trip_query")
-        assert not hasattr(service, "trip_query_many")
+        assert not hasattr(db, "trip_query")
+        assert not hasattr(db, "trip_query_many")
 
     def test_legacy_engine_constructor_kwargs_rejected(self, world):
         from repro import QueryEngine
@@ -388,7 +402,7 @@ class TestLegacySurfaceRemoved:
         with pytest.raises(TypeError):
             QueryEngine(index, dataset.network, partitioner="pi_1")
         with pytest.raises(TypeError):
-            TravelTimeService(index, dataset.network, partitioner="pi_1")
+            TravelTimeDB(index, dataset.network, partitioner="pi_1")
 
     def test_new_constructors_do_not_warn(self, world):
         from repro import QueryEngine
@@ -397,7 +411,7 @@ class TestLegacySurfaceRemoved:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             QueryEngine(index, dataset.network, EngineConfig())
-            TravelTimeService(index, dataset.network, config=EngineConfig())
+            TravelTimeDB(index, dataset.network, config=EngineConfig())
             open_db(index, network=dataset.network)
 
     def test_non_config_positional_rejected_with_clear_error(self, world):

@@ -21,7 +21,6 @@ from repro import (
     TripRequest,
 )
 from repro.experiments import build_workload
-from repro.service import TravelTimeService
 
 from tests.typed_api import as_requests, run_trip
 
@@ -197,25 +196,25 @@ def test_shared_cache_rejects_different_index_or_network(workload):
     from repro.experiments import build_workload
 
     shared = SubQueryCache()
-    TravelTimeService(workload.index, workload.network, cache=shared)
+    TravelTimeDB(workload.index, workload.network, cache=shared)
     other = build_workload("tiny", seed=1)
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(other.index, other.network, cache=shared)
+        TravelTimeDB(other.index, other.network, cache=shared)
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(workload.index, other.network, cache=shared)
+        TravelTimeDB(workload.index, other.network, cache=shared)
     # The binding is permanent — clear() empties but does not unbind
     # (an in-flight trip could repopulate after the clear).
     shared.clear()
     with pytest.raises(ValueError, match="bound to a different"):
-        TravelTimeService(other.index, other.network, cache=shared)
+        TravelTimeDB(other.index, other.network, cache=shared)
     # Same pair keeps working.
-    TravelTimeService(workload.index, workload.network, cache=shared)
+    TravelTimeDB(workload.index, workload.network, cache=shared)
 
 
 def test_engine_rejects_mismatched_index_network_pair(workload):
     """A mismatched pair would answer silently wrong (unknown edges get
     empty ISA ranges + the wrong network's fallback); the engine — and
-    therefore TravelTimeService/from_saved — must refuse it up front."""
+    therefore TravelTimeDB/open_db — must refuse it up front."""
     from repro import Edge, QueryEngine, RoadCategory
     from repro.errors import QueryError
     from repro.network import RoadNetwork, ZoneType
@@ -237,11 +236,19 @@ def test_engine_rejects_mismatched_index_network_pair(workload):
     with pytest.raises(QueryError, match="alphabet"):
         QueryEngine(workload.index, foreign)
     with pytest.raises(QueryError, match="alphabet"):
-        TravelTimeService(workload.index, foreign)
+        TravelTimeDB(workload.index, foreign)
 
 
-def test_invalid_cache_and_workers_raise(workload):
-    with pytest.raises(ValueError):
-        TravelTimeService(workload.index, workload.network, cache="bogus")
-    with pytest.raises(ValueError):
-        TravelTimeService(workload.index, workload.network, n_workers=0)
+def test_invalid_cache_and_workers_raise(workload, jobs):
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        TravelTimeDB(workload.index, workload.network, cache="bogus")
+    with pytest.raises(ConfigurationError):
+        EngineConfig(n_workers=0)
+    db = TravelTimeDB(workload.index, workload.network)
+    requests = as_requests(*jobs)
+    with pytest.raises(ConfigurationError):
+        db.query_many(requests, n_workers=0)
+    with pytest.raises(ConfigurationError):
+        db.stream(requests, n_workers=0)

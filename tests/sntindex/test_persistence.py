@@ -176,25 +176,20 @@ class TestPartitionedWorldRoundTrip:
             assert after.estimated_mean == before.estimated_mean
 
     def test_service_cold_start_from_saved(self, world, tmp_path):
-        from repro.service import TravelTimeService
+        from repro import open_db
 
         dataset, index = world
         index.save(tmp_path / "index")
-        service = TravelTimeService.from_saved(
-            tmp_path / "index", dataset.network
-        )
+        db = open_db(tmp_path / "index", network=dataset.network)
         trip = next(tr for tr in dataset.trajectories if len(tr) >= 8)
         query = StrictPathQuery(
             path=trip.path,
             interval=PeriodicInterval.around(trip.start_time, 900),
             beta=10,
         )
-        # The service is the internal batch executor behind the typed
-        # API; the cold-started engine must answer like the in-memory
-        # one (the shims were removed in PR 5 — go through query()).
-        result = run_trip(
-            service.engine, query, exclude_ids=(trip.traj_id,)
-        )
+        # The cold-started session must answer like an engine over
+        # the in-memory index.
+        result = run_trip(db, query, exclude_ids=(trip.traj_id,))
         expected = run_trip(
             QueryEngine(index, dataset.network),
             query,

@@ -28,7 +28,6 @@ from repro import (
     SubQueryCache,
     TrajectorySet,
     TravelTimeDB,
-    TravelTimeService,
     TripRequest,
     generate_dataset,
 )
@@ -482,6 +481,21 @@ def test_manifest_scalar_corruption_rejected_before_shard_load(
     # checks, the error would name the payload, not partition_days.
     (target / "shard_0000" / "payload" / "users.npy").write_bytes(b"garbage")
     with pytest.raises(PersistenceError, match="partition_days"):
+        load_any_index(target)
+
+
+def test_v1_manifest_refused_with_rebuild_hint(world, tmp_path):
+    import json
+
+    from repro.errors import IndexFormatError
+
+    _, _, sharded, _ = world
+    target = sharded.save(tmp_path / "sharded-index")
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexFormatError, match="rebuild.*repro index"):
         load_any_index(target)
 
 

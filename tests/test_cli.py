@@ -547,7 +547,7 @@ class TestErrorExitCodes:
 
 
 class TestShardLifecycleCommands:
-    """ISSUE 9: ``--store`` URIs, ``compact``, and ``migrate``."""
+    """ISSUE 9: ``--store`` URIs and ``compact``."""
 
     def _histogram_lines(self, text):
         return [line for line in text.splitlines() if " ms" not in line]
@@ -647,16 +647,3 @@ class TestShardLifecycleCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "monolithic" in err
-
-    def test_migrate_current_is_noop(self, world_dir, tmp_path, capsys):
-        index_dir = tmp_path / "sharded"
-        self._build_sharded(world_dir, index_dir, shards=2)
-        capsys.readouterr()
-        assert main(["migrate", str(index_dir)]) == 0
-        assert "nothing to do" in capsys.readouterr().out
-
-    def test_migrate_not_an_index_fails_one_line(self, tmp_path, capsys):
-        assert main(["migrate", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1
