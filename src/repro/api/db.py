@@ -310,13 +310,13 @@ class TravelTimeDB:
             return self._engine.run_batch(requests, n_workers=workers)
         # Without dedup each trip runs the sequential driver; it is not
         # ``run_batch([r])`` because a batch of one is not free yet.
-        # Measured for ISSUE 17 (trip-cold's 360 requests, seed-0 small
-        # world, quietest of 8-10 alternating passes, answers and scan
-        # counts equal): ``query`` 374 trips/s at p50 1.74 ms against
-        # 239 trips/s (-36 %) at p50 2.44 ms through the BatchExecutor —
-        # ``first_segment_matches_many`` at one item plus ~25 us of
-        # round bookkeeping x ~18 rounds per trip.  Merge the drivers
-        # once ROADMAP item 2 has cut the rounds per trip.
+        # Re-measured for ISSUE 18, with rounds per trip down from ~18
+        # to ~8.6 (trip-cold's 360 requests, seed-0 small world,
+        # quietest of 10 alternating passes, answers and scans + hits
+        # equal): ``query`` 550 trips/s at p50 1.46 ms against 392
+        # trips/s (-29 %) at p50 1.94 ms through the BatchExecutor —
+        # what is left is ``first_segment_matches_many`` at one item,
+        # not round bookkeeping (ROADMAP item 1).
         if workers == 1:
             return [self._engine.query(r) for r in requests], None
         return list(self._fan_out(requests, workers, len(requests))), None

@@ -6,10 +6,13 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
    trip path into sub-queries using a ``pi`` method, the optional
    Cardinality Estimator pre-emptively relaxes doomed sub-queries via
    the Sub-query Splitter (``sigma``), later sub-queries' periodic
-   intervals are adapted with shift-and-enlarge (Dai et al.), and empty
-   or insufficient retrievals are expanded through the relaxation ladder;
-2. **fetch** (:mod:`repro.core.exec`) — ``getTravelTimes`` answers each
-   planned sub-query from the cache backend or an SNT-index scan;
+   intervals are adapted with shift-and-enlarge (Dai et al.), and a
+   sub-query whose whole widen ladder failed is split or stripped of
+   its filters (Procedure 1);
+2. **fetch** (:mod:`repro.core.exec`) — each planned sub-query is
+   answered, widen ladder included, from the cache backend or by one
+   SNT-index call (``getTravelTimes`` at its own width, then every wider
+   rung counted from one scan of the widest);
 3. **combine** — the Histogram Builder turns each travel-time set into a
    histogram and convolves them into the answer for the full path.
 
@@ -59,13 +62,15 @@ __all__ = [
 
 class PerTripCache:
     """Default sub-query cache: one FM-index backward search per distinct
-    sub-path per trip (estimator, retrieval, and interval-widening retries
-    share it), discarded when the trip completes.
+    sub-path per trip (the estimator, the retrieval and every rung of the
+    widen ladder share it), discarded when the trip completes.
 
-    This is the behaviour the engine always had; it implements the same
-    protocol as :class:`repro.service.SubQueryCache` but caches ranges
-    only — retrieval results and histograms are never shared, because
-    within one trip a sub-query is retrieved at most once per interval.
+    It implements the same protocol as
+    :class:`repro.service.SubQueryCache` but caches ranges only —
+    retrieval results and histograms are never shared, because within
+    one trip a sub-query is retrieved at most once per interval.  Every
+    fetch demand therefore reaches the index, and is accounted as one
+    ``n_index_scans``.
     """
 
     __slots__ = ("_ranges",)
@@ -117,7 +122,10 @@ class TripQueryResult:
 
     histogram: Histogram
     outcomes: List[SubQueryOutcome]
-    #: Number of getTravelTimes index dispatches (including retries).
+    #: Fetch demands the index answered.  A demand is one sub-query
+    #: *with its widen ladder*: however many rungs the walk tried, it is
+    #: one index call and one count here (split halves and dropped
+    #: filters are new demands).
     n_index_scans: int
     #: Sub-queries skipped by the cardinality estimator before any scan.
     n_estimator_skips: int
@@ -126,12 +134,13 @@ class TripQueryResult:
     #: to the *batch* start (trips wait on shared rounds), so summing it
     #: across a batch overcounts the batch's actual work.
     elapsed_s: float
-    #: Sub-query retrievals answered from a shared cache instead of an
-    #: index scan; always 0 with the default per-trip cache.  The scan
-    #: count of an uncached run equals ``n_index_scans + n_cache_hits``,
-    #: except under concurrent fan-out, where two threads missing the
-    #: same key simultaneously may each scan it once (answers are still
-    #: identical; the sum can only over-count scans, never miss work).
+    #: Fetch demands a shared cache answered without the index — every
+    #: rung the walk needed was cached; always 0 with the default
+    #: per-trip cache.  A demand is a scan or a hit, never both, so
+    #: ``n_index_scans + n_cache_hits`` is the trip's demand count under
+    #: every driver, cache and reader.  Under concurrent fan-out two
+    #: threads missing the same key simultaneously may each scan it once
+    #: (answers are still identical; work is over-counted, never missed).
     n_cache_hits: int = 0
     #: The :class:`repro.api.TripRequest` this result answers, when the
     #: query entered through the typed API (``None`` on legacy paths).
@@ -383,7 +392,8 @@ class QueryEngine:
         result carries the request as a back-reference.  A shared cache
         returns bit-identical histograms — cached retrievals re-enter
         the procedure at the exact point the index scan would have, so
-        only ``n_index_scans`` (and ``n_cache_hits``) differ.
+        only the split between ``n_index_scans`` and ``n_cache_hits``
+        differs.
         """
         if not hasattr(request, "to_spq"):
             # The exact migration mistake the deprecation message invites:
@@ -405,10 +415,9 @@ class QueryEngine:
         )
         demand = machine.advance()
         while demand is not None:
-            result, from_scan = execute_fetch(
-                self.index, self.network, machine.cache, demand
+            demand = machine.resume(
+                *execute_fetch(self.index, self.network, machine.cache, demand)
             )
-            demand = machine.resume(result, from_scan)
         assert machine.result is not None
         machine.result.request = request
         return machine.result
@@ -422,11 +431,12 @@ class QueryEngine:
 
         All trips plan against the engine's shared cache backend (a
         ``None`` engine cache means per-trip caches and in-batch dedup
-        only), and the :class:`~repro.core.exec.BatchExecutor` scans
-        each unique planned sub-query once per round — bit-identical to
-        the sequential per-trip loop, including relaxation re-planning
-        when a shared scan comes back empty.  Returns the results in
-        submission order plus the batch's dedup accounting.
+        only), and the :class:`~repro.core.exec.BatchExecutor` answers
+        each unique planned sub-query — its whole widen ladder — once
+        per round, bit-identical to the sequential per-trip loop,
+        including the per-trip re-planning (split, drop filters) when a
+        shared walk comes back empty.  Returns the results in submission
+        order plus the batch's dedup accounting.
         """
         shared = self._synced_cache()
         # Machines are built (and their clocks started) together, so in

@@ -1,30 +1,36 @@
 """Query execution: the fetch and combine stages of Procedure 6.
 
 :mod:`repro.core.plan` decides *what to ask the index*; this module asks
-it.  Three pieces:
+it.  Four pieces:
 
 * :class:`TripMachine` — one trip's Procedure 6 state, advanced step by
   step.  ``advance()`` runs the planner (partition queue, shift-and-
   enlarge, estimator pre-check, relaxation) until the trip either needs
   an index fetch — returning a :class:`FetchDemand` — or completes.
-  ``resume(result, from_scan)`` feeds the fetch answer back in and
+  ``resume(rung, result, from_scan)`` feeds the fetch answer back in and
   continues.  The machine performs no index retrieval itself, which is
   what lets one driver answer a trip sequentially and another answer a
   whole batch with cross-trip deduplication, bit-identically.
-* :func:`execute_fetch` — the fetch stage for one demand: probe the
-  cache backend, scan the :class:`IndexReader` on a miss, store the
-  answer.  Exactly the PR-1 cache discipline, so a machine driven
-  through it produces the same ``n_index_scans``/``n_cache_hits``
-  accounting as the historical monolithic loop.
+* :class:`FetchDemand` — one sub-query *and its widen ladder*: the
+  demanded rung plus, built only when that rung fails, the wider rungs
+  Procedure 1 would step through.  The fetch stage resolves the whole
+  walk and answers ``(rung, result)``; the machine never re-plans a
+  widening.
+* :func:`execute_fetch` — the fetch stage for one demand: chase the
+  cache up the ladder, and from the first rung it does not hold make
+  **one** :meth:`IndexReader.walk_ladder` call, storing every rung the
+  call settled under its own key.  A demand is accounted once — an
+  index scan if the index was asked, a cache hit if the cache answered
+  the whole walk — so ``n_index_scans + n_cache_hits`` is the same
+  under every driver, cache and reader.
 * :class:`BatchExecutor` — the round-based batch driver: collect the
-  pending demands of every in-flight trip, deduplicate identical
-  :class:`~repro.core.plan.SubQueryTask` keys, answer each unique task
-  once (bulk cache probe, then one index scan per unique miss — grouped
-  per edge and per shard by ``get_travel_times_many``), and
-  fan each answer out to every owning trip.  Owners that did not pay
-  the scan account a cache hit, exactly as they would have in a
-  sequential pass over a shared cache, so ``scans + hits`` stays
-  invariant and histograms stay byte-identical.
+  pending demands of every in-flight trip, deduplicate identical walks,
+  answer each unique walk once (bulk cache probes rung by rung, then
+  one ``walk_ladder_many`` call for the round's misses — grouped per
+  edge and per shard), and fan each answer out to every owning trip.
+  Owners that did not pay the scan account a cache hit, exactly as they
+  would have in a sequential pass over a shared cache, so histograms
+  stay byte-identical.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -60,6 +67,7 @@ from .plan import (
     plan_trip,
     wants_shift_enlarge,
 )
+from .splitting import widen_rungs
 from .spq import StrictPathQuery
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -81,21 +89,105 @@ __all__ = [
 IsaRanges = List[Tuple[int, int, int]]
 
 
-@dataclass(frozen=True, slots=True)
+def _admits(
+    estimator: Any, query: StrictPathQuery, ranges: IsaRanges
+) -> bool:
+    """The cardinality estimator's pre-check (Section 4.4): whether a
+    sub-query is worth a retrieval at all."""
+    return (
+        estimator is None
+        or query.beta is None
+        or estimator.estimate(query, isa_ranges=ranges) >= query.beta
+    )
+
+
 class FetchDemand:
-    """One suspended trip's request to the fetch stage.
+    """One suspended trip's request to the fetch stage: a sub-query and
+    the widen ladder above it.
+
+    ``task`` is the rung the trip needs now; :meth:`tasks` adds the
+    wider rungs Procedure 1 would step through if it fails — the same
+    Stage-1 rule, iterated from ``task``'s interval, keeping only the
+    rungs the trip's estimator admits.  They are built on first use:
+    most demands succeed on ``task`` and never pay for them.  The fetch
+    stage tries the rungs in order and answers with the position of the
+    one that settled the walk.
 
     ``ranges`` is the ISA backward search the planner already performed
     (shared with the estimator pre-check); the scan reuses it instead of
-    recomputing.
+    recomputing.  ``exclude`` is ``task.exclude_ids`` as the sorted
+    array the scan filters on, converted once per trip.
     """
 
-    task: SubQueryTask
-    ranges: IsaRanges
+    __slots__ = (
+        "task", "ranges", "exclude", "_policy", "_estimator", "_tasks",
+        "_skipped",
+    )
+
+    def __init__(
+        self,
+        task: SubQueryTask,
+        ranges: IsaRanges,
+        exclude: Any,
+        policy: PlanPolicy,
+        estimator: Any,
+    ) -> None:
+        self.task = task
+        self.ranges = ranges
+        self.exclude = exclude
+        self._policy = policy
+        self._estimator = estimator
+        self._tasks: Optional[List[SubQueryTask]] = None
+        #: Per rung of :meth:`tasks`: how many ladder rungs between
+        #: ``task`` and it the estimator rejected.
+        self._skipped = [0]
 
     @property
-    def key(self) -> SubQueryKey:
-        return self.task.key
+    def walk_key(self) -> Tuple[SubQueryKey, Any]:
+        """Identity of the whole walk: demands with equal walk keys try
+        the same rungs in the same order (the estimator decides which
+        rungs are tried, so it is part of the identity)."""
+        return self.task.key, self._estimator
+
+    def tasks(self) -> List[SubQueryTask]:
+        """Every rung the fetch stage may try, ``task`` first."""
+        if self._tasks is None:
+            tasks = [self.task]
+            skipped = 0
+            policy = self._policy
+            # No trip can afford more widenings than its whole budget.
+            for rung in widen_rungs(
+                self.task.query, policy.ladder, policy.max_relaxations
+            ):
+                if _admits(self._estimator, rung, self.ranges):
+                    tasks.append(SubQueryTask(rung, self.task.exclude_ids))
+                    self._skipped.append(skipped)
+                else:
+                    skipped += 1
+            self._tasks = tasks
+        return self._tasks
+
+    def task_at(self, rung: int) -> SubQueryTask:
+        return self.tasks()[rung] if rung else self.task
+
+    def wider(self, rung: int) -> List[StrictPathQuery]:
+        """The queries of the rungs above position ``rung``."""
+        return [task.query for task in self.tasks()[rung + 1 :]]
+
+    def stored(self, rung: int, walk: Sequence[Any]) -> List[Tuple[Any, Any]]:
+        """``(key, result)`` per rung of a scanned ``walk`` that started
+        at position ``rung`` — what a rung-by-rung walk would have left
+        in the cache."""
+        return [
+            (self.task_at(rung + offset).key, result)
+            for offset, result in enumerate(walk)
+        ]
+
+    def climbed(self, rung: int) -> Tuple[int, int]:
+        """The ``(widenings, estimator skips)`` Procedure 1 spends
+        stepping from ``task`` up to position ``rung``."""
+        skipped = self._skipped[rung]
+        return rung + skipped, skipped
 
 
 def convolve_histograms(
@@ -134,6 +226,7 @@ class TripMachine:
         "_network",
         "_estimator",
         "_exclude",
+        "_exclude_array",
         "_queue",
         "_split_fn",
         "_outcomes",
@@ -165,7 +258,10 @@ class TripMachine:
         self._network = network
         self._estimator = estimator
         self._exclude = canonical_exclude(exclude_ids)
-        self._split_fn = make_split_fn(policy, index, self._exclude)
+        # The scan's form of the same set (sorted int64), converted once
+        # per trip instead of once per scan.
+        self._exclude_array = np.asarray(self._exclude, dtype=np.int64)
+        self._split_fn = make_split_fn(policy, index, self._exclude_array)
         self._queue: Deque[StrictPathQuery] = deque(
             plan_trip(policy, query, network)
         )
@@ -237,48 +333,61 @@ class TripMachine:
                 sub = apply_shift_enlarge(sub, self._shift_s, self._enlarge_s)
 
             # Cardinality estimator pre-check (Section 4.4).
-            if (
-                self._estimator is not None
-                and sub.beta is not None
-                and self._estimator.estimate(sub, isa_ranges=ranges)
-                < sub.beta
-            ):
+            if not _admits(self._estimator, sub, ranges):
                 self.n_skips += 1
                 self._relax(sub)
                 continue
 
             self._pending = FetchDemand(
-                SubQueryTask(sub, self._exclude), ranges
+                SubQueryTask(sub, self._exclude),
+                ranges,
+                self._exclude_array,
+                policy,
+                self._estimator,
             )
             return self._pending
         self._finish()
         return None
 
-    def resume(self, result: Any, from_scan: bool) -> Optional[FetchDemand]:
-        """Feed the pending demand's retrieval result back in.
+    def resume(
+        self, rung: int, result: Any, from_scan: bool
+    ) -> Optional[FetchDemand]:
+        """Feed the pending demand's answer back in: ``result`` settled
+        the walk at position ``rung`` of the demand's
+        :meth:`~FetchDemand.tasks`.
 
-        ``from_scan`` says who paid for it: ``True`` accounts an index
-        scan, ``False`` a cache hit (including a deduplicated fan-out,
-        which is a hit against the batch's own just-scanned answer).
-        Continues planning and returns the next demand, or ``None`` when
-        the trip completed.
+        The widenings up to that rung are charged to the relaxation
+        budget — and the rungs the estimator rejected on the way to
+        ``n_estimator_skips`` — exactly as if the trip had stepped
+        through them one by one.  An empty ``result`` means every rung
+        failed; the trip relaxes on from the last one (split, drop the
+        user filter, all data).  ``from_scan`` says who paid:
+        ``True`` accounts an index scan, ``False`` a cache hit
+        (including a deduplicated fan-out, which is a hit against the
+        batch's own just-scanned answer) — once per demand, however
+        many rungs the walk tried.  Continues planning and returns the
+        next demand, or ``None`` when the trip completed.
         """
         if self._pending is None:
             raise QueryError(
                 "TripMachine.resume called without a pending fetch demand"
             )
         demand, self._pending = self._pending, None
-        sub = demand.task.query
         if from_scan:
             self.n_scans += 1
         else:
             self.n_hits += 1
+        task = demand.task_at(rung)
+        widenings, skips = demand.climbed(rung)
+        self.n_skips += skips
+        self._spend(widenings)
+        sub = task.query
 
         if result.is_empty:
             self._relax(sub)
             return self.advance()
 
-        histogram_key = (demand.key, self.policy.bucket_width_s)
+        histogram_key = (task.key, self.policy.bucket_width_s)
         histogram = self.cache.get_histogram(histogram_key)
         if histogram is None:
             histogram = Histogram.from_values(
@@ -299,11 +408,14 @@ class TripMachine:
         self._enlarge_s += histogram.value_range
         return self.advance()
 
-    def _relax(self, sub: StrictPathQuery) -> None:
-        """Replace a failing sub-query with its relaxation (Procedure 1)."""
-        self._relaxations += 1
+    def _spend(self, n_relaxations: int) -> None:
+        self._relaxations += n_relaxations
         if self._relaxations > self.policy.max_relaxations:
             raise QueryError("relaxation limit exceeded")
+
+    def _relax(self, sub: StrictPathQuery) -> None:
+        """Replace a failing sub-query with its relaxation (Procedure 1)."""
+        self._spend(1)
         self._queue.extendleft(
             reversed(
                 expand_relaxation(
@@ -367,45 +479,59 @@ def execute_fetch(
     network: "RoadNetwork",
     cache: Any,
     demand: FetchDemand,
-) -> Tuple[Any, bool]:
-    """Fetch stage for one demand: cache probe, then scan-and-store.
+) -> Tuple[int, Any, bool]:
+    """Fetch stage for one demand: resolve its whole ladder walk.
 
-    Returns ``(result, from_scan)`` — exactly the PR-1 discipline: a hit
-    is indistinguishable from a scan bar the accounting, and a scanned
-    answer is stored before anyone consumes it.
+    Returns ``(rung, result, from_scan)``.  The cache is chased up the
+    ladder first — a cached failure moves the walk to the next rung, a
+    cached answer (or a cached failure of the last rung) ends it as a
+    hit.  From the first rung the cache does not hold, one
+    :meth:`IndexReader.walk_ladder` call settles the rest, and every
+    rung it tried is stored under its own key before anyone consumes the
+    answer — what a rung-by-rung walk would have left in the cache.
     """
-    key = demand.key
-    result = cache.get_result(key)
-    if result is not None:
-        return result, False
-    result = index.get_travel_times(
-        demand.task.query,
+    rung, task = 0, demand.task
+    while (result := cache.get_result(task.key)) is not None:
+        if not result.is_empty or rung + 1 == len(demand.tasks()):
+            return rung, result, False
+        rung += 1
+        task = demand.tasks()[rung]
+    walk = index.walk_ladder(
+        task.query,
+        partial(demand.wider, rung),
         fallback_tt=network.estimate_tt,
-        exclude_ids=demand.task.exclude_ids,
+        exclude_ids=demand.exclude,
         isa_ranges=demand.ranges,
     )
-    cache.put_result(key, result)
-    return result, True
+    for key, settled in demand.stored(rung, walk):
+        cache.put_result(key, settled)
+    return rung + len(walk) - 1, walk[-1], True
 
 
-def _scan_demands(
+def _scan_walks(
     index: "IndexReader",
     network: "RoadNetwork",
-    demands: Sequence[FetchDemand],
+    walks: Sequence[Tuple[FetchDemand, int]],
     n_workers: int,
-) -> List[Any]:
-    """Scan stage over unique demands, in demand order.
+) -> List[List[Any]]:
+    """Scan stage over unique ``(demand, first uncached rung)`` walks, in
+    order.
 
-    ``get_travel_times_many`` answers the whole set in one call — the
+    ``walk_ladder_many`` answers the whole set in one call — the
     monolithic index groups queries by first/last edge so each edge's
     interval selection and probe join run once per round, and the
     sharded router additionally walks each shard's columns contiguously.
-    Thread fan-out is safe because every demand is a distinct key and
+    Thread fan-out is safe because every walk is a distinct key and
     index reads are immutable during a batch.
     """
     items = [
-        (demand.task.query, demand.task.exclude_ids, demand.ranges)
-        for demand in demands
+        (
+            demand.task_at(rung).query,
+            partial(demand.wider, rung),
+            demand.exclude,
+            demand.ranges,
+        )
+        for demand, rung in walks
     ]
     if n_workers > 1 and len(items) > 1:
         # Contiguous slices, one grouped call per worker: per-shard
@@ -421,16 +547,16 @@ def _scan_demands(
             parts = list(
                 pool.map(
                     lambda chunk: list(
-                        index.get_travel_times_many(
+                        index.walk_ladder_many(
                             chunk, fallback_tt=network.estimate_tt
                         )
                     ),
                     slices,
                 )
             )
-        return [result for part in parts for result in part]
+        return [walk for part in parts for walk in part]
     return list(
-        index.get_travel_times_many(items, fallback_tt=network.estimate_tt)
+        index.walk_ladder_many(items, fallback_tt=network.estimate_tt)
     )
 
 
@@ -440,14 +566,16 @@ class DedupStats:
 
     #: Trips answered by the batch.
     n_trips: int = 0
-    #: Fetch demands planned across all trips (including relaxation
-    #: retries).
+    #: Fetch demands planned across all trips (a sub-query with its
+    #: widen ladder is one demand; split halves and dropped filters are
+    #: new ones).
     planned_subqueries: int = 0
-    #: Distinct sub-query keys the batch actually had to answer.
+    #: Distinct ladder walks the batch actually had to answer, summed
+    #: over rounds.
     unique_subqueries: int = 0
-    #: Demands answered straight from the shared cache backend.
+    #: Demands the shared cache backend answered for every rung needed.
     cache_hits: int = 0
-    #: Index scans executed (one per unique cache-missing key).
+    #: Index calls executed (one per unique walk the cache fell short on).
     n_index_scans: int = 0
     #: Executor rounds (batch-wide plan/fetch/combine iterations).
     n_rounds: int = 0
@@ -480,14 +608,15 @@ class BatchExecutor:
     """Answers a batch of trips with cross-trip sub-query deduplication.
 
     Each round: every in-flight trip plans up to its next fetch demand;
-    demands with identical keys are grouped; each unique key is answered
-    once — bulk cache probe first, then one index scan per miss — and
+    demands for the same ladder walk are grouped; each unique walk is
+    answered once — the cache chased up the ladder with one bulk probe
+    per rung, then one grouped index call for the round's misses — and
     the answer fans out to every owner.  The first owner (in submission
-    order) of a scanned key accounts the scan; every other owner
+    order) of a scanned walk accounts the scan; every other owner
     accounts a cache hit, exactly what a sequential pass over a shared
-    cache would have produced.  Relaxation re-planning stays per-trip:
-    an owner resuming with an empty shared answer expands its own
-    ladder and re-demands in the next round.
+    cache would have produced.  Relaxation past the ladder (split, drop
+    filters) stays per-trip: an owner resuming with a failed walk
+    re-plans and demands again in the next round.
 
     ``cache`` may be ``None`` (no shared backend): deduplication then
     happens only within a round's demand set, and nothing is stored.
@@ -506,6 +635,45 @@ class BatchExecutor:
         self.n_workers = max(1, int(n_workers))
         self.stats = DedupStats()
 
+    def _chase_cache(
+        self, leads: Dict[Any, FetchDemand]
+    ) -> Tuple[Dict[Any, Tuple[int, Any]], Dict[Any, int]]:
+        """Chase every walk up its ladder through the shared cache.
+
+        One bulk probe per ladder level: a cached failure moves a walk
+        to its next rung, a cached answer (or the last rung's cached
+        failure) settles it.  Returns the settled walks' ``(rung,
+        result)`` and, for the others, the first rung the cache does not
+        hold.
+        """
+        answers: Dict[Any, Tuple[int, Any]] = {}
+        open_at = dict.fromkeys(leads, 0)
+        if self.cache is None:
+            return answers, open_at
+        frontier = list(leads)
+        while frontier:
+            keys = [
+                leads[walk].task_at(open_at[walk]).key for walk in frontier
+            ]
+            found = self.cache.get_results_many(keys)
+            climbing = []
+            for walk, key in zip(frontier, keys):
+                result = found.get(key)
+                if result is None:
+                    continue
+                rung = open_at[walk]
+                if (
+                    not result.is_empty
+                    or rung + 1 == len(leads[walk].tasks())
+                ):
+                    answers[walk] = (rung, result)
+                    del open_at[walk]
+                else:
+                    open_at[walk] = rung + 1
+                    climbing.append(walk)
+            frontier = climbing
+        return answers, open_at
+
     def run(
         self, machines: Sequence[TripMachine]
     ) -> List["TripQueryResult"]:
@@ -521,44 +689,45 @@ class BatchExecutor:
             self.stats.n_rounds += 1
             self.stats.planned_subqueries += len(pending)
 
-            # Group demands by key, preserving submission order (both of
-            # the unique keys and of each key's owners).
-            groups: Dict[SubQueryKey, List[Tuple[TripMachine, FetchDemand]]]
-            groups = {}
-            for machine, demand in pending:
-                groups.setdefault(demand.key, []).append((machine, demand))
-            unique_keys = list(groups)
-            self.stats.unique_subqueries += len(unique_keys)
+            # Group demands by walk, preserving submission order (both
+            # of the unique walks and of each walk's owners); the first
+            # owner's demand stands for the group.
+            walks = [demand.walk_key for _, demand in pending]
+            n_owners: Dict[Any, int] = {}
+            leads: Dict[Any, FetchDemand] = {}
+            for walk, (_, demand) in zip(walks, pending):
+                if walk in leads:
+                    n_owners[walk] += 1
+                else:
+                    leads[walk] = demand
+                    n_owners[walk] = 1
+            self.stats.unique_subqueries += len(leads)
 
-            found: Dict[SubQueryKey, Any] = (
-                self.cache.get_results_many(unique_keys)
-                if self.cache is not None
-                else {}
-            )
-            self.stats.cache_hits += sum(
-                len(groups[key]) for key in found
-            )
-            missing = [key for key in unique_keys if key not in found]
-            scan_demands = [groups[key][0][1] for key in missing]
-            scanned = _scan_demands(
-                self.index, self.network, scan_demands, self.n_workers
+            answers, open_at = self._chase_cache(leads)
+            self.stats.cache_hits += sum(n_owners[walk] for walk in answers)
+            scanned = _scan_walks(
+                self.index,
+                self.network,
+                [(leads[walk], rung) for walk, rung in open_at.items()],
+                self.n_workers,
             )
             self.stats.n_index_scans += len(scanned)
-            if self.cache is not None and scanned:
-                self.cache.put_results_many(list(zip(missing, scanned)))
-            answers = dict(found)
-            answers.update(zip(missing, scanned))
-            scanned_keys = set(missing)
+            settled: List[Tuple[Any, Any]] = []
+            for (walk, rung), results in zip(open_at.items(), scanned):
+                settled.extend(leads[walk].stored(rung, results))
+                answers[walk] = (rung + len(results) - 1, results[-1])
+            if self.cache is not None and settled:
+                self.cache.put_results_many(settled)
 
             # Fan out, in submission order; the first owner of a scanned
-            # key pays the scan, later owners account hits.
+            # walk pays the scan, later owners account hits.
+            unpaid = set(open_at)
             next_pending: List[Tuple[TripMachine, FetchDemand]] = []
-            for machine, demand in pending:
-                key = demand.key
-                from_scan = key in scanned_keys
+            for walk, (machine, _) in zip(walks, pending):
+                from_scan = walk in unpaid
                 if from_scan:
-                    scanned_keys.discard(key)
-                follow_up = machine.resume(answers[key], from_scan)
+                    unpaid.discard(walk)
+                follow_up = machine.resume(*answers[walk], from_scan)
                 if follow_up is not None:
                     next_pending.append((machine, follow_up))
             pending = next_pending

@@ -21,7 +21,13 @@ from ..errors import QueryError
 from .intervals import FixedInterval, PeriodicInterval, TimeInterval, is_periodic
 from .spq import StrictPathQuery
 
-__all__ = ["regular_split", "longest_prefix_splitter", "modify_subquery"]
+__all__ = [
+    "regular_split",
+    "longest_prefix_splitter",
+    "widen_step",
+    "widen_rungs",
+    "modify_subquery",
+]
 
 #: Counts trajectories matching (path, interval, user) up to a limit.
 MatchCounter = Callable[..., int]
@@ -71,6 +77,42 @@ def longest_prefix_splitter(counter: MatchCounter):
     return split
 
 
+def widen_step(
+    query: StrictPathQuery, ladder: Sequence[int]
+) -> Optional[StrictPathQuery]:
+    """Stage 1 of Procedure 1: ``query`` with its periodic interval
+    widened to the next ladder size, or ``None`` once the ladder is
+    exhausted (fixed intervals have no ladder).
+
+    The widening is iterative — each rung grows the *previous* rung's
+    window symmetrically — so a window that starts off-ladder (after
+    shift-and-enlarge) or has an odd size keeps the centre drift the
+    step-by-step walk gives it; rungs are never recomputed from the
+    centre.
+    """
+    interval = query.interval
+    if not is_periodic(interval) or interval.size >= ladder[-1]:
+        return None
+    next_size = next(a for a in ladder if a > interval.size)
+    return query.with_interval(interval.widened_to(next_size))
+
+
+def widen_rungs(
+    query: StrictPathQuery, ladder: Sequence[int], limit: int
+) -> List[StrictPathQuery]:
+    """The rungs above ``query`` on its widen ladder, narrowest first:
+    :func:`widen_step` iterated until the ladder is exhausted, or for
+    ``limit`` rungs — the caller's relaxation budget, which also ends a
+    ladder whose top no window can reach (a size beyond one day is
+    clamped on every step and never attained)."""
+    rungs: List[StrictPathQuery] = []
+    wider = widen_step(query, ladder)
+    while wider is not None and len(rungs) < limit:
+        rungs.append(wider)
+        wider = widen_step(wider, ladder)
+    return rungs
+
+
 def modify_subquery(
     query: StrictPathQuery,
     ladder: Sequence[int],
@@ -93,13 +135,12 @@ def modify_subquery(
     """
     if not ladder or list(ladder) != sorted(ladder):
         raise QueryError("interval ladder must be a non-empty ascending list")
-    alpha_min, alpha_max = ladder[0], ladder[-1]
+    alpha_min = ladder[0]
 
     # Stage 1: widen a periodic interval to the next ladder size.
-    if is_periodic(query.interval) and query.interval.size < alpha_max:
-        current = query.interval.size
-        next_size = next(a for a in ladder if a > current)
-        return [query.with_interval(query.interval.widened_to(next_size))]
+    widened = widen_step(query, ladder)
+    if widened is not None:
+        return [widened]
 
     # Stage 2: split the path; children restart at alpha_min.
     if query.length > 1:

@@ -10,7 +10,7 @@ trajectories are found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..errors import EmptyPathError
@@ -60,20 +60,23 @@ class StrictPathQuery:
         interval: TimeInterval,
         user: Optional[int],
         beta: Optional[int],
+        shift_applied: bool = False,
     ) -> "StrictPathQuery":
         """Construct bypassing ``__post_init__`` canonicalisation.
 
         Hot-path constructor for callers whose inputs are already
         canonical — :class:`repro.api.TripRequest` validates path/beta
-        at request construction, and re-canonicalising every batch item
-        costs measurable warm-cache QPS (the bench guard's 5% budget).
+        at request construction, and the ``with_*`` copies below start
+        from a query that already passed ``__post_init__``;
+        re-canonicalising the path on every relaxation step and batch
+        item costs measurable QPS.
         """
         query = object.__new__(cls)
         object.__setattr__(query, "path", path)
         object.__setattr__(query, "interval", interval)
         object.__setattr__(query, "user", user)
         object.__setattr__(query, "beta", beta)
-        object.__setattr__(query, "shift_applied", False)
+        object.__setattr__(query, "shift_applied", shift_applied)
         return query
 
     @property
@@ -82,16 +85,31 @@ class StrictPathQuery:
         return len(self.path)
 
     def with_interval(self, interval: TimeInterval) -> "StrictPathQuery":
-        return replace(self, interval=interval)
+        return self._from_validated(
+            self.path, interval, self.user, self.beta, self.shift_applied
+        )
 
     def with_path(self, path: Tuple[int, ...]) -> "StrictPathQuery":
-        return replace(self, path=tuple(path))
+        """The same predicate over another (canonical, non-empty) path —
+        in practice a slice of this one."""
+        path = tuple(path)
+        if not path:
+            raise EmptyPathError("strict path query requires a non-empty path")
+        return self._from_validated(
+            path, self.interval, self.user, self.beta, self.shift_applied
+        )
 
     def without_user(self) -> "StrictPathQuery":
-        return replace(self, user=None)
+        return self._from_validated(
+            self.path, self.interval, None, self.beta, self.shift_applied
+        )
 
     def without_beta(self) -> "StrictPathQuery":
-        return replace(self, beta=None)
+        return self._from_validated(
+            self.path, self.interval, self.user, None, self.shift_applied
+        )
 
     def marked_shifted(self) -> "StrictPathQuery":
-        return replace(self, shift_applied=True)
+        return self._from_validated(
+            self.path, self.interval, self.user, self.beta, True
+        )

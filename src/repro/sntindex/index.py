@@ -391,6 +391,37 @@ class SNTIndex:
             self, items, fallback_tt=fallback_tt
         )
 
+    def walk_ladder(
+        self,
+        query,
+        wider,
+        fallback_tt=None,
+        exclude_ids: Sequence[int] = (),
+        isa_ranges=None,
+    ):
+        """Procedure 1's widen ladder for one sub-query as one call:
+        ``query`` at its own width, then — only if that fails — the
+        rungs ``wider()`` names, all counted from one scan of the widest
+        (see :func:`repro.sntindex.procedures.monolithic_ladder`)."""
+        from .procedures import monolithic_ladder
+
+        return monolithic_ladder(
+            self,
+            query,
+            wider,
+            fallback_tt=fallback_tt,
+            exclude_ids=exclude_ids,
+            isa_ranges=isa_ranges,
+        )
+
+    def walk_ladder_many(self, items: Sequence[Tuple], fallback_tt=None):
+        """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
+        isa_ranges)`` item with the per-edge work shared across the set
+        (see :func:`repro.sntindex.procedures.monolithic_ladder_many`)."""
+        from .procedures import monolithic_ladder_many
+
+        return monolithic_ladder_many(self, items, fallback_tt=fallback_tt)
+
     def count_matches(
         self,
         path: Sequence[int],
@@ -479,13 +510,9 @@ class SNTIndex:
 
         ``expected_alphabet_size`` / ``expected_kind`` let callers that
         know the target world (the CLI knows the network) reject a
-        mismatched manifest *before* the FM partitions are unpickled —
-        both a faster failure and a safer one, given the warning below.
-
-        .. warning::
-            The partition payload is unpickled — only load directories
-            you wrote yourself; a malicious index directory can execute
-            arbitrary code.
+        mismatched manifest *before* any partition payload is mapped.
+        The format is pickle-free — JSON meta plus memory-mapped ``.npy``
+        arrays — so loading executes no code from the directory.
         """
         return load_index(
             path,

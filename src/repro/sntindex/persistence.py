@@ -442,14 +442,21 @@ def validate_meta(
 
 
 def _load_array(payload_dir: Path, name: str) -> np.ndarray:
-    """Memory-map one payload array; missing/corrupt files are typed."""
+    """Memory-map one payload array; missing/corrupt files are typed.
+
+    Returned as a plain read-only ``ndarray`` view of the map (its
+    ``.base`` is the ``np.memmap``, nothing is copied): every slice and
+    fancy index of a ``memmap`` instance runs its Python-level
+    ``__getitem__``/``__array_finalize__``, which the scan path pays
+    tens of thousands of times per pass.
+    """
     target = payload_dir / f"{name}.npy"
     if not target.is_file():
         raise PersistenceError(
             f"{payload_dir.parent} payload is missing array {name!r}"
         )
     try:
-        return np.load(target, mmap_mode="r")
+        return np.load(target, mmap_mode="r").view(np.ndarray)
     except (OSError, ValueError, EOFError) as error:
         raise PersistenceError(
             f"failed to read saved index payload from "

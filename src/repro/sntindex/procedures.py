@@ -19,7 +19,7 @@ The probe itself is a sorted-key join, not a hash map: both sides pack
 a lazily built (and persisted) sort permutation over that key
 (:attr:`repro.temporal.forest.EdgeTemporalIndex.probe_order`), and the
 probe answers with two ``np.searchsorted`` passes plus a ragged gather —
-no Python dict, no per-row loop, no ``np.isin`` full-column scan.
+no Python dict, no per-row loop, no full-column membership scan.
 Duplicate ``(d, seq)`` keys among the first-segment matches keep the
 *last* occurrence in match order, replicating the historical dict
 overwrite; emission order reproduces the historical candidate scan by
@@ -41,6 +41,14 @@ table is built once for the group over stacked query bounds, and the
 probe join runs one concatenated ``searchsorted`` per edge.  The grouped
 forms are bit-identical to mapping the scalar forms over the set — the
 batch executor and the shard router both rely on that.
+
+On top of Procedure 5 sits the *ladder walk* the engine's fetch stage
+calls (:func:`monolithic_ladder`, :func:`monolithic_ladder_many`):
+Procedure 1 widens a failing periodic sub-query rung by rung, and every
+rung's matches are a subset of the widest rung's, so one uncut scan of
+the widest window counts them all and :func:`choose_rung` jumps to the
+first rung that meets ``beta`` — the paper's cardinality-estimator idea
+(Section 4.4) made exact.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -59,6 +68,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
+from ..config import SECONDS_PER_DAY
 from ..core.intervals import (
     FixedInterval,
     PeriodicInterval,
@@ -82,6 +92,11 @@ __all__ = [
     "get_travel_times",
     "monolithic_travel_times",
     "monolithic_travel_times_many",
+    "classify_scan",
+    "choose_rung",
+    "begin_walks",
+    "monolithic_ladder",
+    "monolithic_ladder_many",
     "count_matches",
     "monolithic_count_matches",
 ]
@@ -94,6 +109,12 @@ MatchItem = Tuple[StrictPathQuery, Sequence[int], Optional[int],
                   Optional[IsaRanges]]
 #: One grouped-probe work item: ``(query, selected_rows, first_columns)``.
 ProbeEntry = Tuple[StrictPathQuery, Int64Array, TraversalColumns]
+#: One ladder walk: ``(query, wider, exclude_ids, isa_ranges)`` — the rung
+#: to scan first and a callable producing the wider rungs to fall back
+#: on, asked at most once and only when ``query`` fails.
+LadderItem = Tuple[StrictPathQuery,
+                   Callable[[], Sequence[StrictPathQuery]],
+                   Sequence[int], Optional[IsaRanges]]
 
 
 @dataclass
@@ -191,6 +212,21 @@ def _interval_rows_many(
     ]
 
 
+def _not_excluded(
+    d: Int64Array, exclude_ids: Sequence[int]
+) -> npt.NDArray[np.bool_]:
+    """Mask of the trajectory ids ``d`` outside the (non-empty) exclusion
+    set: one binary search per row against the sorted ids, whatever the
+    set's size.  The conversion is free for an ascending int64 array —
+    the engine makes one per trip and hands it to every scan."""
+    ids = np.asarray(exclude_ids, dtype=np.int64)
+    if ids.size > 1 and not (ids[1:] >= ids[:-1]).all():
+        ids = np.sort(ids)
+    slots = np.searchsorted(ids, d)
+    np.minimum(slots, ids.size - 1, out=slots)
+    return ids[slots] != d
+
+
 def first_segment_matches(
     index: "SNTIndex",
     query: StrictPathQuery,
@@ -232,11 +268,7 @@ def first_segment_matches(
     if query.user is not None:
         mask &= index.users[columns.d[rows]] == query.user
     if len(exclude_ids):
-        mask &= np.isin(
-            columns.d[rows],
-            np.asarray(exclude_ids, dtype=np.int64),
-            invert=True,
-        )
+        mask &= _not_excluded(columns.d[rows], exclude_ids)
 
     selected = rows[mask]
     if beta is not None and selected.size > beta:
@@ -338,11 +370,7 @@ def first_segment_matches_many(
             b0, b1 = int(bounds[k]), int(bounds[k + 1])
             exclude_ids = items[i][1]
             if len(exclude_ids):
-                mask[b0:b1] &= np.isin(
-                    d_cat[b0:b1],
-                    np.asarray(exclude_ids, dtype=np.int64),
-                    invert=True,
-                )
+                mask[b0:b1] &= _not_excluded(d_cat[b0:b1], exclude_ids)
             selected = rows_cat[b0:b1][mask[b0:b1]]
             beta = items[i][2]
             if beta is not None and selected.size > beta:
@@ -533,7 +561,7 @@ def get_travel_times(
     )
 
 
-def _classify_scan(
+def classify_scan(
     query: StrictPathQuery,
     n_matched: int,
     fallback_tt: Optional[Callable[[int], float]],
@@ -583,7 +611,7 @@ def monolithic_travel_times(
         selected, columns = matches
 
     n_matched = int(selected.size)
-    early = _classify_scan(query, n_matched, fallback_tt)
+    early = classify_scan(query, n_matched, fallback_tt)
     if early is not None:
         return early
     assert columns is not None
@@ -626,7 +654,7 @@ def monolithic_travel_times_many(
             selected, columns = match
             n_matched = int(selected.size)
         matched_counts[i] = n_matched
-        early = _classify_scan(query, n_matched, fallback_tt)
+        early = classify_scan(query, n_matched, fallback_tt)
         if early is not None:
             results[i] = early
             continue
@@ -639,6 +667,191 @@ def monolithic_travel_times_many(
         results[i] = TravelTimeResult(values, matched_counts[i])
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]
+
+
+def _rung_windows(
+    rungs: Sequence[StrictPathQuery], stamps: Int64Array
+) -> npt.NDArray[np.bool_]:
+    """Per rung (rows) and entry timestamp (columns): whether the
+    stamp's time of day lies in the rung's periodic window — the same
+    predicate as :meth:`PeriodicInterval.contains`, stacked."""
+    starts = np.empty((len(rungs), 1), dtype=np.int64)
+    durations = np.empty((len(rungs), 1), dtype=np.int64)
+    for position, rung in enumerate(rungs):
+        window = rung.interval
+        assert isinstance(window, PeriodicInterval)  # fixed: no ladder
+        starts[position] = window.start_tod
+        durations[position] = window.duration
+    offsets = (stamps[None, :] - starts) % SECONDS_PER_DAY
+    return np.asarray(offsets < durations, dtype=bool)
+
+
+def choose_rung(
+    rungs: Sequence[StrictPathQuery],
+    chunks: Sequence[Tuple[Int64Array, TraversalColumns]],
+    fallback_tt: Optional[Callable[[int], float]],
+) -> Tuple[List[TravelTimeResult], Optional[StrictPathQuery],
+           List[Int64Array]]:
+    """Walk a widen ladder on one uncut scan of its widest rung.
+
+    ``chunks`` are the widest rung's first-segment matches as ``(rows,
+    columns)``, one per shard (one, or none, on a monolithic index).
+    Every rung's window lies inside the widest one and the other
+    first-edge predicates do not depend on the window, so a rung's
+    matches are the widest rung's restricted to its window — in the same
+    ascending row order, hence with the same ``beta`` prefix — and its
+    match count is the sum of its window's counts over the chunks.
+
+    Returns the results of the leading rungs that Procedure 5 settles
+    without a probe (each exactly what a scan of that rung at its own
+    width classifies), then the first rung that needs its probe join
+    with its rows per chunk — or ``None`` and no rows when the walk ends
+    before one.  Both readers resolve their ladders through this one
+    function; the ``beta`` cut and the join stay with the caller.
+    """
+    inside = [
+        _rung_windows(rungs, columns.t[rows]) for rows, columns in chunks
+    ]
+    counts = np.zeros(len(rungs), dtype=np.int64)
+    for windows in inside:
+        counts += windows.sum(axis=1)
+    settled: List[TravelTimeResult] = []
+    for position, rung in enumerate(rungs):
+        n_matched = int(counts[position])
+        if rung.beta is not None:
+            n_matched = min(n_matched, rung.beta)
+        early = classify_scan(rung, n_matched, fallback_tt)
+        if early is None:
+            return settled, rung, [
+                rows[windows[position]]
+                for (rows, _), windows in zip(chunks, inside)
+            ]
+        settled.append(early)
+        if not early.is_empty:
+            break
+    return settled, None, []
+
+
+def begin_walks(
+    items: Sequence[LadderItem], firsts: Sequence[TravelTimeResult]
+) -> Tuple[List[List[TravelTimeResult]],
+           List[Tuple[int, Sequence[StrictPathQuery]]]]:
+    """Open one walk per item with its own-width result, and ask the
+    items whose result is empty for their wider rungs: returns the walks
+    and ``(item position, rungs)`` for those that have any."""
+    walks = [[first] for first in firsts]
+    climbing = [
+        (i, rungs)
+        for i, item in enumerate(items)
+        if firsts[i].is_empty and (rungs := item[1]())
+    ]
+    return walks, climbing
+
+
+def _ladder_tail(
+    rungs: Sequence[StrictPathQuery],
+    matches: Optional[Tuple[Int64Array, TraversalColumns]],
+    fallback_tt: Optional[Callable[[int], float]],
+) -> Tuple[List[TravelTimeResult], Optional[ProbeEntry]]:
+    """:func:`choose_rung` over one index's ``matches`` of the widest
+    rung: the settled results plus the chosen rung's probe work."""
+    settled, query, parts = choose_rung(
+        rungs, [] if matches is None else [matches], fallback_tt
+    )
+    if query is None:
+        return settled, None
+    assert matches is not None
+    selected = parts[0]
+    if query.beta is not None:
+        selected = selected[: query.beta]
+    return settled, (query, selected, matches[1])
+
+
+def monolithic_ladder(
+    index: "SNTIndex",
+    query: StrictPathQuery,
+    wider: Callable[[], Sequence[StrictPathQuery]],
+    fallback_tt: Optional[Callable[[int], float]] = None,
+    exclude_ids: Sequence[int] = (),
+    isa_ranges: Optional[IsaRanges] = None,
+) -> List[TravelTimeResult]:
+    """Procedure 1's widen ladder over one :class:`SNTIndex`, as one call.
+
+    ``query`` is scanned at its own width (:func:`monolithic_travel_times`);
+    only if that comes back empty is ``wider()`` asked for the rungs
+    above it (narrowest first, all sharing ``query``'s path, user and
+    ``beta``).  The first-edge predicates are then evaluated **once**,
+    over the widest rung's window and without a ``beta`` cut, and every
+    rung is counted by its own time-of-day window over those rows.
+    Returns one result per rung tried, in ladder order — the failed
+    rungs' empty results followed by the first rung that answers, or by
+    the widest rung's failure — each byte-for-byte what scanning that
+    rung alone returns.
+    """
+    first = monolithic_travel_times(
+        index,
+        query,
+        fallback_tt=fallback_tt,
+        exclude_ids=exclude_ids,
+        isa_ranges=isa_ranges,
+    )
+    rungs = wider() if first.is_empty else ()
+    if not rungs:
+        return [first]
+    matches = first_segment_matches(
+        index, rungs[-1], exclude_ids=exclude_ids, isa_ranges=isa_ranges
+    )
+    settled, probe = _ladder_tail(rungs, matches, fallback_tt)
+    walk = [first, *settled]
+    if probe is not None:
+        values, _ = probe_travel_times(index, *probe)
+        walk.append(TravelTimeResult(values, int(probe[1].size)))
+    return walk
+
+
+def monolithic_ladder_many(
+    index: "SNTIndex",
+    items: Sequence[LadderItem],
+    fallback_tt: Optional[Callable[[int], float]] = None,
+) -> List[List[TravelTimeResult]]:
+    """Grouped :func:`monolithic_ladder` over a demand set.
+
+    ``items`` are ``(query, wider, exclude_ids, isa_ranges)``.  The
+    own-width scans run as one :func:`monolithic_travel_times_many`;
+    the failing items' widest-window scans share each first edge's
+    selection through one :func:`first_segment_matches_many`, and the
+    chosen rungs' joins share each last edge through one
+    :func:`probe_travel_times_many`.
+    """
+    walks, climbing = begin_walks(
+        items,
+        monolithic_travel_times_many(
+            index,
+            [(query, exclude, ranges) for query, _, exclude, ranges in items],
+            fallback_tt=fallback_tt,
+        ),
+    )
+    if not climbing:
+        return walks
+    matches_list = first_segment_matches_many(
+        index,
+        [(rungs[-1], items[i][2], None, items[i][3]) for i, rungs in climbing],
+    )
+    probe_slots: List[int] = []
+    probe_entries: List[ProbeEntry] = []
+    for (i, rungs), matches in zip(climbing, matches_list):
+        settled, probe = _ladder_tail(rungs, matches, fallback_tt)
+        walks[i].extend(settled)
+        if probe is not None:
+            probe_slots.append(i)
+            probe_entries.append(probe)
+    for i, entry, (values, _) in zip(
+        probe_slots,
+        probe_entries,
+        probe_travel_times_many(index, probe_entries),
+    ):
+        walks[i].append(TravelTimeResult(values, int(entry[1].size)))
+    return walks
 
 
 def count_matches(

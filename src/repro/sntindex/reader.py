@@ -14,9 +14,12 @@ the same engine unchanged:
   :meth:`IndexReader.edge_index`, and time-of-day selectivity via
   :attr:`IndexReader.tod_store`;
 * the **retrieval** side: Procedure 5 (:meth:`IndexReader.get_travel_times`,
-  and :meth:`IndexReader.get_travel_times_many` for a batch round's
-  demand set) and the exact match counter backing the ``sigma_L``
-  splitter (:meth:`IndexReader.count_matches`);
+  and :meth:`IndexReader.get_travel_times_many` for a demand set), a
+  sub-query's whole widen ladder as one call
+  (:meth:`IndexReader.walk_ladder`, and :meth:`IndexReader.walk_ladder_many`
+  for a batch round's demand set — what the engine's fetch stage calls)
+  and the exact match counter backing the ``sigma_L`` splitter
+  (:meth:`IndexReader.count_matches`);
 * the **user** container ``U: d -> u``;
 * scalar identity: ``t_min``/``t_max``, ``alphabet_size``, ``kind``,
   ``n_partitions``, and the mutation ``epoch`` consumed by shared caches.
@@ -132,6 +135,35 @@ class IndexReader(Protocol):
         fallback_tt: Optional[Callable[[int], float]] = None,
     ):
         """:meth:`get_travel_times` per ``(query, exclude_ids,
+        isa_ranges)`` item, in item order, with the scans grouped."""
+        ...
+
+    def walk_ladder(
+        self,
+        query,
+        wider: Callable[[], Sequence],
+        fallback_tt: Optional[Callable[[int], float]] = None,
+        exclude_ids: Sequence[int] = (),
+        isa_ranges=None,
+    ) -> List:
+        """Procedure 1's widen ladder for one sub-query, as one call.
+
+        ``query`` is answered at its own width; only if that result is
+        empty is ``wider()`` asked (once) for the rungs above it,
+        narrowest first.  Returns one :meth:`get_travel_times` result
+        per rung tried, in ladder order: the failed rungs' empty results,
+        then the first rung that answers or the widest rung's failure —
+        each exactly what that rung's own :meth:`get_travel_times`
+        returns, at the cost of one scan of the widest rung.
+        """
+        ...
+
+    def walk_ladder_many(
+        self,
+        items: Sequence[Tuple],
+        fallback_tt: Optional[Callable[[int], float]] = None,
+    ) -> List[List]:
+        """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
         isa_ranges)`` item, in item order, with the scans grouped."""
         ...
 

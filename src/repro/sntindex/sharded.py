@@ -88,6 +88,9 @@ from .persistence import (
 from .store import as_store
 from .procedures import (
     TravelTimeResult,
+    begin_walks,
+    choose_rung,
+    classify_scan,
     first_segment_matches_many,
     monolithic_count_matches,
     probe_travel_times_many,
@@ -115,8 +118,8 @@ MANIFEST_FILE = "manifest.json"
 STAGING_DIR = "staging"
 #: Pickled staged tail (not the text trajectory format: ``%g`` rounding
 #: there would change rebuilt staging values after a restart, breaking
-#: the bit-identical contract; the directory already embeds trusted
-#: pickles, so the trust model is unchanged).
+#: the bit-identical contract).  The one pickle of the on-disk format —
+#: shard payloads have been pickle-free since format v2.
 STAGED_TRAJECTORIES_FILE = "staging_trajectories.pkl"
 
 
@@ -286,6 +289,10 @@ class _ShardedEdgeStats:
 # Router
 # ---------------------------------------------------------------------- #
 
+#: One shard's share of a query's first-segment matches:
+#: ``(shard position, row positions, the shard's first-segment columns)``.
+_Chunk = Tuple[int, np.ndarray, object]
+
 
 class ShardRouter:
     """Prunes, fans out, and merges retrieval over the shard set.
@@ -432,7 +439,24 @@ class ShardRouter:
         returned result is exactly what :meth:`get_travel_times` answers
         for that item alone.
         """
-        n_items = len(items)
+        return self._cut_and_probe(
+            [query for query, _, _ in items],
+            self._first_segment_chunks(items),
+            fallback_tt,
+        )
+
+    def _first_segment_chunks(
+        self, items: Sequence[Tuple]
+    ) -> List[List[_Chunk]]:
+        """Scan phase 1, grouped: per item, the non-empty first-segment
+        matches of every routed shard as ``(shard position, rows,
+        columns)``, each capped at the query's ``beta`` (the global cut
+        only ever keeps a prefix of each).  Ascending shard order per
+        query — the same order a per-query loop produces — so each
+        query's chunk list is its routed prefix order.  Within a shard
+        the routed queries go through the grouped scan, sharing each
+        first edge's interval selection and ISA-bound table.
+        """
         routed: List[List[int]] = []
         for query, _, _ in items:
             positions = self.route(query.interval)
@@ -443,16 +467,7 @@ class ShardRouter:
             for position in positions:
                 by_position.setdefault(position, []).append(item_index)
 
-        # Phase 1, grouped: per-shard first-segment matches (each capped
-        # at beta; the global cut below only ever keeps a prefix of
-        # each).  Ascending shard order per query — the same order the
-        # per-query loop produced — so each query's chunk list is still
-        # its routed prefix order.  Within a shard the routed queries go
-        # through the grouped scan, sharing each first edge's interval
-        # selection and ISA-bound table.
-        per_shard: List[List[Tuple[int, np.ndarray, object]]] = [
-            [] for _ in range(n_items)
-        ]
+        per_shard: List[List[_Chunk]] = [[] for _ in items]
         for position in sorted(by_position):
             entry = self.entries[position]
             shard_items = []
@@ -478,15 +493,26 @@ class ShardRouter:
                     per_shard[item_index].append(
                         (position, selected, columns)
                     )
+        return per_shard
 
+    def _cut_and_probe(
+        self,
+        queries: Sequence,
+        per_shard: List[List[_Chunk]],
+        fallback_tt,
+    ) -> List[TravelTimeResult]:
+        """Scan phases 2-3 over each query's per-shard first-segment
+        chunks: the global cut and classification, then the grouped
+        probe and the ``(t, shard)`` merge."""
+        n_items = len(queries)
         # Phase 2, per query: the global ascending-entry-time beta cut
-        # and the insufficient/empty/fallback classification.  The merge
-        # key is (t, shard order), matching the monolithic column order
-        # because each shard is a stable restriction of it.
+        # and Procedure 5's classification on the global match count.
+        # The merge key is (t, shard order), matching the monolithic
+        # column order because each shard is a stable restriction of it.
         empty = np.empty(0, dtype=np.float64)
         results: List[Optional[TravelTimeResult]] = [None] * n_items
         matched_counts = [0] * n_items
-        for item_index, (query, _, _) in enumerate(items):
+        for item_index, query in enumerate(queries):
             chunks = per_shard[item_index]
             sizes = [int(selected.size) for _, selected, _ in chunks]
             total = sum(sizes)
@@ -506,24 +532,9 @@ class ShardRouter:
             else:
                 n_matched = total
             matched_counts[item_index] = n_matched
-
-            if (
-                query.beta is not None
-                and n_matched < query.beta
-                and is_periodic(query.interval)
-            ):
-                # Procedure 5 line 7, applied to the global match count.
-                results[item_index] = TravelTimeResult(
-                    empty, n_matched, insufficient=True
-                )
-            elif n_matched == 0:
-                if query.length == 1 and fallback_tt is not None:
-                    estimate = np.asarray([fallback_tt(query.path[0])])
-                    results[item_index] = TravelTimeResult(
-                        estimate, 0, from_fallback=True
-                    )
-                else:
-                    results[item_index] = TravelTimeResult(empty, 0)
+            results[item_index] = classify_scan(
+                query, n_matched, fallback_tt
+            )
 
         # Phase 3, grouped: per-shard map/probe for the queries still
         # open, merged per query on (entry time, shard).  Each probe
@@ -545,7 +556,7 @@ class ShardRouter:
             outputs = probe_travel_times_many(
                 entry.index,
                 [
-                    (items[item_index][0], selected, columns)
+                    (queries[item_index], selected, columns)
                     for item_index, selected, columns in probes[position]
                 ],
             )
@@ -568,6 +579,81 @@ class ShardRouter:
             results[item_index] = TravelTimeResult(merged, n_matched)
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
+
+    def walk_ladder(
+        self,
+        query,
+        wider,
+        fallback_tt=None,
+        exclude_ids: Sequence[int] = (),
+        isa_ranges=None,
+    ) -> List[TravelTimeResult]:
+        """One sub-query's widen ladder scattered over the shards."""
+        return self.walk_ladder_many(
+            [(query, wider, exclude_ids, isa_ranges)], fallback_tt=fallback_tt
+        )[0]
+
+    def walk_ladder_many(
+        self, items: Sequence[Tuple], fallback_tt=None
+    ) -> List[List[TravelTimeResult]]:
+        """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
+        isa_ranges)`` item, one result per rung tried (see
+        :func:`repro.sntindex.procedures.monolithic_ladder`, which this
+        reproduces exactly).
+
+        Every item's ``query`` is answered at its own width by
+        :meth:`get_travel_times_many`.  For the items that fail and have
+        wider rungs, the shards are fanned out **once** more, over the
+        widest rung's window with no ``beta`` cap; the ladder is
+        resolved on the per-shard matches by the same
+        :func:`~repro.sntindex.procedures.choose_rung` the monolithic
+        index uses, and the chosen rung's per-shard rows go through the
+        unchanged global cut, probe and merge.
+        """
+        walks, climbing = begin_walks(
+            items,
+            self.get_travel_times_many(
+                [
+                    (query, exclude, ranges)
+                    for query, _, exclude, ranges in items
+                ],
+                fallback_tt=fallback_tt,
+            ),
+        )
+        if not climbing:
+            return walks
+        widest_chunks = self._first_segment_chunks(
+            [
+                (rungs[-1].without_beta(), items[i][2], items[i][3])
+                for i, rungs in climbing
+            ]
+        )
+        open_slots: List[int] = []
+        open_queries: List = []
+        open_chunks: List[List[_Chunk]] = []
+        for (i, rungs), chunks in zip(climbing, widest_chunks):
+            settled, query, parts = choose_rung(
+                rungs,
+                [(rows, columns) for _, rows, columns in chunks],
+                fallback_tt,
+            )
+            walks[i].extend(settled)
+            if query is not None:
+                open_slots.append(i)
+                open_queries.append(query)
+                open_chunks.append(
+                    [
+                        (position, part, columns)
+                        for (position, _, columns), part in zip(chunks, parts)
+                        if part.size
+                    ]
+                )
+        for i, result in zip(
+            open_slots,
+            self._cut_and_probe(open_queries, open_chunks, fallback_tt),
+        ):
+            walks[i].append(result)
+        return walks
 
     def count_matches(
         self,
@@ -1067,6 +1153,29 @@ class ShardedSNTIndex:
             items, fallback_tt=fallback_tt
         )
 
+    def walk_ladder(
+        self,
+        query,
+        wider,
+        fallback_tt=None,
+        exclude_ids: Sequence[int] = (),
+        isa_ranges=None,
+    ) -> List[TravelTimeResult]:
+        return self._router.walk_ladder(
+            query,
+            wider,
+            fallback_tt=fallback_tt,
+            exclude_ids=exclude_ids,
+            isa_ranges=isa_ranges,
+        )
+
+    def walk_ladder_many(
+        self, items: Sequence[Tuple], fallback_tt=None
+    ) -> List[List[TravelTimeResult]]:
+        """One widen-ladder walk per item, each extra rung costing no
+        extra shard fan-out (see :meth:`ShardRouter.walk_ladder_many`)."""
+        return self._router.walk_ladder_many(items, fallback_tt=fallback_tt)
+
     def count_matches(
         self,
         path: Sequence[int],
@@ -1494,9 +1603,10 @@ def load_sharded_index(
     directory mixing shards of different worlds is rejected.
 
     .. warning::
-        The staged tail is unpickled — only load directories (or remote
-        stores) you wrote yourself (same trust model as
-        :func:`repro.sntindex.persistence.load_index`).
+        Shard payloads are pickle-free, but a staged tail
+        (``staging_trajectories.pkl``) is a pickle: only load
+        directories (or remote stores) with a staging shard if you wrote
+        them yourself.
     """
     store = as_store(path)
     source = store.uri
@@ -1519,9 +1629,8 @@ def load_sharded_index(
     kind = manifest["kind"]
     alphabet = manifest["alphabet_size"]
     # A sharded index always has temporal partitioning, and every
-    # scalar below is fed to int() after the (pickled) shard payloads
-    # load — so prove them sane first, like the monolithic
-    # validate_meta does.
+    # scalar below is fed to int() after the shard payloads load — so
+    # prove them sane first, like the monolithic validate_meta does.
     scalar_checks = {
         "partition_days": lambda v: isinstance(v, int)
         and not isinstance(v, bool) and v >= 1,

@@ -5,7 +5,9 @@ The acceptance property (ISSUE 3, extended by ISSUE 5): for random
 workloads, ``db.query_many(reqs)``, ``list(db.stream(reqs))``, and the
 deduplicating batch executor (``dedup_subqueries=True``) produce
 bit-identical histograms / means / scan counts, and every request
-survives its wire form round trip.
+survives its wire form round trip.  A scan count is per fetch demand
+since ISSUE 18 — one for a sub-query's whole widen-ladder walk, on every
+surface compared here — so the equalities hold in the new unit.
 """
 
 import warnings

@@ -11,6 +11,11 @@ The only permitted difference is accounting: per trip,
 ``n_index_scans + n_cache_hits`` equals the uncached sequential scan
 count exactly (a deduplicated fan-out is a hit against the batch's own
 just-scanned answer).
+
+Since ISSUE 18 a "scan" on either side of that equation is one fetch
+*demand* — a sub-query's whole widen-ladder walk, answered by one index
+call — not one per rung; ``unique_subqueries`` likewise counts unique
+walks.  The assertions are unchanged, their unit is.
 """
 
 import numpy as np

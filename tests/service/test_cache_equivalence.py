@@ -7,6 +7,11 @@ estimates — across partitioners, splitters, and estimator
 configurations.  The only permitted difference is accounting: cached
 runs trade index scans for cache hits, and the sum
 ``n_index_scans + n_cache_hits`` is invariant.
+
+Since ISSUE 18 both counters tick once per fetch *demand* (a
+sub-query's whole widen-ladder walk): a scan if the index was asked for
+any rung of it, a hit if the cache held every rung the walk needed.
+The assertions are unchanged, their unit is.
 """
 
 import numpy as np

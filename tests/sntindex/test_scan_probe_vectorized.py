@@ -501,6 +501,17 @@ def test_v21_dir_adopts_permutations_zero_copy(tmp_path):
     assert phi.tod_order_adopted and phi.probe_order_adopted
     assert _reaches_memmap(phi.tod_order)
     assert _reaches_memmap(phi.probe_order)
+    # ... as plain read-only ndarray views of the map: a np.memmap
+    # instance would run Python-level __getitem__/__array_finalize__ on
+    # every slice and fancy index of the scan.
+    columns = phi.columns
+    for array in (
+        phi.tod_order, phi.probe_order, columns.t, columns.isa, columns.d,
+        columns.tt, columns.a, columns.seq, columns.w,
+    ):
+        assert type(array) is np.ndarray
+        assert not array.flags.writeable
+        assert _reaches_memmap(array)
 
 
 def test_v20_dir_without_permutations_still_answers(tmp_path):

@@ -9,6 +9,11 @@ beta cuts that span shards, and queries after ``append()`` through the
 staging shard.  Random workloads are drawn with hypothesis; the
 deterministic tests pin the seams (append ordering, epoch-based cache
 invalidation, persistence, parallel builds, process fan-out).
+
+"Scan counts" are ``n_index_scans`` — since ISSUE 18 one per fetch
+demand (a sub-query's whole widen-ladder walk), on both readers; a
+sharded walk that climbs its ladder costs two shard fan-outs however
+many rungs it tries.
 """
 
 import numpy as np
