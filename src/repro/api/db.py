@@ -118,8 +118,9 @@ class TravelTimeDB:
         )
         #: Dedup accounting of the most recent batch (or whole stream)
         #: answered through the deduplicating executor: how many
-        #: sub-queries it planned, how many were unique, and how many
-        #: scans the deduplication absorbed.  ``None`` before the first
+        #: sub-queries it planned (memoised and duplicate trips'
+        #: included), how many were unique, and how many scans the
+        #: deduplication absorbed.  ``None`` before the first
         #: such batch, or after one that ran without dedup.
         self.last_dedup_stats: Optional[DedupStats] = None
 
@@ -194,7 +195,17 @@ class TravelTimeDB:
     # ------------------------------------------------------------------ #
 
     def query(self, request: TripRequest) -> TripQueryResult:
-        """Answer one :class:`TripRequest` through the shared cache."""
+        """Answer one :class:`TripRequest` through the shared cache.
+
+        With a cache backend a repeated trip — same request, same
+        config, same index epoch — costs one probe of the backend's
+        ``trips`` section: nothing is planned, fetched or convolved,
+        and the result (a fresh object sharing the memoised histogram
+        and outcomes) reports ``n_index_scans == 0`` and every demand
+        of the trip as a cache hit.  ``cache=None`` sessions never
+        consult the memo.  The same holds for every trip of
+        :meth:`query_many` and :meth:`stream`.
+        """
         # engine.query guards the request type itself.
         return cast(TripQueryResult, self._engine.query(request))
 
@@ -209,8 +220,8 @@ class TravelTimeDB:
         Results come back in submission order regardless of worker count
         or execution mode.  With ``config.dedup_subqueries`` the batch
         runs through the deduplicating staged executor (identical
-        sub-queries scanned once; accounting in
-        :attr:`last_dedup_stats`).  ``use_processes`` fans out over
+        requests answered once, identical sub-queries scanned once;
+        accounting in :attr:`last_dedup_stats`).  ``use_processes`` fans out over
         forked worker processes instead (Linux/macOS; see
         :meth:`repro.core.engine.QueryEngine.run_forked` for the
         quiescing contract).

@@ -21,13 +21,30 @@ drives one :class:`~repro.core.exec.TripMachine` sequentially,
 :meth:`run_batch` drives many through the deduplicating
 :class:`~repro.core.exec.BatchExecutor`, and :meth:`run_forked` runs
 :meth:`query` in forked worker processes.
+
+A trip answer is a pure function of the request, the planner policy and
+the index epoch, so with a shared cache backend every driver memoises
+whole trips in its ``trips`` section: a repeated trip is one probe
+(:meth:`QueryEngine.trip_key`, :meth:`TripQueryResult.replayed`) and
+none of the three stages runs.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 
@@ -138,13 +155,39 @@ class TripQueryResult:
     #: rung the walk needed was cached; always 0 with the default
     #: per-trip cache.  A demand is a scan or a hit, never both, so
     #: ``n_index_scans + n_cache_hits`` is the trip's demand count under
-    #: every driver, cache and reader.  Under concurrent fan-out two
+    #: every driver, cache and reader — also when the cache's trip memo
+    #: answered the whole trip in one probe: every demand of the
+    #: memoised trip then counts as a hit (:meth:`replayed`), as a warm
+    #: sequential pass would have.  Under concurrent fan-out two
     #: threads missing the same key simultaneously may each scan it once
     #: (answers are still identical; work is over-counted, never missed).
     n_cache_hits: int = 0
     #: The :class:`repro.api.TripRequest` this result answers, when the
     #: query entered through the typed API (``None`` on legacy paths).
     request: Optional["TripRequest"] = None
+
+    def replayed(
+        self, request: Optional["TripRequest"], elapsed_s: float
+    ) -> "TripQueryResult":
+        """This answer as a later, identical request receives it from
+        the trip memo (or from its in-batch twin).
+
+        A fresh result that shares the immutable histogram and outcomes
+        but owns its ``outcomes`` list, ``request`` and ``elapsed_s``,
+        accounted as a sequential pass over a warm sub-query cache would
+        have been: no index scan, every demand a cache hit, the same
+        estimator skips — so ``n_index_scans + n_cache_hits`` is still
+        the trip's demand count.
+        """
+        return TripQueryResult(
+            histogram=self.histogram,
+            outcomes=list(self.outcomes),
+            n_index_scans=0,
+            n_estimator_skips=self.n_estimator_skips,
+            elapsed_s=elapsed_s,
+            n_cache_hits=self.n_index_scans + self.n_cache_hits,
+            request=request,
+        )
 
     @property
     def estimated_mean(self) -> float:
@@ -164,16 +207,18 @@ class TripQueryResult:
         accounting counters, and the originating request's wire form.
         """
 
-        def outcome_payload(outcome: SubQueryOutcome) -> Dict[str, Any]:
-            from ..api.request import _interval_to_dict
+        from ..api.request import _interval_to_dict
 
+        def outcome_payload(outcome: SubQueryOutcome) -> Dict[str, Any]:
             return {
                 "path": list(outcome.query.path),
                 "interval": _interval_to_dict(outcome.query.interval),
                 "user": outcome.query.user,
                 "beta": outcome.query.beta,
                 "shift_applied": outcome.query.shift_applied,
-                "values": [float(v) for v in outcome.values],
+                "values": np.asarray(
+                    outcome.values, dtype=np.float64
+                ).tolist(),
                 "histogram": outcome.histogram.to_wire(),
                 "from_fallback": outcome.from_fallback,
             }
@@ -377,6 +422,31 @@ class QueryEngine:
             self._estimators[value] = built
         return built
 
+    def trip_key(
+        self,
+        request: "TripRequest",
+        estimator: Optional[CardinalityEstimator],
+    ) -> Hashable:
+        """Identity of one trip answer in the cache backend's ``trips``
+        section: every request field that shapes the answer, the
+        *resolved* estimator (so ``estimator=None`` and the engine
+        default's explicit mode share an entry) and the planner policy
+        (``beta_policy`` by callable identity), so sessions that share
+        a cache but plan differently never serve each other.  The first
+        five fields are a :class:`~repro.core.plan.SubQueryTask` key's,
+        in the wire form's order."""
+        return (
+            request.path,
+            request.interval,
+            request.user,
+            request.exclude_ids,
+            request.beta,
+            None
+            if estimator is None
+            else (estimator.mode, estimator.user_selectivity),
+            self.policy,
+        )
+
     # ------------------------------------------------------------------ #
     # Executors
     # ------------------------------------------------------------------ #
@@ -404,12 +474,19 @@ class QueryEngine:
                 "TripRequest.from_spq(...)"
             )
         cache = self._synced_cache()
+        estimator = self._resolve_estimator(request.estimator)
+        if cache is not None:
+            started = time.perf_counter()
+            key = self.trip_key(request, estimator)
+            memo = cache.get_trip(key)
+            if memo is not None:
+                return memo.replayed(request, time.perf_counter() - started)
         machine = TripMachine(
             self.policy,
             self.index,
             self.network,
             cache if cache is not None else PerTripCache(),
-            self._resolve_estimator(request.estimator),
+            estimator,
             request.to_spq(),
             request.exclude_ids,
         )
@@ -418,9 +495,14 @@ class QueryEngine:
             demand = machine.resume(
                 *execute_fetch(self.index, self.network, machine.cache, demand)
             )
-        assert machine.result is not None
-        machine.result.request = request
-        return machine.result
+        result = machine.result
+        assert result is not None
+        result.request = request
+        if cache is not None:
+            # Only a finished trip gets here: one that raised is asked
+            # again, and raises again.
+            cache.put_trip(key, result.replayed(None, result.elapsed_s))
+        return result
 
     def run_batch(
         self,
@@ -437,41 +519,85 @@ class QueryEngine:
         including the per-trip re-planning (split, drop filters) when a
         shared walk comes back empty.  Returns the results in submission
         order plus the batch's dedup accounting.
+
+        Whole trips are deduplicated first: every request is probed in
+        the shared cache's trip memo, identical requests inside the
+        batch are folded onto one machine, and only the distinct misses
+        are planned, prefetched and run (then memoised).  The replayed
+        trips are accounted as a sequential pass would have them — see
+        :meth:`TripQueryResult.replayed` and
+        :class:`~repro.core.exec.DedupStats`.
         """
         shared = self._synced_cache()
-        # Machines are built (and their clocks started) together, so in
-        # batch mode a result's ``elapsed_s`` is its completion latency
-        # relative to the batch start — the serving-side metric — not
-        # the trip's solo service time; timing is explicitly outside
-        # the bit-identity contract.
-        # Prefetch is deferred and pooled: the whole batch's planned
-        # sub-queries resolve through one batched backward search (the
-        # levelwise frontier descent needs batch-of-trips scale to pay
-        # off), instead of one small per-trip prefetch each.
-        machines = [
-            TripMachine(
-                self.policy,
-                self.index,
-                self.network,
-                shared if shared is not None else PerTripCache(),
-                self._resolve_estimator(request.estimator),
-                request.to_spq(),
-                request.exclude_ids,
-                prefetch=False,
-            )
-            for request in requests
-        ]
-        prefetch_ranges_many(self.index, machines)
+        started = time.perf_counter()
         executor = BatchExecutor(
             self.index,
             self.network,
             cache=shared,
             n_workers=n_workers,
         )
-        results = executor.run(machines)
-        for request, result in zip(requests, results):
-            result.request = request
-        return results, executor.stats
+        # Identical requests are one trip: group them under their first
+        # occurrence (a pure function of the batch, shared cache or not).
+        estimators = [self._resolve_estimator(r.estimator) for r in requests]
+        twins: Dict[Hashable, List[int]] = {}
+        for position, request in enumerate(requests):
+            key = self.trip_key(request, estimators[position])
+            twins.setdefault(key, []).append(position)
+        results: List[Optional[TripQueryResult]] = [None] * len(requests)
+        # Machines are built (and their clocks started) together, so in
+        # batch mode a result's ``elapsed_s`` is its completion latency
+        # relative to the batch start — the serving-side metric — not
+        # the trip's solo service time; timing is explicitly outside
+        # the bit-identity contract.
+        missed: List[Hashable] = []
+        machines: List[TripMachine] = []
+        for key, positions in twins.items():
+            memo = shared.get_trip(key) if shared is not None else None
+            if memo is not None:
+                executor.stats.note_memoised(
+                    len(positions), memo.n_index_scans + memo.n_cache_hits
+                )
+                elapsed_s = time.perf_counter() - started
+                for position in positions:
+                    results[position] = memo.replayed(
+                        requests[position], elapsed_s
+                    )
+                continue
+            first = positions[0]
+            missed.append(key)
+            machines.append(
+                TripMachine(
+                    self.policy,
+                    self.index,
+                    self.network,
+                    shared if shared is not None else PerTripCache(),
+                    estimators[first],
+                    requests[first].to_spq(),
+                    requests[first].exclude_ids,
+                    prefetch=False,
+                )
+            )
+        # Prefetch is deferred and pooled: the whole batch's planned
+        # sub-queries resolve through one batched backward search (the
+        # levelwise frontier descent needs batch-of-trips scale to pay
+        # off), instead of one small per-trip prefetch each.
+        prefetch_ranges_many(self.index, machines)
+        answered = executor.run(
+            machines, [len(twins[key]) for key in missed]
+        )
+        for key, result in zip(missed, answered):
+            first, *rest = twins[key]
+            result.request = requests[first]
+            results[first] = result
+            # Later twins read the first one's just-settled answers: all
+            # hits, like a trip the memo replays.
+            for position in rest:
+                results[position] = result.replayed(
+                    requests[position], result.elapsed_s
+                )
+            if shared is not None:
+                shared.put_trip(key, result.replayed(None, result.elapsed_s))
+        return cast(List[TripQueryResult], results), executor.stats
 
     def run_forked(
         self, requests: Sequence["TripRequest"], workers: int

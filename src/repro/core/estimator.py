@@ -63,7 +63,7 @@ class CardinalityEstimator:
             raise EstimatorError("user selectivity must be in (0, 1]")
         self._index = index
         self.mode = mode
-        self._sel_u = user_selectivity
+        self.user_selectivity = user_selectivity
 
     def estimate(self, query: StrictPathQuery, isa_ranges=None) -> float:
         """Return ``beta_hat`` for a sub-query.
@@ -83,7 +83,7 @@ class CardinalityEstimator:
             return float(sum(ed - st for _, st, ed in ranges))
 
         first_edge = query.path[0]
-        sel_u = self._sel_u if query.user is not None else 1.0
+        sel_u = self.user_selectivity if query.user is not None else 1.0
         accurate = self.mode.endswith("Acc")
 
         estimate = 0.0

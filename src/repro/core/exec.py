@@ -562,18 +562,30 @@ def _scan_walks(
 
 @dataclass
 class DedupStats:
-    """Per-batch accounting of the deduplicating executor."""
+    """Per-batch accounting of the deduplicating executor.
 
-    #: Trips answered by the batch.
+    Trips that never ran a machine are accounted as if they had: a trip
+    the cache's trip memo answered counts in ``n_trips``, its demands
+    in ``planned_subqueries`` and in ``cache_hits`` (a sequential pass
+    over the warm sub-query cache would have hit on each); a request
+    identical to an earlier one *of the same batch* rides on that
+    trip's machine, its demands planned again and each one a cache hit
+    or a scan saved exactly as the first one's was a hit or a scan —
+    so in-batch duplicates show up in ``scans_saved``.  Neither adds to
+    ``unique_subqueries`` or ``n_rounds``.
+    """
+
+    #: Trips answered by the batch, replayed ones included.
     n_trips: int = 0
     #: Fetch demands planned across all trips (a sub-query with its
     #: widen ladder is one demand; split halves and dropped filters are
-    #: new ones).
+    #: new ones), replayed trips' demands included.
     planned_subqueries: int = 0
     #: Distinct ladder walks the batch actually had to answer, summed
     #: over rounds.
     unique_subqueries: int = 0
-    #: Demands the shared cache backend answered for every rung needed.
+    #: Demands the shared cache backend answered for every rung needed,
+    #: plus every demand of a trip its memo answered whole.
     cache_hits: int = 0
     #: Index calls executed (one per unique walk the cache fell short on).
     n_index_scans: int = 0
@@ -584,6 +596,13 @@ class DedupStats:
     def scans_saved(self) -> int:
         """Scans a per-trip loop would have issued that dedup absorbed."""
         return self.planned_subqueries - self.cache_hits - self.n_index_scans
+
+    def note_memoised(self, n_trips: int, n_demands: int) -> None:
+        """Account ``n_trips`` identical trips of ``n_demands`` demands
+        each that the cache's trip memo answered."""
+        self.n_trips += n_trips
+        self.planned_subqueries += n_trips * n_demands
+        self.cache_hits += n_trips * n_demands
 
     def absorb(self, other: "DedupStats") -> None:
         """Fold another batch's accounting in (streaming window chunks
@@ -675,32 +694,42 @@ class BatchExecutor:
         return answers, open_at
 
     def run(
-        self, machines: Sequence[TripMachine]
+        self,
+        machines: Sequence[TripMachine],
+        copies: Sequence[int],
     ) -> List["TripQueryResult"]:
-        """Drive the machines to completion; results in submission order."""
-        self.stats.n_trips += len(machines)
-        pending: List[Tuple[TripMachine, FetchDemand]] = []
-        for machine in machines:
+        """Drive the machines to completion; results in submission order.
+
+        ``copies[i]`` identical trips ride on ``machines[i]`` (1 for a
+        trip of its own).  Identical trips would advance in lockstep
+        and demand the same walk every round, so one machine stands for
+        all of them and each of its demands is accounted ``copies[i]``
+        times: planned, and then a cache hit or a scan saved by dedup
+        exactly as the twins' own demands would have been.
+        """
+        self.stats.n_trips += sum(copies)
+        pending: List[Tuple[TripMachine, FetchDemand, int]] = []
+        for machine, n_copies in zip(machines, copies):
             demand = machine.advance()
             if demand is not None:
-                pending.append((machine, demand))
+                pending.append((machine, demand, n_copies))
 
         while pending:
             self.stats.n_rounds += 1
-            self.stats.planned_subqueries += len(pending)
 
             # Group demands by walk, preserving submission order (both
             # of the unique walks and of each walk's owners); the first
             # owner's demand stands for the group.
-            walks = [demand.walk_key for _, demand in pending]
+            walks = [demand.walk_key for _, demand, _ in pending]
             n_owners: Dict[Any, int] = {}
             leads: Dict[Any, FetchDemand] = {}
-            for walk, (_, demand) in zip(walks, pending):
+            for walk, (_, demand, n_copies) in zip(walks, pending):
                 if walk in leads:
-                    n_owners[walk] += 1
+                    n_owners[walk] += n_copies
                 else:
                     leads[walk] = demand
-                    n_owners[walk] = 1
+                    n_owners[walk] = n_copies
+            self.stats.planned_subqueries += sum(n_owners.values())
             self.stats.unique_subqueries += len(leads)
 
             answers, open_at = self._chase_cache(leads)
@@ -722,14 +751,14 @@ class BatchExecutor:
             # Fan out, in submission order; the first owner of a scanned
             # walk pays the scan, later owners account hits.
             unpaid = set(open_at)
-            next_pending: List[Tuple[TripMachine, FetchDemand]] = []
-            for walk, (machine, _) in zip(walks, pending):
+            next_pending: List[Tuple[TripMachine, FetchDemand, int]] = []
+            for walk, (machine, _, n_copies) in zip(walks, pending):
                 from_scan = walk in unpaid
                 if from_scan:
                     unpaid.discard(walk)
                 follow_up = machine.resume(*answers[walk], from_scan)
                 if follow_up is not None:
-                    next_pending.append((machine, follow_up))
+                    next_pending.append((machine, follow_up, n_copies))
             pending = next_pending
 
         results: List["TripQueryResult"] = []

@@ -148,15 +148,3 @@ class AdmissionError(ServerError):
     ) -> None:
         super().__init__(message)
         self.retry_after_s = retry_after_s
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Category of every deprecation the repro library emits.
-
-    A distinct subclass so the test suite can promote *repro-originated*
-    deprecations to errors (``filterwarnings`` in ``pytest.ini``)
-    without also erroring on third-party ``DeprecationWarning``s; the
-    ``stacklevel`` attribution of warnings makes a module-based filter
-    impossible.  ``except``/``warns`` clauses written against
-    ``DeprecationWarning`` keep matching.
-    """

@@ -89,7 +89,7 @@ class Histogram:
         return {
             "bucket_width": self.bucket_width,
             "offset": self.offset,
-            "counts": [float(c) for c in self.counts],
+            "counts": self.counts.tolist(),
         }
 
     @classmethod

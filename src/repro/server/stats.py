@@ -152,6 +152,12 @@ class ServerStats:
                 "unique_subqueries": dedup.unique_subqueries,
                 "index_scans": dedup.n_index_scans,
                 "cache_hits": dedup.cache_hits,
+                # Replayed trips are counted as if they had run: one
+                # the cache's trip memo answered adds its demands to
+                # planned_subqueries and cache_hits; a request identical
+                # to an earlier one of the same round adds them to
+                # planned_subqueries, and to cache_hits or scans_saved
+                # as its twin's demands were hits or scans.
                 "scans_saved": dedup.scans_saved,
                 # Fraction of planned sub-query work answered without
                 # its own index scan (shared-round dedup or cache).

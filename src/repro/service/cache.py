@@ -17,6 +17,11 @@ module generalises it to a thread-safe, bounded LRU cache shared
   and the excluded trajectory ids.
 * **histograms** — ``createHistogram`` output per (result key, bucket
   width), so a warm hit skips the bucketing pass as well.
+* **trips** — whole :class:`~repro.core.engine.TripQueryResult` answers,
+  keyed by everything that shapes one (the request with its estimator
+  resolved, plus the planner policy), so a repeated trip costs one probe
+  instead of a re-plan, a walk over its cached sub-queries and a
+  convolution.
 
 Cached values are treated as immutable: value arrays are marked
 read-only before insertion, and callers must not mutate what they get
@@ -56,10 +61,11 @@ class CacheStats:
     ranges: SectionStats
     results: SectionStats
     histograms: SectionStats
+    trips: SectionStats
 
     def summary(self) -> str:
         parts = []
-        for name in ("ranges", "results", "histograms"):
+        for name in ("ranges", "results", "histograms", "trips"):
             section: SectionStats = getattr(self, name)
             parts.append(
                 f"{name}: {section.hits} hits / {section.misses} misses "
@@ -142,16 +148,19 @@ class SubQueryCache:
     Implements the cache protocol consumed by the engine's staged
     pipeline (:class:`repro.core.exec.TripMachine` and the fetch stage):
     ``get_ranges``/``put_ranges``, ``get_result``/``put_result`` (plus
-    their batched ``*_many`` faces) and
-    ``get_histogram``/``put_histogram``.  All sections are thread-safe and
-    LRU-bounded, so a long-running service has a fixed memory ceiling.
+    their batched ``*_many`` faces), ``get_histogram``/``put_histogram``
+    and the trip-level memo ``get_trip``/``put_trip``.  All sections are
+    thread-safe and LRU-bounded, so a long-running service has a fixed
+    memory ceiling.
 
     Parameters
     ----------
     max_ranges, max_results, max_histograms:
         Per-section entry bounds (``None`` = unbounded).  A ranges entry
         is a handful of triples; a result entry holds a travel-time
-        array, so ``max_results`` is the knob that dominates memory.
+        array, so ``max_results`` is the knob that dominates memory.  It
+        bounds the trips section too: a memoised trip shares the arrays
+        its sub-query results already hold.
     """
 
     def __init__(
@@ -163,6 +172,7 @@ class SubQueryCache:
         self._ranges = LRUCache(max_ranges)
         self._results = LRUCache(max_results)
         self._histograms = LRUCache(max_histograms)
+        self._trips = LRUCache(max_results)
         self._bind_lock = threading.Lock()
         self._bound_to = None
         self._bound_epoch = 0
@@ -297,6 +307,14 @@ class SubQueryCache:
     def put_histogram(self, key: Hashable, histogram) -> None:
         self._histograms.put(key, histogram)
 
+    # -- whole-trip answers --------------------------------------------- #
+
+    def get_trip(self, key: Hashable):
+        return self._trips.get(key)
+
+    def put_trip(self, key: Hashable, result) -> None:
+        self._trips.put(key, result)
+
     # -- bookkeeping ----------------------------------------------------- #
 
     def clear(self) -> None:
@@ -306,6 +324,7 @@ class SubQueryCache:
         self._ranges.clear()
         self._results.clear()
         self._histograms.clear()
+        self._trips.clear()
 
     def close(self) -> None:
         """Release resources (the in-process cache just empties itself;
@@ -317,4 +336,5 @@ class SubQueryCache:
             ranges=self._ranges.stats(),
             results=self._results.stats(),
             histograms=self._histograms.stats(),
+            trips=self._trips.stats(),
         )

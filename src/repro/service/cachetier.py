@@ -2,9 +2,9 @@
 
 The engine consumes one cache protocol (:class:`CacheBackend`):
 ``get_ranges``/``put_ranges``, ``get_result``/``put_result``,
-``get_histogram``/``put_histogram`` plus the lifecycle hooks
-(``bind_index``, ``sync_epoch``, ``spawn_for_worker``, ``close``).  Two
-implementations exist:
+``get_histogram``/``put_histogram``, ``get_trip``/``put_trip`` plus the
+lifecycle hooks (``bind_index``, ``sync_epoch``, ``spawn_for_worker``,
+``close``).  Two implementations exist:
 
 * :class:`~repro.service.cache.SubQueryCache` — the in-process LRU of
   PR 1, private to one process;
@@ -21,8 +21,9 @@ fingerprint, and every entry is stamped with the index ``epoch`` it was
 computed against.  Payloads are wire forms too
 (:meth:`repro.sntindex.procedures.TravelTimeResult.to_wire` for
 retrieval results, the histogram payload of
-``TripQueryResult.to_dict`` for histograms), so an entry written by one
-process deserialises bit-identically in another.
+``TripQueryResult.to_dict`` for histograms, the whole
+``TripQueryResult.to_dict`` for memoised trips), so an entry written by
+one process deserialises bit-identically in another.
 
 Epoch invalidation: reads only ever match rows stamped with the
 reader's *current* epoch, so entries written before an append are never
@@ -81,7 +82,7 @@ __all__ = [
 _DB_FILENAME = "subquery_cache.sqlite"
 
 #: Sections of the sub-query cache, mirroring :class:`SubQueryCache`.
-_SECTIONS = ("ranges", "results", "histograms")
+_SECTIONS = ("ranges", "results", "histograms", "trips")
 
 
 @runtime_checkable
@@ -91,7 +92,14 @@ class CacheBackend(Protocol):
     session lifecycle hooks.
 
     ``get_*`` returns ``None`` on a miss; cached values are treated as
-    immutable by all parties.  ``spawn_for_worker`` is called *inside a
+    immutable by all parties.  Four sections: ISA ``ranges`` per path,
+    retrieval ``results`` per sub-query, ``histograms`` per (sub-query,
+    bucket width), and ``trips`` — whole answers, keyed by
+    :meth:`repro.core.engine.QueryEngine.trip_key` (the request with its
+    estimator resolved, plus the planner policy), stored in their
+    replayed accounting (:meth:`TripQueryResult.replayed`).  Every
+    section is emptied by ``clear()`` and by ``sync_epoch`` on an epoch
+    change.  ``spawn_for_worker`` is called *inside a
     forked worker process* on the inherited parent backend and must
     return the backend that worker should use without touching any
     parent lock (the fork may have snapshotted one mid-critical-section):
@@ -128,6 +136,10 @@ class CacheBackend(Protocol):
     def get_histogram(self, key: Hashable) -> Any: ...
 
     def put_histogram(self, key: Hashable, histogram: Any) -> None: ...
+
+    def get_trip(self, key: Hashable) -> Any: ...
+
+    def put_trip(self, key: Hashable, result: Any) -> None: ...
 
     def clear(self) -> None: ...
 
@@ -179,6 +191,15 @@ def _histogram_from_wire(payload: Dict[str, Any]) -> Any:
     from ..histogram.histogram import Histogram
 
     return Histogram.from_wire(payload)
+
+
+def _trip_from_wire(payload: Dict[str, Any]) -> Any:
+    from ..core.engine import TripQueryResult
+
+    result = TripQueryResult.from_dict(payload)
+    for outcome in result.outcomes:
+        outcome.values.setflags(write=False)
+    return result
 
 
 def _index_lineage(index: Any) -> str:
@@ -557,6 +578,17 @@ class SharedCacheTier:
             }
         )
 
+    def _trip_key(self, key: Hashable) -> str:
+        """A trip's cross-process key: the request wire form with its
+        estimator resolved.  The planner policy at the end of the
+        in-process key is not serialised — :meth:`cache_identity
+        <repro.api.EngineConfig.cache_identity>`, part of every row,
+        already pins it."""
+        path, interval, user, exclude, beta, estimator, _ = key  # type: ignore[misc]
+        wire = self._request_wire((path, interval, user, beta, exclude))
+        wire["estimator"] = estimator  # None, or (mode, user selectivity)
+        return _canonical_json(wire)
+
     # ------------------------------------------------------------------ #
     # Lifecycle (bind / epoch / fork / close)
     # ------------------------------------------------------------------ #
@@ -872,6 +904,16 @@ class SharedCacheTier:
             histogram.to_wire(),
         )
 
+    # -- whole-trip answers --------------------------------------------- #
+
+    def get_trip(self, key: Hashable) -> Any:
+        return self._get(
+            "trips", key, lambda: self._trip_key(key), _trip_from_wire
+        )
+
+    def put_trip(self, key: Hashable, result: Any) -> None:
+        self._put("trips", key, self._trip_key(key), result, result.to_dict())
+
     # ------------------------------------------------------------------ #
     # Bookkeeping
     # ------------------------------------------------------------------ #
@@ -896,11 +938,7 @@ class SharedCacheTier:
                 size=l1.size,
                 max_size=l1.max_size,
             )
-        return CacheStats(
-            ranges=sections["ranges"],
-            results=sections["results"],
-            histograms=sections["histograms"],
-        )
+        return CacheStats(**sections)
 
     def tier_stats(self) -> SharedTierStats:
         """Where hits came from, plus store occupancy."""

@@ -372,6 +372,37 @@ class TestResultWireForm:
             result.histogram
         )
 
+    def test_array_float_lists_are_byte_identical_to_the_comprehension(
+        self, world
+    ):
+        # The wire form builds its float lists with ndarray.tolist();
+        # the bytes on the wire must be those of the element-by-element
+        # ``[float(v) for v in array]`` it replaced.
+        import json
+
+        def histogram_payload(histogram):
+            return {
+                "bucket_width": histogram.bucket_width,
+                "offset": histogram.offset,
+                "counts": [float(c) for c in histogram.counts],
+            }
+
+        dataset, index = world
+        db = open_db(index, network=dataset.network)
+        for request in random_requests(dataset, index, seed=10, n=8):
+            result = db.query(request)
+            expected = result.to_dict()
+            expected["histogram"] = histogram_payload(result.histogram)
+            for payload, outcome in zip(
+                expected["outcomes"], result.outcomes
+            ):
+                payload["values"] = [float(v) for v in outcome.values]
+                payload["histogram"] = histogram_payload(outcome.histogram)
+            assert json.dumps(result.to_dict()) == json.dumps(expected)
+            assert json.dumps(result.histogram.to_wire()) == json.dumps(
+                histogram_payload(result.histogram)
+            )
+
 
 class TestLegacySurfaceRemoved:
     """The PR-3 shims were removed on the ROADMAP schedule (PR 5):

@@ -194,6 +194,37 @@ def test_shared_cache_across_services(workload, jobs):
     assert sum(result.n_index_scans for result in warm) == 0
 
 
+def test_repeated_batches_replay_memoised_trips(workload, jobs):
+    """A batch asked again is answered from the cache's trips section —
+    still exactly the sequential answers — and ``clear_cache`` empties
+    that section with the others."""
+    queries, exclude_ids = jobs
+    engine = QueryEngine(workload.index, workload.network)
+    sequential = [
+        run_trip(engine, query, exclude_ids=excluded)
+        for query, excluded in zip(queries, exclude_ids)
+    ]
+    requests = as_requests(queries, exclude_ids)
+    for dedup in (False, True):
+        db = TravelTimeDB(
+            workload.index,
+            workload.network,
+            config=EngineConfig(dedup_subqueries=dedup),
+        )
+        assert_equivalent(sequential, db.query_many(requests))
+        warm = db.query_many(requests)
+        assert_equivalent(sequential, warm)
+        assert sum(result.n_index_scans for result in warm) == 0
+        stats = db.cache_stats().trips
+        assert (stats.hits, stats.size) == (len(requests), len(requests))
+
+        db.clear_cache()
+        assert db.cache_stats().trips.size == 0
+        cold = db.query_many(requests)
+        assert_equivalent(sequential, cold)
+        assert sum(result.n_index_scans for result in cold) > 0
+
+
 def test_shared_cache_rejects_different_index_or_network(workload):
     """Cache keys carry no data identity, so sharing across another
     index *or network* must fail loudly instead of returning wrong

@@ -723,3 +723,157 @@ class TestSharedTierTTL:
         assert sum(tier.tier_stats().shared_hits.values()) == 0
         for expected, actual in zip(baseline, results):
             assert_bit_identical(expected, actual)
+
+
+# --------------------------------------------------------------------- #
+# The trips section (ISSUE 20): whole answers, same stamps, same store
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("kind", ("memory", "shared"))
+def test_trip_section_is_lru_bounded_through_the_protocol(
+    kind, world, tmp_path
+):
+    """``max_results`` / ``max_entries`` bound the trips section too."""
+    dataset, index, trips = world
+    backend = backend_factories(tmp_path)[kind]()
+    db = TravelTimeDB(index, dataset.network, cache=backend)
+    requests = requests_for(trips, 3)
+    for request in requests:
+        db.query(request)
+    stats = backend.stats().trips
+    assert (stats.misses, stats.size, stats.max_size) == (3, 2, 2)
+    assert stats.evictions == 1
+    assert db.query(requests[2]).n_index_scans == 0
+    assert backend.stats().trips.hits == 1
+    assert "trips: 1 hits / 3 misses" in backend.stats().summary()
+    if kind == "shared":
+        # L1 evicted the first trip; the store still answers it.
+        assert db.query(requests[0]).n_index_scans == 0
+        assert backend.tier_stats().shared_hits["trips"] == 1
+        assert "trips: 1 l1 / 1 shared hits" in (
+            backend.tier_stats().summary()
+        )
+
+
+@pytest.mark.parametrize("kind", ("memory", "shared"))
+def test_append_between_identical_queries_drops_the_memo(
+    kind, world, tmp_path
+):
+    """``sync_epoch`` empties the trips section with the others: the
+    same request after an ``append()`` gets the post-append answer."""
+    dataset, _, _ = world
+    base, tail = _split_for_append(dataset)
+    sharded = ShardedSNTIndex.build(
+        TrajectorySet(base),
+        dataset.network.alphabet_size,
+        n_shards=2,
+        partition_days=PARTITION_DAYS,
+    )
+    config = EngineConfig(
+        cache="memory" if kind == "memory" else f"shared:{tmp_path / 'tier'}"
+    )
+    db = TravelTimeDB(sharded, dataset.network, config=config)
+    # A whole-history predicate, so the appended tail changes the answer.
+    trip = max(tail, key=len)
+    request = TripRequest(
+        path=trip.path[:4], interval=FixedInterval(0, 2**40)
+    )
+    before = db.query(request)
+    assert db.query(request).n_index_scans == 0
+    assert db.cache_stats().trips.hits == 1
+
+    sharded.append(tail)
+    after = db.query(request)
+    assert after.n_index_scans > 0  # recomputed, not replayed
+    assert db.cache_stats().trips.hits == 1
+    expected = TravelTimeDB(sharded, dataset.network, cache=None).query(
+        request
+    )
+    assert_bit_identical(expected, after)
+    assert after.histogram != before.histogram
+    assert_bit_identical(expected, db.query(request))  # memoised again
+    assert db.cache_stats().trips.hits == 2
+
+
+def test_second_handle_answers_a_trip_from_the_store(world, tmp_path):
+    """A trip one handle computed is one store read for the next —
+    bit-identical after the JSON round trip, accounted as all hits."""
+    dataset, index, trips = world
+    spec = EngineConfig(cache=f"shared:{tmp_path / 'tier'}")
+    request = requests_for(trips, 1)[0]
+    expected = TravelTimeDB(index, dataset.network, cache=None).query(request)
+    computed = TravelTimeDB(index, dataset.network, config=spec).query(
+        request
+    )
+    assert_bit_identical(expected, computed)
+
+    second = TravelTimeDB(index, dataset.network, config=spec)
+    replayed = second.query(request)
+    assert second.tier_stats().shared_hits["trips"] == 1
+    # Nothing else was read: the trip row answered the whole request.
+    assert sum(second.tier_stats().shared_hits.values()) == 1
+    assert_bit_identical(expected, replayed)
+    assert replayed.request is request
+    assert replayed.n_index_scans == 0
+    assert replayed.n_cache_hits == expected.n_index_scans
+    assert replayed.n_estimator_skips == expected.n_estimator_skips
+    for outcome in replayed.outcomes:
+        assert not outcome.values.flags.writeable
+    # Promoted into L1: the next ask never reaches the store.
+    assert second.query(request).n_index_scans == 0
+    assert second.tier_stats().l1_hits["trips"] == 1
+    assert second.tier_stats().shared_hits["trips"] == 1
+
+
+def test_trip_rows_respect_identity_and_lineage(world, tmp_path):
+    dataset, index, trips = world
+    tier_dir = tmp_path / "tier"
+    request = requests_for(trips, 1)[0]
+    spec = EngineConfig(cache=f"shared:{tier_dir}")
+    TravelTimeDB(index, dataset.network, config=spec).query(request)
+
+    # Another cache_identity() over the same store: a miss, own answer.
+    other = spec.replace(partitioner="pi_1")
+    assert other.cache_identity() != spec.cache_identity()
+    db = TravelTimeDB(index, dataset.network, config=other)
+    result = db.query(request)
+    assert db.tier_stats().shared_hits["trips"] == 0
+    assert_bit_identical(
+        TravelTimeDB(
+            index, dataset.network, config=other, cache=None
+        ).query(request),
+        result,
+    )
+
+    # Another lineage (a build over different data, same epoch number).
+    from repro import SNTIndex
+
+    shrunk = SNTIndex.build(
+        TrajectorySet(list(dataset.trajectories)[:-20]),
+        dataset.network.alphabet_size,
+    )
+    db = TravelTimeDB(shrunk, dataset.network, config=spec)
+    result = db.query(request)
+    assert db.tier_stats().shared_hits["trips"] == 0
+    assert_bit_identical(
+        TravelTimeDB(shrunk, dataset.network, cache=None).query(request),
+        result,
+    )
+
+
+def test_clear_empties_the_trip_section(world, tmp_path):
+    dataset, index, trips = world
+    spec = EngineConfig(cache=f"shared:{tmp_path / 'tier'}")
+    request = requests_for(trips, 1)[0]
+    db = TravelTimeDB(index, dataset.network, config=spec)
+    db.query(request)
+    assert db.cache_stats().trips.size == 1
+    db.clear_cache()
+    assert db.cache_stats().trips.size == 0
+    assert db.query(request).n_index_scans > 0  # L1 and store both empty
+    # ... also for a handle that opens the directory afterwards.
+    db.clear_cache()
+    fresh = TravelTimeDB(index, dataset.network, config=spec)
+    assert fresh.query(request).n_index_scans > 0
+    assert fresh.tier_stats().shared_hits["trips"] == 0

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -209,6 +211,8 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "answered 6 queries" in out
         assert "cache:" in out
+        # The repeat pass was answered by the trip memo, one probe each.
+        assert re.search(r"trips: [1-9]\d* hits / [1-9]\d* misses", out)
 
     def test_paths_file_with_comments_and_tod(
         self, world_dir, tmp_path, capsys

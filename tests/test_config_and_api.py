@@ -125,9 +125,6 @@ class TestErrorHierarchy:
             if (
                 isinstance(obj, type)
                 and issubclass(obj, Exception)
-                # Warning categories (ReproDeprecationWarning) live in
-                # the warnings hierarchy, not the error hierarchy.
-                and not issubclass(obj, Warning)
                 and obj is not errors.ReproError
                 and obj.__module__ == "repro.errors"
             ):
