@@ -10,9 +10,6 @@ Absolute times are not comparable to the paper's C++ numbers (DESIGN.md
 §3); all assertions are on ratios.
 """
 
-import json
-import os
-
 import numpy as np
 import pytest
 
@@ -26,19 +23,6 @@ from repro import (
 from repro.experiments import format_series
 
 from .conftest import bench_betas, bench_one_query, series_by_method
-
-
-def _write_artifact(payload: dict) -> None:
-    target = os.environ.get("REPRO_BENCH_JSON")
-    if not target:
-        return
-    existing = {}
-    if os.path.exists(target):
-        with open(target) as handle:
-            existing = json.load(handle)
-    existing.update(payload)
-    with open(target, "w") as handle:
-        json.dump(existing, handle, indent=2)
 
 
 @pytest.mark.parametrize("query_type", ["temporal", "user", "spq"])
@@ -153,119 +137,13 @@ def test_figure9_backward_search_stage(workload, benchmark, capsys):
     assert speedup >= 1.5
 
 
-def test_figure9_scan_probe_stage(workload, benchmark, capsys):
-    """The temporal scan + probe join stage at service-batch scale.
-
-    After PR 6 the backward search is vectorized, so Procedures 3-4 (the
-    periodic temporal scan and the ``(d, seq)`` probe join) dominate the
-    per-query cost.  A batch service feeds the index a deduplicated
-    demand set whose sub-paths heavily repeat first/last edges, and the
-    paper's periodic queries are the expensive scans — so the grouped
-    ``get_travel_times_many`` path must beat the scalar per-query loop by
-    >= ``REPRO_BENCH_SCANPROBE_SPEEDUP`` (default 1.5, the ISSUE 7
-    acceptance bar) on a periodic-heavy repeated-edge batch, while every
-    per-item result stays byte-identical.
-    """
-    import time
-
-    speedup_bar = float(
-        os.environ.get("REPRO_BENCH_SCANPROBE_SPEEDUP", "1.5")
-    )
-    index = workload.index
-    network = workload.network
-
-    # Periodic-heavy repeated-edge batch: every query trip contributes
-    # its length-2/3/4 prefixes (the staged executor's sub-query shape),
-    # so first and last edges repeat heavily across the demand set.
-    items = []
-    for spec in workload.queries:
-        path = list(spec.path)
-        for length in (2, 3, 4, 6):
-            if len(path) >= length:
-                query = StrictPathQuery(
-                    path=tuple(path[:length]),
-                    interval=PeriodicInterval.around(spec.start_time, 1800),
-                    beta=50,
-                )
-                items.append((query, (spec.traj_id,), None))
-    if len(items) < 100:
-        pytest.skip(
-            "batch too small to exercise the grouped scans "
-            "(raise REPRO_BENCH_SCALE/REPRO_BENCH_QUERIES)"
-        )
-
-    def scalar_loop():
-        return [
-            index.get_travel_times(
-                query,
-                fallback_tt=network.estimate_tt,
-                exclude_ids=exclude_ids,
-                isa_ranges=isa_ranges,
-            )
-            for query, exclude_ids, isa_ranges in items
-        ]
-
-    def grouped():
-        return index.get_travel_times_many(
-            items, fallback_tt=network.estimate_tt
-        )
-
-    # Bit-identity before timing anything.
-    want = scalar_loop()
-    got = grouped()
-    assert len(got) == len(want)
-    for got_r, want_r in zip(got, want):
-        assert got_r.values.tobytes() == want_r.values.tobytes()
-        assert got_r.n_matched == want_r.n_matched
-        assert got_r.from_fallback == want_r.from_fallback
-        assert got_r.insufficient == want_r.insufficient
-
-    # Best-of-N timing (the bench_batch_dedup convention): the min is
-    # robust to scheduler noise where a 3-round mean is not.
-    rounds = 5
-    scalar_times, grouped_times = [], []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        scalar_loop()
-        scalar_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        grouped()
-        grouped_times.append(time.perf_counter() - t0)
-    scalar_s = min(scalar_times)
-    grouped_s = min(grouped_times)
-    benchmark(grouped)
-    speedup = scalar_s / grouped_s
-    print(
-        f"\nscan/probe stage over {len(items)} periodic sub-queries: "
-        f"scalar loop {scalar_s * 1e3:.1f} ms, grouped "
-        f"{grouped_s * 1e3:.1f} ms, speedup {speedup:.2f}x"
-    )
-    _write_artifact(
-        {
-            "scan_probe_stage": {
-                "n_items": len(items),
-                "scalar_ms": scalar_s * 1e3,
-                "grouped_ms": grouped_s * 1e3,
-                "speedup": speedup,
-                "bar": speedup_bar,
-            }
-        }
-    )
-    assert speedup >= speedup_bar, (
-        f"grouped scan/probe stage ({grouped_s * 1e3:.1f} ms) did not "
-        f"beat the scalar loop ({scalar_s * 1e3:.1f} ms) by the "
-        f"{speedup_bar:.2f}x bar"
-    )
-
-
 def test_scan_probe_histograms_stable_across_readers_and_estimators(
     workload,
     benchmark,
 ):
-    """Grouped batches answer exactly like the sequential Procedure 6.
+    """Batches answer exactly like the sequential Procedure 6.
 
-    The ISSUE 7 acceptance bar: with the grouped scan/probe stage in the
-    executor, batch histograms must stay byte-identical to the per-trip
+    Batch histograms must stay byte-identical to the per-trip
     sequential loop across cardinality-estimator modes and across the
     monolithic / sharded readers.
     """

@@ -9,7 +9,7 @@
 # core/plan.py + core/exec.py (the planner, the trip machine, and the
 # deduplicating batch executor), fmindex/bitvector.py (the word-packed
 # rank directory under every wavelet tree), sntindex/procedures.py (the
-# retrieval procedures and their grouped forms), temporal/forest.py
+# retrieval procedures and their _many loops), temporal/forest.py
 # (the per-edge temporal trees and sort permutations), src/repro/
 # server (ServerConfig / collector / HTTP framing / client), and
 # sntindex/store.py + sntindex/compaction.py (the ShardStore protocol,

@@ -72,16 +72,14 @@ class EngineConfig:
         and excluded from :meth:`cache_identity`.  Off by default; the
         win is cold-cache repeated-path batches (a warm shared cache
         already deduplicates across sequential trips).
-    cache_enabled:
-        Whether sessions build a shared cross-query
-        :class:`~repro.service.SubQueryCache`.
     cache_entries:
-        Per-section LRU bound of that cache (``None`` = unbounded).
+        Per-section LRU bound of the session's cache (``None`` =
+        unbounded).
     cache:
         Cache-backend spec consumed by
         :func:`repro.service.cachetier.resolve_cache_backend`:
-        ``None`` keeps the legacy ``cache_enabled`` behaviour,
-        ``"memory"`` the in-process LRU, ``"off"`` no shared cache,
+        ``"memory"`` the in-process LRU
+        (:class:`~repro.service.SubQueryCache`), ``"off"`` no shared cache,
         ``"shared"`` a cross-process :class:`SharedCacheTier` under the
         index directory, ``"shared:<dir>"`` one at an explicit
         directory.  Serving plumbing only — the spec never changes
@@ -128,9 +126,8 @@ class EngineConfig:
     beta_policy: Optional[BetaPolicy] = None
     n_workers: int = 1
     dedup_subqueries: bool = False
-    cache_enabled: bool = True
     cache_entries: Optional[int] = 65_536
-    cache: Optional[str] = None
+    cache: str = "memory"
     cache_store_entries: Optional[int] = None
     cache_ttl_s: Optional[float] = None
     store: Optional[str] = None
@@ -211,29 +208,26 @@ class EngineConfig:
                 "store must be None, a directory path, or a store URI "
                 f"(file:..., object://...); got {self.store!r}"
             )
-        if self.cache is not None:
-            if not isinstance(self.cache, str):
-                raise ConfigurationError(
-                    "cache must be None, 'memory', 'off', 'shared', or "
-                    f"'shared:<dir>'; got {self.cache!r}"
-                )
-            if self.cache not in ("memory", "off", "shared") and not (
+        if not isinstance(self.cache, str) or (
+            self.cache not in ("memory", "off", "shared")
+            and not (
                 self.cache.startswith("shared:")
                 and len(self.cache) > len("shared:")
-            ):
-                raise ConfigurationError(
-                    "cache must be None, 'memory', 'off', 'shared', or "
-                    f"'shared:<dir>'; got {self.cache!r}"
-                )
-            if self.cache.startswith("shared") and self.beta_policy is not None:
-                # Fail at construction, not first query: a callable has
-                # no cross-process identity, so a shared tier could
-                # serve another policy's (differently-shaped) entries.
-                raise ConfigurationError(
-                    "a shared cache tier cannot be combined with a "
-                    "beta_policy (callables have no cross-process "
-                    "identity); use cache='memory' or drop the policy"
-                )
+            )
+        ):
+            raise ConfigurationError(
+                "cache must be 'memory', 'off', 'shared', or "
+                f"'shared:<dir>'; got {self.cache!r}"
+            )
+        if self.cache.startswith("shared") and self.beta_policy is not None:
+            # Fail at construction, not first query: a callable has
+            # no cross-process identity, so a shared tier could
+            # serve another policy's (differently-shaped) entries.
+            raise ConfigurationError(
+                "a shared cache tier cannot be combined with a "
+                "beta_policy (callables have no cross-process "
+                "identity); use cache='memory' or drop the policy"
+            )
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with the given fields changed (re-validated)."""

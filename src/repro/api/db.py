@@ -76,9 +76,8 @@ class TravelTimeDB:
     ``cache`` selects the cross-query cache: ``"default"`` resolves the
     backend from ``config`` (the ``config.cache`` spec — in-process
     :class:`SubQueryCache`, cross-process
-    :class:`~repro.service.cachetier.SharedCacheTier`, or none; with
-    ``config.cache=None`` the legacy ``cache_enabled``/``cache_entries``
-    knobs apply); ``None`` disables cross-query caching (every trip
+    :class:`~repro.service.cachetier.SharedCacheTier`, or none);
+    ``None`` disables cross-query caching (every trip
     uses a per-trip cache); or pass a pre-configured backend to control
     the bounds or share one cache between sessions *over the same index
     and network* — the cache binds permanently to the first
@@ -321,13 +320,14 @@ class TravelTimeDB:
             return self._engine.run_batch(requests, n_workers=workers)
         # Without dedup each trip runs the sequential driver; it is not
         # ``run_batch([r])`` because a batch of one is not free yet.
-        # Re-measured for ISSUE 18, with rounds per trip down from ~18
-        # to ~8.6 (trip-cold's 360 requests, seed-0 small world,
-        # quietest of 10 alternating passes, answers and scans + hits
-        # equal): ``query`` 550 trips/s at p50 1.46 ms against 392
-        # trips/s (-29 %) at p50 1.94 ms through the BatchExecutor —
-        # what is left is ``first_segment_matches_many`` at one item,
-        # not round bookkeeping (ROADMAP item 1).
+        # Re-measured for ISSUE 21, with both drivers on the same scan
+        # kernels (trip-cold's 360 requests, seed-0 small world, each
+        # call at the quietest of 12 alternating passes, answers and
+        # scans + hits equal, three runs): ``query`` 505-584 trips/s at
+        # p50 1.41-1.61 ms against 465-526 trips/s (-8 to -10 %) at p50
+        # 1.54-1.75 ms through the BatchExecutor — what is left is
+        # ``BatchExecutor.run``'s per-round bookkeeping at ~8.6 rounds
+        # a trip, over ROADMAP item 1(c)'s 5 % bar.
         if workers == 1:
             return [self._engine.query(r) for r in requests], None
         return list(self._fan_out(requests, workers, len(requests))), None

@@ -628,7 +628,7 @@ def _cmd_batch(args) -> int:
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
-                else None
+                else "memory"
             ),
         ),
     )
@@ -702,7 +702,7 @@ def _cmd_serve(args) -> int:
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
-                else None
+                else "memory"
             ),
             cache_ttl_s=args.cache_ttl_s,
         ),

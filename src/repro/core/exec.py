@@ -26,8 +26,9 @@ it.  Four pieces:
 * :class:`BatchExecutor` — the round-based batch driver: collect the
   pending demands of every in-flight trip, deduplicate identical walks,
   answer each unique walk once (bulk cache probes rung by rung, then
-  one ``walk_ladder_many`` call for the round's misses — grouped per
-  edge and per shard), and fan each answer out to every owning trip.
+  one ``walk_ladder_many`` call for the round's misses — walked per
+  shard on a sharded reader), and fan each answer out to every owning
+  trip.
   Owners that did not pay the scan account a cache hit, exactly as they
   would have in a sequential pass over a shared cache, so histograms
   stay byte-identical.
@@ -518,11 +519,10 @@ def _scan_walks(
     order.
 
     ``walk_ladder_many`` answers the whole set in one call — the
-    monolithic index groups queries by first/last edge so each edge's
-    interval selection and probe join run once per round, and the
-    sharded router additionally walks each shard's columns contiguously.
-    Thread fan-out is safe because every walk is a distinct key and
-    index reads are immutable during a batch.
+    monolithic index walks item by item, the sharded router walks each
+    shard's columns contiguously for the whole set.  Thread fan-out is
+    safe because every walk is a distinct key and index reads are
+    immutable during a batch.
     """
     items = [
         (
@@ -534,7 +534,7 @@ def _scan_walks(
         for demand, rung in walks
     ]
     if n_workers > 1 and len(items) > 1:
-        # Contiguous slices, one grouped call per worker: per-shard
+        # Contiguous slices, one call per worker: per-shard
         # locality within each slice, real fan-out across slices
         # (router reads are immutable; its counters are locked).
         width = min(n_workers, len(items))
@@ -629,7 +629,7 @@ class BatchExecutor:
     Each round: every in-flight trip plans up to its next fetch demand;
     demands for the same ladder walk are grouped; each unique walk is
     answered once — the cache chased up the ladder with one bulk probe
-    per rung, then one grouped index call for the round's misses — and
+    per rung, then one index call for the round's misses — and
     the answer fans out to every owner.  The first owner (in submission
     order) of a scanned walk accounts the scan; every other owner
     accounts a cache hit, exactly what a sequential pass over a shared

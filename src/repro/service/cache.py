@@ -206,30 +206,21 @@ class SubQueryCache:
                     "one cache per (index, network) pair"
                 )
 
-    def spawn_empty(self) -> "SubQueryCache":
-        """A fresh, unbound cache with this cache's per-section bounds.
+    def spawn_for_worker(self) -> "SubQueryCache":
+        """The :class:`~repro.service.cachetier.CacheBackend` fork hook:
+        a fresh, unbound cache with this cache's per-section bounds.
 
-        Used by process fan-out: each forked worker must not touch the
-        parent's cache (its locks may have been snapshotted held), but
-        the worker's replacement should honour the memory ceiling the
-        caller configured here.
+        A forked worker must not touch the parent's cache (its locks
+        may have been snapshotted held), but its replacement should
+        honour the memory ceiling the caller configured here; the
+        cross-process :class:`~repro.service.cachetier.SharedCacheTier`
+        instead hands the worker a new handle onto the shared store.
         """
         return SubQueryCache(
             max_ranges=self._ranges.max_entries,
             max_results=self._results.max_entries,
             max_histograms=self._histograms.max_entries,
         )
-
-    def spawn_for_worker(self) -> "SubQueryCache":
-        """The :class:`~repro.service.cachetier.CacheBackend` fork hook.
-
-        An in-process cache cannot be shared with a forked worker (see
-        :meth:`spawn_empty`), so the worker gets a fresh empty cache
-        with the same bounds; the cross-process
-        :class:`~repro.service.cachetier.SharedCacheTier` instead hands
-        the worker a new handle onto the shared store.
-        """
-        return self.spawn_empty()
 
     def sync_epoch(self, index) -> None:
         """Drop entries cached against an earlier state of ``index``.

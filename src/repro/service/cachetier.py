@@ -667,8 +667,9 @@ class SharedCacheTier:
         parallel lineage's current entries, and never newer epochs: a
         process lagging behind an append must not delete the up-to-date
         entries of its peers.  Rows of abandoned lineages linger until
-        ``clear()`` (or a future store TTL — see ROADMAP); they are
-        unreachable, so only size is affected, never answers.
+        ``clear()``, the ``max_store_entries`` bound or ``max_age_s``
+        collects them; they are unreachable, so only size is affected,
+        never answers.
         """
         epoch = int(getattr(index, "epoch", 0))
         lineage = _index_lineage(index)
@@ -922,8 +923,9 @@ class SharedCacheTier:
         """Aggregate statistics in the :class:`CacheStats` shape.
 
         ``hits`` counts L1 and shared-store hits together; ``size`` and
-        the eviction counter describe the in-process layer (the store is
-        unbounded and epoch-collected).
+        the eviction counter describe the in-process layer (the store
+        has its own ``max_store_entries`` / ``max_age_s`` bounds and
+        epoch collection; :meth:`tier_stats` reports its size).
         """
         sections: Dict[str, SectionStats] = {}
         with self._lock:
@@ -967,10 +969,7 @@ def resolve_cache_backend(
 
     The ``config.cache`` spec:
 
-    * ``None`` — legacy behaviour: an in-process
-      :class:`SubQueryCache` when ``config.cache_enabled``, else no
-      shared cache;
-    * ``"memory"`` — the in-process cache, explicitly;
+    * ``"memory"`` — an in-process :class:`SubQueryCache` (the default);
     * ``"off"`` — no shared cache (per-trip caching only);
     * ``"shared"`` — a :class:`SharedCacheTier` under
       ``<index dir>/cache/`` (the index must have been loaded from
@@ -979,8 +978,6 @@ def resolve_cache_backend(
       directory.
     """
     spec = config.cache
-    if spec is None:
-        spec = "memory" if config.cache_enabled else "off"
     if spec == "off":
         return None
     if spec == "memory":

@@ -378,12 +378,9 @@ class SNTIndex:
         items: Sequence[Tuple],
         fallback_tt=None,
     ):
-        """Procedure 5 for a deduplicated demand set (``(query,
-        exclude_ids, isa_ranges)`` triples), with queries sharing a
-        first or last edge grouped so that edge's interval selection and
-        probe join run once for the group — bit-identical per item to
-        :meth:`get_travel_times` (see
-        :func:`repro.sntindex.procedures.monolithic_travel_times_many`).
+        """:meth:`get_travel_times` per ``(query, exclude_ids,
+        isa_ranges)`` item of a deduplicated demand set, in item order
+        (see :func:`repro.sntindex.procedures.monolithic_travel_times_many`).
         """
         from .procedures import monolithic_travel_times_many
 
@@ -416,7 +413,7 @@ class SNTIndex:
 
     def walk_ladder_many(self, items: Sequence[Tuple], fallback_tt=None):
         """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
-        isa_ranges)`` item with the per-edge work shared across the set
+        isa_ranges)`` item, in item order
         (see :func:`repro.sntindex.procedures.monolithic_ladder_many`)."""
         from .procedures import monolithic_ladder_many
 

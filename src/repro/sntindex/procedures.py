@@ -34,13 +34,13 @@ Merging per-shard outputs on ``(entry time, shard order)`` reproduces the
 monolithic row order exactly, because each shard's rows are a stable
 restriction of the monolithic t-sorted columns.
 
-Both phases also come in grouped ``*_many`` forms that answer a whole
-demand set with the per-edge work shared: queries are grouped by first
-(respectively last) edge, each edge's interval selection and ISA-bound
-table is built once for the group over stacked query bounds, and the
-probe join runs one concatenated ``searchsorted`` per edge.  The grouped
-forms are bit-identical to mapping the scalar forms over the set — the
-batch executor and the shard router both rely on that.
+The scalar functions are the one implementation.  Every ``*_many`` form
+is a plain loop over its scalar form, in item order, for the batch
+executor and the shard router that hand over a round's demand set: walk
+dedup has already folded the identical sub-queries of a round, and what
+is left almost never shares a first (or last) edge (ROADMAP item 1 has
+the measured group sizes), so stacking a group's bounds and candidates
+costs more than it shares.
 
 On top of Procedure 5 sits the *ladder walk* the engine's fetch stage
 calls (:func:`monolithic_ladder`, :func:`monolithic_ladder_many`):
@@ -94,7 +94,6 @@ __all__ = [
     "monolithic_travel_times_many",
     "classify_scan",
     "choose_rung",
-    "begin_walks",
     "monolithic_ladder",
     "monolithic_ladder_many",
     "count_matches",
@@ -104,10 +103,10 @@ __all__ = [
 Int64Array = npt.NDArray[np.int64]
 Float64Array = npt.NDArray[np.float64]
 IsaRanges = List[Tuple[int, int, int]]
-#: One grouped-scan work item: ``(query, exclude_ids, beta, isa_ranges)``.
+#: One scan work item: ``(query, exclude_ids, beta, isa_ranges)``.
 MatchItem = Tuple[StrictPathQuery, Sequence[int], Optional[int],
                   Optional[IsaRanges]]
-#: One grouped-probe work item: ``(query, selected_rows, first_columns)``.
+#: One probe work item: ``(query, selected_rows, first_columns)``.
 ProbeEntry = Tuple[StrictPathQuery, Int64Array, TraversalColumns]
 #: One ladder walk: ``(query, wider, exclude_ids, isa_ranges)`` — the rung
 #: to scan first and a callable producing the wider rungs to fall back
@@ -172,44 +171,6 @@ def _interval_rows(
         return index_edge.rows_periodic(interval.start_tod, interval.duration)
     assert isinstance(interval, FixedInterval)
     return index_edge.rows_fixed(interval.start, interval.end)
-
-
-def _interval_rows_many(
-    index_edge: EdgeTemporalIndex, intervals: Sequence[TimeInterval]
-) -> List[Int64Array]:
-    """Batched :func:`_interval_rows`: fixed and periodic predicates each
-    resolve through one stacked bounds pass on the edge."""
-    fixed_slots: List[int] = []
-    periodic_slots: List[int] = []
-    for i, interval in enumerate(intervals):
-        (periodic_slots if is_periodic(interval) else fixed_slots).append(i)
-    results: List[Optional[Int64Array]] = [None] * len(intervals)
-    if fixed_slots:
-        los: List[int] = []
-        his: List[int] = []
-        for i in fixed_slots:
-            interval = intervals[i]
-            assert isinstance(interval, FixedInterval)
-            los.append(interval.start)
-            his.append(interval.end)
-        for i, rows in zip(fixed_slots, index_edge.rows_fixed_many(los, his)):
-            results[i] = rows
-    if periodic_slots:
-        starts: List[int] = []
-        durations: List[int] = []
-        for i in periodic_slots:
-            interval = intervals[i]
-            assert isinstance(interval, PeriodicInterval)
-            starts.append(interval.start_tod)
-            durations.append(interval.duration)
-        for i, rows in zip(
-            periodic_slots, index_edge.rows_periodic_many(starts, durations)
-        ):
-            results[i] = rows
-    return [
-        rows if rows is not None else np.empty(0, dtype=np.int64)
-        for rows in results
-    ]
 
 
 def _not_excluded(
@@ -279,104 +240,15 @@ def first_segment_matches(
 def first_segment_matches_many(
     index: "SNTIndex", items: Sequence[MatchItem]
 ) -> List[Optional[Tuple[Int64Array, TraversalColumns]]]:
-    """Grouped :func:`first_segment_matches` over a demand set.
-
-    Items sharing a first edge are answered together: the edge's
-    interval selection runs once over stacked query bounds, the per-``w``
-    ISA bound table is built for the whole group in one scatter, and the
-    ISA/user masks evaluate over the group's concatenated candidate
-    rows.  Per item, the output (including the ``beta`` prefix cut and
-    the ``None``-vs-empty distinction) is exactly the scalar function's.
-    """
-    n_items = len(items)
-    results: List[Optional[Tuple[Int64Array, TraversalColumns]]] = (
-        [None] * n_items
-    )
-    ranges_list: List[Optional[IsaRanges]] = [item[3] for item in items]
-    missing = [i for i in range(n_items) if ranges_list[i] is None]
-    if missing:
-        # One batched backward search resolves every un-resolved path.
-        resolved = index.isa_ranges_many(
-            [items[i][0].path for i in missing]
+    """:func:`first_segment_matches` per ``(query, exclude_ids, beta,
+    isa_ranges)`` item of a demand set, in item order."""
+    return [
+        first_segment_matches(
+            index, query, exclude_ids=exclude_ids, beta=beta,
+            isa_ranges=isa_ranges,
         )
-        for i, ranges in zip(missing, resolved):
-            ranges_list[i] = ranges
-
-    by_edge: Dict[int, List[int]] = {}
-    for i in range(n_items):
-        if not ranges_list[i]:
-            continue  # no occurrence anywhere: scalar returns None
-        by_edge.setdefault(int(items[i][0].path[0]), []).append(i)
-
-    for edge, slots in by_edge.items():
-        phi0 = index.edge_index(edge)
-        if phi0 is None or len(phi0) == 0:
-            continue  # scalar returns None for every query on this edge
-        columns = phi0.columns
-        rows_list = _interval_rows_many(
-            phi0, [items[i][0].interval for i in slots]
-        )
-        sizes = np.asarray([rows.size for rows in rows_list], dtype=np.int64)
-        total = int(sizes.sum())
-        if total == 0:
-            for i, rows in zip(slots, rows_list):
-                results[i] = (rows, columns)
-            continue
-
-        # Stacked predicate evaluation over the group's candidates,
-        # slot-major so each query's chunk stays one contiguous slice.
-        rows_cat = np.concatenate(rows_list)
-        slot_cat = np.repeat(np.arange(len(slots)), sizes)
-        slot_idx: List[int] = []
-        w_idx: List[int] = []
-        st_vals: List[int] = []
-        ed_vals: List[int] = []
-        for k, i in enumerate(slots):
-            ranges = ranges_list[i]
-            assert ranges is not None
-            for w, st, ed in ranges:
-                slot_idx.append(k)
-                w_idx.append(w)
-                st_vals.append(st)
-                ed_vals.append(ed)
-        st2 = np.zeros((len(slots), index.n_partitions), dtype=np.int64)
-        ed2 = np.zeros((len(slots), index.n_partitions), dtype=np.int64)
-        st2[slot_idx, w_idx] = st_vals
-        ed2[slot_idx, w_idx] = ed_vals
-        w_cat = columns.w[rows_cat]
-        isa_cat = columns.isa[rows_cat]
-        d_cat = columns.d[rows_cat]
-        mask = (isa_cat >= st2[slot_cat, w_cat]) & (
-            isa_cat < ed2[slot_cat, w_cat]
-        )
-
-        if any(items[i][0].user is not None for i in slots):
-            has_user = np.asarray(
-                [items[i][0].user is not None for i in slots], dtype=bool
-            )
-            user_arr = np.asarray(
-                [
-                    items[i][0].user if items[i][0].user is not None else 0
-                    for i in slots
-                ],
-                dtype=np.int64,
-            )
-            mask &= ~has_user[slot_cat] | (
-                index.users[d_cat] == user_arr[slot_cat]
-            )
-
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        for k, i in enumerate(slots):
-            b0, b1 = int(bounds[k]), int(bounds[k + 1])
-            exclude_ids = items[i][1]
-            if len(exclude_ids):
-                mask[b0:b1] &= _not_excluded(d_cat[b0:b1], exclude_ids)
-            selected = rows_cat[b0:b1][mask[b0:b1]]
-            beta = items[i][2]
-            if beta is not None and selected.size > beta:
-                selected = selected[:beta]
-            results[i] = (selected, columns)
-    return results
+        for query, exclude_ids, beta, isa_ranges in items
+    ]
 
 
 def _dedup_probe_targets(
@@ -408,23 +280,37 @@ def _dedup_probe_targets(
     )
 
 
-def _join_probe(
-    phi_last: EdgeTemporalIndex,
-    lo: Int64Array,
-    counts: Int64Array,
-    diffs: Float64Array,
+def _probe_entry(
+    index: "SNTIndex",
+    query: StrictPathQuery,
+    selected: Int64Array,
+    columns: TraversalColumns,
 ) -> Tuple[Float64Array, Int64Array]:
-    """Gather and emit the matches of one query's sorted-key probe.
+    """One query's map build and probe (Procedures 3-4).
 
-    ``lo``/``counts`` bound each target's run in the last segment's
-    probe order; the ragged gather materialises every hit, and sorting
-    the hit rows ascending restores the historical candidate-scan
-    emission order (rows are unique — one ``(d, seq)`` key per row).
+    The probe targets are bounded in the last segment's sorted probe-key
+    order with one ``searchsorted`` pair; the ragged gather materialises
+    every hit, and sorting the hit rows ascending restores the
+    historical candidate-scan emission order (rows are unique — one
+    ``(d, seq)`` key per row).  Single-segment paths bypass the join.
     """
+    if query.length == 1:
+        # The first segment is the last: X is the TT column directly.
+        return (
+            columns.tt[selected].astype(np.float64, copy=True),
+            np.asarray(columns.t[selected], dtype=np.int64),
+        )
+    empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
+    phi_last = index.edge_index(query.path[-1])
+    if phi_last is None:  # cannot happen when the ISA range was non-empty
+        return empty
+    targets, diffs = _dedup_probe_targets(columns, selected, query.length)
+    keys_sorted = phi_last.probe_keys_sorted()
+    lo = np.searchsorted(keys_sorted, targets, side="left")
+    counts = np.searchsorted(keys_sorted, targets, side="right") - lo
     total = int(counts.sum())
-    last = phi_last.columns
     if total == 0:
-        return (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
+        return empty
     starts = np.repeat(lo, counts)
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     flat = starts + np.arange(total, dtype=np.int64) - offsets
@@ -432,6 +318,7 @@ def _join_probe(
     target_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
     emit = np.argsort(rows, kind="stable")
     rows_emit = rows[emit]
+    last = phi_last.columns
     values = last.a[rows_emit] - diffs[target_idx[emit]]
     return (
         np.asarray(values, dtype=np.float64),
@@ -460,69 +347,9 @@ def probe_travel_times(
 def probe_travel_times_many(
     index: "SNTIndex", entries: Sequence[ProbeEntry]
 ) -> List[Tuple[Float64Array, Int64Array]]:
-    """Grouped :func:`probe_travel_times` over a demand set.
-
-    Entries sharing a last edge share its sorted probe-key order: the
-    group's probe targets are stacked and bounded with **one**
-    ``searchsorted`` pair per edge, then each entry gathers and emits
-    its own matches.  Single-segment paths bypass the join — their
-    values are the first segment's ``TT`` column directly.
-    """
-    results: List[Optional[Tuple[Float64Array, Int64Array]]] = (
-        [None] * len(entries)
-    )
-    by_edge: Dict[int, List[int]] = {}
-    for i, (query, selected, columns) in enumerate(entries):
-        if query.length == 1:
-            # The first segment is the last: X is the TT column directly.
-            values = columns.tt[selected].astype(np.float64, copy=True)
-            results[i] = (values, np.asarray(columns.t[selected],
-                                             dtype=np.int64))
-        else:
-            by_edge.setdefault(int(query.path[-1]), []).append(i)
-
-    for edge, slots in by_edge.items():
-        phi_last = index.edge_index(edge)
-        if phi_last is None:  # cannot happen when the ISA range was non-empty
-            for i in slots:
-                results[i] = (
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.int64),
-                )
-            continue
-        target_parts: List[Int64Array] = []
-        diff_parts: List[Float64Array] = []
-        for i in slots:
-            query, selected, columns = entries[i]
-            targets, diffs = _dedup_probe_targets(
-                columns, selected, query.length
-            )
-            target_parts.append(targets)
-            diff_parts.append(diffs)
-        keys_sorted = phi_last.probe_keys_sorted()
-        targets_cat = np.concatenate(target_parts)
-        lo_cat = np.asarray(
-            np.searchsorted(keys_sorted, targets_cat, side="left"),
-            dtype=np.int64,
-        )
-        hi_cat = np.asarray(
-            np.searchsorted(keys_sorted, targets_cat, side="right"),
-            dtype=np.int64,
-        )
-        counts_cat = hi_cat - lo_cat
-        t_sizes = [targets.size for targets in target_parts]
-        t_bounds = np.concatenate(([0], np.cumsum(t_sizes)))
-        for k, i in enumerate(slots):
-            ta, tb = int(t_bounds[k]), int(t_bounds[k + 1])
-            results[i] = _join_probe(
-                phi_last, lo_cat[ta:tb], counts_cat[ta:tb], diff_parts[k]
-            )
-    return [
-        result
-        if result is not None
-        else (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
-        for result in results
-    ]
+    """The probe join per ``(query, selected, columns)`` entry, in entry
+    order — the one entry point every caller's probe goes through."""
+    return [_probe_entry(index, *entry) for entry in entries]
 
 
 def get_travel_times(
@@ -625,48 +452,16 @@ def monolithic_travel_times_many(
                           Optional[IsaRanges]]],
     fallback_tt: Optional[Callable[[int], float]] = None,
 ) -> List[TravelTimeResult]:
-    """Procedure 5 for a demand set over one index, scans grouped.
-
-    ``items`` are ``(query, exclude_ids, isa_ranges)`` triples — the
-    deduplicated demand set of one batch-executor round.  Both phases
-    run through their grouped forms (:func:`first_segment_matches_many`,
-    :func:`probe_travel_times_many`) so queries sharing a first or last
-    edge share that edge's selection and join work; every per-query
-    decision (beta cut, insufficient/fallback classification) is
-    unchanged, making each result exactly what
-    :func:`monolithic_travel_times` answers for that item alone.
-    """
-    matches = first_segment_matches_many(
-        index,
-        [
-            (query, exclude_ids, query.beta, isa_ranges)
-            for query, exclude_ids, isa_ranges in items
-        ],
-    )
-    results: List[Optional[TravelTimeResult]] = [None] * len(items)
-    probe_slots: List[int] = []
-    probe_entries: List[ProbeEntry] = []
-    matched_counts: List[int] = [0] * len(items)
-    for i, ((query, _, _), match) in enumerate(zip(items, matches)):
-        if match is None:
-            n_matched = 0
-        else:
-            selected, columns = match
-            n_matched = int(selected.size)
-        matched_counts[i] = n_matched
-        early = classify_scan(query, n_matched, fallback_tt)
-        if early is not None:
-            results[i] = early
-            continue
-        assert match is not None
-        probe_slots.append(i)
-        probe_entries.append((query, match[0], match[1]))
-    for i, (values, _) in zip(
-        probe_slots, probe_travel_times_many(index, probe_entries)
-    ):
-        results[i] = TravelTimeResult(values, matched_counts[i])
-    assert all(result is not None for result in results)
-    return results  # type: ignore[return-value]
+    """:func:`monolithic_travel_times` per ``(query, exclude_ids,
+    isa_ranges)`` item — the deduplicated demand set of one
+    batch-executor round — in item order."""
+    return [
+        monolithic_travel_times(
+            index, query, fallback_tt=fallback_tt, exclude_ids=exclude_ids,
+            isa_ranges=isa_ranges,
+        )
+        for query, exclude_ids, isa_ranges in items
+    ]
 
 
 def _rung_windows(
@@ -732,41 +527,6 @@ def choose_rung(
     return settled, None, []
 
 
-def begin_walks(
-    items: Sequence[LadderItem], firsts: Sequence[TravelTimeResult]
-) -> Tuple[List[List[TravelTimeResult]],
-           List[Tuple[int, Sequence[StrictPathQuery]]]]:
-    """Open one walk per item with its own-width result, and ask the
-    items whose result is empty for their wider rungs: returns the walks
-    and ``(item position, rungs)`` for those that have any."""
-    walks = [[first] for first in firsts]
-    climbing = [
-        (i, rungs)
-        for i, item in enumerate(items)
-        if firsts[i].is_empty and (rungs := item[1]())
-    ]
-    return walks, climbing
-
-
-def _ladder_tail(
-    rungs: Sequence[StrictPathQuery],
-    matches: Optional[Tuple[Int64Array, TraversalColumns]],
-    fallback_tt: Optional[Callable[[int], float]],
-) -> Tuple[List[TravelTimeResult], Optional[ProbeEntry]]:
-    """:func:`choose_rung` over one index's ``matches`` of the widest
-    rung: the settled results plus the chosen rung's probe work."""
-    settled, query, parts = choose_rung(
-        rungs, [] if matches is None else [matches], fallback_tt
-    )
-    if query is None:
-        return settled, None
-    assert matches is not None
-    selected = parts[0]
-    if query.beta is not None:
-        selected = selected[: query.beta]
-    return settled, (query, selected, matches[1])
-
-
 def monolithic_ladder(
     index: "SNTIndex",
     query: StrictPathQuery,
@@ -801,11 +561,17 @@ def monolithic_ladder(
     matches = first_segment_matches(
         index, rungs[-1], exclude_ids=exclude_ids, isa_ranges=isa_ranges
     )
-    settled, probe = _ladder_tail(rungs, matches, fallback_tt)
+    settled, chosen, parts = choose_rung(
+        rungs, [] if matches is None else [matches], fallback_tt
+    )
     walk = [first, *settled]
-    if probe is not None:
-        values, _ = probe_travel_times(index, *probe)
-        walk.append(TravelTimeResult(values, int(probe[1].size)))
+    if chosen is not None:
+        assert matches is not None
+        selected = parts[0]
+        if chosen.beta is not None:
+            selected = selected[: chosen.beta]
+        values, _ = probe_travel_times(index, chosen, selected, matches[1])
+        walk.append(TravelTimeResult(values, int(selected.size)))
     return walk
 
 
@@ -814,44 +580,15 @@ def monolithic_ladder_many(
     items: Sequence[LadderItem],
     fallback_tt: Optional[Callable[[int], float]] = None,
 ) -> List[List[TravelTimeResult]]:
-    """Grouped :func:`monolithic_ladder` over a demand set.
-
-    ``items`` are ``(query, wider, exclude_ids, isa_ranges)``.  The
-    own-width scans run as one :func:`monolithic_travel_times_many`;
-    the failing items' widest-window scans share each first edge's
-    selection through one :func:`first_segment_matches_many`, and the
-    chosen rungs' joins share each last edge through one
-    :func:`probe_travel_times_many`.
-    """
-    walks, climbing = begin_walks(
-        items,
-        monolithic_travel_times_many(
-            index,
-            [(query, exclude, ranges) for query, _, exclude, ranges in items],
-            fallback_tt=fallback_tt,
-        ),
-    )
-    if not climbing:
-        return walks
-    matches_list = first_segment_matches_many(
-        index,
-        [(rungs[-1], items[i][2], None, items[i][3]) for i, rungs in climbing],
-    )
-    probe_slots: List[int] = []
-    probe_entries: List[ProbeEntry] = []
-    for (i, rungs), matches in zip(climbing, matches_list):
-        settled, probe = _ladder_tail(rungs, matches, fallback_tt)
-        walks[i].extend(settled)
-        if probe is not None:
-            probe_slots.append(i)
-            probe_entries.append(probe)
-    for i, entry, (values, _) in zip(
-        probe_slots,
-        probe_entries,
-        probe_travel_times_many(index, probe_entries),
-    ):
-        walks[i].append(TravelTimeResult(values, int(entry[1].size)))
-    return walks
+    """:func:`monolithic_ladder` per ``(query, wider, exclude_ids,
+    isa_ranges)`` item, in item order."""
+    return [
+        monolithic_ladder(
+            index, query, wider, fallback_tt=fallback_tt,
+            exclude_ids=exclude_ids, isa_ranges=isa_ranges,
+        )
+        for query, wider, exclude_ids, isa_ranges in items
+    ]
 
 
 def count_matches(

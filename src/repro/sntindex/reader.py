@@ -135,7 +135,8 @@ class IndexReader(Protocol):
         fallback_tt: Optional[Callable[[int], float]] = None,
     ):
         """:meth:`get_travel_times` per ``(query, exclude_ids,
-        isa_ranges)`` item, in item order, with the scans grouped."""
+        isa_ranges)`` item, in item order (a sharded reader walks the
+        set shard by shard)."""
         ...
 
     def walk_ladder(
@@ -164,7 +165,8 @@ class IndexReader(Protocol):
         fallback_tt: Optional[Callable[[int], float]] = None,
     ) -> List[List]:
         """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
-        isa_ranges)`` item, in item order, with the scans grouped."""
+        isa_ranges)`` item, in item order (a sharded reader walks the
+        set shard by shard)."""
         ...
 
     def count_matches(

@@ -88,7 +88,6 @@ from .persistence import (
 from .store import as_store
 from .procedures import (
     TravelTimeResult,
-    begin_walks,
     choose_rung,
     classify_scan,
     first_segment_matches_many,
@@ -426,8 +425,8 @@ class ShardRouter:
         items: Sequence[Tuple],
         fallback_tt=None,
     ) -> List[TravelTimeResult]:
-        """Procedure 5 for a set of independent sub-queries, with the
-        per-shard scans grouped.
+        """Procedure 5 for a set of independent sub-queries, shard by
+        shard.
 
         ``items`` are ``(query, exclude_ids, isa_ranges)`` triples — the
         deduplicated demand set of one batch-executor round.  Both scan
@@ -448,14 +447,13 @@ class ShardRouter:
     def _first_segment_chunks(
         self, items: Sequence[Tuple]
     ) -> List[List[_Chunk]]:
-        """Scan phase 1, grouped: per item, the non-empty first-segment
-        matches of every routed shard as ``(shard position, rows,
-        columns)``, each capped at the query's ``beta`` (the global cut
-        only ever keeps a prefix of each).  Ascending shard order per
-        query — the same order a per-query loop produces — so each
-        query's chunk list is its routed prefix order.  Within a shard
-        the routed queries go through the grouped scan, sharing each
-        first edge's interval selection and ISA-bound table.
+        """Scan phase 1, shard by shard: per item, the non-empty
+        first-segment matches of every routed shard as ``(shard
+        position, rows, columns)``, each capped at the query's ``beta``
+        (the global cut only ever keeps a prefix of each).  Ascending
+        shard order per query — the same order a per-query loop
+        produces — so each query's chunk list is its routed prefix
+        order.
         """
         routed: List[List[int]] = []
         for query, _, _ in items:
@@ -502,7 +500,7 @@ class ShardRouter:
         fallback_tt,
     ) -> List[TravelTimeResult]:
         """Scan phases 2-3 over each query's per-shard first-segment
-        chunks: the global cut and classification, then the grouped
+        chunks: the global cut and classification, then the per-shard
         probe and the ``(t, shard)`` merge."""
         n_items = len(queries)
         # Phase 2, per query: the global ascending-entry-time beta cut
@@ -536,9 +534,9 @@ class ShardRouter:
                 query, n_matched, fallback_tt
             )
 
-        # Phase 3, grouped: per-shard map/probe for the queries still
+        # Phase 3, shard by shard: map/probe for the queries still
         # open, merged per query on (entry time, shard).  Each probe
-        # entry carries its chunk, so the shard-grouped walk stays
+        # entry carries its chunk, so the shard-outer walk stays
         # linear in the total chunk count.
         value_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
         stamp_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
@@ -610,16 +608,18 @@ class ShardRouter:
         index uses, and the chosen rung's per-shard rows go through the
         unchanged global cut, probe and merge.
         """
-        walks, climbing = begin_walks(
-            items,
-            self.get_travel_times_many(
-                [
-                    (query, exclude, ranges)
-                    for query, _, exclude, ranges in items
-                ],
-                fallback_tt=fallback_tt,
-            ),
+        firsts = self.get_travel_times_many(
+            [(query, exclude, ranges) for query, _, exclude, ranges in items],
+            fallback_tt=fallback_tt,
         )
+        walks = [[first] for first in firsts]
+        # Only the items whose own width came back empty are asked for
+        # their wider rungs, and only those that have any climb.
+        climbing = [
+            (i, rungs)
+            for i, item in enumerate(items)
+            if firsts[i].is_empty and (rungs := item[1]())
+        ]
         if not climbing:
             return walks
         widest_chunks = self._first_segment_chunks(

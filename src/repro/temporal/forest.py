@@ -196,22 +196,9 @@ class EdgeTemporalIndex:
     def rows_fixed_many(
         self, los: Sequence[int], his: Sequence[int]
     ) -> List[Int64Array]:
-        """Batched :meth:`rows_fixed`: one stacked ``searchsorted`` pair
-        resolves every query's bounds (CSS only; the B+-tree loops)."""
-        if self.kind != "css" or not len(self):
-            return [self.rows_fixed(lo, hi) for lo, hi in zip(los, his)]
-        lo_arr = np.asarray(los, dtype=np.int64)
-        hi_arr = np.asarray(his, dtype=np.int64)
-        starts = np.searchsorted(self.columns.t, lo_arr, side="left")
-        stops = np.searchsorted(self.columns.t, hi_arr, side="left")
-        return [
-            (
-                np.arange(int(start), int(stop), dtype=np.int64)
-                if lo < hi
-                else np.empty(0, dtype=np.int64)
-            )
-            for lo, hi, start, stop in zip(lo_arr, hi_arr, starts, stops)
-        ]
+        """:meth:`rows_fixed` per ``(lo, hi)`` pair.  No ``src/`` caller;
+        kept because ``benchmarks/perf/spans.py`` binds it by name."""
+        return [self.rows_fixed(lo, hi) for lo, hi in zip(los, his)]
 
     def rows_periodic(self, start_tod: int, duration: int) -> Int64Array:
         """Rows whose time of day lies in the periodic window.
@@ -241,61 +228,12 @@ class EdgeTemporalIndex:
     def rows_periodic_many(
         self, start_tods: Sequence[int], durations: Sequence[int]
     ) -> List[Int64Array]:
-        """Batched :meth:`rows_periodic`: all window cuts of the group
-        resolve through one stacked ``searchsorted`` pair on the shared
-        time-of-day order (CSS only; the B+-tree loops)."""
-        if self.kind != "css" or not len(self):
-            return [
-                self.rows_periodic(start, duration)
-                for start, duration in zip(start_tods, durations)
-            ]
-        n_rows = len(self)
-        results: List[Optional[Int64Array]] = [None] * len(start_tods)
-        seg_lo: List[int] = []
-        seg_hi: List[int] = []
-        seg_owner: List[int] = []
-        for i, (start, duration) in enumerate(zip(start_tods, durations)):
-            if duration <= 0:
-                results[i] = np.empty(0, dtype=np.int64)
-                continue
-            if duration >= SECONDS_PER_DAY:
-                results[i] = np.arange(n_rows, dtype=np.int64)
-                continue
-            start = int(start) % SECONDS_PER_DAY
-            end = start + int(duration)
-            seg_lo.append(start)
-            seg_hi.append(min(end, SECONDS_PER_DAY))
-            seg_owner.append(i)
-            if end > SECONDS_PER_DAY:
-                seg_lo.append(0)
-                seg_hi.append(end - SECONDS_PER_DAY)
-                seg_owner.append(i)
-        if seg_owner:
-            keys = self._tod_sorted_keys()
-            order = self.tod_order
-            cut_a = np.searchsorted(keys, np.asarray(seg_lo), side="left")
-            cut_b = np.searchsorted(keys, np.asarray(seg_hi), side="left")
-            parts: Dict[int, List[Int64Array]] = {}
-            for owner, a, b in zip(seg_owner, cut_a, cut_b):
-                if b > a:
-                    parts.setdefault(owner, []).append(order[int(a) : int(b)])
-            for i in seg_owner:
-                if results[i] is not None:
-                    continue
-                chunks = parts.get(i)
-                if not chunks:
-                    results[i] = np.empty(0, dtype=np.int64)
-                elif len(chunks) == 1:
-                    results[i] = np.asarray(
-                        np.sort(chunks[0]), dtype=np.int64
-                    )
-                else:
-                    results[i] = np.asarray(
-                        np.sort(np.concatenate(chunks)), dtype=np.int64
-                    )
+        """:meth:`rows_periodic` per ``(start, duration)`` pair.  No
+        ``src/`` caller; kept because ``benchmarks/perf/spans.py`` binds
+        it by name."""
         return [
-            rows if rows is not None else np.empty(0, dtype=np.int64)
-            for rows in results
+            self.rows_periodic(start, duration)
+            for start, duration in zip(start_tods, durations)
         ]
 
     def _rows_periodic_btree(

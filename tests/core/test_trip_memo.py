@@ -22,59 +22,14 @@ from repro import (
     EstimatorMode,
     FixedInterval,
     PeriodicInterval,
-    ShardedSNTIndex,
-    SNTIndex,
     SubQueryCache,
-    TrajectorySet,
     TravelTimeDB,
     TripRequest,
-    generate_dataset,
 )
 from repro.config import SECONDS_PER_DAY
 from repro.errors import QueryError
 
 READERS = ("css", "btree", "sharded")
-PARTITION_DAYS = 7
-
-
-@pytest.fixture(scope="module")
-def world():
-    """One corpus behind all three readers; the sharded one keeps its
-    newest temporal bucket in an appended staging shard."""
-    dataset = generate_dataset("tiny", seed=0)
-    trajectories = list(dataset.trajectories)
-    alphabet_size = dataset.network.alphabet_size
-    t_min = min(tr.start_time for tr in trajectories)
-
-    def bucket(tr):
-        return (tr.start_time - t_min) // (PARTITION_DAYS * SECONDS_PER_DAY)
-
-    newest = max(bucket(tr) for tr in trajectories)
-    sharded = ShardedSNTIndex.build(
-        TrajectorySet([tr for tr in trajectories if bucket(tr) < newest]),
-        alphabet_size,
-        n_shards=3,
-        partition_days=PARTITION_DAYS,
-    )
-    sharded.append([tr for tr in trajectories if bucket(tr) == newest])
-    assert sharded.has_staging
-    readers = {
-        "css": SNTIndex.build(
-            TrajectorySet(trajectories),
-            alphabet_size,
-            partition_days=PARTITION_DAYS,
-        ),
-        "btree": SNTIndex.build(
-            TrajectorySet(trajectories),
-            alphabet_size,
-            partition_days=PARTITION_DAYS,
-            kind="btree",
-        ),
-        "sharded": sharded,
-    }
-    trips = [tr for tr in trajectories if len(tr) >= 6]
-    return dataset, readers, trips
-
 
 def assert_same_answer(actual, expected):
     assert actual.histogram == expected.histogram

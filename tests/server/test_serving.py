@@ -144,7 +144,7 @@ def test_batch_endpoint_matches_query_many(world):
 def test_concurrent_connections_share_dedup_rounds(world):
     # Cache off: any sub-query work absorbed can only come from
     # round-sharing, which is exactly what the assertion targets.
-    db = open_session(world, cache_enabled=False)
+    db = open_session(world, cache="off")
     request = requests_for(world[2], 1)[0]
     n_clients = 4
     barrier = threading.Barrier(n_clients)

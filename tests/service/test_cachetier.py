@@ -153,12 +153,11 @@ def test_result_wire_form_round_trips_bit_identically():
 def test_cache_spec_resolution(world, tmp_path):
     dataset, index, _ = world
     assert resolve_cache_backend(EngineConfig(cache="off"), index) is None
-    assert (
-        resolve_cache_backend(
-            EngineConfig(cache_enabled=False), index
-        )
-        is None
+    assert isinstance(
+        resolve_cache_backend(EngineConfig(), index), SubQueryCache
     )
+    with pytest.raises(ConfigurationError, match="cache must be"):
+        EngineConfig(cache=None)
     memory = resolve_cache_backend(EngineConfig(cache="memory"), index)
     assert isinstance(memory, SubQueryCache)
     tier = resolve_cache_backend(
@@ -709,7 +708,7 @@ class TestSharedTierTTL:
         requests = requests_for(trips, 3)
         baseline = TravelTimeDB(
             index, dataset.network,
-            config=EngineConfig(cache_enabled=False),
+            config=EngineConfig(cache="off"),
         ).query_many(requests)
         spec = EngineConfig(
             cache=f"shared:{tmp_path / 'tier'}", cache_ttl_s=3600.0

@@ -1,14 +1,19 @@
 """Property-based equivalence of the vectorized scan/probe stage.
 
-The sorted-key probe join, the O(log n) periodic selection, and the
-grouped ``*_many`` scans each replaced a scalar implementation that had
-been proven against the naive oracle.  These suites pin the replacements
-to their scalar predecessors *bit-identically* (values, dtypes, and
-emission order — not just sorted multisets): the dict-based probe loop,
-the ``np.mod`` full-column periodic pass, and the per-query scalar scan
-loop are re-implemented here as oracles and must agree exactly on
-hypothesis-generated worlds, including empty edges, single-segment
+The sorted-key probe join and the O(log n) periodic selection each
+replaced a scalar implementation that had been proven against the naive
+oracle.  These suites pin the replacements to their scalar predecessors
+*bit-identically* (values, dtypes, and emission order — not just sorted
+multisets): the dict-based probe loop and the ``np.mod`` full-column
+periodic pass are re-implemented here as oracles and must agree exactly
+on hypothesis-generated worlds, including empty edges, single-segment
 paths, beta cuts, and duplicate ``(d, seq)`` probe keys.
+
+The ``*_many`` forms are loops over the scalar functions, so comparing
+the two no longer checks anything independent: the demand-set suites
+keep that comparison (item order, per-item arguments) and additionally
+hold every non-fallback item to the linear-scan oracle
+:func:`repro.core.naive.naive_travel_times`.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ from repro import (
     StrictPathQuery,
 )
 from repro.config import SECONDS_PER_DAY
+from repro.core.naive import naive_travel_times
 from repro.sntindex.persistence import FORMAT_MINOR, read_meta
 from repro.sntindex.procedures import (
     first_segment_matches,
@@ -89,6 +95,15 @@ def assert_results_identical(got, want):
     assert got.insufficient == want.insufficient
     assert got.values.dtype == want.values.dtype
     assert got.values.tobytes() == want.values.tobytes()
+
+
+def assert_matches_naive(trajectories, query, exclude, result):
+    """The linear-scan oracle knows no speed-limit fallback; every other
+    answer must be its multiset of travel times."""
+    if result.from_fallback:
+        return
+    want = naive_travel_times(trajectories, query, exclude_ids=exclude)
+    assert sorted(result.values.tolist()) == sorted(want.tolist())
 
 
 # --------------------------------------------------------------------- #
@@ -365,7 +380,7 @@ def test_periodic_btree_unchanged_by_permutations(
 
 
 # --------------------------------------------------------------------- #
-# Grouped scans vs. the per-query scalar loop
+# Demand sets vs. the per-query scalar loop and the naive oracle
 # --------------------------------------------------------------------- #
 
 
@@ -384,6 +399,7 @@ def test_grouped_monolithic_matches_scalar_loop(trajectories, demands):
             index, query, fallback_tt=_fallback, exclude_ids=exclude
         )
         assert_results_identical(result, want)
+        assert_matches_naive(trajectories, query, exclude, result)
 
 
 @settings(max_examples=40, deadline=None)
@@ -433,6 +449,7 @@ def test_grouped_sharded_matches_scalar_and_monolithic(
             query, fallback_tt=_fallback, exclude_ids=exclude
         )
         assert_results_identical(result, want)
+        assert_matches_naive(trajectories, query, exclude, result)
 
 
 # --------------------------------------------------------------------- #

@@ -525,7 +525,7 @@ def test_foreign_shard_in_manifest_rejected(world, tmp_path):
 
 def test_spawn_empty_copies_cache_bounds():
     cache = SubQueryCache(max_ranges=7, max_results=5, max_histograms=3)
-    fresh = cache.spawn_empty()
+    fresh = cache.spawn_for_worker()
     stats = fresh.stats()
     assert (
         stats.ranges.max_size,
