@@ -5,7 +5,9 @@
 # scan/probe stage (ISSUE 7), the HTTP serving tier (ISSUE 8), and
 # the shard lifecycle layer (ISSUE 9):
 # src/repro/api (TripRequest / EngineConfig / TravelTimeDB), the error
-# hierarchy, service/cachetier.py (CacheBackend / SharedCacheTier),
+# hierarchy, service/cache.py + service/cachetier.py (SubQueryCache —
+# binding, invalidation, promotion — and CacheBackend / SqliteCacheStore
+# / SharedCacheTier),
 # core/plan.py + core/exec.py (the planner, the trip machine, and the
 # deduplicating batch executor), fmindex/bitvector.py (the word-packed
 # rank directory under every wavelet tree), sntindex/procedures.py (the
@@ -28,7 +30,8 @@ exec python -m mypy --strict \
   --allow-untyped-calls \
   --allow-subclassing-any \
   --no-warn-return-any \
-  src/repro/api src/repro/errors.py src/repro/service/cachetier.py \
+  src/repro/api src/repro/errors.py \
+  src/repro/service/cache.py src/repro/service/cachetier.py \
   src/repro/core/plan.py src/repro/core/exec.py \
   src/repro/fmindex/bitvector.py \
   src/repro/sntindex/procedures.py src/repro/temporal/forest.py \

@@ -82,8 +82,12 @@ class PerTripCache:
     sub-path per trip (the estimator, the retrieval and every rung of the
     widen ladder share it), discarded when the trip completes.
 
-    It implements the same protocol as
-    :class:`repro.service.SubQueryCache` but caches ranges only —
+    Not a :class:`~repro.service.cachetier.CacheBackend`: it has the six
+    scalar probe/store methods a :class:`~repro.core.exec.TripMachine`
+    and the fetch stage call (6 of the protocol's 16) and that is all a
+    per-trip object is ever asked — the ``*_many`` forms, the trip memo
+    and the lifecycle hooks are only reached on an engine's shared cache
+    (the ``cache is not None`` branches).  It caches ranges only:
     retrieval results and histograms are never shared, because within
     one trip a sub-query is retrieved at most once per interval.  Every
     fetch demand therefore reaches the index, and is accounted as one

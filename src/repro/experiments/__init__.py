@@ -16,12 +16,7 @@ from .memory import (
     project_to_paper_scale,
 )
 from .reporting import format_series, format_table, mib
-from .throughput import (
-    BatchServiceResult,
-    ThroughputResult,
-    measure_batch_service,
-    measure_throughput,
-)
+from .throughput import ThroughputResult, measure_throughput
 from .workload import (
     QUERY_TYPES,
     QuerySpec,
@@ -52,6 +47,4 @@ __all__ = [
     "project_to_paper_scale",
     "ThroughputResult",
     "measure_throughput",
-    "BatchServiceResult",
-    "measure_batch_service",
 ]

@@ -1,10 +1,11 @@
-"""Cache layer: the shared sub-query cache and its cross-process tier."""
+"""Cache layer: the sub-query cache and the cross-process store behind it."""
 
 from .cache import CacheStats, LRUCache, SectionStats, SubQueryCache
 from .cachetier import (
     CacheBackend,
     SharedCacheTier,
     SharedTierStats,
+    SqliteCacheStore,
     resolve_cache_backend,
 )
 
@@ -16,5 +17,6 @@ __all__ = [
     "CacheBackend",
     "SharedCacheTier",
     "SharedTierStats",
+    "SqliteCacheStore",
     "resolve_cache_backend",
 ]

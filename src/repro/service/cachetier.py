@@ -1,40 +1,33 @@
-"""Pluggable sub-query cache backends, including a cross-process tier.
+"""The cache protocol, and the cross-process tier behind the cache.
 
-The engine consumes one cache protocol (:class:`CacheBackend`):
-``get_ranges``/``put_ranges``, ``get_result``/``put_result``,
-``get_histogram``/``put_histogram``, ``get_trip``/``put_trip`` plus the
-lifecycle hooks (``bind_index``, ``sync_epoch``, ``spawn_for_worker``,
-``close``).  Two implementations exist:
+The engine consumes one cache protocol (:class:`CacheBackend`) and one
+class implements it, :class:`~repro.service.cache.SubQueryCache`; this
+module holds what makes that class cross-process:
 
-* :class:`~repro.service.cache.SubQueryCache` — the in-process LRU of
-  PR 1, private to one process;
-* :class:`SharedCacheTier` (this module) — a tier that *multiple
-  processes* share through an SQLite store under the index directory,
-  so fork fan-out workers and entirely separate serving processes warm
-  each other's caches instead of recomputing repeated sub-paths once
-  per process.
+* :class:`SqliteCacheStore` — an SQLite file under the index directory
+  that *multiple processes* share, so fork fan-out workers and entirely
+  separate serving processes warm each other's caches instead of
+  recomputing repeated sub-paths once per process.  The file and nothing
+  in-process: no entry is held here.
+* :class:`SharedCacheTier` — a ``SubQueryCache`` built over such a store.
 
 Keying follows the ROADMAP external-cache-tier contract exactly: an
 entry's key is the sub-query's :meth:`repro.api.TripRequest.to_dict`
 wire form plus the :meth:`repro.api.EngineConfig.cache_identity`
-fingerprint, and every entry is stamped with the index ``epoch`` it was
-computed against.  Payloads are wire forms too
+fingerprint.  Payloads are wire forms too
 (:meth:`repro.sntindex.procedures.TravelTimeResult.to_wire` for
-retrieval results, the histogram payload of
-``TripQueryResult.to_dict`` for histograms, the whole
-``TripQueryResult.to_dict`` for memoised trips), so an entry written by
-one process deserialises bit-identically in another.
+retrieval results, the histogram payload of ``TripQueryResult.to_dict``
+for histograms, the whole ``TripQueryResult.to_dict`` for memoised
+trips), so an entry written by one process deserialises bit-identically
+in another.
 
-Epoch invalidation: reads only ever match rows stamped with the
-reader's *current* epoch, so entries written before an append are never
-served after it — even to a process that did not observe the append
-write.  ``sync_epoch`` additionally garbage-collects rows stamped with
-older epochs.  Because epoch numbers are per-object ordinal counters,
-entries are additionally stamped with the index's ``epoch_token``
-lineage (set by ``append()``): two processes that independently append
-*different* tails to copies of one saved index land on the same epoch
-number but different lineages, so they can never serve each other's
-entries.
+Every row carries the ``(epoch, lineage)`` stamp of the index state it
+was computed against and reads match the reader's *current* stamp only,
+so entries written before an ``append()`` are never served after it —
+even to a process that did not observe the append — and two processes
+that appended *different* tails to copies of one saved index (same epoch
+number, different lineage: :meth:`SqliteCacheStore.lineage`) never serve
+each other.
 
 Layout: ``<cache_dir>/subquery_cache.sqlite`` in WAL mode — safe for
 concurrent readers/writers across processes; connections are opened
@@ -55,6 +48,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -67,22 +61,22 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
-from .cache import CacheStats, LRUCache, SectionStats, SubQueryCache
+from ..histogram.histogram import Histogram
+from ..sntindex.procedures import TravelTimeResult
+from .cache import SECTIONS, CacheStats, Stamp, SubQueryCache
 
 if TYPE_CHECKING:  # the api layer sits above the service; imports are lazy
     from ..api.config import EngineConfig
 
 __all__ = [
     "CacheBackend",
+    "SqliteCacheStore",
     "SharedCacheTier",
     "SharedTierStats",
     "resolve_cache_backend",
 ]
 
 _DB_FILENAME = "subquery_cache.sqlite"
-
-#: Sections of the sub-query cache, mirroring :class:`SubQueryCache`.
-_SECTIONS = ("ranges", "results", "histograms", "trips")
 
 
 @runtime_checkable
@@ -99,12 +93,11 @@ class CacheBackend(Protocol):
     estimator resolved, plus the planner policy), stored in their
     replayed accounting (:meth:`TripQueryResult.replayed`).  Every
     section is emptied by ``clear()`` and by ``sync_epoch`` on an epoch
-    change.  ``spawn_for_worker`` is called *inside a
-    forked worker process* on the inherited parent backend and must
-    return the backend that worker should use without touching any
-    parent lock (the fork may have snapshotted one mid-critical-section):
-    an in-process cache returns a fresh empty clone, a shared tier
-    returns a new handle onto the same store.
+    change.  ``spawn_for_worker`` is called *inside a forked worker
+    process* on the inherited parent backend and must return the backend
+    that worker should use without touching any parent lock (the fork
+    may have snapshotted one mid-critical-section): a fresh empty clone,
+    or — over a shared store — a new handle onto the same store.
     """
 
     def bind_index(self, index: Any, network: Any = None) -> None: ...
@@ -165,7 +158,7 @@ class SharedTierStats:
 
     def summary(self) -> str:
         parts = []
-        for name in _SECTIONS:
+        for name in SECTIONS:
             parts.append(
                 f"{name}: {self.l1_hits[name]} l1 / "
                 f"{self.shared_hits[name]} shared hits, "
@@ -179,22 +172,43 @@ def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _interval_wire(interval: Any) -> Dict[str, Any]:
-    # Lazy import: repro.api is the layer above the service package, so
-    # importing it at module scope would be circular (api.db -> service).
+def _request_wire(result_key: Any) -> Dict[str, Any]:
+    """The sub-query's ``TripRequest.to_dict()`` wire form.
+
+    The engine keys retrieval results by
+    ``(path, interval, user, beta, exclude_ids)`` — exactly the
+    answer-shaping fields of a :class:`~repro.api.TripRequest`, so the
+    cross-process key is the corresponding request wire form.
+    """
+    # Lazy: repro.api is the layer above the service package (api.db
+    # imports this module), so a module-scope import would be circular.
     from ..api.request import _interval_to_dict
 
-    return _interval_to_dict(interval)
+    path, interval, user, beta, exclude = result_key
+    return {
+        "path": [int(e) for e in path],
+        "interval": _interval_to_dict(interval),
+        "user": None if user is None else int(user),
+        "exclude_ids": [int(i) for i in exclude],
+        "beta": None if beta is None else int(beta),
+        "estimator": None,
+    }
 
 
-def _histogram_from_wire(payload: Dict[str, Any]) -> Any:
-    from ..histogram.histogram import Histogram
-
-    return Histogram.from_wire(payload)
+def _trip_wire(key: Any) -> Dict[str, Any]:
+    """A trip's cross-process key: the request wire form with its
+    estimator resolved.  The planner policy at the end of the
+    in-process key is not serialised — :meth:`cache_identity
+    <repro.api.EngineConfig.cache_identity>`, part of every row,
+    already pins it."""
+    path, interval, user, exclude, beta, estimator, _ = key
+    wire = _request_wire((path, interval, user, beta, exclude))
+    wire["estimator"] = estimator  # None, or (mode, user selectivity)
+    return wire
 
 
 def _trip_from_wire(payload: Dict[str, Any]) -> Any:
-    from ..core.engine import TripQueryResult
+    from ..core.engine import TripQueryResult  # core.engine types us
 
     result = TripQueryResult.from_dict(payload)
     for outcome in result.outcomes:
@@ -202,116 +216,51 @@ def _trip_from_wire(payload: Dict[str, Any]) -> Any:
     return result
 
 
-def _index_lineage(index: Any) -> str:
-    """The mutation-lineage stamp of an index state.
+_Codec = Callable[[Any], Any]
 
-    A mutated index carries an explicit ``epoch_token`` (set by
-    ``append()`` and ``compact()``, persisted in the sharded
-    manifest).  Compaction bumps the token even though answers are
-    bit-identical: per-shard artefacts such as ``per_shard_scans``
-    labels change with the topology, and a conservative drop of the
-    shared tier is cheaper than proving every cached row
-    merge-invariant.  Unmutated state
-    has no token, so its lineage is derived from content scalars
-    (corpus end time and build counts): two *builds over different
-    data* — e.g. the CLI rebuilding in memory after the world's
-    trajectory file was edited — then produce different lineages and
-    can never serve each other's entries, while deterministic rebuilds
-    (and every loader of one saved state) agree and share.
-    """
-    token = str(getattr(index, "epoch_token", ""))
-    if token:
-        return token
-    stats = getattr(index, "build_stats", None)
-    return "base:{}:{}:{}".format(
-        int(getattr(index, "t_max", 0)),
-        int(getattr(stats, "n_trajectories", -1)),
-        int(getattr(stats, "n_traversals", -1)),
-    )
+#: Per section: in-process key -> wire-form key (the ROADMAP contract;
+#: stored as canonical JSON), value -> JSON payload, payload -> value.
+_CODECS: Dict[str, Tuple[_Codec, _Codec, _Codec]] = {
+    "ranges": (
+        lambda path: {"path": [int(e) for e in path]},
+        lambda ranges: [[int(w), int(st), int(ed)] for w, st, ed in ranges],
+        lambda rows: [(int(w), int(st), int(ed)) for w, st, ed in rows],
+    ),
+    "results": (
+        _request_wire, TravelTimeResult.to_wire, TravelTimeResult.from_wire
+    ),
+    "histograms": (
+        lambda key: {
+            "request": _request_wire(key[0]),
+            "bucket_width": float(key[1]),
+        },
+        Histogram.to_wire,
+        Histogram.from_wire,
+    ),
+    "trips": (_trip_wire, lambda trip: trip.to_dict(), _trip_from_wire),
+}
 
 
-class SharedCacheTier:
-    """A sub-query cache multiple processes share through one store.
+class SqliteCacheStore:
+    """The SQLite file behind a :class:`SharedCacheTier`: rows keyed by
+    ``(section, configuration identity, wire-form key, epoch, lineage)``
+    and nothing in-process — :class:`~repro.service.cache.SubQueryCache`
+    owns the entries, the binding and the current stamp, and passes the
+    stamp to every read and write.  (Not to be confused with
+    :class:`repro.sntindex.store.ShardStore`, which persists the index.)
 
-    Parameters
-    ----------
-    cache_dir:
-        Directory holding the store (created if missing) — conventionally
-        ``<index_dir>/cache/`` so the tier lives and dies with the index
-        it answers for.
-    config:
-        The :class:`~repro.api.EngineConfig` of the sessions that will
-        share this tier; its :meth:`~repro.api.EngineConfig.cache_identity`
-        becomes part of every key, so differently-configured sessions
-        sharing one directory can never serve each other's entries.
-        Configs with a ``beta_policy`` are rejected — a callable has no
-        cross-process identity.
-    max_entries:
-        Per-section bound of the in-process layer (L1) that fronts the
-        store; ``None`` = unbounded.
-    max_store_entries:
-        Bound on the number of rows in the shared store itself
-        (``None`` = unbounded; epoch GC still applies).  Enforced as
-        insertion-order garbage collection on insert and during
-        ``sync_epoch``: when the store exceeds the bound, the
-        oldest-written rows are dropped — across every configuration and
-        lineage sharing the file, since the bound protects the *file*.
-        The check is exact for small bounds and amortised (every
-        ``bound // 64`` single-row inserts; batched inserts and
-        ``sync_epoch`` always check) for large ones, so a writing
-        handle can transiently overshoot by ~1.5% of the bound.
-        Eviction can only force a recomputation, never change an
-        answer, because every read that misses the store falls through
-        to the index scan that produced the entry in the first place.
-    max_age_s:
-        Maximum age of stored rows in seconds (``None`` = no age
-        limit) — the long-running-server knob
-        (``EngineConfig.cache_ttl_s``).  Every row is stamped with its
-        write time; reads filter rows older than the limit (an expired
-        row is a miss, across every process sharing the file,
-        regardless of which handle wrote it), and expired rows are
-        garbage-collected lazily — on ``sync_epoch`` and amortised
-        during writes, at most every ``max_age_s / 4`` seconds per
-        handle.  Rows written by a pre-TTL build carry write time 0
-        and expire immediately once a TTL is configured.  Like the
-        store bound, expiry only ever forces a recomputation, never a
-        different answer; the bounded in-process L1 is deliberately
-        not age-filtered (its entries are keyed by everything that
-        shapes an answer, so serving them is always correct — the TTL
-        protects the *file*, which outlives the process).  Stamps
-        compare wall clocks across processes, so keep the limit well
-        above any plausible clock skew (minutes, not milliseconds).
-
-    Reads check L1 first, then the store (deserialising and promoting
-    into L1); writes go to both.  Values handed out are immutable —
-    arrays are marked read-only exactly like the in-process cache.
+    The constructor arguments are :class:`SharedCacheTier`'s of those
+    names, kept as plain attributes that never change afterwards (which
+    is why ``spawn_for_worker`` may read them without a lock).
     """
 
     def __init__(
         self,
         cache_dir: Union[str, Path],
-        config: Optional["EngineConfig"] = None,
-        *,
-        identity: Optional[str] = None,
-        max_entries: Optional[int] = 65_536,
+        identity: str,
         max_store_entries: Optional[int] = None,
         max_age_s: Optional[float] = None,
     ) -> None:
-        if (config is None) == (identity is None):
-            raise ConfigurationError(
-                "SharedCacheTier needs exactly one of config= (an "
-                "EngineConfig) or identity= (a precomputed fingerprint)"
-            )
-        if identity is None:
-            assert config is not None
-            identity = config.cache_identity()
-        self._dir = Path(cache_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._db_path = self._dir / _DB_FILENAME
-        self._identity = identity
-        self._ident_hash = hashlib.sha256(
-            identity.encode("utf-8")
-        ).hexdigest()
         if max_store_entries is not None and max_store_entries < 1:
             raise ConfigurationError(
                 "max_store_entries must be positive or None (unbounded)"
@@ -320,59 +269,35 @@ class SharedCacheTier:
             raise ConfigurationError(
                 "max_age_s must be positive or None (no age limit)"
             )
-        self._max_entries = max_entries
-        self._max_store_entries = max_store_entries
-        self._max_age_s = None if max_age_s is None else float(max_age_s)
-        # Expired-row GC is amortised per handle: a DELETE scan per read
-        # would dominate warm traffic, so it runs on sync_epoch and at
-        # most every max_age_s / 4 seconds during writes.  Reads never
-        # depend on the GC having run — they filter on the stamp.
-        self._last_expiry_gc = 0.0
-        # Single-insert bound checks are amortised: a COUNT(*) costs
-        # O(store size), so it runs every ``bound // 64`` single puts
-        # (exact for small bounds, ~1.5% amortised overshoot per
-        # writing handle for large ones).  Batched puts and sync_epoch
-        # always enforce.
-        self._bound_check_interval = (
-            max(1, max_store_entries // 64)
-            if max_store_entries is not None
-            else 0
-        )
-        self._puts_since_bound_check = 0
-        self._l1: Dict[str, LRUCache] = {
-            name: LRUCache(max_entries) for name in _SECTIONS
-        }
-        self._lock = threading.Lock()
-        self._bind_lock = threading.Lock()
-        self._bound_to: Optional[Tuple[Any, Any]] = None
-        self._epoch = 0
-        # Which mutation produced the current epoch (the index's
-        # ``epoch_token``; "" for unmutated disk state).  Epoch numbers
-        # are per-object ordinal counters, so two processes appending
-        # *different* tails to copies of one saved index collide on the
-        # same number — the lineage keeps their entries apart.
-        self._lineage = ""
-        # Store-path counters only; the L1-hit fast path must not take
-        # a lock shared with sqlite I/O (L1 hits are already counted
-        # inside the LRUCache sections, under their own locks).
-        self._shared_hits = {name: 0 for name in _SECTIONS}
-        self._misses = {name: 0 for name in _SECTIONS}
-        # Connections are per (process, tier): sqlite3 handles must not
+        self.cache_dir = Path(cache_dir)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.cache_dir / _DB_FILENAME
+        self.identity = identity
+        self._ident_hash = hashlib.sha256(identity.encode()).hexdigest()
+        self.max_store_entries = max_store_entries
+        self.max_age_s = None if max_age_s is None else float(max_age_s)
+        #: Wall-clock time of this handle's last expired-row collection
+        #: (see :meth:`_expire_locked`).  Test seam: set it to 0.0 to
+        #: make the next amortised collection due.
+        self.last_expiry_gc = 0.0
+        self._rows_since_bound_check = 0
+        self._lock = threading.Lock()  # serialises every SQLite call
+        # Connections are per (process, store): sqlite3 handles must not
         # cross a fork, so a child that inherits this object reopens.
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
-        with self._connection() as conn:
-            self._init_schema(conn)
+        self._init_schema(self.connection())
 
-    # ------------------------------------------------------------------ #
-    # Store plumbing
-    # ------------------------------------------------------------------ #
+    # -- plumbing -------------------------------------------------------- #
 
-    def _connection(self) -> sqlite3.Connection:
+    def connection(self) -> sqlite3.Connection:
+        """This process's connection (opened on first use after a fork).
+        Internal callers hold ``_lock``; also the test seam for reading
+        and back-dating rows directly."""
         pid = os.getpid()
         if self._conn is None or self._conn_pid != pid:
             conn = sqlite3.connect(
-                str(self._db_path),
+                str(self.path),
                 timeout=30.0,
                 isolation_level=None,  # autocommit; every op is atomic
                 check_same_thread=False,
@@ -398,9 +323,7 @@ class SharedCacheTier:
             ")"
         )
         # Stores written before the TTL column existed migrate in place;
-        # their rows default to write time 0, i.e. they expire the
-        # moment any handle configures a TTL (a recomputation, never a
-        # wrong answer).
+        # their rows get write time 0 (see ``max_age_s``).
         columns = {
             str(row[1])
             for row in conn.execute("PRAGMA table_info(entries)")
@@ -416,124 +339,40 @@ class SharedCacheTier:
             ")"
         )
 
-    def _age_cutoff(self) -> float:
-        """Oldest write stamp a read may serve (0.0 = no TTL: every
-        stamp passes, including migrated pre-TTL rows at 0)."""
-        if self._max_age_s is None:
-            return 0.0
-        return time.time() - self._max_age_s
+    def _expire_locked(self, force: bool = False) -> None:
+        """Drop rows past ``max_age_s``; caller holds ``_lock``.
 
-    def _expire_stale_locked(self, force: bool = False) -> None:
-        """Drop rows past ``max_age_s``; caller holds ``self._lock``.
-
-        Amortised unless ``force``: a full-table DELETE scan per write
-        would dominate warm traffic, and reads are already stamp-
-        filtered, so the GC only reclaims file space.
+        Amortised per handle unless ``force`` — at most every
+        ``max_age_s / 4`` seconds: a full-table DELETE scan per write
+        would dominate warm traffic, and reads never depend on it
+        having run (they filter on the write time), so it only reclaims
+        file space.
         """
-        if self._max_age_s is None:
+        if self.max_age_s is None:
             return
         now = time.time()
-        if not force and now - self._last_expiry_gc < self._max_age_s / 4:
+        if not force and now - self.last_expiry_gc < self.max_age_s / 4:
             return
-        self._last_expiry_gc = now
-        self._connection().execute(
+        self.last_expiry_gc = now
+        self.connection().execute(
             "DELETE FROM entries WHERE created_at < ?",
-            (now - self._max_age_s,),
+            (now - self.max_age_s,),
         )
 
-    def _store_get(self, section: str, key: str) -> Optional[str]:
-        with self._lock:
-            row = (
-                self._connection()
-                .execute(
-                    "SELECT payload FROM entries WHERE section=? AND "
-                    "ident=? AND key=? AND epoch=? AND lineage=? "
-                    "AND created_at>=?",
-                    (section, self._ident_hash, key, self._epoch,
-                     self._lineage, self._age_cutoff()),
-                )
-                .fetchone()
-            )
-        return None if row is None else str(row[0])
-
-    def _store_put(self, section: str, key: str, payload: str) -> None:
-        with self._lock:
-            self._connection().execute(
-                "INSERT OR REPLACE INTO entries "
-                "(section, ident, key, epoch, lineage, payload, "
-                "created_at) VALUES (?,?,?,?,?,?,?)",
-                (section, self._ident_hash, key, self._epoch,
-                 self._lineage, payload, time.time()),
-            )
-            self._expire_stale_locked()
-            self._puts_since_bound_check += 1
-            if (
-                self._bound_check_interval
-                and self._puts_since_bound_check
-                >= self._bound_check_interval
-            ):
-                self._enforce_store_bound()
-
-    def _store_put_many(
-        self, section: str, rows: Sequence[Tuple[str, str]]
-    ) -> None:
-        """Batched :meth:`_store_put` — one transaction, one bound check."""
-        if not rows:
-            return
-        now = time.time()
-        with self._lock:
-            self._connection().executemany(
-                "INSERT OR REPLACE INTO entries "
-                "(section, ident, key, epoch, lineage, payload, "
-                "created_at) VALUES (?,?,?,?,?,?,?)",
-                [
-                    (section, self._ident_hash, key, self._epoch,
-                     self._lineage, payload, now)
-                    for key, payload in rows
-                ],
-            )
-            self._expire_stale_locked()
-            self._enforce_store_bound()
-
-    def _store_get_many(
-        self, section: str, keys: Sequence[str]
-    ) -> Dict[str, str]:
-        """Batched :meth:`_store_get`: one query for a round's probes."""
-        if not keys:
-            return {}
-        found: Dict[str, str] = {}
-        with self._lock:
-            conn = self._connection()
-            # SQLite caps bound parameters (999 historically); chunk.
-            for start in range(0, len(keys), 500):
-                chunk = list(keys[start : start + 500])
-                marks = ",".join("?" for _ in chunk)
-                rows = conn.execute(
-                    f"SELECT key, payload FROM entries WHERE section=? "
-                    f"AND ident=? AND epoch=? AND lineage=? "
-                    f"AND created_at>=? AND key IN ({marks})",
-                    [section, self._ident_hash, self._epoch, self._lineage,
-                     self._age_cutoff()]
-                    + chunk,
-                ).fetchall()
-                for key, payload in rows:
-                    found[str(key)] = str(payload)
-        return found
-
-    def _enforce_store_bound(self) -> None:
+    def _enforce_bound_locked(self) -> None:
         """Drop the oldest-written rows past ``max_store_entries``.
 
-        Caller holds ``self._lock``.  Ordering is by ``rowid`` —
-        insertion order, with a REPLACE moving a refreshed entry to the
-        newest position — and the bound counts the whole file, so every
+        Caller holds ``_lock``.  Ordering is by ``rowid`` — insertion
+        order, with a REPLACE moving a refreshed entry to the newest
+        position — and the bound counts the whole file, so every
         configuration/lineage sharing the store stays inside it.
         """
-        if self._max_store_entries is None:
+        if self.max_store_entries is None:
             return
-        self._puts_since_bound_check = 0
-        conn = self._connection()
+        self._rows_since_bound_check = 0
+        conn = self.connection()
         (count,) = conn.execute("SELECT COUNT(*) FROM entries").fetchone()
-        excess = int(count) - self._max_store_entries
+        excess = int(count) - self.max_store_entries
         if excess > 0:
             conn.execute(
                 "DELETE FROM entries WHERE rowid IN ("
@@ -541,158 +380,273 @@ class SharedCacheTier:
                 (excess,),
             )
 
-    # ------------------------------------------------------------------ #
-    # Keying (the ROADMAP wire-form contract)
-    # ------------------------------------------------------------------ #
+    # -- what SubQueryCache calls ---------------------------------------- #
 
-    def _request_wire(self, result_key: Hashable) -> Dict[str, Any]:
-        """The sub-query's ``TripRequest.to_dict()`` wire form.
+    @staticmethod
+    def lineage(index: Any) -> str:
+        """The mutation-lineage half of an index state's stamp.
 
-        The engine keys retrieval results by
-        ``(path, interval, user, beta, exclude_ids)`` — exactly the
-        answer-shaping fields of a :class:`~repro.api.TripRequest`, so
-        the cross-process key is the corresponding request wire form.
+        Epoch numbers are per-object ordinal counters, so two processes
+        appending *different* tails to copies of one saved index collide
+        on the same number — the lineage keeps their rows apart.  A
+        mutated index carries an explicit ``epoch_token`` (set by
+        ``append()`` and ``compact()``, persisted in the sharded
+        manifest).  Compaction bumps the token even though answers are
+        bit-identical: per-shard artefacts such as ``per_shard_scans``
+        labels change with the topology, and a conservative drop of the
+        shared tier is cheaper than proving every cached row
+        merge-invariant.  Unmutated state has no token, so its lineage
+        is derived from content scalars (corpus end time and build
+        counts): two *builds over different data* — e.g. the CLI
+        rebuilding in memory after the world's trajectory file was
+        edited — then produce different lineages and can never serve
+        each other's entries, while deterministic rebuilds (and every
+        loader of one saved state) agree and share.
         """
-        path, interval, user, beta, exclude = result_key  # type: ignore[misc]
-        return {
-            "path": [int(e) for e in path],
-            "interval": _interval_wire(interval),
-            "user": None if user is None else int(user),
-            "exclude_ids": [int(i) for i in exclude],
-            "beta": None if beta is None else int(beta),
-            "estimator": None,
-        }
-
-    def _ranges_key(self, path: Tuple[int, ...]) -> str:
-        return _canonical_json({"path": [int(e) for e in path]})
-
-    def _result_key(self, key: Hashable) -> str:
-        return _canonical_json(self._request_wire(key))
-
-    def _histogram_key(self, key: Hashable) -> str:
-        result_key, bucket_width = key  # type: ignore[misc]
-        return _canonical_json(
-            {
-                "request": self._request_wire(result_key),
-                "bucket_width": float(bucket_width),
-            }
+        token = str(getattr(index, "epoch_token", ""))
+        if token:
+            return token
+        stats = getattr(index, "build_stats", None)
+        return "base:{}:{}:{}".format(
+            int(getattr(index, "t_max", 0)),
+            int(getattr(stats, "n_trajectories", -1)),
+            int(getattr(stats, "n_traversals", -1)),
         )
 
-    def _trip_key(self, key: Hashable) -> str:
-        """A trip's cross-process key: the request wire form with its
-        estimator resolved.  The planner policy at the end of the
-        in-process key is not serialised — :meth:`cache_identity
-        <repro.api.EngineConfig.cache_identity>`, part of every row,
-        already pins it."""
-        path, interval, user, exclude, beta, estimator, _ = key  # type: ignore[misc]
-        wire = self._request_wire((path, interval, user, beta, exclude))
-        wire["estimator"] = estimator  # None, or (mode, user selectivity)
-        return _canonical_json(wire)
+    def bind(self, index: Any, network: Any) -> None:
+        """Pin the *file* to one data fingerprint.
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle (bind / epoch / fork / close)
-    # ------------------------------------------------------------------ #
-
-    def bind_index(self, index: Any, network: Any = None) -> None:
-        """Pin this handle to one (index, network) pair, and the store
-        to one data fingerprint.
-
-        In-process the binding works like
-        :meth:`SubQueryCache.bind_index` (object identity, permanent).
         Across processes object identity does not exist, so the store
         records a structural fingerprint of the index and network on
         first use and every later handle must match it — catching the
         "same directory, different world" mistake.
         """
-        with self._bind_lock:
-            if self._bound_to is not None:
-                if (
-                    self._bound_to[0] is not index
-                    or self._bound_to[1] is not network
-                ):
-                    raise ValueError(
-                        "SharedCacheTier handle is already bound to a "
-                        "different index/network; cached answers would "
-                        "be wrong — use one handle per (index, network) "
-                        "pair"
-                    )
-                return
-            fingerprint = _canonical_json(
-                {
-                    "alphabet_size": int(index.alphabet_size),
-                    "t_min": int(getattr(index, "t_min", 0)),
-                    "network_edges": int(
-                        getattr(network, "n_edges", -1)
-                    ),
-                    "network_vertices": int(
-                        getattr(network, "n_vertices", -1)
-                    ),
-                }
+        fingerprint = _canonical_json(
+            {
+                "alphabet_size": int(index.alphabet_size),
+                "t_min": int(getattr(index, "t_min", 0)),
+                "network_edges": int(getattr(network, "n_edges", -1)),
+                "network_vertices": int(getattr(network, "n_vertices", -1)),
+            }
+        )
+        with self._lock:
+            conn = self.connection()
+            conn.execute(
+                "INSERT OR IGNORE INTO meta (key, value) "
+                "VALUES ('fingerprint', ?)",
+                (fingerprint,),
             )
-            with self._lock:
-                conn = self._connection()
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) "
-                    "VALUES ('fingerprint', ?)",
-                    (fingerprint,),
-                )
-                # Re-read after the insert: if a concurrent process won
-                # the INSERT race with a *different* fingerprint, the
-                # ignored insert must not let this handle proceed.
-                row = conn.execute(
-                    "SELECT value FROM meta WHERE key='fingerprint'"
-                ).fetchone()
-                if row is None or str(row[0]) != fingerprint:
-                    raise ValueError(
-                        "shared cache store at "
-                        f"{self._db_path} was populated for a different "
-                        "index/network (fingerprint mismatch); point the "
-                        "tier at a fresh directory"
-                    )
-            self._bound_to = (index, network)
-            self._epoch = int(getattr(index, "epoch", 0))
-            self._lineage = _index_lineage(index)
+            # Re-read after the insert: if a concurrent process won the
+            # INSERT race with a *different* fingerprint, the ignored
+            # insert must not let this handle proceed.
+            row = conn.execute(
+                "SELECT value FROM meta WHERE key='fingerprint'"
+            ).fetchone()
+        if row is None or str(row[0]) != fingerprint:
+            raise ValueError(
+                f"shared cache store at {self.path} was populated for a "
+                "different index/network (fingerprint mismatch); point "
+                "the tier at a fresh directory"
+            )
 
-    def sync_epoch(self, index: Any) -> None:
-        """Adopt ``index.epoch`` (and its mutation lineage); stale
-        entries become unreachable.
+    def get_many(
+        self, section: str, keys: Sequence[Hashable], stamp: Stamp
+    ) -> Dict[Hashable, Any]:
+        """The stored subset of ``keys``, decoded: one query per 500.
 
-        Reads always filter on the handle's current (epoch, lineage)
-        stamp, so entries written before an append are never served
-        after it — in *any* process, including ones that never observe
-        this call — and entries from a *different* mutation that landed
-        on the same epoch number are never served at all.  The call
-        itself garbage-collects the rows this handle's own history
-        superseded (older epochs of its *previous* lineage) — never a
-        parallel lineage's current entries, and never newer epochs: a
-        process lagging behind an append must not delete the up-to-date
-        entries of its peers.  Rows of abandoned lineages linger until
-        ``clear()``, the ``max_store_entries`` bound or ``max_age_s``
-        collects them; they are unreachable, so only size is affected,
-        never answers.
+        Only rows written at exactly ``stamp`` and (with a TTL) young
+        enough match — whether or not any collection has run.
         """
-        epoch = int(getattr(index, "epoch", 0))
-        lineage = _index_lineage(index)
-        with self._bind_lock:
-            if epoch == self._epoch and lineage == self._lineage:
-                # The common steady-state call (every trip): also the
-                # TTL's GC hook, amortised so warm traffic never pays a
-                # full-table scan per trip.
-                if self._max_age_s is not None:
-                    with self._lock:
-                        self._expire_stale_locked()
-                return
-            for section in self._l1.values():
-                section.clear()
+        wire_key, _, decode = _CODECS[section]
+        by_wire = {_canonical_json(wire_key(key)): key for key in keys}
+        wanted = list(by_wire)
+        # No TTL: cutoff 0.0 passes every write time, including the 0 of
+        # migrated pre-TTL rows.
+        age = self.max_age_s
+        cutoff = 0.0 if age is None else time.time() - age
+        rows: List[Tuple[str, str]] = []
+        with self._lock:
+            conn = self.connection()
+            # SQLite caps bound parameters (999 historically); chunk.
+            for start in range(0, len(wanted), 500):
+                chunk = wanted[start : start + 500]
+                marks = ",".join("?" * len(chunk))
+                rows += conn.execute(
+                    f"SELECT key, payload FROM entries WHERE section=? "
+                    f"AND ident=? AND epoch=? AND lineage=? "
+                    f"AND created_at>=? AND key IN ({marks})",
+                    [section, self._ident_hash, *stamp, cutoff, *chunk],
+                ).fetchall()
+        return {
+            by_wire[str(key)]: decode(json.loads(payload))
+            for key, payload in rows
+        }
+
+    def put_many(
+        self,
+        section: str,
+        items: Sequence[Tuple[Hashable, Any]],
+        stamp: Stamp,
+    ) -> None:
+        """Insert (or refresh) ``items`` at ``stamp``, then run the
+        amortised TTL and bound collections."""
+        wire_key, encode, _ = _CODECS[section]
+        now = time.time()
+        rows = [
+            (section, self._ident_hash, _canonical_json(wire_key(key)),
+             *stamp, _canonical_json(encode(value)), now)
+            for key, value in items
+        ]
+        with self._lock:
+            self.connection().executemany(
+                "INSERT OR REPLACE INTO entries "
+                "(section, ident, key, epoch, lineage, payload, "
+                "created_at) VALUES (?,?,?,?,?,?,?)",
+                rows,
+            )
+            self._expire_locked()
+            # The bound check is a COUNT(*), O(store size): it runs once
+            # per ``bound // 64`` inserted rows — exact for small bounds,
+            # ~1.5% overshoot per writing handle for large ones
+            # (``supersede`` always enforces).
+            self._rows_since_bound_check += len(rows)
+            bound = self.max_store_entries
+            if bound is not None and (
+                self._rows_since_bound_check >= bound // 64
+            ):
+                self._enforce_bound_locked()
+
+    def expire(self) -> None:
+        """The amortised TTL collection alone: ``sync_epoch``'s every-
+        trip hook (warm traffic never pays a table scan per trip)."""
+        if self.max_age_s is not None:
             with self._lock:
-                self._connection().execute(
-                    "DELETE FROM entries WHERE epoch < ? AND lineage = ?",
-                    (epoch, self._lineage),
-                )
-                self._expire_stale_locked(force=True)
-                self._enforce_store_bound()
-            self._epoch = epoch
-            self._lineage = lineage
+                self._expire_locked()
+
+    def supersede(self, old: Stamp, new: Stamp) -> None:
+        """Collect what a handle moving from ``old`` to ``new`` left
+        behind, then force the TTL and bound collections.
+
+        Only the rows this handle's own history superseded go: older
+        epochs of its *previous* lineage — never a parallel lineage's
+        current entries, and never newer epochs: a process lagging
+        behind an append must not delete the up-to-date entries of its
+        peers.  Rows of abandoned lineages linger until ``clear()``,
+        the ``max_store_entries`` bound or ``max_age_s`` collects them;
+        they are unreachable, so only size is affected, never answers.
+        """
+        with self._lock:
+            self.connection().execute(
+                "DELETE FROM entries WHERE epoch < ? AND lineage = ?",
+                (new[0], old[1]),
+            )
+            self._expire_locked(force=True)
+            self._enforce_bound_locked()
+
+    def count(self) -> int:
+        """Rows in the file, every configuration's included."""
+        with self._lock:
+            rows = self.connection().execute("SELECT COUNT(*) FROM entries")
+            return int(rows.fetchone()[0])
+
+    def clear(self) -> None:
+        """Drop this configuration's rows; other configurations
+        sharing the file are untouched."""
+        with self._lock:
+            self.connection().execute(
+                "DELETE FROM entries WHERE ident=?", (self._ident_hash,)
+            )
+
+    def close(self) -> None:
+        """Release this process's connection; the rows persist."""
+        with self._lock:
+            if self._conn is not None and self._conn_pid == os.getpid():
+                self._conn.close()
+            self._conn = None
+            self._conn_pid = None
+
+
+class SharedCacheTier(SubQueryCache):
+    """A :class:`~repro.service.cache.SubQueryCache` over a
+    :class:`SqliteCacheStore`: the cache multiple processes share.
+
+    Parameters
+    ----------
+    cache_dir:
+        Directory holding the store (created if missing) — conventionally
+        ``<index_dir>/cache/`` so the tier lives and dies with the index
+        it answers for.
+    config:
+        The :class:`~repro.api.EngineConfig` of the sessions that will
+        share this tier; its :meth:`~repro.api.EngineConfig.cache_identity`
+        becomes part of every key, so differently-configured sessions
+        sharing one directory can never serve each other's entries.
+        Configs with a ``beta_policy`` are rejected — a callable has no
+        cross-process identity.
+    max_entries:
+        Per-section bound of the in-process layer (L1) that fronts the
+        store; ``None`` = unbounded.
+    max_store_entries:
+        Bound on the number of rows in the shared store itself
+        (``None`` = unbounded; epoch GC still applies).  Enforced as
+        insertion-order garbage collection on insert and during
+        ``sync_epoch``: when the store exceeds the bound, the
+        oldest-written rows are dropped — across every configuration and
+        lineage sharing the file, since the bound protects the *file*.
+        The check is exact for small bounds and amortised (once per
+        ``bound // 64`` inserted rows; ``sync_epoch``'s collection
+        always checks) for large ones, so a writing handle can
+        transiently overshoot by ~1.5% of the bound.
+        Eviction can only force a recomputation, never change an
+        answer, because every read that misses the store falls through
+        to the index scan that produced the entry in the first place.
+    max_age_s:
+        Maximum age of stored rows in seconds (``None`` = no age
+        limit) — the long-running-server knob
+        (``EngineConfig.cache_ttl_s``).  Every row is stamped with its
+        write time; reads filter rows older than the limit (an expired
+        row is a miss, across every process sharing the file,
+        regardless of which handle wrote it), and expired rows are
+        garbage-collected lazily — on ``sync_epoch`` and amortised
+        during writes, at most every ``max_age_s / 4`` seconds per
+        handle.  Rows written by a pre-TTL build carry write time 0
+        and expire immediately once a TTL is configured.  Like the
+        store bound, expiry only ever forces a recomputation, never a
+        different answer; the bounded in-process L1 is deliberately
+        not age-filtered (its entries are keyed by everything that
+        shapes an answer, so serving them is always correct — the TTL
+        protects the *file*, which outlives the process).  Stamps
+        compare wall clocks across processes, so keep the limit well
+        above any plausible clock skew (minutes, not milliseconds).
+
+    Everything else — sections, binding, epoch invalidation, promotion,
+    ``stats()`` — is :class:`~repro.service.cache.SubQueryCache`'s.
+    """
+
+    store: SqliteCacheStore  # never None here
+
+    def __init__(
+        self,
+        cache_dir: Union[str, Path],
+        config: Optional["EngineConfig"] = None,
+        *,
+        identity: Optional[str] = None,
+        max_entries: Optional[int] = 65_536,
+        max_store_entries: Optional[int] = None,
+        max_age_s: Optional[float] = None,
+    ) -> None:
+        if (config is None) == (identity is None):
+            raise ConfigurationError(
+                "SharedCacheTier needs exactly one of config= (an "
+                "EngineConfig) or identity= (a precomputed fingerprint)"
+            )
+        if identity is None:
+            assert config is not None
+            identity = config.cache_identity()
+        store = SqliteCacheStore(
+            cache_dir, identity, max_store_entries, max_age_s
+        )
+        super().__init__(max_entries, max_entries, max_entries, store=store)
 
     def spawn_for_worker(self) -> "SharedCacheTier":
         """A fresh handle onto the same store for a forked worker.
@@ -705,261 +659,28 @@ class SharedCacheTier:
         sibling workers.
         """
         return SharedCacheTier(
-            self._dir,
-            identity=self._identity,
-            max_entries=self._max_entries,
-            max_store_entries=self._max_store_entries,
-            max_age_s=self._max_age_s,
+            self.store.cache_dir,
+            identity=self.store.identity,
+            max_entries=self._sections["ranges"].max_entries,
+            max_store_entries=self.store.max_store_entries,
+            max_age_s=self.store.max_age_s,
         )
-
-    def clear(self) -> None:
-        """Empty L1 and drop this configuration's stored entries.
-
-        Other configurations sharing the directory are untouched; the
-        index/network binding stays, as for :class:`SubQueryCache`.
-        """
-        for section in self._l1.values():
-            section.clear()
-        with self._lock:
-            self._connection().execute(
-                "DELETE FROM entries WHERE ident=?", (self._ident_hash,)
-            )
-
-    def close(self) -> None:
-        """Release this handle's connection.  Stored entries persist —
-        that is the point of the tier; other processes (or the next
-        session) keep serving warm hits from them."""
-        with self._lock:
-            if self._conn is not None and self._conn_pid == os.getpid():
-                self._conn.close()
-            self._conn = None
-            self._conn_pid = None
-
-    # ------------------------------------------------------------------ #
-    # Sections
-    # ------------------------------------------------------------------ #
-
-    def _get(
-        self,
-        section: str,
-        l1_key: Hashable,
-        store_key_fn: Any,
-        deserialise: Any,
-    ) -> Any:
-        # ``store_key_fn`` is only called on an L1 miss: serialising the
-        # wire-form key costs more than the L1 lookup it would annotate,
-        # and warm in-process traffic should run at SubQueryCache speed
-        # — which is also why an L1 hit takes no tier lock at all (the
-        # LRU section counts it internally; the tier lock is shared
-        # with sqlite I/O and may be held across a store write).
-        value = self._l1[section].get(l1_key)
-        if value is not None:
-            return value
-        stamp = (self._epoch, self._lineage)
-        payload = self._store_get(section, store_key_fn())
-        if payload is None:
-            with self._lock:
-                self._misses[section] += 1
-            return None
-        value = deserialise(json.loads(payload))
-        # Promote under the bind lock, re-checking the stamp: a
-        # concurrent sync_epoch may have cleared L1 *after* the store
-        # read matched the old epoch — inserting then would resurrect a
-        # pre-append entry at the new epoch.  On a lost race the row is
-        # treated as a miss and the caller recomputes.
-        with self._bind_lock:
-            if (self._epoch, self._lineage) != stamp:
-                with self._lock:
-                    self._misses[section] += 1
-                return None
-            self._l1[section].put(l1_key, value)
-        with self._lock:
-            self._shared_hits[section] += 1
-        return value
-
-    def _put(
-        self,
-        section: str,
-        l1_key: Hashable,
-        store_key: str,
-        value: Any,
-        payload: Any,
-    ) -> None:
-        self._l1[section].put(l1_key, value)
-        self._store_put(section, store_key, _canonical_json(payload))
-
-    # -- ranges ( path -> [(w, st, ed), ...] ) ------------------------- #
-
-    def get_ranges(
-        self, path: Tuple[int, ...]
-    ) -> Optional[List[Tuple[int, int, int]]]:
-        def deserialise(payload: Any) -> List[Tuple[int, int, int]]:
-            return [(int(w), int(st), int(ed)) for w, st, ed in payload]
-
-        return self._get(
-            "ranges", path, lambda: self._ranges_key(path), deserialise
-        )
-
-    def put_ranges(
-        self, path: Tuple[int, ...], ranges: List[Tuple[int, int, int]]
-    ) -> None:
-        payload = [[int(w), int(st), int(ed)] for w, st, ed in ranges]
-        self._put("ranges", path, self._ranges_key(path), ranges, payload)
-
-    # -- retrieval results --------------------------------------------- #
-
-    def get_result(self, key: Hashable) -> Any:
-        from ..sntindex.procedures import TravelTimeResult
-
-        return self._get(
-            "results",
-            key,
-            lambda: self._result_key(key),
-            TravelTimeResult.from_wire,
-        )
-
-    def put_result(self, key: Hashable, result: Any) -> None:
-        result.values.setflags(write=False)
-        self._put(
-            "results", key, self._result_key(key), result, result.to_wire()
-        )
-
-    def get_results_many(
-        self, keys: Sequence[Hashable]
-    ) -> Dict[Hashable, Any]:
-        """Bulk result probe: L1 first, then one store query for the rest.
-
-        The batched face of :meth:`get_result` used by the deduplicating
-        batch executor — a round's worth of probes costs one SQLite
-        round trip instead of one per sub-query.  Promotion into L1
-        follows the same stamp-re-check discipline as the single-key
-        path, so a concurrent epoch bump can never resurrect a
-        pre-append entry.
-        """
-        from ..sntindex.procedures import TravelTimeResult
-
-        found: Dict[Hashable, Any] = {}
-        missing: List[Hashable] = []
-        for key in keys:
-            value = self._l1["results"].get(key)
-            if value is not None:
-                found[key] = value
-            else:
-                missing.append(key)
-        if not missing:
-            return found
-        stamp = (self._epoch, self._lineage)
-        store_keys = {key: self._result_key(key) for key in missing}
-        payloads = self._store_get_many(
-            "results", list(store_keys.values())
-        )
-        n_missed = 0
-        for key in missing:
-            payload = payloads.get(store_keys[key])
-            if payload is None:
-                n_missed += 1
-                continue
-            value = TravelTimeResult.from_wire(json.loads(payload))
-            with self._bind_lock:
-                if (self._epoch, self._lineage) != stamp:
-                    n_missed += 1
-                    continue
-                self._l1["results"].put(key, value)
-            with self._lock:
-                self._shared_hits["results"] += 1
-            found[key] = value
-        if n_missed:
-            with self._lock:
-                self._misses["results"] += n_missed
-        return found
-
-    def put_results_many(
-        self, items: Sequence[Tuple[Hashable, Any]]
-    ) -> None:
-        """Bulk counterpart of :meth:`put_result`: one store transaction."""
-        rows: List[Tuple[str, str]] = []
-        for key, result in items:
-            result.values.setflags(write=False)
-            self._l1["results"].put(key, result)
-            rows.append(
-                (self._result_key(key), _canonical_json(result.to_wire()))
-            )
-        self._store_put_many("results", rows)
-
-    # -- histograms ----------------------------------------------------- #
-
-    def get_histogram(self, key: Hashable) -> Any:
-        return self._get(
-            "histograms",
-            key,
-            lambda: self._histogram_key(key),
-            _histogram_from_wire,
-        )
-
-    def put_histogram(self, key: Hashable, histogram: Any) -> None:
-        self._put(
-            "histograms",
-            key,
-            self._histogram_key(key),
-            histogram,
-            histogram.to_wire(),
-        )
-
-    # -- whole-trip answers --------------------------------------------- #
-
-    def get_trip(self, key: Hashable) -> Any:
-        return self._get(
-            "trips", key, lambda: self._trip_key(key), _trip_from_wire
-        )
-
-    def put_trip(self, key: Hashable, result: Any) -> None:
-        self._put("trips", key, self._trip_key(key), result, result.to_dict())
-
-    # ------------------------------------------------------------------ #
-    # Bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> CacheStats:
-        """Aggregate statistics in the :class:`CacheStats` shape.
-
-        ``hits`` counts L1 and shared-store hits together; ``size`` and
-        the eviction counter describe the in-process layer (the store
-        has its own ``max_store_entries`` / ``max_age_s`` bounds and
-        epoch collection; :meth:`tier_stats` reports its size).
-        """
-        sections: Dict[str, SectionStats] = {}
-        with self._lock:
-            shared_hits = dict(self._shared_hits)
-            misses = dict(self._misses)
-        for name in _SECTIONS:
-            l1 = self._l1[name].stats()
-            sections[name] = SectionStats(
-                hits=l1.hits + shared_hits[name],
-                misses=misses[name],
-                evictions=l1.evictions,
-                size=l1.size,
-                max_size=l1.max_size,
-            )
-        return CacheStats(**sections)
 
     def tier_stats(self) -> SharedTierStats:
         """Where hits came from, plus store occupancy."""
-        l1_hits = {
-            name: self._l1[name].stats().hits for name in _SECTIONS
-        }
-        with self._lock:
-            row = (
-                self._connection()
-                .execute("SELECT COUNT(*) FROM entries")
-                .fetchone()
-            )
-            return SharedTierStats(
-                l1_hits=l1_hits,
-                shared_hits=dict(self._shared_hits),
-                misses=dict(self._misses),
-                db_path=str(self._db_path),
-                db_entries=int(row[0]),
-            )
+        with self._bind_lock:
+            shared_hits = dict(self._store_hits)
+        own = {name: lru.stats() for name, lru in self._sections.items()}
+        return SharedTierStats(
+            l1_hits={name: own[name].hits for name in SECTIONS},
+            shared_hits=shared_hits,
+            misses={
+                name: own[name].misses - shared_hits[name]
+                for name in SECTIONS
+            },
+            db_path=str(self.store.path),
+            db_entries=self.store.count(),
+        )
 
 
 def resolve_cache_backend(

@@ -2,7 +2,8 @@
 
 Three contracts are enforced here:
 
-1. **Protocol** — ``SubQueryCache`` and ``SharedCacheTier`` both satisfy
+1. **Protocol** — ``SubQueryCache`` and ``SharedCacheTier`` (the same
+   class with a ``SqliteCacheStore`` behind it) both satisfy
    ``CacheBackend``; LRU eviction and hit/miss accounting are observable
    through the protocol alone, whichever backend is plugged in.
 2. **Bit-identity** — answers with the shared tier on are exactly the
@@ -27,9 +28,11 @@ from repro import (
     TripRequest,
     generate_dataset,
 )
+from repro.core.engine import SubQueryOutcome, TripQueryResult
 from repro.core.intervals import FixedInterval, PeriodicInterval
 from repro.errors import ConfigurationError
 from repro.forkpool import fork_map
+from repro.histogram.histogram import Histogram
 from repro.service import CacheBackend, SharedCacheTier, resolve_cache_backend
 from repro.sntindex.procedures import TravelTimeResult
 
@@ -77,13 +80,15 @@ def assert_bit_identical(expected, actual):
 # --------------------------------------------------------------------- #
 
 
-def backend_factories(tmp_path):
+def backend_factories(tmp_path, bound=2):
+    """Both backends with in-process sections of ``bound`` entries
+    (``None`` = unbounded: the store never has to answer)."""
     return {
         "memory": lambda: SubQueryCache(
-            max_ranges=2, max_results=2, max_histograms=2
+            max_ranges=bound, max_results=bound, max_histograms=bound
         ),
         "shared": lambda: SharedCacheTier(
-            tmp_path / "tier", config=EngineConfig(), max_entries=2
+            tmp_path / "tier", config=EngineConfig(), max_entries=bound
         ),
     }
 
@@ -542,7 +547,7 @@ def test_store_bound_survives_worker_spawn_and_epoch_sync(
         tmp_path / "tier", config=EngineConfig(), max_store_entries=3
     )
     worker = tier.spawn_for_worker()
-    assert worker._max_store_entries == 3
+    assert worker.store.max_store_entries == 3
     db = TravelTimeDB(index, dataset.network, cache=tier)
     db.query_many(requests_for(trips, 6))
     assert tier.tier_stats().db_entries <= 3
@@ -565,7 +570,7 @@ def test_store_bound_validation_and_config_wiring(world, tmp_path):
     )
     backend = resolve_cache_backend(config, index)
     assert isinstance(backend, SharedCacheTier)
-    assert backend._max_store_entries == 7
+    assert backend.store.max_store_entries == 7
     # Serving plumbing: the store bound never shapes answers, so it is
     # excluded from the cross-process cache identity.
     assert config.cache_identity() == EngineConfig().cache_identity()
@@ -578,7 +583,7 @@ def test_store_bound_validation_and_config_wiring(world, tmp_path):
 
 def _backdate(tier, seconds):
     """Age every store row by ``seconds`` (simulated wall-clock)."""
-    tier._connection().execute(
+    tier.store.connection().execute(
         "UPDATE entries SET created_at = created_at - ?", (float(seconds),)
     )
 
@@ -597,7 +602,7 @@ class TestSharedTierTTL:
         )
         backend = resolve_cache_backend(config, index)
         assert isinstance(backend, SharedCacheTier)
-        assert backend._max_age_s == 60.0
+        assert backend.store.max_age_s == 60.0
         # Expiry only ever forces recomputation, never a different
         # answer, so the TTL is excluded from the cache identity.
         assert config.cache_identity() == EngineConfig().cache_identity()
@@ -606,7 +611,7 @@ class TestSharedTierTTL:
         tier = SharedCacheTier(
             tmp_path / "tier", config=EngineConfig(), max_age_s=30.0
         )
-        assert tier.spawn_for_worker()._max_age_s == 30.0
+        assert tier.spawn_for_worker().store.max_age_s == 30.0
 
     def test_stale_entries_are_misses_for_fresh_handles(self, tmp_path):
         """Reads are stamp-filtered: an expired row is a miss in every
@@ -639,12 +644,12 @@ class TestSharedTierTTL:
         _backdate(tier, 3600)
 
         def n_rows():
-            return tier._connection().execute(
+            return tier.store.connection().execute(
                 "SELECT COUNT(*) FROM entries"
             ).fetchone()[0]
 
         assert n_rows() == 4
-        tier._last_expiry_gc = 0.0  # defeat amortisation: GC must fire
+        tier.store.last_expiry_gc = 0.0  # defeat amortisation: GC must fire
         tier.put_ranges((9, 10), [(0, 0, 1)])
         assert n_rows() == 1  # only the fresh write survives
 
@@ -658,11 +663,11 @@ class TestSharedTierTTL:
         tier.sync_epoch(index)
         tier.put_ranges((1, 2), [(0, 1, 2)])
         _backdate(tier, 3600)
-        tier._last_expiry_gc = 0.0
+        tier.store.last_expiry_gc = 0.0
         # Epoch unchanged — the per-trip steady-state path — still
         # reclaims stale rows (amortised).
         tier.sync_epoch(index)
-        assert tier._connection().execute(
+        assert tier.store.connection().execute(
             "SELECT COUNT(*) FROM entries"
         ).fetchone()[0] == 0
 
@@ -692,7 +697,7 @@ class TestSharedTierTTL:
         )
         columns = {
             row[1]
-            for row in tier._connection().execute(
+            for row in tier.store.connection().execute(
                 "PRAGMA table_info(entries)"
             )
         }
@@ -876,3 +881,304 @@ def test_clear_empties_the_trip_section(world, tmp_path):
     fresh = TravelTimeDB(index, dataset.network, config=spec)
     assert fresh.query(request).n_index_scans > 0
     assert fresh.tier_stats().shared_hits["trips"] == 0
+
+
+# --------------------------------------------------------------------- #
+# One cache class (ISSUE 22): the promotion re-check, the on-disk
+# contract, and memory == shared when the store never has to answer
+# --------------------------------------------------------------------- #
+
+_RESULT_KEY = ((3, 1, 4), FixedInterval(100, 5000), 7, 5, (9, 2))
+_TRIP_INTERVAL = PeriodicInterval(28_800, 900)
+# (path, interval, user, exclude_ids, beta, resolved estimator, policy)
+_TRIP_KEY = ((3, 1), _TRIP_INTERVAL, None, (9,), 5, ("CSS-Fast", 0.5), None)
+
+
+def _sample_entries():
+    """One fixed entry per section: ``section -> (key, value)``."""
+    trip_histogram = Histogram(10.0, 3, [2.0])
+    return {
+        "ranges": ((3, 1, 4), [(0, 2, 5), (1, 7, 11)]),
+        "results": (
+            _RESULT_KEY,
+            TravelTimeResult(
+                values=np.asarray([12.5, 40.0, 1e-7]),
+                n_matched=4,
+                from_fallback=False,
+                insufficient=True,
+            ),
+        ),
+        "histograms": (
+            (_RESULT_KEY, 10.0),
+            Histogram(10.0, 1, [2.0, 0.0, 1.0]),
+        ),
+        "trips": (
+            _TRIP_KEY,
+            TripQueryResult(
+                histogram=trip_histogram,
+                outcomes=[
+                    SubQueryOutcome(
+                        query=StrictPathQuery(
+                            path=(3, 1), interval=_TRIP_INTERVAL, beta=5
+                        ),
+                        values=np.asarray([30.0, 31.5]),
+                        histogram=trip_histogram,
+                        from_fallback=False,
+                    )
+                ],
+                n_index_scans=0,
+                n_estimator_skips=1,
+                elapsed_s=0.25,
+                n_cache_hits=2,
+            ),
+        ),
+    }
+
+
+def _put_samples(backend):
+    entries = _sample_entries()
+    backend.put_ranges(*entries["ranges"])
+    backend.put_result(*entries["results"])
+    backend.put_histogram(*entries["histograms"])
+    backend.put_trip(*entries["trips"])
+    return entries
+
+
+def _build_sharded(dataset):
+    base, tail = _split_for_append(dataset)
+    sharded = ShardedSNTIndex.build(
+        TrajectorySet(base),
+        dataset.network.alphabet_size,
+        n_shards=2,
+        partition_days=PARTITION_DAYS,
+    )
+    return sharded, tail
+
+
+_PROBES = {
+    "get_ranges": ("ranges", lambda tier, key: tier.get_ranges(key), None),
+    "get_result": ("results", lambda tier, key: tier.get_result(key), None),
+    "get_results_many": (
+        "results", lambda tier, key: tier.get_results_many([key]), {}
+    ),
+    "get_trip": ("trips", lambda tier, key: tier.get_trip(key), None),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_append_during_the_store_read_never_promotes_the_row(
+    probe, world, tmp_path, monkeypatch
+):
+    """The interleaving the bind-lock re-check exists for: the store
+    read matches at the old stamp, *then* the index is appended to and
+    the handle adopts the new epoch, *then* the rows come back.  They
+    must be a miss and must not land in the in-process section, where
+    they would be served as a post-append answer."""
+    dataset, _, _ = world
+    sharded, tail = _build_sharded(dataset)
+    section, ask, miss = _PROBES[probe]
+    writer = SharedCacheTier(tmp_path / "tier", config=EngineConfig())
+    writer.bind_index(sharded, dataset.network)
+    key, _ = _put_samples(writer)[section]
+    # A second handle: empty sections, so the probe reaches the store.
+    tier = SharedCacheTier(tmp_path / "tier", config=EngineConfig())
+    tier.bind_index(sharded, dataset.network)
+    old_epoch = sharded.epoch
+    read = tier.store.get_many
+    raced = []
+
+    def read_then_append(section_, keys, stamp):
+        rows = read(section_, keys, stamp)
+        if not raced:
+            assert list(rows) == [key]  # the old stamp did match
+            sharded.append(tail)
+            tier.sync_epoch(sharded)
+            raced.append(stamp)
+        return rows
+
+    monkeypatch.setattr(tier.store, "get_many", read_then_append)
+    assert ask(tier, key) == miss
+    assert raced and sharded.epoch > old_epoch
+    stats = getattr(tier.stats(), section)
+    assert (stats.size, stats.hits, stats.misses) == (0, 0, 1)
+    assert tier.tier_stats().shared_hits[section] == 0
+    # ... and at the new epoch the row is unreachable for good.
+    assert ask(tier, key) == miss
+    assert getattr(tier.stats(), section).size == 0
+
+
+#: What ``_sample_entries`` looks like on disk — taken from the tree
+#: before ISSUE 22 (`SharedCacheTier` with its own L1 and SQL), so a
+#: store written by either side keeps serving the other.
+_GOLDEN_REQUEST = (
+    '{"beta":5,"estimator":null,"exclude_ids":[9,2],"interval":'
+    '{"end":5000,"start":100,"type":"fixed"},"path":[3,1,4],"user":7}'
+)
+_GOLDEN_ROWS = [
+    ("ranges", '{"path":[3,1,4]}', "[[0,2,5],[1,7,11]]"),
+    (
+        "results",
+        _GOLDEN_REQUEST,
+        '{"from_fallback":false,"insufficient":true,"n_matched":4,'
+        '"values":[12.5,40.0,1e-07]}',
+    ),
+    (
+        "histograms",
+        '{"bucket_width":10.0,"request":' + _GOLDEN_REQUEST + "}",
+        '{"bucket_width":10.0,"counts":[2.0,0.0,1.0],"offset":1}',
+    ),
+    (
+        "trips",
+        '{"beta":5,"estimator":["CSS-Fast",0.5],"exclude_ids":[9],'
+        '"interval":{"duration":900,"start_tod":28800,"type":"periodic"},'
+        '"path":[3,1],"user":null}',
+        '{"elapsed_s":0.25,"histogram":{"bucket_width":10.0,"counts":[2.0],'
+        '"offset":3},"n_cache_hits":2,"n_estimator_skips":1,'
+        '"n_index_scans":0,"outcomes":[{"beta":5,"from_fallback":false,'
+        '"histogram":{"bucket_width":10.0,"counts":[2.0],"offset":3},'
+        '"interval":{"duration":900,"start_tod":28800,"type":"periodic"},'
+        '"path":[3,1],"shift_applied":false,"user":null,'
+        '"values":[30.0,31.5]}],"request":null}',
+    ),
+]
+_GOLDEN_IDENT = (  # sha256 of the identity string "golden"
+    "dd56de4137951d9c92681b03416ec15f886b4482a27e3a517d32f085244cbe5d"
+)
+_GOLDEN_SCHEMA = [
+    "CREATE TABLE entries (  section TEXT NOT NULL,  ident TEXT NOT NULL,"
+    "  key TEXT NOT NULL,  epoch INTEGER NOT NULL,  lineage TEXT NOT NULL,"
+    "  payload TEXT NOT NULL,  created_at REAL NOT NULL DEFAULT 0,"
+    "  PRIMARY KEY (section, ident, key, epoch, lineage))",
+    "CREATE TABLE meta (  key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+]
+
+
+def _assert_samples_served(tier):
+    entries = _sample_entries()
+    assert tier.get_ranges(entries["ranges"][0]) == entries["ranges"][1]
+    result = tier.get_result(_RESULT_KEY)
+    assert np.array_equal(result.values, entries["results"][1].values)
+    assert not result.values.flags.writeable
+    assert (result.n_matched, result.from_fallback, result.insufficient) == (
+        4, False, True
+    )
+    assert tier.get_results_many([_RESULT_KEY]).keys() == {_RESULT_KEY}
+    assert tier.get_histogram((_RESULT_KEY, 10.0)) == entries["histograms"][1]
+    assert_bit_identical(entries["trips"][1], tier.get_trip(_TRIP_KEY))
+
+
+def test_rows_written_are_byte_equal_to_the_golden_store(tmp_path):
+    tier = SharedCacheTier(tmp_path / "tier", identity="golden")
+    _put_samples(tier)
+    conn = tier.store.connection()
+    assert conn.execute(
+        "SELECT section, key, payload FROM entries ORDER BY rowid"
+    ).fetchall() == _GOLDEN_ROWS
+    # Unbound handle: epoch 0, no lineage; ident is the identity's hash.
+    assert conn.execute(
+        "SELECT DISTINCT ident, epoch, lineage FROM entries"
+    ).fetchall() == [(_GOLDEN_IDENT, 0, "")]
+    assert [
+        row[0]
+        for row in conn.execute(
+            "SELECT sql FROM sqlite_master WHERE type='table' ORDER BY name"
+        )
+    ] == _GOLDEN_SCHEMA
+
+
+def test_hand_inserted_golden_rows_are_served(tmp_path):
+    """The other direction: rows an older build wrote (here: inserted
+    literally, with no write time, as a pre-TTL build left them)."""
+    tier = SharedCacheTier(tmp_path / "tier", identity="golden")
+    tier.store.connection().executemany(
+        "INSERT INTO entries (section, ident, key, epoch, lineage, payload)"
+        " VALUES (?, ?, ?, 0, '', ?)",
+        [
+            (section, _GOLDEN_IDENT, key, payload)
+            for section, key, payload in _GOLDEN_ROWS
+        ],
+    )
+    _assert_samples_served(tier)
+    shared_hits = tier.tier_stats().shared_hits
+    assert shared_hits == {
+        "ranges": 1, "results": 1, "histograms": 1, "trips": 1
+    }
+    # Promoted: the second round never reaches the store.
+    _assert_samples_served(tier)
+    assert tier.tier_stats().shared_hits == shared_hits
+
+
+def _scripted_session(backend, dataset):
+    """Puts, gets, ``clear()`` and an epoch bump through ``CacheBackend``
+    alone; returns everything observable (returns + hit/size stats)."""
+    sharded, tail = _build_sharded(dataset)
+    entries = _sample_entries()
+    other_key = ((2, 7), FixedInterval(0, 50), None, None, ())
+    absent_key = ((8,), FixedInterval(0, 1), None, None, ())
+    log = []
+
+    def observe(value):
+        if isinstance(value, TravelTimeResult):
+            value = ("result", value.values.tolist(), value.n_matched)
+        elif isinstance(value, TripQueryResult):
+            value = ("trip", value.histogram.as_dict(), value.n_cache_hits)
+        log.append(value)
+
+    def observe_stats():
+        stats = backend.stats()
+        log.append({
+            name: (section.hits, section.misses, section.size)
+            for name in ("ranges", "results", "histograms", "trips")
+            for section in [getattr(stats, name)]
+        })
+
+    backend.bind_index(sharded, dataset.network)
+    backend.sync_epoch(sharded)
+    for _ in range(2):  # second round: after clear()
+        observe(backend.get_ranges(entries["ranges"][0]))
+        observe(backend.get_result(_RESULT_KEY))
+        observe(backend.get_trip(_TRIP_KEY))
+        backend.put_ranges(*entries["ranges"])
+        backend.put_results_many(
+            [entries["results"], (other_key, entries["results"][1])]
+        )
+        backend.put_histogram(*entries["histograms"])
+        backend.put_trip(*entries["trips"])
+        observe(backend.get_ranges(entries["ranges"][0]))
+        observe(sorted(
+            backend.get_results_many([_RESULT_KEY, other_key, absent_key]),
+            key=repr,
+        ))
+        observe(backend.get_result(other_key))
+        observe(backend.get_histogram(entries["histograms"][0]))
+        observe(backend.get_histogram((_RESULT_KEY, 99.0)))
+        observe(backend.get_trip(_TRIP_KEY))
+        observe_stats()
+        backend.clear()
+        observe_stats()
+    backend.put_ranges(*entries["ranges"])
+    sharded.append(tail)
+    backend.sync_epoch(sharded)
+    observe(backend.get_ranges(entries["ranges"][0]))
+    observe_stats()
+    return log
+
+
+def test_unbounded_memory_and_shared_are_observationally_identical(
+    world, tmp_path
+):
+    """With unbounded in-process sections the store never has to answer,
+    so the two backends are the same object to a ``CacheBackend``
+    client: same returns, same hits, misses and sizes, step by step."""
+    dataset, _, _ = world
+    factories = backend_factories(tmp_path, bound=None)
+    memory = _scripted_session(factories["memory"](), dataset)
+    shared_backend = factories["shared"]()
+    shared = _scripted_session(shared_backend, dataset)
+    assert memory == shared
+    # The script did exercise hits, misses, clear() and the epoch drop.
+    assert memory[:4] == [None, None, None, [(0, 2, 5), (1, 7, 11)]]
+    assert memory[9]["results"] == (3, 2, 2)  # hits, misses, size
+    assert memory[10]["results"] == (3, 2, 0)  # ... after clear()
+    assert memory[-2] is None and memory[-1]["ranges"] == (2, 3, 0)
+    assert sum(shared_backend.tier_stats().shared_hits.values()) == 0
