@@ -32,8 +32,9 @@ none of the three stages runs.
 from __future__ import annotations
 
 import copy
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -169,6 +170,12 @@ class TripQueryResult:
     #: The :class:`repro.api.TripRequest` this result answers, when the
     #: query entered through the typed API (``None`` on legacy paths).
     request: Optional["TripRequest"] = None
+    #: :meth:`to_json`'s encoded histogram + outcomes, beside the objects
+    #: it encodes; shared by every :meth:`replayed` copy, so a memoised
+    #: trip is encoded once and the text goes when the memo entry does.
+    _wire: Dict[str, Any] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def replayed(
         self, request: Optional["TripRequest"], elapsed_s: float
@@ -191,6 +198,7 @@ class TripQueryResult:
             elapsed_s=elapsed_s,
             n_cache_hits=self.n_index_scans + self.n_cache_hits,
             request=request,
+            _wire=self._wire,
         )
 
     @property
@@ -210,7 +218,9 @@ class TripQueryResult:
         per-sub-query outcomes (query, raw travel times, histogram), the
         accounting counters, and the originating request's wire form.
         """
+        return {**self._answer_dict(), **self._accounting_dict()}
 
+    def _answer_dict(self) -> Dict[str, Any]:
         from ..api.request import _interval_to_dict
 
         def outcome_payload(outcome: SubQueryOutcome) -> Dict[str, Any]:
@@ -230,12 +240,29 @@ class TripQueryResult:
         return {
             "histogram": self.histogram.to_wire(),
             "outcomes": [outcome_payload(o) for o in self.outcomes],
+        }
+
+    def _accounting_dict(self) -> Dict[str, Any]:
+        return {
             "n_index_scans": self.n_index_scans,
             "n_estimator_skips": self.n_estimator_skips,
             "elapsed_s": self.elapsed_s,
             "n_cache_hits": self.n_cache_hits,
             "request": self.request.to_dict() if self.request else None,
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, character for character, with
+        the histogram and outcomes encoded once per answer: every
+        :meth:`replayed` copy splices the same text and renders only its
+        own counters, ``elapsed_s`` and ``request``."""
+        answer = (self.histogram, *self.outcomes)
+        encoded, text = self._wire.get("answer", ((), ""))
+        # Compared by identity: a copy owns its ``outcomes`` list.
+        if [id(part) for part in encoded] != [id(part) for part in answer]:
+            text = json.dumps(self._answer_dict())[:-1]
+            self._wire["answer"] = (answer, text)
+        return text + ", " + json.dumps(self._accounting_dict())[1:]
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TripQueryResult":

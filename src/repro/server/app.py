@@ -45,6 +45,7 @@ from .http import (
     error_body,
     json_response,
     read_request,
+    render_response,
 )
 from .stats import ClientStats, ServerStats
 
@@ -56,9 +57,11 @@ __all__ = ["TravelTimeServer", "BackgroundServer", "run_server"]
 
 
 class _HandlerState:
-    """Per-connection bookkeeping for graceful shutdown: an idle
-    handler (parked between requests) is closed immediately; a busy one
-    (request read, response pending) gets the grace period."""
+    """Per-connection bookkeeping.  Graceful shutdown closes an idle
+    handler (parked between requests) immediately and gives a busy one
+    (request read, response pending) the grace period; the collector
+    waits its window out only while some handler is not busy, because
+    only such a connection can still add a rider to the round."""
 
     __slots__ = ("busy",)
 
@@ -108,6 +111,7 @@ class TravelTimeServer:
             config=config,
             executor=self._executor,
             stats=self.stats,
+            more_riders=self._any_handler_reading,
         )
         self.collector.start()
         try:
@@ -183,6 +187,11 @@ class TravelTimeServer:
             return str(peername[0])
         return "local"
 
+    def _any_handler_reading(self) -> bool:
+        # ``busy`` is set and ``submit_many`` called with no ``await``
+        # between them, so a busy handler has already queued its trips.
+        return any(not state.busy for state in self._handlers.values())
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -256,11 +265,11 @@ class TravelTimeServer:
         if path == "/v1/query":
             if request.method != "POST":
                 return self._method_not_allowed(request, "POST")
-            return await self._query_one(request, client)
+            return await self._query(request, client, batch=False)
         if path == "/v1/query_batch":
             if request.method != "POST":
                 return self._method_not_allowed(request, "POST")
-            return await self._query_batch(request, client)
+            return await self._query(request, client, batch=True)
         return json_response(
             404,
             error_body("ServerError", f"no such route: {path}"),
@@ -387,47 +396,16 @@ class TravelTimeServer:
             keep_alive=request.keep_alive,
         )
 
-    async def _query_one(
-        self, request: HttpRequest, client: ClientStats
+    async def _query(
+        self, request: HttpRequest, client: ClientStats, batch: bool
     ) -> bytes:
+        """Both query routes: parse, submit, await the round, and join
+        the results' wire texts into the body (an empty batch submits
+        nothing — no round, no admission — and is answered at once)."""
         try:
-            trips = self._parse_trips(request, batch=False)
+            trips = self._parse_trips(request, batch)
         except RequestValidationError as error:
             return self._invalid_response(error, request, client)
-        try:
-            futures = self._submit(trips, client)
-        except AdmissionError as error:
-            return self._reject_response(error, request, client, 1)
-        except ServerError as error:
-            return json_response(
-                503,
-                error_body("ServerError", str(error)),
-                keep_alive=False,
-            )
-        try:
-            result = await futures[0]
-        except Exception as error:
-            return json_response(
-                500,
-                error_body(type(error).__name__, str(error)),
-                keep_alive=request.keep_alive,
-            )
-        return json_response(
-            200, result.to_dict(), keep_alive=request.keep_alive
-        )
-
-    async def _query_batch(
-        self, request: HttpRequest, client: ClientStats
-    ) -> bytes:
-        try:
-            trips = self._parse_trips(request, batch=True)
-        except RequestValidationError as error:
-            return self._invalid_response(error, request, client)
-        if not trips:
-            # Empty batch: answered inline, no round, no admission.
-            return json_response(
-                200, {"results": []}, keep_alive=request.keep_alive
-            )
         try:
             futures = self._submit(trips, client)
         except AdmissionError as error:
@@ -448,10 +426,12 @@ class TravelTimeServer:
                 error_body(type(error).__name__, str(error)),
                 keep_alive=request.keep_alive,
             )
-        return json_response(
-            200,
-            {"results": [result.to_dict() for result in results]},
-            keep_alive=request.keep_alive,
+        # Byte-for-byte ``json.dumps`` of the ``to_dict()`` forms.
+        body = ", ".join(result.to_json() for result in results)
+        if batch:
+            body = '{"results": [' + body + "]}"
+        return render_response(
+            200, body.encode("utf-8"), keep_alive=request.keep_alive
         )
 
 

@@ -7,7 +7,13 @@ gathers everything that arrives within the configured collection
 window (or up to ``max_batch``) and submits the whole window as **one**
 ``query_many`` dedup round on a bounded executor-thread pool.  Repeated
 sub-paths across clients are then scanned once per round, exactly as if
-the clients had been one in-process batch.
+the clients had been one in-process batch.  The window is only waited
+out while some open connection is between requests or mid-read
+(``more_riders``): once every connection has queued its trips, waiting
+cannot add a rider and the round is dispatched at once — so an idle
+keep-alive connection keeps the full window, and brand-new connections
+whose first request is read before the others are accepted share
+through the sub-query cache, not the round.
 
 Admission control lives here too: the collector tracks trips admitted
 but not yet answered and rejects past ``max_inflight`` with
@@ -27,7 +33,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
 
 from ..core.engine import TripQueryResult
 from ..errors import AdmissionError, ServerError
@@ -61,6 +67,10 @@ class RequestCollector:
     config: ServerConfig
     executor: Executor
     stats: ServerStats
+    #: Whether some open connection could still submit into the window
+    #: being gathered (the server passes "a handler is not busy").  The
+    #: default knows no connections and always waits the window out.
+    more_riders: Callable[[], bool] = lambda: True
     _queue: "asyncio.Queue[Optional[_Entry]]" = field(
         default_factory=asyncio.Queue
     )
@@ -129,7 +139,8 @@ class RequestCollector:
         """Form collection windows until the shutdown sentinel arrives.
 
         A window opens when its first trip arrives and closes after
-        ``window_s`` (or at ``max_batch``); whatever was gathered is
+        ``window_s``, at ``max_batch``, or as soon as the queue is empty
+        and ``more_riders()`` is false; whatever was gathered is
         submitted as one round task.  Rounds overlap gathering: the
         loop never waits for a round to finish.
         """
@@ -140,7 +151,7 @@ class RequestCollector:
                 break
             batch = [first]
             deadline = loop.time() + self.config.window_s
-            saw_sentinel = False
+            saw_sentinel = closed_early = False
             while len(batch) < self.config.max_batch:
                 entry: Optional[_Entry]
                 try:
@@ -148,6 +159,9 @@ class RequestCollector:
                 except asyncio.QueueEmpty:
                     timeout = deadline - loop.time()
                     if timeout <= 0:
+                        break
+                    if not self.more_riders():
+                        closed_early = True
                         break
                     try:
                         entry = await asyncio.wait_for(
@@ -159,11 +173,11 @@ class RequestCollector:
                     saw_sentinel = True
                     break
                 batch.append(entry)
-            self._submit_round(batch)
+            self._submit_round(batch, closed_early)
             if saw_sentinel:
                 break
 
-    def _submit_round(self, batch: List[_Entry]) -> None:
+    def _submit_round(self, batch: List[_Entry], closed_early: bool) -> None:
         # Entries abandoned while queued (handler cancelled, connection
         # gone) leave the round before it forms; a window containing
         # nothing else short-circuits — no executor submission, no
@@ -175,6 +189,8 @@ class RequestCollector:
             self._inflight -= dropped
         if not live:
             return
+        if closed_early:
+            self.stats.rounds_closed_early += 1
         task = asyncio.get_running_loop().create_task(
             self._run_round(live)
         )
@@ -206,12 +222,15 @@ class RequestCollector:
                     continue
                 entry.future.exception()
         else:
+            # A rider whose handler went away mid-round was not answered.
             now = loop.time()
+            resolved = 0
             for entry, result in zip(entries, results):
                 if not entry.future.done():
                     entry.future.set_result(result)
-                self.stats.latency.record(now - entry.admitted_at)
-            self.stats.note_round(len(entries), dedup)
+                    self.stats.latency.record(now - entry.admitted_at)
+                    resolved += 1
+            self.stats.note_round(resolved, dedup)
         finally:
             self._inflight -= len(entries)
 

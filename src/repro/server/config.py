@@ -34,10 +34,15 @@ class ServerConfig:
         the collector keeps gathering trips for up to this long (or
         until ``max_batch``) before submitting the round, so requests
         from *different connections* land in one ``query_many`` dedup
-        round and share sub-query scans.  ``0`` disables windowing
-        (each round is whatever is already queued) — the latency knob:
-        a larger window trades first-byte latency for cross-client
-        dedup.
+        round and share sub-query scans.  It is waited out only while
+        some open connection is between requests or mid-read: once every
+        connection has queued its trips the round goes at once (so an
+        idle keep-alive connection, e.g. a ``/stats`` poller, keeps the
+        full window; brand-new connections whose first request is read
+        before the others are accepted share through the sub-query
+        cache, not the round).  ``0`` disables windowing (each round is
+        whatever is already queued) — the latency knob: a larger window
+        trades first-byte latency for cross-client dedup.
     max_batch:
         Maximum trips per collection round.  Bounds round latency under
         load: a full round is submitted immediately without waiting out

@@ -64,11 +64,18 @@ class HttpRequest:
     path: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        # HTTP/1.1 default is persistent; only an explicit close drops it.
-        return self.headers.get("connection", "").lower() != "close"
+        # HTTP/1.1 is persistent unless the client says close; HTTP/1.0
+        # only when it asks for keep-alive — its clients otherwise wait
+        # for the server to close, and a handler parked on one would
+        # never read another request.
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json(self) -> Any:
         """The body parsed as JSON; raises ``HttpProtocolError(400)``."""
@@ -151,7 +158,9 @@ async def read_request(
             body = await reader.readexactly(length)
     # Strip any query string; routes are exact paths.
     path = target.split("?", 1)[0]
-    return HttpRequest(method=method, path=path, headers=headers, body=body)
+    return HttpRequest(
+        method=method, path=path, headers=headers, body=body, version=version
+    )
 
 
 def render_response(

@@ -96,6 +96,9 @@ class ServerStats:
         self.rejected_trips = 0
         self.invalid_requests = 0
         self.rounds = 0
+        #: Rounds dispatched before ``window_s`` ran out because no open
+        #: connection could have added a rider.
+        self.rounds_closed_early = 0
         self.peak_inflight = 0
         self.dedup = DedupStats()
         self.dedup_rounds = 0
@@ -147,6 +150,7 @@ class ServerStats:
             },
             "rounds": {
                 "count": self.rounds,
+                "closed_early": self.rounds_closed_early,
                 "with_dedup": self.dedup_rounds,
                 "planned_subqueries": dedup.planned_subqueries,
                 "unique_subqueries": dedup.unique_subqueries,

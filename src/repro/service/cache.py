@@ -181,7 +181,8 @@ class SubQueryCache:
         is a handful of triples; a result entry holds a travel-time
         array, so ``max_results`` is the knob that dominates memory.  It
         bounds the trips section too: a memoised trip shares the arrays
-        its sub-query results already hold.
+        its sub-query results already hold, and once served over HTTP
+        also keeps its wire text (about the size of those arrays).
     store:
         Optional :class:`~repro.service.cachetier.SqliteCacheStore`
         behind the sections.  Reads check the in-process section first,

@@ -12,6 +12,9 @@ on one or two workers, ``stream``, forked processes) and every reader
 memo must never serve across anything that shapes an answer.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +25,9 @@ from repro import (
     EstimatorMode,
     FixedInterval,
     PeriodicInterval,
+    ShardedSNTIndex,
     SubQueryCache,
+    TrajectorySet,
     TravelTimeDB,
     TripRequest,
 )
@@ -323,3 +328,81 @@ def test_dedup_stats_account_replayed_trips_like_a_sequential_pass(world):
     assert stats.cache_hits == stats.planned_subqueries
     assert stats.n_index_scans == stats.scans_saved == 0
     assert stats.unique_subqueries == stats.n_rounds == 0
+
+
+# --------------------------------------------------------------------- #
+# The wire text a memoised answer keeps (ISSUE 24)
+# --------------------------------------------------------------------- #
+
+
+def test_wire_text_is_encoded_once_and_is_no_part_of_the_value(world):
+    dataset, readers, trips = world
+    db = TravelTimeDB(
+        readers["css"], dataset.network, EngineConfig(dedup_subqueries=True)
+    )
+    request = sample_request(trips)
+    first, twin = db.query_many([request, sample_request(trips)])
+    replay = db.query(request)
+    assert first.n_index_scans > 0
+    assert twin.n_index_scans == replay.n_index_scans == 0
+    untouched = dataclasses.replace(first, _wire={})
+    for result in (first, twin, replay):
+        assert result.to_json() == json.dumps(result.to_dict())
+        assert result.to_json() == result.to_json()
+    # One encoding of the histogram and outcomes, spliced by every copy;
+    # the texts part ways at the counters.
+    answer = json.dumps(
+        {key: first.to_dict()[key] for key in ("histogram", "outcomes")}
+    )[:-1]
+    assert first._wire is twin._wire is replay._wire
+    assert first._wire["answer"][1] == answer
+    for result in (first, twin, replay):
+        assert result.to_json().startswith(answer + ', "n_index_scans": ')
+    assert first.to_json() != twin.to_json()
+    # The cache is not part of the value.
+    assert untouched._wire == {} and untouched == first
+    assert "_wire" not in repr(first) and "answer" not in repr(first)
+    assert set(first.to_dict()) == set(untouched.to_dict())
+    # A copy owns its outcomes list: editing it re-encodes, for it alone.
+    replay.outcomes.pop()
+    assert replay.to_json() == json.dumps(replay.to_dict())
+    assert twin.to_json() == json.dumps(twin.to_dict())
+    assert twin.to_json().startswith(answer)
+
+
+def test_no_stale_wire_text_after_an_append(world):
+    dataset, _, trips = world
+    # The newest week arrives by append(), as in conftest's reader.
+    t_min = min(tr.start_time for tr in dataset.trajectories)
+
+    def week(tr):
+        return (tr.start_time - t_min) // (7 * SECONDS_PER_DAY)
+
+    newest = max(week(tr) for tr in dataset.trajectories)
+    late = [tr for tr in dataset.trajectories if week(tr) == newest]
+    index = ShardedSNTIndex.build(
+        TrajectorySet(
+            [tr for tr in dataset.trajectories if week(tr) < newest]
+        ),
+        dataset.network.alphabet_size,
+        n_shards=2,
+        partition_days=7,
+    )
+    late_trip = max(trips, key=lambda tr: tr.start_time)
+    db = TravelTimeDB(index, dataset.network)
+    request = TripRequest(
+        path=late_trip.path[:5],
+        interval=FixedInterval(0, late_trip.start_time + SECONDS_PER_DAY),
+    )
+    db.query(request)
+    before = db.query(request)  # the memo's answer, text filled below
+    assert before.n_index_scans == 0
+    assert before.to_json().startswith(before._wire["answer"][1])
+    index.append(late)
+    after = db.query(request)
+    assert after.n_index_scans > 0 and after._wire is not before._wire
+    assert after.to_json() == json.dumps(after.to_dict())
+    assert sum(o.values.size for o in after.outcomes) > sum(
+        o.values.size for o in before.outcomes
+    )
+    assert not after.to_json().startswith(before._wire["answer"][1])

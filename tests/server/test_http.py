@@ -6,6 +6,7 @@ and the client's error-body mapping — all without opening a socket.
 """
 
 import asyncio
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -69,6 +70,28 @@ class TestReadRequest:
             b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
         )
         assert not request.keep_alive
+
+    @pytest.mark.parametrize(
+        "version, connection, persistent",
+        [
+            ("HTTP/1.1", None, True),
+            ("HTTP/1.1", "keep-alive", True),
+            ("HTTP/1.1", "close", False),
+            # 1.0 clients wait for the server to close unless they asked
+            # for keep-alive; answering them "keep-alive" parks the
+            # handler forever.
+            ("HTTP/1.0", None, False),
+            ("HTTP/1.0", "Keep-Alive", True),
+            ("HTTP/1.0", "close", False),
+        ],
+    )
+    def test_persistence_follows_the_protocol_version(
+        self, version, connection, persistent
+    ):
+        header = f"Connection: {connection}\r\n" if connection else ""
+        request = _parse(f"GET /healthz {version}\r\n{header}\r\n".encode())
+        assert request.version == version
+        assert request.keep_alive is persistent
 
     @pytest.mark.parametrize(
         "raw",
@@ -335,6 +358,65 @@ class TestCollector:
             executor.shutdown()
             assert all(size <= 2 for size in db.calls)
             assert sum(db.calls) == 5
+
+        asyncio.run(main())
+
+
+    def test_riders_cancelled_mid_round_are_not_counted_as_answered(self):
+        """A handler that goes away while its round executes was not
+        answered: neither ``trips_answered`` nor the latency ring may
+        count it (``/stats`` would otherwise report service it never
+        gave)."""
+        entered, release = threading.Event(), threading.Event()
+
+        class GatedDB(_FakeDB):
+            def query_many_with_stats(self, requests):
+                entered.set()
+                assert release.wait(timeout=30), "gate never released"
+                return super().query_many_with_stats(requests)
+
+        async def main():
+            collector, executor = _collector(GatedDB())
+            collector.start()
+            kept, gone, also_kept = collector.submit_many(["a", "b", "c"])
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 30)
+            gone.cancel()  # the round of three is already executing
+            release.set()
+            assert (await kept)[1] == "a" and (await also_kept)[1] == "c"
+            await collector.drain_and_stop()
+            executor.shutdown()
+            snapshot = collector.stats.snapshot(queue_depth=collector.inflight)
+            assert snapshot["requests"]["trips_admitted"] == 3
+            assert snapshot["requests"]["trips_answered"] == 2
+            assert snapshot["latency"]["count"] == 2
+            assert snapshot["rounds"]["count"] == 1
+            assert snapshot["queue"]["depth"] == 0
+
+        asyncio.run(main())
+
+    def test_window_closes_early_only_when_no_connection_can_add_a_rider(self):
+        async def main():
+            db = _FakeDB()
+            collector, executor = _collector(db, window_s=1.0)
+            waiting = [True]
+            collector.more_riders = lambda: waiting[0]
+            collector.start()
+            loop = asyncio.get_running_loop()
+            (first,) = collector.submit_many(["a"])
+            await asyncio.sleep(0.05)
+            assert not first.done()  # a reader is open: the window holds
+            waiting[0] = False
+            (second,) = collector.submit_many(["b"])
+            started = loop.time()
+            await asyncio.gather(first, second)
+            (third,) = collector.submit_many(["c"])
+            await third
+            assert loop.time() - started < 0.5  # two rounds, no window
+            await collector.drain_and_stop()
+            executor.shutdown()
+            assert db.calls == [2, 1]
+            assert collector.stats.rounds_closed_early == 2
 
         asyncio.run(main())
 

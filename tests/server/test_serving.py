@@ -14,16 +14,21 @@ The contracts enforced over real sockets:
    400 carrying the wire-form error body, never a 500.
 6. **Liveness off the query path** — ``/healthz``/``/stats`` respond
    while every executor worker is saturated.
+7. **The window is waited only for a possible rider** — a round closes
+   as soon as no open connection is between requests (ISSUE 24a).
+8. **Bodies are** ``json.dumps`` **of the wire forms, byte for byte** —
+   also when spliced from an answer's cached text (ISSUE 24b).
 """
 
 import http.client
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import EngineConfig, TripRequest, open_db
+from repro.api import EngineConfig, EstimatorMode, TripRequest, open_db
 from repro.core.intervals import PeriodicInterval
 from repro.errors import AdmissionError, RequestValidationError
 from repro.server import BackgroundServer, ServerConfig, ServingClient
@@ -90,7 +95,7 @@ class _GatedDB:
         return self._db.query_many_with_stats(requests)
 
 
-def _raw_post(port, path, body, timeout=10):
+def _post_bytes(port, path, body, timeout=10):
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         connection.request(
@@ -98,9 +103,14 @@ def _raw_post(port, path, body, timeout=10):
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
-        return response.status, json.loads(response.read() or b"null")
+        return response.status, response.read()
     finally:
         connection.close()
+
+
+def _raw_post(port, path, body, timeout=10):
+    status, raw = _post_bytes(port, path, body, timeout)
+    return status, json.loads(raw or b"null")
 
 
 # --------------------------------------------------------------------- #
@@ -170,6 +180,154 @@ def test_concurrent_connections_share_dedup_rounds(world):
     assert rounds["dedup_hit_rate"] > 0
     assert rounds["count"] < n_clients
     assert stats["requests"]["trips_answered"] == n_clients
+
+
+# --------------------------------------------------------------------- #
+# 7. The window is waited out only while a connection could add a rider
+# --------------------------------------------------------------------- #
+
+WINDOW_S = 0.5
+
+
+def test_lone_keep_alive_connection_never_waits_the_window(world):
+    db = open_session(world)
+    requests = requests_for(world[2], 6)
+    calls = (requests[:1], requests[1:4], requests[3:])
+    seconds = []
+    config = ServerConfig(port=0, window_s=WINDOW_S)
+    with BackgroundServer(db, config) as background:
+        with ServingClient(port=background.port) as client:
+            client.healthz()  # connected, and parked between requests
+            for call in calls:
+                started = time.perf_counter()
+                assert len(client.query_batch(call)) == len(call)
+                seconds.append(time.perf_counter() - started)
+            stats = client.stats()
+    # The one connection had queued its whole batch each time.
+    assert stats["rounds"]["count"] == len(calls)
+    assert stats["rounds"]["closed_early"] == len(calls)
+    assert stats["requests"]["trips_answered"] == sum(map(len, calls))
+    assert max(seconds) < WINDOW_S
+
+
+def test_a_parked_connection_keeps_the_window_open(world):
+    db = open_session(world)
+    request = requests_for(world[2], 1)[0]
+    config = ServerConfig(port=0, window_s=WINDOW_S)
+    with BackgroundServer(db, config) as background:
+        with ServingClient(port=background.port) as parked:
+            parked.healthz()  # open, idle: it could still send a trip
+            with ServingClient(port=background.port) as client:
+                started = time.perf_counter()
+                client.query(request)
+                elapsed = time.perf_counter() - started
+            stats = parked.stats()
+    assert stats["rounds"]["count"] == 1
+    assert stats["rounds"]["closed_early"] == 0
+    assert elapsed >= 0.9 * WINDOW_S
+
+
+def test_connected_clients_share_one_round_closed_by_the_last_rider(world):
+    db = open_session(world)
+    n_clients = 4
+    requests = requests_for(world[2], n_clients)
+    barrier = threading.Barrier(n_clients)
+    # A full second: the round must close on the fourth rider, not on it.
+    config = ServerConfig(port=0, window_s=1.0)
+    with BackgroundServer(db, config) as background:
+
+        def fire(request):
+            with ServingClient(port=background.port) as client:
+                client.healthz()  # connected before anyone sends a trip
+                barrier.wait(timeout=10)
+                started = time.perf_counter()
+                answer = serialised(client.query(request))
+                return answer, time.perf_counter() - started
+
+        with ThreadPoolExecutor(max_workers=n_clients) as pool:
+            answers = list(pool.map(fire, requests))
+        with ServingClient(port=background.port) as client:
+            stats = client.stats()
+
+    assert [answer for answer, _ in answers] == [
+        serialised(db.query(request)) for request in requests
+    ]
+    assert stats["rounds"]["count"] == 1
+    assert stats["rounds"]["closed_early"] == 1
+    assert stats["requests"]["trips_answered"] == n_clients
+    assert max(seconds for _, seconds in answers) < config.window_s
+
+
+# --------------------------------------------------------------------- #
+# 8. Response bodies: json.dumps of the wire forms, byte for byte
+# --------------------------------------------------------------------- #
+
+
+class _RecordingDB:
+    """Wraps a session and keeps the result objects each round returned
+    — the very objects the handlers encode."""
+
+    def __init__(self, db):
+        self._db = db
+        self.answers = []
+
+    def query_many_with_stats(self, requests):
+        results, dedup = self._db.query_many_with_stats(requests)
+        self.answers.extend(results)
+        return results, dedup
+
+
+def test_response_bodies_are_json_dumps_of_the_wire_forms(world):
+    dataset, _, trips = world
+    recording = _RecordingDB(open_session(world))
+    plain, other = requests_for(trips, 2)
+    # Nothing is left on the path's rarest edge: estimateTT answers it.
+    rarest = min(
+        plain.path,
+        key=lambda edge: sum(edge in tr.path for tr in dataset.trajectories),
+    )
+    fallback = TripRequest(
+        path=plain.path,
+        interval=plain.interval,
+        beta=10,
+        exclude_ids=tuple(
+            tr.traj_id for tr in dataset.trajectories if rarest in tr.path
+        ),
+    )
+
+    with BackgroundServer(recording, ServerConfig(port=0)) as background:
+
+        def served(requests, batch=True):
+            """The round's result objects, after checking the body."""
+            forms = [request.to_dict() for request in requests]
+            payload = {"requests": forms} if batch else forms[0]
+            status, raw = _post_bytes(
+                background.port,
+                "/v1/query_batch" if batch else "/v1/query",
+                json.dumps(payload).encode(),
+            )
+            assert status == 200
+            answers, recording.answers = recording.answers, []
+            forms = [answer.to_dict() for answer in answers]
+            expected = {"results": forms} if batch else forms[0]
+            assert raw == json.dumps(expected).encode("utf-8")
+            return answers
+
+        (fresh,) = served([plain], batch=False)
+        assert fresh.n_index_scans > 0
+        (replay,) = served([plain], batch=False)
+        assert replay.n_index_scans == 0 and replay.n_cache_hits > 0
+        first, twin, again, estimated = served(
+            [other, other, plain, fallback]
+        )
+        assert first.n_index_scans > 0 and twin.n_index_scans == 0
+        assert again.n_index_scans == 0
+        assert any(outcome.from_fallback for outcome in estimated.outcomes)
+        # Each mode once computed, once replayed from the memo.
+        modes = [other.with_estimator(mode) for mode in EstimatorMode]
+        assert len(served(modes)) == len(modes)
+        assert len(served(modes + [fallback])) == len(modes) + 1
+        assert served([]) == []
 
 
 # --------------------------------------------------------------------- #
