@@ -318,16 +318,9 @@ class TravelTimeDB:
             return self._engine.run_forked(requests, workers), None
         if self._config.dedup_subqueries:
             return self._engine.run_batch(requests, n_workers=workers)
-        # Without dedup each trip runs the sequential driver; it is not
-        # ``run_batch([r])`` because a batch of one is not free yet.
-        # Re-measured for ISSUE 21, with both drivers on the same scan
-        # kernels (trip-cold's 360 requests, seed-0 small world, each
-        # call at the quietest of 12 alternating passes, answers and
-        # scans + hits equal, three runs): ``query`` 505-584 trips/s at
-        # p50 1.41-1.61 ms against 465-526 trips/s (-8 to -10 %) at p50
-        # 1.54-1.75 ms through the BatchExecutor — what is left is
-        # ``BatchExecutor.run``'s per-round bookkeeping at ~8.6 rounds
-        # a trip, over ROADMAP item 1(c)'s 5 % bar.
+        # Without dedup every trip is a batch of its own
+        # (``engine.query`` is ``run_batch([r])``), so no two trips of
+        # the batch ever share a round.
         if workers == 1:
             return [self._engine.query(r) for r in requests], None
         return list(self._fan_out(requests, workers, len(requests))), None

@@ -2,9 +2,10 @@
 
 Procedure 6 runs as a staged pipeline: :mod:`repro.core.plan` (pure
 planning — partitioning, beta policy, shift-and-enlarge, relaxation
-expansion), :mod:`repro.core.exec` (the fetch/combine stages and the
-deduplicating batch executor), and :class:`QueryEngine` as the thin
-driver over them.
+expansion), :mod:`repro.core.exec` (the trip machine, the fetch/combine
+stages and the deduplicating batch executor), and :class:`QueryEngine`
+as the thin driver over them — one driver: a single query is a batch of
+one through :meth:`QueryEngine.run_batch`.
 """
 
 from .engine import PerTripCache, QueryEngine, SubQueryOutcome, TripQueryResult

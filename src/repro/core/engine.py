@@ -16,17 +16,18 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
 3. **combine** — the Histogram Builder turns each travel-time set into a
    histogram and convolves them into the answer for the full path.
 
-The engine itself is a thin driver over those stages: :meth:`query`
-drives one :class:`~repro.core.exec.TripMachine` sequentially,
-:meth:`run_batch` drives many through the deduplicating
-:class:`~repro.core.exec.BatchExecutor`, and :meth:`run_forked` runs
-:meth:`query` in forked worker processes.
+The engine itself is a thin driver over those stages, and there is one
+driver: :meth:`run_batch` drives any number of trip machines
+(:class:`~repro.core.exec.TripMachine`) through the deduplicating
+:class:`~repro.core.exec.BatchExecutor`; :meth:`query` is a batch of
+one, and :meth:`run_forked` runs :meth:`query` in forked worker
+processes.
 
 A trip answer is a pure function of the request, the planner policy and
-the index epoch, so with a shared cache backend every driver memoises
-whole trips in its ``trips`` section: a repeated trip is one probe
-(:meth:`QueryEngine.trip_key`, :meth:`TripQueryResult.replayed`) and
-none of the three stages runs.
+the index epoch, so with a shared cache backend :meth:`run_batch`
+memoises whole trips in its ``trips`` section: a repeated trip is one
+probe (:meth:`QueryEngine.trip_key`, :meth:`TripQueryResult.replayed`)
+and none of the three stages runs.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ from .estimator import CardinalityEstimator
 from .exec import (
     BatchExecutor,
     DedupStats,
+    SubQueryOutcome,
     TripMachine,
     convolve_histograms,
-    execute_fetch,
     prefetch_ranges_many,
 )
 from .plan import PlanPolicy
@@ -83,16 +84,16 @@ class PerTripCache:
     sub-path per trip (the estimator, the retrieval and every rung of the
     widen ladder share it), discarded when the trip completes.
 
-    Not a :class:`~repro.service.cachetier.CacheBackend`: it has the six
+    Not a :class:`~repro.service.cachetier.CacheBackend`: it has the four
     scalar probe/store methods a :class:`~repro.core.exec.TripMachine`
-    and the fetch stage call (6 of the protocol's 16) and that is all a
-    per-trip object is ever asked — the ``*_many`` forms, the trip memo
-    and the lifecycle hooks are only reached on an engine's shared cache
-    (the ``cache is not None`` branches).  It caches ranges only:
-    retrieval results and histograms are never shared, because within
-    one trip a sub-query is retrieved at most once per interval.  Every
-    fetch demand therefore reaches the index, and is accounted as one
-    ``n_index_scans``.
+    calls (4 of the protocol's 16) and that is all a per-trip object is
+    ever asked — retrieval results, the trip memo and the lifecycle
+    hooks are only reached on an engine's shared cache (the ``cache is
+    not None`` branches of the batch executor and of
+    :meth:`QueryEngine.run_batch`).  It caches ranges only: histograms
+    are never shared, because within one trip a sub-query is retrieved
+    at most once per interval.  Every fetch demand therefore reaches
+    the index, and is accounted as one ``n_index_scans``.
     """
 
     __slots__ = ("_ranges",)
@@ -106,36 +107,11 @@ class PerTripCache:
     def put_ranges(self, path, ranges):
         self._ranges[path] = ranges
 
-    def get_result(self, key):
-        return None
-
-    def put_result(self, key, result):
-        pass
-
     def get_histogram(self, key):
         return None
 
     def put_histogram(self, key, histogram):
         pass
-
-
-@dataclass
-class SubQueryOutcome:
-    """One completed sub-query, in path order."""
-
-    query: StrictPathQuery
-    values: np.ndarray
-    histogram: Histogram
-    from_fallback: bool
-
-    @property
-    def mean(self) -> float:
-        """``X_bar_j`` — used by the sMAPE / weighted-error metrics."""
-        return float(self.values.mean())
-
-    @property
-    def path_length(self) -> int:
-        return self.query.length
 
 
 @dataclass
@@ -160,7 +136,7 @@ class TripQueryResult:
     #: rung the walk needed was cached; always 0 with the default
     #: per-trip cache.  A demand is a scan or a hit, never both, so
     #: ``n_index_scans + n_cache_hits`` is the trip's demand count under
-    #: every driver, cache and reader — also when the cache's trip memo
+    #: every batch size, cache and reader — also when the cache's trip memo
     #: answered the whole trip in one probe: every demand of the
     #: memoised trip then counts as a hit (:meth:`replayed`), as a warm
     #: sequential pass would have.  Under concurrent fan-out two
@@ -343,10 +319,10 @@ class QueryEngine:
     monolithic :class:`repro.sntindex.SNTIndex` and the time-sliced
     :class:`repro.sntindex.ShardedSNTIndex` answer identically here.
 
-    Three executors, all bit-identical to sequential Procedure 6:
-    :meth:`query` drives one :class:`~repro.core.exec.TripMachine` on
-    the calling thread, :meth:`run_batch` drives many through the
-    deduplicating :class:`~repro.core.exec.BatchExecutor`, and
+    One driver, bit-identical to sequential Procedure 6:
+    :meth:`run_batch` drives a batch's trip machines through the
+    deduplicating :class:`~repro.core.exec.BatchExecutor` on the calling
+    thread, :meth:`query` is ``run_batch([request])``, and
     :meth:`run_forked` ships whole trips to forked worker processes.
     """
 
@@ -486,54 +462,13 @@ class QueryEngine:
         """Answer one :class:`repro.api.TripRequest`: Procedure 6 as a
         staged pipeline — plan, fetch, combine — on the calling thread.
 
-        A thin driver: the :class:`~repro.core.exec.TripMachine` owns
-        planning and combining, and every retrieval goes through the
-        fetch stage (:func:`~repro.core.exec.execute_fetch`).  The
-        request's estimator mode overrides the engine default, and the
-        result carries the request as a back-reference.  A shared cache
-        returns bit-identical histograms — cached retrievals re-enter
-        the procedure at the exact point the index scan would have, so
-        only the split between ``n_index_scans`` and ``n_cache_hits``
-        differs.
+        A batch of one through :meth:`run_batch`, the engine's only
+        driver: the same trip memo probe, machine, fetch rounds and
+        accounting, with nothing else in the batch to share a walk with.
+        The request's estimator mode overrides the engine default, and
+        the result carries the request as a back-reference.
         """
-        if not hasattr(request, "to_spq"):
-            # The exact migration mistake the deprecation message invites:
-            # passing a legacy StrictPathQuery here.  Keep it typed.
-            raise RequestValidationError(
-                f"QueryEngine.query expects a TripRequest; got "
-                f"{type(request).__name__} — wrap legacy queries with "
-                "TripRequest.from_spq(...)"
-            )
-        cache = self._synced_cache()
-        estimator = self._resolve_estimator(request.estimator)
-        if cache is not None:
-            started = time.perf_counter()
-            key = self.trip_key(request, estimator)
-            memo = cache.get_trip(key)
-            if memo is not None:
-                return memo.replayed(request, time.perf_counter() - started)
-        machine = TripMachine(
-            self.policy,
-            self.index,
-            self.network,
-            cache if cache is not None else PerTripCache(),
-            estimator,
-            request.to_spq(),
-            request.exclude_ids,
-        )
-        demand = machine.advance()
-        while demand is not None:
-            demand = machine.resume(
-                *execute_fetch(self.index, self.network, machine.cache, demand)
-            )
-        result = machine.result
-        assert result is not None
-        result.request = request
-        if cache is not None:
-            # Only a finished trip gets here: one that raised is asked
-            # again, and raises again.
-            cache.put_trip(key, result.replayed(None, result.elapsed_s))
-        return result
+        return self.run_batch([request])[0][0]
 
     def run_batch(
         self,
@@ -557,8 +492,28 @@ class QueryEngine:
         are planned, prefetched and run (then memoised).  The replayed
         trips are accounted as a sequential pass would have them — see
         :meth:`TripQueryResult.replayed` and
-        :class:`~repro.core.exec.DedupStats`.
+        :class:`~repro.core.exec.DedupStats`.  A shared cache returns
+        bit-identical histograms — cached retrievals re-enter the
+        procedure at the exact point the index scan would have, so only
+        the split between ``n_index_scans`` and ``n_cache_hits``
+        differs.
         """
+        # Identical requests are one trip: group them under their first
+        # occurrence (a pure function of the batch, shared cache or not).
+        estimators: List[Optional[CardinalityEstimator]] = []
+        twins: Dict[Hashable, List[int]] = {}
+        for position, request in enumerate(requests):
+            if not hasattr(request, "to_spq"):
+                # The exact migration mistake the typed API invites:
+                # passing a legacy StrictPathQuery.  Keep it typed.
+                raise RequestValidationError(
+                    f"QueryEngine expects a TripRequest; got "
+                    f"{type(request).__name__} — wrap legacy queries "
+                    "with TripRequest.from_spq(...)"
+                )
+            estimators.append(self._resolve_estimator(request.estimator))
+            key = self.trip_key(request, estimators[position])
+            twins.setdefault(key, []).append(position)
         shared = self._synced_cache()
         started = time.perf_counter()
         executor = BatchExecutor(
@@ -567,13 +522,6 @@ class QueryEngine:
             cache=shared,
             n_workers=n_workers,
         )
-        # Identical requests are one trip: group them under their first
-        # occurrence (a pure function of the batch, shared cache or not).
-        estimators = [self._resolve_estimator(r.estimator) for r in requests]
-        twins: Dict[Hashable, List[int]] = {}
-        for position, request in enumerate(requests):
-            key = self.trip_key(request, estimators[position])
-            twins.setdefault(key, []).append(position)
         results: List[Optional[TripQueryResult]] = [None] * len(requests)
         # Machines are built (and their clocks started) together, so in
         # batch mode a result's ``elapsed_s`` is its completion latency
@@ -581,6 +529,7 @@ class QueryEngine:
         # the trip's solo service time; timing is explicitly outside
         # the bit-identity contract.
         missed: List[Hashable] = []
+        copies: List[int] = []
         machines: List[TripMachine] = []
         for key, positions in twins.items():
             memo = shared.get_trip(key) if shared is not None else None
@@ -596,6 +545,7 @@ class QueryEngine:
                 continue
             first = positions[0]
             missed.append(key)
+            copies.append(len(positions))
             machines.append(
                 TripMachine(
                     self.policy,
@@ -605,17 +555,13 @@ class QueryEngine:
                     estimators[first],
                     requests[first].to_spq(),
                     requests[first].exclude_ids,
-                    prefetch=False,
                 )
             )
-        # Prefetch is deferred and pooled: the whole batch's planned
-        # sub-queries resolve through one batched backward search (the
-        # levelwise frontier descent needs batch-of-trips scale to pay
-        # off), instead of one small per-trip prefetch each.
+        # The whole batch's planned sub-queries resolve through one
+        # batched backward search (the levelwise frontier descent needs
+        # batch-of-trips scale to pay off).
         prefetch_ranges_many(self.index, machines)
-        answered = executor.run(
-            machines, [len(twins[key]) for key in missed]
-        )
+        answered = executor.run(machines, copies)
         for key, result in zip(missed, answered):
             first, *rest = twins[key]
             result.request = requests[first]

@@ -1,37 +1,32 @@
 """Query execution: the fetch and combine stages of Procedure 6.
 
 :mod:`repro.core.plan` decides *what to ask the index*; this module asks
-it.  Four pieces:
+it.  Three pieces:
 
 * :class:`TripMachine` — one trip's Procedure 6 state, advanced step by
   step.  ``advance()`` runs the planner (partition queue, shift-and-
   enlarge, estimator pre-check, relaxation) until the trip either needs
   an index fetch — returning a :class:`FetchDemand` — or completes.
   ``resume(rung, result, from_scan)`` feeds the fetch answer back in and
-  continues.  The machine performs no index retrieval itself, which is
-  what lets one driver answer a trip sequentially and another answer a
-  whole batch with cross-trip deduplication, bit-identically.
+  continues.  The machine performs no index retrieval itself: the
+  driver decides how demands reach the index.
 * :class:`FetchDemand` — one sub-query *and its widen ladder*: the
   demanded rung plus, built only when that rung fails, the wider rungs
   Procedure 1 would step through.  The fetch stage resolves the whole
   walk and answers ``(rung, result)``; the machine never re-plans a
   widening.
-* :func:`execute_fetch` — the fetch stage for one demand: chase the
-  cache up the ladder, and from the first rung it does not hold make
-  **one** :meth:`IndexReader.walk_ladder` call, storing every rung the
-  call settled under its own key.  A demand is accounted once — an
-  index scan if the index was asked, a cache hit if the cache answered
-  the whole walk — so ``n_index_scans + n_cache_hits`` is the same
-  under every driver, cache and reader.
-* :class:`BatchExecutor` — the round-based batch driver: collect the
-  pending demands of every in-flight trip, deduplicate identical walks,
-  answer each unique walk once (bulk cache probes rung by rung, then
-  one ``walk_ladder_many`` call for the round's misses — walked per
-  shard on a sharded reader), and fan each answer out to every owning
-  trip.
-  Owners that did not pay the scan account a cache hit, exactly as they
-  would have in a sequential pass over a shared cache, so histograms
-  stay byte-identical.
+* :class:`BatchExecutor` — the one driver, for a batch of any size (a
+  single query is a batch of one): each round it collects the pending
+  demands of every in-flight trip, deduplicates identical walks,
+  answers each unique walk once (bulk cache probes rung by rung, then
+  one :meth:`IndexReader.walk_ladder_many` call for the round's misses
+  — walked per shard on a sharded reader), stores every rung a scan
+  settled under its own key, and fans each answer out to every owning
+  trip.  A demand is accounted once — an index scan for the first
+  owner of a scanned walk, a cache hit for every other owner and for a
+  walk the cache answered whole — exactly as a sequential pass over a
+  shared cache would, so ``n_index_scans + n_cache_hits`` is the same
+  under every cache and reader and histograms stay byte-identical.
 """
 
 from __future__ import annotations
@@ -46,14 +41,15 @@ from typing import (
     Any,
     Deque,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import QueryError
 from ..histogram.histogram import Histogram
@@ -74,14 +70,14 @@ from .spq import StrictPathQuery
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..network.graph import RoadNetwork
     from ..sntindex.reader import IndexReader
-    from .engine import SubQueryOutcome, TripQueryResult
+    from .engine import TripQueryResult
 
 __all__ = [
     "FetchDemand",
+    "SubQueryOutcome",
     "TripMachine",
     "DedupStats",
     "BatchExecutor",
-    "execute_fetch",
     "prefetch_ranges_many",
     "convolve_histograms",
 ]
@@ -191,6 +187,25 @@ class FetchDemand:
         return rung + skipped, skipped
 
 
+@dataclass
+class SubQueryOutcome:
+    """One completed sub-query, in path order."""
+
+    query: StrictPathQuery
+    values: npt.NDArray[np.float64]
+    histogram: Histogram
+    from_fallback: bool
+
+    @property
+    def mean(self) -> float:
+        """``X_bar_j`` — used by the sMAPE / weighted-error metrics."""
+        return float(self.values.mean())
+
+    @property
+    def path_length(self) -> int:
+        return self.query.length
+
+
 def convolve_histograms(
     histograms: Sequence[Histogram], bucket_width_s: float
 ) -> Histogram:
@@ -216,8 +231,9 @@ class TripMachine:
     outcomes, the shift-and-enlarge accumulators, and the relaxation
     budget.  It touches the index only for planner reads (ISA ranges,
     estimator statistics, ``sigma_L`` count probes) — retrieval is
-    always demanded from a driver, so execution strategy (sequential vs
-    deduplicated batch) never changes what the machine computes.
+    always demanded from the driver, so what else shares the batch
+    never changes what the machine computes.  Its planned queue's ISA
+    ranges are warmed from outside, by :func:`prefetch_ranges_many`.
     """
 
     __slots__ = (
@@ -251,7 +267,6 @@ class TripMachine:
         estimator: Any,
         query: StrictPathQuery,
         exclude_ids: Sequence[int],
-        prefetch: bool = True,
     ) -> None:
         self.policy = policy
         self.cache = cache
@@ -266,7 +281,7 @@ class TripMachine:
         self._queue: Deque[StrictPathQuery] = deque(
             plan_trip(policy, query, network)
         )
-        self._outcomes: List["SubQueryOutcome"] = []
+        self._outcomes: List[SubQueryOutcome] = []
         self._shift_s = 0.0  # S_i: sum of earlier histogram minima
         self._enlarge_s = 0.0  # R_i: sum of earlier histogram ranges
         self._relaxations = 0
@@ -276,39 +291,6 @@ class TripMachine:
         self.n_skips = 0
         self.n_hits = 0
         self.result: Optional["TripQueryResult"] = None
-        if prefetch:
-            self._prefetch_ranges()
-
-    def _pending_prefetch(self) -> List[Sequence[int]]:
-        """Planned sub-query paths whose ISA ranges are not cached yet
-        (deduplicated, in queue order)."""
-        pending: List[Sequence[int]] = []
-        seen: Set[Tuple[int, ...]] = set()
-        for sub in self._queue:
-            key = tuple(sub.path)
-            if key in seen or self.cache.get_ranges(sub.path) is not None:
-                continue
-            seen.add(key)
-            pending.append(sub.path)
-        return pending
-
-    def _prefetch_ranges(self) -> None:
-        """Warm the range cache for the whole planned queue in one batch.
-
-        The planned sub-queries' ISA ranges are resolved together up
-        front by the batched backward search (``isa_ranges_many``)
-        instead of one ``isa_ranges`` call per :meth:`advance` step —
-        same ranges (the batched search is bit-identical), fetched
-        through one amortised descent.  Served through the cache, so
-        dedup/statistics behave as if each lookup happened at its usual
-        point.
-        """
-        pending = self._pending_prefetch()
-        if len(pending) < 2:  # nothing to amortise
-            return
-        found = self._index.isa_ranges_many(pending)
-        for path, ranges in zip(pending, found):
-            self.cache.put_ranges(path, ranges)
 
     def advance(self) -> Optional[FetchDemand]:
         """Plan until the next fetch is needed, or finish the trip.
@@ -395,8 +377,6 @@ class TripMachine:
                 result.values, self.policy.bucket_width_s
             )
             self.cache.put_histogram(histogram_key, histogram)
-        from .engine import SubQueryOutcome
-
         self._outcomes.append(
             SubQueryOutcome(
                 query=sub,
@@ -444,79 +424,47 @@ class TripMachine:
 def prefetch_ranges_many(
     index: "IndexReader", machines: Sequence[TripMachine]
 ) -> None:
-    """Pool the per-trip range prefetch across a whole batch of trips.
+    """Warm the range caches of a whole batch of trips in one call.
 
     Every machine's planned-but-uncached sub-query paths are merged
     (first owner's order, unique across the batch) and resolved with
     **one** ``isa_ranges_many`` call, then fanned back into each owning
-    machine's cache.  A batch of trips yields hundreds of sub-paths —
-    deep into the regime where the levelwise frontier descent beats the
-    scalar walk — where a single trip's queue (~10 paths) sits below
-    the bulk crossover.  Pure cache warming with bit-identical ranges,
-    so results and dedup statistics are unchanged; machines must have
-    been built with ``prefetch=False`` (otherwise they already warmed
-    their caches solo, and this finds nothing left to pool).
+    machine's cache — instead of one ``isa_ranges`` call per
+    :meth:`TripMachine.advance` step.  A batch of trips yields hundreds
+    of sub-paths, deep into the regime where the levelwise frontier
+    descent beats the scalar walk; a single trip's queue (~10 paths)
+    sits below the bulk crossover and takes the scalar descent inside
+    the same call.  Pure cache warming with bit-identical ranges, so
+    results and dedup statistics are unchanged.
     """
-    order: List[Sequence[int]] = []
     owners: Dict[Tuple[int, ...], List[TripMachine]] = {}
     for machine in machines:
-        for path in machine._pending_prefetch():
-            key = tuple(path)
-            holders = owners.get(key)
+        cached = machine.cache.get_ranges
+        for sub in machine._queue:
+            holders = owners.get(sub.path)
             if holders is None:
-                owners[key] = [machine]
-                order.append(path)
-            else:
+                if cached(sub.path) is None:
+                    owners[sub.path] = [machine]
+            elif holders[-1] is not machine and cached(sub.path) is None:
                 holders.append(machine)
-    if len(order) < 2:  # nothing to amortise
+    if len(owners) < 2:  # nothing to amortise
         return
-    for path, ranges in zip(order, index.isa_ranges_many(order)):
-        for machine in owners[tuple(path)]:
+    paths = list(owners)
+    for path, ranges in zip(paths, index.isa_ranges_many(paths)):
+        for machine in owners[path]:
             machine.cache.put_ranges(path, ranges)
-
-
-def execute_fetch(
-    index: "IndexReader",
-    network: "RoadNetwork",
-    cache: Any,
-    demand: FetchDemand,
-) -> Tuple[int, Any, bool]:
-    """Fetch stage for one demand: resolve its whole ladder walk.
-
-    Returns ``(rung, result, from_scan)``.  The cache is chased up the
-    ladder first — a cached failure moves the walk to the next rung, a
-    cached answer (or a cached failure of the last rung) ends it as a
-    hit.  From the first rung the cache does not hold, one
-    :meth:`IndexReader.walk_ladder` call settles the rest, and every
-    rung it tried is stored under its own key before anyone consumes the
-    answer — what a rung-by-rung walk would have left in the cache.
-    """
-    rung, task = 0, demand.task
-    while (result := cache.get_result(task.key)) is not None:
-        if not result.is_empty or rung + 1 == len(demand.tasks()):
-            return rung, result, False
-        rung += 1
-        task = demand.tasks()[rung]
-    walk = index.walk_ladder(
-        task.query,
-        partial(demand.wider, rung),
-        fallback_tt=network.estimate_tt,
-        exclude_ids=demand.exclude,
-        isa_ranges=demand.ranges,
-    )
-    for key, settled in demand.stored(rung, walk):
-        cache.put_result(key, settled)
-    return rung + len(walk) - 1, walk[-1], True
 
 
 def _scan_walks(
     index: "IndexReader",
     network: "RoadNetwork",
-    walks: Sequence[Tuple[FetchDemand, int]],
+    leads: Sequence[FetchDemand],
+    rungs: Sequence[int],
+    misses: Iterable[int],
     n_workers: int,
 ) -> List[List[Any]]:
-    """Scan stage over unique ``(demand, first uncached rung)`` walks, in
-    order.
+    """Scan stage over the round's missed walk slots, in order, each
+    from ``rungs[slot]``, the first rung the cache does not hold.
 
     ``walk_ladder_many`` answers the whole set in one call — the
     monolithic index walks item by item, the sharded router walks each
@@ -526,12 +474,12 @@ def _scan_walks(
     """
     items = [
         (
-            demand.task_at(rung).query,
-            partial(demand.wider, rung),
-            demand.exclude,
-            demand.ranges,
+            leads[slot].task_at(rungs[slot]).query,
+            partial(leads[slot].wider, rungs[slot]),
+            leads[slot].exclude,
+            leads[slot].ranges,
         )
-        for demand, rung in walks
+        for slot in misses
     ]
     if n_workers > 1 and len(items) > 1:
         # Contiguous slices, one call per worker: per-shard
@@ -555,9 +503,7 @@ def _scan_walks(
                 )
             )
         return [walk for part in parts for walk in part]
-    return list(
-        index.walk_ladder_many(items, fallback_tt=network.estimate_tt)
-    )
+    return index.walk_ladder_many(items, fallback_tt=network.estimate_tt)
 
 
 @dataclass
@@ -624,7 +570,8 @@ class DedupStats:
 
 
 class BatchExecutor:
-    """Answers a batch of trips with cross-trip sub-query deduplication.
+    """Answers a batch of trips — one or many — with cross-trip
+    sub-query deduplication.
 
     Each round: every in-flight trip plans up to its next fetch demand;
     demands for the same ladder walk are grouped; each unique walk is
@@ -638,7 +585,8 @@ class BatchExecutor:
     re-plans and demands again in the next round.
 
     ``cache`` may be ``None`` (no shared backend): deduplication then
-    happens only within a round's demand set, and nothing is stored.
+    happens only within a round's demand set, nothing is probed and
+    nothing is stored.
     """
 
     def __init__(
@@ -655,43 +603,43 @@ class BatchExecutor:
         self.stats = DedupStats()
 
     def _chase_cache(
-        self, leads: Dict[Any, FetchDemand]
-    ) -> Tuple[Dict[Any, Tuple[int, Any]], Dict[Any, int]]:
+        self,
+        leads: Sequence[FetchDemand],
+        rungs: List[int],
+        answers: List[Any],
+    ) -> List[int]:
         """Chase every walk up its ladder through the shared cache.
 
         One bulk probe per ladder level: a cached failure moves a walk
-        to its next rung, a cached answer (or the last rung's cached
-        failure) settles it.  Returns the settled walks' ``(rung,
-        result)`` and, for the others, the first rung the cache does not
-        hold.
+        to its next rung (``rungs[slot] += 1``), a cached answer (or the
+        last rung's cached failure) settles it as ``answers[slot] =
+        (rung, result)``.  Returns the slots of the walks the cache
+        could not settle, in slot order, each left at the first rung the
+        cache does not hold.
         """
-        answers: Dict[Any, Tuple[int, Any]] = {}
-        open_at = dict.fromkeys(leads, 0)
-        if self.cache is None:
-            return answers, open_at
-        frontier = list(leads)
+        misses: List[int] = []
+        frontier: Sequence[int] = range(len(leads))
         while frontier:
             keys = [
-                leads[walk].task_at(open_at[walk]).key for walk in frontier
+                leads[slot].task_at(rungs[slot]).key for slot in frontier
             ]
             found = self.cache.get_results_many(keys)
-            climbing = []
-            for walk, key in zip(frontier, keys):
+            climbing: List[int] = []
+            for slot, key in zip(frontier, keys):
                 result = found.get(key)
                 if result is None:
-                    continue
-                rung = open_at[walk]
-                if (
+                    misses.append(slot)
+                elif (
                     not result.is_empty
-                    or rung + 1 == len(leads[walk].tasks())
+                    or rungs[slot] + 1 == len(leads[slot].tasks())
                 ):
-                    answers[walk] = (rung, result)
-                    del open_at[walk]
+                    answers[slot] = (rungs[slot], result)
                 else:
-                    open_at[walk] = rung + 1
-                    climbing.append(walk)
+                    rungs[slot] += 1
+                    climbing.append(slot)
             frontier = climbing
-        return answers, open_at
+        misses.sort()
+        return misses
 
     def run(
         self,
@@ -707,7 +655,8 @@ class BatchExecutor:
         times: planned, and then a cache hit or a scan saved by dedup
         exactly as the twins' own demands would have been.
         """
-        self.stats.n_trips += sum(copies)
+        stats, cache = self.stats, self.cache
+        stats.n_trips += sum(copies)
         pending: List[Tuple[TripMachine, FetchDemand, int]] = []
         for machine, n_copies in zip(machines, copies):
             demand = machine.advance()
@@ -715,48 +664,62 @@ class BatchExecutor:
                 pending.append((machine, demand, n_copies))
 
         while pending:
-            self.stats.n_rounds += 1
+            stats.n_rounds += 1
 
-            # Group demands by walk, preserving submission order (both
-            # of the unique walks and of each walk's owners); the first
-            # owner's demand stands for the group.
-            walks = [demand.walk_key for _, demand, _ in pending]
-            n_owners: Dict[Any, int] = {}
-            leads: Dict[Any, FetchDemand] = {}
-            for walk, (_, demand, n_copies) in zip(walks, pending):
-                if walk in leads:
-                    n_owners[walk] += n_copies
+            # Group demands by walk — each walk key is hashed once — in
+            # submission order of the walks and of each walk's owners.
+            # A walk is a slot: its first owner's demand leads it, and
+            # its owner count, first uncached rung, answer and whether
+            # its scan is still unpaid are lists by slot.
+            slot_of: Dict[Any, int] = {}
+            slots: List[int] = []
+            leads: List[FetchDemand] = []
+            n_owners: List[int] = []
+            for _, demand, n_copies in pending:
+                slot = slot_of.setdefault(demand.walk_key, len(leads))
+                slots.append(slot)
+                if slot == len(leads):
+                    leads.append(demand)
+                    n_owners.append(n_copies)
                 else:
-                    leads[walk] = demand
-                    n_owners[walk] = n_copies
-            self.stats.planned_subqueries += sum(n_owners.values())
-            self.stats.unique_subqueries += len(leads)
+                    n_owners[slot] += n_copies
+            n_walks = len(leads)
+            hits = sum(n_owners)
+            stats.planned_subqueries += hits
+            stats.unique_subqueries += n_walks
 
-            answers, open_at = self._chase_cache(leads)
-            self.stats.cache_hits += sum(n_owners[walk] for walk in answers)
+            answers: List[Any] = [None] * n_walks
+            rungs = [0] * n_walks
+            misses: Sequence[int] = (
+                range(n_walks)
+                if cache is None
+                else self._chase_cache(leads, rungs, answers)
+            )
             scanned = _scan_walks(
-                self.index,
-                self.network,
-                [(leads[walk], rung) for walk, rung in open_at.items()],
+                self.index, self.network, leads, rungs, misses,
                 self.n_workers,
             )
-            self.stats.n_index_scans += len(scanned)
-            settled: List[Tuple[Any, Any]] = []
-            for (walk, rung), results in zip(open_at.items(), scanned):
-                settled.extend(leads[walk].stored(rung, results))
-                answers[walk] = (rung + len(results) - 1, results[-1])
-            if self.cache is not None and settled:
-                self.cache.put_results_many(settled)
+            stats.n_index_scans += len(scanned)
+            unpaid = [False] * n_walks
+            for slot, walk in zip(misses, scanned):
+                answers[slot] = (rungs[slot] + len(walk) - 1, walk[-1])
+                unpaid[slot] = True
+                hits -= n_owners[slot]
+            stats.cache_hits += hits
+            if cache is not None and scanned:
+                cache.put_results_many([
+                    entry
+                    for slot, walk in zip(misses, scanned)
+                    for entry in leads[slot].stored(rungs[slot], walk)
+                ])
 
             # Fan out, in submission order; the first owner of a scanned
             # walk pays the scan, later owners account hits.
-            unpaid = set(open_at)
             next_pending: List[Tuple[TripMachine, FetchDemand, int]] = []
-            for walk, (machine, _, n_copies) in zip(walks, pending):
-                from_scan = walk in unpaid
-                if from_scan:
-                    unpaid.discard(walk)
-                follow_up = machine.resume(*answers[walk], from_scan)
+            for (machine, _, n_copies), slot in zip(pending, slots):
+                from_scan = unpaid[slot]
+                unpaid[slot] = False
+                follow_up = machine.resume(*answers[slot], from_scan)
                 if follow_up is not None:
                     next_pending.append((machine, follow_up, n_copies))
             pending = next_pending

@@ -82,7 +82,7 @@ _DB_FILENAME = "subquery_cache.sqlite"
 @runtime_checkable
 class CacheBackend(Protocol):
     """The cache protocol :class:`repro.core.exec.TripMachine` and the
-    :class:`repro.core.engine.QueryEngine` drivers consume, plus the
+    :class:`repro.core.engine.QueryEngine` driver consume, plus the
     session lifecycle hooks.
 
     ``get_*`` returns ``None`` on a miss; cached values are treated as

@@ -26,6 +26,7 @@ from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
 from ..temporal.records import TraversalColumns
 from ..trajectories.model import TrajectorySet
+from . import procedures
 from .partition import IndexPartition, build_partition
 from .persistence import load_index, save_index
 from .store import ShardStore
@@ -363,9 +364,7 @@ class SNTIndex:
         isa_ranges=None,
     ):
         """Procedure 5 over this index (see :mod:`.procedures`)."""
-        from .procedures import monolithic_travel_times
-
-        return monolithic_travel_times(
+        return procedures.monolithic_travel_times(
             self,
             query,
             fallback_tt=fallback_tt,
@@ -382,42 +381,22 @@ class SNTIndex:
         isa_ranges)`` item of a deduplicated demand set, in item order
         (see :func:`repro.sntindex.procedures.monolithic_travel_times_many`).
         """
-        from .procedures import monolithic_travel_times_many
-
-        return monolithic_travel_times_many(
+        return procedures.monolithic_travel_times_many(
             self, items, fallback_tt=fallback_tt
         )
 
-    def walk_ladder(
-        self,
-        query,
-        wider,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ):
-        """Procedure 1's widen ladder for one sub-query as one call:
-        ``query`` at its own width, then — only if that fails — the
-        rungs ``wider()`` names, all counted from one scan of the widest
-        (see :func:`repro.sntindex.procedures.monolithic_ladder`)."""
-        from .procedures import monolithic_ladder
-
-        return monolithic_ladder(
-            self,
-            query,
-            wider,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
-        )
-
     def walk_ladder_many(self, items: Sequence[Tuple], fallback_tt=None):
-        """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
-        isa_ranges)`` item, in item order
-        (see :func:`repro.sntindex.procedures.monolithic_ladder_many`)."""
-        from .procedures import monolithic_ladder_many
-
-        return monolithic_ladder_many(self, items, fallback_tt=fallback_tt)
+        """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
+        isa_ranges)`` item, in item order: each ``query`` at its own
+        width, then — only if that fails — the rungs ``wider()`` names,
+        all counted from one scan of the widest (see
+        :func:`repro.sntindex.procedures.monolithic_ladder`)."""
+        return [
+            procedures.monolithic_ladder(
+                self, query, wider, fallback_tt, exclude_ids, isa_ranges
+            )
+            for query, wider, exclude_ids, isa_ranges in items
+        ]
 
     def count_matches(
         self,
@@ -428,9 +407,7 @@ class SNTIndex:
         limit: Optional[int] = None,
     ) -> int:
         """Exact strict-path match count (see :mod:`.procedures`)."""
-        from .procedures import monolithic_count_matches
-
-        return monolithic_count_matches(
+        return procedures.monolithic_count_matches(
             self,
             path,
             interval,

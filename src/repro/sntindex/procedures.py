@@ -43,7 +43,8 @@ the measured group sizes), so stacking a group's bounds and candidates
 costs more than it shares.
 
 On top of Procedure 5 sits the *ladder walk* the engine's fetch stage
-calls (:func:`monolithic_ladder`, :func:`monolithic_ladder_many`):
+calls (:func:`monolithic_ladder`, looped over a round's demands by
+:meth:`SNTIndex.walk_ladder_many`):
 Procedure 1 widens a failing periodic sub-query rung by rung, and every
 rung's matches are a subset of the widest rung's, so one uncut scan of
 the widest window counts them all and :func:`choose_rung` jumps to the
@@ -95,7 +96,6 @@ __all__ = [
     "classify_scan",
     "choose_rung",
     "monolithic_ladder",
-    "monolithic_ladder_many",
     "count_matches",
     "monolithic_count_matches",
 ]
@@ -108,12 +108,6 @@ MatchItem = Tuple[StrictPathQuery, Sequence[int], Optional[int],
                   Optional[IsaRanges]]
 #: One probe work item: ``(query, selected_rows, first_columns)``.
 ProbeEntry = Tuple[StrictPathQuery, Int64Array, TraversalColumns]
-#: One ladder walk: ``(query, wider, exclude_ids, isa_ranges)`` — the rung
-#: to scan first and a callable producing the wider rungs to fall back
-#: on, asked at most once and only when ``query`` fails.
-LadderItem = Tuple[StrictPathQuery,
-                   Callable[[], Sequence[StrictPathQuery]],
-                   Sequence[int], Optional[IsaRanges]]
 
 
 @dataclass
@@ -573,22 +567,6 @@ def monolithic_ladder(
         values, _ = probe_travel_times(index, chosen, selected, matches[1])
         walk.append(TravelTimeResult(values, int(selected.size)))
     return walk
-
-
-def monolithic_ladder_many(
-    index: "SNTIndex",
-    items: Sequence[LadderItem],
-    fallback_tt: Optional[Callable[[int], float]] = None,
-) -> List[List[TravelTimeResult]]:
-    """:func:`monolithic_ladder` per ``(query, wider, exclude_ids,
-    isa_ranges)`` item, in item order."""
-    return [
-        monolithic_ladder(
-            index, query, wider, fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids, isa_ranges=isa_ranges,
-        )
-        for query, wider, exclude_ids, isa_ranges in items
-    ]
 
 
 def count_matches(

@@ -14,11 +14,11 @@ the same engine unchanged:
   :meth:`IndexReader.edge_index`, and time-of-day selectivity via
   :attr:`IndexReader.tod_store`;
 * the **retrieval** side: Procedure 5 (:meth:`IndexReader.get_travel_times`,
-  and :meth:`IndexReader.get_travel_times_many` for a demand set), a
-  sub-query's whole widen ladder as one call
-  (:meth:`IndexReader.walk_ladder`, and :meth:`IndexReader.walk_ladder_many`
-  for a batch round's demand set — what the engine's fetch stage calls)
-  and the exact match counter backing the ``sigma_L`` splitter
+  and :meth:`IndexReader.get_travel_times_many` for a demand set), each
+  sub-query's whole widen ladder as one item of one call per batch
+  round (:meth:`IndexReader.walk_ladder_many` — the only retrieval the
+  engine's batch executor makes; a single query is a round of one
+  item) and the exact match counter backing the ``sigma_L`` splitter
   (:meth:`IndexReader.count_matches`);
 * the **user** container ``U: d -> u``;
 * scalar identity: ``t_min``/``t_max``, ``alphabet_size``, ``kind``,
@@ -139,34 +139,24 @@ class IndexReader(Protocol):
         set shard by shard)."""
         ...
 
-    def walk_ladder(
-        self,
-        query,
-        wider: Callable[[], Sequence],
-        fallback_tt: Optional[Callable[[int], float]] = None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> List:
-        """Procedure 1's widen ladder for one sub-query, as one call.
-
-        ``query`` is answered at its own width; only if that result is
-        empty is ``wider()`` asked (once) for the rungs above it,
-        narrowest first.  Returns one :meth:`get_travel_times` result
-        per rung tried, in ladder order: the failed rungs' empty results,
-        then the first rung that answers or the widest rung's failure —
-        each exactly what that rung's own :meth:`get_travel_times`
-        returns, at the cost of one scan of the widest rung.
-        """
-        ...
-
     def walk_ladder_many(
         self,
         items: Sequence[Tuple],
         fallback_tt: Optional[Callable[[int], float]] = None,
     ) -> List[List]:
-        """:meth:`walk_ladder` per ``(query, wider, exclude_ids,
+        """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
         isa_ranges)`` item, in item order (a sharded reader walks the
-        set shard by shard)."""
+        set shard by shard).
+
+        Each item's ``query`` is answered at its own width; only if that
+        result is empty is its ``wider()`` asked (once) for the rungs
+        above it, narrowest first.  Per item, returns one
+        :meth:`get_travel_times` result per rung tried, in ladder order:
+        the failed rungs' empty results, then the first rung that
+        answers or the widest rung's failure — each exactly what that
+        rung's own :meth:`get_travel_times` returns, at the cost of one
+        scan of the widest rung.
+        """
         ...
 
     def count_matches(

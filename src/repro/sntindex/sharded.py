@@ -345,15 +345,19 @@ class ShardRouter:
         with self._lock:
             self.entries[position].n_scans += 1
 
+    def _snapshot(self) -> ShardStats:
+        """The counters as they stand; the caller holds the lock."""
+        return ShardStats(
+            n_dispatches=self._n_dispatches,
+            n_shard_scans=sum(e.n_scans for e in self.entries),
+            n_shards_pruned=self._n_pruned,
+            per_shard_scans={e.label: e.n_scans for e in self.entries},
+            n_shards=len(self.entries),
+        )
+
     def stats(self) -> ShardStats:
         with self._lock:
-            return ShardStats(
-                n_dispatches=self._n_dispatches,
-                n_shard_scans=sum(e.n_scans for e in self.entries),
-                n_shards_pruned=self._n_pruned,
-                per_shard_scans={e.label: e.n_scans for e in self.entries},
-                n_shards=len(self.entries),
-            )
+            return self._snapshot()
 
     def drain(self) -> ShardStats:
         """Read-and-zero: the stats since the last drain, atomically.
@@ -364,13 +368,7 @@ class ShardRouter:
         twice.
         """
         with self._lock:
-            snapshot = ShardStats(
-                n_dispatches=self._n_dispatches,
-                n_shard_scans=sum(e.n_scans for e in self.entries),
-                n_shards_pruned=self._n_pruned,
-                per_shard_scans={e.label: e.n_scans for e in self.entries},
-                n_shards=len(self.entries),
-            )
+            snapshot = self._snapshot()
             self._n_dispatches = 0
             self._n_pruned = 0
             for entry in self.entries:
@@ -577,19 +575,6 @@ class ShardRouter:
             results[item_index] = TravelTimeResult(merged, n_matched)
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
-
-    def walk_ladder(
-        self,
-        query,
-        wider,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> List[TravelTimeResult]:
-        """One sub-query's widen ladder scattered over the shards."""
-        return self.walk_ladder_many(
-            [(query, wider, exclude_ids, isa_ranges)], fallback_tt=fallback_tt
-        )[0]
 
     def walk_ladder_many(
         self, items: Sequence[Tuple], fallback_tt=None
@@ -1151,22 +1136,6 @@ class ShardedSNTIndex:
         :meth:`ShardRouter.get_travel_times_many`)."""
         return self._router.get_travel_times_many(
             items, fallback_tt=fallback_tt
-        )
-
-    def walk_ladder(
-        self,
-        query,
-        wider,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> List[TravelTimeResult]:
-        return self._router.walk_ladder(
-            query,
-            wider,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
         )
 
     def walk_ladder_many(

@@ -408,15 +408,24 @@ class TestLegacySurfaceRemoved:
     """The PR-3 shims were removed on the ROADMAP schedule (PR 5):
     ``repro.api`` is the only query surface left."""
 
-    def test_engine_query_rejects_legacy_spq_with_typed_error(self, world):
+    @pytest.mark.parametrize("driver", ["query", "run_batch"])
+    def test_engine_rejects_legacy_spq(self, world, driver):
+        """Both entry points raise the typed error — the guard lives in
+        ``run_batch``, which ``query`` is a batch of one of, so a legacy
+        query never gets as far as estimator resolution (an
+        ``AttributeError``)."""
         from repro import QueryEngine
         from repro.errors import RequestValidationError
 
         dataset, index = world
         engine = QueryEngine(index, dataset.network)
         spq = StrictPathQuery(path=(1,), interval=FixedInterval(0, 10))
+        answer = {
+            "query": lambda: engine.query(spq),
+            "run_batch": lambda: engine.run_batch([spq]),
+        }[driver]
         with pytest.raises(RequestValidationError, match="from_spq"):
-            engine.query(spq)
+            answer()
 
     def test_trip_query_entry_points_are_gone(self, world):
         from repro import QueryEngine

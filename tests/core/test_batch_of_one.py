@@ -1,13 +1,19 @@
-"""A batch of one does a single query's kernel work (ISSUE 21).
+"""A single query is a batch of one, and a batch round hashes each walk
+once.
 
-``db.query(r)`` and ``db.query_many([r])`` through the deduplicating
-executor must reach the same kernels the same number of times: equal
-calls of (and rows selected by) ``EdgeTemporalIndex.rows_fixed`` /
-``rows_periodic`` and ``first_segment_matches``, equal answers and equal
-``n_index_scans + n_cache_hits``, on the CSS and B+-tree monolithic
-indexes and on a multi-shard ``ShardedSNTIndex`` with a staging shard.
-This is the kernel-level precondition of making ``QueryEngine.query``
-a batch of one (ROADMAP item 1(c)).
+``QueryEngine.query(r)`` is ``run_batch([r])``: the deduplicating
+executor is the only driver.  These properties keep that honest:
+
+* ``db.query(r)`` and ``db.query_many([r])`` reach the same kernels the
+  same number of times — equal calls of (and rows selected by)
+  ``EdgeTemporalIndex.rows_fixed`` / ``rows_periodic`` and
+  ``first_segment_matches`` — with equal answers and equal
+  ``n_index_scans + n_cache_hits``, on the CSS and B+-tree monolithic
+  indexes and on a multi-shard ``ShardedSNTIndex`` with a staging shard;
+* a round groups its demands by hashing each ``FetchDemand.walk_key``
+  exactly once (the key holds an interval whose ``__hash__`` runs in
+  Python, which made repeated hashing the bulk of a small round's
+  cost), with and without a shared cache.
 """
 
 import numpy as np
@@ -19,10 +25,13 @@ from repro import (
     EngineConfig,
     FixedInterval,
     PeriodicInterval,
+    QueryEngine,
+    SubQueryCache,
     TravelTimeDB,
     TripRequest,
 )
 from repro.config import SECONDS_PER_DAY
+from repro.core.exec import FetchDemand
 from repro.sntindex import procedures
 from repro.temporal.forest import EdgeTemporalIndex
 
@@ -121,3 +130,56 @@ def test_a_batch_of_one_does_a_single_querys_kernel_work(world, data):
             assert got.query == want.query
             assert np.array_equal(got.values, want.values)
             assert got.from_fallback == want.from_fallback
+
+
+class CountingKey:
+    """A walk key that counts how often it is hashed."""
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, key, counter):
+        self.key = key
+        self.counter = counter
+
+    def __hash__(self):
+        self.counter[0] += 1
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return isinstance(other, CountingKey) and self.key == other.key
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("cache", ["off", "memory"])
+def test_a_round_hashes_each_walk_key_once(world, reader, cache):
+    dataset, readers, trips = world
+    requests = list(
+        dict.fromkeys(
+            TripRequest(
+                path=trip.path[:6],
+                interval=PeriodicInterval.around(trip.start_time, 300),
+                exclude_ids=(trip.traj_id,),
+                beta=20,
+            )
+            for trip in trips[:40]
+        )
+    )[:12]
+    assert len(requests) == 12
+    engine = QueryEngine(
+        readers[reader],
+        dataset.network,
+        cache=SubQueryCache() if cache == "memory" else None,
+    )
+    hashes = [0]
+    walk_key = FetchDemand.walk_key.fget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            FetchDemand,
+            "walk_key",
+            property(lambda demand: CountingKey(walk_key(demand), hashes)),
+        )
+        results, stats = engine.run_batch(requests)
+
+    demands = sum(r.n_index_scans + r.n_cache_hits for r in results)
+    assert demands == stats.planned_subqueries > len(requests)
+    assert hashes[0] == demands

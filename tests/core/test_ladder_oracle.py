@@ -1,7 +1,7 @@
 """Rung-by-rung oracle for the one-call ladder walk (ISSUE 18).
 
-The fetch stage resolves a sub-query's whole widen ladder with one
-``IndexReader.walk_ladder`` call and the machine is told which rung
+The fetch stage resolves a sub-query's whole widen ladder as one item
+of an ``IndexReader.walk_ladder_many`` call and the machine is told which rung
 answered.  The oracles here do it the way Procedure 1 is written — scan
 a rung with the scalar ``get_travel_times``, fail, ``modify_subquery``,
 re-plan, scan the next — and everything the new walk returns must equal
@@ -147,8 +147,8 @@ def assert_same_result(actual, expected):
 
 
 def assert_walk_matches(index, network, query, ladder, exclude_ids=()):
-    """``walk_ladder`` (scalar and grouped) against the rung-by-rung
-    loop; returns the expected walk."""
+    """``walk_ladder_many`` (one item, and grouped) against the
+    rung-by-rung loop; returns the expected walk."""
     expected = rung_by_rung(index, network, query, ladder, exclude_ids)
     asked = []
 
@@ -157,13 +157,11 @@ def assert_walk_matches(index, network, query, ladder, exclude_ids=()):
         return widen_rungs(query, ladder, limit=50)
 
     walks = [
-        index.walk_ladder(
-            query,
-            wider,
+        # One item, ranges from the planner — a single query's round.
+        index.walk_ladder_many(
+            [(query, wider, exclude_ids, index.isa_ranges(query.path))],
             fallback_tt=network.estimate_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=index.isa_ranges(query.path),
-        ),
+        )[0],
         # Grouped form, ranges left to the reader, beside a second item
         # on the same first edge.
         index.walk_ladder_many(
