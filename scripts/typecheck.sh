@@ -15,7 +15,7 @@
 # (the per-edge temporal trees and sort permutations), src/repro/
 # server (ServerConfig / collector / HTTP framing / client), and
 # sntindex/store.py + sntindex/compaction.py (the ShardStore protocol,
-# its local/object backends, and the sealed-shard compactor).  These
+# its local-directory backend, and the sealed-shard compactor).  These
 # call into the not-yet-annotated core/sntindex modules, so untyped
 # *calls* are allowed and imports are followed silently; everything
 # the checked files themselves define is held to --strict.

@@ -60,18 +60,12 @@ class EngineConfig:
         and therefore answers, so two configs differing only here must
         NOT compare equal — ROADMAP designates EngineConfig identity as
         part of the external cache-tier key.
-    n_workers:
-        Default fan-out width for batch/stream execution.
     dedup_subqueries:
-        Answer ``query_many``/``stream`` batches through the staged
-        deduplicating executor (:class:`repro.core.exec.BatchExecutor`):
-        the planned sub-queries of all in-flight trips are collected,
-        identical ``(path, interval, user, beta, exclude)`` tasks are
-        scanned once, and the answer fans out to every owning trip —
-        bit-identical to the per-trip loop, so this is serving plumbing
-        and excluded from :meth:`cache_identity`.  Off by default; the
-        win is cold-cache repeated-path batches (a warm shared cache
-        already deduplicates across sequential trips).
+        ``True``, its only legal value (``False`` raises): every batch
+        runs through the deduplicating executor
+        (:class:`repro.core.exec.BatchExecutor`), bit-identical to the
+        per-trip loop.  Kept so existing ``dedup_subqueries=True``
+        call sites still construct; nothing reads it.
     cache_entries:
         Per-section LRU bound of the session's cache (``None`` =
         unbounded).
@@ -94,7 +88,7 @@ class EngineConfig:
         caps memory).
     store:
         Optional index location — a directory path or shard-store URI
-        (``file:...``, ``object://...``; see
+        (``file:...``; see
         :mod:`repro.sntindex.store`) that :func:`repro.open_db` falls
         back to when no explicit ``path_or_index`` is given.  Where the
         index lives never changes what a query returns, so this is
@@ -124,8 +118,7 @@ class EngineConfig:
     max_relaxations: int = 10_000
     shift_and_enlarge: bool = True
     beta_policy: Optional[BetaPolicy] = None
-    n_workers: int = 1
-    dedup_subqueries: bool = False
+    dedup_subqueries: bool = True
     cache_entries: Optional[int] = 65_536
     cache: str = "memory"
     cache_store_entries: Optional[int] = None
@@ -168,17 +161,12 @@ class EngineConfig:
             raise ConfigurationError("user_selectivity must be in (0, 1]")
         if self.max_relaxations < 1:
             raise ConfigurationError("max_relaxations must be positive")
-        if self.n_workers < 1:
-            raise ConfigurationError("n_workers must be positive")
         if self.cache_entries is not None and self.cache_entries < 1:
             raise ConfigurationError(
                 "cache_entries must be positive or None (unbounded)"
             )
-        if not isinstance(self.dedup_subqueries, bool):
-            raise ConfigurationError(
-                "dedup_subqueries must be a bool; got "
-                f"{self.dedup_subqueries!r}"
-            )
+        if self.dedup_subqueries is not True:
+            raise ConfigurationError("deduplication is always on")
         if self.cache_store_entries is not None and (
             not isinstance(self.cache_store_entries, int)
             or isinstance(self.cache_store_entries, bool)
@@ -206,7 +194,7 @@ class EngineConfig:
         ):
             raise ConfigurationError(
                 "store must be None, a directory path, or a store URI "
-                f"(file:..., object://...); got {self.store!r}"
+                f"(file:...); got {self.store!r}"
             )
         if not isinstance(self.cache, str) or (
             self.cache not in ("memory", "off", "shared")
@@ -241,8 +229,8 @@ class EngineConfig:
         + EngineConfig identity + index epoch).  Two processes whose
         configs agree on every field that can change an answer produce
         the same identity and therefore share entries; serving knobs
-        (``n_workers``, the ``cache*`` plumbing) are excluded, since
-        they never change what a query returns.  ``beta_policy`` is a
+        (the ``cache*`` plumbing, ``store``) are excluded, since they
+        never change what a query returns.  ``beta_policy`` is a
         callable and has no cross-process identity, so configs carrying
         one are rejected.
         """

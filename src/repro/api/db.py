@@ -16,19 +16,18 @@ sharded :class:`~repro.ShardedSNTIndex`, loaded transparently via
 :class:`~repro.service.SubQueryCache`.  All three batch surfaces —
 :meth:`TravelTimeDB.query`, :meth:`~TravelTimeDB.query_many`, and the
 streaming generator :meth:`~TravelTimeDB.stream` — answer bit-identically
-to sequential Procedure 6; they differ only in scheduling.
+to sequential Procedure 6; all three are
+:meth:`~repro.core.engine.QueryEngine.run_batch` on the calling thread,
+over one request, one batch, or one ``window``-sized chunk at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from itertools import islice
 from os import PathLike
 from pathlib import Path
 from typing import (
     Any,
-    Deque,
     Iterable,
     Iterator,
     List,
@@ -41,7 +40,7 @@ from typing import (
 
 from ..core.engine import QueryEngine, TripQueryResult
 from ..core.exec import DedupStats
-from ..errors import ConfigurationError, RequestValidationError
+from ..errors import ConfigurationError
 from ..network.graph import RoadNetwork
 from ..network.io import load_network
 from ..service.cache import CacheStats
@@ -68,7 +67,7 @@ class TravelTimeDB:
     The session is cheap to keep open: the index is immutable, the cache
     is LRU-bounded, and every public method is safe to call from
     multiple threads (the engine is stateless per call and the cache is
-    locked).
+    locked) — the serving tier runs its rounds that way.
 
     Usable as a context manager; closing releases the session's own
     cache backend (see :meth:`close`).
@@ -115,13 +114,12 @@ class TravelTimeDB:
         self._engine = QueryEngine(
             index, cast(RoadNetwork, network), self._config, cache=cache
         )
-        #: Dedup accounting of the most recent batch (or whole stream)
-        #: answered through the deduplicating executor: how many
-        #: sub-queries it planned (memoised and duplicate trips'
-        #: included), how many were unique, and how many scans the
-        #: deduplication absorbed.  ``None`` before the first
-        #: such batch, or after one that ran without dedup.
-        self.last_dedup_stats: Optional[DedupStats] = None
+        #: Dedup accounting of the most recent :meth:`query_many` batch
+        #: (or whole :meth:`stream`): how many sub-queries it planned
+        #: (memoised and duplicate trips' included), how many were
+        #: unique, and how many scans the deduplication absorbed.  All
+        #: zero before the first batch.
+        self.last_dedup_stats = DedupStats()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -186,7 +184,7 @@ class TravelTimeDB:
         return (
             f"TravelTimeDB(index={type(self.index).__name__}, "
             f"partitioner={self._config.partitioner!r}, "
-            f"n_workers={self._config.n_workers})"
+            f"cache={self._config.cache!r})"
         )
 
     # ------------------------------------------------------------------ #
@@ -205,191 +203,71 @@ class TravelTimeDB:
         consult the memo.  The same holds for every trip of
         :meth:`query_many` and :meth:`stream`.
         """
-        # engine.query guards the request type itself.
+        # The engine guards the request type itself, on every surface.
         return cast(TripQueryResult, self._engine.query(request))
 
     def query_many(
-        self,
-        requests: Sequence[TripRequest],
-        n_workers: Optional[int] = None,
-        use_processes: bool = False,
+        self, requests: Sequence[TripRequest]
     ) -> List[TripQueryResult]:
-        """Answer a batch of independent requests.
+        """Answer a batch of independent requests, in submission order.
 
-        Results come back in submission order regardless of worker count
-        or execution mode.  With ``config.dedup_subqueries`` the batch
-        runs through the deduplicating staged executor (identical
-        requests answered once, identical sub-queries scanned once;
-        accounting in :attr:`last_dedup_stats`).  ``use_processes`` fans out over
-        forked worker processes instead (Linux/macOS; see
-        :meth:`repro.core.engine.QueryEngine.run_forked` for the
-        quiescing contract).
+        The batch is one :meth:`~repro.core.engine.QueryEngine.run_batch`
+        on the calling thread: identical requests are answered once and
+        identical sub-queries scanned once, bit-identical to a
+        :meth:`query` loop (accounting in :attr:`last_dedup_stats`).
         """
-        results, _ = self.query_many_with_stats(
-            requests, n_workers=n_workers, use_processes=use_processes
-        )
+        results, _ = self.query_many_with_stats(requests)
         return results
 
     def query_many_with_stats(
-        self,
-        requests: Sequence[TripRequest],
-        n_workers: Optional[int] = None,
-        use_processes: bool = False,
-    ) -> Tuple[List[TripQueryResult], Optional[DedupStats]]:
+        self, requests: Sequence[TripRequest]
+    ) -> Tuple[List[TripQueryResult], DedupStats]:
         """:meth:`query_many`, also returning this batch's dedup stats.
 
         :attr:`last_dedup_stats` is last-writer-wins, so a caller
         running *concurrent* batches over one session — the HTTP
         serving tier's collection rounds — must take the accounting
         from the return value, where it cannot be clobbered by another
-        batch.  ``None`` when the batch did not run through the
-        deduplicating executor (``config.dedup_subqueries`` off, or
-        process fan-out).
+        batch.
         """
-        results, stats = self._run_batch(
-            list(requests), self._workers(n_workers), use_processes
-        )
+        results, stats = self._engine.run_batch(list(requests))
         self.last_dedup_stats = stats
         return results, stats
 
     def stream(
         self,
         requests: Iterable[TripRequest],
-        n_workers: Optional[int] = None,
-        window: Optional[int] = None,
+        window: int = 4,
     ) -> Iterator[TripQueryResult]:
         """Answer a request stream, yielding results in request order.
 
-        An order-preserving generator over an *iterable* of requests:
-        at most ``window`` requests (default ``4 x n_workers``) are
-        in flight at once, so a million-request batch is answered with
-        bounded memory — results are yielded as the worker fan-out
-        completes them, never materialised as a list, and the input
-        iterable is consumed lazily as capacity frees up.
-
-        With ``n_workers=1`` execution stays on the calling thread
-        (fully lazy: one request is answered per ``next()``).
-
-        With ``config.dedup_subqueries`` the stream is answered in
-        ``window``-sized chunks through the deduplicating batch
-        executor: each chunk's sub-queries are collected, identical
-        tasks are scanned once, and results still come back in request
-        order with at most ``window`` requests materialised.
-        """
-        workers = self._workers(n_workers)
-        if window is None:
-            window = workers * 4
-        if window < 1:
-            raise ConfigurationError("window must be positive")
-        if self._config.dedup_subqueries:
-            # window=1 degenerates to per-request chunks — no cross-trip
-            # dedup to find, but the stats stay coherent per stream.
-            return self._stream_dedup(requests, workers, window)
-        if workers == 1:
-            return (self._engine.query(request) for request in requests)
-        return self._fan_out(requests, workers, window)
-
-    def _workers(self, n_workers: Optional[int]) -> int:
-        workers = self._config.n_workers if n_workers is None else n_workers
-        if workers < 1:
-            raise ConfigurationError("n_workers must be positive")
-        return workers
-
-    def _run_batch(
-        self,
-        requests: List[TripRequest],
-        workers: int,
-        use_processes: bool = False,
-    ) -> Tuple[List[TripQueryResult], Optional[DedupStats]]:
-        """Pick the executor for one materialised batch and run it.
-
-        The one place the session chooses among the engine's three
-        executors; results come back in submission order from all of
-        them, with the batch's dedup accounting when the deduplicating
-        executor ran.
-        """
-        for request in requests:
-            self._check_request(request)
-        workers = min(workers, max(1, len(requests)))
-        if use_processes and workers > 1:
-            # Fork fan-out ships whole trips to workers; cross-trip dedup
-            # would need cross-process demand collection — the shared
-            # cache tier already covers that ground.
-            return self._engine.run_forked(requests, workers), None
-        if self._config.dedup_subqueries:
-            return self._engine.run_batch(requests, n_workers=workers)
-        # Without dedup every trip is a batch of its own
-        # (``engine.query`` is ``run_batch([r])``), so no two trips of
-        # the batch ever share a round.
-        if workers == 1:
-            return [self._engine.query(r) for r in requests], None
-        return list(self._fan_out(requests, workers, len(requests))), None
-
-    def _stream_dedup(
-        self,
-        requests: Iterable[TripRequest],
-        workers: int,
-        window: int,
-    ) -> Iterator[TripQueryResult]:
-        """Chunked dedup streaming: one executor batch per window.
+        An order-preserving generator over an *iterable* of requests,
+        consumed lazily in chunks of ``window`` requests: each chunk is
+        one :meth:`query_many` batch (its identical sub-queries scanned
+        once), so a million-request stream is answered with at most
+        ``window`` requests and results materialised at a time.
 
         :attr:`last_dedup_stats` aggregates over the whole stream — the
         chunks are a scheduling detail, and per-chunk numbers would
         misreport a long stream as its final ``window`` requests.
         """
-        total = DedupStats()
+        if window < 1:
+            raise ConfigurationError("window must be positive")
+        return self._stream(requests, window)
+
+    def _stream(
+        self, requests: Iterable[TripRequest], window: int
+    ) -> Iterator[TripQueryResult]:
+        total = self.last_dedup_stats = DedupStats()
         iterator = iter(requests)
         while True:
             chunk = list(islice(iterator, window))
             if not chunk:
                 return
-            results, chunk_stats = self._run_batch(chunk, workers)
-            if chunk_stats is not None:
-                total.absorb(chunk_stats)
-                self.last_dedup_stats = total
+            results, chunk_stats = self._engine.run_batch(chunk)
+            total.absorb(chunk_stats)
+            self.last_dedup_stats = total
             yield from results
-
-    def _fan_out(
-        self,
-        requests: Iterable[TripRequest],
-        workers: int,
-        window: int,
-    ) -> Iterator[TripQueryResult]:
-        """Whole trips on a thread pool, at most ``window`` in flight,
-        yielded in request order.
-
-        Trip execution touches no engine state and the shared cache is
-        locked, so one engine serves every worker (the index is
-        immutable during a batch, numpy kernels release the GIL).
-        """
-        answer = self._engine.query  # guards the request type itself
-        iterator = iter(requests)
-        pool: Executor = ThreadPoolExecutor(max_workers=workers)
-        try:
-            pending: Deque["Future[TripQueryResult]"] = deque()
-            for request in islice(iterator, window):
-                pending.append(pool.submit(answer, request))
-            while pending:
-                result = pending.popleft().result()
-                # Refill before yielding so the pool stays saturated
-                # while the consumer processes this result.
-                for request in islice(iterator, 1):
-                    pending.append(pool.submit(answer, request))
-                yield result
-        finally:
-            # On early generator close, drop unconsumed work quickly.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _check_request(self, request: TripRequest) -> None:
-        if not isinstance(request, TripRequest):
-            # A malformed *request* is client input, not a session
-            # misconfiguration — keep the documented error taxonomy
-            # (RequestValidationError -> e.g. HTTP 400 at a front end).
-            raise RequestValidationError(
-                "expected a TripRequest; got "
-                f"{type(request).__name__} — legacy StrictPathQuery "
-                "callers should use TripRequest.from_spq(...)"
-            )
 
 
 def open_db(
@@ -405,8 +283,8 @@ def open_db(
     path_or_index:
         A saved index directory (monolithic ``meta.json`` layout or
         sharded ``manifest.json`` layout, auto-detected), a shard-store
-        URI (``file:...`` or ``object://...``, see
-        :mod:`repro.sntindex.store`), or an in-memory
+        URI (``file:...``, see :mod:`repro.sntindex.store`), or an
+        in-memory
         :class:`IndexReader`.  ``None`` falls back to
         ``config.store``; omitting both is a
         :class:`ConfigurationError`.
@@ -450,9 +328,8 @@ def open_db(
 
     index: IndexReader
     if isinstance(path_or_index, (str, PathLike)):
-        # Pass strings through untouched: a store URI such as
-        # ``object://...`` must reach as_store() un-mangled (Path()
-        # collapses the double slash).
+        # Pass strings through untouched: a store URI must reach
+        # as_store() un-mangled (Path() collapses a double slash).
         index = cast(
             IndexReader,
             load_any_index(

@@ -16,7 +16,7 @@ Commands
 ``batch``
     Answer a file (or inline list) of strict path queries through one
     :class:`~repro.api.TravelTimeDB` session — shared sub-query cache,
-    optional thread-pool fan-out.
+    identical sub-queries of the batch scanned once.
 ``serve``
     Serve a stored world over HTTP: concurrent connections are
     multiplexed onto shared dedup rounds (``POST /v1/query``,
@@ -27,9 +27,8 @@ Commands
     answers stay bit-identical, per-query shard fan-out drops.
 
 ``query``/``batch``/``serve`` accept the saved index as ``--index DIR``
-or ``--store URI`` (``file:...`` or ``object://...`` — see
-:mod:`repro.sntindex.store`); ``compact`` takes the directory or URI
-directly.
+or ``--store URI`` (``file:...`` — see :mod:`repro.sntindex.store`);
+``compact`` takes the directory or URI directly.
 
 Example
 -------
@@ -41,7 +40,7 @@ Example
     python -m repro query --world world/ --index world/index/ \\
         --path 1,2,3 --tod 08:00 --window-min 15 --beta 10
     python -m repro batch --world world/ --index world/index/ \\
-        --paths "1,2,3;4,5,6" --workers 4
+        --paths "1,2,3;4,5,6" --repeat 2
 """
 
 from __future__ import annotations
@@ -102,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--store",
             default=None,
-            help="saved index as a shard-store URI (file:... or "
-            "object://...; skips the in-process build)",
+            help="saved index as a shard-store URI (file:...; skips the "
+            "in-process build)",
         )
 
     generate = commands.add_parser(
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument(
         "--out",
         required=True,
-        help="output directory or store URI (file:... / object://...)",
+        help="output directory or store URI (file:...)",
     )
     index.add_argument("--partition-days", type=int, default=None)
     index.add_argument("--kind", default="css", choices=("css", "btree"))
@@ -199,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--window-min", type=int, default=15)
     batch.add_argument("--beta", type=int, default=None)
-    batch.add_argument("--workers", type=int, default=1)
     batch.add_argument(
         "--repeat",
         type=int,
@@ -215,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="answer through the cross-process shared cache tier stored "
-        "in this directory (created if missing); separate runs — and "
-        "forked workers — warm each other's caches",
+        "in this directory (created if missing); separate runs warm "
+        "each other's caches",
     )
     batch.add_argument(
         "--partitioner", default="pi_Z", choices=PARTITIONER_NAMES
@@ -235,13 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream results as they complete (order-preserving; the "
         "batch is never materialised as a list)",
-    )
-    batch.add_argument(
-        "--no-dedup",
-        action="store_true",
-        help="disable cross-trip sub-query deduplication (the batch "
-        "executor scans each distinct sub-query once per batch by "
-        "default; answers are bit-identical either way)",
     )
 
     serve = commands.add_parser(
@@ -282,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="executor threads running collection rounds",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine worker threads inside each round",
     )
     serve.add_argument(
         "--no-cache",
@@ -596,8 +581,6 @@ def _result_line(path_text: str, result) -> str:
 
 
 def _cmd_batch(args) -> int:
-    if args.workers < 1:
-        raise SystemExit("--workers must be positive")
     if args.repeat < 1:
         raise SystemExit("--repeat must be positive")
     if args.cache_dir is not None and args.no_cache:
@@ -623,8 +606,6 @@ def _cmd_batch(args) -> int:
         config=EngineConfig(
             partitioner=args.partitioner,
             splitter=args.splitter,
-            n_workers=args.workers,
-            dedup_subqueries=not args.no_dedup,
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None
@@ -634,8 +615,8 @@ def _cmd_batch(args) -> int:
     )
     started = time.perf_counter()
     if args.stream:
-        # Order-preserving streaming: each answer prints as the fan-out
-        # completes it; the warm-up repeats run first so the printed
+        # Order-preserving streaming: each answer prints as its window
+        # completes; the warm-up repeats run first so the printed
         # (final) pass reflects the warmed cache like the batched path.
         for _ in range(args.repeat - 1):
             for _result in db.stream(requests):
@@ -644,7 +625,7 @@ def _cmd_batch(args) -> int:
         for (path_text, _), result in zip(specs, db.stream(requests)):
             # Stamp elapsed at each arrival so the final print is
             # outside the window.  Earlier prints necessarily interleave
-            # with in-flight workers — that consumer I/O is part of what
+            # with the later windows — that consumer I/O is part of what
             # streaming measures, so q/s here can trail the batched mode
             # on a slow terminal.
             elapsed = time.perf_counter() - started
@@ -659,14 +640,12 @@ def _cmd_batch(args) -> int:
     qps = n_answered / elapsed if elapsed > 0 else 0.0
     print(
         f"answered {n_answered} queries in {elapsed * 1000:.1f} ms "
-        f"({qps:.0f} q/s, workers={args.workers})"
+        f"({qps:.0f} q/s)"
     )
     stats = db.cache_stats()
     if stats is not None:
         print(f"cache: {stats.summary()}")
-    dedup = db.last_dedup_stats
-    if dedup is not None:
-        print(f"dedup: {dedup.summary()}")
+    print(f"dedup: {db.last_dedup_stats.summary()}")
     tier_stats = db.tier_stats()
     if tier_stats is not None:
         print(f"shared tier: {tier_stats.summary()}")
@@ -697,8 +676,6 @@ def _cmd_serve(args) -> int:
         config=EngineConfig(
             partitioner=args.partitioner,
             splitter=args.splitter,
-            n_workers=args.workers,
-            dedup_subqueries=True,
             cache=(
                 f"shared:{args.cache_dir}"
                 if args.cache_dir is not None

@@ -19,9 +19,8 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
 The engine itself is a thin driver over those stages, and there is one
 driver: :meth:`run_batch` drives any number of trip machines
 (:class:`~repro.core.exec.TripMachine`) through the deduplicating
-:class:`~repro.core.exec.BatchExecutor`; :meth:`query` is a batch of
-one, and :meth:`run_forked` runs :meth:`query` in forked worker
-processes.
+:class:`~repro.core.exec.BatchExecutor` on the calling thread, and
+:meth:`query` is a batch of one.
 
 A trip answer is a pure function of the request, the planner policy and
 the index epoch, so with a shared cache backend :meth:`run_batch`
@@ -32,7 +31,6 @@ and none of the three stages runs.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass, field
@@ -51,7 +49,6 @@ from typing import (
 import numpy as np
 
 from ..errors import QueryError, RequestValidationError
-from ..forkpool import fork_map
 from ..histogram.histogram import Histogram
 from ..network.graph import RoadNetwork
 from ..sntindex.reader import IndexReader
@@ -132,15 +129,17 @@ class TripQueryResult:
     #: to the *batch* start (trips wait on shared rounds), so summing it
     #: across a batch overcounts the batch's actual work.
     elapsed_s: float
-    #: Fetch demands a shared cache answered without the index — every
-    #: rung the walk needed was cached; always 0 with the default
-    #: per-trip cache.  A demand is a scan or a hit, never both, so
-    #: ``n_index_scans + n_cache_hits`` is the trip's demand count under
-    #: every batch size, cache and reader — also when the cache's trip memo
-    #: answered the whole trip in one probe: every demand of the
-    #: memoised trip then counts as a hit (:meth:`replayed`), as a warm
-    #: sequential pass would have.  Under concurrent fan-out two
-    #: threads missing the same key simultaneously may each scan it once
+    #: Fetch demands answered without an index scan of their own — every
+    #: rung the walk needed was cached, or an earlier trip of the same
+    #: batch scanned the same walk (so a single trip without a shared
+    #: cache always reports 0).  A demand is a scan or a hit, never
+    #: both, so ``n_index_scans + n_cache_hits`` is the trip's demand
+    #: count under every batch size, cache and reader — also when the
+    #: cache's trip memo answered the whole trip in one probe: every
+    #: demand of the memoised trip then counts as a hit
+    #: (:meth:`replayed`), as a warm sequential pass would have.  Under
+    #: concurrent batches (overlapping serving rounds) two threads
+    #: missing the same key simultaneously may each scan it once
     #: (answers are still identical; work is over-counted, never missed).
     n_cache_hits: int = 0
     #: The :class:`repro.api.TripRequest` this result answers, when the
@@ -284,33 +283,6 @@ class TripQueryResult:
         return float(np.mean(lengths)) if lengths else 0.0
 
 
-#: A forked worker's private engine: a copy of the inherited one whose
-#: cache came from ``spawn_for_worker`` (called in the child, lock-free).
-#: The parent's backend must not be touched from a fork — its locks may
-#: have been snapshotted mid-critical-section by a concurrently running
-#: thread batch, and a child blocking on an inherited locked lock hangs
-#: forever.  An in-process SubQueryCache spawns a fresh empty cache with
-#: the same LRU bounds (cross-trip sharing within the worker's chunk
-#: only); a SharedCacheTier spawns a new handle onto the same
-#: cross-process store, so workers warm each other and later processes.
-_WORKER_ENGINE: Optional["QueryEngine"] = None
-
-
-def _answer_forked(
-    payload: Tuple["QueryEngine", "TripRequest"]
-) -> TripQueryResult:
-    """Fork-side worker: answer one request of an inherited batch."""
-    global _WORKER_ENGINE
-    engine, request = payload
-    if engine.cache is not None:
-        if _WORKER_ENGINE is None:
-            _WORKER_ENGINE = copy.copy(engine)
-            _WORKER_ENGINE.cache = engine.cache.spawn_for_worker()
-            _WORKER_ENGINE.cache.bind_index(engine.index, engine.network)
-        engine = _WORKER_ENGINE
-    return engine.query(request)
-
-
 class QueryEngine:
     """Answers trip requests over any :class:`IndexReader`.
 
@@ -322,8 +294,7 @@ class QueryEngine:
     One driver, bit-identical to sequential Procedure 6:
     :meth:`run_batch` drives a batch's trip machines through the
     deduplicating :class:`~repro.core.exec.BatchExecutor` on the calling
-    thread, :meth:`query` is ``run_batch([request])``, and
-    :meth:`run_forked` ships whole trips to forked worker processes.
+    thread, and :meth:`query` is ``run_batch([request])``.
     """
 
     def __init__(
@@ -471,9 +442,7 @@ class QueryEngine:
         return self.run_batch([request])[0][0]
 
     def run_batch(
-        self,
-        requests: Sequence["TripRequest"],
-        n_workers: int = 1,
+        self, requests: Sequence["TripRequest"]
     ) -> Tuple[List[TripQueryResult], DedupStats]:
         """Answer a batch with cross-trip sub-query deduplication.
 
@@ -516,12 +485,7 @@ class QueryEngine:
             twins.setdefault(key, []).append(position)
         shared = self._synced_cache()
         started = time.perf_counter()
-        executor = BatchExecutor(
-            self.index,
-            self.network,
-            cache=shared,
-            n_workers=n_workers,
-        )
+        executor = BatchExecutor(self.index, self.network, cache=shared)
         results: List[Optional[TripQueryResult]] = [None] * len(requests)
         # Machines are built (and their clocks started) together, so in
         # batch mode a result's ``elapsed_s`` is its completion latency
@@ -575,46 +539,6 @@ class QueryEngine:
             if shared is not None:
                 shared.put_trip(key, result.replayed(None, result.elapsed_s))
         return cast(List[TripQueryResult], results), executor.stats
-
-    def run_forked(
-        self, requests: Sequence["TripRequest"], workers: int
-    ) -> List[TripQueryResult]:
-        """Process fan-out: forked workers each answer whole trips
-        against their copy-on-write view of the index — with a sharded
-        index every worker scans only the shards its trips route to, so
-        a batch's shard work spreads across real cores instead of GIL
-        slices.  Results come back in submission order.
-
-        The engine and requests travel to the workers via fork
-        copy-on-write (locks and numpy payloads never cross a pickle on
-        the way in); ``TripQueryResult`` payloads come back.  No pickled
-        fallback exists — the engine holds cache locks — so on platforms
-        without ``fork`` this raises ``RuntimeError``; use thread
-        fan-out there.
-
-        Process mode must be quiesced: only one process-mode batch per
-        process (a concurrent second one raises ``RuntimeError``), and
-        no thread-mode batch should run on the same index concurrently —
-        forking can snapshot another thread mid-critical-section,
-        leaving a child waiting on a lock that is never released.
-        Each worker gets its own cache (see ``_WORKER_ENGINE``), so
-        cross-trip sharing happens per worker.  Side-effect statistics
-        accumulate in the children and die with the pool: after a
-        process-mode batch, parent-side ``cache_stats()`` and a sharded
-        index's ``shard_stats()`` do not reflect that batch's work (the
-        ``TripQueryResult`` scan/hit counters are returned as usual).
-        """
-        results = fork_map(
-            _answer_forked,
-            [(self, request) for request in requests],
-            workers,
-            chunksize=max(1, len(requests) // (workers * 4)),
-        )
-        # The back-reference crossed a pickle; restore the caller's own
-        # request objects.
-        for request, result in zip(requests, results):
-            result.request = request
-        return results
 
     def _convolve(self, histograms: List[Histogram]) -> Histogram:
         """Combine stage over this engine's bucket width

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -461,16 +460,14 @@ def _scan_walks(
     leads: Sequence[FetchDemand],
     rungs: Sequence[int],
     misses: Iterable[int],
-    n_workers: int,
 ) -> List[List[Any]]:
     """Scan stage over the round's missed walk slots, in order, each
     from ``rungs[slot]``, the first rung the cache does not hold.
 
-    ``walk_ladder_many`` answers the whole set in one call — the
-    monolithic index walks item by item, the sharded router walks each
-    shard's columns contiguously for the whole set.  Thread fan-out is
-    safe because every walk is a distinct key and index reads are
-    immutable during a batch.
+    ``walk_ladder_many`` answers the whole set in one call on the
+    calling thread — the monolithic index walks item by item, the
+    sharded router walks each shard's columns contiguously for the
+    whole set.
     """
     items = [
         (
@@ -481,28 +478,6 @@ def _scan_walks(
         )
         for slot in misses
     ]
-    if n_workers > 1 and len(items) > 1:
-        # Contiguous slices, one call per worker: per-shard
-        # locality within each slice, real fan-out across slices
-        # (router reads are immutable; its counters are locked).
-        width = min(n_workers, len(items))
-        step = -(-len(items) // width)  # ceil division
-        slices = [
-            items[start : start + step]
-            for start in range(0, len(items), step)
-        ]
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(
-                pool.map(
-                    lambda chunk: list(
-                        index.walk_ladder_many(
-                            chunk, fallback_tt=network.estimate_tt
-                        )
-                    ),
-                    slices,
-                )
-            )
-        return [walk for part in parts for walk in part]
     return index.walk_ladder_many(items, fallback_tt=network.estimate_tt)
 
 
@@ -594,12 +569,10 @@ class BatchExecutor:
         index: "IndexReader",
         network: "RoadNetwork",
         cache: Any = None,
-        n_workers: int = 1,
     ) -> None:
         self.index = index
         self.network = network
         self.cache = cache
-        self.n_workers = max(1, int(n_workers))
         self.stats = DedupStats()
 
     def _chase_cache(
@@ -696,8 +669,7 @@ class BatchExecutor:
                 else self._chase_cache(leads, rungs, answers)
             )
             scanned = _scan_walks(
-                self.index, self.network, leads, rungs, misses,
-                self.n_workers,
+                self.index, self.network, leads, rungs, misses
             )
             stats.n_index_scans += len(scanned)
             unpaid = [False] * n_walks

@@ -75,12 +75,11 @@ class IndexFormatError(PersistenceError):
 
 class StoreError(PersistenceError):
     """Raised for shard-store backend failures: an unknown store URI
-    scheme, a malformed ``object://`` query string, a missing object,
-    or a remote namespace that refuses an install (overwrite guard).
+    scheme, a key escaping the store root, or a missing object.
 
     A :class:`PersistenceError`: callers that already treat "the saved
     index cannot be opened" as one condition keep working unchanged
-    when the index lives behind a remote store.
+    when the index lives behind a :class:`~repro.sntindex.store.ShardStore`.
     """
 
 
@@ -101,8 +100,8 @@ class RequestValidationError(QueryError):
 
 
 class ConfigurationError(QueryError, ValueError):
-    """Raised when an :class:`repro.api.EngineConfig` (or a session /
-    fan-out parameter such as ``n_workers``) is inconsistent.
+    """Raised when an :class:`repro.api.EngineConfig` (or a session
+    parameter such as ``stream``'s ``window``) is inconsistent.
 
     Also a :class:`ValueError`: the pre-redesign surfaces raised bare
     ``ValueError`` for these inputs, so existing ``except ValueError``

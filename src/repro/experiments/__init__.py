@@ -16,7 +16,6 @@ from .memory import (
     project_to_paper_scale,
 )
 from .reporting import format_series, format_table, mib
-from .throughput import ThroughputResult, measure_throughput
 from .workload import (
     QUERY_TYPES,
     QuerySpec,
@@ -45,6 +44,4 @@ __all__ = [
     "PAPER_SHAPE",
     "cpp_layout_model",
     "project_to_paper_scale",
-    "ThroughputResult",
-    "measure_throughput",
 ]

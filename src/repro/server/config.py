@@ -56,8 +56,8 @@ class ServerConfig:
     executor_workers:
         Threads executing collection rounds.  Rounds overlap: while one
         executes, the collector gathers the next window.  Each round
-        itself runs the engine's deduplicating batch executor, whose
-        internal fan-out is the session's ``EngineConfig.n_workers``.
+        itself is one ``query_many`` — the engine's deduplicating batch
+        executor — on its executor thread.
     retry_after_s:
         Backoff hint carried by 429 responses (``Retry-After`` header,
         integer-ceiled per HTTP, plus the exact float in the JSON error

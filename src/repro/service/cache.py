@@ -141,10 +141,8 @@ class LRUCache:
 
     @property
     def max_entries(self) -> Optional[int]:
-        """The configured entry bound (``None`` = unbounded).
-
-        Immutable after construction, so readable without the lock —
-        e.g. by a forked child whose inherited lock may be held."""
+        """The configured entry bound (``None`` = unbounded); immutable
+        after construction, so readable without the lock."""
         return self._max
 
     def __len__(self) -> int:
@@ -251,20 +249,6 @@ class SubQueryCache:
                     "different index/network; cached answers would be "
                     "wrong — use one cache per (index, network) pair"
                 )
-
-    def spawn_for_worker(self) -> "SubQueryCache":
-        """The :class:`~repro.service.cachetier.CacheBackend` fork hook:
-        a fresh, unbound cache with this cache's per-section bounds.
-
-        A forked worker must not touch the parent's cache (its locks
-        may have been snapshotted held), but its replacement should
-        honour the memory ceiling the caller configured here.
-        """
-        return SubQueryCache(
-            max_ranges=self._sections["ranges"].max_entries,
-            max_results=self._sections["results"].max_entries,
-            max_histograms=self._sections["histograms"].max_entries,
-        )
 
     def sync_epoch(self, index: Any) -> None:
         """Drop entries cached against an earlier state of ``index``.

@@ -5,8 +5,8 @@ class implements it, :class:`~repro.service.cache.SubQueryCache`; this
 module holds what makes that class cross-process:
 
 * :class:`SqliteCacheStore` — an SQLite file under the index directory
-  that *multiple processes* share, so fork fan-out workers and entirely
-  separate serving processes warm each other's caches instead of
+  that *multiple processes* share, so separate serving processes (and
+  separate ``repro batch`` runs) warm each other's caches instead of
   recomputing repeated sub-paths once per process.  The file and nothing
   in-process: no entry is held here.
 * :class:`SharedCacheTier` — a ``SubQueryCache`` built over such a store.
@@ -93,18 +93,12 @@ class CacheBackend(Protocol):
     estimator resolved, plus the planner policy), stored in their
     replayed accounting (:meth:`TripQueryResult.replayed`).  Every
     section is emptied by ``clear()`` and by ``sync_epoch`` on an epoch
-    change.  ``spawn_for_worker`` is called *inside a forked worker
-    process* on the inherited parent backend and must return the backend
-    that worker should use without touching any parent lock (the fork
-    may have snapshotted one mid-critical-section): a fresh empty clone,
-    or — over a shared store — a new handle onto the same store.
+    change.
     """
 
     def bind_index(self, index: Any, network: Any = None) -> None: ...
 
     def sync_epoch(self, index: Any) -> None: ...
-
-    def spawn_for_worker(self) -> "CacheBackend": ...
 
     def get_ranges(
         self, path: Tuple[int, ...]
@@ -250,8 +244,7 @@ class SqliteCacheStore:
     :class:`repro.sntindex.store.ShardStore`, which persists the index.)
 
     The constructor arguments are :class:`SharedCacheTier`'s of those
-    names, kept as plain attributes that never change afterwards (which
-    is why ``spawn_for_worker`` may read them without a lock).
+    names, kept as plain attributes that never change afterwards.
     """
 
     def __init__(
@@ -647,24 +640,6 @@ class SharedCacheTier(SubQueryCache):
             cache_dir, identity, max_store_entries, max_age_s
         )
         super().__init__(max_entries, max_entries, max_entries, store=store)
-
-    def spawn_for_worker(self) -> "SharedCacheTier":
-        """A fresh handle onto the same store for a forked worker.
-
-        Called in the child on the inherited parent object; touches no
-        lock (the fork may have snapshotted one held) and no inherited
-        sqlite connection — only immutable attributes — so the worker
-        gets clean synchronisation primitives and its own connection,
-        while still sharing every stored entry with the parent and its
-        sibling workers.
-        """
-        return SharedCacheTier(
-            self.store.cache_dir,
-            identity=self.store.identity,
-            max_entries=self._sections["ranges"].max_entries,
-            max_store_entries=self.store.max_store_entries,
-            max_age_s=self.store.max_age_s,
-        )
 
     def tier_stats(self) -> SharedTierStats:
         """Where hits came from, plus store occupancy."""

@@ -21,13 +21,7 @@ from .sharded import (
     read_sharded_meta,
     save_sharded_index,
 )
-from .store import (
-    LocalDirStore,
-    ObjectStore,
-    ShardStore,
-    as_store,
-    is_store_uri,
-)
+from .store import LocalDirStore, ShardStore, as_store, is_store_uri
 
 __all__ = [
     "SNTIndex",
@@ -54,7 +48,6 @@ __all__ = [
     "load_any_index",
     "ShardStore",
     "LocalDirStore",
-    "ObjectStore",
     "as_store",
     "is_store_uri",
     "CompactionPolicy",

@@ -464,7 +464,7 @@ class SNTIndex:
         extra: Optional[dict] = None,
     ) -> Path:
         """Serialise the index to ``path`` — a directory, a store URI
-        (``object://...``), or a :class:`~repro.sntindex.store.ShardStore`.
+        (``file:...``), or a :class:`~repro.sntindex.store.ShardStore`.
 
         ``extra`` is optional JSON-serialisable provenance stored in the
         meta file (ignored by :meth:`load`).  See

@@ -10,53 +10,36 @@ read routes through a store:
     existing sibling-tempdir atomic swap.  ``as_store`` wraps any bare
     path (or ``file:`` URI) in one of these, so existing call sites and
     on-disk trees are untouched.
-:class:`ObjectStore`
-    An S3-style object namespace with explicit ``get``/``put``/
-    ``list``/``etag`` semantics, backed by a local directory standing
-    in for the remote service (the repo adds no network dependencies).
-    Objects are immutable-ish blobs addressed by ``/``-separated keys;
-    ``localize()`` pages a key prefix into a bounded local cache —
-    etag-validated, LRU-evicted — and returns a plain directory the
-    mmap-based loaders open exactly as they would a local index.
-    Combined with the O(1) mmap open, this is the elastic-fleet story:
-    any worker, anywhere, opens any sealed shard on demand.
+
+The protocol is the seam another backend (or a fault-injecting
+wrapper) plugs into: every loader and saver accepts a
+:class:`ShardStore` instance wherever it accepts a path.
 
 Store URIs (accepted everywhere a path was: ``EngineConfig.store``,
 CLI ``--store``/``--index``/``--out``, ``open_db``):
 
 - ``/path/to/index`` or ``file:/path/to/index`` — :class:`LocalDirStore`
-- ``object:///path/to/remote?cache=/path/to/cache&cache_bytes=N`` —
-  :class:`ObjectStore`; ``cache`` defaults to a per-remote directory
-  under the system temp dir, ``cache_bytes`` (optional) bounds the
-  page-in cache.
 
 Crash safety: :func:`atomic_install_dir` (moved here from
 ``persistence.py``, still re-exported there) stages a writer's output
 in a sibling temp dir and swaps it in, so a reader finds either the old
-tree, the new one, or none.  :meth:`ObjectStore.install` gets the same
-guarantee from ordering alone: the marker object (``meta.json`` /
-``manifest.json``) is deleted first and re-uploaded *last*, so a
-half-written remote prefix is never marker-complete.
+tree, the new one, or none.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
-import tempfile
-import hashlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Union
-from urllib.parse import parse_qs, unquote
+from typing import Callable, List, Union
+from urllib.parse import unquote
 
 from ..errors import PersistenceError, StoreError
 
 __all__ = [
     "ShardStore",
     "LocalDirStore",
-    "ObjectStore",
     "as_store",
     "is_store_uri",
     "atomic_install_dir",
@@ -337,373 +320,13 @@ class LocalDirStore(ShardStore):
         return self._root
 
 
-#: Cache-state sidecar at an :class:`ObjectStore` cache root.  Holds an
-#: access counter (a persisted logical clock — eviction must not depend
-#: on wall-clock time) and, per cached prefix, the key→etag map it was
-#: paged in against plus its byte size and last-access tick.
-_STATE_FILE = ".store-state.json"
-
-
-class ObjectStore(ShardStore):
-    """An object-namespace store with a bounded local page-in cache.
-
-    ``remote_root`` is a plain directory standing in for the remote
-    service; objects are files under it, keys their relative paths.
-    All *payload* access goes through :meth:`localize`: list the remote
-    prefix, compare per-key etags with the cache's recorded state,
-    fetch only what changed, delete what disappeared, and return the
-    cache directory — which the mmap loaders then open like any local
-    index.  Prefixes this store instance handed out stay pinned (their
-    mmaps may be live); everything else is LRU-evictable once the cache
-    exceeds ``cache_bytes``.
-
-    :meth:`install` writes *through* to the remote and never populates
-    the cache — marker deleted first, payload uploaded, stale objects
-    removed, marker uploaded last — so a crashed install leaves a
-    prefix without a marker, which every loader refuses, mirroring
-    :func:`atomic_install_dir`'s guarantee without renames.
-    """
-
-    def __init__(
-        self,
-        remote_root: Union[str, "os.PathLike[str]"],
-        cache_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-        cache_bytes: Optional[int] = None,
-        uri: Optional[str] = None,
-    ) -> None:
-        if cache_bytes is not None and cache_bytes < 0:
-            raise StoreError(
-                f"cache_bytes must be >= 0, got {cache_bytes!r}"
-            )
-        self._remote = Path(remote_root)
-        if cache_dir is None:
-            digest = hashlib.sha256(
-                str(self._remote.absolute()).encode()
-            ).hexdigest()[:12]
-            cache_dir = (
-                Path(tempfile.gettempdir()) / f"repro-store-cache-{digest}"
-            )
-        self._cache = Path(cache_dir)
-        self._cache_bytes = cache_bytes
-        self._uri = uri if uri is not None else f"object://{self._remote}"
-        # Prefixes localized by this instance: their arrays may be
-        # mmap'd by a live index, so eviction must never touch them.
-        self._pinned: Set[str] = set()
-
-    @property
-    def uri(self) -> str:
-        return self._uri
-
-    def _remote_path(self, key: str) -> Path:
-        checked = _check_key(key)
-        return self._remote / checked if checked else self._remote
-
-    def _cache_path(self, key: str) -> Path:
-        checked = _check_key(key)
-        return self._cache / checked if checked else self._cache
-
-    # -- object plane (straight to the remote; no caching of control
-    # files — manifests are small and must never be stale) -------------
-
-    def get(self, key: str) -> bytes:
-        target = self._remote_path(key)
-        try:
-            return target.read_bytes()
-        except OSError as error:
-            raise StoreError(
-                f"no object {key!r} in store {self.uri}: {error}"
-            ) from error
-
-    def put(self, key: str, data: bytes) -> None:
-        target = self._remote_path(key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        staged = target.parent / f".{target.name}.put-{os.getpid()}"
-        staged.write_bytes(data)
-        os.replace(staged, target)
-
-    def delete(self, key: str) -> None:
-        try:
-            self._remote_path(key).unlink()
-        except FileNotFoundError:
-            pass
-        except OSError as error:
-            raise StoreError(
-                f"could not delete object {key!r} from store {self.uri}: "
-                f"{error}"
-            ) from error
-
-    def list(self, prefix: str = "") -> List[str]:
-        base = self._remote_path(prefix)
-        if not base.is_dir():
-            return []
-        return sorted(
-            str(item.relative_to(self._remote))
-            for item in base.rglob("*")
-            if item.is_file() and not item.name.startswith(".")
-        )
-
-    def exists(self, key: str) -> bool:
-        return self._remote_path(key).is_file()
-
-    def etag(self, key: str) -> str:
-        try:
-            stat = self._remote_path(key).stat()
-        except OSError as error:
-            raise StoreError(
-                f"no object {key!r} in store {self.uri}: {error}"
-            ) from error
-        return f"{stat.st_size}-{stat.st_mtime_ns}"
-
-    # -- cache state ----------------------------------------------------
-
-    def _load_state(self) -> Dict[str, object]:
-        state_path = self._cache / _STATE_FILE
-        try:
-            raw = json.loads(state_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {"counter": 0, "prefixes": {}}
-        if not isinstance(raw, dict) or not isinstance(
-            raw.get("prefixes"), dict
-        ):
-            return {"counter": 0, "prefixes": {}}
-        return raw
-
-    def _save_state(self, state: Dict[str, object]) -> None:
-        self._cache.mkdir(parents=True, exist_ok=True)
-        staged = self._cache / f"{_STATE_FILE}.tmp-{os.getpid()}"
-        staged.write_text(json.dumps(state))
-        os.replace(staged, self._cache / _STATE_FILE)
-
-    @staticmethod
-    def _prefixes(state: Dict[str, object]) -> Dict[str, Dict[str, object]]:
-        prefixes = state.get("prefixes")
-        assert isinstance(prefixes, dict)
-        return prefixes
-
-    @staticmethod
-    def _as_int(value: object) -> int:
-        return value if isinstance(value, int) else 0
-
-    def _drop_cached_prefix(
-        self, state: Dict[str, object], prefix: str
-    ) -> None:
-        """Delete a cached prefix's recorded files (and empty parents)."""
-        entry = self._prefixes(state).pop(prefix, None)
-        if entry is None:
-            return
-        keys = entry.get("keys")
-        if isinstance(keys, dict):
-            for key in keys:
-                try:
-                    self._cache_path(key).unlink()
-                except OSError:
-                    pass
-        # Prune now-empty directories bottom-up; best-effort only.  The
-        # cache root itself stays (it holds the state sidecar and other
-        # prefixes), but its emptied subtrees must not.
-        root = self._cache_path(prefix)
-        if root.is_dir():
-            for item in sorted(
-                root.rglob("*"), key=lambda p: len(p.parts), reverse=True
-            ):
-                if item.is_dir():
-                    try:
-                        item.rmdir()
-                    except OSError:
-                        pass
-            if root != self._cache:
-                try:
-                    root.rmdir()
-                except OSError:
-                    pass
-
-    def _overlaps_pinned(self, prefix: str) -> bool:
-        return any(
-            prefix.startswith(pin) or pin.startswith(prefix)
-            for pin in self._pinned
-        )
-
-    def _evict(self, state: Dict[str, object]) -> None:
-        """LRU-evict unpinned prefixes until the cache fits its bound."""
-        if self._cache_bytes is None:
-            return
-        prefixes = self._prefixes(state)
-
-        def total() -> int:
-            return sum(
-                self._as_int(entry.get("bytes"))
-                for entry in prefixes.values()
-            )
-
-        while total() > self._cache_bytes:
-            victims = sorted(
-                (self._as_int(entry.get("access")), prefix)
-                for prefix, entry in prefixes.items()
-                if not self._overlaps_pinned(prefix)
-            )
-            if not victims:
-                return  # everything live is pinned; the bound yields
-            self._drop_cached_prefix(state, victims[0][1])
-
-    # -- directory plane ------------------------------------------------
-
-    def localize(self, prefix: str = "") -> Path:
-        """Page ``prefix`` into the local cache and return its directory.
-
-        Etag-validated: objects whose remote etag matches the recorded
-        cache state are not re-fetched; changed or new objects are,
-        and locally cached objects the remote no longer lists are
-        deleted.  The returned prefix is pinned for this store
-        instance's lifetime (live mmaps), then the LRU bound runs over
-        the unpinned remainder.
-        """
-        prefix = _check_key(prefix)
-        remote_keys = self.list(prefix)
-        state = self._load_state()
-        counter = self._as_int(state.get("counter")) + 1
-        state["counter"] = counter
-        prefixes = self._prefixes(state)
-        entry = prefixes.get(prefix)
-        known: Dict[str, str] = {}
-        known_keys = entry.get("keys") if isinstance(entry, dict) else None
-        if isinstance(known_keys, dict):
-            known = {str(key): str(tag) for key, tag in known_keys.items()}
-        fresh: Dict[str, str] = {}
-        n_bytes = 0
-        for key in remote_keys:
-            tag = self.etag(key)
-            local = self._cache_path(key)
-            if known.get(key) != tag or not local.is_file():
-                local.parent.mkdir(parents=True, exist_ok=True)
-                staged = local.parent / f".{local.name}.fetch-{os.getpid()}"
-                staged.write_bytes(self.get(key))
-                os.replace(staged, local)
-            fresh[key] = tag
-            n_bytes += self._remote_path(key).stat().st_size
-        for key in known:
-            if key not in fresh:
-                try:
-                    self._cache_path(key).unlink()
-                except OSError:
-                    pass
-                # Prune now-empty parents up to the cache root so a
-                # stale subtree (e.g. a merged-away shard dir) does not
-                # linger as empty directories beside the live payload.
-                parent = self._cache_path(key).parent
-                while parent != self._cache:
-                    try:
-                        parent.rmdir()
-                    except OSError:
-                        break
-                    parent = parent.parent
-        prefixes[prefix] = {
-            "keys": fresh,
-            "bytes": n_bytes,
-            "access": counter,
-        }
-        self._pinned.add(prefix)
-        self._evict(state)
-        self._save_state(state)
-        return self._cache_path(prefix)
-
-    def install(
-        self,
-        prefix: str,
-        marker_file: str,
-        writer: Writer,
-        what: str = "saved SNT-index",
-    ) -> Path:
-        prefix = _check_key(prefix)
-        marker_key = f"{prefix}/{marker_file}" if prefix else marker_file
-        existing = self.list(prefix)
-        if existing and not self.exists(marker_key):
-            raise StoreError(
-                f"refusing to overwrite {self.uri}/{prefix or '.'}: "
-                f"objects exist and are not a {what}"
-            )
-        staging = Path(tempfile.mkdtemp(prefix="repro-store-install-"))
-        try:
-            writer(staging)
-            staged_files = {
-                str(item.relative_to(staging)): item
-                for item in staging.rglob("*")
-                if item.is_file()
-            }
-            if marker_file not in staged_files:
-                raise StoreError(
-                    f"install writer produced no {marker_file!r} marker"
-                )
-            # Marker first out, last in: between the two uploads the
-            # prefix is never marker-complete, so a crash mid-install
-            # can only leave a tree every loader refuses.
-            self.delete(marker_key)
-            for rel, item in sorted(staged_files.items()):
-                if rel == marker_file:
-                    continue
-                key = f"{prefix}/{rel}" if prefix else rel
-                self.put(key, item.read_bytes())
-            fresh_keys = {
-                f"{prefix}/{rel}" if prefix else rel for rel in staged_files
-            }
-            for key in existing:
-                if key not in fresh_keys and key != marker_key:
-                    self.delete(key)
-            self.put(marker_key, staged_files[marker_file].read_bytes())
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        # Invalidate cached state overlapping the installed prefix so
-        # the next localize re-validates everything against the remote.
-        state = self._load_state()
-        for cached in list(self._prefixes(state)):
-            if cached.startswith(prefix) or prefix.startswith(cached):
-                self._drop_cached_prefix(state, cached)
-        self._save_state(state)
-        return self._cache_path(prefix)
-
-    def local_anchor(self) -> Path:
-        self._cache.mkdir(parents=True, exist_ok=True)
-        return self._cache
-
-
 def is_store_uri(text: str) -> bool:
     """Whether ``text`` is a store URI rather than a plain path.
 
     Recognised schemes only — a Windows-style drive or a path that
     merely contains ``:`` is not a URI.
     """
-    return text.startswith(("file:", "object://"))
-
-
-def _parse_object_uri(uri: str) -> ObjectStore:
-    rest = uri[len("object://"):]
-    query = ""
-    if "?" in rest:
-        rest, query = rest.split("?", 1)
-    root = unquote(rest)
-    if not root:
-        raise StoreError(f"store URI {uri!r} names no remote root")
-    cache_dir: Optional[str] = None
-    cache_bytes: Optional[int] = None
-    for name, values in parse_qs(query, keep_blank_values=True).items():
-        value = values[-1]
-        if name == "cache":
-            cache_dir = value
-        elif name == "cache_bytes":
-            try:
-                cache_bytes = int(value)
-            except ValueError:
-                raise StoreError(
-                    f"store URI {uri!r}: cache_bytes={value!r} is not an "
-                    "integer"
-                ) from None
-        else:
-            raise StoreError(
-                f"store URI {uri!r} has unknown parameter {name!r} "
-                "(knows: cache, cache_bytes)"
-            )
-    return ObjectStore(
-        root, cache_dir=cache_dir, cache_bytes=cache_bytes, uri=uri
-    )
+    return text.startswith("file:")
 
 
 def as_store(source: StoreSource) -> ShardStore:
@@ -711,8 +334,9 @@ def as_store(source: StoreSource) -> ShardStore:
 
     The universal entry point of the persistence layer: every loader
     and saver calls this on its ``path`` argument, which is how bare
-    ``Path`` call sites keep working while URI-configured deployments
-    route to remote backends.
+    ``Path`` call sites and ``file:`` URIs reach the same
+    :class:`LocalDirStore`, and how a caller-built :class:`ShardStore`
+    substitutes for it.
     """
     if isinstance(source, ShardStore):
         return source
@@ -723,15 +347,12 @@ def as_store(source: StoreSource) -> ShardStore:
             f"cannot interpret {source!r} as a store (expected a path, "
             "store URI, or ShardStore)"
         )
-    if source.startswith("object://"):
-        return _parse_object_uri(source)
     if source.startswith("file://"):
         return LocalDirStore(Path(unquote(source[len("file://"):]) or "/"))
     if source.startswith("file:"):
         return LocalDirStore(Path(unquote(source[len("file:"):])))
     if ":" in source.split("/", 1)[0] and "://" in source:
         raise StoreError(
-            f"unknown store URI scheme in {source!r} (knows: file:, "
-            "object://)"
+            f"unknown store URI scheme in {source!r} (knows: file:)"
         )
     return LocalDirStore(Path(source))

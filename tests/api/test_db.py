@@ -2,10 +2,9 @@
 result wire form, and the removal of the PR-3 legacy surfaces.
 
 The acceptance property (ISSUE 3, extended by ISSUE 5): for random
-workloads, ``db.query_many(reqs)``, ``list(db.stream(reqs))``, and the
-deduplicating batch executor (``dedup_subqueries=True``) produce
-bit-identical histograms / means / scan counts, and every request
-survives its wire form round trip.  A scan count is per fetch demand
+workloads, ``db.query_many(reqs)``, ``list(db.stream(reqs))`` and a
+sequential ``db.query`` loop produce bit-identical histograms / means /
+demand counts, and every request survives its wire form round trip.  A scan count is per fetch demand
 since ISSUE 18 — one for a sub-query's whole widen-ladder walk, on every
 surface compared here — so the equalities hold in the new unit.
 """
@@ -166,30 +165,26 @@ class TestRoundTripProperty:
         dataset, index = world
         requests = random_requests(dataset, index, seed=seed)
 
-        # Fresh session per surface: identical cold-cache scan counts
-        # require sequential execution on an empty cache each time.
+        # Fresh session per surface: every surface starts on an empty
+        # cache.
         config = EngineConfig(partitioner="pi_Z")
-        via_many = open_db(
-            index, network=dataset.network, config=config
-        ).query_many(requests)
-        via_stream = list(
-            open_db(index, network=dataset.network, config=config).stream(
-                iter(requests)
-            )
-        )
-        dedup_db = open_db(
-            index,
-            network=dataset.network,
-            config=config.replace(dedup_subqueries=True),
-        )
-        via_dedup = dedup_db.query_many(requests)
 
-        assert_bit_identical(via_stream, via_many)
-        # Dedup may shift *which* trip pays a shared scan (the first
+        def session():
+            return open_db(index, network=dataset.network, config=config)
+
+        sequential = session()
+        via_loop = [sequential.query(request) for request in requests]
+        dedup_db = session()
+        via_dedup = dedup_db.query_many(requests)
+        # One window holding the whole workload is the same batch.
+        via_stream = list(session().stream(iter(requests), window=64))
+
+        assert_bit_identical(via_stream, via_dedup)
+        # A batch may shift *which* trip pays a shared scan (the first
         # demander in round order, not in submission order), so per
         # result only the scans+hits sum is pinned — the answers and
         # outcomes stay byte-identical.
-        for result, reference in zip(via_dedup, via_many):
+        for result, reference in zip(via_dedup, via_loop):
             assert result.histogram == reference.histogram
             assert result.estimated_mean == reference.estimated_mean
             assert result.n_estimator_skips == reference.n_estimator_skips
@@ -206,7 +201,6 @@ class TestRoundTripProperty:
                     out_actual.values, out_expected.values
                 )
         stats = dedup_db.last_dedup_stats
-        assert stats is not None
         assert stats.n_trips == len(requests)
         # Executor accounting vs. per-result counters: every demand
         # resumes exactly once, as a scan or as a hit.
@@ -221,18 +215,17 @@ class TestRoundTripProperty:
             assert TripRequest.from_dict(request.to_dict()) == request
 
     @pytest.mark.parametrize(
-        "estimator, n_workers, window",
+        "estimator, window",
         (
-            pytest.param(None, 4, 3, id="None"),
-            pytest.param("CSS-Fast", 4, 3, id="CSS-Fast"),
-            # query_many and stream share one thread fan-out; the
-            # default window exercises stream's refill path too.
-            pytest.param(None, 3, None, id="shared-fanout"),
+            pytest.param(None, 3, id="None"),
+            pytest.param("CSS-Fast", 3, id="CSS-Fast"),
+            # The default window: several chunks over the workload.
+            pytest.param(None, None, id="shared-fanout"),
         ),
     )
-    def test_fanout_matches_sequential(
-        self, world, estimator, n_workers, window
-    ):
+    def test_fanout_matches_sequential(self, world, estimator, window):
+        """Every batch surface — one ``query_many`` batch, a windowed
+        ``stream`` — answers as the sequential per-request loop does."""
         dataset, index = world
         requests = random_requests(
             dataset, index, seed=99, estimator=estimator
@@ -241,24 +234,27 @@ class TestRoundTripProperty:
         uncached = open_db(
             index, network=dataset.network, cache=None, config=config
         )
-        sequential = uncached.query_many(requests)
         per_request = [uncached.query(request) for request in requests]
-        fanned = open_db(
+        batched = open_db(
             index, network=dataset.network, config=config
-        ).query_many(requests, n_workers=n_workers)
+        ).query_many(requests)
+        stream_db = open_db(index, network=dataset.network, config=config)
         streamed = list(
-            open_db(index, network=dataset.network, config=config).stream(
-                requests, n_workers=n_workers, window=window
-            )
+            stream_db.stream(requests)
+            if window is None
+            else stream_db.stream(requests, window=window)
         )
-        assert_bit_identical(per_request, sequential)
-        # Concurrent fan-out can over-count scans on racy same-key
-        # misses, so only the answers are compared here.
-        for results in (fanned, streamed):
+        # Which trip of a batch pays a shared scan differs from the
+        # loop, so per result only the scans + hits sum is pinned.
+        for results in (batched, streamed):
             assert [r.request for r in results] == requests
-            for result, reference in zip(results, sequential):
+            for result, reference in zip(results, per_request):
                 assert result.histogram == reference.histogram
                 assert result.estimated_mean == reference.estimated_mean
+                assert (
+                    result.n_index_scans + result.n_cache_hits
+                    == reference.n_index_scans + reference.n_cache_hits
+                )
 
 
 class TestStreaming:
@@ -268,7 +264,7 @@ class TestStreaming:
         db = open_db(index, network=dataset.network)
         for surface in (
             db.query_many(requests),
-            list(db.stream(requests, n_workers=3)),
+            list(db.stream(requests, window=3)),
         ):
             assert [r.request for r in surface] == requests
 
@@ -283,11 +279,11 @@ class TestStreaming:
                 consumed.append(request)
                 yield request
 
-        stream = db.stream(producer(), n_workers=1)
+        stream = db.stream(producer(), window=1)
         assert consumed == []  # nothing pulled before iteration
         first = next(stream)
         assert first.request is base[0]
-        assert len(consumed) == 1  # sequential mode pulls one at a time
+        assert len(consumed) == 1  # a window of one pulls one at a time
         stream.close()
 
     def test_stream_window_backpressure(self, world):
@@ -301,22 +297,34 @@ class TestStreaming:
                 consumed.append(request)
                 yield request
 
-        stream = db.stream(producer(), n_workers=2, window=2)
+        stream = db.stream(producer(), window=2)
         first = next(stream)
         assert first.request is base[0]
-        # With a window of 2, at most window + 1 requests have been
-        # pulled from the producer after one result is consumed.
-        assert len(consumed) <= 3
+        # With a window of 2, exactly one window has been pulled from
+        # the producer after one result is consumed.
+        assert len(consumed) == 2
         rest = list(stream)
         assert [r.request for r in [first] + rest] == base
 
     def test_stream_rejects_bad_workers_and_window(self, world):
         dataset, index = world
         db = open_db(index, network=dataset.network)
-        with pytest.raises(ConfigurationError):
-            db.stream([], n_workers=0)
+        # The worker count is gone: a stream runs on the calling thread.
+        with pytest.raises(TypeError):
+            db.stream([], n_workers=2)
         with pytest.raises(ConfigurationError):
             db.stream([], window=0)
+
+    def test_empty_stream_resets_the_dedup_stats(self, world):
+        dataset, index = world
+        db = open_db(
+            index, network=dataset.network,
+            config=EngineConfig(dedup_subqueries=True),
+        )
+        db.query_many(random_requests(dataset, index, seed=16, n=3))
+        assert db.last_dedup_stats.n_trips == 3
+        assert list(db.stream([])) == []
+        assert db.last_dedup_stats.n_trips == 0
 
 
 class TestResultWireForm:

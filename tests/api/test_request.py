@@ -253,7 +253,7 @@ class TestEngineConfig:
             dict(user_selectivity=0.0),
             dict(user_selectivity=1.5),
             dict(max_relaxations=0),
-            dict(n_workers=0),
+            dict(dedup_subqueries=False),
             dict(cache_entries=0),
         ],
     )
@@ -274,8 +274,8 @@ class TestEngineConfig:
 
     def test_equality_and_hash(self):
         assert EngineConfig() == EngineConfig()
-        assert hash(EngineConfig(n_workers=2)) == hash(
-            EngineConfig(n_workers=2)
+        assert hash(EngineConfig(cache_entries=2)) == hash(
+            EngineConfig(cache_entries=2)
         )
 
     def test_beta_policy_participates_in_identity(self):

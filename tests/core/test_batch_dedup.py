@@ -1,7 +1,7 @@
-"""Batch-executor equivalence: dedup on/off is sequential Procedure 6.
+"""Batch-executor equivalence: every batch is sequential Procedure 6.
 
-The ISSUE 5 acceptance property: the staged batch executor
-(``EngineConfig(dedup_subqueries=True)``) — which collects the planned
+The ISSUE 5 acceptance property: the staged batch executor behind
+``query_many`` and ``stream`` — which collects the planned
 sub-queries of all in-flight trips, scans each unique
 ``(path, interval, user, beta, exclude)`` task once, and fans the
 answer out to every owner — produces *byte-identical* histograms and
@@ -132,19 +132,13 @@ def test_batch_dedup_bit_identical_to_sequential(world, data):
     engine = QueryEngine(index, dataset.network, config)
     sequential = [engine.query(request) for request in requests]
 
-    # Dedup on, with and without a shared cache backend (the latter
-    # exercises in-batch-only dedup over per-trip caches).
+    # With and without a shared cache backend (the latter exercises
+    # in-batch-only dedup over per-trip caches).
     for cache in ("default", None):
-        db = TravelTimeDB(
-            index,
-            dataset.network,
-            config=config.replace(dedup_subqueries=True),
-            cache=cache,
-        )
+        db = TravelTimeDB(index, dataset.network, config=config, cache=cache)
         results = db.query_many(requests)
         assert_equivalent(sequential, results)
         stats = db.last_dedup_stats
-        assert stats is not None
         assert stats.n_trips == len(requests)
         assert stats.unique_subqueries <= stats.planned_subqueries
         # Cross-check the executor's accounting against the per-result
@@ -162,10 +156,10 @@ def test_batch_dedup_bit_identical_to_sequential(world, data):
         # Every unique planned sub-query cost at most one scan.
         assert stats.n_index_scans <= stats.unique_subqueries
 
-    # Dedup off over a shared cache: the PR-1 path, same equivalence.
+    # The session's own sequential loop over a shared cache: the PR-1
+    # path, same equivalence.
     plain = TravelTimeDB(index, dataset.network, config=config)
-    assert_equivalent(sequential, plain.query_many(requests))
-    assert plain.last_dedup_stats is None
+    assert_equivalent(sequential, [plain.query(r) for r in requests])
 
 
 def test_dedup_scans_repeated_batch_once(world):
@@ -177,11 +171,8 @@ def test_dedup_scans_repeated_batch_once(world):
         interval=PeriodicInterval.around(trip.start_time, 900),
         beta=10,
     )
-    config = EngineConfig(dedup_subqueries=True)
-    solo = TravelTimeDB(
-        mono, dataset.network, config=config
-    ).query_many([request])
-    batch_db = TravelTimeDB(mono, dataset.network, config=config)
+    solo = TravelTimeDB(mono, dataset.network).query_many([request])
+    batch_db = TravelTimeDB(mono, dataset.network)
     results = batch_db.query_many([request] * 5)
     stats = batch_db.last_dedup_stats
     assert stats.n_index_scans == sum(r.n_index_scans for r in solo)
@@ -202,12 +193,10 @@ def test_stream_dedup_preserves_order_and_answers(world):
             )
         )
     requests = requests * 2  # repeats across window chunks
-    config = EngineConfig(dedup_subqueries=True)
-    reference = TravelTimeDB(
-        mono, dataset.network, cache=None
-    ).query_many(requests)
-    db = TravelTimeDB(mono, dataset.network, config=config)
-    streamed = list(db.stream(iter(requests), n_workers=2, window=4))
+    uncached = TravelTimeDB(mono, dataset.network, cache=None)
+    reference = [uncached.query(request) for request in requests]
+    db = TravelTimeDB(mono, dataset.network)
+    streamed = list(db.stream(iter(requests), window=4))
     assert [r.request for r in streamed] == requests
     for expected, actual in zip(reference, streamed):
         assert actual.histogram == expected.histogram
@@ -215,5 +204,4 @@ def test_stream_dedup_preserves_order_and_answers(world):
     # The stream's dedup accounting aggregates over every window chunk,
     # not just the final one.
     stats = db.last_dedup_stats
-    assert stats is not None
     assert stats.n_trips == len(requests)

@@ -102,7 +102,7 @@ def draw_requests(data, trips):
 def test_a_batch_of_one_does_a_single_querys_kernel_work(world, data):
     dataset, readers, trips = world
     reader = data.draw(st.sampled_from(READERS), label="reader")
-    config = EngineConfig(dedup_subqueries=True)
+    config = EngineConfig()
     for request in draw_requests(data, trips):
         # Fresh cache=None sessions: nothing either path does can be
         # answered by what the other left behind.

@@ -22,14 +22,10 @@ from repro import (
     EngineConfig,
     PeriodicInterval,
     QueryEngine,
-    ShardedSNTIndex,
-    SNTIndex,
     StrictPathQuery,
     SubQueryCache,
-    TrajectorySet,
     TravelTimeDB,
     TripRequest,
-    generate_dataset,
 )
 from repro.config import DEFAULT_INTERVAL_LADDER_S, SECONDS_PER_DAY
 from repro.core.intervals import is_periodic
@@ -60,51 +56,6 @@ LADDERS = (
     (900, SECONDS_PER_DAY + 3600),
 )
 EIGHT = 8 * 3600
-
-
-def build_readers(trajectories, alphabet_size, partition_days):
-    """The same corpus behind all three readers; the sharded one keeps
-    its newest temporal bucket in an appended staging shard."""
-    trajectories = list(trajectories)
-    t_min = min(tr.start_time for tr in trajectories)
-    window = partition_days * SECONDS_PER_DAY
-
-    def bucket(tr):
-        return (tr.start_time - t_min) // window
-
-    newest = max(bucket(tr) for tr in trajectories)
-    sharded = ShardedSNTIndex.build(
-        TrajectorySet([tr for tr in trajectories if bucket(tr) < newest]),
-        alphabet_size,
-        n_shards=3,
-        partition_days=partition_days,
-    )
-    sharded.append([tr for tr in trajectories if bucket(tr) == newest])
-    assert sharded.has_staging and sharded.n_shards >= 3
-    return {
-        "css": SNTIndex.build(
-            TrajectorySet(trajectories),
-            alphabet_size,
-            partition_days=partition_days,
-        ),
-        "btree": SNTIndex.build(
-            TrajectorySet(trajectories),
-            alphabet_size,
-            partition_days=partition_days,
-            kind="btree",
-        ),
-        "sharded": sharded,
-    }
-
-
-@pytest.fixture(scope="module")
-def world():
-    dataset = generate_dataset("tiny", seed=0)
-    readers = build_readers(
-        dataset.trajectories, dataset.network.alphabet_size, 7
-    )
-    trips = [tr for tr in dataset.trajectories if len(tr) >= 6]
-    return dataset, readers, trips
 
 
 # --------------------------------------------------------------------- #
@@ -343,20 +294,16 @@ def test_trips_equal_the_rung_by_rung_engine(world, data):
         )
     )
 
-    def drivers():
-        yield lambda: engine.query(request)
-        for dedup in (False, True):
-            db = TravelTimeDB(
-                index,
-                dataset.network,
-                config=config.replace(dedup_subqueries=dedup),
-            )
-            # Twice: the second pass is answered by the cache the first
-            # one filled, rung by rung.
-            yield lambda: db.query_many([request])[0]
-            yield lambda: db.query_many([request, request])[1]
-
-    for driver in drivers():
+    db = TravelTimeDB(index, dataset.network, config=config)
+    drivers = (
+        lambda: engine.query(request),
+        # The session's sequential loop and its batch, the second pass
+        # answered by the cache the first one filled, rung by rung.
+        lambda: db.query(request),
+        lambda: db.query_many([request])[0],
+        lambda: db.query_many([request, request])[1],
+    )
+    for driver in drivers:
         actual, raised = run_or_error(driver)
         assert raised == error
         if error is None:
@@ -380,9 +327,7 @@ def test_one_dedup_batch_mixing_estimator_modes(world):
         for mode in modes
     ]
     engine = QueryEngine(index, dataset.network)
-    db = TravelTimeDB(
-        index, dataset.network, config=EngineConfig(dedup_subqueries=True)
-    )
+    db = TravelTimeDB(index, dataset.network)
     batched = db.query_many(requests)
     assert sum(r.n_estimator_skips for r in batched) > 0
     for request, actual in zip(requests, batched):
@@ -429,11 +374,11 @@ def crafted(tods, edges=(1, 2), days=5, user=1):
 
 
 @pytest.fixture(scope="module", params=READERS)
-def crafted_reader(request):
+def crafted_reader(request, readers_over):
     network = chain_network()
 
     def build(rows):
-        return build_readers(rows, network.alphabet_size, 1)[request.param]
+        return readers_over(rows, network.alphabet_size, 1)[request.param]
 
     return network, build
 

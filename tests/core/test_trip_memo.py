@@ -6,8 +6,8 @@ trip from the backend's ``trips`` section with one probe.  Everything a
 memoised answer carries must equal what a ``cache=None`` session
 computes from scratch — histogram, point estimate, every outcome, the
 estimator skips and the demand count ``n_index_scans + n_cache_hits`` —
-under every driver (``query``, ``query_many`` with and without dedup,
-on one or two workers, ``stream``, forked processes) and every reader
+under every driver (``query``, ``query_many``, a windowed ``stream``;
+all three are ``run_batch`` on the calling thread) and every reader
 (CSS and B+-tree monolithic, multi-shard with a staging shard), and the
 memo must never serve across anything that shapes an answer.
 """
@@ -55,30 +55,13 @@ def assert_same_answer(actual, expected):
 
 
 # --------------------------------------------------------------------- #
-# Drivers: name -> (dedup_subqueries, answer(db, requests),
-#                   whether a repeat is certain to find the memo)
+# Drivers: name -> answer(db, requests)
 # --------------------------------------------------------------------- #
 
 DRIVERS = {
-    "query": (False, lambda db, rs: [db.query(r) for r in rs], True),
-    "query_many": (False, lambda db, rs: db.query_many(rs), True),
-    # Two whole-trip threads may both miss the memo on the same trip at
-    # once (answers identical, work over-counted, never missed).
-    "query_many-2": (
-        False, lambda db, rs: db.query_many(rs, n_workers=2), False
-    ),
-    "dedup": (True, lambda db, rs: db.query_many(rs), True),
-    "dedup-2": (True, lambda db, rs: db.query_many(rs, n_workers=2), True),
-    "stream": (False, lambda db, rs: list(db.stream(rs, window=3)), True),
-    "stream-dedup": (
-        True, lambda db, rs: list(db.stream(rs, window=3)), True
-    ),
-    # Each forked worker memoises in its own spawned cache.
-    "processes": (
-        False,
-        lambda db, rs: db.query_many(rs, n_workers=2, use_processes=True),
-        False,
-    ),
+    "query": lambda db, rs: [db.query(r) for r in rs],
+    "query_many": lambda db, rs: db.query_many(rs),
+    "stream": lambda db, rs: list(db.stream(rs, window=3)),
 }
 
 
@@ -129,14 +112,13 @@ def test_repeated_trips_equal_the_uncached_session(world, data):
     # value, and the back-reference must be the object that was sent.
     requests = [TripRequest.from_dict(pool[i].to_dict()) for i in order]
     name = data.draw(st.sampled_from(sorted(DRIVERS)), label="driver")
-    dedup, answer, repeat_is_memoised = DRIVERS[name]
+    answer = DRIVERS[name]
     config = EngineConfig(
         partitioner=data.draw(st.sampled_from(("pi_1", "pi_Z", "pi_N"))),
         splitter=data.draw(st.sampled_from(("regular", "longest_prefix"))),
         estimator_mode=data.draw(
             st.sampled_from((None, "ISA", "BT-Fast")), label="default mode"
         ),
-        dedup_subqueries=dedup,
     )
     reference = TravelTimeDB(index, dataset.network, config, cache=None)
     db = TravelTimeDB(index, dataset.network, config)
@@ -146,15 +128,14 @@ def test_repeated_trips_equal_the_uncached_session(world, data):
     for request, result in zip(requests, results):
         assert result.request is request
         assert_same_answer(result, reference.query(request))
-        if repeat_is_memoised and request in seen:
+        if request in seen:
             assert result.n_index_scans == 0
         seen.add(request)
-    if name != "processes":  # the workers' memos died with the pool
-        for request, result in zip(requests, answer(db, requests)):
-            assert result.request is request
-            assert result.n_index_scans == 0
-            assert_same_answer(result, reference.query(request))
-        assert db.cache_stats().trips.hits > 0
+    for request, result in zip(requests, answer(db, requests)):
+        assert result.request is request
+        assert result.n_index_scans == 0
+        assert_same_answer(result, reference.query(request))
+    assert db.cache_stats().trips.hits > 0
 
 
 # --------------------------------------------------------------------- #
@@ -239,11 +220,7 @@ def test_inherited_and_explicit_default_estimator_share_an_entry(world):
 
 def test_returned_results_do_not_leak_into_later_hits(world):
     dataset, readers, trips = world
-    db = TravelTimeDB(
-        readers["css"],
-        dataset.network,
-        EngineConfig(dedup_subqueries=True),
-    )
+    db = TravelTimeDB(readers["css"], dataset.network)
     request = sample_request(trips)
     computed = db.query(request)
     n_outcomes = len(computed.outcomes)
@@ -271,13 +248,18 @@ def test_returned_results_do_not_leak_into_later_hits(world):
     assert len(db.query(other).outcomes) == len(twin.outcomes)
 
 
-@pytest.mark.parametrize("dedup", (False, True))
-def test_a_failed_trip_is_not_memoised(world, dedup):
+@pytest.mark.parametrize("shared", (False, True))
+def test_a_failed_trip_is_not_memoised(world, shared, tmp_path):
+    """Neither the in-process memo nor the shared tier's rows keep a
+    trip that raised, whichever driver asked."""
     dataset, readers, trips = world
     db = TravelTimeDB(
         readers["css"],
         dataset.network,
-        EngineConfig(max_relaxations=1, dedup_subqueries=dedup),
+        EngineConfig(
+            max_relaxations=1,
+            cache=f"shared:{tmp_path}" if shared else "memory",
+        ),
     )
     doomed = sample_request(
         trips,
@@ -300,7 +282,7 @@ def test_a_failed_trip_is_not_memoised(world, dedup):
 def test_dedup_stats_account_replayed_trips_like_a_sequential_pass(world):
     dataset, readers, trips = world
     index, network = readers["css"], dataset.network
-    config = EngineConfig(dedup_subqueries=True)
+    config = EngineConfig()
     a, b = sample_request(trips, 0), sample_request(trips, 3)
     solo = TravelTimeDB(index, network, cache=None)
     demands = {r: solo.query(r).n_index_scans for r in (a, b)}
@@ -337,9 +319,7 @@ def test_dedup_stats_account_replayed_trips_like_a_sequential_pass(world):
 
 def test_wire_text_is_encoded_once_and_is_no_part_of_the_value(world):
     dataset, readers, trips = world
-    db = TravelTimeDB(
-        readers["css"], dataset.network, EngineConfig(dedup_subqueries=True)
-    )
+    db = TravelTimeDB(readers["css"], dataset.network)
     request = sample_request(trips)
     first, twin = db.query_many([request, sample_request(trips)])
     replay = db.query(request)

@@ -446,6 +446,13 @@ class TestStats:
         snap = stats.snapshot(queue_depth=3)
         assert snap["queue"]["depth"] == 3
         assert snap["rounds"]["dedup_hit_rate"] == 0.0
+        # Every round runs the deduplicating executor, so there is no
+        # separate count of rounds that did.
+        assert set(snap["rounds"]) == {
+            "count", "closed_early", "planned_subqueries",
+            "unique_subqueries", "index_scans", "cache_hits",
+            "scans_saved", "dedup_hit_rate",
+        }
         for key in ("uptime_s", "connections", "requests", "latency",
                     "clients"):
             assert key in snap

@@ -60,7 +60,6 @@ def requests_for(trips, count):
 
 def open_session(world, **config_kwargs):
     dataset, index, _ = world
-    config_kwargs.setdefault("dedup_subqueries", True)
     return open_db(
         index, network=dataset.network, config=EngineConfig(**config_kwargs)
     )

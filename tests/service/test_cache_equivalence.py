@@ -90,12 +90,11 @@ def test_batched_cached_equals_sequential(
 
     db = TravelTimeDB(workload.index, workload.network, config=config)
     requests = as_requests(queries, exclude_ids)
-    # Cold pass single-threaded: the exact scans-vs-hits accounting is
-    # only guaranteed without concurrent same-key misses.  The warm pass
-    # fans out — every retrieval is a hit, so the accounting is exact
-    # again and the fan-out path is exercised.
+    # The cold batch shares walks across its trips (a later owner of a
+    # shared walk accounts a hit); the warm one is answered from the
+    # cache — the scans + hits sum is the sequential scan count in both.
     cold = db.query_many(requests)
-    warm = db.query_many(requests, n_workers=3)
+    warm = db.query_many(requests)
     assert_equivalent(sequential, cold)
     assert_equivalent(sequential, warm)
     # The warm pass answers the whole batch from cache.
@@ -141,9 +140,11 @@ def test_results_preserve_submission_order(workload, jobs):
     queries, exclude_ids = jobs
     db = TravelTimeDB(workload.index, workload.network)
     requests = as_requests(queries, exclude_ids)
-    single = db.query_many(requests, n_workers=1)
-    fanned = db.query_many(requests, n_workers=4)
-    for a, b in zip(single, fanned):
+    batched = db.query_many(requests)
+    streamed = list(db.stream(iter(requests), window=4))
+    assert [r.request for r in batched] == requests
+    assert [r.request for r in streamed] == requests
+    for a, b in zip(batched, streamed):
         assert a.histogram == b.histogram
         assert [o.query.path for o in a.outcomes] == [
             o.query.path for o in b.outcomes
@@ -174,12 +175,14 @@ def test_cache_disabled_service_matches_too(workload, jobs):
         for query, excluded in zip(queries, exclude_ids)
     ]
     db = TravelTimeDB(workload.index, workload.network, cache=None)
-    results = db.query_many(as_requests(queries, exclude_ids), n_workers=2)
+    results = db.query_many(as_requests(queries, exclude_ids))
     assert db.cache_stats() is None
-    for expected, actual in zip(sequential, results):
-        assert actual.histogram == expected.histogram
-        assert actual.n_cache_hits == 0
-        assert actual.n_index_scans == expected.n_index_scans
+    # Without a cache only the batch itself shares: a walk an earlier
+    # trip of the batch scanned is a hit for the later ones.
+    assert_equivalent(sequential, results)
+    assert sum(r.n_index_scans for r in results) == (
+        db.last_dedup_stats.n_index_scans
+    )
 
 
 def test_shared_cache_across_services(workload, jobs):
@@ -205,14 +208,14 @@ def test_repeated_batches_replay_memoised_trips(workload, jobs):
         for query, excluded in zip(queries, exclude_ids)
     ]
     requests = as_requests(queries, exclude_ids)
-    for dedup in (False, True):
-        db = TravelTimeDB(
-            workload.index,
-            workload.network,
-            config=EngineConfig(dedup_subqueries=dedup),
-        )
-        assert_equivalent(sequential, db.query_many(requests))
-        warm = db.query_many(requests)
+    drivers = (
+        lambda db: [db.query(request) for request in requests],
+        lambda db: db.query_many(requests),
+    )
+    for answer in drivers:
+        db = TravelTimeDB(workload.index, workload.network)
+        assert_equivalent(sequential, answer(db))
+        warm = answer(db)
         assert_equivalent(sequential, warm)
         assert sum(result.n_index_scans for result in warm) == 0
         stats = db.cache_stats().trips
@@ -220,7 +223,7 @@ def test_repeated_batches_replay_memoised_trips(workload, jobs):
 
         db.clear_cache()
         assert db.cache_stats().trips.size == 0
-        cold = db.query_many(requests)
+        cold = answer(db)
         assert_equivalent(sequential, cold)
         assert sum(result.n_index_scans for result in cold) > 0
 
@@ -280,11 +283,15 @@ def test_invalid_cache_and_workers_raise(workload, jobs):
 
     with pytest.raises(ConfigurationError):
         TravelTimeDB(workload.index, workload.network, cache="bogus")
-    with pytest.raises(ConfigurationError):
-        EngineConfig(n_workers=0)
+    # Deduplication is the only batch path, and the fan-out width is no
+    # longer a parameter anywhere.
+    with pytest.raises(ConfigurationError, match="always on"):
+        EngineConfig(dedup_subqueries=False)
+    with pytest.raises(TypeError):
+        EngineConfig(n_workers=2)
     db = TravelTimeDB(workload.index, workload.network)
     requests = as_requests(*jobs)
+    with pytest.raises(TypeError):
+        db.query_many(requests, n_workers=2)
     with pytest.raises(ConfigurationError):
-        db.query_many(requests, n_workers=0)
-    with pytest.raises(ConfigurationError):
-        db.stream(requests, n_workers=0)
+        db.stream(requests, window=0)

@@ -523,18 +523,6 @@ def test_foreign_shard_in_manifest_rejected(world, tmp_path):
         load_any_index(target)
 
 
-def test_spawn_empty_copies_cache_bounds():
-    cache = SubQueryCache(max_ranges=7, max_results=5, max_histograms=3)
-    fresh = cache.spawn_for_worker()
-    stats = fresh.stats()
-    assert (
-        stats.ranges.max_size,
-        stats.results.max_size,
-        stats.histograms.max_size,
-    ) == (7, 5, 3)
-    assert stats.ranges.size == 0
-
-
 def test_cache_sync_epoch_clears_sections():
     class FakeIndex:
         epoch = 0
@@ -552,7 +540,7 @@ def test_cache_sync_epoch_clears_sections():
 
 
 # --------------------------------------------------------------------- #
-# Parallel build / process fan-out
+# Parallel build
 # --------------------------------------------------------------------- #
 
 
@@ -579,25 +567,6 @@ def test_parallel_build_equals_inline_build(world):
             run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
             run_trip(engine_parallel, query, exclude_ids=(trip.traj_id,)),
         )
-
-
-def test_process_fanout_matches_threaded_batches(world):
-    dataset, mono, sharded, trips = world
-    db = TravelTimeDB(sharded, dataset.network, cache=None)
-    queries = [
-        StrictPathQuery(
-            path=trip.path,
-            interval=PeriodicInterval.around(trip.start_time, 900),
-            beta=10,
-        )
-        for trip in trips[:8]
-    ]
-    exclude_ids = [(trip.traj_id,) for trip in trips[:8]]
-    requests = as_requests(queries, exclude_ids)
-    threaded = db.query_many(requests)
-    forked = db.query_many(requests, n_workers=2, use_processes=True)
-    for expected, actual in zip(threaded, forked):
-        assert_bit_identical(expected, actual)
 
 
 # --------------------------------------------------------------------- #
@@ -703,58 +672,8 @@ def test_service_cold_start_from_sharded_dir(world, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Shard lifecycle (ISSUE 9): object-store page-in + compacted layouts
+# Shard lifecycle (ISSUE 9): compacted layouts
 # --------------------------------------------------------------------- #
-
-
-def test_object_store_pagein_answers_identically(world, tmp_path):
-    """Saving to and loading from an ``object://`` store is transparent:
-    the paged-in index answers bit-identically to the monolithic one."""
-    dataset, mono, sharded, trips = world
-    uri = f"object://{tmp_path}/remote?cache={tmp_path}/cache"
-    sharded.save(uri, extra={"note": "object-store"})
-
-    layout, manifest = read_any_meta(uri)
-    assert layout == "sharded"
-    assert manifest["extra"] == {"note": "object-store"}
-
-    loaded = load_any_index(
-        uri, expected_alphabet_size=dataset.network.alphabet_size
-    )
-    assert isinstance(loaded, ShardedSNTIndex)
-    assert loaded.n_shards == sharded.n_shards
-
-    engine_mono = QueryEngine(mono, dataset.network)
-    engine_loaded = QueryEngine(loaded, dataset.network)
-    for trip in trips[:10]:
-        query = StrictPathQuery(
-            path=trip.path,
-            interval=PeriodicInterval.around(trip.start_time, 900),
-            beta=10,
-        )
-        assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
-            run_trip(engine_loaded, query, exclude_ids=(trip.traj_id,)),
-        )
-
-
-def test_monolithic_object_store_roundtrip(world, tmp_path):
-    dataset, mono, _, trips = world
-    uri = f"object://{tmp_path}/remote?cache={tmp_path}/cache"
-    mono.save(uri)
-    loaded = load_any_index(
-        uri, expected_alphabet_size=dataset.network.alphabet_size
-    )
-    assert isinstance(loaded, SNTIndex)
-    engine_mono = QueryEngine(mono, dataset.network)
-    engine_loaded = QueryEngine(loaded, dataset.network)
-    query = StrictPathQuery(
-        path=trips[0].path,
-        interval=PeriodicInterval.around(trips[0].start_time, 900),
-    )
-    assert_bit_identical(
-        run_trip(engine_mono, query), run_trip(engine_loaded, query)
-    )
 
 
 def test_compacted_saved_layout_equivalent_across_modes(world, tmp_path):

@@ -2,8 +2,7 @@
 
 The store layer must be testable without building a single index:
 everything here exercises byte-level contracts — URI dispatch, key
-hygiene, the local page-in cache's etag revalidation and LRU eviction,
-and the install ordering that keeps a remote namespace atomic.
+hygiene, and the local directory store's atomic install.
 """
 
 import json
@@ -11,12 +10,7 @@ import json
 import pytest
 
 from repro.errors import PersistenceError, StoreError
-from repro.sntindex.store import (
-    LocalDirStore,
-    ObjectStore,
-    as_store,
-    is_store_uri,
-)
+from repro.sntindex.store import LocalDirStore, as_store, is_store_uri
 
 
 # --------------------------------------------------------------------- #
@@ -40,23 +34,14 @@ class TestAsStore:
         assert isinstance(store, LocalDirStore)
         assert store.local_anchor() == tmp_path / "index"
 
-    def test_object_uri(self, tmp_path):
-        store = as_store(
-            f"object://{tmp_path}/remote?cache={tmp_path}/cache"
-        )
-        assert isinstance(store, ObjectStore)
-
     def test_store_passthrough(self, tmp_path):
         store = LocalDirStore(tmp_path)
         assert as_store(store) is store
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(StoreError, match="unknown store URI scheme"):
-            as_store("s3://bucket/prefix")
-
-    def test_unknown_object_param_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="parameter"):
-            as_store(f"object://{tmp_path}/r?ttl=5")
+        for uri in ("s3://bucket/prefix", "object:///remote?cache=/c"):
+            with pytest.raises(StoreError, match=r"\(knows: file:\)"):
+                as_store(uri)
 
     def test_store_error_is_persistence_error(self):
         # CLI/main() catches ReproError; the store taxonomy must sit
@@ -65,7 +50,7 @@ class TestAsStore:
 
     def test_is_store_uri(self, tmp_path):
         assert is_store_uri("file:/x")
-        assert is_store_uri("object://x")
+        assert not is_store_uri("object://x")
         assert not is_store_uri(str(tmp_path))
         assert not is_store_uri("plain/relative/dir")
 
@@ -144,127 +129,3 @@ class TestLocalDirStore:
                       what="saved SNT-index")
         assert json.loads((target / "meta.json").read_text()) == {"v": 2}
         assert not (target / "blob").exists()  # old payload fully gone
-
-
-# --------------------------------------------------------------------- #
-# ObjectStore
-# --------------------------------------------------------------------- #
-
-
-def _object_store(tmp_path, **kwargs):
-    return ObjectStore(
-        tmp_path / "remote", cache_dir=tmp_path / "cache", **kwargs
-    )
-
-
-class TestObjectStore:
-    def test_put_get_roundtrip(self, tmp_path):
-        store = _object_store(tmp_path)
-        store.put("a/b", b"bytes")
-        assert store.get("a/b") == b"bytes"
-        assert store.exists("a/b")
-
-    def test_missing_object_raises(self, tmp_path):
-        store = _object_store(tmp_path)
-        with pytest.raises(StoreError, match="no object"):
-            store.get("nope")
-
-    def test_list_skips_internal_files(self, tmp_path):
-        store = _object_store(tmp_path)
-        store.put("visible", b"1")
-        (tmp_path / "remote" / ".hidden").write_bytes(b"x")
-        assert store.list("") == ["visible"]
-
-    def test_localize_pages_in_and_revalidates(self, tmp_path):
-        store = _object_store(tmp_path)
-        store.put("p/data", b"old")
-        local = store.localize("p")
-        assert (local / "data").read_bytes() == b"old"
-        # Remote changes; a fresh localize must see them (etag diff).
-        store.put("p/data", b"new-longer")
-        store.put("p/extra", b"added")
-        local = store.localize("p")
-        assert (local / "data").read_bytes() == b"new-longer"
-        assert (local / "extra").read_bytes() == b"added"
-
-    def test_localize_drops_stale_local_files(self, tmp_path):
-        store = _object_store(tmp_path)
-        store.put("p/keep", b"k")
-        store.put("p/drop", b"d")
-        local = store.localize("p")
-        assert (local / "drop").exists()
-        store.delete("p/drop")
-        local = store.localize("p")
-        assert not (local / "drop").exists()
-        assert (local / "keep").exists()
-
-    def test_eviction_respects_pinned_prefix(self, tmp_path):
-        store = _object_store(tmp_path, cache_bytes=64)
-        store.put("hot/a", b"x" * 40)
-        store.put("cold/b", b"y" * 40)
-        hot = store.localize("hot")     # pinned: live mmaps may point in
-        store.localize("cold")          # pushes total over the budget
-        assert (hot / "a").exists()     # pinned prefix never evicted
-
-    def test_install_roundtrip_and_cache_invalidation(self, tmp_path):
-        store = _object_store(tmp_path)
-
-        def writer(directory):
-            (directory / "manifest.json").write_text('{"epoch": 0}')
-            sub = directory / "shard_0000"
-            sub.mkdir()
-            (sub / "payload").write_bytes(b"v1")
-
-        store.install("", marker_file="manifest.json", writer=writer,
-                      what="saved sharded SNT-index")
-        assert store.get("shard_0000/payload") == b"v1"
-        local = store.localize("")
-        assert (local / "shard_0000" / "payload").read_bytes() == b"v1"
-
-        def writer2(directory):
-            (directory / "manifest.json").write_text('{"epoch": 1}')
-            sub = directory / "shard_9999"
-            sub.mkdir()
-            (sub / "payload").write_bytes(b"v2")
-
-        store.install("", marker_file="manifest.json", writer=writer2,
-                      what="saved sharded SNT-index")
-        # Remote: old payload object gone, new one present.
-        assert not store.exists("shard_0000/payload")
-        assert store.get("shard_9999/payload") == b"v2"
-        # A fresh localize must not resurrect the pre-install tree.
-        local = store.localize("")
-        assert not (local / "shard_0000").exists()
-        assert (local / "shard_9999" / "payload").read_bytes() == b"v2"
-        assert json.loads(
-            (local / "manifest.json").read_text()
-        ) == {"epoch": 1}
-
-    def test_install_requires_marker(self, tmp_path):
-        store = _object_store(tmp_path)
-        with pytest.raises(StoreError, match="marker"):
-            store.install(
-                "",
-                marker_file="manifest.json",
-                writer=lambda d: (d / "other").write_bytes(b"x"),
-                what="saved sharded SNT-index",
-            )
-
-    def test_install_overwrite_guard(self, tmp_path):
-        store = _object_store(tmp_path)
-        store.put("unrelated", b"user data")
-        with pytest.raises(StoreError, match="refusing"):
-            store.install(
-                "",
-                marker_file="manifest.json",
-                writer=lambda d: (d / "manifest.json").write_text("{}"),
-                what="saved sharded SNT-index",
-            )
-        assert store.get("unrelated") == b"user data"
-
-    def test_default_cache_dir_is_stable(self, tmp_path):
-        a = ObjectStore(tmp_path / "remote")
-        b = ObjectStore(tmp_path / "remote")
-        assert a.local_anchor() == b.local_anchor()
-        c = ObjectStore(tmp_path / "other")
-        assert c.local_anchor() != a.local_anchor()

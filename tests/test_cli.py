@@ -206,8 +206,7 @@ class TestBatchCommand:
     def test_inline_paths(self, world_dir, capsys):
         paths = self.paths_arg(world_dir)
         assert main(["batch", "--world", str(world_dir), "--paths", paths,
-                     "--tod", "08:00", "--workers", "2",
-                     "--repeat", "2"]) == 0
+                     "--tod", "08:00", "--repeat", "2"]) == 0
         out = capsys.readouterr().out
         assert "answered 6 queries" in out
         assert "cache:" in out
@@ -233,21 +232,17 @@ class TestBatchCommand:
     def test_stream_flag_matches_batched_output(self, world_dir, capsys):
         paths = self.paths_arg(world_dir)
         args = ["batch", "--world", str(world_dir), "--paths", paths,
-                "--tod", "08:00", "--workers", "2", "--repeat", "2"]
+                "--tod", "08:00", "--repeat", "2"]
         assert main(args) == 0
         batched = capsys.readouterr().out
         assert main(args + ["--stream"]) == 0
         streamed = capsys.readouterr().out
-        # Identical per-query lines in identical (submission) order.
-        # The wall-clock line and the aggregate cache-stats line are
-        # dropped: under --workers 2 two threads may race a same-key
-        # cold miss and each scan once (documented in core/engine.py),
-        # so the hit/miss totals are not deterministic.
+        # Identical per-query lines in identical (submission) order, and
+        # the same cache and dedup totals: three paths fit one stream
+        # window, so both runs answer each pass as one batch.  Only the
+        # wall-clock line is dropped.
         def answer_lines(text):
-            return [
-                line for line in text.splitlines()
-                if " ms " not in line and not line.startswith("cache:")
-            ]
+            return [line for line in text.splitlines() if " ms " not in line]
 
         assert answer_lines(streamed) == answer_lines(batched)
 
@@ -296,9 +291,13 @@ class TestBatchCommand:
                   "--paths-file", str(query_file)])
 
     def test_invalid_workers_rejected(self, world_dir):
-        with pytest.raises(SystemExit):
-            main(["batch", "--world", str(world_dir), "--paths", "1",
-                  "--workers", "0"])
+        # Every batch is one run_batch on the calling thread: the fan-out
+        # width and the dedup switch are no longer flags at all.
+        for flag in (["--workers", "2"], ["--no-dedup"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["batch", "--world", str(world_dir), "--paths", "1",
+                      *flag])
+            assert excinfo.value.code == 2
 
 
 class TestShardedIndexCommand:
@@ -463,6 +462,12 @@ class TestServe:
         assert config.executor_workers == 3
         assert captured["db"].config.dedup_subqueries is True
 
+    def test_engine_workers_flag_is_gone(self, world_dir):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--world", str(world_dir), "--port", "0",
+                  "--workers", "2"])
+        assert excinfo.value.code == 2
+
 
 def _all_repro_error_types():
     """Every concrete ReproError subclass the library defines."""
@@ -586,15 +591,15 @@ class TestShardLifecycleCommands:
                   "--path", "1"])
         assert excinfo.value.code == 2
 
-    def test_index_out_accepts_object_uri(self, world_dir, tmp_path,
-                                          capsys):
-        uri = (
-            f"object://{tmp_path}/remote?cache={tmp_path}/cache"
-        )
+    def test_index_out_accepts_file_uri(self, world_dir, tmp_path, capsys):
+        uri = f"file:{tmp_path}/sharded"
         assert main(["index", "--world", str(world_dir), "--out", uri,
                      "--partition-days", "7", "--shards", "2"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "remote" / "manifest.json").exists()
+        # The command echoes the URI it was given, not the directory.
+        assert capsys.readouterr().out.rstrip().splitlines()[0].endswith(
+            f"-> {uri}"
+        )
+        assert (tmp_path / "sharded" / "manifest.json").exists()
         path = TestQuery().path_from_world(world_dir)
         assert main(["query", "--world", str(world_dir),
                      "--store", uri, "--path", path]) == 0
