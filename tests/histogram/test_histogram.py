@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.histogram import Histogram
+from repro.histogram.histogram import _same_width
 
 from tests.paper_vectors import WORKED_CONVOLUTION, WORKED_H1, WORKED_H2
 
@@ -23,6 +24,17 @@ class TestConstruction:
     def test_from_values_negative_rejected(self):
         with pytest.raises(ValueError):
             Histogram.from_values([-1.0], bucket_width=1.0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan], [np.inf], [1.0, np.nan], [-np.inf], [2.0, np.inf]],
+        ids=["nan", "inf", "value-then-nan", "-inf", "value-then-inf"],
+    )
+    def test_from_values_non_finite_rejected(self, values):
+        with pytest.raises(
+            ValueError, match="travel times must be finite and non-negative"
+        ):
+            Histogram.from_values(values, bucket_width=1.0)
 
     def test_bad_bucket_width(self):
         with pytest.raises(ValueError):
@@ -127,6 +139,29 @@ class TestConvolution:
         h1 = Histogram.from_dict({100: 1}, bucket_width=1.0)
         h2 = Histogram.from_dict({200: 1}, bucket_width=1.0)
         assert (h1 * h2).as_dict() == {300: 1}
+
+
+WIDTH_GRID = [
+    0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 2e-5, 2.0, 1e-8,
+    2e-8, 5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e300,
+    1.00001e300, np.inf, -np.inf, np.nan,
+]
+
+
+def test_same_width_is_isclose():
+    for a in WIDTH_GRID:
+        for b in WIDTH_GRID:
+            assert _same_width(a, b) == bool(np.isclose(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("combine", [Histogram.convolve, Histogram.merge])
+def test_combining_different_widths_raises(combine):
+    h1 = Histogram.from_dict({1: 1}, bucket_width=1.0)
+    h2 = Histogram.from_dict({1: 1}, bucket_width=1.001)
+    close = Histogram.from_dict({1: 1}, bucket_width=1.0 + 1e-9)
+    with pytest.raises(ValueError, match="different widths"):
+        combine(h1, h2)
+    assert combine(h1, close).bucket_width == 1.0
 
 
 class TestNormalisation:
