@@ -13,7 +13,6 @@ from .reader import EdgeStats, IndexReader
 from .sharded import (
     SHARDED_FORMAT_VERSION,
     ShardedSNTIndex,
-    ShardRouter,
     ShardStats,
     load_any_index,
     load_sharded_index,
@@ -38,7 +37,6 @@ __all__ = [
     "IndexReader",
     "EdgeStats",
     "ShardedSNTIndex",
-    "ShardRouter",
     "ShardStats",
     "SHARDED_FORMAT_VERSION",
     "save_sharded_index",

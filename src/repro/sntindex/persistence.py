@@ -85,6 +85,7 @@ __all__ = [
     "save_index",
     "load_index",
     "read_meta",
+    "read_manifest",
     "validate_meta",
     "validate_identity",
     "atomic_install_dir",
@@ -129,11 +130,10 @@ def save_index(
     Loaders ignore it.
 
     The payload is staged and installed atomically by the store
-    (:meth:`~repro.sntindex.store.ShardStore.install`): for a local
-    directory, the historical sibling-tempdir swap; for an object
-    store, marker-last upload ordering.  Either way an interrupted
-    re-save never leaves a target mixing old and new files (which would
-    pass every load check and answer queries wrongly).
+    (:meth:`~repro.sntindex.store.ShardStore.install`; a sibling-tempdir
+    swap for a local directory), so an interrupted re-save never leaves
+    a target mixing old and new files (which would pass every load
+    check and answer queries wrongly).
     """
     return as_store(path).install(
         "",
@@ -304,6 +304,50 @@ def _write_payload(
         json.dump(meta, handle, indent=2)
 
 
+def read_manifest(
+    path: StoreLike,
+    file_name: str,
+    format_name: str,
+    format_version: int,
+    what: str,
+) -> dict:
+    """Read the JSON manifest ``file_name`` of a saved index and check
+    its format tag and version — shared by :func:`read_meta` and the
+    sharded ``manifest.json`` reader.
+
+    Anything but a JSON object at the top level is a corrupt manifest
+    (:class:`PersistenceError`), so callers may ``.get`` on the result.
+    """
+    store = as_store(path)
+    source = store.uri
+    if not store.exists(file_name):
+        raise PersistenceError(
+            f"{source} is not a saved {what} ({file_name} missing)"
+        )
+    try:
+        manifest = json.loads(store.get(file_name))
+    except (StoreError, OSError, ValueError) as error:
+        raise PersistenceError(f"corrupt {file_name}: {error}") from error
+    if not isinstance(manifest, dict):
+        raise PersistenceError(
+            f"corrupt {file_name}: top level is a JSON "
+            f"{type(manifest).__name__}, expected an object"
+        )
+    if manifest.get("format") != format_name:
+        raise PersistenceError(
+            f"{source} holds format {manifest.get('format')!r}, "
+            f"expected {format_name!r}"
+        )
+    version = manifest.get("format_version")
+    if version != format_version:
+        raise IndexFormatError(
+            f"saved {what} has format version {version!r}; this build "
+            f"reads version {format_version} only — rebuild the index "
+            "from source data with `repro index`"
+        )
+    return manifest
+
+
 def read_meta(path: StoreLike) -> dict:
     """Read and format-check ``meta.json`` of a saved index.
 
@@ -311,28 +355,9 @@ def read_meta(path: StoreLike) -> dict:
     ``extra`` dict, build stats, scalar attributes — without loading
     the index.
     """
-    store = as_store(path)
-    source = store.uri
-    if not store.exists(META_FILE):
-        raise PersistenceError(f"{source} is not a saved SNT-index "
-                               f"({META_FILE} missing)")
-    try:
-        meta = json.loads(store.get(META_FILE))
-    except (StoreError, OSError, json.JSONDecodeError) as error:
-        raise PersistenceError(f"corrupt {META_FILE}: {error}") from error
-    if meta.get("format") != FORMAT_NAME:
-        raise PersistenceError(
-            f"{source} holds format {meta.get('format')!r}, "
-            f"expected {FORMAT_NAME!r}"
-        )
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(
-            f"saved index has format version {version!r}; this build "
-            f"reads version {FORMAT_VERSION} only — rebuild the index "
-            "from source data with `repro index`"
-        )
-    return meta
+    return read_manifest(
+        path, META_FILE, FORMAT_NAME, FORMAT_VERSION, "SNT-index"
+    )
 
 
 def validate_identity(

@@ -5,9 +5,11 @@ time window of trajectory *start* times (Section 4.3.2) — which makes
 time-range sharding the natural scale-out axis: a **shard** is a
 contiguous run of those temporal partitions, built as a self-contained
 :class:`SNTIndex` (so shards build in parallel worker processes and
-persist with the unchanged PR-1 directory format), and a **router**
-answers the :class:`~repro.sntindex.reader.IndexReader` protocol over
-the shard set.
+persist with the unchanged PR-1 directory format).
+:class:`ShardedSNTIndex` answers the
+:class:`~repro.sntindex.reader.IndexReader` protocol over the shard set
+itself: it prunes shards by interval, fans each call out over the
+survivors and merges their outputs.
 
 Bit-identical answers
 ---------------------
@@ -28,7 +30,7 @@ monolithic ``SNTIndex`` built from the same corpus with the same
   in the same relative order.  Merging per-shard scan outputs on
   ``(entry time, shard order)`` with a stable sort therefore reproduces
   the monolithic row order exactly — including Procedure 3's ascending
-  entry-time ``beta`` cut, which the router applies globally across the
+  entry-time ``beta`` cut, which the index applies globally across the
   per-shard (already capped) prefixes.
 * **Additive statistics** — ISA range widths, CSS range counts, and
   time-of-day histograms are integer-exact per partition, so the
@@ -58,7 +60,7 @@ import threading
 import time
 import uuid
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,7 +71,6 @@ from ..core.intervals import is_periodic
 from ..forkpool import fork_map
 from ..errors import (
     IndexError_,
-    IndexFormatError,
     MissingUserError,
     PersistenceError,
     ShardError,
@@ -81,6 +82,7 @@ from .persistence import (
     META_FILE,
     StoreLike,
     load_index,
+    read_manifest,
     read_meta,
     validate_identity,
     write_index_payload,
@@ -97,7 +99,6 @@ from .procedures import (
 
 __all__ = [
     "ShardedSNTIndex",
-    "ShardRouter",
     "ShardStats",
     "SHARDED_FORMAT_NAME",
     "SHARDED_FORMAT_VERSION",
@@ -129,7 +130,7 @@ STAGED_TRAJECTORIES_FILE = "staging_trajectories.pkl"
 
 @dataclass
 class _ShardEntry:
-    """One shard plus the routing metadata the router needs."""
+    """One shard plus the metadata the index routes on."""
 
     index: SNTIndex
     label: str
@@ -143,12 +144,19 @@ class _ShardEntry:
     #: trajectory's traversals extend past its start bucket.
     t_lo: int
     t_hi: int
-    #: Index scans served by this shard (router statistics).
+    #: Lifetime index scans served by this shard.  A topology change
+    #: hands the count on to the shard's successor (see
+    #: :meth:`ShardedSNTIndex.shard_stats`).
     n_scans: int = 0
 
     @classmethod
     def wrap(
-        cls, index: SNTIndex, label: str, bucket_lo: int, bucket_hi: int
+        cls,
+        index: SNTIndex,
+        label: str,
+        bucket_lo: int,
+        bucket_hi: int,
+        n_scans: int = 0,
     ) -> "_ShardEntry":
         t_lo, t_hi = index.data_time_bounds()
         return cls(
@@ -158,22 +166,14 @@ class _ShardEntry:
             bucket_hi=int(bucket_hi),
             t_lo=t_lo,
             t_hi=t_hi,
+            n_scans=n_scans,
         )
 
 
 @dataclass(frozen=True)
 class ShardStats:
-    """Routing statistics of a :class:`ShardRouter`.
-
-    One instance always describes counters accumulated against a
-    *single* shard topology: ``n_shards`` is the shard count the
-    counters were recorded under, so ``per_shard_scans`` has exactly
-    that many labels and ``prune_rate`` relates scans and prunes of the
-    same denominator.  :meth:`ShardedSNTIndex.shard_stats` merges the
-    per-epoch snapshots into lifetime totals (labels remapped to the
-    current topology); :meth:`ShardedSNTIndex.shard_stats_history`
-    returns the raw frozen segments.
-    """
+    """Lifetime routing statistics of a :class:`ShardedSNTIndex`
+    (:meth:`ShardedSNTIndex.shard_stats`)."""
 
     #: Retrieval/count dispatches routed (one per sub-query scan).
     n_dispatches: int
@@ -183,7 +183,7 @@ class ShardStats:
     n_shards_pruned: int
     #: Scans per shard label, in shard order (staging last).
     per_shard_scans: Dict[str, int]
-    #: Shard count of the topology these counters were recorded under.
+    #: Current shard count (the labels of ``per_shard_scans``).
     n_shards: int = 0
 
     @property
@@ -284,40 +284,404 @@ class _ShardedEdgeStats:
         )
 
 
-# ---------------------------------------------------------------------- #
-# Router
-# ---------------------------------------------------------------------- #
-
 #: One shard's share of a query's first-segment matches:
 #: ``(shard position, row positions, the shard's first-segment columns)``.
 _Chunk = Tuple[int, np.ndarray, object]
 
 
-class ShardRouter:
-    """Prunes, fans out, and merges retrieval over the shard set.
+# ---------------------------------------------------------------------- #
+# The sharded index
+# ---------------------------------------------------------------------- #
 
-    The router owns the ordered shard entries (sealed shards in temporal
-    order, staging last — which is also global partition order), the
-    per-shard partition-id offsets, and the scan/prune statistics.
-    Merging is what keeps the answers bit-identical to the monolithic
-    index; see the module docstring for the argument.
+
+def _build_shard_task(payload) -> SNTIndex:
+    """Worker-process entry: build one shard from its partition groups."""
+    (
+        grouped,
+        alphabet_size,
+        t_min,
+        t_max,
+        kind,
+        partition_days,
+        tod_bucket_s,
+    ) = payload
+    return SNTIndex.build_from_groups(
+        grouped,
+        alphabet_size,
+        t_min=t_min,
+        t_max=t_max,
+        kind=kind,
+        partition_days=partition_days,
+        tod_bucket_s=tod_bucket_s,
+    )
+
+
+def _build_shards_parallel(tasks, workers: int) -> List[SNTIndex]:
+    """Run the shard builds in a process pool, preserving task order.
+
+    On fork platforms the workers read their trajectory groups from the
+    forked copy-on-write heap (:func:`repro.forkpool.fork_map`), so only
+    an integer position crosses the pipe on the way in and only the
+    built shard (mostly numpy payload — cheap to pickle) comes back;
+    shipping the trajectory objects through the pool instead costs more
+    than the per-shard build savings at small corpus sizes.  Spawn
+    platforms fall back to pickling the (picklable) tasks.
+    """
+    return fork_map(
+        _build_shard_task,
+        tasks,
+        workers,
+        pickled_fallback=_build_shard_task,
+    )
+
+
+def _balanced_runs(
+    buckets: Sequence[int], weights: Sequence[int], n_runs: int
+) -> List[List[int]]:
+    """Split buckets into ``n_runs`` contiguous, non-empty runs.
+
+    Greedy walk closing a run whenever the cumulative weight crosses the
+    proportional target — or when the remaining buckets are only just
+    enough to keep every remaining run non-empty.
+    """
+    total = sum(weights)
+    runs: List[List[int]] = []
+    current: List[int] = []
+    cumulative = 0
+    for i, bucket in enumerate(buckets):
+        current.append(bucket)
+        cumulative += weights[i]
+        remaining_buckets = len(buckets) - i - 1
+        remaining_runs = n_runs - len(runs) - 1
+        if len(runs) < n_runs - 1 and (
+            cumulative * n_runs >= total * (len(runs) + 1)
+            or remaining_buckets == remaining_runs
+        ):
+            runs.append(current)
+            current = []
+    runs.append(current)
+    return runs
+
+
+class ShardedSNTIndex:
+    """Time-sliced SNT-index: K shard indexes behind one reader.
+
+    The index routes every call itself: it prunes the shards a fixed
+    interval cannot touch, fans the call out over the rest and merges
+    their outputs.  It implements the same
+    :class:`~repro.sntindex.reader.IndexReader`
+    surface as :class:`SNTIndex`, so :class:`repro.core.engine.QueryEngine`
+    uses it unchanged — with answers bit-identical to the monolithic
+    index over the same corpus and ``partition_days`` (see the module
+    docstring for why).
     """
 
-    def __init__(self, entries: Sequence[_ShardEntry]):
-        if not entries:
+    def __init__(
+        self,
+        sealed: Sequence[_ShardEntry],
+        staging: Optional[_ShardEntry],
+        t_min: int,
+        t_max: int,
+        alphabet_size: int,
+        kind: str,
+        partition_days: int,
+        tod_bucket_s: int,
+        staged_trajectories: Optional[List] = None,
+        epoch: int = 0,
+        build_wall_seconds: Optional[float] = None,
+    ):
+        if not sealed:
             raise ShardError("a sharded index needs at least one shard")
-        self.entries: List[_ShardEntry] = list(entries)
-        self.offsets: List[int] = []
-        cursor = 0
-        for entry in self.entries:
-            self.offsets.append(cursor)
-            cursor += entry.index.n_partitions
-        self.n_partitions = cursor
-        self._lock = threading.Lock()
+        for entry in list(sealed) + ([staging] if staging else []):
+            if entry.index.alphabet_size != alphabet_size:
+                raise ShardError("shards disagree on alphabet_size")
+            if entry.index.kind != kind:
+                raise ShardError("shards disagree on temporal index kind")
+        self._sealed: List[_ShardEntry] = list(sealed)
+        self._staging: Optional[_ShardEntry] = staging
+        self._staged: List = list(staged_trajectories or [])
+        self.t_min = int(t_min)
+        self.t_max = int(t_max)
+        self.alphabet_size = int(alphabet_size)
+        self.kind = kind
+        self.partition_days = int(partition_days)
+        self.tod_bucket_s = int(tod_bucket_s)
+        self.epoch = int(epoch)
+        #: Distinguishes *which* mutation produced the current epoch.
+        #: Epochs are per-object ordinal counters, so two processes that
+        #: independently append different tails to copies of one saved
+        #: index both land on the same epoch number; the token makes the
+        #: (epoch, content) pair unique so a shared cache tier never
+        #: conflates their entries.  Empty for unmutated (disk) state —
+        #: that state is shared content, so sharing its entries is safe.
+        self.epoch_token = ""
+        self._build_wall_seconds = build_wall_seconds
+        # Lifetime shard stats (see shard_stats); per-shard scans live
+        # on the entries.  Served rounds run on several threads, so
+        # every counter update takes the lock.
+        self._stats_lock = threading.Lock()
         self._n_dispatches = 0
         self._n_pruned = 0
+        self._adopt_entries()
 
-    # -- routing -------------------------------------------------------- #
+    # -- construction --------------------------------------------------- #
+
+    @classmethod
+    def build(
+        cls,
+        trajectories,
+        alphabet_size: int,
+        n_shards: int = 2,
+        partition_days: Optional[int] = 7,
+        kind: str = "css",
+        tod_bucket_s: int = 600,
+        build_workers: int = 1,
+    ) -> "ShardedSNTIndex":
+        """Build K time-sliced shards, optionally in worker processes.
+
+        Parameters mirror :meth:`SNTIndex.build` plus:
+
+        n_shards:
+            Contiguous time slices to build; clamped to the number of
+            occupied temporal partitions (a shard cannot split one
+            FM-index partition without changing estimator inputs).
+        build_workers:
+            Worker processes for the shard builds.  ``1`` builds inline;
+            suffix-array construction dominates build time and shards
+            are independent, so the build scales with real cores.
+        """
+        if partition_days is None:
+            raise ShardError(
+                "sharding needs temporal partitioning: a single-FM FULL "
+                "index has no partition boundaries to slice on — pass "
+                "partition_days"
+            )
+        if partition_days < 1:
+            raise ShardError("partition_days must be >= 1")
+        if n_shards < 1:
+            raise ShardError("n_shards must be >= 1")
+        if build_workers < 1:
+            raise ShardError("build_workers must be >= 1")
+        if len(trajectories) == 0:
+            raise IndexError_("cannot build an index from zero trajectories")
+        started = time.perf_counter()
+
+        t_min, t_max = trajectories.time_span()
+        window = partition_days * SECONDS_PER_DAY
+        groups = assign_time_windows(trajectories, t_min, window)
+        buckets = sorted(groups)
+        n_shards = min(n_shards, len(buckets))
+        weights = [
+            sum(len(trajectory) for trajectory in groups[bucket])
+            for bucket in buckets
+        ]
+        runs = _balanced_runs(buckets, weights, n_shards)
+
+        tasks = []
+        for run in runs:
+            grouped = [
+                (*window_bounds(bucket, t_min, window), groups[bucket])
+                for bucket in run
+            ]
+            tasks.append(
+                (
+                    grouped,
+                    alphabet_size,
+                    t_min,
+                    t_max,
+                    kind,
+                    partition_days,
+                    tod_bucket_s,
+                )
+            )
+
+        if build_workers == 1 or len(tasks) == 1:
+            built = [_build_shard_task(task) for task in tasks]
+        else:
+            built = _build_shards_parallel(tasks, build_workers)
+
+        sealed = [
+            _ShardEntry.wrap(index, f"shard_{i:04d}", run[0], run[-1])
+            for i, (index, run) in enumerate(zip(built, runs))
+        ]
+        return cls(
+            sealed=sealed,
+            staging=None,
+            t_min=t_min,
+            t_max=t_max,
+            alphabet_size=alphabet_size,
+            kind=kind,
+            partition_days=partition_days,
+            tod_bucket_s=tod_bucket_s,
+            build_wall_seconds=time.perf_counter() - started,
+        )
+
+    # -- internal views -------------------------------------------------- #
+
+    def _adopt_entries(self) -> None:
+        """Rebuild the shard-order views after the shard set changed."""
+        #: Sealed shards in temporal order, staging last — which is also
+        #: global partition order.
+        self.entries: List[_ShardEntry] = self._sealed + (
+            [self._staging] if self._staging is not None else []
+        )
+        #: Global partition id of each shard's local partition 0.
+        self._offsets: List[int] = []
+        cursor = 0
+        for entry in self.entries:
+            self._offsets.append(cursor)
+            cursor += entry.index.n_partitions
+        self.n_partitions = cursor
+        self._tod_view = _ShardedTodStore(self.entries, self._offsets)
+        # Per-edge aggregate views are immutable between mutations, and
+        # edge_index() sits on the estimator hot path (once per segment
+        # per sub-query) — memoize them until the next mutation.
+        # A benign construction race under threads just builds the same
+        # view twice.
+        self._edge_views: Dict[int, Optional[_ShardedEdgeStats]] = {}
+        self._user_space = max(
+            entry.index.users.size for entry in self.entries
+        )
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.entries)
+
+    @property
+    def shards(self) -> List[SNTIndex]:
+        """The shard indexes in temporal order (staging last)."""
+        return [entry.index for entry in self.entries]
+
+    @property
+    def has_staging(self) -> bool:
+        return self._staging is not None
+
+    def shard_stats(self) -> ShardStats:
+        """Lifetime scan/prune statistics.
+
+        The counters survive every topology change because a shard's
+        scans follow it to its successor: sealing keeps the entry under
+        its new label, an append carries the staging shard's count into
+        the rebuilt staging shard, and compaction sums each merged run.
+        ``per_shard_scans`` therefore lists exactly the current shards,
+        in shard order (staging last), and sums to ``n_shard_scans``.
+        """
+        with self._stats_lock:
+            per_shard = {entry.label: entry.n_scans for entry in self.entries}
+            return ShardStats(
+                n_dispatches=self._n_dispatches,
+                n_shard_scans=sum(per_shard.values()),
+                n_shards_pruned=self._n_pruned,
+                per_shard_scans=per_shard,
+                n_shards=len(self.entries),
+            )
+
+    def _record_dispatch(self, n_routed: int) -> None:
+        with self._stats_lock:
+            self._n_dispatches += 1
+            self._n_pruned += len(self.entries) - n_routed
+
+    def _record_scan(self, position: int) -> None:
+        with self._stats_lock:
+            self.entries[position].n_scans += 1
+
+    # -- IndexReader: scalars ------------------------------------------- #
+
+    @property
+    def build_stats(self) -> BuildStats:
+        """Aggregate of the shards' build stats (CLI summaries).
+
+        ``setup_seconds`` is the wall-clock time of the whole (possibly
+        parallel) build when this instance ran it; for a loaded index
+        the slowest shard's build time stands in — summing the per-shard
+        worker times would over-report a parallel build by its width.
+        """
+        shard_stats = [e.index.build_stats for e in self.entries]
+        wall = self._build_wall_seconds
+        if wall is None:
+            wall = max(s.setup_seconds for s in shard_stats)
+        return BuildStats(
+            setup_seconds=wall,
+            n_partitions=self.n_partitions,
+            n_trajectories=sum(s.n_trajectories for s in shard_stats),
+            n_traversals=sum(s.n_traversals for s in shard_stats),
+        )
+
+    @property
+    def tod_store(self) -> _ShardedTodStore:
+        return self._tod_view
+
+    # -- IndexReader: spatial ------------------------------------------- #
+
+    def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
+        ranges: List[Tuple[int, int, int]] = []
+        for entry, offset in zip(self.entries, self._offsets):
+            for w, st, ed in entry.index.isa_ranges(path):
+                ranges.append((w + offset, st, ed))
+        return ranges
+
+    def isa_ranges_many(
+        self, paths: Sequence[Sequence[int]]
+    ) -> List[List[Tuple[int, int, int]]]:
+        """Batched :meth:`isa_ranges`: same shard walk, all paths at
+        once per shard (bit-identical — see
+        :meth:`repro.sntindex.index.SNTIndex.isa_ranges_many`)."""
+        results: List[List[Tuple[int, int, int]]] = [[] for _ in paths]
+        for entry, offset in zip(self.entries, self._offsets):
+            for k, ranges in enumerate(entry.index.isa_ranges_many(paths)):
+                for w, st, ed in ranges:
+                    results[k].append((w + offset, st, ed))
+        return results
+
+    def _local_ranges(self, ranges, position: int):
+        offset = self._offsets[position]
+        count = self.entries[position].index.n_partitions
+        return [
+            (w - offset, st, ed)
+            for w, st, ed in ranges
+            if offset <= w < offset + count
+        ]
+
+    def path_traversal_count(self, path: Sequence[int]) -> int:
+        return sum(ed - st for _, st, ed in self.isa_ranges(path))
+
+    def contains_path(self, path: Sequence[int]) -> bool:
+        return bool(self.isa_ranges(path))
+
+    # -- IndexReader: temporal ------------------------------------------ #
+
+    def edge_index(self, edge: int) -> Optional[_ShardedEdgeStats]:
+        edge = int(edge)
+        try:
+            return self._edge_views[edge]
+        except KeyError:
+            pass
+        phis = [
+            phi
+            for entry in self.entries
+            if (phi := entry.index.edge_index(edge)) is not None
+        ]
+        view = _ShardedEdgeStats(phis, self.kind) if phis else None
+        self._edge_views[edge] = view
+        return view
+
+    # -- IndexReader: users --------------------------------------------- #
+
+    def user_of(self, traj_id: int) -> int:
+        if not 0 <= traj_id < self._user_space:
+            raise UnknownTrajectoryError(traj_id)
+        for entry in self.entries:
+            users = entry.index.users
+            if traj_id < users.size and users[traj_id] >= 0:
+                return int(users[traj_id])
+        raise MissingUserError(traj_id)
+
+    def has_trajectory(self, traj_id: int) -> bool:
+        return any(
+            entry.index.has_trajectory(traj_id) for entry in self.entries
+        )
+
+    # -- IndexReader: retrieval ----------------------------------------- #
 
     def route(self, interval) -> List[int]:
         """Positions of shards whose data can overlap ``interval``.
@@ -334,76 +698,6 @@ class ShardRouter:
             position
             for position, entry in enumerate(self.entries)
             if entry.t_lo < hi and entry.t_hi >= lo
-        ]
-
-    def _record_dispatch(self, n_routed: int) -> None:
-        with self._lock:
-            self._n_dispatches += 1
-            self._n_pruned += len(self.entries) - n_routed
-
-    def _record_scan(self, position: int) -> None:
-        with self._lock:
-            self.entries[position].n_scans += 1
-
-    def _snapshot(self) -> ShardStats:
-        """The counters as they stand; the caller holds the lock."""
-        return ShardStats(
-            n_dispatches=self._n_dispatches,
-            n_shard_scans=sum(e.n_scans for e in self.entries),
-            n_shards_pruned=self._n_pruned,
-            per_shard_scans={e.label: e.n_scans for e in self.entries},
-            n_shards=len(self.entries),
-        )
-
-    def stats(self) -> ShardStats:
-        with self._lock:
-            return self._snapshot()
-
-    def drain(self) -> ShardStats:
-        """Read-and-zero: the stats since the last drain, atomically.
-
-        Used by :meth:`ShardedSNTIndex._snapshot_stats` to close a
-        per-topology accounting segment before the shard set mutates;
-        surviving entries carry on from zero so nothing is counted
-        twice.
-        """
-        with self._lock:
-            snapshot = self._snapshot()
-            self._n_dispatches = 0
-            self._n_pruned = 0
-            for entry in self.entries:
-                entry.n_scans = 0
-            return snapshot
-
-    # -- reader surface ------------------------------------------------- #
-
-    def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
-        ranges: List[Tuple[int, int, int]] = []
-        for entry, offset in zip(self.entries, self.offsets):
-            for w, st, ed in entry.index.isa_ranges(path):
-                ranges.append((w + offset, st, ed))
-        return ranges
-
-    def isa_ranges_many(
-        self, paths: Sequence[Sequence[int]]
-    ) -> List[List[Tuple[int, int, int]]]:
-        """Batched :meth:`isa_ranges`: same shard walk, all paths at
-        once per shard (bit-identical — see
-        :meth:`repro.sntindex.index.SNTIndex.isa_ranges_many`)."""
-        results: List[List[Tuple[int, int, int]]] = [[] for _ in paths]
-        for entry, offset in zip(self.entries, self.offsets):
-            for k, ranges in enumerate(entry.index.isa_ranges_many(paths)):
-                for w, st, ed in ranges:
-                    results[k].append((w + offset, st, ed))
-        return results
-
-    def _local_ranges(self, ranges, position: int):
-        offset = self.offsets[position]
-        count = self.entries[position].index.n_partitions
-        return [
-            (w - offset, st, ed)
-            for w, st, ed in ranges
-            if offset <= w < offset + count
         ]
 
     def get_travel_times(
@@ -669,498 +963,6 @@ class ShardRouter:
                 return int(limit)
         return int(total)
 
-
-# ---------------------------------------------------------------------- #
-# The sharded index
-# ---------------------------------------------------------------------- #
-
-
-def _build_shard_task(payload) -> SNTIndex:
-    """Worker-process entry: build one shard from its partition groups."""
-    (
-        grouped,
-        alphabet_size,
-        t_min,
-        t_max,
-        kind,
-        partition_days,
-        tod_bucket_s,
-    ) = payload
-    return SNTIndex.build_from_groups(
-        grouped,
-        alphabet_size,
-        t_min=t_min,
-        t_max=t_max,
-        kind=kind,
-        partition_days=partition_days,
-        tod_bucket_s=tod_bucket_s,
-    )
-
-
-def _build_shards_parallel(tasks, workers: int) -> List[SNTIndex]:
-    """Run the shard builds in a process pool, preserving task order.
-
-    On fork platforms the workers read their trajectory groups from the
-    forked copy-on-write heap (:func:`repro.forkpool.fork_map`), so only
-    an integer position crosses the pipe on the way in and only the
-    built shard (mostly numpy payload — cheap to pickle) comes back;
-    shipping the trajectory objects through the pool instead costs more
-    than the per-shard build savings at small corpus sizes.  Spawn
-    platforms fall back to pickling the (picklable) tasks.
-    """
-    return fork_map(
-        _build_shard_task,
-        tasks,
-        workers,
-        pickled_fallback=_build_shard_task,
-    )
-
-
-def _balanced_runs(
-    buckets: Sequence[int], weights: Sequence[int], n_runs: int
-) -> List[List[int]]:
-    """Split buckets into ``n_runs`` contiguous, non-empty runs.
-
-    Greedy walk closing a run whenever the cumulative weight crosses the
-    proportional target — or when the remaining buckets are only just
-    enough to keep every remaining run non-empty.
-    """
-    total = sum(weights)
-    runs: List[List[int]] = []
-    current: List[int] = []
-    cumulative = 0
-    for i, bucket in enumerate(buckets):
-        current.append(bucket)
-        cumulative += weights[i]
-        remaining_buckets = len(buckets) - i - 1
-        remaining_runs = n_runs - len(runs) - 1
-        if len(runs) < n_runs - 1 and (
-            cumulative * n_runs >= total * (len(runs) + 1)
-            or remaining_buckets == remaining_runs
-        ):
-            runs.append(current)
-            current = []
-    runs.append(current)
-    return runs
-
-
-class ShardedSNTIndex:
-    """Time-sliced SNT-index: K shard indexes behind one reader.
-
-    Implements the same :class:`~repro.sntindex.reader.IndexReader`
-    surface as :class:`SNTIndex`, so :class:`repro.core.engine.QueryEngine`
-    uses it unchanged — with answers bit-identical to the monolithic
-    index over the same corpus and ``partition_days`` (see the module
-    docstring for why).
-    """
-
-    def __init__(
-        self,
-        sealed: Sequence[_ShardEntry],
-        staging: Optional[_ShardEntry],
-        t_min: int,
-        t_max: int,
-        alphabet_size: int,
-        kind: str,
-        partition_days: int,
-        tod_bucket_s: int,
-        staged_trajectories: Optional[List] = None,
-        epoch: int = 0,
-        build_wall_seconds: Optional[float] = None,
-    ):
-        if not sealed:
-            raise ShardError("a sharded index needs at least one shard")
-        for entry in list(sealed) + ([staging] if staging else []):
-            if entry.index.alphabet_size != alphabet_size:
-                raise ShardError("shards disagree on alphabet_size")
-            if entry.index.kind != kind:
-                raise ShardError("shards disagree on temporal index kind")
-        self._sealed: List[_ShardEntry] = list(sealed)
-        self._staging: Optional[_ShardEntry] = staging
-        self._staged: List = list(staged_trajectories or [])
-        self.t_min = int(t_min)
-        self.t_max = int(t_max)
-        self.alphabet_size = int(alphabet_size)
-        self.kind = kind
-        self.partition_days = int(partition_days)
-        self.tod_bucket_s = int(tod_bucket_s)
-        self.epoch = int(epoch)
-        #: Distinguishes *which* mutation produced the current epoch.
-        #: Epochs are per-object ordinal counters, so two processes that
-        #: independently append different tails to copies of one saved
-        #: index both land on the same epoch number; the token makes the
-        #: (epoch, content) pair unique so a shared cache tier never
-        #: conflates their entries.  Empty for unmutated (disk) state —
-        #: that state is shared content, so sharing its entries is safe.
-        self.epoch_token = ""
-        self._build_wall_seconds = build_wall_seconds
-        # Per-topology stats accounting (see shard_stats): closed
-        # segments land in _stats_history (one frozen ShardStats per
-        # topology the router lived under), their per-label sums in the
-        # _stats_base_* accumulators keyed by *current* labels.
-        self._stats_history: List[ShardStats] = []
-        self._stats_base_scans: Dict[str, int] = {}
-        self._stats_base_dispatches = 0
-        self._stats_base_pruned = 0
-        self._rebuild_router()
-
-    # -- construction --------------------------------------------------- #
-
-    @classmethod
-    def build(
-        cls,
-        trajectories,
-        alphabet_size: int,
-        n_shards: int = 2,
-        partition_days: Optional[int] = 7,
-        kind: str = "css",
-        tod_bucket_s: int = 600,
-        build_workers: int = 1,
-    ) -> "ShardedSNTIndex":
-        """Build K time-sliced shards, optionally in worker processes.
-
-        Parameters mirror :meth:`SNTIndex.build` plus:
-
-        n_shards:
-            Contiguous time slices to build; clamped to the number of
-            occupied temporal partitions (a shard cannot split one
-            FM-index partition without changing estimator inputs).
-        build_workers:
-            Worker processes for the shard builds.  ``1`` builds inline;
-            suffix-array construction dominates build time and shards
-            are independent, so the build scales with real cores.
-        """
-        if partition_days is None:
-            raise ShardError(
-                "sharding needs temporal partitioning: a single-FM FULL "
-                "index has no partition boundaries to slice on — pass "
-                "partition_days"
-            )
-        if partition_days < 1:
-            raise ShardError("partition_days must be >= 1")
-        if n_shards < 1:
-            raise ShardError("n_shards must be >= 1")
-        if build_workers < 1:
-            raise ShardError("build_workers must be >= 1")
-        if len(trajectories) == 0:
-            raise IndexError_("cannot build an index from zero trajectories")
-        started = time.perf_counter()
-
-        t_min, t_max = trajectories.time_span()
-        window = partition_days * SECONDS_PER_DAY
-        groups = assign_time_windows(trajectories, t_min, window)
-        buckets = sorted(groups)
-        n_shards = min(n_shards, len(buckets))
-        weights = [
-            sum(len(trajectory) for trajectory in groups[bucket])
-            for bucket in buckets
-        ]
-        runs = _balanced_runs(buckets, weights, n_shards)
-
-        tasks = []
-        for run in runs:
-            grouped = [
-                (*window_bounds(bucket, t_min, window), groups[bucket])
-                for bucket in run
-            ]
-            tasks.append(
-                (
-                    grouped,
-                    alphabet_size,
-                    t_min,
-                    t_max,
-                    kind,
-                    partition_days,
-                    tod_bucket_s,
-                )
-            )
-
-        if build_workers == 1 or len(tasks) == 1:
-            built = [_build_shard_task(task) for task in tasks]
-        else:
-            built = _build_shards_parallel(tasks, build_workers)
-
-        sealed = [
-            _ShardEntry.wrap(index, f"shard_{i:04d}", run[0], run[-1])
-            for i, (index, run) in enumerate(zip(built, runs))
-        ]
-        return cls(
-            sealed=sealed,
-            staging=None,
-            t_min=t_min,
-            t_max=t_max,
-            alphabet_size=alphabet_size,
-            kind=kind,
-            partition_days=partition_days,
-            tod_bucket_s=tod_bucket_s,
-            build_wall_seconds=time.perf_counter() - started,
-        )
-
-    # -- internal views -------------------------------------------------- #
-
-    def _entries(self) -> List[_ShardEntry]:
-        entries = list(self._sealed)
-        if self._staging is not None:
-            entries.append(self._staging)
-        return entries
-
-    def _rebuild_router(self) -> None:
-        # The fresh router starts all counters at zero: every mutation
-        # calls _snapshot_stats() first, which drains the outgoing
-        # topology's counters into the per-epoch history.  (The old
-        # carry-the-counters-across approach left shard_stats()
-        # internally inconsistent after appends: dispatch/prune totals
-        # recorded against N shards mixed with scan rows of N+1.)
-        self._router = ShardRouter(self._entries())
-        self._tod_view = _ShardedTodStore(
-            self._router.entries, self._router.offsets
-        )
-        # Per-edge aggregate views are immutable between mutations, and
-        # edge_index() sits on the estimator hot path (once per segment
-        # per sub-query) — memoize them for the life of this router.
-        # A benign construction race under threads just builds the same
-        # view twice.
-        self._edge_views: Dict[int, Optional[_ShardedEdgeStats]] = {}
-        self._user_space = max(
-            entry.index.users.size for entry in self._router.entries
-        )
-
-    @property
-    def router(self) -> ShardRouter:
-        return self._router
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._router.entries)
-
-    @property
-    def shards(self) -> List[SNTIndex]:
-        """The shard indexes in temporal order (staging last)."""
-        return [entry.index for entry in self._router.entries]
-
-    @property
-    def has_staging(self) -> bool:
-        return self._staging is not None
-
-    def shard_stats(self) -> ShardStats:
-        """Lifetime scan/prune statistics across every topology epoch.
-
-        The merge of the frozen per-epoch segments
-        (:meth:`shard_stats_history`) and the live segment: totals are
-        sums, and per-shard scans from earlier topologies are carried
-        under the label their shard has *now* (a shard sealed from
-        staging, or merged away by compaction, contributes its history
-        to its successor).  ``per_shard_scans`` therefore always lists
-        exactly the current shards, in shard order (staging last), and
-        ``n_shards`` is the current shard count — internally consistent
-        no matter how many appends, seals, or compactions happened.
-        """
-        current = self._router.stats()
-        per_shard = {
-            label: self._stats_base_scans.get(label, 0) + n
-            for label, n in current.per_shard_scans.items()
-        }
-        return ShardStats(
-            n_dispatches=self._stats_base_dispatches + current.n_dispatches,
-            n_shard_scans=sum(per_shard.values()),
-            n_shards_pruned=self._stats_base_pruned
-            + current.n_shards_pruned,
-            per_shard_scans=per_shard,
-            n_shards=current.n_shards,
-        )
-
-    def shard_stats_history(self) -> List[ShardStats]:
-        """The closed per-topology accounting segments, oldest first.
-
-        One frozen :class:`ShardStats` per topology epoch the router
-        has lived under (each closed by the mutation — append, seal,
-        compact — that changed the shard set).  Labels of shards that
-        were since renamed or merged away are rewritten to their
-        successors (:meth:`_remap_stats`), so every label here resolves
-        in the current topology.  The live segment is :meth:`router`'s
-        ``stats()``; :meth:`shard_stats` merges all of them.
-        """
-        return list(self._stats_history)
-
-    def _snapshot_stats(self) -> None:
-        """Close the current accounting segment before a mutation.
-
-        Drains the router's counters (read-and-zero, so surviving
-        entries restart from zero) into the frozen history and the
-        per-label base sums.  Callers mutate the shard set afterwards
-        and apply :meth:`_remap_stats` for any labels that moved.
-        """
-        segment = self._router.drain()
-        if not (
-            segment.n_dispatches
-            or segment.n_shard_scans
-            or segment.n_shards_pruned
-        ):
-            return  # nothing routed under this topology; no segment
-        self._stats_history.append(segment)
-        self._stats_base_dispatches += segment.n_dispatches
-        self._stats_base_pruned += segment.n_shards_pruned
-        for label, n in segment.per_shard_scans.items():
-            self._stats_base_scans[label] = (
-                self._stats_base_scans.get(label, 0) + n
-            )
-
-    def _remap_stats(self, remap: Dict[str, str]) -> None:
-        """Re-key accumulated per-shard history after labels move.
-
-        ``remap`` maps old label → successor label (seal: ``staging`` →
-        its sealed name; compaction: every pre-compaction label → the
-        merged/renumbered shard it now lives in).  Applied to the base
-        sums *and* every stored history segment, so no accessor ever
-        reports a label the current topology does not have.
-        """
-        if not remap:
-            return
-        base: Dict[str, int] = {}
-        for label, n in self._stats_base_scans.items():
-            target = remap.get(label, label)
-            base[target] = base.get(target, 0) + n
-        self._stats_base_scans = base
-        rewritten: List[ShardStats] = []
-        for segment in self._stats_history:
-            per_shard: Dict[str, int] = {}
-            for label, n in segment.per_shard_scans.items():
-                target = remap.get(label, label)
-                per_shard[target] = per_shard.get(target, 0) + n
-            rewritten.append(replace(segment, per_shard_scans=per_shard))
-        self._stats_history = rewritten
-
-    # -- IndexReader: scalars ------------------------------------------- #
-
-    @property
-    def n_partitions(self) -> int:
-        return self._router.n_partitions
-
-    @property
-    def build_stats(self) -> BuildStats:
-        """Aggregate of the shards' build stats (CLI summaries).
-
-        ``setup_seconds`` is the wall-clock time of the whole (possibly
-        parallel) build when this instance ran it; for a loaded index
-        the slowest shard's build time stands in — summing the per-shard
-        worker times would over-report a parallel build by its width.
-        """
-        shard_stats = [e.index.build_stats for e in self._router.entries]
-        wall = self._build_wall_seconds
-        if wall is None:
-            wall = max(s.setup_seconds for s in shard_stats)
-        return BuildStats(
-            setup_seconds=wall,
-            n_partitions=self.n_partitions,
-            n_trajectories=sum(s.n_trajectories for s in shard_stats),
-            n_traversals=sum(s.n_traversals for s in shard_stats),
-        )
-
-    @property
-    def tod_store(self) -> _ShardedTodStore:
-        return self._tod_view
-
-    # -- IndexReader: spatial ------------------------------------------- #
-
-    def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
-        return self._router.isa_ranges(path)
-
-    def isa_ranges_many(
-        self, paths: Sequence[Sequence[int]]
-    ) -> List[List[Tuple[int, int, int]]]:
-        return self._router.isa_ranges_many(paths)
-
-    def path_traversal_count(self, path: Sequence[int]) -> int:
-        return sum(ed - st for _, st, ed in self.isa_ranges(path))
-
-    def contains_path(self, path: Sequence[int]) -> bool:
-        return bool(self.isa_ranges(path))
-
-    # -- IndexReader: temporal ------------------------------------------ #
-
-    def edge_index(self, edge: int) -> Optional[_ShardedEdgeStats]:
-        edge = int(edge)
-        try:
-            return self._edge_views[edge]
-        except KeyError:
-            pass
-        phis = [
-            phi
-            for entry in self._router.entries
-            if (phi := entry.index.edge_index(edge)) is not None
-        ]
-        view = _ShardedEdgeStats(phis, self.kind) if phis else None
-        self._edge_views[edge] = view
-        return view
-
-    # -- IndexReader: users --------------------------------------------- #
-
-    def user_of(self, traj_id: int) -> int:
-        if not 0 <= traj_id < self._user_space:
-            raise UnknownTrajectoryError(traj_id)
-        for entry in self._router.entries:
-            users = entry.index.users
-            if traj_id < users.size and users[traj_id] >= 0:
-                return int(users[traj_id])
-        raise MissingUserError(traj_id)
-
-    def has_trajectory(self, traj_id: int) -> bool:
-        return any(
-            entry.index.has_trajectory(traj_id)
-            for entry in self._router.entries
-        )
-
-    # -- IndexReader: retrieval ----------------------------------------- #
-
-    def get_travel_times(
-        self,
-        query,
-        fallback_tt=None,
-        exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ) -> TravelTimeResult:
-        return self._router.get_travel_times(
-            query,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
-        )
-
-    def get_travel_times_many(
-        self,
-        items: Sequence[Tuple],
-        fallback_tt=None,
-    ) -> List[TravelTimeResult]:
-        """Procedure 5 for a deduplicated demand set, with the per-shard
-        scans grouped so each shard is walked contiguously (see
-        :meth:`ShardRouter.get_travel_times_many`)."""
-        return self._router.get_travel_times_many(
-            items, fallback_tt=fallback_tt
-        )
-
-    def walk_ladder_many(
-        self, items: Sequence[Tuple], fallback_tt=None
-    ) -> List[List[TravelTimeResult]]:
-        """One widen-ladder walk per item, each extra rung costing no
-        extra shard fan-out (see :meth:`ShardRouter.walk_ladder_many`)."""
-        return self._router.walk_ladder_many(items, fallback_tt=fallback_tt)
-
-    def count_matches(
-        self,
-        path: Sequence[int],
-        interval,
-        user: Optional[int] = None,
-        exclude_ids: Sequence[int] = (),
-        limit: Optional[int] = None,
-    ) -> int:
-        return self._router.count_matches(
-            path,
-            interval,
-            user=user,
-            exclude_ids=exclude_ids,
-            limit=limit,
-        )
-
     # -- append / staging ----------------------------------------------- #
 
     def append(self, trajectories) -> int:
@@ -1226,17 +1028,16 @@ class ShardedSNTIndex:
             partition_days=self.partition_days,
             tod_bucket_s=self.tod_bucket_s,
         )
-        # Close the outgoing topology's accounting segment first; the
-        # new staging entry keeps the "staging" label, so no remap.
-        self._snapshot_stats()
+        # The rebuilt staging shard inherits its predecessor's scans.
+        scans = self._staging.n_scans if self._staging is not None else 0
         self._staging = _ShardEntry.wrap(
-            staging_index, "staging", min(groups), max(groups)
+            staging_index, "staging", min(groups), max(groups), n_scans=scans
         )
         self._staged = staged
         self.t_max = new_t_max
         self.epoch += 1
         self.epoch_token = uuid.uuid4().hex
-        self._rebuild_router()
+        self._adopt_entries()
         return len(batch)
 
     def seal_staging(self) -> None:
@@ -1249,17 +1050,12 @@ class ShardedSNTIndex:
         """
         if self._staging is None:
             return
-        self._snapshot_stats()
         entry = self._staging
-        label = f"shard_{len(self._sealed):04d}"
-        entry.label = label
+        entry.label = f"shard_{len(self._sealed):04d}"
         self._sealed.append(entry)
         self._staging = None
         self._staged = []
-        # The shard formerly known as "staging" keeps its scan history
-        # under its sealed name.
-        self._remap_stats({"staging": label})
-        self._rebuild_router()
+        self._adopt_entries()
 
     # -- compaction ------------------------------------------------------ #
 
@@ -1311,11 +1107,9 @@ class ShardedSNTIndex:
                 merged_groups=[],
                 epoch=self.epoch,
             )
-        self._snapshot_stats()
         group_by_start = {group[0]: group for group in groups}
         grouped_members = {position for group in groups for position in group}
         new_sealed: List[_ShardEntry] = []
-        remap: Dict[str, str] = {}
         merged_groups: List[List[str]] = []
         position = 0
         while position < n_before:
@@ -1331,23 +1125,20 @@ class ShardedSNTIndex:
                     label,
                     members[0].bucket_lo,
                     members[-1].bucket_hi,
+                    n_scans=sum(member.n_scans for member in members),
                 )
-                for member in members:
-                    remap[member.label] = label
                 merged_groups.append([member.label for member in members])
                 position = group[-1] + 1
             else:
                 assert position not in grouped_members
                 entry = self._sealed[position]
-                remap[entry.label] = label
                 entry.label = label
                 position += 1
             new_sealed.append(entry)
         self._sealed = new_sealed
-        self._remap_stats(remap)
         self.epoch += 1
         self.epoch_token = uuid.uuid4().hex
-        self._rebuild_router()
+        self._adopt_entries()
         return CompactionReport(
             n_sealed_before=n_before,
             n_sealed_after=len(new_sealed),
@@ -1360,7 +1151,7 @@ class ShardedSNTIndex:
     def component_sizes(self) -> Dict[str, int]:
         """Component sizes summed over the shards, in bytes."""
         totals: Dict[str, int] = {}
-        for entry in self._router.entries:
+        for entry in self.entries:
             for name, size in entry.index.component_sizes().items():
                 totals[name] = totals.get(name, 0) + size
         return totals
@@ -1419,9 +1210,9 @@ def save_sharded_index(
         staging/                 the staging shard (when present)
         staging_trajectories.pkl staged tail, so appends survive restarts
 
-    The whole tree is staged and installed atomically by the store —
-    sibling-tempdir swap for a local directory, manifest-last upload
-    ordering for an object store — like the monolithic format.
+    The whole tree is staged and installed atomically by the store (a
+    sibling-tempdir swap for a local directory), like the monolithic
+    format.
     """
 
     def writer(target: Path) -> None:
@@ -1474,35 +1265,21 @@ def save_sharded_index(
 
 def read_sharded_meta(path: StoreLike) -> dict:
     """Read and format-check ``manifest.json`` of a sharded index dir."""
-    store = as_store(path)
-    source = store.uri
-    if not store.exists(MANIFEST_FILE):
-        raise PersistenceError(
-            f"{source} is not a saved sharded SNT-index "
-            f"({MANIFEST_FILE} missing)"
-        )
-    try:
-        manifest = json.loads(store.get(MANIFEST_FILE))
-    except (PersistenceError, OSError, json.JSONDecodeError) as error:
-        raise PersistenceError(
-            f"corrupt {MANIFEST_FILE}: {error}"
-        ) from error
-    if manifest.get("format") != SHARDED_FORMAT_NAME:
-        raise PersistenceError(
-            f"{source} holds format {manifest.get('format')!r}, expected "
-            f"{SHARDED_FORMAT_NAME!r}"
-        )
-    version = manifest.get("format_version")
-    if version != SHARDED_FORMAT_VERSION:
-        raise IndexFormatError(
-            f"saved sharded index has format version {version!r}; this "
-            f"build reads version {SHARDED_FORMAT_VERSION} only — "
-            "rebuild the index from source data with `repro index`"
-        )
-    return manifest
+    return read_manifest(
+        path,
+        MANIFEST_FILE,
+        SHARDED_FORMAT_NAME,
+        SHARDED_FORMAT_VERSION,
+        "sharded SNT-index",
+    )
 
 
-def _entry_from_manifest(store, described: dict, manifest: dict) -> _ShardEntry:
+def _entry_from_manifest(store, described, manifest: dict) -> _ShardEntry:
+    if not isinstance(described, dict):
+        raise PersistenceError(
+            f"{MANIFEST_FILE} shard entry is {described!r}; expected an "
+            "object"
+        )
     required = ("dir", "label", "bucket_lo", "bucket_hi", "t_lo", "t_hi",
                 "n_partitions")
     missing = [name for name in required if name not in described]
@@ -1518,9 +1295,8 @@ def _entry_from_manifest(store, described: dict, manifest: dict) -> _ShardEntry:
                 f"{value!r}; expected an integer"
             )
     source = store.uri
-    # Page the shard's objects into a local directory (the identity for
-    # a local store) — the meta cross-check and the mmap-based loader
-    # below both read the localized copy.
+    # The meta cross-check and the mmap-based loader below both read
+    # the shard's local directory.
     shard_dir = store.localize(str(described["dir"]))
     # A shard is only valid inside *this* manifest if its own meta
     # agrees on every scalar that shapes the global partition layout —
@@ -1574,8 +1350,7 @@ def load_sharded_index(
     .. warning::
         Shard payloads are pickle-free, but a staged tail
         (``staging_trajectories.pkl``) is a pickle: only load
-        directories (or remote stores) with a staging shard if you wrote
-        them yourself.
+        directories with a staging shard if you wrote them yourself.
     """
     store = as_store(path)
     source = store.uri
@@ -1616,6 +1391,11 @@ def load_sharded_index(
                 f"{source} declares {name} = {manifest[name]!r}; "
                 "refusing before reading any shard payload"
             )
+    if not isinstance(manifest["shards"], list):
+        raise PersistenceError(
+            f"{MANIFEST_FILE} declares shards = {manifest['shards']!r}; "
+            "expected a list"
+        )
     if not manifest["shards"]:
         raise PersistenceError(f"{MANIFEST_FILE} lists no shards")
 
@@ -1656,8 +1436,7 @@ def load_sharded_index(
     index.epoch_token = str(manifest.get("epoch_token", ""))
     # Where this index is reachable on *this machine* — lets serving
     # layers place per-index artifacts (e.g. the shared cache tier)
-    # alongside it; a remote store's local page-in cache root for a
-    # remote index.
+    # alongside it.
     index.source_path = store.local_anchor()
     return index
 

@@ -476,7 +476,7 @@ class TestStatsAcrossTopologyChanges:
         assert stats.n_shard_scans == sum(stats.per_shard_scans.values())
         assert stats.n_shards == sharded.n_shards
         assert set(stats.per_shard_scans) == {
-            entry.label for entry in sharded.router.entries
+            entry.label for entry in sharded.entries
         }
 
     def test_totals_preserved_across_compaction(self, world):
@@ -495,34 +495,61 @@ class TestStatsAcrossTopologyChanges:
         )
         # Labels resolve in the post-compaction topology.
         assert set(after.per_shard_scans) == {
-            entry.label for entry in sharded.router.entries
+            entry.label for entry in sharded.entries
         }
         assert after.n_shards == 1
 
-    def test_history_segments_are_per_topology(self, world):
+    def test_counters_follow_shards_through_every_topology_change(
+        self, world
+    ):
+        """Scan, append, scan the staging shard, append over it again,
+        seal, compact: after every step the per-shard scans sum to the
+        total, the labels are the current shards, and no total drops.
+        The second append is the case where the rebuilt staging shard
+        must inherit its predecessor's scans."""
         dataset, _, trips = world
-        sharded = _build_sharded(dataset)
-        assert sharded.shard_stats_history() == []
-        self._run_queries(sharded, dataset, trips)
-        sharded.compact()
-        history = sharded.shard_stats_history()
-        assert len(history) == 1
-        segment = history[0]
-        assert segment.n_shards == N_SHARDS  # recorded pre-compaction
-        self._run_queries(sharded, dataset, trips)
-        merged = sharded.shard_stats()
-        assert merged.n_shard_scans == (
-            segment.n_shard_scans
-            + sharded.router.stats().n_shard_scans
+        base, tails = _split_by_bucket(dataset)
+        assert len(tails) == 2
+        sharded = ShardedSNTIndex.build(
+            TrajectorySet(base),
+            dataset.network.alphabet_size,
+            n_shards=2,
+            partition_days=PARTITION_DAYS,
         )
+        previous = sharded.shard_stats()
 
-    def test_router_drain_zeroes_counters(self, world):
-        dataset, _, trips = world
-        sharded = _build_sharded(dataset)
-        self._run_queries(sharded, dataset, trips, n=3)
-        drained = sharded.router.drain()
-        assert drained.n_dispatches > 0
-        empty = sharded.router.stats()
-        assert empty.n_dispatches == 0
-        assert empty.n_shard_scans == 0
-        assert all(v == 0 for v in empty.per_shard_scans.values())
+        def check():
+            nonlocal previous
+            stats = sharded.shard_stats()
+            assert stats.n_shard_scans == sum(stats.per_shard_scans.values())
+            assert list(stats.per_shard_scans) == [
+                entry.label for entry in sharded.entries
+            ]
+            assert stats.n_shards == sharded.n_shards
+            assert stats.n_dispatches >= previous.n_dispatches
+            assert stats.n_shard_scans >= previous.n_shard_scans
+            assert stats.n_shards_pruned >= previous.n_shards_pruned
+            previous = stats
+            return stats
+
+        self._run_queries(sharded, dataset, trips)
+        assert check().n_shard_scans > 0
+        sharded.append(tails[0])
+        check()
+        # Periodic intervals cannot prune, so these scan staging too.
+        self._run_queries(sharded, dataset, trips)
+        staging_scans = check().per_shard_scans["staging"]
+        assert staging_scans > 0
+        sharded.append(tails[1])
+        assert check().per_shard_scans["staging"] == staging_scans
+        sharded.seal_staging()
+        sealed = check()
+        assert "staging" not in sealed.per_shard_scans
+        assert sealed.per_shard_scans[sharded.entries[-1].label] == (
+            staging_scans
+        )
+        assert sharded.compact().did_compact
+        compacted = check()
+        assert compacted.n_shard_scans == sealed.n_shard_scans
+        assert compacted.n_dispatches == sealed.n_dispatches
+        assert compacted.n_shards_pruned == sealed.n_shards_pruned

@@ -244,9 +244,11 @@ class TestFormatGuards:
 
     def test_corrupt_meta_raises(self, paper_index, tmp_path):
         target = paper_index.save(tmp_path / "index")
-        (target / "meta.json").write_text("{not json")
-        with pytest.raises(PersistenceError):
-            SNTIndex.load(target)
+        # Not JSON, not UTF-8, and JSON whose top level is no object.
+        for corrupt in (b"{not json", b"\xff\xfe", b"[]", b"[1, 2]", b"5"):
+            (target / "meta.json").write_bytes(corrupt)
+            with pytest.raises(PersistenceError, match="corrupt meta.json"):
+                SNTIndex.load(target)
 
     def test_persistence_error_is_an_index_error(self):
         assert issubclass(PersistenceError, IndexError_)

@@ -198,7 +198,7 @@ def test_random_workloads_bit_identical(world, engines, data):
     else:
         # Straddle a shard boundary: the window is centred on the first
         # shard's upper traversal-time bound.
-        boundary = sharded.router.entries[0].t_hi
+        boundary = sharded.entries[0].t_hi
         half = data.draw(st.sampled_from((3600, SECONDS_PER_DAY)))
         interval = FixedInterval(boundary - half, boundary + half)
         user = None
@@ -219,8 +219,8 @@ def test_random_workloads_bit_identical(world, engines, data):
 
 def test_fixed_interval_prunes_shards(world):
     dataset, mono, sharded, trips = world
-    first = sharded.router.entries[0]
-    last = sharded.router.entries[-1]
+    first = sharded.entries[0]
+    last = sharded.entries[-1]
     assert first.t_hi < last.t_lo  # slices are disjoint in time
     before = sharded.shard_stats()
     engine = QueryEngine(sharded, dataset.network)
@@ -411,7 +411,7 @@ def test_router_stats_survive_appends(world):
         partition_days=PARTITION_DAYS,
     )
     engine = QueryEngine(sharded, dataset.network)
-    first = sharded.router.entries[0]
+    first = sharded.entries[0]
     query = StrictPathQuery(
         path=base[0].path,
         interval=FixedInterval(first.t_lo, first.t_hi - 1),
@@ -502,6 +502,37 @@ def test_v1_manifest_refused_with_rebuild_hint(world, tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexFormatError, match="rebuild.*repro index"):
         load_any_index(target)
+
+
+def test_corrupt_manifest_raises(world, tmp_path):
+    """Malformed JSON at any level of the sharded layout is a
+    ``PersistenceError``, never an ``AttributeError`` / ``TypeError``."""
+    import json
+
+    _, _, sharded, _ = world
+    target = sharded.save(tmp_path / "sharded-index")
+    manifest_path = target / "manifest.json"
+    shard_meta_path = target / "shard_0000" / "meta.json"
+    manifest = json.loads(manifest_path.read_text())
+    shard_meta = shard_meta_path.read_bytes()
+    corrupt_manifests = [
+        b"{not json",
+        b"[]",
+        json.dumps([manifest]).encode(),
+        json.dumps({**manifest, "shards": [5]}).encode(),
+        json.dumps({**manifest, "shards": "shard_0000"}).encode(),
+        json.dumps({**manifest, "staging": 5}).encode(),
+    ]
+    for corrupt in corrupt_manifests:
+        manifest_path.write_bytes(corrupt)
+        with pytest.raises(PersistenceError):
+            load_any_index(target)
+    manifest_path.write_text(json.dumps(manifest))
+    shard_meta_path.write_bytes(b"[]")
+    with pytest.raises(PersistenceError, match="corrupt meta.json"):
+        load_any_index(target)
+    shard_meta_path.write_bytes(shard_meta)
+    assert load_any_index(target).n_shards == sharded.n_shards
 
 
 def test_foreign_shard_in_manifest_rejected(world, tmp_path):
