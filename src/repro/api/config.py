@@ -12,6 +12,7 @@ external cache tier.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Tuple, Union
 
@@ -27,6 +28,14 @@ SPLITTER_NAMES: Tuple[str, ...] = ("regular", "longest_prefix")
 
 #: ``beta_policy`` signature: (sub-path, query beta) -> effective beta.
 BetaPolicy = Callable[[Tuple[int, ...], Optional[int]], Optional[int]]
+
+
+def _is_count(value: object) -> bool:
+    """An ``int``, not a ``bool``, at least 1: the count rule
+    :class:`repro.server.ServerConfig` applies too."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    )
 
 
 @dataclass(frozen=True)
@@ -138,19 +147,25 @@ class EngineConfig:
             )
         try:
             ladder = tuple(int(step) for step in self.ladder)
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ConfigurationError(
                 f"ladder must be a sequence of seconds; got {self.ladder!r}"
             ) from error
         if not ladder:
             raise ConfigurationError("ladder must not be empty")
+        if any(step != raw for step, raw in zip(ladder, self.ladder)):
+            raise ConfigurationError(
+                f"ladder steps must be whole seconds; got {self.ladder!r}"
+            )
         if any(step <= 0 for step in ladder):
             raise ConfigurationError("ladder steps must be positive")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigurationError("ladder must be strictly ascending")
         object.__setattr__(self, "ladder", ladder)
-        if not self.bucket_width_s > 0:
-            raise ConfigurationError("bucket_width_s must be positive")
+        if not 0 < self.bucket_width_s < math.inf:
+            raise ConfigurationError(
+                "bucket_width_s must be positive and finite"
+            )
         object.__setattr__(self, "bucket_width_s", float(self.bucket_width_s))
         try:
             mode = EstimatorMode.coerce(self.estimator_mode)
@@ -159,22 +174,20 @@ class EngineConfig:
         object.__setattr__(self, "estimator_mode", mode)
         if not 0 < self.user_selectivity <= 1:
             raise ConfigurationError("user_selectivity must be in (0, 1]")
-        if self.max_relaxations < 1:
-            raise ConfigurationError("max_relaxations must be positive")
-        if self.cache_entries is not None and self.cache_entries < 1:
+        if not _is_count(self.max_relaxations):
             raise ConfigurationError(
-                "cache_entries must be positive or None (unbounded)"
+                "max_relaxations must be a positive integer; got "
+                f"{self.max_relaxations!r}"
             )
+        for name in ("cache_entries", "cache_store_entries"):
+            value = getattr(self, name)
+            if value is not None and not _is_count(value):
+                raise ConfigurationError(
+                    f"{name} must be a positive integer or None "
+                    f"(unbounded); got {value!r}"
+                )
         if self.dedup_subqueries is not True:
             raise ConfigurationError("deduplication is always on")
-        if self.cache_store_entries is not None and (
-            not isinstance(self.cache_store_entries, int)
-            or isinstance(self.cache_store_entries, bool)
-            or self.cache_store_entries < 1
-        ):
-            raise ConfigurationError(
-                "cache_store_entries must be positive or None (unbounded)"
-            )
         if self.cache_ttl_s is not None:
             try:
                 ttl = float(self.cache_ttl_s)

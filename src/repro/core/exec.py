@@ -465,9 +465,7 @@ def _scan_walks(
     from ``rungs[slot]``, the first rung the cache does not hold.
 
     ``walk_ladder_many`` answers the whole set in one call on the
-    calling thread — the monolithic index walks item by item, the
-    sharded router walks each shard's columns contiguously for the
-    whole set.
+    calling thread, item by item on either reader.
     """
     items = [
         (

@@ -45,12 +45,16 @@ def rank1_bulk_offsets(
     wavelet tree stores all its nodes this way — the same layout the
     persistence format writes); ``word_off[k]``/``block_off[k]`` locate
     element ``k``'s bitvector and ``pos[k]`` is its *local* rank
-    position.  One vectorised pass answers every element, which is what
-    lets the levelwise frontier descent rank a whole batch per tree
-    level no matter how the pairs have spread across nodes.  Positions
-    are trusted (in ``[0, n_k]`` of their bitvector) — callers own the
-    invariant, exactly like
-    :meth:`RankBitvector._rank1_bulk_unchecked`.
+    position.  One vectorised pass (a block-directory gather, then
+    masked popcounts of the at most seven in-block words and the
+    partial tail word) answers every element with exactly its
+    :meth:`RankBitvector.rank1`.  That is what lets the levelwise
+    frontier descent (:meth:`repro.fmindex.wavelet_tree.WaveletTree.
+    rank_pairs_frontier`, the one bulk rank) rank a whole batch per
+    tree level no matter how the pairs have spread across nodes.
+    Positions are trusted (in ``[0, n_k]`` of their bitvector): the
+    frontier validates the root positions once, and every later level's
+    positions are ranks, in range by construction.
 
     ``pos`` may be any shape as long as ``word_off``/``block_off``
     broadcast against it (the frontier passes both interval endpoints
@@ -62,8 +66,10 @@ def rank1_bulk_offsets(
     local_block = pos >> 9
     ranks: npt.NDArray[np.int64] = blocks[block_off + local_block]
     if words.size:
-        # Same masked in-block gather as the single-vector bulk rank,
-        # with every index shifted by its element's word offset.
+        # One gather of each position's (at most 7) in-block words,
+        # shifted by its element's word offset, popcounted and summed
+        # under the in-block mask.  Indices are clamped instead of
+        # branch-masked: clamped entries are always outside the mask.
         block_word = local_block << 3
         offsets = np.arange(WORDS_PER_BLOCK - 1, dtype=np.int64)
         idx = (word_off + block_word)[..., None] + offsets
@@ -263,7 +269,7 @@ class RankBitvector:
     def _validated_positions(
         self, positions: npt.ArrayLike
     ) -> npt.NDArray[np.int64]:
-        """Shared bulk-input validation (ISSUE 6 satellite).
+        """Validate the root positions of a bulk rank.
 
         Positions must form a 1-D integer array: a 0-d array is a shape
         error (``TypeError``, not an opaque crash), and float positions
@@ -292,59 +298,6 @@ class RankBitvector:
                 f"[0, {self._n}]"
             )
         return pos
-
-    def rank1_bulk(self, positions: npt.ArrayLike) -> npt.NDArray[np.int64]:
-        """Vectorised :meth:`rank1` over a 1-D integer position array.
-
-        One numpy pass: block-directory gather, then masked popcounts of
-        the at most seven in-block words and the partial tail word.
-        Exactly :meth:`rank1` per element (the bulk primitives must be
-        bit-identical for the batched backward search to be).
-        """
-        pos = self._validated_positions(positions)
-        return self._rank1_bulk_unchecked(pos)
-
-    def _rank1_bulk_unchecked(
-        self, pos: npt.NDArray[np.int64]
-    ) -> npt.NDArray[np.int64]:
-        """:meth:`rank1_bulk` body for pre-validated int64 positions —
-        internal hot path for callers that already own the invariants
-        (the wavelet tree's frontier descent feeds ranks back in as the
-        next level's positions, which are in range by construction)."""
-        if pos.size == 0:
-            return pos
-        words = self._words
-        word = pos >> 6
-        tail = pos & 63
-        block_start = (word >> 3) << 3
-        ranks = self._block_ranks[word >> 3]
-        if words.size:
-            # One 2-D gather of each position's (at most 7) in-block
-            # words, popcounted and row-summed under the in-block mask.
-            # Indices are clamped instead of branch-masked: clamped
-            # entries are always outside the mask.
-            offsets = np.arange(WORDS_PER_BLOCK - 1, dtype=np.int64)
-            idx = block_start[:, None] + offsets
-            in_block = offsets < (word - block_start)[:, None]
-            np.minimum(idx, words.size - 1, out=idx)
-            counts = np.bitwise_count(words[idx]).astype(np.int64)
-            ranks += np.sum(counts, axis=1, where=in_block)
-            # Partial tail word: shift is taken mod 64 so tail == 0 is a
-            # full-word popcount, then zeroed by the where().
-            shift = ((WORD_BITS - tail) & 63).astype(np.uint64)
-            tail_counts = np.bitwise_count(
-                words[np.minimum(word, words.size - 1)] >> shift
-            ).astype(np.int64)
-            ranks += np.where(tail > 0, tail_counts, 0)
-        return ranks
-
-    def rank0_bulk(self, positions: npt.ArrayLike) -> npt.NDArray[np.int64]:
-        """Vectorised :meth:`rank0`; validated like :meth:`rank1_bulk`."""
-        pos = self._validated_positions(positions)
-        if pos.size == 0:
-            return pos
-        result: npt.NDArray[np.int64] = pos - self._rank1_bulk_unchecked(pos)
-        return result
 
     @property
     def n_ones(self) -> int:

@@ -10,10 +10,10 @@ Backward search is the innermost loop of every query, so the per-symbol
 descent is precomputed: ``_steps[c]`` lists the ``(node, bit)`` pairs of
 ``c``'s root-to-leaf path, replacing the prefix-tuple/dict walk with a
 flat loop over bitvector :meth:`~repro.fmindex.bitvector.RankBitvector.
-rank_pair` calls.  :meth:`WaveletTree.rank_pair_bulk` runs the same
-descent for an array of interval endpoints at once, vectorising the rank
-layer for the batched backward search (:meth:`repro.fmindex.fm.FMIndex.
-isa_ranges`).
+rank_pair` calls.  :meth:`WaveletTree.rank_pairs_frontier` runs the
+descents of a whole batch of ``(symbol, interval)`` pairs level by
+level, vectorising the rank layer for the batched backward search
+(:meth:`repro.fmindex.fm.FMIndex.isa_ranges`).
 """
 
 from __future__ import annotations
@@ -285,51 +285,6 @@ class WaveletTree:
                 pos_i, pos_j = pos_i - rank_i, pos_j - rank_j
         return pos_i, pos_j
 
-    def rank_pair_bulk(
-        self, symbol: int, i_positions: np.ndarray, j_positions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`rank_pair` over arrays of interval endpoints.
-
-        Both arrays are validated like
-        :meth:`~repro.fmindex.bitvector.RankBitvector.rank1_bulk` (1-D,
-        integer dtype, in range) and must have equal length.  Small
-        batches fall back to the scalar descent — same integers either
-        way, the threshold is purely a constant-factor choice.
-        """
-        i_pos = np.asarray(i_positions)
-        j_pos = np.asarray(j_positions)
-        if i_pos.ndim != 1 or j_pos.ndim != 1:
-            raise TypeError("positions must be 1-D arrays")
-        if i_pos.size != j_pos.size:
-            raise TypeError(
-                f"endpoint arrays differ in length ({i_pos.size} vs "
-                f"{j_pos.size})"
-            )
-        pairs = int(i_pos.size)
-        steps = self._steps.get(int(symbol))
-        if steps is None or pairs == 0:
-            zeros = np.zeros(pairs, dtype=np.int64)
-            return zeros, zeros.copy()
-        if pairs < _BULK_MIN_PAIRS:
-            out_i = np.zeros(pairs, dtype=np.int64)
-            out_j = np.zeros(pairs, dtype=np.int64)
-            for k in range(pairs):
-                out_i[k], out_j[k] = self.rank_pair(
-                    symbol, int(i_pos[k]), int(j_pos[k])
-                )
-            return out_i, out_j
-        root = steps[0][0]
-        positions = np.concatenate(
-            [
-                root._validated_positions(i_pos),
-                root._validated_positions(j_pos),
-            ]
-        )
-        for bits, bit in steps:
-            ranks = bits.rank1_bulk(positions)
-            positions = ranks if bit else positions - ranks
-        return positions[:pairs], positions[pairs:]
-
     def rank_pairs_frontier(
         self,
         symbols: Sequence[int],
@@ -338,11 +293,11 @@ class WaveletTree:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`rank_pair` across *many symbols* at once.
 
-        Per-symbol bulk descents (:meth:`rank_pair_bulk`) only pay off
-        when many pairs share a symbol; a backward-search round over a
-        diverse path batch yields mostly singleton symbol groups.  This
-        descent is *levelwise* instead: because every node's payload
-        lives in one flat words/blocks pair (see :meth:`_finalize`),
+        A backward-search round over a diverse path batch yields mostly
+        singleton symbol groups, so a per-symbol bulk descent would not
+        pay off.  This descent is *levelwise* instead: because every
+        node's payload lives in one flat words/blocks pair (see
+        :meth:`_finalize`),
         each tree level answers the ranks of **all** live pairs with a
         single offset-based bulk call
         (:func:`~repro.fmindex.bitvector.rank1_bulk_offsets`), no

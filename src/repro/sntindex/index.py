@@ -363,13 +363,12 @@ class SNTIndex:
         exclude_ids: Sequence[int] = (),
         isa_ranges=None,
     ):
-        """Procedure 5 over this index (see :mod:`.procedures`)."""
-        return procedures.monolithic_travel_times(
-            self,
+        """Procedure 5 over this index (see
+        :func:`repro.sntindex.procedures.cut_and_probe`)."""
+        return procedures.cut_and_probe(
             query,
-            fallback_tt=fallback_tt,
-            exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
+            self._scan_chunks(query, exclude_ids, query.beta, isa_ranges),
+            fallback_tt,
         )
 
     def get_travel_times_many(
@@ -378,25 +377,33 @@ class SNTIndex:
         fallback_tt=None,
     ):
         """:meth:`get_travel_times` per ``(query, exclude_ids,
-        isa_ranges)`` item of a deduplicated demand set, in item order
-        (see :func:`repro.sntindex.procedures.monolithic_travel_times_many`).
-        """
-        return procedures.monolithic_travel_times_many(
-            self, items, fallback_tt=fallback_tt
-        )
+        isa_ranges)`` item of a deduplicated demand set, in item order."""
+        return [
+            self.get_travel_times(query, fallback_tt, exclude_ids, ranges)
+            for query, exclude_ids, ranges in items
+        ]
 
     def walk_ladder_many(self, items: Sequence[Tuple], fallback_tt=None):
         """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
-        isa_ranges)`` item, in item order: each ``query`` at its own
-        width, then — only if that fails — the rungs ``wider()`` names,
-        all counted from one scan of the widest (see
-        :func:`repro.sntindex.procedures.monolithic_ladder`)."""
+        isa_ranges)`` item, in item order (see
+        :func:`repro.sntindex.procedures.walk_ladder`)."""
         return [
-            procedures.monolithic_ladder(
-                self, query, wider, fallback_tt, exclude_ids, isa_ranges
+            procedures.walk_ladder(
+                self._scan_chunks, query, wider, exclude_ids, isa_ranges,
+                fallback_tt,
             )
             for query, wider, exclude_ids, isa_ranges in items
         ]
+
+    def _scan_chunks(self, query, exclude_ids, beta, isa_ranges):
+        """Procedure 3's scan as one chunk — this index is its own only
+        shard (the ``chunks_of`` of :func:`.procedures.walk_ladder`)."""
+        matches = procedures.first_segment_matches(
+            self, query, exclude_ids, beta, isa_ranges
+        )
+        if matches is None or matches[0].size == 0:
+            return []
+        return [(self, *matches)]
 
     def count_matches(
         self,

@@ -28,31 +28,30 @@ Duplicate ``(d, seq)`` keys among the first-segment matches keep the
 overwrite; emission order reproduces the historical candidate scan by
 sorting the joined rows back to ascending column position.
 
-The retrieval is split in two phases so a sharded index can run them per
-shard and merge: :func:`first_segment_matches` (Procedure 3's scan and
-filters, returning the matched first-segment rows) and
-:func:`probe_travel_times` (Procedures 3-4's map build and probe,
-returning the travel times plus the entry timestamps that order them).
-Merging per-shard outputs on ``(entry time, shard order)`` reproduces the
-monolithic row order exactly, because each shard's rows are a stable
-restriction of the monolithic t-sorted columns.
+Procedure 5 runs over *chunks* ``(shard, rows, columns)``: a reader's
+scan (its ``chunks_of``) hands over the non-empty first-segment matches
+of every temporal-partition run it holds — one chunk on a monolithic
+index, one per routed shard on a sharded one — and
+:func:`cut_and_probe` does the rest once for both: the global ascending
+entry-time ``beta`` cut, the classification, one
+:func:`probe_travel_times` per chunk and the merge on ``(entry time,
+shard order)``, which reproduces the monolithic row order exactly
+because each shard's rows are a stable restriction of the monolithic
+t-sorted columns.
 
-The scalar functions are the one implementation.  Every ``*_many`` form
-is a plain loop over its scalar form, in item order, for the batch
-executor and the shard router that hand over a round's demand set: walk
-dedup has already folded the identical sub-queries of a round, and what
-is left almost never shares a first (or last) edge (ROADMAP item 1 has
-the measured group sizes), so stacking a group's bounds and candidates
-costs more than it shares.
+On top of it sits the *ladder walk* the engine's fetch stage calls
+(:func:`walk_ladder`, looped over a round's demands by each reader's
+``walk_ladder_many``): Procedure 1 widens a failing periodic sub-query
+rung by rung, and every rung's matches are a subset of the widest
+rung's, so one uncut scan of the widest window counts them all and
+:func:`choose_rung` jumps to the first rung that meets ``beta`` — the
+paper's cardinality-estimator idea (Section 4.4) made exact.
 
-On top of Procedure 5 sits the *ladder walk* the engine's fetch stage
-calls (:func:`monolithic_ladder`, looped over a round's demands by
-:meth:`SNTIndex.walk_ladder_many`):
-Procedure 1 widens a failing periodic sub-query rung by rung, and every
-rung's matches are a subset of the widest rung's, so one uncut scan of
-the widest window counts them all and :func:`choose_rung` jumps to the
-first rung that meets ``beta`` — the paper's cardinality-estimator idea
-(Section 4.4) made exact.
+Every ``*_many`` form is a plain loop over its scalar form, in item
+order: walk dedup has already folded the identical sub-queries of a
+round, and what is left almost never shares a first (or last) edge or a
+shard scan (ROADMAP item 1 has the measured group sizes), so stacking a
+group's work costs more than it shares.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -94,11 +92,10 @@ __all__ = [
     "probe_travel_times",
     "probe_travel_times_many",
     "get_travel_times",
-    "monolithic_travel_times",
-    "monolithic_travel_times_many",
     "classify_scan",
+    "cut_and_probe",
     "choose_rung",
-    "monolithic_ladder",
+    "walk_ladder",
     "count_matches",
     "monolithic_count_matches",
 ]
@@ -106,11 +103,20 @@ __all__ = [
 Int64Array = npt.NDArray[np.int64]
 Float64Array = npt.NDArray[np.float64]
 IsaRanges = List[Tuple[int, int, int]]
+FallbackTT = Optional[Callable[[int], float]]
 #: One scan work item: ``(query, exclude_ids, beta, isa_ranges)``.
 MatchItem = Tuple[StrictPathQuery, Sequence[int], Optional[int],
                   Optional[IsaRanges]]
 #: One probe work item: ``(query, selected_rows, first_columns)``.
 ProbeEntry = Tuple[StrictPathQuery, Int64Array, TraversalColumns]
+#: One shard's non-empty first-segment matches: ``(shard, rows,
+#: columns)``, the rows in ascending entry time.
+Chunk = Tuple["SNTIndex", Int64Array, TraversalColumns]
+#: A reader's scan: the chunks of one :data:`MatchItem`, in shard order.
+ChunksOf = Callable[
+    [StrictPathQuery, Sequence[int], Optional[int], Optional[IsaRanges]],
+    List[Chunk],
+]
 
 
 @dataclass
@@ -373,16 +379,15 @@ def probe_travel_times_many(
 def get_travel_times(
     index: "IndexReader",
     query: StrictPathQuery,
-    fallback_tt: Optional[Callable[[int], float]] = None,
+    fallback_tt: FallbackTT = None,
     exclude_ids: Sequence[int] = (),
     isa_ranges: Optional[IsaRanges] = None,
 ) -> TravelTimeResult:
     """Procedure 5: retrieve ``X`` for ``spq(P, I, f, beta)``.
 
     Accepts any :class:`~repro.sntindex.reader.IndexReader` and
-    dispatches through it — the monolithic index runs
-    :func:`monolithic_travel_times` below, a sharded index scatters the
-    procedure per shard and merges.
+    dispatches through it; both readers run :func:`cut_and_probe` over
+    the chunks of their own scan.
 
     Parameters
     ----------
@@ -409,7 +414,7 @@ def get_travel_times(
 def classify_scan(
     query: StrictPathQuery,
     n_matched: int,
-    fallback_tt: Optional[Callable[[int], float]],
+    fallback_tt: FallbackTT,
 ) -> Optional[TravelTimeResult]:
     """Procedure 5's pre-probe classification; ``None`` means probe."""
     empty = np.empty(0, dtype=np.float64)
@@ -429,57 +434,59 @@ def classify_scan(
     return None
 
 
-def monolithic_travel_times(
-    index: "SNTIndex",
+def cut_and_probe(
     query: StrictPathQuery,
-    fallback_tt: Optional[Callable[[int], float]] = None,
-    exclude_ids: Sequence[int] = (),
-    isa_ranges: Optional[IsaRanges] = None,
+    chunks: Sequence[Chunk],
+    fallback_tt: FallbackTT = None,
 ) -> TravelTimeResult:
-    """Procedure 5 over one :class:`SNTIndex`'s own columns.
+    """The rest of Procedure 5 over a query's first-segment chunks.
 
-    The implementation behind :meth:`SNTIndex.get_travel_times`; it
-    needs the raw per-segment columns, so sharded readers never reach
-    it directly — their router runs the two phases per shard instead.
+    ``chunks`` are the non-empty matches per shard, in shard order, each
+    in ascending entry time and holding at least its share of the
+    ``beta`` prefix.  The global ``beta`` cut keeps the earliest
+    ``beta`` rows across them (ties in shard order), Procedure 5
+    classifies the global count, and every chunk's kept rows are
+    probed; the probes merge on ``(entry time, shard)``.  One chunk
+    needs neither the cut nor the merge: its rows are already the
+    ascending prefix and its probe already in emission order.
     """
-    matches = first_segment_matches(
-        index,
-        query,
-        exclude_ids=exclude_ids,
-        beta=query.beta,
-        isa_ranges=isa_ranges,
-    )
-    if matches is None:
-        selected: Int64Array = np.empty(0, dtype=np.int64)
-        columns: Optional[TraversalColumns] = None
-    else:
-        selected, columns = matches
-
-    n_matched = int(selected.size)
+    beta = query.beta
+    if len(chunks) == 1:
+        shard, rows, columns = chunks[0]
+        if beta is not None and rows.size > beta:
+            rows = rows[:beta]
+        early = classify_scan(query, int(rows.size), fallback_tt)
+        if early is not None:
+            return early
+        values, _ = probe_travel_times(shard, query, rows, columns)
+        return TravelTimeResult(values, int(rows.size))
+    sizes = [int(rows.size) for _, rows, _ in chunks]
+    n_matched = sum(sizes)
+    if beta is not None and n_matched > beta:
+        stamps = np.concatenate(
+            [columns.t[rows] for _, rows, columns in chunks]
+        )
+        kept = np.argsort(stamps, kind="stable")[:beta]
+        source = np.searchsorted(np.cumsum(sizes), kept, side="right")
+        keep = np.bincount(source, minlength=len(chunks)).tolist()
+        chunks = [
+            (shard, rows[:n_kept], columns)
+            for (shard, rows, columns), n_kept in zip(chunks, keep)
+        ]
+        n_matched = beta
     early = classify_scan(query, n_matched, fallback_tt)
     if early is not None:
         return early
-    assert columns is not None
-    result, _ = probe_travel_times(index, query, selected, columns)
-    return TravelTimeResult(result, n_matched)
-
-
-def monolithic_travel_times_many(
-    index: "SNTIndex",
-    items: Sequence[Tuple[StrictPathQuery, Sequence[int],
-                          Optional[IsaRanges]]],
-    fallback_tt: Optional[Callable[[int], float]] = None,
-) -> List[TravelTimeResult]:
-    """:func:`monolithic_travel_times` per ``(query, exclude_ids,
-    isa_ranges)`` item — the deduplicated demand set of one
-    batch-executor round — in item order."""
-    return [
-        monolithic_travel_times(
-            index, query, fallback_tt=fallback_tt, exclude_ids=exclude_ids,
-            isa_ranges=isa_ranges,
-        )
-        for query, exclude_ids, isa_ranges in items
+    probes = [
+        probe_travel_times(shard, query, rows, columns)
+        for shard, rows, columns in chunks
+        if rows.size
     ]
+    merged = np.concatenate([values for values, _ in probes])
+    order_t = np.concatenate([emitted_t for _, emitted_t in probes])
+    return TravelTimeResult(
+        merged[np.argsort(order_t, kind="stable")], n_matched
+    )
 
 
 def _rung_windows(
@@ -501,29 +508,26 @@ def _rung_windows(
 
 def choose_rung(
     rungs: Sequence[StrictPathQuery],
-    chunks: Sequence[Tuple[Int64Array, TraversalColumns]],
-    fallback_tt: Optional[Callable[[int], float]],
-) -> Tuple[List[TravelTimeResult], Optional[StrictPathQuery],
-           List[Int64Array]]:
+    chunks: Sequence[Chunk],
+    fallback_tt: FallbackTT,
+) -> Tuple[List[TravelTimeResult], Optional[StrictPathQuery], List[Chunk]]:
     """Walk a widen ladder on one uncut scan of its widest rung.
 
-    ``chunks`` are the widest rung's first-segment matches as ``(rows,
-    columns)``, one per shard (one, or none, on a monolithic index).
-    Every rung's window lies inside the widest one and the other
-    first-edge predicates do not depend on the window, so a rung's
-    matches are the widest rung's restricted to its window — in the same
-    ascending row order, hence with the same ``beta`` prefix — and its
-    match count is the sum of its window's counts over the chunks.
+    ``chunks`` are the widest rung's first-segment matches.  Every
+    rung's window lies inside the widest one and the other first-edge
+    predicates do not depend on the window, so a rung's matches are the
+    widest rung's restricted to its window — in the same ascending row
+    order, hence with the same ``beta`` prefix — and its match count is
+    the sum of its window's counts over the chunks.
 
     Returns the results of the leading rungs that Procedure 5 settles
     without a probe (each exactly what a scan of that rung at its own
     width classifies), then the first rung that needs its probe join
-    with its rows per chunk — or ``None`` and no rows when the walk ends
-    before one.  Both readers resolve their ladders through this one
-    function; the ``beta`` cut and the join stay with the caller.
+    with its own chunks — or ``None`` and no chunks when the walk ends
+    before one.
     """
     inside = [
-        _rung_windows(rungs, columns.t[rows]) for rows, columns in chunks
+        _rung_windows(rungs, columns.t[rows]) for _, rows, columns in chunks
     ]
     counts = np.zeros(len(rungs), dtype=np.int64)
     for windows in inside:
@@ -536,8 +540,9 @@ def choose_rung(
         early = classify_scan(rung, n_matched, fallback_tt)
         if early is None:
             return settled, rung, [
-                rows[windows[position]]
-                for (rows, _), windows in zip(chunks, inside)
+                (shard, kept, columns)
+                for (shard, rows, columns), windows in zip(chunks, inside)
+                if (kept := rows[windows[position]]).size
             ]
         settled.append(early)
         if not early.is_empty:
@@ -545,52 +550,40 @@ def choose_rung(
     return settled, None, []
 
 
-def monolithic_ladder(
-    index: "SNTIndex",
+def walk_ladder(
+    chunks_of: ChunksOf,
     query: StrictPathQuery,
     wider: Callable[[], Sequence[StrictPathQuery]],
-    fallback_tt: Optional[Callable[[int], float]] = None,
     exclude_ids: Sequence[int] = (),
     isa_ranges: Optional[IsaRanges] = None,
+    fallback_tt: FallbackTT = None,
 ) -> List[TravelTimeResult]:
-    """Procedure 1's widen ladder over one :class:`SNTIndex`, as one call.
+    """Procedure 1's widen ladder over one reader's scan, as one call.
 
-    ``query`` is scanned at its own width (:func:`monolithic_travel_times`);
-    only if that comes back empty is ``wider()`` asked for the rungs
-    above it (narrowest first, all sharing ``query``'s path, user and
-    ``beta``).  The first-edge predicates are then evaluated **once**,
-    over the widest rung's window and without a ``beta`` cut, and every
-    rung is counted by its own time-of-day window over those rows.
-    Returns one result per rung tried, in ladder order — the failed
-    rungs' empty results followed by the first rung that answers, or by
-    the widest rung's failure — each byte-for-byte what scanning that
-    rung alone returns.
+    ``query`` is answered at its own width; only if that comes back
+    empty is ``wider()`` asked for the rungs above it (narrowest first,
+    all sharing ``query``'s path, user and ``beta``).  The first-edge
+    predicates are then evaluated **once**, over the widest rung's
+    window and without a ``beta`` cut, and every rung is counted by its
+    own time-of-day window over those rows.  Returns one result per
+    rung tried, in ladder order — the failed rungs' empty results
+    followed by the first rung that answers, or by the widest rung's
+    failure — each byte-for-byte what answering that rung alone returns.
     """
-    first = monolithic_travel_times(
-        index,
-        query,
-        fallback_tt=fallback_tt,
-        exclude_ids=exclude_ids,
-        isa_ranges=isa_ranges,
+    first = cut_and_probe(
+        query, chunks_of(query, exclude_ids, query.beta, isa_ranges),
+        fallback_tt,
     )
     rungs = wider() if first.is_empty else ()
     if not rungs:
         return [first]
-    matches = first_segment_matches(
-        index, rungs[-1], exclude_ids=exclude_ids, isa_ranges=isa_ranges
+    settled, chosen, chunks = choose_rung(
+        rungs, chunks_of(rungs[-1], exclude_ids, None, isa_ranges),
+        fallback_tt,
     )
-    settled, chosen, parts = choose_rung(
-        rungs, [] if matches is None else [matches], fallback_tt
-    )
-    walk = [first, *settled]
-    if chosen is not None:
-        assert matches is not None
-        selected = parts[0]
-        if chosen.beta is not None:
-            selected = selected[: chosen.beta]
-        values, _ = probe_travel_times(index, chosen, selected, matches[1])
-        walk.append(TravelTimeResult(values, int(selected.size)))
-    return walk
+    if chosen is None:
+        return [first, *settled]
+    return [first, *settled, cut_and_probe(chosen, chunks, fallback_tt)]
 
 
 def count_matches(

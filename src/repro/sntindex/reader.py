@@ -35,6 +35,7 @@ monolithic index is a superset of that.
 from __future__ import annotations
 
 from typing import (
+    TYPE_CHECKING,
     Callable,
     List,
     Optional,
@@ -44,7 +45,23 @@ from typing import (
     runtime_checkable,
 )
 
-__all__ = ["EdgeStats", "IndexReader"]
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..core.intervals import TimeInterval
+    from ..core.spq import StrictPathQuery
+    from .procedures import FallbackTT, IsaRanges, TravelTimeResult
+
+    #: ``get_travel_times_many`` item: ``(query, exclude_ids, isa_ranges)``.
+    TravelItem = Tuple[StrictPathQuery, Sequence[int], Optional[IsaRanges]]
+    #: ``walk_ladder_many`` item: ``(query, wider, exclude_ids,
+    #: isa_ranges)``.
+    LadderItem = Tuple[
+        StrictPathQuery,
+        Callable[[], Sequence[StrictPathQuery]],
+        Sequence[int],
+        Optional[IsaRanges],
+    ]
+
+__all__ = ["EdgeStats", "TodStats", "IndexReader"]
 
 
 @runtime_checkable
@@ -65,6 +82,16 @@ class EdgeStats(Protocol):
         ...
 
     def count_fixed(self, lo: int, hi: int) -> int:
+        ...
+
+
+@runtime_checkable
+class TodStats(Protocol):
+    """Time-of-day statistics consumed by the cardinality estimator."""
+
+    def selectivity(
+        self, edge: int, start_tod: int, duration: int, partition: int = 0
+    ) -> float:
         ...
 
 
@@ -107,7 +134,7 @@ class IndexReader(Protocol):
         ...
 
     @property
-    def tod_store(self):
+    def tod_store(self) -> TodStats:
         ...
 
     # -- users --------------------------------------------------------- #
@@ -122,31 +149,29 @@ class IndexReader(Protocol):
 
     def get_travel_times(
         self,
-        query,
-        fallback_tt: Optional[Callable[[int], float]] = None,
+        query: StrictPathQuery,
+        fallback_tt: FallbackTT = None,
         exclude_ids: Sequence[int] = (),
-        isa_ranges=None,
-    ):
+        isa_ranges: Optional[IsaRanges] = None,
+    ) -> TravelTimeResult:
         ...
 
     def get_travel_times_many(
         self,
-        items: Sequence[Tuple],
-        fallback_tt: Optional[Callable[[int], float]] = None,
-    ):
+        items: Sequence[TravelItem],
+        fallback_tt: FallbackTT = None,
+    ) -> List[TravelTimeResult]:
         """:meth:`get_travel_times` per ``(query, exclude_ids,
-        isa_ranges)`` item, in item order (a sharded reader walks the
-        set shard by shard)."""
+        isa_ranges)`` item, in item order."""
         ...
 
     def walk_ladder_many(
         self,
-        items: Sequence[Tuple],
-        fallback_tt: Optional[Callable[[int], float]] = None,
-    ) -> List[List]:
+        items: Sequence[LadderItem],
+        fallback_tt: FallbackTT = None,
+    ) -> List[List[TravelTimeResult]]:
         """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
-        isa_ranges)`` item, in item order (a sharded reader walks the
-        set shard by shard).
+        isa_ranges)`` item, in item order.
 
         Each item's ``query`` is answered at its own width; only if that
         result is empty is its ``wider()`` asked (once) for the rungs
@@ -155,14 +180,16 @@ class IndexReader(Protocol):
         the failed rungs' empty results, then the first rung that
         answers or the widest rung's failure — each exactly what that
         rung's own :meth:`get_travel_times` returns, at the cost of one
-        scan of the widest rung.
+        scan of the widest rung.  Both readers run
+        :func:`repro.sntindex.procedures.walk_ladder` per item over
+        their own scan.
         """
         ...
 
     def count_matches(
         self,
         path: Sequence[int],
-        interval,
+        interval: TimeInterval,
         user: Optional[int] = None,
         exclude_ids: Sequence[int] = (),
         limit: Optional[int] = None,

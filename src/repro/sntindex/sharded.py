@@ -8,8 +8,12 @@ contiguous run of those temporal partitions, built as a self-contained
 persist with the unchanged PR-1 directory format).
 :class:`ShardedSNTIndex` answers the
 :class:`~repro.sntindex.reader.IndexReader` protocol over the shard set
-itself: it prunes shards by interval, fans each call out over the
-survivors and merges their outputs.
+itself: it prunes shards by interval and scans the survivors, one query
+at a time.  The rest of Procedure 5 and the widen-ladder walk are not
+its own: :func:`~repro.sntindex.procedures.cut_and_probe` and
+:func:`~repro.sntindex.procedures.walk_ladder` run over the per-shard
+chunks of its scan exactly as over the single chunk of a monolithic
+index.
 
 Bit-identical answers
 ---------------------
@@ -30,8 +34,8 @@ monolithic ``SNTIndex`` built from the same corpus with the same
   in the same relative order.  Merging per-shard scan outputs on
   ``(entry time, shard order)`` with a stable sort therefore reproduces
   the monolithic row order exactly — including Procedure 3's ascending
-  entry-time ``beta`` cut, which the index applies globally across the
-  per-shard (already capped) prefixes.
+  entry-time ``beta`` cut, which ``cut_and_probe`` applies globally
+  across the per-shard (already capped) prefixes.
 * **Additive statistics** — ISA range widths, CSS range counts, and
   time-of-day histograms are integer-exact per partition, so the
   estimator views (:class:`_ShardedEdgeStats`, :class:`_ShardedTodStore`)
@@ -64,8 +68,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..config import SECONDS_PER_DAY
 from ..core.intervals import is_periodic
 from ..forkpool import fork_map
@@ -87,15 +89,9 @@ from .persistence import (
     validate_identity,
     write_index_payload,
 )
+from . import procedures
+from .procedures import Chunk, TravelTimeResult
 from .store import as_store
-from .procedures import (
-    TravelTimeResult,
-    choose_rung,
-    classify_scan,
-    first_segment_matches_many,
-    monolithic_count_matches,
-    probe_travel_times_many,
-)
 
 __all__ = [
     "ShardedSNTIndex",
@@ -284,11 +280,6 @@ class _ShardedEdgeStats:
         )
 
 
-#: One shard's share of a query's first-segment matches:
-#: ``(shard position, row positions, the shard's first-segment columns)``.
-_Chunk = Tuple[int, np.ndarray, object]
-
-
 # ---------------------------------------------------------------------- #
 # The sharded index
 # ---------------------------------------------------------------------- #
@@ -367,8 +358,10 @@ class ShardedSNTIndex:
     """Time-sliced SNT-index: K shard indexes behind one reader.
 
     The index routes every call itself: it prunes the shards a fixed
-    interval cannot touch, fans the call out over the rest and merges
-    their outputs.  It implements the same
+    interval cannot touch and scans the rest.  Its retrieval methods
+    hand that scan (:meth:`_scan_chunks`) to the Procedure 5 and ladder
+    walk of :mod:`~repro.sntindex.procedures` that the monolithic index
+    runs over its own single chunk.  It implements the same
     :class:`~repro.sntindex.reader.IndexReader`
     surface as :class:`SNTIndex`, so :class:`repro.core.engine.QueryEngine`
     uses it unchanged — with answers bit-identical to the monolithic
@@ -707,232 +700,63 @@ class ShardedSNTIndex:
         exclude_ids: Sequence[int] = (),
         isa_ranges=None,
     ) -> TravelTimeResult:
-        """Procedure 5 scattered over the shards and merged exactly."""
-        return self.get_travel_times_many(
-            [(query, exclude_ids, isa_ranges)], fallback_tt=fallback_tt
-        )[0]
+        """Procedure 5 scattered over the shards and merged exactly (see
+        :func:`repro.sntindex.procedures.cut_and_probe`)."""
+        return procedures.cut_and_probe(
+            query,
+            self._scan_chunks(query, exclude_ids, query.beta, isa_ranges),
+            fallback_tt,
+        )
 
     def get_travel_times_many(
         self,
         items: Sequence[Tuple],
         fallback_tt=None,
     ) -> List[TravelTimeResult]:
-        """Procedure 5 for a set of independent sub-queries, shard by
-        shard.
-
-        ``items`` are ``(query, exclude_ids, isa_ranges)`` triples — the
-        deduplicated demand set of one batch-executor round.  Both scan
-        phases walk the shards in the outer loop and the routed queries
-        in the inner loop, so each shard's columns are visited
-        contiguously for the whole set instead of once per query; every
-        per-query decision (global beta cut, the insufficient/fallback
-        classification, the ``(t, shard)`` merge) is unchanged, so each
-        returned result is exactly what :meth:`get_travel_times` answers
-        for that item alone.
-        """
-        return self._cut_and_probe(
-            [query for query, _, _ in items],
-            self._first_segment_chunks(items),
-            fallback_tt,
-        )
-
-    def _first_segment_chunks(
-        self, items: Sequence[Tuple]
-    ) -> List[List[_Chunk]]:
-        """Scan phase 1, shard by shard: per item, the non-empty
-        first-segment matches of every routed shard as ``(shard
-        position, rows, columns)``, each capped at the query's ``beta``
-        (the global cut only ever keeps a prefix of each).  Ascending
-        shard order per query — the same order a per-query loop
-        produces — so each query's chunk list is its routed prefix
-        order.
-        """
-        routed: List[List[int]] = []
-        for query, _, _ in items:
-            positions = self.route(query.interval)
-            self._record_dispatch(len(positions))
-            routed.append(positions)
-        by_position: Dict[int, List[int]] = {}
-        for item_index, positions in enumerate(routed):
-            for position in positions:
-                by_position.setdefault(position, []).append(item_index)
-
-        per_shard: List[List[_Chunk]] = [[] for _ in items]
-        for position in sorted(by_position):
-            entry = self.entries[position]
-            shard_items = []
-            for item_index in by_position[position]:
-                query, exclude_ids, isa_ranges = items[item_index]
-                self._record_scan(position)
-                local = (
-                    self._local_ranges(isa_ranges, position)
-                    if isa_ranges is not None
-                    else None
-                )
-                shard_items.append((query, exclude_ids, query.beta, local))
-            matches_list = first_segment_matches_many(
-                entry.index, shard_items
-            )
-            for item_index, matches in zip(
-                by_position[position], matches_list
-            ):
-                if matches is None:
-                    continue
-                selected, columns = matches
-                if selected.size:
-                    per_shard[item_index].append(
-                        (position, selected, columns)
-                    )
-        return per_shard
-
-    def _cut_and_probe(
-        self,
-        queries: Sequence,
-        per_shard: List[List[_Chunk]],
-        fallback_tt,
-    ) -> List[TravelTimeResult]:
-        """Scan phases 2-3 over each query's per-shard first-segment
-        chunks: the global cut and classification, then the per-shard
-        probe and the ``(t, shard)`` merge."""
-        n_items = len(queries)
-        # Phase 2, per query: the global ascending-entry-time beta cut
-        # and Procedure 5's classification on the global match count.
-        # The merge key is (t, shard order), matching the monolithic
-        # column order because each shard is a stable restriction of it.
-        empty = np.empty(0, dtype=np.float64)
-        results: List[Optional[TravelTimeResult]] = [None] * n_items
-        matched_counts = [0] * n_items
-        for item_index, query in enumerate(queries):
-            chunks = per_shard[item_index]
-            sizes = [int(selected.size) for _, selected, _ in chunks]
-            total = sum(sizes)
-            if query.beta is not None and total > query.beta:
-                stamps = np.concatenate(
-                    [columns.t[selected] for _, selected, columns in chunks]
-                )
-                kept = np.argsort(stamps, kind="stable")[: query.beta]
-                bounds = np.cumsum([0] + sizes)
-                source = np.searchsorted(bounds, kept, side="right") - 1
-                keep_counts = np.bincount(source, minlength=len(chunks))
-                per_shard[item_index] = [
-                    (position, selected[: int(keep_counts[i])], columns)
-                    for i, (position, selected, columns) in enumerate(chunks)
-                ]
-                n_matched = int(query.beta)
-            else:
-                n_matched = total
-            matched_counts[item_index] = n_matched
-            results[item_index] = classify_scan(
-                query, n_matched, fallback_tt
-            )
-
-        # Phase 3, shard by shard: map/probe for the queries still
-        # open, merged per query on (entry time, shard).  Each probe
-        # entry carries its chunk, so the shard-outer walk stays
-        # linear in the total chunk count.
-        value_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
-        stamp_chunks: List[List[np.ndarray]] = [[] for _ in range(n_items)]
-        probes: Dict[int, List[Tuple[int, np.ndarray, object]]] = {}
-        for item_index in range(n_items):
-            if results[item_index] is not None:
-                continue
-            for position, selected, columns in per_shard[item_index]:
-                if selected.size:
-                    probes.setdefault(position, []).append(
-                        (item_index, selected, columns)
-                    )
-        for position in sorted(probes):
-            entry = self.entries[position]
-            outputs = probe_travel_times_many(
-                entry.index,
-                [
-                    (queries[item_index], selected, columns)
-                    for item_index, selected, columns in probes[position]
-                ],
-            )
-            for (item_index, _, _), (values, stamps) in zip(
-                probes[position], outputs
-            ):
-                value_chunks[item_index].append(values)
-                stamp_chunks[item_index].append(stamps)
-
-        for item_index in range(n_items):
-            if results[item_index] is not None:
-                continue
-            n_matched = matched_counts[item_index]
-            if not value_chunks[item_index]:
-                results[item_index] = TravelTimeResult(empty, n_matched)
-                continue
-            values = np.concatenate(value_chunks[item_index])
-            stamps = np.concatenate(stamp_chunks[item_index])
-            merged = values[np.argsort(stamps, kind="stable")]
-            results[item_index] = TravelTimeResult(merged, n_matched)
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        """:meth:`get_travel_times` per ``(query, exclude_ids,
+        isa_ranges)`` item of a deduplicated demand set, in item order."""
+        return [
+            self.get_travel_times(query, fallback_tt, exclude_ids, ranges)
+            for query, exclude_ids, ranges in items
+        ]
 
     def walk_ladder_many(
         self, items: Sequence[Tuple], fallback_tt=None
     ) -> List[List[TravelTimeResult]]:
         """Procedure 1's widen ladder per ``(query, wider, exclude_ids,
-        isa_ranges)`` item, one result per rung tried (see
-        :func:`repro.sntindex.procedures.monolithic_ladder`, which this
-        reproduces exactly).
-
-        Every item's ``query`` is answered at its own width by
-        :meth:`get_travel_times_many`.  For the items that fail and have
-        wider rungs, the shards are fanned out **once** more, over the
-        widest rung's window with no ``beta`` cap; the ladder is
-        resolved on the per-shard matches by the same
-        :func:`~repro.sntindex.procedures.choose_rung` the monolithic
-        index uses, and the chosen rung's per-shard rows go through the
-        unchanged global cut, probe and merge.
-        """
-        firsts = self.get_travel_times_many(
-            [(query, exclude, ranges) for query, _, exclude, ranges in items],
-            fallback_tt=fallback_tt,
-        )
-        walks = [[first] for first in firsts]
-        # Only the items whose own width came back empty are asked for
-        # their wider rungs, and only those that have any climb.
-        climbing = [
-            (i, rungs)
-            for i, item in enumerate(items)
-            if firsts[i].is_empty and (rungs := item[1]())
-        ]
-        if not climbing:
-            return walks
-        widest_chunks = self._first_segment_chunks(
-            [
-                (rungs[-1].without_beta(), items[i][2], items[i][3])
-                for i, rungs in climbing
-            ]
-        )
-        open_slots: List[int] = []
-        open_queries: List = []
-        open_chunks: List[List[_Chunk]] = []
-        for (i, rungs), chunks in zip(climbing, widest_chunks):
-            settled, query, parts = choose_rung(
-                rungs,
-                [(rows, columns) for _, rows, columns in chunks],
+        isa_ranges)`` item, in item order (see
+        :func:`repro.sntindex.procedures.walk_ladder`)."""
+        return [
+            procedures.walk_ladder(
+                self._scan_chunks, query, wider, exclude_ids, isa_ranges,
                 fallback_tt,
             )
-            walks[i].extend(settled)
-            if query is not None:
-                open_slots.append(i)
-                open_queries.append(query)
-                open_chunks.append(
-                    [
-                        (position, part, columns)
-                        for (position, _, columns), part in zip(chunks, parts)
-                        if part.size
-                    ]
-                )
-        for i, result in zip(
-            open_slots,
-            self._cut_and_probe(open_queries, open_chunks, fallback_tt),
-        ):
-            walks[i].append(result)
-        return walks
+            for query, wider, exclude_ids, isa_ranges in items
+        ]
+
+    def _scan_chunks(
+        self, query, exclude_ids, beta, isa_ranges
+    ) -> List[Chunk]:
+        """Procedure 3's scan on every shard ``query`` routes to, as
+        ``(shard, rows, columns)`` chunks in shard order, each cut at
+        ``beta`` (the global cut only ever keeps a prefix of each)."""
+        positions = self.route(query.interval)
+        self._record_dispatch(len(positions))
+        chunks: List[Chunk] = []
+        for position in positions:
+            self._record_scan(position)
+            shard = self.entries[position].index
+            local = (
+                self._local_ranges(isa_ranges, position)
+                if isa_ranges is not None
+                else None
+            )
+            matches = procedures.first_segment_matches(
+                shard, query, exclude_ids, beta, local
+            )
+            if matches is not None and matches[0].size:
+                chunks.append((shard, *matches))
+        return chunks
 
     def count_matches(
         self,
@@ -949,7 +773,7 @@ class ShardedSNTIndex:
             # Record per shard as it is scanned: the limit early-return
             # below must not claim scans on shards it never reached.
             self._record_scan(position)
-            total += monolithic_count_matches(
+            total += procedures.monolithic_count_matches(
                 self.entries[position].index,
                 path,
                 interval,

@@ -255,6 +255,14 @@ class TestEngineConfig:
             dict(max_relaxations=0),
             dict(dedup_subqueries=False),
             dict(cache_entries=0),
+            # Numbers that used to construct and then break or silently
+            # change queries.
+            dict(bucket_width_s=float("inf")),
+            dict(cache_entries=True),
+            dict(cache_entries=2.5),
+            dict(max_relaxations=2.5),
+            dict(max_relaxations=True),
+            dict(ladder=(60.5, 120)),
         ],
     )
     def test_invalid_configs_raise_typed_error(self, overrides):

@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro import (
     EngineConfig,
+    FixedInterval,
     PeriodicInterval,
     QueryEngine,
+    ShardedSNTIndex,
     StrictPathQuery,
     SubQueryCache,
     TravelTimeDB,
@@ -107,6 +109,27 @@ def assert_walk_matches(index, network, query, ladder, exclude_ids=()):
         asked.append(True)
         return widen_rungs(query, ladder, limit=50)
 
+    # A fixed window in the corpus's first half day: on the sharded
+    # reader it starts inside the first sealed shard's time span and
+    # routes to that shard alone, while the periodic items route to
+    # every shard.
+    local = query.with_interval(
+        FixedInterval(index.t_min, index.t_min + SECONDS_PER_DAY // 2)
+    )
+    if isinstance(index, ShardedSNTIndex):
+        first_shard = index.entries[0]
+        assert first_shard.t_lo <= index.t_min <= first_shard.t_hi
+        assert index.route(local.interval) == [0]
+    local_item = (local, lambda: widen_rungs(local, ladder, limit=50), (), None)
+
+    grouped = index.walk_ladder_many(
+        [
+            (query, wider, exclude_ids, None),
+            (query.without_beta(), wider, (), None),
+            local_item,
+        ],
+        fallback_tt=network.estimate_tt,
+    )
     walks = [
         # One item, ranges from the planner — a single query's round.
         index.walk_ladder_many(
@@ -114,19 +137,18 @@ def assert_walk_matches(index, network, query, ladder, exclude_ids=()):
             fallback_tt=network.estimate_tt,
         )[0],
         # Grouped form, ranges left to the reader, beside a second item
-        # on the same first edge.
-        index.walk_ladder_many(
-            [
-                (query, wider, exclude_ids, None),
-                (query.without_beta(), wider, (), None),
-            ],
-            fallback_tt=network.estimate_tt,
-        )[0],
+        # on the same first edge and one that routes to a single shard.
+        grouped[0],
     ]
     for walk in walks:
         assert len(walk) == len(expected)
         for actual, (_, wanted) in zip(walk, expected):
             assert_same_result(actual, wanted)
+    (alone,) = index.walk_ladder_many(
+        [local_item], fallback_tt=network.estimate_tt
+    )
+    assert len(grouped[2]) == len(alone) == 1
+    assert_same_result(grouped[2][0], alone[0])
     # The wider rungs are only ever asked for after a failure.
     if not expected[0][1].is_empty:
         assert len(asked) == 0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fmindex.bitvector import RankBitvector
+from repro.fmindex.bitvector import RankBitvector, rank1_bulk_offsets
+from repro.fmindex.wavelet_tree import WaveletTree
 
 
 def naive_rank1(bits, i):
@@ -71,13 +72,20 @@ def test_rank1_bulk_matches_scalar():
     bv = RankBitvector(bits)
     positions = np.array([0, 1, 8, 9, 511, 512, 513, 999, 1000])
     expected = [bv.rank1(int(p)) for p in positions]
-    assert bv.rank1_bulk(positions).tolist() == expected
+    zeros = np.zeros(positions.size, dtype=np.int64)
+    got = rank1_bulk_offsets(
+        bv.words, bv.block_ranks, zeros, zeros, positions
+    )
+    assert got.tolist() == expected
 
 
 def test_rank1_bulk_out_of_range():
-    bv = RankBitvector([True] * 4)
+    """The bulk rank validates its root positions against the root
+    bitvector: one past the end is an ``IndexError``."""
+    tree = WaveletTree([1, 0, 1, 1])
+    zero = np.zeros(1, dtype=np.int64)
     with pytest.raises(IndexError):
-        bv.rank1_bulk(np.array([5]))
+        tree.rank_pairs_frontier([1], zero, np.array([5]))
 
 
 def test_size_in_bytes_reasonable():

@@ -1,8 +1,8 @@
 """Property tests: bulk rank primitives must match their scalar oracles.
 
-The vectorized paths (``RankBitvector.rank1_bulk``,
-``WaveletTree.rank_pair_bulk``, ``FMIndex.isa_ranges``) exist purely for
-throughput — every answer they produce must be bit-identical to the
+The vectorized paths (``rank1_bulk_offsets``,
+``WaveletTree.rank_pairs_frontier``, ``FMIndex.isa_ranges``) exist purely
+for throughput — every answer they produce must be bit-identical to the
 scalar code they shadow.  Hypothesis drives random bit patterns, texts,
 and position sets through both paths, with explicit coverage for the
 edge cases the scalar code handles implicitly: empty bitvectors, empty
@@ -16,14 +16,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fmindex import FMIndex
-from repro.fmindex.bitvector import WORD_BITS, WORDS_PER_BLOCK, RankBitvector
+from repro.fmindex.bitvector import (
+    WORD_BITS,
+    WORDS_PER_BLOCK,
+    RankBitvector,
+    rank1_bulk_offsets,
+)
 from repro.fmindex.wavelet_tree import WaveletTree
 
 BLOCK_BITS = WORD_BITS * WORDS_PER_BLOCK
 
 
+def rank1_bulk(bv, positions):
+    """``rank1_bulk_offsets`` over one bitvector (all offsets zero)."""
+    positions = np.asarray(positions, dtype=np.int64)
+    zeros = np.zeros(positions.shape, dtype=np.int64)
+    return rank1_bulk_offsets(
+        bv.words, bv.block_ranks, zeros, zeros, positions
+    )
+
+
 # ---------------------------------------------------------------------------
-# RankBitvector.rank1_bulk / rank0_bulk
+# rank1_bulk_offsets
 # ---------------------------------------------------------------------------
 
 
@@ -39,13 +53,10 @@ def test_rank1_bulk_matches_scalar(bits, data):
             lambda xs: np.asarray(xs, dtype=np.int64)
         )
     )
-    got1 = bv.rank1_bulk(positions)
-    got0 = bv.rank0_bulk(positions)
-    for pos, r1, r0 in zip(positions.tolist(), got1.tolist(), got0.tolist()):
+    got = rank1_bulk(bv, positions)
+    for pos, r1 in zip(positions.tolist(), got.tolist()):
         assert r1 == bv.rank1(pos)
-        assert r0 == bv.rank0(pos)
-    assert got1.dtype == np.int64
-    assert got0.dtype == np.int64
+    assert got.dtype == np.int64
 
 
 @given(n_blocks=st.integers(0, 3), data=st.data())
@@ -67,79 +78,49 @@ def test_rank1_bulk_on_boundary_positions(n_blocks, data):
     )
     positions = np.asarray(boundaries, dtype=np.int64)
     expected = np.concatenate(([0], np.cumsum(bits)))[positions] if n else positions * 0
-    assert bv.rank1_bulk(positions).tolist() == expected.tolist()
+    assert rank1_bulk(bv, positions).tolist() == expected.tolist()
 
 
 def test_rank_bulk_empty_bitvector():
     bv = RankBitvector([])
-    assert bv.rank1_bulk(np.empty(0, dtype=np.int64)).tolist() == []
-    assert bv.rank1_bulk(np.zeros(4, dtype=np.int64)).tolist() == [0, 0, 0, 0]
-    assert bv.rank0_bulk(np.zeros(2, dtype=np.int64)).tolist() == [0, 0]
-
-
-def test_rank_bulk_empty_positions_short_circuits_dtype_check():
-    bv = RankBitvector([1, 0, 1])
-    # An empty float array has nothing to truncate; it is accepted.
-    assert bv.rank1_bulk(np.empty(0, dtype=np.float64)).size == 0
+    assert rank1_bulk(bv, np.empty(0, dtype=np.int64)).tolist() == []
+    assert rank1_bulk(bv, np.zeros(4, dtype=np.int64)).tolist() == [0, 0, 0, 0]
 
 
 def test_rank_bulk_rejects_bad_inputs():
-    bv = RankBitvector([1, 0, 1, 1])
-    with pytest.raises(TypeError):
-        bv.rank1_bulk(np.int64(2))  # 0-d
-    with pytest.raises(TypeError):
-        bv.rank1_bulk(np.array([[1, 2]]))  # 2-d
-    with pytest.raises(TypeError, match="truncated"):
-        bv.rank1_bulk(np.array([1.5]))
-    with pytest.raises(IndexError):
-        bv.rank1_bulk(np.array([5]))
-    with pytest.raises(IndexError):
-        bv.rank1_bulk(np.array([-1]))
+    """The frontier validates its root positions on either endpoint:
+    shape, dtype and range."""
+    tree = WaveletTree([1, 0, 1, 1])
+    cases = [
+        ([1], np.int64(2), TypeError, None),  # 0-d
+        ([1, 1], np.array([[1, 2]]), TypeError, None),  # 2-d
+        ([1], np.array([1.5]), TypeError, "truncated"),
+        ([1], np.array([5]), IndexError, None),
+        ([1], np.array([-1]), IndexError, None),
+    ]
+    for symbols, bad, error, match in cases:
+        good = np.zeros(len(symbols), dtype=np.int64)
+        with pytest.raises(error, match=match):
+            tree.rank_pairs_frontier(symbols, bad, good)
+        with pytest.raises(error, match=match):
+            tree.rank_pairs_frontier(symbols, good, bad)
 
 
-# ---------------------------------------------------------------------------
-# WaveletTree.rank_pair_bulk
-# ---------------------------------------------------------------------------
-
-ABSENT_SYMBOL = 9_999
-
-
-@given(
-    text=st.lists(st.integers(0, 6), max_size=200),
-    data=st.data(),
-)
-@settings(max_examples=120, deadline=None)
-def test_rank_pair_bulk_matches_scalar(text, data):
-    wt = WaveletTree(text)
-    n_pairs = data.draw(st.integers(0, 50))
-    symbol = data.draw(
-        st.sampled_from(sorted(set(text)) + [ABSENT_SYMBOL]) if text
-        else st.just(ABSENT_SYMBOL)
-    )
-    lo = data.draw(
-        st.lists(
-            st.integers(0, len(text)), min_size=n_pairs, max_size=n_pairs
-        )
-    )
-    hi = [data.draw(st.integers(value, len(text))) for value in lo]
-    i_arr = np.asarray(lo, dtype=np.int64)
-    j_arr = np.asarray(hi, dtype=np.int64)
-    got_i, got_j = wt.rank_pair_bulk(symbol, i_arr, j_arr)
-    for k in range(n_pairs):
-        assert (got_i[k], got_j[k]) == wt.rank_pair(symbol, lo[k], hi[k])
-
-
-def test_rank_pair_bulk_empty_inputs():
-    wt = WaveletTree([0, 1, 2, 1])
+def test_rank_pairs_frontier_empty_inputs():
+    tree = WaveletTree([0, 1, 2, 1])
     empty = np.empty(0, dtype=np.int64)
-    got_i, got_j = wt.rank_pair_bulk(1, empty, empty)
+    got_i, got_j = tree.rank_pairs_frontier([], empty, empty)
     assert got_i.size == 0 and got_j.size == 0
 
 
 def test_rank_pair_bulk_length_mismatch_rejected():
-    wt = WaveletTree([0, 1, 2, 1])
-    with pytest.raises(TypeError):
-        wt.rank_pair_bulk(1, np.array([0, 1]), np.array([2]))
+    """One root position per symbol, on either endpoint array."""
+    tree = WaveletTree([0, 1, 2, 1])
+    good = np.array([0, 1])
+    with pytest.raises(TypeError, match="differ in length"):
+        tree.rank_pairs_frontier([1, 1], good, np.array([2]))
+    with pytest.raises(TypeError, match="differ in length"):
+        tree.rank_pairs_frontier([1, 1], np.array([2]), good)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ from repro.sntindex.persistence import FORMAT_MINOR, read_meta
 from repro.sntindex.procedures import (
     first_segment_matches,
     first_segment_matches_many,
-    monolithic_travel_times,
-    monolithic_travel_times_many,
     probe_travel_times,
 )
 from repro.sntindex.sharded import ShardedSNTIndex
@@ -393,10 +391,10 @@ def _fallback(edge):
 def test_grouped_monolithic_matches_scalar_loop(trajectories, demands):
     index = SNTIndex.build(trajectories, alphabet_size=N_EDGES + 1)
     items = [(query, exclude, None) for query, exclude in demands]
-    got = monolithic_travel_times_many(index, items, fallback_tt=_fallback)
+    got = index.get_travel_times_many(items, fallback_tt=_fallback)
     for (query, exclude), result in zip(demands, got):
-        want = monolithic_travel_times(
-            index, query, fallback_tt=_fallback, exclude_ids=exclude
+        want = index.get_travel_times(
+            query, fallback_tt=_fallback, exclude_ids=exclude
         )
         assert_results_identical(result, want)
         assert_matches_naive(trajectories, query, exclude, result)
