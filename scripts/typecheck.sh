@@ -2,9 +2,8 @@
 # Strict type checking, scoped to the typed layers:
 #   src/repro/api              TripRequest / EngineConfig / TravelTimeDB
 #   errors.py                  the error hierarchy
-#   service/cache.py,          SubQueryCache (binding, invalidation,
-#   service/cachetier.py       promotion), CacheBackend, SqliteCacheStore,
-#                              SharedCacheTier
+#   service/cache.py           SubQueryCache (binding, epoch invalidation,
+#                              the bounded LRU sections)
 #   core/plan.py, core/exec.py the planner, the trip machine and the
 #                              deduplicating batch executor
 #   fmindex/bitvector.py       the word-packed rank directory under every
@@ -32,7 +31,7 @@ exec python -m mypy --strict \
   --allow-subclassing-any \
   --no-warn-return-any \
   src/repro/api src/repro/errors.py \
-  src/repro/service/cache.py src/repro/service/cachetier.py \
+  src/repro/service/cache.py \
   src/repro/core/plan.py src/repro/core/exec.py \
   src/repro/fmindex/bitvector.py \
   src/repro/sntindex/reader.py \

@@ -61,12 +61,7 @@ from .network import (
     generate_network,
     shortest_path,
 )
-from .service import (
-    CacheBackend,
-    CacheStats,
-    SharedCacheTier,
-    SubQueryCache,
-)
+from .service import CacheStats, SubQueryCache
 from .sntindex import (
     IndexReader,
     ShardedSNTIndex,
@@ -149,6 +144,4 @@ __all__ = [
     # serving layer
     "SubQueryCache",
     "CacheStats",
-    "CacheBackend",
-    "SharedCacheTier",
 ]

@@ -5,13 +5,11 @@ Replaces the constructor-kwarg sprawl of
 queries are answered (partitioner, splitter, ladder, bucket width,
 estimator default, relaxation limits, serving knobs) lives here, is
 validated once at construction, and is hashable/comparable — so two
-sessions configured the same way compare equal and a config can key an
-external cache tier.
+sessions configured the same way compare equal.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Tuple, Union
@@ -19,7 +17,7 @@ from typing import Any, Callable, Optional, Tuple, Union
 from ..config import DEFAULT_BUCKET_WIDTH_S, DEFAULT_INTERVAL_LADDER_S
 from ..config import DEFAULT_USER_SELECTIVITY
 from ..core.partitioning import PARTITIONER_NAMES
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, is_count
 from .request import EstimatorMode
 
 __all__ = ["EngineConfig", "SPLITTER_NAMES"]
@@ -28,14 +26,6 @@ SPLITTER_NAMES: Tuple[str, ...] = ("regular", "longest_prefix")
 
 #: ``beta_policy`` signature: (sub-path, query beta) -> effective beta.
 BetaPolicy = Callable[[Tuple[int, ...], Optional[int]], Optional[int]]
-
-
-def _is_count(value: object) -> bool:
-    """An ``int``, not a ``bool``, at least 1: the count rule
-    :class:`repro.server.ServerConfig` applies too."""
-    return (
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1
-    )
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,7 @@ class EngineConfig:
         Optional per-sub-query cardinality policy.  Compared (and
         hashed) by callable identity: policies change effective betas
         and therefore answers, so two configs differing only here must
-        NOT compare equal — ROADMAP designates EngineConfig identity as
-        part of the external cache-tier key.
+        NOT compare equal.
     dedup_subqueries:
         ``True``, its only legal value (``False`` raises): every batch
         runs through the deduplicating executor
@@ -79,40 +68,16 @@ class EngineConfig:
         Per-section LRU bound of the session's cache (``None`` =
         unbounded).
     cache:
-        Cache-backend spec consumed by
-        :func:`repro.service.cachetier.resolve_cache_backend`:
-        ``"memory"`` the in-process LRU
-        (:class:`~repro.service.SubQueryCache`), ``"off"`` no shared cache,
-        ``"shared"`` a cross-process :class:`SharedCacheTier` under the
-        index directory, ``"shared:<dir>"`` one at an explicit
-        directory.  Serving plumbing only — the spec never changes
-        answers, so it is excluded from :meth:`cache_identity`.
-    cache_store_entries:
-        Bound on the cross-process shared tier's *store* (the SQLite
-        file; ``None`` = unbounded).  Enforced as insertion-order GC on
-        insert and ``sync_epoch``; eviction only ever forces a
-        recomputation, never a different answer, so this too is
-        excluded from :meth:`cache_identity`.  Ignored by the
-        in-process backends (their ``cache_entries`` LRU bound already
-        caps memory).
+        ``"memory"`` gives a session built with ``cache="default"`` an
+        in-process :class:`~repro.service.SubQueryCache` bounded by
+        ``cache_entries``; ``"off"`` gives it none (per-trip caching
+        only).  The spec never changes answers.
     store:
         Optional index location — a directory path or shard-store URI
         (``file:...``; see
         :mod:`repro.sntindex.store`) that :func:`repro.open_db` falls
         back to when no explicit ``path_or_index`` is given.  Where the
-        index lives never changes what a query returns, so this is
-        serving plumbing and excluded from :meth:`cache_identity`.
-    cache_ttl_s:
-        Maximum age in seconds of entries in the cross-process shared
-        tier's store (``None`` = no age limit).  Rows older than this
-        are treated as misses on read and garbage-collected lazily
-        (on ``sync_epoch`` and amortised during writes) — the
-        long-running-server knob: a serving process that stays up for
-        weeks keeps the store from accumulating entries for paths
-        nobody asks about any more.  Expiry only ever forces a
-        recomputation, never a different answer (entries are keyed by
-        everything that shapes one), so it is excluded from
-        :meth:`cache_identity`.  Ignored by the in-process backends.
+        index lives never changes what a query returns.
 
     All validation failures raise :class:`ConfigurationError` (a
     :class:`~repro.errors.QueryError`), never a bare ``ValueError``.
@@ -130,8 +95,6 @@ class EngineConfig:
     dedup_subqueries: bool = True
     cache_entries: Optional[int] = 65_536
     cache: str = "memory"
-    cache_store_entries: Optional[int] = None
-    cache_ttl_s: Optional[float] = None
     store: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -174,34 +137,20 @@ class EngineConfig:
         object.__setattr__(self, "estimator_mode", mode)
         if not 0 < self.user_selectivity <= 1:
             raise ConfigurationError("user_selectivity must be in (0, 1]")
-        if not _is_count(self.max_relaxations):
+        if not is_count(self.max_relaxations):
             raise ConfigurationError(
                 "max_relaxations must be a positive integer; got "
                 f"{self.max_relaxations!r}"
             )
-        for name in ("cache_entries", "cache_store_entries"):
-            value = getattr(self, name)
-            if value is not None and not _is_count(value):
-                raise ConfigurationError(
-                    f"{name} must be a positive integer or None "
-                    f"(unbounded); got {value!r}"
-                )
+        if self.cache_entries is not None and not is_count(
+            self.cache_entries
+        ):
+            raise ConfigurationError(
+                "cache_entries must be a positive integer or None "
+                f"(unbounded); got {self.cache_entries!r}"
+            )
         if self.dedup_subqueries is not True:
             raise ConfigurationError("deduplication is always on")
-        if self.cache_ttl_s is not None:
-            try:
-                ttl = float(self.cache_ttl_s)
-            except (TypeError, ValueError) as error:
-                raise ConfigurationError(
-                    "cache_ttl_s must be a positive number of seconds or "
-                    f"None (no age limit); got {self.cache_ttl_s!r}"
-                ) from error
-            if not ttl > 0:
-                raise ConfigurationError(
-                    "cache_ttl_s must be a positive number of seconds or "
-                    f"None (no age limit); got {self.cache_ttl_s!r}"
-                )
-            object.__setattr__(self, "cache_ttl_s", ttl)
         if self.store is not None and (
             not isinstance(self.store, str) or not self.store
         ):
@@ -209,61 +158,11 @@ class EngineConfig:
                 "store must be None, a directory path, or a store URI "
                 f"(file:...); got {self.store!r}"
             )
-        if not isinstance(self.cache, str) or (
-            self.cache not in ("memory", "off", "shared")
-            and not (
-                self.cache.startswith("shared:")
-                and len(self.cache) > len("shared:")
-            )
-        ):
+        if self.cache not in ("memory", "off"):
             raise ConfigurationError(
-                "cache must be 'memory', 'off', 'shared', or "
-                f"'shared:<dir>'; got {self.cache!r}"
-            )
-        if self.cache.startswith("shared") and self.beta_policy is not None:
-            # Fail at construction, not first query: a callable has
-            # no cross-process identity, so a shared tier could
-            # serve another policy's (differently-shaped) entries.
-            raise ConfigurationError(
-                "a shared cache tier cannot be combined with a "
-                "beta_policy (callables have no cross-process "
-                "identity); use cache='memory' or drop the policy"
+                f"cache must be 'memory' or 'off'; got {self.cache!r}"
             )
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with the given fields changed (re-validated)."""
         return replace(self, **changes)
-
-    def cache_identity(self) -> str:
-        """Stable cross-process fingerprint of the answer-shaping fields.
-
-        Part of every :class:`~repro.service.cachetier.SharedCacheTier`
-        key (the ROADMAP external-cache-tier contract: request wire form
-        + EngineConfig identity + index epoch).  Two processes whose
-        configs agree on every field that can change an answer produce
-        the same identity and therefore share entries; serving knobs
-        (the ``cache*`` plumbing, ``store``) are excluded, since they
-        never change what a query returns.  ``beta_policy`` is a
-        callable and has no cross-process identity, so configs carrying
-        one are rejected.
-        """
-        if self.beta_policy is not None:
-            raise ConfigurationError(
-                "an EngineConfig with a beta_policy has no stable "
-                "cross-process cache identity"
-            )
-        mode = self.estimator_mode
-        return json.dumps(
-            {
-                "partitioner": self.partitioner,
-                "splitter": self.splitter,
-                "ladder": list(self.ladder),
-                "bucket_width_s": self.bucket_width_s,
-                "estimator_mode": mode.value if mode is not None else None,
-                "user_selectivity": self.user_selectivity,
-                "max_relaxations": self.max_relaxations,
-                "shift_and_enlarge": self.shift_and_enlarge,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )

@@ -43,13 +43,7 @@ from ..core.exec import DedupStats
 from ..errors import ConfigurationError
 from ..network.graph import RoadNetwork
 from ..network.io import load_network
-from ..service.cache import CacheStats
-from ..service.cachetier import (
-    CacheBackend,
-    SharedCacheTier,
-    SharedTierStats,
-    resolve_cache_backend,
-)
+from ..service.cache import CacheStats, SubQueryCache
 from ..sntindex.reader import IndexReader
 from ..sntindex.sharded import load_any_index
 from .config import EngineConfig
@@ -70,16 +64,15 @@ class TravelTimeDB:
     locked) — the serving tier runs its rounds that way.
 
     Usable as a context manager; closing releases the session's own
-    cache backend (see :meth:`close`).
+    cache (see :meth:`close`).
 
-    ``cache`` selects the cross-query cache: ``"default"`` resolves the
-    backend from ``config`` (the ``config.cache`` spec — in-process
-    :class:`SubQueryCache`, cross-process
-    :class:`~repro.service.cachetier.SharedCacheTier`, or none);
-    ``None`` disables cross-query caching (every trip
-    uses a per-trip cache); or pass a pre-configured backend to control
-    the bounds or share one cache between sessions *over the same index
-    and network* — the cache binds permanently to the first
+    ``cache`` selects the cross-query cache: ``"default"`` builds one
+    from ``config`` (a :class:`SubQueryCache` bounded by
+    ``config.cache_entries``, or none when ``config.cache`` is
+    ``"off"``); ``None`` disables cross-query caching (every trip uses a
+    per-trip cache); or pass a pre-configured :class:`SubQueryCache` to
+    control the bounds or share one cache between sessions *over the
+    same index and network* — the cache binds permanently to the first
     (index, network) pair it serves and rejects any other.
     """
 
@@ -88,7 +81,7 @@ class TravelTimeDB:
         index: IndexReader,
         network: Optional[RoadNetwork],
         config: Optional[EngineConfig] = None,
-        cache: Union[CacheBackend, None, str] = "default",
+        cache: Union[SubQueryCache, None, str] = "default",
     ) -> None:
         if network is None:
             # Fail fast with the typed error surface: partitioners and
@@ -105,11 +98,16 @@ class TravelTimeDB:
         # closed on close().
         self._owns_cache = cache == "default"
         if cache == "default":
-            cache = resolve_cache_backend(self._config, index)
+            bound = self._config.cache_entries
+            cache = (
+                SubQueryCache(bound, bound, bound)
+                if self._config.cache == "memory"
+                else None
+            )
         elif isinstance(cache, str):
             raise ConfigurationError(
-                f"cache must be a cache backend (SubQueryCache / "
-                f"SharedCacheTier), None, or 'default'; got {cache!r}"
+                "cache must be a SubQueryCache, None, or 'default'; "
+                f"got {cache!r}"
             )
         self._engine = QueryEngine(
             index, cast(RoadNetwork, network), self._config, cache=cache
@@ -147,15 +145,6 @@ class TravelTimeDB:
         cache = self._engine.cache
         return cache.stats() if cache is not None else None
 
-    def tier_stats(self) -> Optional[SharedTierStats]:
-        """Where the cross-process tier's hits came from (L1 / shared
-        store), or ``None`` when the session's cache is not a
-        :class:`~repro.service.cachetier.SharedCacheTier`."""
-        cache = self._engine.cache
-        if isinstance(cache, SharedCacheTier):
-            return cache.tier_stats()
-        return None
-
     def clear_cache(self) -> None:
         if self._engine.cache is not None:
             self._engine.cache.clear()
@@ -169,13 +158,10 @@ class TravelTimeDB:
     def close(self) -> None:
         """Release session resources.
 
-        Closes the session's own cache backend: an in-process
-        :class:`SubQueryCache` empties, a cross-process
-        :class:`~repro.service.cachetier.SharedCacheTier` releases its
-        store connection but *keeps its entries* (warming later
-        sessions is the point of the tier).  A caller-provided backend
-        is left untouched — other sessions may still be serving warm
-        hits from it.  Use :meth:`clear_cache` to empty one explicitly.
+        Closes the session's own cache, which empties it.  A
+        caller-provided cache is left untouched — other sessions may
+        still be serving warm hits from it.  Use :meth:`clear_cache` to
+        empty one explicitly.
         """
         if self._owns_cache and self._engine.cache is not None:
             self._engine.cache.close()
@@ -184,7 +170,7 @@ class TravelTimeDB:
         return (
             f"TravelTimeDB(index={type(self.index).__name__}, "
             f"partitioner={self._config.partitioner!r}, "
-            f"cache={self._config.cache!r})"
+            f"cache={'off' if self._engine.cache is None else 'memory'!r})"
         )
 
     # ------------------------------------------------------------------ #
@@ -194,12 +180,12 @@ class TravelTimeDB:
     def query(self, request: TripRequest) -> TripQueryResult:
         """Answer one :class:`TripRequest` through the shared cache.
 
-        With a cache backend a repeated trip — same request, same
-        config, same index epoch — costs one probe of the backend's
-        ``trips`` section: nothing is planned, fetched or convolved,
-        and the result (a fresh object sharing the memoised histogram
-        and outcomes) reports ``n_index_scans == 0`` and every demand
-        of the trip as a cache hit.  ``cache=None`` sessions never
+        With a cache a repeated trip — same request, same config, same
+        index epoch — costs one probe of the cache's ``trips`` section:
+        nothing is planned, fetched or convolved, and the result (a
+        fresh object sharing the memoised histogram and outcomes)
+        reports ``n_index_scans == 0`` and every demand of the trip as
+        a cache hit.  ``cache=None`` sessions never
         consult the memo.  The same holds for every trip of
         :meth:`query_many` and :meth:`stream`.
         """
@@ -274,7 +260,7 @@ def open_db(
     path_or_index: Union[PathSource, IndexReader, None] = None,
     network: Union[RoadNetwork, PathSource, None] = None,
     config: Optional[EngineConfig] = None,
-    cache: Union[CacheBackend, None, str] = "default",
+    cache: Union[SubQueryCache, None, str] = "default",
 ) -> TravelTimeDB:
     """Open a travel-time query session — the one public entry point.
 
@@ -297,11 +283,9 @@ def open_db(
     config:
         An :class:`EngineConfig`; ``None`` uses defaults.
     cache:
-        As for :class:`TravelTimeDB`: ``"default"`` resolves the
-        backend from ``config`` (its ``cache`` spec can select the
-        cross-process shared tier), ``None`` disables cross-query
-        caching, or pass a backend (:class:`SubQueryCache` /
-        :class:`~repro.service.cachetier.SharedCacheTier`) directly.
+        As for :class:`TravelTimeDB`: ``"default"`` builds the cache
+        ``config`` asks for, ``None`` disables cross-query caching, or
+        pass a :class:`SubQueryCache` directly.
     """
     if path_or_index is None:
         # The config can carry the index location (EngineConfig.store)

@@ -9,8 +9,8 @@ excluded trajectory ids, cardinality requirement ``beta``, and the
 per-request cardinality-estimator mode.
 
 Every request has a stable wire form (:meth:`TripRequest.to_dict` /
-:meth:`TripRequest.from_dict`) designed for the planned external cache /
-HTTP tier: plain JSON-compatible scalars and lists, round-tripping to an
+:meth:`TripRequest.from_dict`), the body of the HTTP serving tier's
+requests: plain JSON-compatible scalars and lists, round-tripping to an
 equal object (canonicalisation happens at construction, so equality
 survives the round trip).
 """
@@ -254,8 +254,8 @@ class TripRequest:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible wire form — the contract for the external
-        cache / HTTP tier (see ROADMAP)."""
+        """JSON-compatible wire form — the contract for the HTTP
+        serving tier."""
         return {
             "path": list(self.path),
             "interval": _interval_to_dict(self.interval),

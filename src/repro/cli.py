@@ -23,7 +23,7 @@ Commands
     ``POST /v1/query_batch``, ``GET /healthz``, ``GET /stats``).
 ``compact``
     Merge runs of small adjacent sealed shards of a saved sharded
-    index in place (atomic manifest swap, epoch/lineage bump) —
+    index in place (atomic manifest swap, epoch bump) —
     answers stay bit-identical, per-query shard fan-out drops.
 
 ``query``/``batch``/``serve`` accept the saved index as ``--index DIR``
@@ -210,13 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the shared sub-query cache",
     )
     batch.add_argument(
-        "--cache-dir",
-        default=None,
-        help="answer through the cross-process shared cache tier stored "
-        "in this directory (created if missing); separate runs warm "
-        "each other's caches",
-    )
-    batch.add_argument(
         "--partitioner", default="pi_Z", choices=PARTITIONER_NAMES
     )
     batch.add_argument(
@@ -278,19 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the shared sub-query cache",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="serve through the cross-process shared cache tier stored "
-        "in this directory (created if missing)",
-    )
-    serve.add_argument(
-        "--cache-ttl-s",
-        type=float,
-        default=None,
-        help="expire shared-tier cache entries older than this many "
-        "seconds (requires --cache-dir)",
     )
     serve.add_argument(
         "--partitioner", default="pi_Z", choices=PARTITIONER_NAMES
@@ -580,11 +560,19 @@ def _result_line(path_text: str, result) -> str:
     )
 
 
+def _session_config(args) -> EngineConfig:
+    """The ``batch`` / ``serve`` session config; ``--no-cache`` is its
+    one cache switch."""
+    return EngineConfig(
+        partitioner=args.partitioner,
+        splitter=args.splitter,
+        cache="off" if args.no_cache else "memory",
+    )
+
+
 def _cmd_batch(args) -> int:
     if args.repeat < 1:
         raise SystemExit("--repeat must be positive")
-    if args.cache_dir is not None and args.no_cache:
-        raise SystemExit("--cache-dir and --no-cache are mutually exclusive")
     network = load_network(Path(args.world) / NETWORK_FILE)
     index = _obtain_index(args, network)
     specs = _read_batch_specs(args)
@@ -599,20 +587,7 @@ def _cmd_batch(args) -> int:
         for path_text, tod in specs
     ]
 
-    db = open_db(
-        index,
-        network=network,
-        cache=None if args.no_cache else "default",
-        config=EngineConfig(
-            partitioner=args.partitioner,
-            splitter=args.splitter,
-            cache=(
-                f"shared:{args.cache_dir}"
-                if args.cache_dir is not None
-                else "memory"
-            ),
-        ),
-    )
+    db = open_db(index, network=network, config=_session_config(args))
     started = time.perf_counter()
     if args.stream:
         # Order-preserving streaming: each answer prints as its window
@@ -646,9 +621,6 @@ def _cmd_batch(args) -> int:
     if stats is not None:
         print(f"cache: {stats.summary()}")
     print(f"dedup: {db.last_dedup_stats.summary()}")
-    tier_stats = db.tier_stats()
-    if tier_stats is not None:
-        print(f"shared tier: {tier_stats.summary()}")
     shard_stats = getattr(index, "shard_stats", None)
     if shard_stats is not None:
         routing = shard_stats()
@@ -663,27 +635,9 @@ def _cmd_batch(args) -> int:
 def _cmd_serve(args) -> int:
     from .server import ServerConfig, run_server
 
-    if args.cache_ttl_s is not None and args.cache_dir is None:
-        raise SystemExit("--cache-ttl-s requires --cache-dir")
-    if args.cache_dir is not None and args.no_cache:
-        raise SystemExit("--cache-dir and --no-cache are mutually exclusive")
     network = load_network(Path(args.world) / NETWORK_FILE)
     index = _obtain_index(args, network)
-    db = open_db(
-        index,
-        network=network,
-        cache=None if args.no_cache else "default",
-        config=EngineConfig(
-            partitioner=args.partitioner,
-            splitter=args.splitter,
-            cache=(
-                f"shared:{args.cache_dir}"
-                if args.cache_dir is not None
-                else "memory"
-            ),
-            cache_ttl_s=args.cache_ttl_s,
-        ),
-    )
+    db = open_db(index, network=network, config=_session_config(args))
     server_config = ServerConfig(
         host=args.host,
         port=args.port,

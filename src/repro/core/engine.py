@@ -10,7 +10,7 @@ Pipeline per query (Figure 2), run as an explicit staged pipeline:
    sub-query whose whole widen ladder failed is split or stripped of
    its filters (Procedure 1);
 2. **fetch** (:mod:`repro.core.exec`) — each planned sub-query is
-   answered, widen ladder included, from the cache backend or by one
+   answered, widen ladder included, from the cache or by one
    SNT-index call (``getTravelTimes`` at its own width, then every wider
    rung counted from one scan of the widest);
 3. **combine** — the Histogram Builder turns each travel-time set into a
@@ -23,7 +23,7 @@ driver: :meth:`run_batch` drives any number of trip machines
 :meth:`query` is a batch of one.
 
 A trip answer is a pure function of the request, the planner policy and
-the index epoch, so with a shared cache backend :meth:`run_batch`
+the index epoch, so with a shared cache :meth:`run_batch`
 memoises whole trips in its ``trips`` section: a repeated trip is one
 probe (:meth:`QueryEngine.trip_key`, :meth:`TripQueryResult.replayed`)
 and none of the three stages runs.
@@ -67,7 +67,7 @@ from .spq import StrictPathQuery
 if TYPE_CHECKING:  # the api layer sits above core; runtime imports are lazy
     from ..api.config import EngineConfig
     from ..api.request import TripRequest
-    from ..service.cachetier import CacheBackend
+    from ..service.cache import SubQueryCache
 
 __all__ = [
     "SubQueryOutcome",
@@ -81,13 +81,12 @@ class PerTripCache:
     sub-path per trip (the estimator, the retrieval and every rung of the
     widen ladder share it), discarded when the trip completes.
 
-    Not a :class:`~repro.service.cachetier.CacheBackend`: it has the four
-    scalar probe/store methods a :class:`~repro.core.exec.TripMachine`
-    calls (4 of the protocol's 16) and that is all a per-trip object is
-    ever asked — retrieval results, the trip memo and the lifecycle
-    hooks are only reached on an engine's shared cache (the ``cache is
-    not None`` branches of the batch executor and of
-    :meth:`QueryEngine.run_batch`).  It caches ranges only: histograms
+    Not a :class:`~repro.service.SubQueryCache`: it has the four scalar
+    probe/store methods a :class:`~repro.core.exec.TripMachine` calls
+    and that is all a per-trip object is ever asked — retrieval
+    results, the trip memo and the lifecycle hooks are only reached on
+    an engine's shared cache (the ``cache is not None`` branches of the
+    batch executor and of :meth:`QueryEngine.run_batch`).  It caches ranges only: histograms
     are never shared, because within one trip a sub-query is retrieved
     at most once per interval.  Every fetch demand therefore reaches
     the index, and is accounted as one ``n_index_scans``.
@@ -182,16 +181,16 @@ class TripQueryResult:
         return float(sum(o.mean for o in self.outcomes))
 
     # ------------------------------------------------------------------ #
-    # Wire form (external cache / HTTP tier contract)
+    # Wire form (HTTP tier contract)
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible wire form, inverse of :meth:`from_dict`.
 
-        Carries everything a remote consumer (or an external cache tier)
-        needs to reconstruct the answer: the convolved histogram, the
-        per-sub-query outcomes (query, raw travel times, histogram), the
-        accounting counters, and the originating request's wire form.
+        Carries everything a remote consumer needs to reconstruct the
+        answer: the convolved histogram, the per-sub-query outcomes
+        (query, raw travel times, histogram), the accounting counters,
+        and the originating request's wire form.
         """
         return {**self._answer_dict(), **self._accounting_dict()}
 
@@ -304,7 +303,7 @@ class QueryEngine:
         config: Optional["EngineConfig"] = None,
         *,
         estimator: Optional[CardinalityEstimator] = None,
-        cache: Optional["CacheBackend"] = None,
+        cache: Optional["SubQueryCache"] = None,
     ):
         """
         Parameters
@@ -320,11 +319,9 @@ class QueryEngine:
             is set, one is built from the mode.  A request's own
             ``estimator`` mode always overrides the engine default.
         cache:
-            Optional :class:`~repro.service.cachetier.CacheBackend`
-            shared across trips (e.g. :class:`repro.service.SubQueryCache`).
-            ``None`` gives every trip a fresh :class:`PerTripCache`.  A
-            shared cache must be thread-safe when the engine is used
-            from multiple threads.
+            Optional :class:`~repro.service.SubQueryCache` shared
+            across trips.  ``None`` gives every trip a fresh
+            :class:`PerTripCache`.
         """
         if config is None:
             from ..api.config import EngineConfig  # api sits above core
@@ -368,7 +365,7 @@ class QueryEngine:
             # must be rejected.
             cache.bind_index(index, network)
 
-    def _synced_cache(self) -> Optional["CacheBackend"]:
+    def _synced_cache(self) -> Optional["SubQueryCache"]:
         """The shared cache at the reader's current epoch (``None``
         without one): appendable readers bump their epoch on mutation,
         and the cache drops entries cached against the earlier state."""
@@ -405,7 +402,7 @@ class QueryEngine:
         request: "TripRequest",
         estimator: Optional[CardinalityEstimator],
     ) -> Hashable:
-        """Identity of one trip answer in the cache backend's ``trips``
+        """Identity of one trip answer in the cache's ``trips``
         section: every request field that shapes the answer, the
         *resolved* estimator (so ``estimator=None`` and the engine
         default's explicit mode share an entry) and the planner policy
@@ -446,7 +443,7 @@ class QueryEngine:
     ) -> Tuple[List[TripQueryResult], DedupStats]:
         """Answer a batch with cross-trip sub-query deduplication.
 
-        All trips plan against the engine's shared cache backend (a
+        All trips plan against the engine's shared cache (a
         ``None`` engine cache means per-trip caches and in-batch dedup
         only), and the :class:`~repro.core.exec.BatchExecutor` answers
         each unique planned sub-query — its whole widen ladder — once

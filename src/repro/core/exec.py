@@ -503,7 +503,7 @@ class DedupStats:
     #: Distinct ladder walks the batch actually had to answer, summed
     #: over rounds.
     unique_subqueries: int = 0
-    #: Demands the shared cache backend answered for every rung needed,
+    #: Demands the shared cache answered for every rung needed,
     #: plus every demand of a trip its memo answered whole.
     cache_hits: int = 0
     #: Index calls executed (one per unique walk the cache fell short on).
@@ -557,7 +557,7 @@ class BatchExecutor:
     filters) stays per-trip: an owner resuming with a failed walk
     re-plans and demands again in the next round.
 
-    ``cache`` may be ``None`` (no shared backend): deduplication then
+    ``cache`` may be ``None`` (no shared cache): deduplication then
     happens only within a round's demand set, nothing is probed and
     nothing is stored.
     """

@@ -8,7 +8,7 @@ through the relaxation ladder (Procedure 1) — is a pure function of the
 query, the configuration, and already-completed outcomes.  This module
 holds that half; :mod:`repro.core.exec` holds the other half (the fetch
 and combine stages that actually touch the :class:`IndexReader` and the
-cache backend).
+cache).
 
 Keeping the planner pure is what makes batched execution safe: a
 :class:`SubQueryTask` is answered identically no matter which trip
@@ -62,11 +62,8 @@ __all__ = [
     "make_split_fn",
 ]
 
-#: Identity of one sub-query fetch: every input Procedure 5 reads.  The
-#: field order is load-bearing — it is the cache ``result_key`` of PR 1
-#: and the tuple :class:`repro.service.cachetier.SharedCacheTier`
-#: unpacks into the cross-process wire-form key, so entries written by
-#: earlier versions keep matching.
+#: Identity of one sub-query fetch: every input Procedure 5 reads; the
+#: key of the cache's ``results`` section.
 SubQueryKey = Tuple[
     Tuple[int, ...],
     TimeInterval,

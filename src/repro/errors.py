@@ -109,6 +109,15 @@ class ConfigurationError(QueryError, ValueError):
     """
 
 
+def is_count(value: object) -> bool:
+    """An ``int``, not a ``bool``, at least 1: the rule every count
+    parameter (cache bounds, relaxation limits, serving bounds) obeys;
+    failing it is a :class:`ConfigurationError`."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    )
+
+
 class EmptyPathError(QueryError):
     """Raised when a query path contains no edges."""
 

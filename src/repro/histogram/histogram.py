@@ -88,17 +88,16 @@ class Histogram:
     # ------------------------------------------------------------------ #
 
     # ------------------------------------------------------------------ #
-    # Wire form (external cache / HTTP tier contract)
+    # Wire form (HTTP tier contract)
     # ------------------------------------------------------------------ #
 
     def to_wire(self) -> Dict[str, object]:
         """JSON-compatible wire form, inverse of :meth:`from_wire`.
 
         The single definition of the histogram payload used by
-        ``TripQueryResult.to_dict`` and the cross-process
-        :class:`~repro.service.cachetier.SharedCacheTier` — float64
-        counts round-trip exactly through JSON ``repr``, so a
-        deserialised histogram is bit-identical.
+        ``TripQueryResult.to_dict`` — float64 counts round-trip exactly
+        through JSON ``repr``, so a deserialised histogram is
+        bit-identical.
         """
         return {
             "bucket_width": self.bucket_width,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, is_count
 
 __all__ = ["ServerConfig"]
 
@@ -116,11 +116,7 @@ class ServerConfig:
         for name in ("max_batch", "max_inflight", "executor_workers",
                      "latency_window"):
             value = getattr(self, name)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
+            if not is_count(value):
                 raise ConfigurationError(
                     f"{name} must be a positive integer; got {value!r}"
                 )

@@ -1,22 +1,10 @@
-"""Cache layer: the sub-query cache and the cross-process store behind it."""
+"""Cache layer: the in-process sub-query cache."""
 
 from .cache import CacheStats, LRUCache, SectionStats, SubQueryCache
-from .cachetier import (
-    CacheBackend,
-    SharedCacheTier,
-    SharedTierStats,
-    SqliteCacheStore,
-    resolve_cache_backend,
-)
 
 __all__ = [
     "SubQueryCache",
     "LRUCache",
     "CacheStats",
     "SectionStats",
-    "CacheBackend",
-    "SharedCacheTier",
-    "SharedTierStats",
-    "SqliteCacheStore",
-    "resolve_cache_backend",
 ]

@@ -27,14 +27,13 @@ sharded-equivalence suite is the proof harness: compacted layouts must
 answer every query bit-identically to the uncompacted and monolithic
 indexes.
 
-Cache lineage
--------------
-A compaction that merges anything bumps the index epoch and mints a
-fresh ``epoch_token`` even though answers do not change — the PR-4
-shared cache tier keys on ``(epoch, lineage)``, so the bump guarantees
-no process ever serves an entry recorded against the pre-compaction
-shard layout.  A planned-but-empty compaction changes nothing and
-keeps warm caches valid.
+Cache invalidation
+------------------
+A compaction that merges anything bumps the index epoch even though
+answers do not change: the epoch bump empties in-process caches, so no
+entry recorded against the pre-compaction shard layout is served after
+it.  A planned-but-empty compaction changes nothing and keeps warm
+caches valid.
 """
 
 from __future__ import annotations
@@ -300,7 +299,7 @@ def compact_index_dir(
     index.  Loads it, merges per ``policy``, and — when anything merged
     — atomically re-installs the tree through the store with the
     manifest's ``extra`` provenance (the CLI's world digest) preserved
-    and the epoch/lineage bump persisted.  A no-op plan writes nothing.
+    and the epoch bump persisted.  A no-op plan writes nothing.
     """
     from .sharded import (
         load_sharded_index,

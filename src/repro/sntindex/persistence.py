@@ -737,7 +737,7 @@ def load_index(
 
     bounds = meta["data_time_bounds"]
     stats_meta = meta["build_stats"]
-    index = SNTIndex(
+    return SNTIndex(
         partitions=partitions,
         forest=forest,
         users=arrays["users"],
@@ -758,9 +758,3 @@ def load_index(
         tod_bucket_s=int(meta["tod_bucket_s"]),
         data_bounds=(int(bounds[0]), int(bounds[1])),
     )
-    # Where this index is reachable on *this machine* — lets serving
-    # layers place per-index artifacts (e.g. the shared cache tier)
-    # alongside it.  For a local store this is the index directory
-    # itself; for a remote store, its local page-in cache root.
-    index.source_path = payload_dir.parent
-    return index

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     List,
     Optional,
     Sequence,
@@ -136,34 +135,6 @@ class TravelTimeResult:
     @property
     def is_empty(self) -> bool:
         return self.values.size == 0
-
-    # -- wire form (external cache tier contract) ---------------------- #
-
-    def to_wire(self) -> Dict[str, object]:
-        """JSON-compatible wire form, inverse of :meth:`from_wire`.
-
-        The payload format of the cross-process
-        :class:`~repro.service.cachetier.SharedCacheTier`: float64
-        travel times round-trip exactly through JSON ``repr``, so a
-        deserialised result is bit-identical to the computed one.
-        """
-        return {
-            "values": np.asarray(self.values, dtype=np.float64).tolist(),
-            "n_matched": int(self.n_matched),
-            "from_fallback": bool(self.from_fallback),
-            "insufficient": bool(self.insufficient),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: Dict[str, object]) -> "TravelTimeResult":
-        values = np.asarray(payload["values"], dtype=np.float64)
-        values.setflags(write=False)
-        return cls(
-            values=values,
-            n_matched=int(payload["n_matched"]),  # type: ignore[arg-type]
-            from_fallback=bool(payload["from_fallback"]),
-            insufficient=bool(payload["insufficient"]),
-        )
 
 
 def _interval_rows(

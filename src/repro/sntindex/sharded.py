@@ -62,7 +62,6 @@ import json
 import pickle
 import threading
 import time
-import uuid
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -400,14 +399,6 @@ class ShardedSNTIndex:
         self.partition_days = int(partition_days)
         self.tod_bucket_s = int(tod_bucket_s)
         self.epoch = int(epoch)
-        #: Distinguishes *which* mutation produced the current epoch.
-        #: Epochs are per-object ordinal counters, so two processes that
-        #: independently append different tails to copies of one saved
-        #: index both land on the same epoch number; the token makes the
-        #: (epoch, content) pair unique so a shared cache tier never
-        #: conflates their entries.  Empty for unmutated (disk) state —
-        #: that state is shared content, so sharing its entries is safe.
-        self.epoch_token = ""
         self._build_wall_seconds = build_wall_seconds
         # Lifetime shard stats (see shard_stats); per-shard scans live
         # on the entries.  Served rounds run on several threads, so
@@ -860,7 +851,6 @@ class ShardedSNTIndex:
         self._staged = staged
         self.t_max = new_t_max
         self.epoch += 1
-        self.epoch_token = uuid.uuid4().hex
         self._adopt_entries()
         return len(batch)
 
@@ -897,12 +887,10 @@ class ShardedSNTIndex:
         merge_shard_indexes` for the argument).  Sealed shards are
         renumbered densely afterwards; the staging shard is untouched.
 
-        A compaction that merges anything bumps :attr:`epoch` and
-        mints a fresh :attr:`epoch_token` even though answers are
-        unchanged: shard-granular state (per-shard scan attribution,
-        mmap'd payload identity) *did* change, and the bump guarantees
-        the PR-4 shared cache tier never serves entries recorded
-        against the pre-compaction layout.  A no-op compaction (no
+        A compaction that merges anything bumps :attr:`epoch` even
+        though answers are unchanged: shard-granular state (per-shard
+        scan attribution, mmap'd payload identity) *did* change, and
+        the bump empties in-process caches.  A no-op compaction (no
         eligible runs) changes nothing and keeps caches warm.
 
         Returns a :class:`repro.sntindex.compaction.CompactionReport`.
@@ -961,7 +949,6 @@ class ShardedSNTIndex:
             new_sealed.append(entry)
         self._sealed = new_sealed
         self.epoch += 1
-        self.epoch_token = uuid.uuid4().hex
         self._adopt_entries()
         return CompactionReport(
             n_sealed_before=n_before,
@@ -1067,11 +1054,6 @@ def save_sharded_index(
             "t_max": index.t_max,
             "tod_bucket_s": index.tod_bucket_s,
             "epoch": index.epoch,
-            # Which mutation produced this epoch (see __init__): without
-            # it, two saves of differently-appended copies of one base
-            # index would reload indistinguishable at the same epoch and
-            # collide in a shared cache tier.
-            "epoch_token": index.epoch_token,
             "shards": shard_dirs,
             "staging": staging_manifest,
             "extra": dict(extra or {}),
@@ -1243,7 +1225,7 @@ def load_sharded_index(
                 f"failed to read staged trajectories from {source}: "
                 f"{error}"
             ) from error
-    index = ShardedSNTIndex(
+    return ShardedSNTIndex(
         sealed=sealed,
         staging=staging,
         t_min=int(manifest["t_min"]),
@@ -1255,14 +1237,6 @@ def load_sharded_index(
         staged_trajectories=staged,
         epoch=int(manifest["epoch"]),
     )
-    # Restore the mutation lineage (pre-PR-4 manifests lack the field;
-    # "" marks unmutated state, matching a fresh build).
-    index.epoch_token = str(manifest.get("epoch_token", ""))
-    # Where this index is reachable on *this machine* — lets serving
-    # layers place per-index artifacts (e.g. the shared cache tier)
-    # alongside it.
-    index.source_path = store.local_anchor()
-    return index
 
 
 # ---------------------------------------------------------------------- #

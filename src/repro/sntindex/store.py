@@ -159,18 +159,13 @@ class ShardStore(ABC):
     (``"meta.json"``, ``"shard_0003/payload/users.npy"``); the empty
     prefix ``""`` denotes the whole store.  Two access planes:
 
-    - **object plane** — ``get``/``put``/``list``/``exists``/``etag``
+    - **object plane** — ``get``/``put``/``list``/``exists``
       for small control files (manifests, staged pickles).
     - **directory plane** — ``localize(prefix)`` returns a real local
       directory holding that prefix's objects so the ``np.load(...,
       mmap_mode="r")`` payload loaders work unchanged, and
       ``install(prefix, ...)`` atomically replaces a prefix with a
       writer's staged output.
-
-    ``local_anchor()`` is a local directory that identifies this store
-    on this machine — serving layers place per-index artifacts (the
-    shared cache tier's SQLite file) there, exactly as they previously
-    used the index directory itself.
     """
 
     @property
@@ -195,11 +190,6 @@ class ShardStore(ABC):
         """Whether object ``key`` is present."""
 
     @abstractmethod
-    def etag(self, key: str) -> str:
-        """Opaque version tag; changes whenever the object's bytes may
-        have."""
-
-    @abstractmethod
     def localize(self, prefix: str = "") -> Path:
         """A local directory holding ``prefix``'s objects (paged in and
         validated if the store is remote; the backing directory itself
@@ -221,10 +211,6 @@ class ShardStore(ABC):
         Returns the local directory the installed tree is reachable at
         (for a remote store: the not-yet-paged-in cache path).
         """
-
-    @abstractmethod
-    def local_anchor(self) -> Path:
-        """Local directory that identifies this store on this machine."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.uri!r})"
@@ -295,15 +281,6 @@ class LocalDirStore(ShardStore):
     def exists(self, key: str) -> bool:
         return self._path(key).is_file()
 
-    def etag(self, key: str) -> str:
-        try:
-            stat = self._path(key).stat()
-        except OSError as error:
-            raise StoreError(
-                f"no object {key!r} in store {self.uri}: {error}"
-            ) from error
-        return f"{stat.st_size}-{stat.st_mtime_ns}"
-
     def localize(self, prefix: str = "") -> Path:
         return self._path(prefix)
 
@@ -315,9 +292,6 @@ class LocalDirStore(ShardStore):
         what: str = "saved SNT-index",
     ) -> Path:
         return atomic_install_dir(self._path(prefix), marker_file, writer, what)
-
-    def local_anchor(self) -> Path:
-        return self._root
 
 
 def is_store_uri(text: str) -> bool:

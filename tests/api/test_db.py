@@ -156,6 +156,24 @@ class TestOpenDb:
         assert "pi_1" in repr(db)
         assert isinstance(db, TravelTimeDB)
 
+    def test_repr_reports_the_sessions_cache_not_the_spec(self, world):
+        """The text follows the cache the session holds: ``cache=None``
+        under the default ``"memory"`` spec is off, and a cache handed
+        in under an ``"off"`` spec is memory."""
+        from repro import SubQueryCache
+
+        dataset, index = world
+        no_cache = open_db(index, network=dataset.network, cache=None)
+        assert no_cache.config.cache == "memory"
+        assert "cache='off'" in repr(no_cache)
+        given = open_db(
+            index,
+            network=dataset.network,
+            config=EngineConfig(cache="off"),
+            cache=SubQueryCache(),
+        )
+        assert "cache='memory'" in repr(given)
+
 
 class TestRoundTripProperty:
     """The ISSUE 3 acceptance property over several random workloads."""
@@ -517,10 +535,6 @@ class TestConfigStore:
             EngineConfig(store="")
         with pytest.raises(ConfigurationError):
             EngineConfig(store=123)
-
-    def test_store_excluded_from_cache_identity(self, tmp_path):
-        with_store = EngineConfig(store=str(tmp_path))
-        assert with_store.cache_identity() == EngineConfig().cache_identity()
 
     def test_open_db_requires_some_index(self, world):
         dataset, _ = world

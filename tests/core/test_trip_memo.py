@@ -248,18 +248,11 @@ def test_returned_results_do_not_leak_into_later_hits(world):
     assert len(db.query(other).outcomes) == len(twin.outcomes)
 
 
-@pytest.mark.parametrize("shared", (False, True))
-def test_a_failed_trip_is_not_memoised(world, shared, tmp_path):
-    """Neither the in-process memo nor the shared tier's rows keep a
-    trip that raised, whichever driver asked."""
+def test_a_failed_trip_is_not_memoised(world):
+    """The memo never keeps a trip that raised, whichever driver asked."""
     dataset, readers, trips = world
     db = TravelTimeDB(
-        readers["css"],
-        dataset.network,
-        EngineConfig(
-            max_relaxations=1,
-            cache=f"shared:{tmp_path}" if shared else "memory",
-        ),
+        readers["css"], dataset.network, EngineConfig(max_relaxations=1)
     )
     doomed = sample_request(
         trips,

@@ -22,17 +22,17 @@ class TestAsStore:
     def test_bare_path_is_local(self, tmp_path):
         store = as_store(tmp_path / "index")
         assert isinstance(store, LocalDirStore)
-        assert store.local_anchor() == tmp_path / "index"
+        assert store.localize("") == tmp_path / "index"
 
     def test_file_uri_is_local(self, tmp_path):
         store = as_store(f"file://{tmp_path}/index")
         assert isinstance(store, LocalDirStore)
-        assert store.local_anchor() == tmp_path / "index"
+        assert store.localize("") == tmp_path / "index"
 
     def test_file_colon_form(self, tmp_path):
         store = as_store(f"file:{tmp_path}/index")
         assert isinstance(store, LocalDirStore)
-        assert store.local_anchor() == tmp_path / "index"
+        assert store.localize("") == tmp_path / "index"
 
     def test_store_passthrough(self, tmp_path):
         store = LocalDirStore(tmp_path)
@@ -88,13 +88,6 @@ class TestLocalDirStore:
         store = LocalDirStore(tmp_path / "root")
         store.put("sub/file", b"z")
         assert store.localize("sub") == tmp_path / "root" / "sub"
-
-    def test_etag_changes_with_content(self, tmp_path):
-        store = LocalDirStore(tmp_path / "root")
-        store.put("k", b"one")
-        first = store.etag("k")
-        store.put("k", b"three!!")
-        assert store.etag("k") != first
 
     def test_install_refuses_foreign_directory(self, tmp_path):
         target = tmp_path / "occupied"

@@ -252,32 +252,12 @@ class TestBatchCommand:
                      "--no-cache"]) == 0
         assert "cache:" not in capsys.readouterr().out
 
-    def test_cache_dir_warms_across_runs(self, world_dir, tmp_path, capsys):
-        """Two separate batch runs share the on-disk tier: the second
-        answers without touching the index, identically."""
-        paths = self.paths_arg(world_dir)
-        args = ["batch", "--world", str(world_dir), "--paths", paths,
-                "--tod", "08:00", "--cache-dir", str(tmp_path / "tier")]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert "shared tier:" in first
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "0 scans" in second and "shared hits" in second
-
-        def answer_lines(text):
-            return [line for line in text.splitlines() if " mean " in line]
-
-        first_answers = answer_lines(first)
-        assert first_answers  # the filter actually matched something
-        assert [line.split("(")[0] for line in answer_lines(second)] == [
-            line.split("(")[0] for line in first_answers
-        ]
-
-    def test_cache_dir_conflicts_with_no_cache(self, world_dir, tmp_path):
-        with pytest.raises(SystemExit, match="mutually exclusive"):
+    def test_cache_dir_flag_is_gone(self, world_dir, tmp_path):
+        # The in-process cache is the only one: no on-disk tier to name.
+        with pytest.raises(SystemExit) as excinfo:
             main(["batch", "--world", str(world_dir), "--paths", "1,2",
-                  "--no-cache", "--cache-dir", str(tmp_path / "tier")])
+                  "--cache-dir", str(tmp_path / "tier")])
+        assert excinfo.value.code == 2
 
     def test_empty_batch_rejected(self, world_dir):
         with pytest.raises(SystemExit):
@@ -429,14 +409,21 @@ class TestServe:
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot bind 127.0.0.1:")
 
-    def test_cache_ttl_requires_cache_dir(self, world_dir):
-        with pytest.raises(SystemExit):
-            main(["serve", "--world", str(world_dir),
-                  "--cache-ttl-s", "60"])
+    @pytest.mark.parametrize(
+        "flag",
+        (["--cache-dir", "tier"], ["--cache-ttl-s", "60"]),
+        ids=("cache-dir", "cache-ttl-s"),
+    )
+    def test_shared_tier_flags_are_gone(self, world_dir, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--world", str(world_dir), "--port", "0",
+                  *flag])
+        assert excinfo.value.code == 2
 
-    def test_serve_wires_flags_into_configs(self, world_dir, monkeypatch):
-        """The serve command translates CLI flags into ServerConfig and
-        the session's EngineConfig (without actually binding)."""
+    @staticmethod
+    def _serve_without_binding(monkeypatch, argv):
+        """Run ``serve`` with ``run_server`` faked out; returns the
+        session and the ServerConfig it was handed."""
         from repro import cli
 
         captured = {}
@@ -449,18 +436,38 @@ class TestServe:
         import repro.server
 
         monkeypatch.setattr(repro.server, "run_server", fake_run_server)
-        code = main(
-            ["serve", "--world", str(world_dir), "--port", "0",
+        assert main(["serve", *argv]) == 0
+        return captured["db"], captured["config"]
+
+    def test_serve_wires_flags_into_configs(self, world_dir, monkeypatch):
+        """The serve command translates CLI flags into ServerConfig and
+        the session's EngineConfig (without actually binding)."""
+        db, config = self._serve_without_binding(
+            monkeypatch,
+            ["--world", str(world_dir), "--port", "0",
              "--window-ms", "12", "--max-batch", "8",
-             "--max-inflight", "32", "--serve-workers", "3"]
+             "--max-inflight", "32", "--serve-workers", "3"],
         )
-        assert code == 0
-        config = captured["config"]
         assert config.window_s == pytest.approx(0.012)
         assert config.max_batch == 8
         assert config.max_inflight == 32
         assert config.executor_workers == 3
-        assert captured["db"].config.dedup_subqueries is True
+        assert db.config.dedup_subqueries is True
+        assert db.config.cache == "memory"
+        assert db.engine.cache is not None
+
+    def test_no_cache_turns_the_config_cache_off(
+        self, world_dir, monkeypatch
+    ):
+        """``--no-cache`` is one switch: the config says ``off`` and the
+        session has no cross-query cache."""
+        db, _ = self._serve_without_binding(
+            monkeypatch,
+            ["--world", str(world_dir), "--port", "0", "--no-cache"],
+        )
+        assert db.config.cache == "off"
+        assert db.engine.cache is None
+        assert "cache='off'" in repr(db)
 
     def test_engine_workers_flag_is_gone(self, world_dir):
         with pytest.raises(SystemExit) as excinfo:
