@@ -8,6 +8,8 @@
 #                              deduplicating batch executor
 #   fmindex/bitvector.py       the word-packed rank directory under every
 #                              wavelet tree
+#   fmindex/suffix_array.py    prefix doubling over the tied groups only
+#   sntindex/partition.py      one temporal partition's FM-index and rows
 #   sntindex/reader.py         the IndexReader protocol both readers answer
 #   sntindex/procedures.py     Procedures 3-5 and the ladder walk over a
 #                              reader's per-shard chunks
@@ -33,8 +35,8 @@ exec python -m mypy --strict \
   src/repro/api src/repro/errors.py \
   src/repro/service/cache.py \
   src/repro/core/plan.py src/repro/core/exec.py \
-  src/repro/fmindex/bitvector.py \
-  src/repro/sntindex/reader.py \
+  src/repro/fmindex/bitvector.py src/repro/fmindex/suffix_array.py \
+  src/repro/sntindex/partition.py src/repro/sntindex/reader.py \
   src/repro/sntindex/procedures.py src/repro/temporal/forest.py \
   src/repro/sntindex/store.py src/repro/sntindex/compaction.py \
   src/repro/histogram/histogram.py \

@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build a time-sliced sharded index with K shards (requires "
         "--partition-days; query/batch detect the layout automatically)",
     )
-    index.add_argument(
-        "--build-workers",
-        type=int,
-        default=1,
-        help="worker processes for the parallel shard build (with --shards)",
-    )
 
     batch = commands.add_parser(
         "batch",
@@ -447,7 +441,6 @@ def _cmd_index(args) -> int:
             n_shards=args.shards,
             partition_days=args.partition_days,
             kind=args.kind,
-            build_workers=args.build_workers,
         )
         layout = f"{index.n_shards} shard(s), "
     else:

@@ -24,12 +24,18 @@ with :meth:`RankBitvector.from_arrays` without copying — see
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple, Union
+from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
-__all__ = ["RankBitvector", "WORD_BITS", "WORDS_PER_BLOCK"]
+__all__ = [
+    "RankBitvector",
+    "WORD_BITS",
+    "WORDS_PER_BLOCK",
+    "pack_flat",
+    "split_flat",
+]
 
 
 def rank1_bulk_offsets(
@@ -92,30 +98,85 @@ WORDS_PER_BLOCK = 8
 _BitsInput = Union[npt.ArrayLike, Iterable[object]]
 
 
-def _pack_words(bit_array: npt.NDArray[np.bool_]) -> npt.NDArray[np.uint64]:
-    """Pack a boolean array into big-endian-within-word uint64 words."""
-    packed = np.packbits(bit_array)  # big-endian within each byte
-    pad = (-packed.size) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    # View the 8-byte groups big-endian, then convert to native uint64:
-    # bit i of the vector ends up as bit (63 - i % 64) of word i // 64.
-    return packed.view(">u8").astype(np.uint64)
+def pack_flat(
+    bit_arrays: Sequence[npt.NDArray[np.bool_]],
+) -> Tuple[npt.NDArray[np.uint64], npt.NDArray[np.int64]]:
+    """Pack bitvectors into one flat words/blocks pair, in order.
+
+    Each bitvector starts on a fresh word (bit ``i`` is bit
+    ``63 - i % 64`` of its word ``i // 64``) and keeps its own block
+    directory, sentinel included — the layout
+    :func:`rank1_bulk_offsets` reads, the persistence format stores and
+    :func:`split_flat` cuts back into bitvectors.  A fixed number of
+    whole-array passes, however many bitvectors there are.
+    """
+    count = len(bit_arrays)
+    lengths = np.fromiter(
+        (bits.size for bits in bit_arrays), dtype=np.int64, count=count
+    )
+    n_words = (lengths + WORD_BITS - 1) // WORD_BITS
+    word_off = np.cumsum(n_words) - n_words
+    # Each bitvector zero-padded to whole words, joined in one pass
+    # (the pads are views of one zero run: one byte per bit in total).
+    zeros = np.zeros(WORD_BITS, dtype=bool)
+    padded = np.concatenate(
+        [zeros[:0]]
+        + [
+            piece
+            for bits in bit_arrays
+            for piece in (bits, zeros[: -bits.size % WORD_BITS])
+        ]
+    )
+    # packbits is big-endian within each byte; viewing 8-byte groups
+    # big-endian makes it big-endian within each word.
+    words = np.packbits(padded).view(">u8").astype(np.uint64)
+
+    # Entry b of a bitvector's directory counts the ones before its
+    # word 8b; the sentinel entry (b = n_blocks) counts all of them.
+    ones = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=ones[1:])
+    n_entries = (n_words + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK + 1
+    owner = np.repeat(np.arange(count), n_entries)
+    block = np.arange(int(n_entries.sum())) - np.repeat(
+        np.cumsum(n_entries) - n_entries, n_entries
+    )
+    start = word_off[owner]
+    end = start + np.minimum(block * WORDS_PER_BLOCK, n_words[owner])
+    return words, ones[end] - ones[start]
 
 
-def _block_rank_directory(
+def split_flat(
+    lengths: Sequence[int],
     words: npt.NDArray[np.uint64],
-) -> npt.NDArray[np.int64]:
-    """Absolute rank at each block start, plus a total-count sentinel."""
-    n_blocks = (int(words.size) + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK
-    directory = np.zeros(n_blocks + 1, dtype=np.int64)
-    if words.size:
-        per_block = np.add.reduceat(
-            np.bitwise_count(words).astype(np.int64),
-            np.arange(0, words.size, WORDS_PER_BLOCK, dtype=np.int64),
+    blocks: npt.NDArray[np.int64],
+) -> List["RankBitvector"]:
+    """The bitvectors of ``lengths`` bits packed by :func:`pack_flat`,
+    as zero-copy views into ``words`` / ``blocks``.
+
+    Raises ``ValueError`` when the arrays are not exactly that long.
+    """
+    n_words = [(int(n) + WORD_BITS - 1) // WORD_BITS for n in lengths]
+    n_blocks = [
+        (n + WORDS_PER_BLOCK - 1) // WORDS_PER_BLOCK + 1 for n in n_words
+    ]
+    if sum(n_words) != words.size or sum(n_blocks) != blocks.size:
+        raise ValueError(
+            f"{sum(n_words)} words / {sum(n_blocks)} block ranks expected, "
+            f"{words.size} / {blocks.size} given"
         )
-        np.cumsum(per_block, out=directory[1:])
-    return directory
+    vectors: List[RankBitvector] = []
+    word_at = block_at = 0
+    for n_bits, word_count, block_count in zip(lengths, n_words, n_blocks):
+        vectors.append(
+            RankBitvector.from_arrays(
+                int(n_bits),
+                words[word_at : word_at + word_count],
+                blocks[block_at : block_at + block_count],
+            )
+        )
+        word_at += word_count
+        block_at += block_count
+    return vectors
 
 
 class RankBitvector:
@@ -134,12 +195,7 @@ class RankBitvector:
             bits if hasattr(bits, "__len__") else list(bits)  # type: ignore[arg-type]
         ).astype(bool, copy=False)
         self._n = int(bit_array.size)
-        self._words = (
-            _pack_words(bit_array)
-            if self._n
-            else np.zeros(0, dtype=np.uint64)
-        )
-        self._block_ranks = _block_rank_directory(self._words)
+        self._words, self._block_ranks = pack_flat([bit_array])
         self._bind_views()
 
     def _bind_views(self) -> None:

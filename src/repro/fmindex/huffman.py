@@ -8,7 +8,7 @@ that total bitvector length approaches the zeroth-order entropy of the text.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["huffman_codes"]
 
@@ -60,11 +60,3 @@ def huffman_codes(frequencies: Dict[int, int]) -> Dict[int, Tuple[int, ...]]:
     assign(heap[0][2], ())
     return codes
 
-
-def codes_from_text(text: Sequence[int]) -> Dict[int, Tuple[int, ...]]:
-    """Convenience wrapper: Huffman codes for the symbols of ``text``."""
-    frequencies: Dict[int, int] = {}
-    for symbol in text:
-        symbol = int(symbol)
-        frequencies[symbol] = frequencies.get(symbol, 0) + 1
-    return huffman_codes(frequencies)

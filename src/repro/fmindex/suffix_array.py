@@ -3,32 +3,45 @@
 The SNT-index (paper Section 4.1.1) sorts all suffixes of the concatenated
 trajectory string ``T = P_tr0 $ P_tr1 $ ... $`` to obtain the suffix array
 ``SA`` and its inverse ``ISA``.  The authors use Yuta Mori's ``sais-lite``;
-here we provide a numpy prefix-doubling construction (O(n log n) sorts,
-fast in practice for the scales this reproduction runs at) plus a naive
-oracle used by the test-suite.
+here we provide a numpy prefix-doubling construction plus a naive oracle
+used by the test-suite.
+
+Each doubling round re-sorts only the positions still in *tied* groups
+(suffixes whose first ``k`` symbols agree), on one packed int64 key
+``rank * (n + 1) + next_rank``.  Ranks are group starts, so a refined
+group keeps its place among the settled ones and settled positions are
+never touched again; on trajectory strings the tied set shrinks fast,
+so the rounds after the first few are cheap.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Any, Sequence
 
 import numpy as np
+import numpy.typing as npt
+
+from ..errors import IndexError_
 
 __all__ = ["suffix_array", "inverse_suffix_array", "naive_suffix_array"]
 
+#: Longest text whose packed key ``rank * (n + 1) + next_rank`` (at most
+#: ``(n + 1)**2 - 1``) fits in an int64.
+MAX_TEXT_LENGTH = math.isqrt(2**63) - 1
 
-def naive_suffix_array(text: Sequence[int]) -> np.ndarray:
+
+def naive_suffix_array(text: Sequence[int]) -> npt.NDArray[np.int64]:
     """Build a suffix array by explicitly sorting suffix tuples.
 
     O(n^2 log n); intended only as a correctness oracle for small inputs.
     """
-    n = len(text)
-    text = list(text)
-    order = sorted(range(n), key=lambda i: text[i:])
+    items = list(text)
+    order = sorted(range(len(items)), key=lambda i: items[i:])
     return np.asarray(order, dtype=np.int64)
 
 
-def suffix_array(text: Sequence[int]) -> np.ndarray:
+def suffix_array(text: npt.ArrayLike) -> npt.NDArray[np.int64]:
     """Build the suffix array of ``text`` via numpy prefix doubling.
 
     Parameters
@@ -44,54 +57,76 @@ def suffix_array(text: Sequence[int]) -> np.ndarray:
     -------
     numpy.ndarray
         ``SA`` with ``SA[j]`` = start position of the j-th smallest suffix.
+
+    Raises
+    ------
+    ValueError
+        For a negative symbol.
+    IndexError_
+        For a text longer than :data:`MAX_TEXT_LENGTH`.
     """
     arr = np.asarray(text, dtype=np.int64)
-    n = arr.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    if np.any(arr < 0):
-        raise ValueError("suffix_array requires non-negative symbols")
-
-    # Initial ranks from single symbols. Shift by +1 so that the value 0 can
-    # represent "past the end of the string" (shorter suffixes sort first).
-    rank = np.empty(n, dtype=np.int64)
-    order = np.argsort(arr, kind="stable")
-    rank[order] = _dense_ranks(arr[order]) + 1
-
-    k = 1
-    sa = order
-    while k < n:
-        # Pair rank: (rank[i], rank[i + k]) with 0 past the end.
-        second = np.zeros(n, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        sa = np.lexsort((second, rank))
-        paired = np.empty(n, dtype=np.int64)
-        boundary = np.ones(n, dtype=bool)
-        boundary[1:] = (rank[sa[1:]] != rank[sa[:-1]]) | (
-            second[sa[1:]] != second[sa[:-1]]
+    n = int(arr.size)
+    if n > MAX_TEXT_LENGTH:
+        raise IndexError_(
+            f"suffix_array handles at most {MAX_TEXT_LENGTH} symbols; "
+            f"got {n}"
         )
-        paired[sa] = np.cumsum(boundary)
-        rank = paired
-        if rank[sa[-1]] == n:  # all ranks distinct: fully sorted
-            break
+    if n and int(arr.min()) < 0:
+        raise ValueError("suffix_array requires non-negative symbols")
+    sa = np.argsort(arr, kind="stable").astype(np.int64, copy=False)
+    if n < 2:
+        return sa
+
+    # rank[i] = 1 + the first SA slot of i's group; rank[n] = 0 stands
+    # for "past the end", so shorter suffixes sort first.
+    rank = np.zeros(n + 1, dtype=np.int64)
+    rank[sa] = _group_starts(arr[sa], np.arange(n, dtype=np.int64)) + 1
+    tied = np.flatnonzero(_tied_mask(rank[sa]))
+    k = 1
+    while tied.size:
+        positions = sa[tied]
+        key = rank[positions] * (n + 1) + rank[np.minimum(positions + k, n)]
+        # Tied groups occupy their SA slots contiguously and in rank
+        # order, so sorting all of them together re-sorts each in place.
+        order = np.argsort(key)
+        key = key[order]
+        positions = positions[order]
+        sa[tied] = positions
+        # Rank updates wait until every key of the round is read.
+        rank[positions] = _group_starts(key, tied) + 1
+        tied = tied[_tied_mask(key)]
         k *= 2
-    return sa.astype(np.int64, copy=False)
+    return sa
 
 
-def inverse_suffix_array(sa: np.ndarray) -> np.ndarray:
+def inverse_suffix_array(sa: npt.ArrayLike) -> npt.NDArray[np.int64]:
     """Return ``ISA`` with ``ISA[SA[j]] = j`` (paper Section 4.1.1)."""
-    sa = np.asarray(sa, dtype=np.int64)
-    isa = np.empty_like(sa)
-    isa[sa] = np.arange(sa.size, dtype=np.int64)
+    order = np.asarray(sa, dtype=np.int64)
+    isa = np.empty_like(order)
+    isa[order] = np.arange(order.size, dtype=np.int64)
     return isa
 
 
-def _dense_ranks(sorted_values: np.ndarray) -> np.ndarray:
-    """Dense 0-based ranks for an already-sorted array."""
-    if sorted_values.size == 0:
-        return sorted_values
-    boundary = np.zeros(sorted_values.size, dtype=np.int64)
-    boundary[1:] = (sorted_values[1:] != sorted_values[:-1]).astype(np.int64)
-    return np.cumsum(boundary)
+def _group_starts(
+    sorted_keys: npt.NDArray[np.signedinteger[Any]],
+    slots: npt.NDArray[np.signedinteger[Any]],
+) -> npt.NDArray[np.int64]:
+    """For each slot of a sorted run, the slot where its key's group
+    starts (``slots`` ascending, one per key)."""
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return np.maximum.accumulate(np.where(starts, slots, 0))
+
+
+def _tied_mask(
+    sorted_keys: npt.NDArray[np.signedinteger[Any]],
+) -> npt.NDArray[np.bool_]:
+    """Which entries of a sorted run share their key with a neighbour."""
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    tied = np.zeros(sorted_keys.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    return tied
+

@@ -18,11 +18,16 @@ level, vectorising the rank layer for the batched backward search
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .bitvector import RankBitvector, rank1_bulk_offsets
+from .bitvector import (
+    RankBitvector,
+    pack_flat,
+    rank1_bulk_offsets,
+    split_flat,
+)
 from .huffman import huffman_codes
 
 __all__ = ["WaveletTree"]
@@ -59,34 +64,49 @@ class WaveletTree:
         self._codes: Dict[int, Tuple[int, ...]] = huffman_codes(frequencies)
         self._nodes: Dict[Tuple[int, ...], RankBitvector] = {}
         if self._n:
-            self._build(arr)
-        self._finalize()
+            self._finalize(*self._build(arr))
+        else:
+            self._finalize()
 
-    def _build(self, arr: np.ndarray) -> None:
+    def _build(self, arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Split ``arr`` down the code tree; pack every node at once.
+
+        Returns the flat words/blocks pair (sorted-prefix order) that
+        the nodes, bound here as views into it, share.
+        """
         max_symbol = int(arr.max())
+        depth_max = max(len(code) for code in self._codes.values())
         code_len = np.zeros(max_symbol + 1, dtype=np.int64)
+        # code_bit[depth, symbol]: bit ``depth`` of the symbol's code (0
+        # past its end).  A node's sequence holds only the symbols under
+        # its prefix, so one row lookup gives the node's bits.
+        code_bit = np.zeros((depth_max, max_symbol + 1), dtype=bool)
         for symbol, code in self._codes.items():
             code_len[symbol] = len(code)
+            code_bit[: len(code), symbol] = code
 
+        node_bits: Dict[Tuple[int, ...], np.ndarray] = {}
         pending = [((), arr)]
         while pending:
             prefix, seq = pending.pop()
             depth = len(prefix)
-            # Lookup table: next code bit for every symbol at this depth.
-            # Symbols that cannot appear in this node are left at 0; they
-            # never influence the constructed bits.
-            bit_at = np.zeros(max_symbol + 1, dtype=bool)
-            for symbol, code in self._codes.items():
-                if len(code) > depth and code[:depth] == prefix:
-                    bit_at[symbol] = bool(code[depth])
-            bits = bit_at[seq]
-            self._nodes[prefix] = RankBitvector(bits)
+            bits = code_bit[depth][seq]
+            node_bits[prefix] = bits
             left = seq[~bits]
             right = seq[bits]
             if left.size and code_len[left[0]] > depth + 1:
                 pending.append((prefix + (0,), left))
             if right.size and code_len[right[0]] > depth + 1:
                 pending.append((prefix + (1,), right))
+
+        ordered = sorted(node_bits)
+        bits_in_order = [node_bits[prefix] for prefix in ordered]
+        flat_words, flat_blocks = pack_flat(bits_in_order)
+        lengths = [bits.size for bits in bits_in_order]
+        self._nodes = dict(
+            zip(ordered, split_flat(lengths, flat_words, flat_blocks))
+        )
+        return flat_words, flat_blocks
 
     def _finalize(
         self,
@@ -102,10 +122,11 @@ class WaveletTree:
         pair in sorted-prefix order — the same layout the persistence
         format writes — so the levelwise frontier descent can answer a
         whole level's ranks across *all* nodes with one offset-based
-        bulk call.  ``flat_words``/``flat_blocks`` let a loader whose
-        payload is already concatenated (the memory-mapped saved index)
-        hand the backing arrays over zero-copy; otherwise the flat pair
-        is built here and each node becomes a view into it.
+        bulk call.  ``flat_words``/``flat_blocks`` let a caller whose
+        nodes are already views into one concatenated payload (the
+        build, and the memory-mapped saved index) hand that payload over
+        zero-copy; otherwise the flat pair is built here and each node
+        is rebound as a view into it.
         """
         self._decode: Dict[Tuple[int, ...], int] = {
             code: sym for sym, code in self._codes.items()
@@ -140,6 +161,14 @@ class WaveletTree:
                 if ordered_nodes
                 else np.zeros(0, dtype=np.int64)
             )
+            for k, prefix in enumerate(ordered_nodes):
+                wo = int(self._node_word_off[k])
+                bo = int(self._node_block_off[k])
+                self._nodes[prefix] = RankBitvector.from_arrays(
+                    len(self._nodes[prefix]),
+                    self._flat_words[wo : wo + word_sizes[k]],
+                    self._flat_blocks[bo : bo + block_sizes[k]],
+                )
         else:
             if int(flat_words.size) != sum(word_sizes) or int(
                 flat_blocks.size
@@ -152,15 +181,6 @@ class WaveletTree:
                 )
             self._flat_words = flat_words
             self._flat_blocks = flat_blocks
-        for k, prefix in enumerate(ordered_nodes):
-            node = self._nodes[prefix]
-            wo = int(self._node_word_off[k])
-            bo = int(self._node_block_off[k])
-            self._nodes[prefix] = RankBitvector.from_arrays(
-                len(node),
-                self._flat_words[wo : wo + word_sizes[k]],
-                self._flat_blocks[bo : bo + block_sizes[k]],
-            )
         # Child table for the levelwise descent: node k's bit-b child
         # id, or -1 at a leaf edge.
         self._child = np.full((len(ordered_nodes), 2), -1, dtype=np.int64)
@@ -169,14 +189,19 @@ class WaveletTree:
                 child = self._node_id.get(prefix + (bit,))
                 if child is not None:
                     self._child[k, bit] = child
-        self._steps: Dict[int, Tuple[_Step, ...]] = {}
-        for symbol, code in self._codes.items():
-            steps: List[_Step] = []
-            prefix = ()
-            for bit in code:
-                steps.append((self._nodes[prefix], bool(bit)))
-                prefix = prefix + (bit,)
-            self._steps[symbol] = tuple(steps)
+        # A node's two steps are shared by every descent through it: a
+        # tree holds two step pairs per node, not one per code bit.
+        step_at: Dict[Tuple[int, ...], Tuple[_Step, _Step]] = {
+            prefix: ((node, False), (node, True))
+            for prefix, node in self._nodes.items()
+        }
+        self._steps: Dict[int, Tuple[_Step, ...]] = {
+            symbol: tuple(
+                step_at[code[:depth]][code[depth]]
+                for depth in range(len(code))
+            )
+            for symbol, code in self._codes.items()
+        }
         # Dense code table for the multi-symbol frontier descent: row r
         # holds symbol r's code bits (zero-padded) and its length.
         ordered = sorted(self._codes)

@@ -21,7 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import SECONDS_PER_DAY
-from ..errors import IndexError_, MissingUserError, UnknownTrajectoryError
+from ..errors import (
+    IndexError_,
+    MissingUserError,
+    TrajectoryError,
+    UnknownTrajectoryError,
+)
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
 from ..temporal.records import TraversalColumns
@@ -57,6 +62,35 @@ def window_bounds(bucket: int, t_min: int, window: int) -> Tuple[int, int]:
     """``[lo, hi)`` time range of temporal-partition ``bucket``."""
     lo = t_min + bucket * window
     return lo, lo + window
+
+
+def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The trajectory and user ids of ``trajectories``, as arrays.
+
+    ``U`` stores users in a dense array indexed by trajectory id, with
+    ``-1`` marking a gap, so a negative id of either kind would corrupt
+    it; such an id raises :class:`TrajectoryError` naming it.
+    """
+    traj_ids = np.fromiter(
+        (tr.traj_id for tr in trajectories),
+        dtype=np.int64,
+        count=len(trajectories),
+    )
+    user_ids = np.fromiter(
+        (tr.user_id for tr in trajectories),
+        dtype=np.int64,
+        count=len(trajectories),
+    )
+    if traj_ids.min() < 0:
+        bad = int(traj_ids[np.argmax(traj_ids < 0)])
+        raise TrajectoryError(f"negative trajectory id {bad}")
+    if user_ids.min() < 0:
+        k = int(np.argmax(user_ids < 0))
+        raise TrajectoryError(
+            f"trajectory {int(traj_ids[k])} has negative user id "
+            f"{int(user_ids[k])}"
+        )
+    return traj_ids, user_ids
 
 
 @dataclass
@@ -212,6 +246,9 @@ class SNTIndex:
         if any(not members for _, _, members in grouped):
             raise IndexError_("every partition group needs trajectories")
         started = time.perf_counter()
+        traj_ids, user_ids = _checked_ids(
+            [tr for _, _, members in grouped for tr in members]
+        )
 
         partitions: List[IndexPartition] = []
         row_chunks: List[dict] = []
@@ -260,16 +297,13 @@ class SNTIndex:
         forest = TemporalForest.build(per_edge, kind=kind)
 
         # Associative container U: d -> u (dense trajectory ids).
-        all_members = [tr for _, _, members in grouped for tr in members]
-        max_id = max(tr.traj_id for tr in all_members)
-        users = np.full(max_id + 1, -1, dtype=np.int64)
-        for trajectory in all_members:
-            users[trajectory.traj_id] = trajectory.user_id
+        users = np.full(int(traj_ids.max()) + 1, -1, dtype=np.int64)
+        users[traj_ids] = user_ids
 
         stats = BuildStats(
             setup_seconds=time.perf_counter() - started,
             n_partitions=len(partitions),
-            n_trajectories=len(all_members),
+            n_trajectories=int(traj_ids.size),
             n_traversals=int(merged["edge"].size),
         )
         return cls(

@@ -10,15 +10,21 @@ return a different ISA range for the same path in every partition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..fmindex import FMIndex
 from ..trajectories.model import Trajectory
 
 __all__ = ["IndexPartition", "build_partition"]
+
+#: One traversal as :class:`~repro.trajectories.model.TrajectoryPoint`
+#: lays it out; the points of a partition are read into one buffer of it.
+_POINT = np.dtype([("edge", np.int64), ("t", np.int64), ("tt", np.float64)])
 
 
 @dataclass
@@ -44,79 +50,84 @@ def build_partition(
     alphabet_size: int,
     t_lo: int,
     t_hi: int,
-) -> Tuple[IndexPartition, dict]:
+) -> Tuple[IndexPartition, Dict[str, npt.NDArray[np.generic]]]:
     """Build the FM-index of one partition and its traversal rows.
 
     Returns the partition plus a dict of flat numpy row arrays
     (``edge, t, isa, d, tt, a, seq``) for all traversals, which the index
-    builder merges into the shared temporal forest.
+    builder merges into the shared temporal forest.  Rows follow the
+    trajectories in order, each trajectory's points in sequence.
     """
-    texts: List[np.ndarray] = []
-    total = 0
-    lengths = np.empty(len(trajectories), dtype=np.int64)
-    for i, trajectory in enumerate(trajectories):
-        path = np.fromiter(
-            (p.edge for p in trajectory.points),
-            dtype=np.int64,
-            count=len(trajectory.points),
-        )
-        texts.append(path)
-        texts.append(np.zeros(1, dtype=np.int64))
-        lengths[i] = path.size
-        total += path.size
-
-    text = (
-        np.concatenate(texts) if texts else np.zeros(0, dtype=np.int64)
+    count = len(trajectories)
+    lengths = np.fromiter(
+        (len(trajectory.points) for trajectory in trajectories),
+        dtype=np.int64,
+        count=count,
     )
+    total = int(lengths.sum())
+    points = np.fromiter(
+        itertools.chain.from_iterable(
+            trajectory.points for trajectory in trajectories
+        ),
+        dtype=_POINT,
+        count=total,
+    )
+    # The columns stay views into the one buffer: copying them out would
+    # double the partition's transient footprint for no reader's benefit
+    # (the index builder concatenates the rows anyway).
+    edge, t, tt = points["edge"], points["t"], points["tt"]
+
+    # Trajectory i's points start at row first[i]; in the trajectory
+    # string T = P_0 $ P_1 $ ... they sit i terminators further on.
+    first = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    text_pos = np.arange(total, dtype=np.int64) + owner
+    text = np.zeros(total + count, dtype=np.int64)
+    text[text_pos] = edge
     fm = FMIndex(text, alphabet_size=alphabet_size)
+    assert fm.isa is not None
 
-    # Traversal positions in the trajectory string: trajectory i occupies
-    # [start_i, start_i + l_i) with start offsets skipping terminators.
-    starts = np.zeros(len(trajectories), dtype=np.int64)
-    if len(trajectories) > 1:
-        np.cumsum(lengths[:-1] + 1, out=starts[1:])
-
-    edge = np.empty(total, dtype=np.int64)
-    t = np.empty(total, dtype=np.int64)
-    isa = np.empty(total, dtype=np.int64)
-    d = np.empty(total, dtype=np.int64)
-    tt = np.empty(total, dtype=np.float64)
-    a = np.empty(total, dtype=np.float64)
-    seq = np.empty(total, dtype=np.int32)
-
-    cursor = 0
-    for i, trajectory in enumerate(trajectories):
-        l = int(lengths[i])
-        sl = slice(cursor, cursor + l)
-        edge[sl] = texts[2 * i]
-        t[sl] = np.fromiter(
-            (p.t for p in trajectory.points), dtype=np.int64, count=l
-        )
-        tts = np.fromiter(
-            (p.tt for p in trajectory.points), dtype=np.float64, count=l
-        )
-        tt[sl] = tts
-        a[sl] = np.cumsum(tts)
-        seq[sl] = np.arange(l, dtype=np.int32)
-        d[sl] = trajectory.traj_id
-        isa[sl] = fm.isa[starts[i] : starts[i] + l]
-        cursor += l
-
+    traj_ids = np.fromiter(
+        (trajectory.traj_id for trajectory in trajectories),
+        dtype=np.int64,
+        count=count,
+    )
+    rows: Dict[str, npt.NDArray[np.generic]] = {
+        "edge": edge,
+        "t": t,
+        "isa": fm.isa[text_pos],
+        "d": traj_ids[owner],
+        "tt": tt,
+        "a": _cumulative_durations(tt, first, lengths),
+        "seq": (np.arange(total) - np.repeat(first, lengths)).astype(
+            np.int32
+        ),
+    }
     partition = IndexPartition(
         w=w,
         fm=fm,
-        n_trajectories=len(trajectories),
+        n_trajectories=count,
         n_traversals=total,
         t_lo=t_lo,
         t_hi=t_hi,
     )
-    rows = {
-        "edge": edge,
-        "t": t,
-        "isa": isa,
-        "d": d,
-        "tt": tt,
-        "a": a,
-        "seq": seq,
-    }
     return partition, rows
+
+
+def _cumulative_durations(
+    tt: npt.NDArray[np.float64],
+    first: npt.NDArray[np.int64],
+    lengths: npt.NDArray[np.int64],
+) -> npt.NDArray[np.float64]:
+    """``a``: each trajectory's running sum of ``tt`` (Section 4.1.3).
+
+    Trajectories of one length form a matrix whose rows are summed with
+    one ``cumsum(axis=1)``.  Accumulation runs left to right along each
+    row, so every value is bit-identical to a per-trajectory ``cumsum``;
+    a global running sum minus per-trajectory offsets would not be.
+    """
+    a = np.empty_like(tt)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = first[lengths == length][:, None] + np.arange(length)
+        a[rows] = np.cumsum(tt[rows], axis=1)
+    return a

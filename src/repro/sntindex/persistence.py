@@ -68,6 +68,7 @@ import numpy as np
 
 from ..errors import IndexFormatError, PersistenceError, StoreError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
+from ..fmindex.bitvector import split_flat
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import SlicedTemporalForest
 from .partition import IndexPartition
@@ -540,29 +541,14 @@ def _load_partition(
             f"table ({len(prefixes)} nodes expected, {node_bits.size} "
             "stored)"
         )
-    word_counts = [(int(n) + 63) // 64 for n in node_bits]
-    block_counts = [(n + 7) // 8 + 1 for n in word_counts]
-    if sum(word_counts) != words_all.size \
-            or sum(block_counts) != blocks_all.size:
+    try:
+        views = split_flat(node_bits.tolist(), words_all, blocks_all)
+    except ValueError as exc:
         raise PersistenceError(
             f"partition {k} wavelet payload size disagrees with its "
-            f"node directory ({sum(word_counts)} words / "
-            f"{sum(block_counts)} block ranks expected, "
-            f"{words_all.size} / {blocks_all.size} stored)"
-        )
-    nodes: Dict[tuple, RankBitvector] = {}
-    word_cursor = 0
-    block_cursor = 0
-    for prefix, n_bits, n_words, n_blocks in zip(
-        prefixes, node_bits, word_counts, block_counts
-    ):
-        nodes[prefix] = RankBitvector.from_arrays(
-            int(n_bits),
-            words_all[word_cursor : word_cursor + n_words],
-            blocks_all[block_cursor : block_cursor + n_blocks],
-        )
-        word_cursor += n_words
-        block_cursor += n_blocks
+            f"node directory ({exc})"
+        ) from None
+    nodes: Dict[tuple, RankBitvector] = dict(zip(prefixes, views))
     tree = WaveletTree.from_arrays(
         int(entry["fm_n"]),
         codes,

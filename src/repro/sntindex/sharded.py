@@ -4,8 +4,8 @@ The paper's index is already temporally partitioned — one FM-index per
 time window of trajectory *start* times (Section 4.3.2) — which makes
 time-range sharding the natural scale-out axis: a **shard** is a
 contiguous run of those temporal partitions, built as a self-contained
-:class:`SNTIndex` (so shards build in parallel worker processes and
-persist with the unchanged PR-1 directory format).
+:class:`SNTIndex` (so shards build independently and persist with
+the unchanged PR-1 directory format).
 :class:`ShardedSNTIndex` answers the
 :class:`~repro.sntindex.reader.IndexReader` protocol over the shard set
 itself: it prunes shards by interval and scans the survivors, one query
@@ -69,7 +69,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SECONDS_PER_DAY
 from ..core.intervals import is_periodic
-from ..forkpool import fork_map
 from ..errors import (
     IndexError_,
     MissingUserError,
@@ -284,47 +283,6 @@ class _ShardedEdgeStats:
 # ---------------------------------------------------------------------- #
 
 
-def _build_shard_task(payload) -> SNTIndex:
-    """Worker-process entry: build one shard from its partition groups."""
-    (
-        grouped,
-        alphabet_size,
-        t_min,
-        t_max,
-        kind,
-        partition_days,
-        tod_bucket_s,
-    ) = payload
-    return SNTIndex.build_from_groups(
-        grouped,
-        alphabet_size,
-        t_min=t_min,
-        t_max=t_max,
-        kind=kind,
-        partition_days=partition_days,
-        tod_bucket_s=tod_bucket_s,
-    )
-
-
-def _build_shards_parallel(tasks, workers: int) -> List[SNTIndex]:
-    """Run the shard builds in a process pool, preserving task order.
-
-    On fork platforms the workers read their trajectory groups from the
-    forked copy-on-write heap (:func:`repro.forkpool.fork_map`), so only
-    an integer position crosses the pipe on the way in and only the
-    built shard (mostly numpy payload — cheap to pickle) comes back;
-    shipping the trajectory objects through the pool instead costs more
-    than the per-shard build savings at small corpus sizes.  Spawn
-    platforms fall back to pickling the (picklable) tasks.
-    """
-    return fork_map(
-        _build_shard_task,
-        tasks,
-        workers,
-        pickled_fallback=_build_shard_task,
-    )
-
-
 def _balanced_runs(
     buckets: Sequence[int], weights: Sequence[int], n_runs: int
 ) -> List[List[int]]:
@@ -419,9 +377,8 @@ class ShardedSNTIndex:
         partition_days: Optional[int] = 7,
         kind: str = "css",
         tod_bucket_s: int = 600,
-        build_workers: int = 1,
     ) -> "ShardedSNTIndex":
-        """Build K time-sliced shards, optionally in worker processes.
+        """Build K time-sliced shards.
 
         Parameters mirror :meth:`SNTIndex.build` plus:
 
@@ -429,10 +386,6 @@ class ShardedSNTIndex:
             Contiguous time slices to build; clamped to the number of
             occupied temporal partitions (a shard cannot split one
             FM-index partition without changing estimator inputs).
-        build_workers:
-            Worker processes for the shard builds.  ``1`` builds inline;
-            suffix-array construction dominates build time and shards
-            are independent, so the build scales with real cores.
         """
         if partition_days is None:
             raise ShardError(
@@ -444,8 +397,6 @@ class ShardedSNTIndex:
             raise ShardError("partition_days must be >= 1")
         if n_shards < 1:
             raise ShardError("n_shards must be >= 1")
-        if build_workers < 1:
-            raise ShardError("build_workers must be >= 1")
         if len(trajectories) == 0:
             raise IndexError_("cannot build an index from zero trajectories")
         started = time.perf_counter()
@@ -461,29 +412,21 @@ class ShardedSNTIndex:
         ]
         runs = _balanced_runs(buckets, weights, n_shards)
 
-        tasks = []
-        for run in runs:
-            grouped = [
-                (*window_bounds(bucket, t_min, window), groups[bucket])
-                for bucket in run
-            ]
-            tasks.append(
-                (
-                    grouped,
-                    alphabet_size,
-                    t_min,
-                    t_max,
-                    kind,
-                    partition_days,
-                    tod_bucket_s,
-                )
+        built = [
+            SNTIndex.build_from_groups(
+                [
+                    (*window_bounds(bucket, t_min, window), groups[bucket])
+                    for bucket in run
+                ],
+                alphabet_size,
+                t_min=t_min,
+                t_max=t_max,
+                kind=kind,
+                partition_days=partition_days,
+                tod_bucket_s=tod_bucket_s,
             )
-
-        if build_workers == 1 or len(tasks) == 1:
-            built = [_build_shard_task(task) for task in tasks]
-        else:
-            built = _build_shards_parallel(tasks, build_workers)
-
+            for run in runs
+        ]
         sealed = [
             _ShardEntry.wrap(index, f"shard_{i:04d}", run[0], run[-1])
             for i, (index, run) in enumerate(zip(built, runs))
@@ -575,15 +518,14 @@ class ShardedSNTIndex:
     def build_stats(self) -> BuildStats:
         """Aggregate of the shards' build stats (CLI summaries).
 
-        ``setup_seconds`` is the wall-clock time of the whole (possibly
-        parallel) build when this instance ran it; for a loaded index
-        the slowest shard's build time stands in — summing the per-shard
-        worker times would over-report a parallel build by its width.
+        ``setup_seconds`` is the wall-clock time of the whole build when
+        this instance ran it; for a loaded index the shards' build times,
+        which ran one after another, are summed.
         """
         shard_stats = [e.index.build_stats for e in self.entries]
         wall = self._build_wall_seconds
         if wall is None:
-            wall = max(s.setup_seconds for s in shard_stats)
+            wall = sum(s.setup_seconds for s in shard_stats)
         return BuildStats(
             setup_seconds=wall,
             n_partitions=self.n_partitions,

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fmindex.bitvector import RankBitvector, rank1_bulk_offsets
+from repro.fmindex.bitvector import (
+    RankBitvector,
+    pack_flat,
+    rank1_bulk_offsets,
+    split_flat,
+)
 from repro.fmindex.wavelet_tree import WaveletTree
 
 
@@ -108,3 +113,52 @@ def test_property_rank_matches_naive(bits, data):
 def test_property_access_matches_input(bits):
     bv = RankBitvector(bits)
     assert [bv[i] for i in range(len(bits))] == [bool(b) for b in bits]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.booleans(), max_size=1100).map(
+            lambda bits: np.asarray(bits, dtype=bool)
+        ),
+        max_size=6,
+    )
+)
+@example(
+    [
+        np.random.default_rng(n).random(n) < 0.5
+        for n in (0, 1, 63, 64, 65, 511, 512, 513, 4097)
+    ]
+)
+def test_pack_flat_matches_a_bit_by_bit_layout(arrays):
+    # Lengths straddle word (64) and block (512) boundaries, and an
+    # empty bitvector keeps its one-entry directory.
+    words, blocks = pack_flat(arrays)
+    expected_words, expected_blocks = [], []
+    for bits in arrays:
+        bits = bits.tolist()
+        vector_words = [
+            sum(1 << (63 - j) for j, bit in enumerate(bits[i : i + 64]) if bit)
+            for i in range(0, len(bits), 64)
+        ]
+        expected_words += vector_words
+        expected_blocks += [
+            sum(bin(word).count("1") for word in vector_words[:b])
+            for b in range(0, len(vector_words), 8)
+        ] + [sum(bits)]
+    assert words.dtype == np.uint64 and blocks.dtype == np.int64
+    assert words.tolist() == expected_words
+    assert blocks.tolist() == expected_blocks
+    vectors = split_flat([bits.size for bits in arrays], words, blocks)
+    for bits, vector in zip(arrays, vectors):
+        assert [vector[i] for i in range(len(vector))] == bits.tolist()
+        assert vector.rank1(len(vector)) == int(bits.sum())
+
+
+def test_split_flat_rejects_a_payload_of_the_wrong_size():
+    words, blocks = pack_flat([np.ones(70, dtype=bool)])
+    assert (words.size, blocks.size) == (2, 2)
+    with pytest.raises(ValueError, match="2 words / 2 block ranks expected"):
+        split_flat([70], words[:-1], blocks)
+    with pytest.raises(ValueError, match="2 / 3 given"):
+        split_flat([70], words, np.append(blocks, 0))

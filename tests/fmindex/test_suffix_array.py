@@ -1,11 +1,15 @@
 """Tests for suffix-array construction."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import IndexError_
 from repro.fmindex.suffix_array import (
+    MAX_TEXT_LENGTH,
     inverse_suffix_array,
     naive_suffix_array,
     suffix_array,
@@ -92,3 +96,41 @@ def test_property_large_alphabet(text):
     sa = suffix_array(text)
     suffixes = [text[i:] for i in sa]
     assert suffixes == sorted(suffixes)
+
+
+def _trajectory_string(paths):
+    """``P_0 $ P_1 $ ...`` with ``$`` = 0, as the index builds it."""
+    return [symbol for path in paths for symbol in (*path, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=1, max_value=6), max_size=15),
+        max_size=5,
+    ).map(_trajectory_string)
+)
+def test_property_trajectory_strings_match_naive(text):
+    assert suffix_array(text).tolist() == naive_suffix_array(text).tolist()
+
+
+def test_periodic_text_needs_every_doubling_round():
+    # Every suffix of (12)^500 shares a prefix with another until the
+    # round whose offset passes its length, so ties last ~log2(n) rounds.
+    text = [1, 2] * 500 + [0]
+    assert suffix_array(text).tolist() == naive_suffix_array(text).tolist()
+
+
+def test_text_too_long_for_the_packed_key(monkeypatch):
+    module = sys.modules[suffix_array.__module__]
+    monkeypatch.setattr(module, "MAX_TEXT_LENGTH", 4)
+    assert suffix_array([2, 1, 2, 0]).tolist() == [3, 1, 2, 0]
+    with pytest.raises(IndexError_, match="at most 4 symbols; got 5"):
+        suffix_array([2, 1, 2, 1, 0])
+
+
+def test_max_text_length_keeps_the_packed_key_in_int64():
+    n = MAX_TEXT_LENGTH
+    assert n * (n + 1) + n <= np.iinfo(np.int64).max
+    n += 1
+    assert n * (n + 1) + n > np.iinfo(np.int64).max

@@ -128,3 +128,41 @@ def test_property_total_rank_is_count(text):
     counts = Counter(text)
     for symbol, count in counts.items():
         assert wt.rank(symbol, len(text)) == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=1, max_value=60),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_property_every_rank_matches_naive_with_mixed_code_depths(
+    runs, rng
+):
+    # Skewed symbol counts give codes of several lengths in one tree.
+    text = [symbol for symbol, count in runs for _ in range(count)]
+    rng.shuffle(text)
+    _assert_every_rank(WaveletTree(text), text)
+
+
+def test_every_rank_on_a_tree_with_five_code_depths():
+    text = [7] * 64 + [3] * 32 + [5] * 16 + [1] * 8 + [2] * 4 + [9] * 4
+    text = text[::3] + text[1::3] + text[2::3]
+    wt = WaveletTree(text)
+    assert {len(code) for code in wt.codes.values()} == {1, 2, 3, 4, 5}
+    _assert_every_rank(wt, text)
+
+
+def _assert_every_rank(wt, text):
+    for symbol in set(text) | {41}:
+        running = 0
+        for i in range(len(text) + 1):
+            assert wt.rank(symbol, i) == running
+            if i < len(text) and text[i] == symbol:
+                running += 1

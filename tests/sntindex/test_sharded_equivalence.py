@@ -571,36 +571,6 @@ def test_cache_sync_epoch_clears_sections():
 
 
 # --------------------------------------------------------------------- #
-# Parallel build
-# --------------------------------------------------------------------- #
-
-
-def test_parallel_build_equals_inline_build(world):
-    dataset, mono, _, trips = world
-    parallel = ShardedSNTIndex.build(
-        dataset.trajectories,
-        dataset.network.alphabet_size,
-        n_shards=4,
-        partition_days=PARTITION_DAYS,
-        build_workers=2,
-    )
-    assert parallel.n_partitions == mono.n_partitions
-    engine_mono = QueryEngine(mono, dataset.network)
-    engine_parallel = QueryEngine(parallel, dataset.network)
-    for trip in trips[:10]:
-        assert parallel.isa_ranges(trip.path) == mono.isa_ranges(trip.path)
-        query = StrictPathQuery(
-            path=trip.path,
-            interval=PeriodicInterval.around(trip.start_time, 900),
-            beta=10,
-        )
-        assert_bit_identical(
-            run_trip(engine_mono, query, exclude_ids=(trip.traj_id,)),
-            run_trip(engine_parallel, query, exclude_ids=(trip.traj_id,)),
-        )
-
-
-# --------------------------------------------------------------------- #
 # Persistence
 # --------------------------------------------------------------------- #
 

@@ -9,8 +9,14 @@ sentinel or raising one blanket error.
 
 import pytest
 
-from repro import SNTIndex
-from repro.errors import IndexError_, MissingUserError, UnknownTrajectoryError
+from repro import ShardedSNTIndex, SNTIndex
+from repro.errors import (
+    IndexError_,
+    MissingUserError,
+    ShardError,
+    TrajectoryError,
+    UnknownTrajectoryError,
+)
 from repro.trajectories import Trajectory, TrajectoryPoint, TrajectorySet
 
 A, B, E = 1, 2, 5
@@ -73,3 +79,87 @@ def test_gap_survives_save_load(gappy_index, tmp_path):
         loaded.user_of(1)
     with pytest.raises(UnknownTrajectoryError):
         loaded.user_of(4)
+
+
+# --------------------------------------------------------------------- #
+# Negative ids are rejected before anything is built
+# --------------------------------------------------------------------- #
+
+DAY = 86_400
+
+
+def _trip(traj_id, user_id, day):
+    t0 = day * DAY
+    return Trajectory(
+        traj_id,
+        user_id,
+        [TrajectoryPoint(A, t0, 3.0), TrajectoryPoint(B, t0 + 3, 4.0)],
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_trip(-1, 99, 1), "negative trajectory id -1"),
+        (_trip(6, -1, 1), "trajectory 6 has negative user id -1"),
+    ],
+)
+def test_build_rejects_negative_ids(bad, message):
+    # Before the check, ids {5 -> 50, -1 -> 99} built a U in which
+    # user_of(5) read 99: U[-1] is U's last slot.
+    trajectories = TrajectorySet([_trip(5, 50, 0), bad])
+    with pytest.raises(TrajectoryError, match=message):
+        SNTIndex.build(trajectories, alphabet_size=7)
+    with pytest.raises(TrajectoryError, match=message):
+        ShardedSNTIndex.build(trajectories, alphabet_size=7, partition_days=1)
+
+
+@pytest.fixture
+def sharded():
+    base = TrajectorySet(
+        [_trip(i, 10 + i, day) for i, day in enumerate((0, 2, 8, 9))]
+    )
+    return ShardedSNTIndex.build(
+        base, alphabet_size=7, n_shards=2, partition_days=7
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (_trip(-1, 99, 20), "negative trajectory id -1"),
+        (_trip(8, -1, 20), "trajectory 8 has negative user id -1"),
+    ],
+)
+def test_append_rejects_negative_ids_and_leaves_the_index_alone(
+    sharded, bad, message
+):
+    before = (
+        sharded.epoch,
+        sharded.n_shards,
+        sharded.n_partitions,
+        sharded.t_max,
+        sharded.build_stats.n_trajectories,
+    )
+    with pytest.raises(TrajectoryError, match=message):
+        sharded.append([bad])
+    after = (
+        sharded.epoch,
+        sharded.n_shards,
+        sharded.n_partitions,
+        sharded.t_max,
+        sharded.build_stats.n_trajectories,
+    )
+    assert after == before
+    assert not sharded.has_trajectory(bad.traj_id)
+
+
+def test_rejected_user_does_not_free_its_id_twice(sharded):
+    # A trajectory with user -1 used to read has_trajectory() == False
+    # once indexed, so the same id could be appended a second time.
+    with pytest.raises(TrajectoryError):
+        sharded.append([_trip(8, -1, 20)])
+    assert sharded.append([_trip(8, 18, 20)]) == 1
+    assert sharded.user_of(8) == 18
+    with pytest.raises(ShardError, match="already indexed"):
+        sharded.append([_trip(8, 19, 21)])

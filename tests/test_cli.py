@@ -281,6 +281,16 @@ class TestBatchCommand:
 
 
 class TestShardedIndexCommand:
+    def test_build_workers_flag_is_gone(self, world_dir, tmp_path):
+        # Shards build one after another: two worker processes lost to
+        # the inline build on the whole-array build kernels.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index", "--world", str(world_dir),
+                  "--out", str(tmp_path / "sharded"),
+                  "--partition-days", "7", "--shards", "3",
+                  "--build-workers", "2"])
+        assert excinfo.value.code == 2
+
     def test_build_sharded_and_query_transparently(
         self, world_dir, tmp_path, capsys
     ):
@@ -314,8 +324,7 @@ class TestShardedIndexCommand:
                      "--partition-days", "7"]) == 0
         assert main(["index", "--world", str(world_dir),
                      "--out", str(shard_dir),
-                     "--partition-days", "7", "--shards", "3",
-                     "--build-workers", "2"]) == 0
+                     "--partition-days", "7", "--shards", "3"]) == 0
         capsys.readouterr()
         path = TestQuery().path_from_world(world_dir, length=4)
         assert main(["query", "--world", str(world_dir),
