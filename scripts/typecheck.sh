@@ -6,8 +6,10 @@
 #                              the bounded LRU sections)
 #   core/plan.py, core/exec.py the planner, the trip machine and the
 #                              deduplicating batch executor
+#   core/intervals.py          fixed and periodic time predicates
 #   fmindex/bitvector.py       the word-packed rank directory under every
 #                              wavelet tree
+#   fmindex/fm.py              backward search (Procedure 2)
 #   fmindex/suffix_array.py    prefix doubling over the tied groups only
 #   sntindex/partition.py      one temporal partition's FM-index and rows
 #   sntindex/reader.py         the IndexReader protocol both readers answer
@@ -35,7 +37,9 @@ exec python -m mypy --strict \
   src/repro/api src/repro/errors.py \
   src/repro/service/cache.py \
   src/repro/core/plan.py src/repro/core/exec.py \
-  src/repro/fmindex/bitvector.py src/repro/fmindex/suffix_array.py \
+  src/repro/core/intervals.py \
+  src/repro/fmindex/bitvector.py src/repro/fmindex/fm.py \
+  src/repro/fmindex/suffix_array.py \
   src/repro/sntindex/partition.py src/repro/sntindex/reader.py \
   src/repro/sntindex/procedures.py src/repro/temporal/forest.py \
   src/repro/sntindex/store.py src/repro/sntindex/compaction.py \

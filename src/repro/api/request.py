@@ -72,11 +72,12 @@ def _as_id(value: Any, what: str) -> int:
     """Coerce an id-like number to ``int``, rejecting fractional values.
 
     ``1.0`` (e.g. a JSON number from a JS client) is accepted; ``1.9``
-    must not silently answer a query about id ``1``.
+    must not silently answer a query about id ``1``.  NaN and +-inf
+    (standard JSON parses ``1e999`` as inf) are rejected too.
     """
     try:
         as_int = int(value)
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise RequestValidationError(
             f"{what} must be an integer; got {value!r}"
         ) from error

@@ -384,8 +384,9 @@ class TripMachine:
                 from_fallback=result.from_fallback,
             )
         )
-        self._shift_s += histogram.min_value
-        self._enlarge_s += histogram.value_range
+        low, value_range = histogram.extent()
+        self._shift_s += low
+        self._enlarge_s += value_range
         return self.advance()
 
     def _spend(self, n_relaxations: int) -> None:

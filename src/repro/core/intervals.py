@@ -14,6 +14,7 @@ the beginning ... and enlarges it"): start += shift, duration += enlarge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,7 +36,9 @@ class FixedInterval:
     start: int
     end: int
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.end) is not int:
+            _check_bounds("fixed", start=self.start, end=self.end)
         if self.end <= self.start:
             raise IntervalError(
                 f"fixed interval [{self.start}, {self.end}) is empty"
@@ -61,13 +64,27 @@ class PeriodicInterval:
     start_tod: int
     duration: int
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
+        if type(self.start_tod) is not int or type(self.duration) is not int:
+            _check_bounds(
+                "periodic", start_tod=self.start_tod, duration=self.duration
+            )
         if self.duration <= 0:
             raise IntervalError("periodic interval duration must be positive")
         object.__setattr__(self, "start_tod", self.start_tod % SECONDS_PER_DAY)
         object.__setattr__(
             self, "duration", min(self.duration, SECONDS_PER_DAY)
         )
+
+    @classmethod
+    def _trusted(cls, start_tod: int, duration: int) -> "PeriodicInterval":
+        """A window from already canonical fields (``0 <= start_tod <
+        SECONDS_PER_DAY``, ``0 < duration <= SECONDS_PER_DAY``, both
+        finite), without :meth:`__post_init__`'s checks."""
+        interval = object.__new__(cls)
+        object.__setattr__(interval, "start_tod", start_tod)
+        object.__setattr__(interval, "duration", duration)
+        return interval
 
     @classmethod
     def around(cls, center_ts: int, size: int) -> "PeriodicInterval":
@@ -94,13 +111,18 @@ class PeriodicInterval:
 
     def widened_to(self, new_size: int) -> "PeriodicInterval":
         """``widen``: grow symmetrically to ``new_size`` (Procedure 1)."""
+        if type(new_size) is not int:
+            _check_bounds("widened", size=new_size)
         if new_size < self.duration:
             raise IntervalError("widen cannot shrink an interval")
         if new_size == self.duration:
             return self
         delta = new_size - self.duration
-        return PeriodicInterval(
-            start_tod=self.start_tod - delta // 2, duration=new_size
+        # ``__post_init__``'s wrap and one-day clamp; its checks cannot
+        # fail on a finite size above a positive duration.
+        return PeriodicInterval._trusted(
+            (self.start_tod - delta // 2) % SECONDS_PER_DAY,
+            SECONDS_PER_DAY if SECONDS_PER_DAY < new_size else new_size,
         )
 
     def shrunk_to(self, new_size: int) -> "PeriodicInterval":
@@ -129,6 +151,26 @@ class PeriodicInterval:
 
 
 TimeInterval = Union[FixedInterval, PeriodicInterval]
+
+
+def _check_bounds(kind: str, **bounds: float) -> None:
+    """Reject a bound that is a bool, not a real number, NaN or +-inf.
+
+    Plain ints (the common case) pass without a call here: callers test
+    ``type(value) is int`` first.
+    """
+    for name, value in bounds.items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, ValueError):
+            finite = False
+        except OverflowError:  # an int too large for a float is finite
+            finite = isinstance(value, int)
+        if not finite:
+            raise IntervalError(
+                f"{kind} interval {name} must be a finite number; "
+                f"got {value!r}"
+            )
 
 
 def is_periodic(interval: TimeInterval) -> bool:

@@ -56,10 +56,11 @@ def _split_on(
     key: Callable[[RoadNetwork, int], object]
 ) -> Partitioner:
     def partition(path: Sequence[int], network: RoadNetwork) -> List[PathSegment]:
+        keys = [key(network, edge) for edge in path]
         segments: List[PathSegment] = []
         start = 0
         for i in range(1, len(path)):
-            if key(network, path[i]) != key(network, path[start]):
+            if keys[i] != keys[start]:
                 segments.append(PathSegment(start, i))
                 start = i
         segments.append(PathSegment(start, len(path)))

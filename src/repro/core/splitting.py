@@ -15,6 +15,7 @@ in stages:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence
 
 from ..errors import QueryError
@@ -91,9 +92,13 @@ def widen_step(
     centre.
     """
     interval = query.interval
-    if not is_periodic(interval) or interval.size >= ladder[-1]:
+    if (
+        not isinstance(interval, PeriodicInterval)
+        or interval.duration >= ladder[-1]
+    ):
         return None
-    next_size = next(a for a in ladder if a > interval.size)
+    # The ladder is ascending: the next size is the first one above.
+    next_size = ladder[bisect_right(ladder, interval.duration)]
     return query.with_interval(interval.widened_to(next_size))
 
 

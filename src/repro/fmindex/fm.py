@@ -10,7 +10,7 @@ the number of indexed trajectories.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class FMIndex:
         every edge.
     """
 
-    def __init__(self, text: Sequence[int], alphabet_size: int | None = None):
+    def __init__(
+        self, text: Sequence[int], alphabet_size: int | None = None
+    ) -> None:
         arr = np.asarray(text, dtype=np.int64)
         if arr.size and arr.min() < 0:
             raise ValueError("FM-index symbols must be non-negative")
@@ -105,6 +107,13 @@ class FMIndex:
         trajectory string that start with ``path``; ``(0, 0)`` when the path
         does not occur.
         """
+        return self._backward_search(path)
+
+    def _backward_search(self, path: Sequence[int]) -> Tuple[int, int]:
+        """:meth:`isa_range` for one path.  :meth:`isa_ranges` runs small
+        batches through this, not through the public method, so one
+        public call stays one backward-search call to whatever counts
+        them (``benchmarks/perf/spans.py`` counts patterns per call)."""
         if len(path) == 0:
             raise ValueError("isa_range requires a non-empty path")
         alphabet_size = self._alphabet_size
@@ -141,7 +150,13 @@ class FMIndex:
         rank_pairs_frontier` descent, amortising the wavelet-tree walk
         across the whole batch even when every path wants a different
         symbol (PR-5's batched fetch stage supplies such batches).
+
+        A batch smaller than ``_BULK_MIN_PAIRS`` can never fill a bulk
+        round, so it runs the scalar search path by path (a single
+        trip's prefetch is about seven paths).
         """
+        if len(paths) < _BULK_MIN_PAIRS:
+            return [self._backward_search(path) for path in paths]
         for path in paths:
             if len(path) == 0:
                 raise ValueError("isa_range requires a non-empty path")
@@ -150,7 +165,7 @@ class FMIndex:
         results: List[Tuple[int, int]] = [(0, 0)] * len(paths)
         # Per-path cursor: [path, next position (scanning right-to-left),
         # st, ed, output slot].
-        active: List[list] = []
+        active: List[List[Any]] = []
         for out, path in enumerate(paths):
             symbol = int(path[-1])
             if not 0 <= symbol < alphabet_size:
@@ -162,7 +177,7 @@ class FMIndex:
             elif st < ed:
                 results[out] = (st, ed)
         while active:
-            step: List[list] = []
+            step: List[List[Any]] = []
             symbols: List[int] = []
             for cursor in active:
                 path, position, st, ed, out = cursor
@@ -207,7 +222,7 @@ class FMIndex:
 
     @staticmethod
     def _advance_cursor(
-        cursor: list,
+        cursor: List[Any],
         st: int,
         ed: int,
         results: List[Tuple[int, int]],

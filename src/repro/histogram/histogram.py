@@ -8,7 +8,7 @@ of the sub-path histograms: ``H = H1 * H2 * ... * Hk``.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -25,6 +25,17 @@ def _same_width(a: float, b: float) -> bool:
     )
 
 
+def _checked_width(bucket_width: float) -> float:
+    """A bucket width as a positive, finite float (NaN fails both
+    comparisons); checked before anything divides by it."""
+    width = float(bucket_width)
+    if not 0 < width < math.inf:
+        raise ValueError(
+            f"bucket width must be positive and finite; got {bucket_width!r}"
+        )
+    return width
+
+
 class Histogram:
     """Fixed-bucket-width histogram of travel times.
 
@@ -37,15 +48,30 @@ class Histogram:
     def __init__(
         self, bucket_width: float, offset: int, counts: npt.ArrayLike
     ) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be positive")
-        self.bucket_width = float(bucket_width)
+        self.bucket_width = _checked_width(bucket_width)
         self.offset = int(offset)
         self.counts = np.asarray(counts, dtype=np.float64)
         if self.counts.ndim != 1:
             raise ValueError("counts must be one-dimensional")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
+        # NaN fails both comparisons: one test rejects NaN, +-inf and
+        # negative counts.
+        if self.counts.size and not (
+            self.counts.min() >= 0 and self.counts.max() < math.inf
+        ):
+            raise ValueError("counts must be finite and non-negative")
+
+    @classmethod
+    def _trusted(
+        cls, bucket_width: float, offset: int, counts: npt.NDArray[np.float64]
+    ) -> "Histogram":
+        """A histogram over arrays this class has just computed from
+        validated ones: a checked width, an int offset and 1-D, finite,
+        non-negative float64 counts.  Skips :meth:`__init__`'s checks."""
+        self = cls.__new__(cls)
+        self.bucket_width = bucket_width
+        self.offset = offset
+        self.counts = counts
+        return self
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -54,20 +80,21 @@ class Histogram:
     @classmethod
     def from_values(cls, values: Iterable[float], bucket_width: float) -> "Histogram":
         """``createHistogram``: bucket a set of travel times."""
+        width = _checked_width(bucket_width)
         if isinstance(values, np.ndarray):
             arr = values.astype(np.float64, copy=False)
         else:
             arr = np.asarray(list(values), dtype=np.float64)
         if arr.size == 0:
-            return cls(bucket_width, 0, np.zeros(0))
+            return cls._trusted(width, 0, np.zeros(0))
         # NaN fails both comparisons, so one check rejects NaN, +-inf and
         # negatives before any of them reaches the integer bucketing.
         if not (arr.min() >= 0 and arr.max() < np.inf):
             raise ValueError("travel times must be finite and non-negative")
-        buckets = np.floor_divide(arr, bucket_width).astype(np.int64)
+        buckets = np.floor_divide(arr, width).astype(np.int64)
         offset = int(buckets.min())
-        counts = np.bincount(buckets - offset)
-        return cls(bucket_width, offset, counts)
+        counts = np.bincount(buckets - offset).astype(np.float64)
+        return cls._trusted(width, offset, counts)
 
     @classmethod
     def from_dict(
@@ -121,26 +148,36 @@ class Histogram:
     def is_empty(self) -> bool:
         return self.total == 0
 
+    def _edges(self) -> Tuple[float, float]:
+        """``(H^min, H^max)`` from one scan of the counts."""
+        occupied = self.counts.nonzero()[0]  # counts are 1-D
+        if occupied.size == 0:
+            raise ValueError("histogram is empty")
+        return (
+            (self.offset + int(occupied[0])) * self.bucket_width,
+            (self.offset + int(occupied[-1]) + 1) * self.bucket_width,
+        )
+
+    def extent(self) -> Tuple[float, float]:
+        """``(H^min, H^max - H^min)``: what shift-and-enlarge (Section
+        4.2) accumulates per sub-query, from one scan of the counts."""
+        low, high = self._edges()
+        return low, high - low
+
     @property
     def min_value(self) -> float:
         """Lower edge of the first occupied bucket (``H^min`` in the paper)."""
-        occupied = np.nonzero(self.counts)[0]
-        if occupied.size == 0:
-            raise ValueError("histogram is empty")
-        return (self.offset + int(occupied[0])) * self.bucket_width
+        return self._edges()[0]
 
     @property
     def max_value(self) -> float:
         """Upper edge of the last occupied bucket (``H^max``)."""
-        occupied = np.nonzero(self.counts)[0]
-        if occupied.size == 0:
-            raise ValueError("histogram is empty")
-        return (self.offset + int(occupied[-1]) + 1) * self.bucket_width
+        return self._edges()[1]
 
     @property
     def value_range(self) -> float:
         """``H^max - H^min``; used by shift-and-enlarge (Section 4.2)."""
-        return self.max_value - self.min_value
+        return self.extent()[1]
 
     def mean(self) -> float:
         """Mass-weighted mean of bucket midpoints."""
@@ -217,9 +254,11 @@ class Histogram:
         if not _same_width(self.bucket_width, other.bucket_width):
             raise ValueError("cannot convolve histograms of different widths")
         if self.counts.size == 0 or other.counts.size == 0:
-            return Histogram(self.bucket_width, 0, np.zeros(0))
+            return Histogram._trusted(self.bucket_width, 0, np.zeros(0))
         counts = np.convolve(self.counts, other.counts)
-        return Histogram(self.bucket_width, self.offset + other.offset, counts)
+        return Histogram._trusted(
+            self.bucket_width, self.offset + other.offset, counts
+        )
 
     def __mul__(self, other: "Histogram") -> "Histogram":
         return self.convolve(other)
@@ -256,7 +295,9 @@ class Histogram:
         total = self.total
         if total == 0:
             raise ValueError("cannot normalise an empty histogram")
-        return Histogram(self.bucket_width, self.offset, self.counts / total)
+        return Histogram._trusted(
+            self.bucket_width, self.offset, self.counts / total
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):

@@ -127,6 +127,8 @@ class SNTIndex:
         data_bounds: Optional[Tuple[int, int]] = None,
     ):
         self.partitions = partitions
+        #: Fixed at construction, like ``partitions``; read per scan.
+        self.n_partitions = len(partitions)
         self.forest = forest
         self.users = users
         if isinstance(tod_store, TimeOfDayHistogramStore):
@@ -322,10 +324,6 @@ class SNTIndex:
     # ------------------------------------------------------------------ #
     # Spatial lookups
     # ------------------------------------------------------------------ #
-
-    @property
-    def n_partitions(self) -> int:
-        return len(self.partitions)
 
     def isa_ranges(self, path: Sequence[int]) -> List[Tuple[int, int, int]]:
         """Per-partition ISA ranges ``(w, st, ed)``; empty ranges omitted.

@@ -21,12 +21,15 @@ The probe itself is a sorted-key join, not a hash map: both sides pack
 (:func:`repro.temporal.records.pack_probe_keys`), the last segment keeps
 a lazily built (and persisted) sort permutation over that key
 (:attr:`repro.temporal.forest.EdgeTemporalIndex.probe_order`), and the
-probe answers with two ``np.searchsorted`` passes plus a ragged gather —
-no Python dict, no per-row loop, no full-column membership scan.
-Duplicate ``(d, seq)`` keys among the first-segment matches keep the
-*last* occurrence in match order, replicating the historical dict
-overwrite; emission order reproduces the historical candidate scan by
-sorting the joined rows back to ascending column position.
+probe answers with one ``np.searchsorted`` pass plus an equality mask —
+no Python dict, no per-row loop, no full-column membership scan.  The
+key is unique: a trajectory visits each ``seq`` once and trajectory ids
+are unique across shards, so an edge holds at most one record per
+``(d, seq)`` and each first-segment match hits at most one last-segment
+row.  That is enforced, not assumed: a repeated key on an edge, or a
+last-segment row hit twice, raises :class:`~repro.errors.IndexError_`
+naming the edge.  Emission order reproduces the historical candidate
+scan by sorting the hit rows back to ascending column position.
 
 Procedure 5 runs over *chunks* ``(shard, rows, columns)``: a reader's
 scan (its ``chunks_of``) hands over the non-empty first-segment matches
@@ -77,6 +80,7 @@ from ..core.intervals import (
     is_periodic,
 )
 from ..core.spq import StrictPathQuery
+from ..errors import IndexError_
 from ..temporal.forest import EdgeTemporalIndex
 from ..temporal.records import TraversalColumns, pack_probe_keys
 
@@ -140,8 +144,7 @@ class TravelTimeResult:
 def _interval_rows(
     index_edge: EdgeTemporalIndex, interval: TimeInterval
 ) -> Int64Array:
-    if is_periodic(interval):
-        assert isinstance(interval, PeriodicInterval)
+    if isinstance(interval, PeriodicInterval):
         return index_edge.rows_periodic(interval.start_tod, interval.duration)
     assert isinstance(interval, FixedInterval)
     return index_edge.rows_fixed(interval.start, interval.end)
@@ -166,7 +169,10 @@ def _sorted_ids(exclude_ids: Sequence[int]) -> Int64Array:
 
 def _not_excluded(d: Int64Array, ids: Int64Array) -> npt.NDArray[np.bool_]:
     """Mask of the trajectory ids ``d`` outside the (non-empty, sorted)
-    exclusion set: one binary search per row, whatever the set's size."""
+    exclusion set: one comparison for a one-id set (the evaluation
+    workload's own trajectory), else one binary search per row."""
+    if ids.size == 1:
+        return d != ids[0]
     slots = np.searchsorted(ids, d)
     np.minimum(slots, ids.size - 1, out=slots)
     return ids[slots] != d
@@ -206,20 +212,35 @@ def first_segment_matches(
     if rows.size == 0:
         return rows, columns
 
-    st_per_w = np.zeros(index.n_partitions, dtype=np.int64)
-    ed_per_w = np.zeros(index.n_partitions, dtype=np.int64)
-    for w, st, ed in ranges:
-        st_per_w[w], ed_per_w[w] = st, ed
+    user = query.user
     excluded = _sorted_ids(exclude_ids) if len(exclude_ids) else None
+    # One ISA range (every FULL index, most partitioned ones) is two
+    # scalar bounds, plus a partition test only when there are several
+    # partitions; several ranges are looked up per row's partition.
+    w_only, st, ed = ranges[0]
+    several_w = index.n_partitions > 1
+    several_ranges = len(ranges) > 1
+    if several_ranges:
+        st_per_w = np.zeros(index.n_partitions, dtype=np.int64)
+        ed_per_w = np.zeros(index.n_partitions, dtype=np.int64)
+        for w, lo, hi in ranges:
+            st_per_w[w], ed_per_w[w] = lo, hi
 
     def matching(candidates: Int64Array) -> Int64Array:
-        w_sel = columns.w[candidates]
         isa = columns.isa[candidates]
-        mask = (isa >= st_per_w[w_sel]) & (isa < ed_per_w[w_sel])
-        if query.user is not None:
-            mask &= index.users[columns.d[candidates]] == query.user
-        if excluded is not None:
-            mask &= _not_excluded(columns.d[candidates], excluded)
+        if several_ranges:
+            w_sel = columns.w[candidates]
+            mask = (isa >= st_per_w[w_sel]) & (isa < ed_per_w[w_sel])
+        else:
+            mask = (isa >= st) & (isa < ed)
+            if several_w:
+                mask &= columns.w[candidates] == w_only
+        if user is not None or excluded is not None:
+            d = columns.d[candidates]
+            if user is not None:
+                mask &= index.users[d] == user
+            if excluded is not None:
+                mask &= _not_excluded(d, excluded)
         return candidates[mask]
 
     if beta is None:
@@ -246,35 +267,6 @@ def first_segment_matches_many(
     ]
 
 
-def _dedup_probe_targets(
-    columns: TraversalColumns, selected: Int64Array, length: int
-) -> Tuple[Int64Array, Float64Array]:
-    """buildMap as arrays: sorted unique probe keys and their ``a - TT``.
-
-    The probe key of a first-segment match ``(d, seq)`` on a path of
-    ``length`` segments is ``(d, seq + length - 1)`` — the ``(d, seq)``
-    pair its last-segment record carries.  Duplicate keys keep the last
-    occurrence in match order, replicating the dict overwrite of the
-    historical per-row ``buildMap``.
-    """
-    first_seq = np.asarray(columns.seq[selected], dtype=np.int64)
-    targets = pack_probe_keys(
-        columns.d[selected], first_seq + np.int64(length - 1)
-    )
-    diffs = columns.a[selected] - columns.tt[selected]
-    if targets.size == 0:
-        return targets, np.asarray(diffs, dtype=np.float64)
-    order = np.argsort(targets, kind="stable")
-    sorted_targets = targets[order]
-    keep = np.empty(sorted_targets.size, dtype=bool)
-    keep[:-1] = sorted_targets[1:] != sorted_targets[:-1]
-    keep[-1] = True
-    return (
-        np.asarray(sorted_targets[keep], dtype=np.int64),
-        np.asarray(diffs[order][keep], dtype=np.float64),
-    )
-
-
 def _probe_entry(
     index: "SNTIndex",
     query: StrictPathQuery,
@@ -283,11 +275,16 @@ def _probe_entry(
 ) -> Tuple[Float64Array, Int64Array]:
     """One query's map build and probe (Procedures 3-4).
 
-    The probe targets are bounded in the last segment's sorted probe-key
-    order with one ``searchsorted`` pair; the ragged gather materialises
-    every hit, and sorting the hit rows ascending restores the
-    historical candidate-scan emission order (rows are unique — one
-    ``(d, seq)`` key per row).  Single-segment paths bypass the join.
+    A first-segment match ``(d, seq)`` on a path of ``l`` segments
+    probes for the last-segment record ``(d, seq + l - 1)``.  Keys are
+    unique per edge, so each probe hits at most one row: one
+    ``searchsorted`` into the last segment's sorted probe keys and an
+    equality test find them all.  Sorting the hit rows ascending
+    restores the historical candidate-scan emission order; a row hit
+    twice (two matches sharing a key) shows up there as equal
+    neighbours and raises :class:`~repro.errors.IndexError_`.  The value
+    of a hit is ``a_last - (a_first - TT_first)``.  Single-segment paths
+    bypass the join.
     """
     if query.length == 1:
         # The first segment is the last: X is the TT column directly.
@@ -295,30 +292,29 @@ def _probe_entry(
             columns.tt[selected].astype(np.float64, copy=True),
             np.asarray(columns.t[selected], dtype=np.int64),
         )
-    empty = (np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64))
     phi_last = index.edge_index(query.path[-1])
-    if phi_last is None:  # cannot happen when the ISA range was non-empty
-        return empty
-    targets, diffs = _dedup_probe_targets(columns, selected, query.length)
+    # No last-segment data: impossible when the ISA range was non-empty.
+    if phi_last is None or len(phi_last) == 0:
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
     keys_sorted = phi_last.probe_keys_sorted()
-    lo = np.searchsorted(keys_sorted, targets, side="left")
-    counts = np.searchsorted(keys_sorted, targets, side="right") - lo
-    total = int(counts.sum())
-    if total == 0:
-        return empty
-    starts = np.repeat(lo, counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    flat = starts + np.arange(total, dtype=np.int64) - offsets
-    rows = phi_last.probe_order[flat]
-    target_idx = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    emit = np.argsort(rows, kind="stable")
-    rows_emit = rows[emit]
+    # (d, seq) packs as d << 32 | seq, so adding l - 1 to the packed key
+    # adds it to seq.
+    targets = pack_probe_keys(columns.d[selected], columns.seq[selected])
+    targets += np.int64(query.length - 1)
+    at = keys_sorted.searchsorted(targets)
+    np.minimum(at, keys_sorted.size - 1, out=at)
+    hit = keys_sorted[at] == targets
+    rows = phi_last.probe_order[at[hit]]
+    emit = rows.argsort()
+    rows = rows[emit]
+    if rows.size > 1 and (rows[1:] == rows[:-1]).any():
+        raise IndexError_(
+            f"edge {query.path[-1]}: a last-segment record is probed by "
+            "two first-segment matches; (d, seq) keys must be unique"
+        )
+    first = selected[hit][emit]
     last = phi_last.columns
-    values = last.a[rows_emit] - diffs[target_idx[emit]]
-    return (
-        np.asarray(values, dtype=np.float64),
-        np.asarray(last.t[rows_emit], dtype=np.int64),
-    )
+    return last.a[rows] - (columns.a[first] - columns.tt[first]), last.t[rows]
 
 
 def probe_travel_times(
@@ -388,12 +384,11 @@ def classify_scan(
     fallback_tt: FallbackTT,
 ) -> Optional[TravelTimeResult]:
     """Procedure 5's pre-probe classification; ``None`` means probe."""
+    beta = query.beta
+    if n_matched > 0 and (beta is None or n_matched >= beta):
+        return None
     empty = np.empty(0, dtype=np.float64)
-    if (
-        query.beta is not None
-        and n_matched < query.beta
-        and is_periodic(query.interval)
-    ):
+    if beta is not None and n_matched < beta and is_periodic(query.interval):
         # Procedure 5 line 7: periodic queries fail below the cardinality
         # requirement; fixed-interval queries proceed regardless of beta.
         return TravelTimeResult(empty, n_matched, insufficient=True)

@@ -48,6 +48,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..config import SECONDS_PER_DAY
+from ..errors import IndexError_
 from .btree import BPlusTree
 from .css_tree import CSSTree
 from .records import TraversalColumns
@@ -75,12 +76,15 @@ class EdgeTemporalIndex:
         kind: str = "css",
         tod_order: Optional[Int64Array] = None,
         probe_order: Optional[Int64Array] = None,
+        edge: Optional[int] = None,
     ) -> None:
         if kind not in ("css", "btree"):
             raise ValueError(f"unknown temporal index kind {kind!r}")
         self.kind = kind
         self.columns = columns
-        n_rows = len(columns)
+        #: The segment this index belongs to (named in errors).
+        self.edge = edge
+        n_rows = self._n_rows = len(columns)
         self._tod: Int64Array = (
             np.mod(columns.t, SECONDS_PER_DAY)
             if n_rows
@@ -103,7 +107,7 @@ class EdgeTemporalIndex:
             self.tree = tree
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return self._n_rows
 
     @property
     def supports_fast_count(self) -> bool:
@@ -147,12 +151,23 @@ class EdgeTemporalIndex:
         return self._probe_order
 
     def probe_keys_sorted(self) -> Int64Array:
-        """The packed ``(d, seq)`` keys in :attr:`probe_order` order."""
+        """The packed ``(d, seq)`` keys in :attr:`probe_order` order,
+        strictly increasing.
+
+        A trajectory traverses each ``seq`` once and trajectory ids are
+        unique, so an edge holds at most one record per key; the probe
+        join relies on it.  Checked once per edge, when the keys are
+        first sorted: a repeated key raises ``IndexError_``.
+        """
         if self._probe_keys_sorted is None:
             keys: Int64Array = self.columns.probe_keys()
-            self._probe_keys_sorted = np.asarray(
-                keys[self.probe_order], dtype=np.int64
-            )
+            ordered = np.asarray(keys[self.probe_order], dtype=np.int64)
+            if ordered.size > 1 and (ordered[1:] == ordered[:-1]).any():
+                raise IndexError_(
+                    f"edge {self.edge}: a (d, seq) probe key occurs more "
+                    "than once; each traversal must be recorded once"
+                )
+            self._probe_keys_sorted = ordered
         return self._probe_keys_sorted
 
     def _periodic_cuts(
@@ -165,18 +180,15 @@ class EdgeTemporalIndex:
         contiguous runs of the sorted time-of-day column (one when it
         does not wrap midnight).
         """
-        keys = self._tod_sorted_keys()
         end = start_tod + duration
-        segments = [(start_tod, min(end, SECONDS_PER_DAY))]
-        if end > SECONDS_PER_DAY:
-            segments.append((0, end - SECONDS_PER_DAY))
-        cuts: List[Tuple[int, int]] = []
-        for lo, hi in segments:
-            a = int(np.searchsorted(keys, lo, side="left"))
-            b = int(np.searchsorted(keys, hi, side="left"))
-            if b > a:
-                cuts.append((a, b))
-        return cuts
+        bounds = (
+            (start_tod, end)
+            if end <= SECONDS_PER_DAY
+            else (start_tod, SECONDS_PER_DAY, 0, end - SECONDS_PER_DAY)
+        )
+        # One search for every bound: positions come out as (a, b) pairs.
+        at: List[int] = self._tod_sorted_keys().searchsorted(bounds).tolist()
+        return [(a, b) for a, b in zip(at[::2], at[1::2]) if b > a]
 
     # ------------------------------------------------------------------ #
     # Row selection by time predicate
@@ -184,7 +196,7 @@ class EdgeTemporalIndex:
 
     def rows_fixed(self, lo: int, hi: int) -> Int64Array:
         """Rows with ``lo <= t < hi`` in ascending ``t`` order."""
-        if lo >= hi or not len(self):
+        if lo >= hi or not self._n_rows:
             return np.empty(0, dtype=np.int64)
         if self.kind == "css":
             assert isinstance(self.tree, CSSTree)
@@ -206,10 +218,10 @@ class EdgeTemporalIndex:
         The window covers ``[start_tod, start_tod + duration)`` modulo one
         day; ``duration >= SECONDS_PER_DAY`` selects every row.
         """
-        if duration <= 0 or not len(self):
+        if duration <= 0 or not self._n_rows:
             return np.empty(0, dtype=np.int64)
         if duration >= SECONDS_PER_DAY:
-            return np.arange(len(self), dtype=np.int64)
+            return np.arange(self._n_rows, dtype=np.int64)
         start_tod = int(start_tod) % SECONDS_PER_DAY
         if self.kind == "css":
             order = self.tod_order
@@ -217,12 +229,16 @@ class EdgeTemporalIndex:
             if not cuts:
                 return np.empty(0, dtype=np.int64)
             if len(cuts) == 1:
-                selected = order[cuts[0][0] : cuts[0][1]]
+                selected = order[cuts[0][0] : cuts[0][1]].astype(np.int64)
             else:
-                selected = np.concatenate([order[a:b] for a, b in cuts])
+                selected = np.concatenate(
+                    [order[a:b] for a, b in cuts], dtype=np.int64
+                )
             # Ascending row position == ascending entry time (scan order),
             # exactly what the former np.mod full-column pass emitted.
-            return np.asarray(np.sort(selected), dtype=np.int64)
+            # ``selected`` is a copy, never a view of the permutation.
+            selected.sort()
+            return selected
         return self._rows_periodic_btree(start_tod, duration)
 
     def rows_periodic_many(
@@ -306,7 +322,9 @@ class TemporalForest:
     ) -> "TemporalForest":
         forest = cls(kind=kind)
         for edge, columns in per_edge_columns.items():
-            forest._indexes[int(edge)] = EdgeTemporalIndex(columns, kind=kind)
+            forest._indexes[int(edge)] = EdgeTemporalIndex(
+                columns, kind=kind, edge=int(edge)
+            )
         return forest
 
     def __contains__(self, edge: int) -> bool:
@@ -411,6 +429,7 @@ class SlicedTemporalForest(TemporalForest):
                 if self._perm_probe is not None
                 else None
             ),
+            edge=edge,
         )
         self._indexes[edge] = built
         return built

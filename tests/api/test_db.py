@@ -560,3 +560,50 @@ class TestConfigStore:
         db = open_db(index, network=dataset.network, config=config)
         requests = random_requests(dataset, index, seed=12, n=2)
         assert len(db.query_many(requests)) == 2
+
+
+class TestNonFiniteIntervalBounds:
+    """NaN, +-inf and bool bounds are an ``IntervalError`` at the
+    interval, before a query can reach the index (NaN used to raise a
+    bare ``ValueError`` from the forest, or answer a histogram)."""
+
+    BAD = [float("nan"), float("inf"), float("-inf"), True, False]
+
+    def _trip(self, world):
+        dataset, index = world
+        trip = next(t for t in dataset.trajectories if len(t) >= 4)
+        db = open_db(index, network=dataset.network)
+        return db, trip.path[:3], index.t_max
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_periodic_bounds_rejected_through_query(self, world, bad):
+        from repro.errors import IntervalError
+
+        db, path, _ = self._trip(world)
+        with pytest.raises(IntervalError):
+            db.query(TripRequest(path=path,
+                                 interval=PeriodicInterval(bad, 900)))
+        with pytest.raises(IntervalError):
+            db.query(TripRequest(path=path,
+                                 interval=PeriodicInterval(28_800, bad)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_fixed_bounds_rejected_through_query(self, world, bad):
+        from repro.errors import IntervalError
+
+        db, path, t_max = self._trip(world)
+        with pytest.raises(IntervalError):
+            db.query(TripRequest(path=path,
+                                 interval=FixedInterval(bad, 10**9)))
+        with pytest.raises(IntervalError):
+            db.query(TripRequest(path=path,
+                                 interval=FixedInterval(0, bad)))
+
+    def test_finite_float_and_large_int_bounds_still_accepted(self, world):
+        db, path, t_max = self._trip(world)
+        floats = db.query(TripRequest(
+            path=path, interval=FixedInterval(0.0, float(t_max + 1))))
+        ints = db.query(TripRequest(
+            path=path, interval=FixedInterval(0, t_max + 1)))
+        assert floats.histogram == ints.histogram
+        assert FixedInterval(0, 10**400).size == 10**400

@@ -221,6 +221,44 @@ class TestWireForm:
         with pytest.raises(RequestValidationError):
             TripRequest.from_dict(payload)
 
+    @pytest.mark.parametrize("number", ["1e999", "-1e999", "NaN"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "path", "user", "exclude_ids", "beta", "fixed.start",
+            "fixed.end", "periodic.start_tod", "periodic.duration",
+        ],
+    )
+    def test_non_finite_numbers_rejected_in_every_id_field(
+        self, field, number
+    ):
+        """JSON ``1e999`` parses as inf (and ``NaN`` as nan): every
+        id-like field answers a typed error, never a bare
+        ``OverflowError`` or ``ValueError``."""
+        import json
+
+        payload = request().to_dict()
+        payload["interval"] = {"type": "fixed", "start": 0, "end": 10}
+        marker = 123456789
+        if field == "path":
+            payload["path"] = [1, marker]
+        elif field == "exclude_ids":
+            payload["exclude_ids"] = [marker]
+        elif "." in field:
+            kind, bound = field.split(".")
+            payload["interval"] = (
+                {"type": "fixed", "start": 0, "end": 10}
+                if kind == "fixed"
+                else {"type": "periodic", "start_tod": 0, "duration": 900}
+            )
+            payload["interval"][bound] = marker
+        else:
+            payload[field] = marker
+        text = json.dumps(payload).replace(str(marker), number)
+        assert number in text
+        with pytest.raises(RequestValidationError):
+            TripRequest.from_dict(json.loads(text))
+
     def test_fractional_interval_bounds_rejected(self):
         payload = request().to_dict()
         payload["interval"] = {"type": "periodic", "start_tod": 28800.9,

@@ -67,6 +67,25 @@ class TestPeriodicInterval:
         with pytest.raises(IntervalError):
             interval.widened_to(900)
 
+    @pytest.mark.parametrize(
+        "size", [float("nan"), float("inf"), True, "wide"]
+    )
+    def test_widen_rejects_non_finite_sizes(self, size):
+        with pytest.raises(IntervalError):
+            PeriodicInterval(start_tod=100, duration=600).widened_to(size)
+
+    @pytest.mark.parametrize("start", [0, 300, 86_000])
+    @pytest.mark.parametrize("new_size", [901, 1800, 3600.0, 86_400, 90_000])
+    def test_widened_equals_the_constructed_window(self, start, new_size):
+        interval = PeriodicInterval(start_tod=start, duration=900)
+        wide = interval.widened_to(new_size)
+        built = PeriodicInterval(
+            start_tod=start - (new_size - 900) // 2, duration=new_size
+        )
+        assert wide == built
+        assert type(wide.start_tod) is type(built.start_tod)
+        assert type(wide.duration) is type(built.duration)
+
     def test_shrunk_keeps_center(self):
         interval = PeriodicInterval.around(8 * 3600, 7200)
         shrunk = interval.shrunk_to(900)

@@ -100,12 +100,38 @@ def test_size_in_bytes_reasonable():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.booleans(), max_size=300), st.data())
+@given(st.lists(st.booleans(), max_size=1100), st.data())
 def test_property_rank_matches_naive(bits, data):
+    # Up to 1100 bits: past two 512-bit block edges.
     bv = RankBitvector(bits)
     i = data.draw(st.integers(min_value=0, max_value=len(bits)))
+    j = data.draw(st.integers(min_value=0, max_value=len(bits)))
     assert bv.rank1(i) == naive_rank1(bits, i)
     assert bv.rank0(i) + bv.rank1(i) == i
+    assert bv.rank_pair(i, j) == (naive_rank1(bits, i), naive_rank1(bits, j))
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_bits", [64 * 8, 64 * 8 * 2 + 64 * 3 + 5, 1100])
+def test_rank_pair_near_every_word_and_block_edge(n_bits, density):
+    """``rank_pair`` and ``rank1`` against a naive popcount at every
+    position within two of a word edge (every eighth one a block edge),
+    each paired with a position in another word and another block."""
+    bits = np.random.default_rng(n_bits).random(n_bits) < density
+    bv = RankBitvector(bits)
+    naive = np.concatenate(([0], np.cumsum(bits))).tolist()
+    positions = sorted(
+        {
+            p
+            for edge in range(0, n_bits + 64, 64)
+            for p in range(edge - 2, edge + 3)
+            if 0 <= p <= n_bits
+        }
+    )
+    for i in positions:
+        assert bv.rank1(i) == naive[i]
+        for j in (i, n_bits - i, min(n_bits, i + 65), min(n_bits, i + 513)):
+            assert bv.rank_pair(i, j) == (naive[i], naive[j])
 
 
 @settings(max_examples=50, deadline=None)

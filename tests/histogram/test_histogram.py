@@ -1,5 +1,7 @@
 """Tests for travel-time histograms and convolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,53 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Histogram(1.0, 0, [1, -1])
 
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bucket_width_rejected(self, width):
+        with pytest.raises(ValueError, match="bucket width"):
+            Histogram(width, 0, [1])
+        with pytest.raises(ValueError, match="bucket width"):
+            Histogram.from_values([1.0, 2.0], width)
+        with pytest.raises(ValueError, match="bucket width"):
+            Histogram.from_wire(
+                {"bucket_width": width, "offset": 0, "counts": [1.0]}
+            )
+
+    def test_zero_width_rejected_before_dividing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning
+            with pytest.raises(ValueError, match="bucket width"):
+                Histogram.from_values([1.0, 2.0], 0)
+            with pytest.raises(ValueError, match="bucket width"):
+                Histogram.from_values([1.0, 2.0], np.nan)
+
+    @pytest.mark.parametrize(
+        "counts", [[1.0, np.nan], [np.inf], [2.0, -np.inf]],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            Histogram(1.0, 0, counts)
+        with pytest.raises(ValueError, match="counts must be finite"):
+            Histogram.from_wire(
+                {"bucket_width": 1.0, "offset": 0, "counts": counts}
+            )
+
+    def test_computed_histograms_equal_validated_ones(self):
+        """The private trusted construction behind ``from_values``,
+        ``convolve`` and ``scaled_to_unit_mass`` builds exactly what the
+        validating constructor would."""
+        h = Histogram.from_values([0.5, 3.2, 3.9, 7.0], 0.5)
+        for built in (h, h * h, h.scaled_to_unit_mass()):
+            again = Histogram(built.bucket_width, built.offset, built.counts)
+            assert type(built.bucket_width) is float
+            assert type(built.offset) is int
+            assert built.counts.dtype == np.float64
+            assert built.counts.ndim == 1
+            assert built.counts.tobytes() == again.counts.tobytes()
+            assert (built.bucket_width, built.offset) == (
+                again.bucket_width, again.offset
+            )
+
     def test_from_dict_roundtrip(self):
         mapping = {3: 2.0, 7: 1.0}
         h = Histogram.from_dict(mapping, bucket_width=2.0)
@@ -62,6 +111,13 @@ class TestStatistics:
         assert h.min_value == 40.0
         assert h.max_value == 100.0
         assert h.value_range == 60.0
+
+    def test_extent_is_min_and_range(self):
+        h = Histogram.from_values([10.5, 11.2, 25.0, 3.3], bucket_width=0.7)
+        assert h.extent() == (h.min_value, h.value_range)
+        assert h.value_range == h.max_value - h.min_value
+        with pytest.raises(ValueError):
+            Histogram(1.0, 0, [0.0, 0.0]).extent()
 
     def test_min_max_on_empty_raise(self):
         h = Histogram.from_values([], bucket_width=1.0)

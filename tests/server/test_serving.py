@@ -548,6 +548,44 @@ class TestBadInput:
         finally:
             connection.close()
 
+    def test_infinite_number_is_400_and_keeps_the_connection(
+        self, served, world
+    ):
+        """Standard JSON parses ``1e999`` as inf: the request is a typed
+        400, counted as invalid, and the keep-alive connection goes on
+        to answer the next request."""
+        with ServingClient(port=served.port) as client:
+            invalid_before = client.stats()["requests"]["invalid"]
+        valid = requests_for(world[2], 1)[0].to_dict()
+        valid["interval"] = {"type": "fixed", "start": 0, "end": 10**9}
+        body = json.dumps(valid).replace('"end": 1000000000', '"end": 1e999')
+        assert "1e999" in body
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", served.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST", "/v1/query", body=body.encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 400
+            assert payload["error"]["type"] == "RequestValidationError"
+            connection.request(
+                "POST", "/v1/query", body=json.dumps(valid).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+            assert response.status == 200
+            assert answer["request"] == valid
+        finally:
+            connection.close()
+        with ServingClient(port=served.port) as client:
+            invalid_after = client.stats()["requests"]["invalid"]
+        assert invalid_after == invalid_before + 1
+
     def test_invalid_requests_are_counted_not_crashed(self, served):
         with ServingClient(port=served.port) as client:
             stats = client.stats()

@@ -7,7 +7,8 @@ oracle.  These suites pin the replacements to their scalar predecessors
 multisets): the dict-based probe loop and the ``np.mod`` full-column
 periodic pass are re-implemented here as oracles and must agree exactly
 on hypothesis-generated worlds, including empty edges, single-segment
-paths, beta cuts, and duplicate ``(d, seq)`` probe keys.
+paths and beta cuts; duplicate ``(d, seq)`` probe keys, which the
+builder never emits, are rejected with ``IndexError_``.
 
 The ``*_many`` forms are loops over the scalar functions, so comparing
 the two no longer checks anything independent: the demand-set suites
@@ -28,11 +29,13 @@ from repro import (
     StrictPathQuery,
 )
 from repro.config import SECONDS_PER_DAY
+from repro.errors import IndexError_
 from repro.core.naive import naive_travel_times
 from repro.sntindex.persistence import FORMAT_MINOR, read_meta
 from repro.sntindex.procedures import (
     first_segment_matches,
     first_segment_matches_many,
+    get_travel_times,
     probe_travel_times,
 )
 from repro.sntindex.sharded import ShardedSNTIndex
@@ -182,12 +185,13 @@ def test_probe_join_matches_dict_oracle(trajectories, query):
 
 
 def test_probe_join_keeps_last_duplicate_key():
-    """Duplicate ``(d, seq)`` first-segment keys replicate dict overwrite.
+    """Duplicate ``(d, seq)`` keys are rejected, not joined.
 
     The real builder never emits duplicates (a trajectory traverses one
-    ``seq`` once), so synthetic columns force the case: two matches with
-    the same key but different ``a - TT`` — the join must keep the later
-    one, exactly as the dict build did.
+    ``seq`` once), so synthetic columns force the case: two first-segment
+    matches share a key, and the last segment repeats a key too.  The
+    unique-key join enforces its invariant: the repeated last-segment key
+    raises ``IndexError_`` naming the edge.
     """
     first = TraversalColumns.from_arrays(
         t=np.asarray([10, 20, 30]),
@@ -211,8 +215,8 @@ def test_probe_join_keeps_last_duplicate_key():
     class _FakeIndex:
         def __init__(self):
             self._phis = {
-                1: EdgeTemporalIndex(first),
-                2: EdgeTemporalIndex(last),
+                1: EdgeTemporalIndex(first, edge=1),
+                2: EdgeTemporalIndex(last, edge=2),
             }
 
         def edge_index(self, edge):
@@ -223,15 +227,15 @@ def test_probe_join_keeps_last_duplicate_key():
         path=(1, 2), interval=FixedInterval(0, SECONDS_PER_DAY)
     )
     selected = np.asarray([0, 1, 2], dtype=np.int64)
-    got_values, got_t = probe_travel_times(index, query, selected, first)
-    want_values, want_t = dict_probe_oracle(index, query, selected, first)
-    assert got_values.tobytes() == want_values.tobytes()
-    assert np.array_equal(got_t, want_t)
-    assert got_values.size == 3
+    with pytest.raises(IndexError_, match="edge 2"):
+        probe_travel_times(index, query, selected, first)
 
 
 def test_probe_join_duplicate_key_uses_latest_diff():
-    """The overwrite is observable when the duplicate diffs differ."""
+    """Two first-segment matches sharing a key hit one last-segment row
+    twice; the probe rejects that with ``IndexError_`` naming the edge
+    instead of choosing between the two diffs (the builder never emits
+    such columns)."""
     first = TraversalColumns.from_arrays(
         t=np.asarray([10, 20]),
         isa=np.asarray([0, 1]),
@@ -254,8 +258,8 @@ def test_probe_join_duplicate_key_uses_latest_diff():
     class _FakeIndex:
         def __init__(self):
             self._phis = {
-                1: EdgeTemporalIndex(first),
-                2: EdgeTemporalIndex(last),
+                1: EdgeTemporalIndex(first, edge=1),
+                2: EdgeTemporalIndex(last, edge=2),
             }
 
         def edge_index(self, edge):
@@ -266,11 +270,52 @@ def test_probe_join_duplicate_key_uses_latest_diff():
         path=(1, 2), interval=FixedInterval(0, SECONDS_PER_DAY)
     )
     selected = np.asarray([0, 1], dtype=np.int64)
-    got_values, got_t = probe_travel_times(index, query, selected, first)
-    want_values, want_t = dict_probe_oracle(index, query, selected, first)
-    assert got_values.tolist() == [4.0]  # 9.0 - 5.0, the later diff
-    assert got_values.tobytes() == want_values.tobytes()
-    assert np.array_equal(got_t, want_t)
+    with pytest.raises(IndexError_, match="edge 2"):
+        probe_travel_times(index, query, selected, first)
+
+
+def test_probe_join_emits_in_last_segment_entry_order():
+    """Matches are taken in first-segment entry order, but the values
+    come out in last-segment entry order, as the historical candidate
+    scan emitted them: a slow early traversal is overtaken."""
+    slow = Trajectory(0, 1, [TrajectoryPoint(1, 10, 100.0),
+                             TrajectoryPoint(2, 110, 3.0)])
+    fast = Trajectory(1, 1, [TrajectoryPoint(1, 20, 5.0),
+                             TrajectoryPoint(2, 25, 4.0)])
+    index = SNTIndex.build(TrajectorySet([slow, fast]),
+                           alphabet_size=N_EDGES + 1)
+    query = StrictPathQuery(path=(1, 2),
+                            interval=FixedInterval(0, SECONDS_PER_DAY))
+    selected, columns = first_segment_matches(index, query)
+    values, order_t = probe_travel_times(index, query, selected, columns)
+    want_values, want_t = dict_probe_oracle(index, query, selected, columns)
+    assert values.tolist() == [9.0, 103.0]
+    assert order_t.tolist() == [25, 110]
+    assert values.tobytes() == want_values.tobytes()
+    assert np.array_equal(order_t, want_t)
+
+
+def test_single_range_scan_keeps_to_its_partition():
+    """A path that occurs in one temporal partition only has one ISA
+    range; rows of its first edge from other partitions must not match
+    even when their ISA values fall inside that range (ISA values are
+    per partition)."""
+    day0 = Trajectory(0, 1, [TrajectoryPoint(1, 100, 5.0),
+                             TrajectoryPoint(2, 105, 5.0)])
+    day1 = Trajectory(1, 1, [TrajectoryPoint(3, SECONDS_PER_DAY + 100, 5.0),
+                             TrajectoryPoint(1, SECONDS_PER_DAY + 105, 5.0),
+                             TrajectoryPoint(4, SECONDS_PER_DAY + 110, 5.0)])
+    trajectories = TrajectorySet([day0, day1])
+    index = SNTIndex.build(trajectories, alphabet_size=N_EDGES + 1,
+                           partition_days=1)
+    assert index.n_partitions == 2
+    assert len(index.isa_ranges((1, 2))) == 1
+    interval = FixedInterval(0, 3 * SECONDS_PER_DAY)
+    query = StrictPathQuery(path=(1, 2), interval=interval)
+    selected, columns = first_segment_matches(index, query)
+    assert columns.d[selected].tolist() == [0]
+    assert index.count_matches((1, 2), interval) == 1
+    assert get_travel_times(index, query).values.tolist() == [10.0]
 
 
 # --------------------------------------------------------------------- #
