@@ -16,8 +16,9 @@
 #   sntindex/procedures.py     Procedures 3-5 and the ladder walk over a
 #                              reader's per-shard chunks
 #   temporal/forest.py         the per-edge temporal trees and permutations
-#   sntindex/store.py,         the ShardStore protocol, its local-directory
-#   sntindex/compaction.py     backend, and the sealed-shard compactor
+#   sntindex/persistence.py    the saved-index directory: atomic install,
+#                              manifest checks and the mmap payload loader
+#   sntindex/compaction.py     the sealed-shard compactor
 #   histogram/histogram.py     Histogram: bucketing, convolution, merge
 #   src/repro/server           ServerConfig, collector, HTTP framing, client
 # These call into the not-yet-annotated core/sntindex modules, so untyped
@@ -42,6 +43,6 @@ exec python -m mypy --strict \
   src/repro/fmindex/suffix_array.py \
   src/repro/sntindex/partition.py src/repro/sntindex/reader.py \
   src/repro/sntindex/procedures.py src/repro/temporal/forest.py \
-  src/repro/sntindex/store.py src/repro/sntindex/compaction.py \
+  src/repro/sntindex/persistence.py src/repro/sntindex/compaction.py \
   src/repro/histogram/histogram.py \
   src/repro/server

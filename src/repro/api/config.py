@@ -72,12 +72,6 @@ class EngineConfig:
         in-process :class:`~repro.service.SubQueryCache` bounded by
         ``cache_entries``; ``"off"`` gives it none (per-trip caching
         only).  The spec never changes answers.
-    store:
-        Optional index location — a directory path or shard-store URI
-        (``file:...``; see
-        :mod:`repro.sntindex.store`) that :func:`repro.open_db` falls
-        back to when no explicit ``path_or_index`` is given.  Where the
-        index lives never changes what a query returns.
 
     All validation failures raise :class:`ConfigurationError` (a
     :class:`~repro.errors.QueryError`), never a bare ``ValueError``.
@@ -95,7 +89,6 @@ class EngineConfig:
     dedup_subqueries: bool = True
     cache_entries: Optional[int] = 65_536
     cache: str = "memory"
-    store: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.partitioner not in PARTITIONER_NAMES:
@@ -151,13 +144,6 @@ class EngineConfig:
             )
         if self.dedup_subqueries is not True:
             raise ConfigurationError("deduplication is always on")
-        if self.store is not None and (
-            not isinstance(self.store, str) or not self.store
-        ):
-            raise ConfigurationError(
-                "store must be None, a directory path, or a store URI "
-                f"(file:...); got {self.store!r}"
-            )
         if self.cache not in ("memory", "off"):
             raise ConfigurationError(
                 f"cache must be 'memory' or 'off'; got {self.cache!r}"

@@ -40,7 +40,7 @@ from typing import (
 
 from ..core.engine import QueryEngine, TripQueryResult
 from ..core.exec import DedupStats
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, is_count
 from ..network.graph import RoadNetwork
 from ..network.io import load_network
 from ..service.cache import CacheStats, SubQueryCache
@@ -237,8 +237,10 @@ class TravelTimeDB:
         chunks are a scheduling detail, and per-chunk numbers would
         misreport a long stream as its final ``window`` requests.
         """
-        if window < 1:
-            raise ConfigurationError("window must be positive")
+        if not is_count(window):
+            raise ConfigurationError(
+                f"window must be a positive integer; got {window!r}"
+            )
         return self._stream(requests, window)
 
     def _stream(
@@ -268,11 +270,8 @@ def open_db(
     ----------
     path_or_index:
         A saved index directory (monolithic ``meta.json`` layout or
-        sharded ``manifest.json`` layout, auto-detected), a shard-store
-        URI (``file:...``, see :mod:`repro.sntindex.store`), or an
-        in-memory
-        :class:`IndexReader`.  ``None`` falls back to
-        ``config.store``; omitting both is a
+        sharded ``manifest.json`` layout, auto-detected) or an
+        in-memory :class:`IndexReader`.  Omitting it is a
         :class:`ConfigurationError`.
     network:
         The road network the index was built over — a
@@ -288,15 +287,10 @@ def open_db(
         pass a :class:`SubQueryCache` directly.
     """
     if path_or_index is None:
-        # The config can carry the index location (EngineConfig.store)
-        # so deployments name it once; an explicit argument wins.
-        if config is None or config.store is None:
-            raise ConfigurationError(
-                "open_db needs an index: pass path_or_index (a "
-                "directory, store URI, or IndexReader) or set "
-                "EngineConfig.store"
-            )
-        path_or_index = config.store
+        raise ConfigurationError(
+            "open_db needs an index: pass path_or_index (a saved index "
+            "directory or an IndexReader)"
+        )
     if network is None:
         # Fail before load_any_index touches disk: opening a large
         # sharded index only to reject the session would waste time.
@@ -312,8 +306,6 @@ def open_db(
 
     index: IndexReader
     if isinstance(path_or_index, (str, PathLike)):
-        # Pass strings through untouched: a store URI must reach
-        # as_store() un-mangled (Path() collapses a double slash).
         index = cast(
             IndexReader,
             load_any_index(

@@ -26,9 +26,8 @@ Commands
     index in place (atomic manifest swap, epoch bump) —
     answers stay bit-identical, per-query shard fan-out drops.
 
-``query``/``batch``/``serve`` accept the saved index as ``--index DIR``
-or ``--store URI`` (``file:...`` — see :mod:`repro.sntindex.store`);
-``compact`` takes the directory or URI directly.
+``query``/``batch``/``serve`` accept the saved index directory as
+``--index DIR``; ``compact`` takes the directory directly.
 
 Example
 -------
@@ -67,7 +66,6 @@ from .network.io import (
 from .sntindex.compaction import CompactionPolicy, compact_index_dir
 from .sntindex.index import SNTIndex
 from .sntindex.sharded import ShardedSNTIndex, load_any_index, read_any_meta
-from .sntindex.store import is_store_uri
 from .trajectories.generator import generate_dataset
 
 __all__ = ["main", "build_parser"]
@@ -91,19 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def _add_index_source(subparser) -> None:
-        group = subparser.add_mutually_exclusive_group()
-        group.add_argument(
-            "--index",
-            default=None,
-            help="saved index directory (skips the in-process build)",
-        )
-        group.add_argument(
-            "--store",
-            default=None,
-            help="saved index as a shard-store URI (file:...; skips the "
-            "in-process build)",
-        )
+    index_help = "saved index directory (skips the in-process build)"
 
     generate = commands.add_parser(
         "generate", help="generate a synthetic world and store it"
@@ -119,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "query", help="answer one strict path query over a stored world"
     )
     query.add_argument("--world", required=True)
-    _add_index_source(query)
+    query.add_argument("--index", default=None, help=index_help)
     query.add_argument(
         "--path",
         required=True,
@@ -150,11 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         "index", help="build the SNT-index over a stored world and save it"
     )
     index.add_argument("--world", required=True)
-    index.add_argument(
-        "--out",
-        required=True,
-        help="output directory or store URI (file:...)",
-    )
+    index.add_argument("--out", required=True, help="output directory")
     index.add_argument("--partition-days", type=int, default=None)
     index.add_argument("--kind", default="css", choices=("css", "btree"))
     index.add_argument(
@@ -170,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer a batch of strict path queries via the service",
     )
     batch.add_argument("--world", required=True)
-    _add_index_source(batch)
+    batch.add_argument("--index", default=None, help=index_help)
     source = batch.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--paths",
@@ -227,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a stored world over HTTP (shared dedup rounds)",
     )
     serve.add_argument("--world", required=True)
-    _add_index_source(serve)
+    serve.add_argument("--index", default=None, help=index_help)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
@@ -280,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compact.add_argument(
         "path",
-        help="saved sharded index: a directory or store URI",
+        help="saved sharded index directory",
     )
     compact.add_argument(
         "--small-traversals",
@@ -375,8 +357,8 @@ def _world_digest(world: str) -> str:
 
 
 def _obtain_index(args, network):
-    """Load the saved index (``--index`` dir or ``--store`` URI), else
-    build one in process.
+    """Load the saved index (``--index`` dir), else build one in
+    process.
 
     The on-disk layout (monolithic ``meta.json`` dir vs sharded
     ``manifest.json`` dir) is detected automatically; both carry a
@@ -387,7 +369,7 @@ def _obtain_index(args, network):
     fingerprint.  The network's alphabet size is checked against the
     manifest *before* any partition payload is opened.
     """
-    source = getattr(args, "store", None) or getattr(args, "index", None)
+    source = args.index
     if source is not None:
         _, meta = read_any_meta(source)
         recorded = (meta.get("extra") or {}).get(WORLD_DIGEST_KEY)
@@ -454,15 +436,12 @@ def _cmd_index(args) -> int:
     target = index.save(
         args.out, extra={WORLD_DIGEST_KEY: _world_digest(args.world)}
     )
-    # For a store URI, save() returns the localized cache path — echo
-    # the URI the user addressed, not where the bytes were staged.
-    shown = args.out if is_store_uri(str(args.out)) else target
     sizes = index.component_sizes()
     print(
         f"built index over {len(trajectories)} trajectories in "
         f"{index.build_stats.setup_seconds:.1f}s "
         f"({layout}{index.n_partitions} partition(s), kind={args.kind}) "
-        f"-> {shown}"
+        f"-> {target}"
     )
     print(f"component bytes: {sizes}")
     return 0

@@ -73,16 +73,6 @@ class IndexFormatError(PersistenceError):
     """
 
 
-class StoreError(PersistenceError):
-    """Raised for shard-store backend failures: an unknown store URI
-    scheme, a key escaping the store root, or a missing object.
-
-    A :class:`PersistenceError`: callers that already treat "the saved
-    index cannot be opened" as one condition keep working unchanged
-    when the index lives behind a :class:`~repro.sntindex.store.ShardStore`.
-    """
-
-
 class ShardError(IndexError_):
     """Raised for sharded-index misuse: invalid shard configuration,
     appends that violate the time-ordering contract, or a sharded

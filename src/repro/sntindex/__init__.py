@@ -20,7 +20,6 @@ from .sharded import (
     read_sharded_meta,
     save_sharded_index,
 )
-from .store import LocalDirStore, ShardStore, as_store, is_store_uri
 
 __all__ = [
     "SNTIndex",
@@ -44,10 +43,6 @@ __all__ = [
     "read_sharded_meta",
     "read_any_meta",
     "load_any_index",
-    "ShardStore",
-    "LocalDirStore",
-    "as_store",
-    "is_store_uri",
     "CompactionPolicy",
     "CompactionReport",
     "compact_index_dir",

@@ -40,15 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ShardError
+from ..errors import ShardError, is_count
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import TemporalForest
 from ..temporal.records import TraversalColumns
 from .index import BuildStats, SNTIndex
+from .persistence import IndexDir
 
 __all__ = [
     "CompactionPolicy",
@@ -81,16 +82,24 @@ class CompactionPolicy:
     max_group: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.small_traversals is not None and self.small_traversals < 0:
+        small = self.small_traversals
+        if small is not None and not (
+            is_count(small) or (type(small) is int and small == 0)
+        ):
             raise ShardError(
-                f"small_traversals must be >= 0, got {self.small_traversals}"
+                "small_traversals must be an integer >= 0 or None, got "
+                f"{small!r}"
             )
-        if self.min_run < 2:
-            raise ShardError(f"min_run must be >= 2, got {self.min_run}")
-        if self.max_group is not None and self.max_group < self.min_run:
+        if not is_count(self.min_run) or self.min_run < 2:
             raise ShardError(
-                f"max_group ({self.max_group}) must be >= min_run "
-                f"({self.min_run})"
+                f"min_run must be an integer >= 2, got {self.min_run!r}"
+            )
+        if self.max_group is not None and not (
+            is_count(self.max_group) and self.max_group >= self.min_run
+        ):
+            raise ShardError(
+                "max_group must be None or an integer >= min_run "
+                f"({self.min_run}), got {self.max_group!r}"
             )
 
 
@@ -290,34 +299,31 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
 
 
 def compact_index_dir(
-    source: Union[str, Path, Any],
+    source: IndexDir,
     policy: Optional[CompactionPolicy] = None,
 ) -> CompactionReport:
-    """Compact a saved sharded index where it lives.
+    """Compact the sharded index saved in directory ``source`` in place.
 
-    ``source`` is a directory, store URI, or store holding a sharded
-    index.  Loads it, merges per ``policy``, and — when anything merged
-    — atomically re-installs the tree through the store with the
-    manifest's ``extra`` provenance (the CLI's world digest) preserved
-    and the epoch bump persisted.  A no-op plan writes nothing.
+    Loads it, merges per ``policy``, and — when anything merged —
+    atomically re-installs the tree with the manifest's ``extra``
+    provenance (the CLI's world digest) preserved and the epoch bump
+    persisted.  A no-op plan writes nothing.
     """
     from .sharded import (
         load_sharded_index,
         read_any_meta,
         save_sharded_index,
     )
-    from .store import as_store
 
-    store = as_store(source)
-    layout, manifest = read_any_meta(store)
+    layout, manifest = read_any_meta(source)
     if layout != "sharded":
         raise ShardError(
-            f"{store.uri} holds a monolithic index; compaction applies "
+            f"{Path(source)} holds a monolithic index; compaction applies "
             "to sharded indexes (a monolithic index is already one "
             "shard)"
         )
-    index = load_sharded_index(store)
+    index = load_sharded_index(source)
     report = index.compact(policy)
     if report.did_compact:
-        save_sharded_index(index, store, extra=manifest.get("extra") or {})
+        save_sharded_index(index, source, extra=manifest.get("extra") or {})
     return report

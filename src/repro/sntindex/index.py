@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ..errors import (
     MissingUserError,
     TrajectoryError,
     UnknownTrajectoryError,
+    is_count,
 )
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
@@ -33,8 +34,7 @@ from ..temporal.records import TraversalColumns
 from ..trajectories.model import TrajectorySet
 from . import procedures
 from .partition import IndexPartition, build_partition
-from .persistence import load_index, save_index
-from .store import ShardStore
+from .persistence import IndexDir, load_index, save_index
 
 __all__ = ["SNTIndex", "BuildStats", "assign_time_windows", "window_bounds"]
 
@@ -196,6 +196,11 @@ class SNTIndex:
         tod_bucket_s:
             Bucket width of the estimator's time-of-day histograms.
         """
+        if partition_days is not None and not is_count(partition_days):
+            raise IndexError_(
+                "partition_days must be None or a positive integer, got "
+                f"{partition_days!r}"
+            )
         if len(trajectories) == 0:
             raise IndexError_("cannot build an index from zero trajectories")
         t_min, t_max = trajectories.time_span()
@@ -204,8 +209,6 @@ class SNTIndex:
         if partition_days is None:
             grouped = [(t_min, t_max, list(trajectories))]
         else:
-            if partition_days < 1:
-                raise IndexError_("partition_days must be >= 1")
             window = partition_days * SECONDS_PER_DAY
             groups = assign_time_windows(trajectories, t_min, window)
             grouped = [
@@ -497,13 +500,8 @@ class SNTIndex:
     # Persistence (service cold start without re-running ``build()``)
     # ------------------------------------------------------------------ #
 
-    def save(
-        self,
-        path: Union[str, Path, "ShardStore"],
-        extra: Optional[dict] = None,
-    ) -> Path:
-        """Serialise the index to ``path`` — a directory, a store URI
-        (``file:...``), or a :class:`~repro.sntindex.store.ShardStore`.
+    def save(self, path: IndexDir, extra: Optional[dict] = None) -> Path:
+        """Serialise the index to directory ``path``.
 
         ``extra`` is optional JSON-serialisable provenance stored in the
         meta file (ignored by :meth:`load`).  See
@@ -515,7 +513,7 @@ class SNTIndex:
     @classmethod
     def load(
         cls,
-        path: Union[str, Path, "ShardStore"],
+        path: IndexDir,
         expected_alphabet_size: Optional[int] = None,
         expected_kind: Optional[str] = None,
     ) -> "SNTIndex":

@@ -49,32 +49,46 @@ source data with ``repro index``.
 ``FORMAT_VERSION`` gates compatibility: loaders refuse newer or older
 versions outright rather than guessing.
 
-Every entry point accepts a path, a store URI, or a
-:class:`~repro.sntindex.store.ShardStore` instance — the filesystem is
-reached only through the store (:func:`~repro.sntindex.store.as_store`
-wraps bare paths in a ``LocalDirStore``, preserving the historical
-layout byte for byte).
+Every entry point takes the index directory as a ``str`` or
+``os.PathLike``.  A save is staged in a sibling directory and swapped in
+by :func:`atomic_install_dir`, so a reader finds the old tree, the new
+one, or none, never a mix.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from functools import partial
 from pathlib import Path
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    overload,
+)
 
 import numpy as np
+import numpy.typing as npt
 
-from ..errors import IndexFormatError, PersistenceError, StoreError
+from ..errors import IndexFormatError, PersistenceError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
 from ..fmindex.bitvector import split_flat
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import SlicedTemporalForest
 from .partition import IndexPartition
-from .store import ShardStore, as_store, atomic_install_dir
 
-StoreLike = Union[str, Path, ShardStore]
+#: A saved index's directory, as every entry point here accepts it.
+IndexDir = Union[str, "os.PathLike[str]"]
+Writer = Callable[[Path], None]
+Array = npt.NDArray[Any]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .index import SNTIndex
@@ -121,31 +135,133 @@ _SHARED_ARRAYS = (
 
 
 def save_index(
-    index: "SNTIndex", path: StoreLike, extra: Optional[dict] = None
+    index: "SNTIndex", path: IndexDir, extra: Optional[Dict[str, Any]] = None
 ) -> Path:
-    """Write ``index`` to ``path`` — a directory, store URI, or store.
+    """Write ``index`` to directory ``path``.
 
     ``extra`` is an optional JSON-serialisable dict stored verbatim under
     the ``extra`` meta key — provenance the caller wants to travel with
     the index (the CLI records a digest of the source world there).
     Loaders ignore it.
 
-    The payload is staged and installed atomically by the store
-    (:meth:`~repro.sntindex.store.ShardStore.install`; a sibling-tempdir
-    swap for a local directory), so an interrupted re-save never leaves
+    The payload is staged in a sibling directory and swapped in by
+    :func:`atomic_install_dir`, so an interrupted re-save never leaves
     a target mixing old and new files (which would pass every load
     check and answer queries wrongly).
     """
-    return as_store(path).install(
-        "",
+    return atomic_install_dir(
+        Path(path),
         marker_file=META_FILE,
         writer=lambda target: _write_payload(index, target, extra),
         what="saved SNT-index",
     )
 
 
+def atomic_install_dir(
+    final: Path,
+    marker_file: str,
+    writer: Writer,
+    what: str = "saved SNT-index",
+) -> Path:
+    """Stage ``writer(target)`` in a sibling temp dir and swap it in.
+
+    Shared by the monolithic index format (marker ``meta.json``) and the
+    sharded manifest format (marker ``manifest.json``).  ``writer`` is
+    called with a fresh staging directory and must fully populate it —
+    including the marker file, which is how a later save recognises the
+    target as safe to replace.
+    """
+    if final.exists():
+        # The swap deletes whatever sits at the target; only a prior
+        # saved index (or an empty directory) is fair game — a mistaken
+        # --out must not destroy user data.
+        if not final.is_dir():
+            raise PersistenceError(
+                f"cannot save index to {final}: exists and is not a "
+                "directory"
+            )
+        if any(final.iterdir()) and not (final / marker_file).is_file():
+            raise PersistenceError(
+                f"refusing to overwrite {final}: directory exists and is "
+                f"not a {what}"
+            )
+    final.parent.mkdir(parents=True, exist_ok=True)
+    # Sweep staging/graveyard leftovers of *crashed* saves only: a
+    # pid-suffixed dir whose owner is still alive belongs to a
+    # concurrent saver and must not be touched.  A dead saver's
+    # graveyard may hold the only surviving copy of the index (crash
+    # between the two swap renames) — restore it, never delete it,
+    # when no index is installed.
+    for pattern in (f".{final.name}.tmp-*", f".{final.name}.old-*"):
+        for stale in final.parent.glob(pattern):
+            pid_text = stale.name.rsplit("-", 1)[-1]
+            if pid_text.isdigit() and _pid_alive(int(pid_text)):
+                continue
+            if ".old-" in stale.name and not final.exists():
+                try:
+                    os.rename(stale, final)
+                    continue
+                except OSError:
+                    pass
+            shutil.rmtree(stale, ignore_errors=True)
+    target = final.parent / f".{final.name}.tmp-{os.getpid()}"
+    if target.exists():  # our own leftover; the sweep skips live pids
+        shutil.rmtree(target)
+    target.mkdir()
+    try:
+        writer(target)
+    except BaseException:
+        shutil.rmtree(target, ignore_errors=True)
+        raise
+
+    graveyard = None
+    try:
+        if final.exists():
+            graveyard = final.parent / f".{final.name}.old-{os.getpid()}"
+            if graveyard.exists():
+                shutil.rmtree(graveyard)
+            os.rename(final, graveyard)
+        os.rename(target, final)
+    except OSError as error:
+        # Most likely two savers racing for the same target: the loser's
+        # rename finds the directory already moved.  Put the old index
+        # back if the failure left none installed.
+        shutil.rmtree(target, ignore_errors=True)
+        if (
+            graveyard is not None
+            and graveyard.exists()
+            and not final.exists()
+        ):
+            try:
+                os.rename(graveyard, final)
+            except OSError:
+                pass  # the sweep of a later save will restore it
+        raise PersistenceError(
+            f"could not install saved index at {final} (concurrent save "
+            f"to the same path?): {error}"
+        ) from error
+    if graveyard is not None:
+        # The new index is installed; a failed graveyard cleanup is not
+        # a failed save (the next save's sweep collects it).
+        shutil.rmtree(graveyard, ignore_errors=True)
+    return final
+
+
+def _pid_alive(pid: int) -> bool:
+    """Best-effort liveness probe for staging-dir owners."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    except OSError:
+        return True  # unknown: err on the side of not deleting
+    return True
+
+
 def write_index_payload(
-    index: "SNTIndex", target: Union[str, Path], extra: Optional[dict] = None
+    index: "SNTIndex", target: IndexDir, extra: Optional[Dict[str, Any]] = None
 ) -> None:
     """Write an index's files directly into directory ``target``.
 
@@ -159,7 +275,9 @@ def write_index_payload(
     _write_payload(index, target, extra)
 
 
-def _code_prefixes(codes: Dict[int, Tuple[int, ...]]) -> List[tuple]:
+def _code_prefixes(
+    codes: Dict[int, Tuple[int, ...]],
+) -> List[Tuple[int, ...]]:
     """Wavelet-tree node prefixes, sorted: every proper prefix of every
     code.  The tree has one node (bitvector) per such prefix, so the
     node directory never needs storing — it is a function of the code
@@ -170,7 +288,7 @@ def _code_prefixes(codes: Dict[int, Tuple[int, ...]]) -> List[tuple]:
 
 def _partition_payload(
     partition: IndexPartition,
-) -> Tuple[dict, Dict[str, np.ndarray]]:
+) -> Tuple[Dict[str, Any], Dict[str, Array]]:
     """Split one partition into JSON-able scalars and payload arrays.
 
     The meta entry carries scalars only; the Huffman code table travels
@@ -182,7 +300,7 @@ def _partition_payload(
     tree = partition.fm.bwt
     nodes = sorted(tree.nodes.items())
     code_items = sorted(tree.codes.items())
-    arrays = {
+    arrays: Dict[str, Array] = {
         "code_symbols": np.asarray(
             [symbol for symbol, _ in code_items], dtype=np.int64
         ),
@@ -218,14 +336,14 @@ def _partition_payload(
 
 
 def _write_payload(
-    index: "SNTIndex", target: Path, extra: Optional[dict] = None
+    index: "SNTIndex", target: Path, extra: Optional[Dict[str, Any]] = None
 ) -> None:
     """Write ``meta.json`` + ``payload/`` into (staging) dir ``target``."""
 
     edges = sorted(index.forest.edges())
-    chunks: Dict[str, list] = {name: [] for name in _COLUMNS}
-    perm_tod_chunks: List[np.ndarray] = []
-    perm_probe_chunks: List[np.ndarray] = []
+    chunks: Dict[str, List[Array]] = {name: [] for name in _COLUMNS}
+    perm_tod_chunks: List[Array] = []
+    perm_probe_chunks: List[Array] = []
     offsets = np.zeros(len(edges) + 1, dtype=np.int64)
     for i, edge in enumerate(edges):
         phi = index.forest.get(edge)
@@ -238,7 +356,7 @@ def _write_payload(
         perm_tod_chunks.append(phi.tod_order)
         perm_probe_chunks.append(phi.probe_order)
 
-    arrays = {
+    arrays: Dict[str, Array] = {
         "users": index.users,
         "edge_ids": np.asarray(edges, dtype=np.int64),
         "edge_offsets": offsets,
@@ -263,7 +381,7 @@ def _write_payload(
     arrays["tod_keys"] = tod_keys
     arrays["tod_counts"] = tod_counts
 
-    partitions_meta = []
+    partitions_meta: List[Dict[str, Any]] = []
     for k, partition in enumerate(index.partitions):
         entry, partition_arrays = _partition_payload(partition)
         partitions_meta.append(entry)
@@ -281,7 +399,7 @@ def _write_payload(
         np.save(payload_dir / f"{name}.npy", np.ascontiguousarray(array))
 
     stats = index.build_stats
-    meta = {
+    meta: Dict[str, Any] = {
         "format": FORMAT_NAME,
         "format_version": FORMAT_VERSION,
         "format_minor": FORMAT_MINOR,
@@ -306,12 +424,12 @@ def _write_payload(
 
 
 def read_manifest(
-    path: StoreLike,
+    path: IndexDir,
     file_name: str,
     format_name: str,
     format_version: int,
     what: str,
-) -> dict:
+) -> Dict[str, Any]:
     """Read the JSON manifest ``file_name`` of a saved index and check
     its format tag and version — shared by :func:`read_meta` and the
     sharded ``manifest.json`` reader.
@@ -319,15 +437,16 @@ def read_manifest(
     Anything but a JSON object at the top level is a corrupt manifest
     (:class:`PersistenceError`), so callers may ``.get`` on the result.
     """
-    store = as_store(path)
-    source = store.uri
-    if not store.exists(file_name):
+    root = Path(path)
+    manifest_file = root / file_name
+    source = str(root)
+    if not manifest_file.is_file():
         raise PersistenceError(
             f"{source} is not a saved {what} ({file_name} missing)"
         )
     try:
-        manifest = json.loads(store.get(file_name))
-    except (StoreError, OSError, ValueError) as error:
+        manifest = json.loads(manifest_file.read_bytes())
+    except (OSError, ValueError) as error:
         raise PersistenceError(f"corrupt {file_name}: {error}") from error
     if not isinstance(manifest, dict):
         raise PersistenceError(
@@ -349,7 +468,7 @@ def read_manifest(
     return manifest
 
 
-def read_meta(path: StoreLike) -> dict:
+def read_meta(path: IndexDir) -> Dict[str, Any]:
     """Read and format-check ``meta.json`` of a saved index.
 
     Cheap (no payload I/O): callers can inspect provenance — the
@@ -362,7 +481,7 @@ def read_meta(path: StoreLike) -> dict:
 
 
 def validate_identity(
-    meta: dict,
+    meta: Dict[str, Any],
     source: Union[str, Path],
     expected_alphabet_size: Optional[int] = None,
     expected_kind: Optional[str] = None,
@@ -408,7 +527,7 @@ def validate_identity(
 
 
 def validate_meta(
-    meta: dict,
+    meta: Dict[str, Any],
     source: Union[str, Path],
     expected_alphabet_size: Optional[int] = None,
     expected_kind: Optional[str] = None,
@@ -467,7 +586,7 @@ def validate_meta(
         raise PersistenceError(f"{META_FILE} has incomplete build_stats")
 
 
-def _load_array(payload_dir: Path, name: str) -> np.ndarray:
+def _load_array(payload_dir: Path, name: str) -> Array:
     """Memory-map one payload array; missing/corrupt files are typed.
 
     Returned as a plain read-only ``ndarray`` view of the map (its
@@ -490,7 +609,7 @@ def _load_array(payload_dir: Path, name: str) -> np.ndarray:
         ) from error
 
 
-def _load_optional_array(payload_dir: Path, name: str) -> Optional[np.ndarray]:
+def _load_optional_array(payload_dir: Path, name: str) -> Optional[Array]:
     """Memory-map a payload array that older minors simply do not have."""
     if not (payload_dir / f"{name}.npy").is_file():
         return None
@@ -523,7 +642,7 @@ def _load_codes(payload_dir: Path, k: int) -> Dict[int, Tuple[int, ...]]:
 
 
 def _load_partition(
-    entry: dict,
+    entry: Dict[str, Any],
     payload_dir: Path,
     k: int,
     alphabet_size: int,
@@ -548,7 +667,7 @@ def _load_partition(
             f"partition {k} wavelet payload size disagrees with its "
             f"node directory ({exc})"
         ) from None
-    nodes: Dict[tuple, RankBitvector] = dict(zip(prefixes, views))
+    nodes: Dict[Tuple[int, ...], RankBitvector] = dict(zip(prefixes, views))
     tree = WaveletTree.from_arrays(
         int(entry["fm_n"]),
         codes,
@@ -571,7 +690,7 @@ def _load_partition(
     )
 
 
-class _LazyPartitionList(Sequence):
+class _LazyPartitionList(Sequence[IndexPartition]):
     """Sequence of :class:`IndexPartition` that materialises on access.
 
     Opening a sealed index must not pay for rebuilding every
@@ -583,8 +702,11 @@ class _LazyPartitionList(Sequence):
     """
 
     def __init__(
-        self, entries: List[dict], payload_dir: Path, alphabet_size: int
-    ):
+        self,
+        entries: List[Dict[str, Any]],
+        payload_dir: Path,
+        alphabet_size: int,
+    ) -> None:
         self._entries = entries
         self._payload_dir = payload_dir
         self._alphabet_size = alphabet_size
@@ -593,13 +715,22 @@ class _LazyPartitionList(Sequence):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __getitem__(self, position):
+    @overload
+    def __getitem__(self, position: int) -> IndexPartition: ...
+
+    @overload
+    def __getitem__(self, position: slice) -> List[IndexPartition]: ...
+
+    def __getitem__(
+        self, position: Union[int, slice]
+    ) -> Union[IndexPartition, List[IndexPartition]]:
         if isinstance(position, slice):
             return [self[i] for i in range(*position.indices(len(self)))]
         index = range(len(self))[position]  # IndexError + negatives
-        if self._cache[index] is None:
+        partition = self._cache[index]
+        if partition is None:
             try:
-                self._cache[index] = _load_partition(
+                partition = _load_partition(
                     self._entries[index],
                     self._payload_dir,
                     index,
@@ -613,7 +744,8 @@ class _LazyPartitionList(Sequence):
                     f"failed to reconstruct index from "
                     f"{self._payload_dir.parent}: {error}"
                 ) from error
-        return self._cache[index]
+            self._cache[index] = partition
+        return partition
 
 
 def _load_tod_store(
@@ -635,7 +767,7 @@ def _load_tod_store(
 
 
 def load_index(
-    path: StoreLike,
+    path: IndexDir,
     expected_alphabet_size: Optional[int] = None,
     expected_kind: Optional[str] = None,
 ) -> "SNTIndex":
@@ -646,23 +778,20 @@ def load_index(
     Every payload array is memory-mapped read-only; nothing is copied
     and nothing is unpickled, so the open cost is independent of the
     index size (the FM partitions, per-edge tree directories, and the
-    ToD histogram dict all materialise lazily on first use).  A remote
-    store pages the payload into its local cache first
-    (:meth:`~repro.sntindex.store.ShardStore.localize`); the mmaps then
-    open against the cached copies.
+    ToD histogram dict all materialise lazily on first use).
     """
     from .index import BuildStats, SNTIndex
 
-    store = as_store(path)
-    source = store.uri
-    meta = read_meta(store)
+    root = Path(path)
+    source = str(root)
+    meta = read_meta(root)
     validate_meta(
         meta,
         source,
         expected_alphabet_size=expected_alphabet_size,
         expected_kind=expected_kind,
     )
-    payload_dir = store.localize("") / PAYLOAD_DIR
+    payload_dir = root / PAYLOAD_DIR
     if not payload_dir.is_dir():
         raise PersistenceError(
             f"{source} has no {PAYLOAD_DIR}/ directory"
@@ -688,7 +817,7 @@ def load_index(
     # lazily), but when present they must cover the columns exactly —
     # a short permutation would silently be ignored per edge, so prove
     # consistency here instead.
-    permutations: Dict[str, Optional[np.ndarray]] = {}
+    permutations: Dict[str, Optional[Array]] = {}
     for name in ("perm_tod", "perm_probe"):
         permutation = _load_optional_array(payload_dir, name)
         if (

@@ -75,12 +75,14 @@ from ..errors import (
     PersistenceError,
     ShardError,
     UnknownTrajectoryError,
+    is_count,
 )
 from ..trajectories.model import TrajectorySet
 from .index import BuildStats, SNTIndex, assign_time_windows, window_bounds
 from .persistence import (
     META_FILE,
-    StoreLike,
+    IndexDir,
+    atomic_install_dir,
     load_index,
     read_manifest,
     read_meta,
@@ -89,7 +91,6 @@ from .persistence import (
 )
 from . import procedures
 from .procedures import Chunk, TravelTimeResult
-from .store import as_store
 
 __all__ = [
     "ShardedSNTIndex",
@@ -393,10 +394,15 @@ class ShardedSNTIndex:
                 "index has no partition boundaries to slice on — pass "
                 "partition_days"
             )
-        if partition_days < 1:
-            raise ShardError("partition_days must be >= 1")
-        if n_shards < 1:
-            raise ShardError("n_shards must be >= 1")
+        if not is_count(partition_days):
+            raise ShardError(
+                "partition_days must be a positive integer, got "
+                f"{partition_days!r}"
+            )
+        if not is_count(n_shards):
+            raise ShardError(
+                f"n_shards must be a positive integer, got {n_shards!r}"
+            )
         if len(trajectories) == 0:
             raise IndexError_("cannot build an index from zero trajectories")
         started = time.perf_counter()
@@ -911,7 +917,7 @@ class ShardedSNTIndex:
 
     # -- persistence ----------------------------------------------------- #
 
-    def save(self, path: StoreLike, extra: Optional[dict] = None) -> Path:
+    def save(self, path: IndexDir, extra: Optional[dict] = None) -> Path:
         """Write the sharded manifest directory; see
         :func:`save_sharded_index`."""
         return save_sharded_index(self, path, extra=extra)
@@ -919,7 +925,7 @@ class ShardedSNTIndex:
     @classmethod
     def load(
         cls,
-        path: StoreLike,
+        path: IndexDir,
         expected_alphabet_size: Optional[int] = None,
         expected_kind: Optional[str] = None,
     ) -> "ShardedSNTIndex":
@@ -951,21 +957,21 @@ def _entry_manifest(entry: _ShardEntry, directory: str) -> dict:
 
 def save_sharded_index(
     index: ShardedSNTIndex,
-    path: StoreLike,
+    path: IndexDir,
     extra: Optional[dict] = None,
 ) -> Path:
     """Write ``index`` as ``manifest.json`` + one PR-1 index dir per shard.
 
-    ``path`` is a directory, store URI, or store.  Layout::
+    Layout of directory ``path``::
 
         manifest.json            format tag, scalars, shard table, epoch
         shard_0000/ ...          save_index() directories, one per shard
         staging/                 the staging shard (when present)
         staging_trajectories.pkl staged tail, so appends survive restarts
 
-    The whole tree is staged and installed atomically by the store (a
-    sibling-tempdir swap for a local directory), like the monolithic
-    format.
+    The whole tree is staged in a sibling directory and swapped in by
+    :func:`~repro.sntindex.persistence.atomic_install_dir`, like the
+    monolithic format.
     """
 
     def writer(target: Path) -> None:
@@ -1003,15 +1009,15 @@ def save_sharded_index(
         with open(target / MANIFEST_FILE, "w") as handle:
             json.dump(manifest, handle, indent=2)
 
-    return as_store(path).install(
-        "",
+    return atomic_install_dir(
+        Path(path),
         marker_file=MANIFEST_FILE,
         writer=writer,
         what="saved sharded SNT-index",
     )
 
 
-def read_sharded_meta(path: StoreLike) -> dict:
+def read_sharded_meta(path: IndexDir) -> dict:
     """Read and format-check ``manifest.json`` of a sharded index dir."""
     return read_manifest(
         path,
@@ -1022,7 +1028,23 @@ def read_sharded_meta(path: StoreLike) -> dict:
     )
 
 
-def _entry_from_manifest(store, described, manifest: dict) -> _ShardEntry:
+def _shard_dir(root: Path, key: str) -> Path:
+    """The shard directory a manifest entry names, inside ``root``.
+
+    The manifest is outside input: an absolute ``dir`` would replace
+    ``root`` outright (``root / "/abs"`` is ``/abs``) and a ``..`` part
+    would climb out of it, so both are refused before the shard is read.
+    """
+    parts = [part for part in key.split("/") if part not in ("", ".")]
+    if key.startswith(("/", "\\")) or ".." in parts:
+        raise PersistenceError(
+            f"{MANIFEST_FILE} in {root} names shard dir {key!r}, which "
+            "leaves the index directory"
+        )
+    return root.joinpath(*parts)
+
+
+def _entry_from_manifest(root: Path, described, manifest: dict) -> _ShardEntry:
     if not isinstance(described, dict):
         raise PersistenceError(
             f"{MANIFEST_FILE} shard entry is {described!r}; expected an "
@@ -1042,10 +1064,8 @@ def _entry_from_manifest(store, described, manifest: dict) -> _ShardEntry:
                 f"{MANIFEST_FILE} shard entry declares {name} = "
                 f"{value!r}; expected an integer"
             )
-    source = store.uri
-    # The meta cross-check and the mmap-based loader below both read
-    # the shard's local directory.
-    shard_dir = store.localize(str(described["dir"]))
+    source = str(root)
+    shard_dir = _shard_dir(root, str(described["dir"]))
     # A shard is only valid inside *this* manifest if its own meta
     # agrees on every scalar that shapes the global partition layout —
     # a shard copied in from another build (different partition_days,
@@ -1083,12 +1103,12 @@ def _entry_from_manifest(store, described, manifest: dict) -> _ShardEntry:
 
 
 def load_sharded_index(
-    path: StoreLike,
+    path: IndexDir,
     expected_alphabet_size: Optional[int] = None,
     expected_kind: Optional[str] = None,
 ) -> ShardedSNTIndex:
-    """Load a tree written by :func:`save_sharded_index` from ``path``
-    — a directory, store URI, or store.
+    """Load a tree written by :func:`save_sharded_index` from directory
+    ``path``.
 
     The manifest scalars are validated (including the optional
     ``expected_*`` cross-checks) before any shard payload is read, and
@@ -1100,9 +1120,9 @@ def load_sharded_index(
         (``staging_trajectories.pkl``) is a pickle: only load
         directories with a staging shard if you wrote them yourself.
     """
-    store = as_store(path)
-    source = store.uri
-    manifest = read_sharded_meta(store)
+    root = Path(path)
+    source = str(root)
+    manifest = read_sharded_meta(root)
     required = (
         "alphabet_size", "kind", "partition_days", "t_min", "t_max",
         "tod_bucket_s", "epoch", "shards",
@@ -1148,20 +1168,21 @@ def load_sharded_index(
         raise PersistenceError(f"{MANIFEST_FILE} lists no shards")
 
     sealed = [
-        _entry_from_manifest(store, described, manifest)
+        _entry_from_manifest(root, described, manifest)
         for described in manifest["shards"]
     ]
     staging = None
     staged: List = []
     if manifest.get("staging") is not None:
-        staging = _entry_from_manifest(store, manifest["staging"], manifest)
-        if not store.exists(STAGED_TRAJECTORIES_FILE):
+        staging = _entry_from_manifest(root, manifest["staging"], manifest)
+        staged_file = root / STAGED_TRAJECTORIES_FILE
+        if not staged_file.is_file():
             raise PersistenceError(
                 f"{source} has a staging shard but no "
                 f"{STAGED_TRAJECTORIES_FILE}"
             )
         try:
-            staged = list(pickle.loads(store.get(STAGED_TRAJECTORIES_FILE)))
+            staged = list(pickle.loads(staged_file.read_bytes()))
         except (OSError, EOFError, pickle.PickleError) as error:
             raise PersistenceError(
                 f"failed to read staged trajectories from {source}: "
@@ -1186,39 +1207,38 @@ def load_sharded_index(
 # ---------------------------------------------------------------------- #
 
 
-def read_any_meta(path: StoreLike) -> Tuple[str, dict]:
-    """Detect the stored layout and read its manifest.
+def read_any_meta(path: IndexDir) -> Tuple[str, dict]:
+    """Detect the layout saved in directory ``path`` and read its
+    manifest.
 
     Returns ``("sharded", manifest)`` or ``("monolithic", meta)``.
-    ``path`` is a directory, store URI, or store.
     """
-    store = as_store(path)
-    if store.exists(MANIFEST_FILE):
-        return "sharded", read_sharded_meta(store)
-    if store.exists(META_FILE):
-        return "monolithic", read_meta(store)
+    root = Path(path)
+    if (root / MANIFEST_FILE).is_file():
+        return "sharded", read_sharded_meta(root)
+    if (root / META_FILE).is_file():
+        return "monolithic", read_meta(root)
     raise PersistenceError(
-        f"{store.uri} is neither a saved SNT-index ({META_FILE}) nor a "
+        f"{root} is neither a saved SNT-index ({META_FILE}) nor a "
         f"sharded index ({MANIFEST_FILE})"
     )
 
 
 def load_any_index(
-    path: StoreLike,
+    path: IndexDir,
     expected_alphabet_size: Optional[int] = None,
     expected_kind: Optional[str] = None,
 ) -> Union[SNTIndex, ShardedSNTIndex]:
     """Load a monolithic or sharded index, whichever ``path`` holds."""
-    store = as_store(path)
-    layout, _ = read_any_meta(store)
+    layout, _ = read_any_meta(path)
     if layout == "sharded":
         return load_sharded_index(
-            store,
+            path,
             expected_alphabet_size=expected_alphabet_size,
             expected_kind=expected_kind,
         )
     return load_index(
-        store,
+        path,
         expected_alphabet_size=expected_alphabet_size,
         expected_kind=expected_kind,
     )

@@ -333,6 +333,16 @@ class TestStreaming:
         with pytest.raises(ConfigurationError):
             db.stream([], window=0)
 
+    @pytest.mark.parametrize("window", [2.5, "3", True])
+    def test_stream_rejects_non_integer_window_at_the_call(
+        self, world, window
+    ):
+        dataset, index = world
+        db = open_db(index, network=dataset.network)
+        # Raised by stream() itself, before the generator is advanced.
+        with pytest.raises(ConfigurationError, match="window"):
+            db.stream([], window=window)
+
     def test_empty_stream_resets_the_dedup_stats(self, world):
         dataset, index = world
         db = open_db(
@@ -528,38 +538,13 @@ class TestPerRequestEstimator:
 
 
 class TestConfigStore:
-    """ISSUE 9: EngineConfig.store as the open_db index fallback."""
-
-    def test_invalid_store_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(store="")
-        with pytest.raises(ConfigurationError):
-            EngineConfig(store=123)
+    """``open_db`` takes the index as its argument; the config names no
+    index location."""
 
     def test_open_db_requires_some_index(self, world):
         dataset, _ = world
         with pytest.raises(ConfigurationError, match="needs an index"):
             open_db(network=dataset.network)
-
-    def test_open_db_falls_back_to_config_store(self, world, tmp_path):
-        dataset, index = world
-        target = index.save(tmp_path / "idx")
-        config = EngineConfig(store=str(target))
-        db_implicit = open_db(network=dataset.network, config=config)
-        db_explicit = open_db(target, network=dataset.network)
-        requests = random_requests(dataset, index, seed=11, n=4)
-        for a, b in zip(
-            db_implicit.query_many(requests), db_explicit.query_many(requests)
-        ):
-            assert a.histogram == b.histogram
-            assert a.estimated_mean == b.estimated_mean
-
-    def test_explicit_argument_wins_over_config(self, world, tmp_path):
-        dataset, index = world
-        config = EngineConfig(store=str(tmp_path / "does-not-exist"))
-        db = open_db(index, network=dataset.network, config=config)
-        requests = random_requests(dataset, index, seed=12, n=2)
-        assert len(db.query_many(requests)) == 2
 
 
 class TestNonFiniteIntervalBounds:

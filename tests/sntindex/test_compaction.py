@@ -117,11 +117,22 @@ class TestPolicy:
             {"min_run": 1},
             {"min_run": 0},
             {"min_run": 3, "max_group": 2},
+            {"max_group": 2.5},
+            {"max_group": True},
+            {"min_run": 2.5},
+            {"min_run": True},
+            {"small_traversals": 1.5},
+            {"small_traversals": True},
+            {"small_traversals": False},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ShardError):
             CompactionPolicy(**kwargs)
+
+    def test_zero_small_traversals_valid(self):
+        policy = CompactionPolicy(small_traversals=0)
+        assert plan_compaction([0, 0, 1], policy) == [[0, 1]]
 
     def test_plan_full(self):
         assert plan_compaction([5, 5, 5], CompactionPolicy()) == [[0, 1, 2]]

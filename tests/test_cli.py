@@ -572,7 +572,7 @@ class TestErrorExitCodes:
 
 
 class TestShardLifecycleCommands:
-    """ISSUE 9: ``--store`` URIs and ``compact``."""
+    """``compact``, and the saved index named only by ``--index``."""
 
     def _histogram_lines(self, text):
         return [line for line in text.splitlines() if " ms" not in line]
@@ -583,23 +583,6 @@ class TestShardLifecycleCommands:
                      "--partition-days", "7",
                      "--shards", str(shards)]) == 0
 
-    def test_store_uri_equals_index_dir(self, world_dir, tmp_path, capsys):
-        index_dir = tmp_path / "sharded"
-        self._build_sharded(world_dir, index_dir)
-        capsys.readouterr()
-        path = TestQuery().path_from_world(world_dir)
-        assert main(["query", "--world", str(world_dir),
-                     "--index", str(index_dir), "--path", path,
-                     "--tod", "08:00"]) == 0
-        via_dir = capsys.readouterr().out
-        assert main(["query", "--world", str(world_dir),
-                     "--store", f"file:{index_dir}", "--path", path,
-                     "--tod", "08:00"]) == 0
-        via_store = capsys.readouterr().out
-        assert self._histogram_lines(via_dir) == self._histogram_lines(
-            via_store
-        )
-
     def test_store_and_index_mutually_exclusive(self, world_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["query", "--world", str(world_dir),
@@ -607,19 +590,19 @@ class TestShardLifecycleCommands:
                   "--path", "1"])
         assert excinfo.value.code == 2
 
-    def test_index_out_accepts_file_uri(self, world_dir, tmp_path, capsys):
-        uri = f"file:{tmp_path}/sharded"
-        assert main(["index", "--world", str(world_dir), "--out", uri,
-                     "--partition-days", "7", "--shards", "2"]) == 0
-        # The command echoes the URI it was given, not the directory.
-        assert capsys.readouterr().out.rstrip().splitlines()[0].endswith(
-            f"-> {uri}"
-        )
-        assert (tmp_path / "sharded" / "manifest.json").exists()
-        path = TestQuery().path_from_world(world_dir)
-        assert main(["query", "--world", str(world_dir),
-                     "--store", uri, "--path", path]) == 0
-        assert "estimated mean" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "command, required",
+        [("batch", ["--paths", "1"]), ("serve", [])],
+    )
+    def test_store_flag_is_unknown(
+        self, world_dir, tmp_path, capsys, command, required
+    ):
+        # A saved index is a directory: --index is the one way to name it.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--world", str(world_dir),
+                  "--store", str(tmp_path), *required])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
 
     def test_compact_reduces_shards_same_answers(
         self, world_dir, tmp_path, capsys
