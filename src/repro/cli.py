@@ -22,8 +22,8 @@ Commands
     multiplexed onto shared dedup rounds (``POST /v1/query``,
     ``POST /v1/query_batch``, ``GET /healthz``, ``GET /stats``).
 ``compact``
-    Merge runs of small adjacent sealed shards of a saved sharded
-    index in place (atomic manifest swap, epoch bump) —
+    Merge the sealed shards of a saved sharded index into one, in
+    place (atomic manifest swap, epoch bump) —
     answers stay bit-identical, per-query shard fan-out drops.
 
 ``query``/``batch``/``serve`` accept the saved index directory as
@@ -63,7 +63,7 @@ from .network.io import (
     save_network,
     save_trajectories,
 )
-from .sntindex.compaction import CompactionPolicy, compact_index_dir
+from .sntindex.compaction import compact_index_dir
 from .sntindex.index import SNTIndex
 from .sntindex.sharded import ShardedSNTIndex, load_any_index, read_any_meta
 from .trajectories.generator import generate_dataset
@@ -257,31 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compact = commands.add_parser(
         "compact",
-        help="merge runs of small adjacent sealed shards of a saved "
-        "sharded index in place (answers stay bit-identical)",
+        help="merge the sealed shards of a saved sharded index into one, "
+        "in place (answers stay bit-identical)",
     )
     compact.add_argument(
         "path",
         help="saved sharded index directory",
-    )
-    compact.add_argument(
-        "--small-traversals",
-        type=int,
-        default=None,
-        help="only shards with at most this many traversals are merge "
-        "candidates (default: every sealed shard)",
-    )
-    compact.add_argument(
-        "--min-run",
-        type=int,
-        default=2,
-        help="minimum adjacent candidates worth merging (default: 2)",
-    )
-    compact.add_argument(
-        "--max-group",
-        type=int,
-        default=None,
-        help="cap on shards merged into one (default: unbounded)",
     )
 
     return parser
@@ -635,12 +616,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_compact(args) -> int:
-    policy = CompactionPolicy(
-        small_traversals=args.small_traversals,
-        min_run=args.min_run,
-        max_group=args.max_group,
-    )
-    report = compact_index_dir(args.path, policy)
+    report = compact_index_dir(args.path)
     if report.did_compact:
         merged = ", ".join(
             "+".join(group) for group in report.merged_groups
@@ -653,8 +629,7 @@ def _cmd_compact(args) -> int:
     else:
         print(
             f"nothing to compact at {args.path}: "
-            f"{report.n_sealed_before} sealed shard(s), no run of "
-            f"{args.min_run}+ adjacent candidates"
+            f"{report.n_sealed_before} sealed shard(s)"
         )
     return 0
 

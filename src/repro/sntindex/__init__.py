@@ -1,10 +1,6 @@
 """The adapted SNT-index: FM-index partitions + extended temporal forest."""
 
-from .compaction import (
-    CompactionPolicy,
-    CompactionReport,
-    compact_index_dir,
-)
+from .compaction import CompactionReport, compact_index_dir
 from .index import BuildStats, SNTIndex
 from .partition import IndexPartition, build_partition
 from .persistence import FORMAT_VERSION, load_index, read_meta, save_index
@@ -43,7 +39,6 @@ __all__ = [
     "read_sharded_meta",
     "read_any_meta",
     "load_any_index",
-    "CompactionPolicy",
     "CompactionReport",
     "compact_index_dir",
 ]

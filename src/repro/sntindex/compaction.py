@@ -1,12 +1,14 @@
-"""Compaction of sealed shards: merge runs of small adjacent shards.
+"""Compaction of sealed shards: merge every sealed shard into one.
 
 Every ``append()``/``seal_staging()`` cycle adds one sealed shard, so a
 long-lived appendable index accretes many small shards and every
 unprunable dispatch fans out across all of them (periodic time-of-day
 predicates cannot prune at all).  Compaction is the inverse of the
-sharded build's split: a run of *adjacent* sealed shards is replaced by
-one shard whose temporal partitions are the members' partitions
-concatenated in order.
+sharded build's split: the sealed shards, which are adjacent in time,
+are replaced by one shard whose temporal partitions are the members'
+partitions concatenated in order.  There is no policy to tune: with at
+least two sealed shards a compaction merges them all, and the staging
+shard is left alone.
 
 Why the merge is bit-identical
 ------------------------------
@@ -32,19 +34,19 @@ Cache invalidation
 A compaction that merges anything bumps the index epoch even though
 answers do not change: the epoch bump empties in-process caches, so no
 entry recorded against the pre-compaction shard layout is served after
-it.  A planned-but-empty compaction changes nothing and keeps warm
-caches valid.
+it.  A compaction with fewer than two sealed shards changes nothing
+and keeps warm caches valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..errors import ShardError, is_count
+from ..errors import ShardError
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import TemporalForest
 from ..temporal.records import TraversalColumns
@@ -52,55 +54,10 @@ from .index import BuildStats, SNTIndex
 from .persistence import IndexDir
 
 __all__ = [
-    "CompactionPolicy",
     "CompactionReport",
-    "plan_compaction",
     "merge_shard_indexes",
     "compact_index_dir",
 ]
-
-
-@dataclass(frozen=True)
-class CompactionPolicy:
-    """Which sealed shards to merge, and how aggressively.
-
-    small_traversals:
-        A sealed shard is a merge candidate only if it holds at most
-        this many traversals; ``None`` (default) makes every sealed
-        shard a candidate — full compaction down to one shard per
-        ``max_group``.
-    min_run:
-        Minimum adjacent candidates to bother merging (>= 2: merging
-        one shard is a copy, not a compaction).
-    max_group:
-        Cap on shards merged into one (``None`` = unbounded).  Bounds
-        the working set of a single merge on huge indexes.
-    """
-
-    small_traversals: Optional[int] = None
-    min_run: int = 2
-    max_group: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        small = self.small_traversals
-        if small is not None and not (
-            is_count(small) or (type(small) is int and small == 0)
-        ):
-            raise ShardError(
-                "small_traversals must be an integer >= 0 or None, got "
-                f"{small!r}"
-            )
-        if not is_count(self.min_run) or self.min_run < 2:
-            raise ShardError(
-                f"min_run must be an integer >= 2, got {self.min_run!r}"
-            )
-        if self.max_group is not None and not (
-            is_count(self.max_group) and self.max_group >= self.min_run
-        ):
-            raise ShardError(
-                "max_group must be None or an integer >= min_run "
-                f"({self.min_run}), got {self.max_group!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -110,7 +67,7 @@ class CompactionReport:
     #: Sealed shard count before / after (equal for a no-op).
     n_sealed_before: int
     n_sealed_after: int
-    #: Pre-compaction labels of each merged run, in shard order.
+    #: Pre-compaction names of each merged run, in shard order.
     merged_groups: List[List[str]] = field(default_factory=list)
     #: The index epoch after the call (bumped iff anything merged).
     epoch: int = 0
@@ -118,41 +75,6 @@ class CompactionReport:
     @property
     def did_compact(self) -> bool:
         return self.n_sealed_after < self.n_sealed_before
-
-
-def plan_compaction(
-    sizes: Sequence[int], policy: CompactionPolicy
-) -> List[List[int]]:
-    """Positions of sealed shards to merge, grouped.
-
-    ``sizes`` are the sealed shards' traversal counts in shard order.
-    Maximal runs of adjacent candidates are chunked at ``max_group``;
-    chunks shorter than ``min_run`` (including a short trailing chunk)
-    are left alone.  Groups are disjoint, each ascending and contiguous.
-    """
-    candidates = [
-        policy.small_traversals is None or size <= policy.small_traversals
-        for size in sizes
-    ]
-    groups: List[List[int]] = []
-    run: List[int] = []
-
-    def close(run: List[int]) -> None:
-        cap = policy.max_group or len(run)
-        for start in range(0, len(run), cap):
-            chunk = run[start : start + cap]
-            if len(chunk) >= policy.min_run:
-                groups.append(chunk)
-
-    for position, eligible in enumerate(candidates):
-        if eligible:
-            run.append(position)
-        elif run:
-            close(run)
-            run = []
-    if run:
-        close(run)
-    return groups
 
 
 def _require_agreement(indexes: Sequence[SNTIndex]) -> None:
@@ -298,16 +220,13 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     return merged
 
 
-def compact_index_dir(
-    source: IndexDir,
-    policy: Optional[CompactionPolicy] = None,
-) -> CompactionReport:
+def compact_index_dir(source: IndexDir) -> CompactionReport:
     """Compact the sharded index saved in directory ``source`` in place.
 
-    Loads it, merges per ``policy``, and — when anything merged —
-    atomically re-installs the tree with the manifest's ``extra``
-    provenance (the CLI's world digest) preserved and the epoch bump
-    persisted.  A no-op plan writes nothing.
+    Loads it, merges its sealed shards (:meth:`ShardedSNTIndex.compact`),
+    and — when anything merged — atomically re-installs the tree with
+    the manifest's ``extra`` provenance (the CLI's world digest)
+    preserved and the epoch bump persisted.  A no-op writes nothing.
     """
     from .sharded import (
         load_sharded_index,
@@ -323,7 +242,7 @@ def compact_index_dir(
             "shard)"
         )
     index = load_sharded_index(source)
-    report = index.compact(policy)
+    report = index.compact()
     if report.did_compact:
         save_sharded_index(index, source, extra=manifest.get("extra") or {})
     return report

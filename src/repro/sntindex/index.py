@@ -245,7 +245,25 @@ class SNTIndex:
         shard's partitions carry the *global* window boundaries (its own
         ``t_min`` would shift the windows and change the partition
         contents, breaking bit-identical answers).
+
+        Every builder and ``append`` ends here, so the build arguments
+        are checked here: a value the loader or the time-of-day store
+        would refuse, or silently truncate, is an :class:`IndexError_`.
         """
+        if not is_count(alphabet_size):
+            raise IndexError_(
+                "alphabet_size must be a positive integer, got "
+                f"{alphabet_size!r}"
+            )
+        if not is_count(tod_bucket_s) or tod_bucket_s > SECONDS_PER_DAY:
+            raise IndexError_(
+                f"tod_bucket_s must be an integer in [1, {SECONDS_PER_DAY}],"
+                f" got {tod_bucket_s!r}"
+            )
+        if kind not in ("css", "btree"):
+            raise IndexError_(
+                f"kind must be 'css' or 'btree', got {kind!r}"
+            )
         if not grouped or not any(members for _, _, members in grouped):
             raise IndexError_("cannot build an index from zero trajectories")
         if any(not members for _, _, members in grouped):

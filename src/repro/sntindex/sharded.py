@@ -54,6 +54,16 @@ answers *after* appends too.  Each append bumps :attr:`epoch`, which
 against earlier index states.  ``seal_staging()`` promotes a grown
 staging shard to a sealed one (pure bookkeeping — no epoch bump, since
 no indexed content changes).
+
+Saved layout
+------------
+A saved sharded index is ``manifest.json`` plus one monolithic index
+directory per shard, and each fact is stored once.  The manifest keeps
+the scalars, the epoch and, per shard, only ``{dir, bucket_lo,
+bucket_hi}``; a shard's traversal-time bounds (the router's pruning
+bounds) and its partitions are read from the shard's own ``meta.json``.
+A shard's name is its position — ``shard_0000``, ... for sealed shards,
+``staging`` after them — and is also its directory.
 """
 
 from __future__ import annotations
@@ -128,7 +138,6 @@ class _ShardEntry:
     """One shard plus the metadata the index routes on."""
 
     index: SNTIndex
-    label: str
     #: Occupied global temporal-bucket range (inclusive) of the shard's
     #: trajectories; appends must land strictly after every sealed
     #: shard's ``bucket_hi``.
@@ -136,7 +145,8 @@ class _ShardEntry:
     bucket_hi: int
     #: Actual traversal-timestamp bounds (inclusive) across the shard's
     #: segments — pruning bounds, wider than the bucket window because a
-    #: trajectory's traversals extend past its start bucket.
+    #: trajectory's traversals extend past its start bucket.  Read off
+    #: the shard itself, never off a manifest.
     t_lo: int
     t_hi: int
     #: Lifetime index scans served by this shard.  A topology change
@@ -148,7 +158,6 @@ class _ShardEntry:
     def wrap(
         cls,
         index: SNTIndex,
-        label: str,
         bucket_lo: int,
         bucket_hi: int,
         n_scans: int = 0,
@@ -156,13 +165,19 @@ class _ShardEntry:
         t_lo, t_hi = index.data_time_bounds()
         return cls(
             index=index,
-            label=label,
             bucket_lo=int(bucket_lo),
             bucket_hi=int(bucket_hi),
             t_lo=t_lo,
             t_hi=t_hi,
             n_scans=n_scans,
         )
+
+
+def _shard_name(position: int, n_sealed: int) -> str:
+    """The name of the shard at ``position``: ``shard_{i:04d}`` for the
+    sealed shards, ``staging`` for the staging shard after them.  It is
+    also the shard's directory in a saved manifest."""
+    return f"shard_{position:04d}" if position < n_sealed else STAGING_DIR
 
 
 @dataclass(frozen=True)
@@ -176,9 +191,9 @@ class ShardStats:
     n_shard_scans: int
     #: Shards skipped by interval pruning, summed over dispatches.
     n_shards_pruned: int
-    #: Scans per shard label, in shard order (staging last).
+    #: Scans per shard name, in shard order (staging last).
     per_shard_scans: Dict[str, int]
-    #: Current shard count (the labels of ``per_shard_scans``).
+    #: Current shard count (the names of ``per_shard_scans``).
     n_shards: int = 0
 
     @property
@@ -434,8 +449,8 @@ class ShardedSNTIndex:
             for run in runs
         ]
         sealed = [
-            _ShardEntry.wrap(index, f"shard_{i:04d}", run[0], run[-1])
-            for i, (index, run) in enumerate(zip(built, runs))
+            _ShardEntry.wrap(index, run[0], run[-1])
+            for index, run in zip(built, runs)
         ]
         return cls(
             sealed=sealed,
@@ -494,13 +509,17 @@ class ShardedSNTIndex:
 
         The counters survive every topology change because a shard's
         scans follow it to its successor: sealing keeps the entry under
-        its new label, an append carries the staging shard's count into
+        its new name, an append carries the staging shard's count into
         the rebuilt staging shard, and compaction sums each merged run.
         ``per_shard_scans`` therefore lists exactly the current shards,
         in shard order (staging last), and sums to ``n_shard_scans``.
         """
         with self._stats_lock:
-            per_shard = {entry.label: entry.n_scans for entry in self.entries}
+            n_sealed = len(self._sealed)
+            per_shard = {
+                _shard_name(position, n_sealed): entry.n_scans
+                for position, entry in enumerate(self.entries)
+            }
             return ShardStats(
                 n_dispatches=self._n_dispatches,
                 n_shard_scans=sum(per_shard.values()),
@@ -794,7 +813,7 @@ class ShardedSNTIndex:
         # The rebuilt staging shard inherits its predecessor's scans.
         scans = self._staging.n_scans if self._staging is not None else 0
         self._staging = _ShardEntry.wrap(
-            staging_index, "staging", min(groups), max(groups), n_scans=scans
+            staging_index, min(groups), max(groups), n_scans=scans
         )
         self._staged = staged
         self.t_max = new_t_max
@@ -812,96 +831,63 @@ class ShardedSNTIndex:
         """
         if self._staging is None:
             return
-        entry = self._staging
-        entry.label = f"shard_{len(self._sealed):04d}"
-        self._sealed.append(entry)
+        self._sealed.append(self._staging)
         self._staging = None
         self._staged = []
         self._adopt_entries()
 
     # -- compaction ------------------------------------------------------ #
 
-    def compact(self, policy=None) -> "CompactionReport":
-        """Merge runs of small adjacent sealed shards in place.
+    def compact(self) -> "CompactionReport":
+        """Merge every sealed shard into one, in place.
 
         Repeated append/seal cycles accrete many small shards; every
-        unprunable dispatch then fans out across all of them.  This
-        merges each eligible run (:class:`repro.sntindex.compaction.
-        CompactionPolicy` decides which — by default every adjacent
-        pair or longer of sealed shards) into one shard by
-        concatenating the aligned temporal partitions — the exact
+        unprunable dispatch then fans out across all of them.  With at
+        least two sealed shards, this merges them into one shard by
+        concatenating their aligned temporal partitions — the exact
         inverse of the sharded build's split, so answers stay
         bit-identical (see :func:`repro.sntindex.compaction.
-        merge_shard_indexes` for the argument).  Sealed shards are
-        renumbered densely afterwards; the staging shard is untouched.
+        merge_shard_indexes` for the argument).  The staging shard is
+        untouched.
 
         A compaction that merges anything bumps :attr:`epoch` even
         though answers are unchanged: shard-granular state (per-shard
         scan attribution, mmap'd payload identity) *did* change, and
-        the bump empties in-process caches.  A no-op compaction (no
-        eligible runs) changes nothing and keeps caches warm.
+        the bump empties in-process caches.  A no-op compaction (fewer
+        than two sealed shards) changes nothing and keeps caches warm.
 
         Returns a :class:`repro.sntindex.compaction.CompactionReport`.
         """
         # Local import: compaction.py imports SNTIndex machinery and is
         # imported by the CLI; importing it lazily here keeps the
         # sharded module free of the cycle.
-        from .compaction import (
-            CompactionPolicy,
-            CompactionReport,
-            merge_shard_indexes,
-            plan_compaction,
-        )
+        from .compaction import CompactionReport, merge_shard_indexes
 
-        if policy is None:
-            policy = CompactionPolicy()
-        sizes = [
-            entry.index.build_stats.n_traversals for entry in self._sealed
-        ]
-        groups = plan_compaction(sizes, policy)
-        n_before = len(self._sealed)
-        if not groups:
+        members = self._sealed
+        n_before = len(members)
+        if n_before < 2:
             return CompactionReport(
                 n_sealed_before=n_before,
                 n_sealed_after=n_before,
-                merged_groups=[],
                 epoch=self.epoch,
             )
-        group_by_start = {group[0]: group for group in groups}
-        grouped_members = {position for group in groups for position in group}
-        new_sealed: List[_ShardEntry] = []
-        merged_groups: List[List[str]] = []
-        position = 0
-        while position < n_before:
-            group = group_by_start.get(position)
-            label = f"shard_{len(new_sealed):04d}"
-            if group is not None:
-                members = [self._sealed[i] for i in group]
-                merged = merge_shard_indexes(
-                    [member.index for member in members]
-                )
-                entry = _ShardEntry.wrap(
-                    merged,
-                    label,
-                    members[0].bucket_lo,
-                    members[-1].bucket_hi,
-                    n_scans=sum(member.n_scans for member in members),
-                )
-                merged_groups.append([member.label for member in members])
-                position = group[-1] + 1
-            else:
-                assert position not in grouped_members
-                entry = self._sealed[position]
-                entry.label = label
-                position += 1
-            new_sealed.append(entry)
-        self._sealed = new_sealed
+        merged = merge_shard_indexes([member.index for member in members])
+        self._sealed = [
+            _ShardEntry.wrap(
+                merged,
+                members[0].bucket_lo,
+                members[-1].bucket_hi,
+                n_scans=sum(member.n_scans for member in members),
+            )
+        ]
         self.epoch += 1
         self._adopt_entries()
         return CompactionReport(
             n_sealed_before=n_before,
-            n_sealed_after=len(new_sealed),
-            merged_groups=merged_groups,
+            n_sealed_after=1,
+            merged_groups=[
+                [_shard_name(i, n_before) for i in range(n_before)]
+            ],
             epoch=self.epoch,
         )
 
@@ -943,18 +929,6 @@ class ShardedSNTIndex:
 # ---------------------------------------------------------------------- #
 
 
-def _entry_manifest(entry: _ShardEntry, directory: str) -> dict:
-    return {
-        "dir": directory,
-        "label": entry.label,
-        "bucket_lo": entry.bucket_lo,
-        "bucket_hi": entry.bucket_hi,
-        "t_lo": entry.t_lo,
-        "t_hi": entry.t_hi,
-        "n_partitions": entry.index.n_partitions,
-    }
-
-
 def save_sharded_index(
     index: ShardedSNTIndex,
     path: IndexDir,
@@ -969,6 +943,10 @@ def save_sharded_index(
         staging/                 the staging shard (when present)
         staging_trajectories.pkl staged tail, so appends survive restarts
 
+    A shard table entry is ``{dir, bucket_lo, bucket_hi}``: the only
+    facts about a shard that its own ``meta.json`` does not hold.  Its
+    traversal-time bounds and partitions are read back from that meta.
+
     The whole tree is staged in a sibling directory and swapped in by
     :func:`~repro.sntindex.persistence.atomic_install_dir`, like the
     monolithic format.
@@ -980,14 +958,17 @@ def save_sharded_index(
         # save_index's own temp-dir/swap dance per shard inside it
         # would be K extra rename pairs protecting nothing.
         shard_dirs = []
-        for i, entry in enumerate(index._sealed):
-            directory = f"shard_{i:04d}"
+        for position, entry in enumerate(index.entries):
+            directory = _shard_name(position, len(index._sealed))
             write_index_payload(entry.index, target / directory)
-            shard_dirs.append(_entry_manifest(entry, directory))
+            shard_dirs.append({
+                "dir": directory,
+                "bucket_lo": entry.bucket_lo,
+                "bucket_hi": entry.bucket_hi,
+            })
         staging_manifest = None
         if index._staging is not None:
-            write_index_payload(index._staging.index, target / STAGING_DIR)
-            staging_manifest = _entry_manifest(index._staging, STAGING_DIR)
+            staging_manifest = shard_dirs.pop()
             with open(target / STAGED_TRAJECTORIES_FILE, "wb") as handle:
                 pickle.dump(
                     index._staged, handle, protocol=pickle.HIGHEST_PROTOCOL
@@ -1050,14 +1031,16 @@ def _entry_from_manifest(root: Path, described, manifest: dict) -> _ShardEntry:
             f"{MANIFEST_FILE} shard entry is {described!r}; expected an "
             "object"
         )
-    required = ("dir", "label", "bucket_lo", "bucket_hi", "t_lo", "t_hi",
-                "n_partitions")
+    # Other keys (older manifests also carry label, t_lo, t_hi and
+    # n_partitions) are ignored: the shard's own meta is the one copy
+    # of those facts.
+    required = ("dir", "bucket_lo", "bucket_hi")
     missing = [name for name in required if name not in described]
     if missing:
         raise PersistenceError(
             f"{MANIFEST_FILE} shard entry is missing fields {missing}"
         )
-    for name in ("bucket_lo", "bucket_hi", "t_lo", "t_hi", "n_partitions"):
+    for name in ("bucket_lo", "bucket_hi"):
         value = described[name]
         if not isinstance(value, int) or isinstance(value, bool):
             raise PersistenceError(
@@ -1085,20 +1068,8 @@ def _entry_from_manifest(root: Path, described, manifest: dict) -> _ShardEntry:
         expected_alphabet_size=manifest["alphabet_size"],
         expected_kind=manifest["kind"],
     )
-    if shard_index.n_partitions != int(described["n_partitions"]):
-        raise PersistenceError(
-            f"shard {described['dir']} in {source} holds "
-            f"{shard_index.n_partitions} partition(s), but the manifest "
-            f"recorded {described['n_partitions']} — the shard payload "
-            "does not match this manifest"
-        )
-    return _ShardEntry(
-        index=shard_index,
-        label=str(described["label"]),
-        bucket_lo=int(described["bucket_lo"]),
-        bucket_hi=int(described["bucket_hi"]),
-        t_lo=int(described["t_lo"]),
-        t_hi=int(described["t_hi"]),
+    return _ShardEntry.wrap(
+        shard_index, described["bucket_lo"], described["bucket_hi"]
     )
 
 

@@ -33,12 +33,7 @@ from repro import (
 from repro.config import SECONDS_PER_DAY
 from repro.core.engine import QueryEngine
 from repro.errors import ShardError
-from repro.sntindex.compaction import (
-    CompactionPolicy,
-    compact_index_dir,
-    merge_shard_indexes,
-    plan_compaction,
-)
+from repro.sntindex.compaction import compact_index_dir, merge_shard_indexes
 
 from tests.typed_api import as_requests, run_trip
 
@@ -102,86 +97,6 @@ def assert_bit_identical(expected, actual):
 
 
 # --------------------------------------------------------------------- #
-# Policy / planning
-# --------------------------------------------------------------------- #
-
-
-class TestPolicy:
-    def test_defaults_valid(self):
-        CompactionPolicy()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"small_traversals": -1},
-            {"min_run": 1},
-            {"min_run": 0},
-            {"min_run": 3, "max_group": 2},
-            {"max_group": 2.5},
-            {"max_group": True},
-            {"min_run": 2.5},
-            {"min_run": True},
-            {"small_traversals": 1.5},
-            {"small_traversals": True},
-            {"small_traversals": False},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ShardError):
-            CompactionPolicy(**kwargs)
-
-    def test_zero_small_traversals_valid(self):
-        policy = CompactionPolicy(small_traversals=0)
-        assert plan_compaction([0, 0, 1], policy) == [[0, 1]]
-
-    def test_plan_full(self):
-        assert plan_compaction([5, 5, 5], CompactionPolicy()) == [[0, 1, 2]]
-
-    def test_plan_respects_size_threshold(self):
-        groups = plan_compaction(
-            [10, 3, 3, 10, 3, 3, 3],
-            CompactionPolicy(small_traversals=5),
-        )
-        assert groups == [[1, 2], [4, 5, 6]]
-
-    def test_plan_chunks_at_max_group(self):
-        groups = plan_compaction(
-            [1] * 7, CompactionPolicy(max_group=3)
-        )
-        assert groups == [[0, 1, 2], [3, 4, 5]]  # short tail left alone
-
-    def test_plan_drops_short_runs(self):
-        assert plan_compaction(
-            [1, 10, 1], CompactionPolicy(small_traversals=5)
-        ) == []
-
-    @given(
-        sizes=st.lists(st.integers(0, 20), max_size=24),
-        threshold=st.one_of(st.none(), st.integers(0, 20)),
-        min_run=st.integers(2, 4),
-        extra=st.integers(0, 4),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_plan_invariants(self, sizes, threshold, min_run, extra):
-        policy = CompactionPolicy(
-            small_traversals=threshold,
-            min_run=min_run,
-            max_group=min_run + extra,
-        )
-        groups = plan_compaction(sizes, policy)
-        seen = set()
-        for group in groups:
-            # contiguous, ascending, within policy bounds
-            assert group == list(range(group[0], group[-1] + 1))
-            assert policy.min_run <= len(group) <= policy.max_group
-            for position in group:
-                assert position not in seen  # disjoint
-                seen.add(position)
-                if threshold is not None:
-                    assert sizes[position] <= threshold
-
-
-# --------------------------------------------------------------------- #
 # Merge equivalence
 # --------------------------------------------------------------------- #
 
@@ -230,12 +145,21 @@ class TestMergeEquivalence:
             )
 
     def test_partial_compaction_matches(self, world):
-        """max_group=2 leaves a mixed layout — still bit-identical."""
+        """Compact, then append and seal one more slice: a merged shard
+        beside an unmerged one answers bit-identically too."""
         dataset, mono, trips = world
-        sharded = _build_sharded(dataset)
-        report = sharded.compact(CompactionPolicy(max_group=2))
+        base, tails = _split_by_bucket(dataset, cut_from_end=1)
+        sharded = ShardedSNTIndex.build(
+            TrajectorySet(base),
+            dataset.network.alphabet_size,
+            n_shards=N_SHARDS,
+            partition_days=PARTITION_DAYS,
+        )
+        report = sharded.compact()
         assert report.did_compact
-        assert 1 < sharded.n_shards < N_SHARDS + 1
+        sharded.append(tails[0])
+        sharded.seal_staging()
+        assert sharded.n_shards == 2 and not sharded.has_staging
         engine_mono = QueryEngine(mono, dataset.network)
         engine = QueryEngine(sharded, dataset.network)
         for trip in trips[:10]:
@@ -488,7 +412,7 @@ class TestStatsAcrossTopologyChanges:
         assert stats.n_shard_scans == sum(stats.per_shard_scans.values())
         assert stats.n_shards == sharded.n_shards
         assert set(stats.per_shard_scans) == {
-            entry.label for entry in sharded.entries
+            "shard_0000", "shard_0001", "shard_0002"
         }
 
     def test_totals_preserved_across_compaction(self, world):
@@ -505,10 +429,8 @@ class TestStatsAcrossTopologyChanges:
         assert sum(after.per_shard_scans.values()) == sum(
             before.per_shard_scans.values()
         )
-        # Labels resolve in the post-compaction topology.
-        assert set(after.per_shard_scans) == {
-            entry.label for entry in sharded.entries
-        }
+        # Names resolve in the post-compaction topology.
+        assert set(after.per_shard_scans) == {"shard_0000"}
         assert after.n_shards == 1
 
     def test_counters_follow_shards_through_every_topology_change(
@@ -534,9 +456,10 @@ class TestStatsAcrossTopologyChanges:
             nonlocal previous
             stats = sharded.shard_stats()
             assert stats.n_shard_scans == sum(stats.per_shard_scans.values())
+            n_sealed = sharded.n_shards - sharded.has_staging
             assert list(stats.per_shard_scans) == [
-                entry.label for entry in sharded.entries
-            ]
+                f"shard_{i:04d}" for i in range(n_sealed)
+            ] + ["staging"] * sharded.has_staging
             assert stats.n_shards == sharded.n_shards
             assert stats.n_dispatches >= previous.n_dispatches
             assert stats.n_shard_scans >= previous.n_shard_scans
@@ -557,9 +480,8 @@ class TestStatsAcrossTopologyChanges:
         sharded.seal_staging()
         sealed = check()
         assert "staging" not in sealed.per_shard_scans
-        assert sealed.per_shard_scans[sharded.entries[-1].label] == (
-            staging_scans
-        )
+        newest = f"shard_{sharded.n_shards - 1:04d}"
+        assert sealed.per_shard_scans[newest] == staging_scans
         assert sharded.compact().did_compact
         compacted = check()
         assert compacted.n_shard_scans == sealed.n_shard_scans

@@ -1,26 +1,33 @@
 """The saved-index directory under faults and outside input.
 
 A save is staged in a sibling directory and swapped in by
-:func:`~repro.sntindex.persistence.atomic_install_dir`; every payload
-file is written by ``np.save`` into that staging directory, so the
-fault seam is ``np.save`` itself.  Making the k-th ``np.save`` of a
-re-save raise, for every k, must leave the directory byte-for-byte the
-old index, answering a fixed request set as before, with no staging or
-graveyard sibling left behind.
+:func:`~repro.sntindex.persistence.atomic_install_dir`; every file is
+written into that staging directory by one of three calls — ``np.save``
+for payload arrays, ``json.dump`` for each ``meta.json`` and the
+manifest, ``pickle.dump`` for the staged tail — so those calls are the
+fault seams.  Making the k-th call of a seam raise during a re-save, for
+every k, must leave the directory byte-for-byte the old index, answering
+a fixed request set as before, with no staging or graveyard sibling
+left behind.  A file cut short after the save must end a load, or the
+first use of the part it holds, in a typed error.
 
 A manifest is outside input: a shard ``dir`` that leaves the index
-directory is refused before any shard is read.  A build refuses the
-counts its own loader would refuse.
+directory is refused before any shard is read, and the facts a shard's
+own meta holds (its time bounds, its partitions) are read from that
+meta, never from a manifest copy.  A build refuses the arguments its
+own loader would refuse, or silently truncate.
 """
 
 import itertools
 import json
+import pickle
 import shutil
 
 import numpy as np
 import pytest
 
 from repro import (
+    FixedInterval,
     PeriodicInterval,
     ShardedSNTIndex,
     SNTIndex,
@@ -30,7 +37,7 @@ from repro import (
     open_db,
 )
 from repro.config import SECONDS_PER_DAY
-from repro.errors import IndexError_, PersistenceError, ShardError
+from repro.errors import IndexError_, PersistenceError, ReproError, ShardError
 from repro.sntindex import sharded as sharded_module
 from repro.sntindex.compaction import compact_index_dir
 from repro.sntindex.persistence import atomic_install_dir
@@ -96,56 +103,64 @@ def _answers(root, dataset, requests):
     ]
 
 
-def _failing_save(k):
-    """An ``np.save`` whose k-th call (1-based) raises."""
-    real = np.save
+#: The calls a save writes its files with, by name.
+SEAMS = {"np.save": (np, "save"), "json.dump": (json, "dump"),
+         "pickle.dump": (pickle, "dump")}
+
+
+def _failing_call(seam, k):
+    """The ``seam`` call whose k-th invocation (1-based) raises."""
+    owner, name = SEAMS[seam]
+    real = getattr(owner, name)
     calls = itertools.count(1)
 
-    def save(*args, **kwargs):
+    def call(*args, **kwargs):
         if next(calls) == k:
-            raise OSError(f"injected fault at np.save #{k}")
+            raise OSError(f"injected fault at {seam} #{k}")
         return real(*args, **kwargs)
 
-    return save
+    return call
 
 
-def _count_saves(monkeypatch, action):
-    real = np.save
+def _count_calls(monkeypatch, seam, action):
+    owner, name = SEAMS[seam]
+    real = getattr(owner, name)
     calls = []
 
-    def save(*args, **kwargs):
+    def call(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(np, "save", save)
+        patch.setattr(owner, name, call)
         action()
     return len(calls)
 
 
 def _assert_every_fault_keeps_the_old_index(
-    tmp_path, monkeypatch, old_root, resave, world
+    tmp_path, monkeypatch, old_root, resave, world, seam="np.save"
 ):
-    """Run ``resave(directory)`` once per ``np.save`` it makes, failing
-    that save, against a copy of the saved index at ``old_root``."""
+    """Run ``resave(directory)`` once per ``seam`` call it makes, failing
+    that call, against a copy of the saved index at ``old_root``."""
     dataset, _, _, requests = world
+    owner, name = SEAMS[seam]
     live = tmp_path / "live" / "index"
     shutil.copytree(old_root, live)
     old_files = _snapshot(live)
     old_answers = _answers(live, dataset, requests)
 
-    # A clean re-save on a second copy counts the saves and proves the
+    # A clean re-save on a second copy counts the calls and proves the
     # new tree differs from the old one, so a torn install would show.
     probe = tmp_path / "probe" / "index"
     shutil.copytree(old_root, probe)
-    n_saves = _count_saves(monkeypatch, lambda: resave(probe))
-    assert n_saves > 0
+    n_calls = _count_calls(monkeypatch, seam, lambda: resave(probe))
+    assert n_calls > 0
     assert _snapshot(probe) != old_files
 
-    for k in range(1, n_saves + 1):
+    for k in range(1, n_calls + 1):
         with monkeypatch.context() as patch:
-            patch.setattr(np, "save", _failing_save(k))
-            with pytest.raises(OSError, match=f"#{k}$"):
+            patch.setattr(owner, name, _failing_call(seam, k))
+            with pytest.raises(OSError, match=f"{seam} #{k}$"):
                 resave(live)
         assert [p.name for p in live.parent.iterdir()] == ["index"], k
         assert _snapshot(live) == old_files, k
@@ -153,7 +168,7 @@ def _assert_every_fault_keeps_the_old_index(
 
 
 # --------------------------------------------------------------------- #
-# Re-saves faulted at every np.save
+# Re-saves faulted at every np.save, json.dump and pickle.dump
 # --------------------------------------------------------------------- #
 
 
@@ -190,6 +205,109 @@ class TestResaveFaults:
         _assert_every_fault_keeps_the_old_index(
             tmp_path, monkeypatch, old, compact_index_dir, world
         )
+
+    @pytest.mark.parametrize(
+        "case, seam",
+        [
+            ("monolithic", "json.dump"),
+            ("sharded", "json.dump"),
+            ("sharded", "pickle.dump"),
+            ("compact", "json.dump"),
+            ("compact", "pickle.dump"),
+        ],
+    )
+    def test_json_and_pickle_faults(
+        self, world, tmp_path, monkeypatch, case, seam
+    ):
+        """The same three re-saves, faulted at each meta/manifest
+        ``json.dump`` and at the staged tail's ``pickle.dump`` (a
+        monolithic save pickles nothing)."""
+        dataset, base, tails, _ = world
+        if case == "monolithic":
+            everything = base + [tr for tail in tails for tr in tail]
+            old = SNTIndex.build(
+                TrajectorySet(everything), dataset.network.alphabet_size
+            ).save(tmp_path / "old")
+            resave = SNTIndex.build(
+                TrajectorySet(everything),
+                dataset.network.alphabet_size,
+                partition_days=PARTITION_DAYS,
+            ).save
+        elif case == "sharded":
+            old = _sharded(dataset, base, tails[:1]).save(tmp_path / "old")
+            resave = _sharded(dataset, base, tails[:2]).save
+        else:
+            old = _sharded(dataset, base, tails[:1]).save(tmp_path / "old")
+            resave = compact_index_dir
+        _assert_every_fault_keeps_the_old_index(
+            tmp_path, monkeypatch, old, resave, world, seam=seam
+        )
+
+
+# --------------------------------------------------------------------- #
+# A file cut short ends in a typed error
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def saved_two_shards(world, tmp_path_factory):
+    """A 2-shard index with a staging shard, and one file of each kind:
+    the manifest, a shard meta, the staged tail and every payload array
+    name (partition arrays from partition 0)."""
+    dataset, base, tails, _ = world
+    index = ShardedSNTIndex.build(
+        TrajectorySet(base),
+        dataset.network.alphabet_size,
+        n_shards=2,
+        partition_days=PARTITION_DAYS,
+    )
+    index.append(tails[0])
+    root = index.save(tmp_path_factory.mktemp("cut") / "index")
+    payload = sorted((root / "shard_0000" / "payload").iterdir())
+    arrays = [path for path in payload
+              if not path.name.startswith("p") or path.name.startswith("p0_")
+              or path.name.startswith("perm_")]
+    files = [root / "manifest.json", root / "shard_0000" / "meta.json",
+             root / "staging_trajectories.pkl", *arrays]
+    assert all(path.is_file() for path in files)
+    return root, files
+
+
+def _load_and_force(root):
+    """Load ``root`` and touch every lazily read part of every shard."""
+    index = load_any_index(root)
+    for shard in index.shards:
+        for partition in shard.partitions:
+            partition.fm
+        edge = next(iter(shard.forest.edges()))
+        shard.forest.get(edge).columns
+        shard.tod_store
+
+
+class TestTruncatedFiles:
+    @pytest.mark.parametrize("cut", ["empty", "half", "one_byte_short"])
+    def test_every_kind_of_file_cut_short_is_typed(
+        self, saved_two_shards, cut
+    ):
+        root, files = saved_two_shards
+        untyped = []
+        for path in files:
+            whole = path.read_bytes()
+            size = {"empty": 0, "half": len(whole) // 2,
+                    "one_byte_short": len(whole) - 1}[cut]
+            path.write_bytes(whole[:size])
+            try:
+                _load_and_force(root)
+            except ReproError:
+                pass
+            except Exception as error:
+                untyped.append(f"{path.relative_to(root)}: {error!r}")
+            else:
+                untyped.append(f"{path.relative_to(root)}: loaded")
+            finally:
+                path.write_bytes(whole)
+        assert untyped == []
+        _load_and_force(root)  # the restored index is whole again
 
 
 # --------------------------------------------------------------------- #
@@ -236,6 +354,61 @@ class TestKeyHygiene:
         _forbid_shard_reads(monkeypatch)
         with pytest.raises(PersistenceError, match="leaves the index"):
             load_sharded_index(saved_sharded)
+
+
+class TestManifestEntries:
+    """A manifest entry is ``{dir, bucket_lo, bucket_hi}``: a shard's
+    time bounds and partitions come from its own meta."""
+
+    def test_entries_hold_only_dir_and_buckets(self, saved_sharded):
+        manifest = json.loads((saved_sharded / "manifest.json").read_text())
+        entries = manifest["shards"] + [manifest["staging"]]
+        assert [entry["dir"] for entry in entries] == [
+            "shard_0000", "shard_0001", "shard_0002", "staging"
+        ]
+        for entry in entries:
+            assert set(entry) == {"dir", "bucket_lo", "bucket_hi"}
+
+    def test_rewritten_bounds_do_not_prune(self, world, tmp_path):
+        """Bounds written into a manifest entry are not routed on: a
+        fixed interval over shard 0 answers as before even when the
+        entry claims shard 0 lies past the last shard."""
+        dataset, base, _, _ = world
+        root = _sharded(dataset, base, []).save(tmp_path / "index")
+        first = min(base, key=lambda tr: tr.start_time)
+        request = TripRequest(
+            path=tuple(first.path[:2]),
+            interval=FixedInterval(first.start_time, first.start_time + 1),
+        )
+        before = load_sharded_index(root)
+        assert before.count_matches(request.path, request.interval) == 1
+        expected = _answers(root, dataset, [request])
+
+        manifest_file = root / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        past = before.entries[-1].t_hi + 10 * SECONDS_PER_DAY
+        manifest["shards"][0].update(t_lo=past, t_hi=past + 1)
+        manifest_file.write_text(json.dumps(manifest))
+
+        after = load_sharded_index(root)
+        assert after.count_matches(request.path, request.interval) == 1
+        assert _answers(root, dataset, [request]) == expected
+
+    def test_older_manifest_with_copies_loads(self, world, saved_sharded):
+        """A manifest that still carries the copies an older writer kept
+        (label, t_lo, t_hi, n_partitions) loads and answers the same."""
+        dataset, _, _, requests = world
+        expected = _answers(saved_sharded, dataset, requests)
+        index = load_sharded_index(saved_sharded)
+        manifest_file = saved_sharded / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        entries = manifest["shards"] + [manifest["staging"]]
+        for entry, shard in zip(entries, index.shards):
+            t_lo, t_hi = shard.data_time_bounds()
+            entry.update(label=entry["dir"], t_lo=t_lo, t_hi=t_hi,
+                         n_partitions=shard.n_partitions)
+        manifest_file.write_text(json.dumps(manifest, indent=2))
+        assert _answers(saved_sharded, dataset, requests) == expected
 
 
 # --------------------------------------------------------------------- #
@@ -342,3 +515,60 @@ class TestBuildCounts:
         assert loaded.partition_days == days
         assert loaded.n_shards == built.n_shards
         assert loaded.n_partitions == built.n_partitions
+
+
+class TestBuildArguments:
+    """Both builders refuse an alphabet size, time-of-day bucket width
+    or tree kind their loader would refuse or truncate."""
+
+    BAD = [
+        ("alphabet_size", 0),
+        ("alphabet_size", 2.5),
+        ("alphabet_size", True),
+        ("tod_bucket_s", 0),
+        ("tod_bucket_s", -5),
+        ("tod_bucket_s", 2.5),
+        ("tod_bucket_s", True),
+        ("tod_bucket_s", SECONDS_PER_DAY + 1),
+        ("kind", "foo"),
+    ]
+
+    @staticmethod
+    def _arguments(world, **overrides):
+        dataset = world[0]
+        arguments = {"alphabet_size": dataset.network.alphabet_size,
+                     "partition_days": PARTITION_DAYS}
+        arguments.update(overrides)
+        return dataset.trajectories, arguments
+
+    @pytest.mark.parametrize("name, value", BAD)
+    def test_monolithic_rejects(self, world, name, value):
+        trajectories, arguments = self._arguments(world, **{name: value})
+        with pytest.raises(IndexError_, match=name):
+            SNTIndex.build(trajectories, **arguments)
+
+    @pytest.mark.parametrize("name, value", BAD)
+    def test_sharded_rejects(self, world, name, value):
+        trajectories, arguments = self._arguments(world, **{name: value})
+        with pytest.raises(IndexError_, match=name):
+            ShardedSNTIndex.build(trajectories, n_shards=2, **arguments)
+
+    @pytest.mark.parametrize("builder", ["monolithic", "sharded"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tod_bucket_s", 60), ("tod_bucket_s", SECONDS_PER_DAY),
+         ("kind", "btree")],
+    )
+    def test_accepted_values_round_trip(
+        self, world, tmp_path, builder, name, value
+    ):
+        trajectories, arguments = self._arguments(world, **{name: value})
+        if builder == "monolithic":
+            built = SNTIndex.build(trajectories, **arguments)
+        else:
+            built = ShardedSNTIndex.build(
+                trajectories, n_shards=2, **arguments
+            )
+        loaded = load_any_index(built.save(tmp_path / "index"))
+        assert getattr(loaded, name) == value
+        assert loaded.alphabet_size == arguments["alphabet_size"]

@@ -637,11 +637,16 @@ class TestShardLifecycleCommands:
         index_dir = tmp_path / "sharded"
         self._build_sharded(world_dir, index_dir)
         capsys.readouterr()
-        assert main(["compact", str(index_dir), "--max-group", "2"]) == 0
-        assert "4 -> 2" in capsys.readouterr().out
-        # A threshold below every shard's size leaves nothing to merge.
-        assert main(["compact", str(index_dir),
-                     "--small-traversals", "0"]) == 0
+        # Compaction has no policy: the old tuning flags are usage errors.
+        for flag in (["--max-group", "2"], ["--min-run", "2"],
+                     ["--small-traversals", "0"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["compact", str(index_dir), *flag])
+            assert excinfo.value.code == 2
+        assert main(["compact", str(index_dir)]) == 0
+        assert "4 -> 1" in capsys.readouterr().out
+        # One sealed shard is left: nothing to merge.
+        assert main(["compact", str(index_dir)]) == 0
         assert "nothing to compact" in capsys.readouterr().out
 
     def test_compact_monolithic_fails_one_line(self, world_dir, tmp_path,
