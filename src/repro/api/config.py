@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple
 
 from ..config import DEFAULT_BUCKET_WIDTH_S, DEFAULT_INTERVAL_LADDER_S
 from ..config import DEFAULT_USER_SELECTIVITY
@@ -64,14 +64,10 @@ class EngineConfig:
         (:class:`repro.core.exec.BatchExecutor`), bit-identical to the
         per-trip loop.  Kept so existing ``dedup_subqueries=True``
         call sites still construct; nothing reads it.
-    cache_entries:
-        Per-section LRU bound of the session's cache (``None`` =
-        unbounded).
-    cache:
-        ``"memory"`` gives a session built with ``cache="default"`` an
-        in-process :class:`~repro.service.SubQueryCache` bounded by
-        ``cache_entries``; ``"off"`` gives it none (per-trip caching
-        only).  The spec never changes answers.
+
+    The session's cache is not configured here: :func:`repro.open_db`
+    takes it (``cache=None`` for none, or a
+    :class:`~repro.service.SubQueryCache` with other bounds).
 
     All validation failures raise :class:`ConfigurationError` (a
     :class:`~repro.errors.QueryError`), never a bare ``ValueError``.
@@ -87,8 +83,6 @@ class EngineConfig:
     shift_and_enlarge: bool = True
     beta_policy: Optional[BetaPolicy] = None
     dedup_subqueries: bool = True
-    cache_entries: Optional[int] = 65_536
-    cache: str = "memory"
 
     def __post_init__(self) -> None:
         if self.partitioner not in PARTITIONER_NAMES:
@@ -135,19 +129,8 @@ class EngineConfig:
                 "max_relaxations must be a positive integer; got "
                 f"{self.max_relaxations!r}"
             )
-        if self.cache_entries is not None and not is_count(
-            self.cache_entries
-        ):
-            raise ConfigurationError(
-                "cache_entries must be a positive integer or None "
-                f"(unbounded); got {self.cache_entries!r}"
-            )
         if self.dedup_subqueries is not True:
             raise ConfigurationError("deduplication is always on")
-        if self.cache not in ("memory", "off"):
-            raise ConfigurationError(
-                f"cache must be 'memory' or 'off'; got {self.cache!r}"
-            )
 
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with the given fields changed (re-validated)."""

@@ -66,14 +66,13 @@ class TravelTimeDB:
     Usable as a context manager; closing releases the session's own
     cache (see :meth:`close`).
 
-    ``cache`` selects the cross-query cache: ``"default"`` builds one
-    from ``config`` (a :class:`SubQueryCache` bounded by
-    ``config.cache_entries``, or none when ``config.cache`` is
-    ``"off"``); ``None`` disables cross-query caching (every trip uses a
-    per-trip cache); or pass a pre-configured :class:`SubQueryCache` to
-    control the bounds or share one cache between sessions *over the
-    same index and network* — the cache binds permanently to the first
-    (index, network) pair it serves and rejects any other.
+    ``cache`` selects the cross-query cache: ``"default"`` builds a
+    :class:`SubQueryCache` with its default bounds; ``None`` disables
+    cross-query caching (every trip uses a per-trip cache); or pass a
+    pre-configured :class:`SubQueryCache` to control the bounds or
+    share one cache between sessions *over the same index and network*
+    — the cache binds permanently to the first (index, network) pair it
+    serves and rejects any other.
     """
 
     def __init__(
@@ -98,12 +97,7 @@ class TravelTimeDB:
         # closed on close().
         self._owns_cache = cache == "default"
         if cache == "default":
-            bound = self._config.cache_entries
-            cache = (
-                SubQueryCache(bound, bound, bound)
-                if self._config.cache == "memory"
-                else None
-            )
+            cache = SubQueryCache()
         elif isinstance(cache, str):
             raise ConfigurationError(
                 "cache must be a SubQueryCache, None, or 'default'; "
@@ -282,9 +276,10 @@ def open_db(
     config:
         An :class:`EngineConfig`; ``None`` uses defaults.
     cache:
-        As for :class:`TravelTimeDB`: ``"default"`` builds the cache
-        ``config`` asks for, ``None`` disables cross-query caching, or
-        pass a :class:`SubQueryCache` directly.
+        As for :class:`TravelTimeDB`: ``"default"`` builds a
+        :class:`SubQueryCache` with its default bounds, ``None``
+        disables cross-query caching, or pass a :class:`SubQueryCache`
+        directly.
     """
     if path_or_index is None:
         raise ConfigurationError(

@@ -56,7 +56,6 @@ from .api import EngineConfig, EstimatorMode, TripRequest, open_db
 from .core.intervals import FixedInterval, PeriodicInterval
 from .errors import ReproError
 from .core.partitioning import PARTITIONER_NAMES
-from .network.generator import generate_network
 from .network.io import (
     load_network,
     load_trajectories,
@@ -513,13 +512,16 @@ def _result_line(path_text: str, result) -> str:
     )
 
 
-def _session_config(args) -> EngineConfig:
-    """The ``batch`` / ``serve`` session config; ``--no-cache`` is its
-    one cache switch."""
-    return EngineConfig(
-        partitioner=args.partitioner,
-        splitter=args.splitter,
-        cache="off" if args.no_cache else "memory",
+def _open_session(args, index, network):
+    """The ``batch`` / ``serve`` session; ``--no-cache`` is its one
+    cache switch."""
+    return open_db(
+        index,
+        network=network,
+        config=EngineConfig(
+            partitioner=args.partitioner, splitter=args.splitter
+        ),
+        cache=None if args.no_cache else "default",
     )
 
 
@@ -540,7 +542,7 @@ def _cmd_batch(args) -> int:
         for path_text, tod in specs
     ]
 
-    db = open_db(index, network=network, config=_session_config(args))
+    db = _open_session(args, index, network)
     started = time.perf_counter()
     if args.stream:
         # Order-preserving streaming: each answer prints as its window
@@ -590,7 +592,7 @@ def _cmd_serve(args) -> int:
 
     network = load_network(Path(args.world) / NETWORK_FILE)
     index = _obtain_index(args, network)
-    db = open_db(index, network=network, config=_session_config(args))
+    db = _open_session(args, index, network)
     server_config = ServerConfig(
         host=args.host,
         port=args.port,

@@ -22,8 +22,6 @@ Modes: ``ISA`` (c_P only), ``BT-Fast``, ``BT-Acc``, ``CSS-Fast``,
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config import DEFAULT_USER_SELECTIVITY, SECONDS_PER_DAY
 from ..errors import EstimatorError
 from ..sntindex.reader import IndexReader

@@ -16,7 +16,7 @@ One function per figure family:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +33,7 @@ from ..metrics.likelihood import average_log_likelihood
 from ..metrics.qerror import mean_q_error_log10
 from ..sntindex.index import SNTIndex
 from ..sntindex.procedures import count_matches
-from .workload import QuerySpec, Workload
+from .workload import Workload
 
 __all__ = [
     "AccuracyResult",

@@ -17,7 +17,6 @@ Three query types are evaluated (Section 6):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -32,20 +32,31 @@ class TimeOfDayHistogramStore:
         self.n_buckets = -(-SECONDS_PER_DAY // self.bucket_width_s)  # ceil
         self._histograms: Dict[Tuple[int, int], np.ndarray] = {}
 
-    def add_traversals(
-        self, edge: int, timestamps: np.ndarray, partition: int = 0
-    ) -> None:
-        """Accumulate entry timestamps of ``edge`` into its histogram."""
-        timestamps = np.asarray(timestamps, dtype=np.int64)
-        if timestamps.size == 0:
-            return
-        buckets = np.mod(timestamps, SECONDS_PER_DAY) // self.bucket_width_s
-        counts = np.bincount(buckets, minlength=self.n_buckets)
-        key = (int(edge), int(partition))
-        if key in self._histograms:
-            self._histograms[key] += counts
-        else:
-            self._histograms[key] = counts.astype(np.int64)
+    @classmethod
+    def from_traversals(
+        cls,
+        bucket_width_s: int,
+        edges: np.ndarray,
+        partitions: np.ndarray,
+        timestamps: np.ndarray,
+    ) -> "TimeOfDayHistogramStore":
+        """One histogram per ``(edge, partition)`` pair that occurs in
+        the traversal columns, keyed in ascending pair order, counted in
+        one pass."""
+        store = cls(bucket_width_s=bucket_width_s)
+        if not edges.size:
+            return store
+        width = int(partitions.max()) + 1
+        pairs, group = np.unique(
+            edges.astype(np.int64) * width + partitions, return_inverse=True
+        )
+        buckets = np.mod(timestamps, SECONDS_PER_DAY) // store.bucket_width_s
+        counts = np.bincount(
+            group * store.n_buckets + buckets,
+            minlength=pairs.size * store.n_buckets,
+        ).reshape(pairs.size, store.n_buckets)
+        keys = np.stack((pairs // width, pairs % width), axis=1)
+        return cls.from_arrays(bucket_width_s, keys, counts)
 
     def __len__(self) -> int:
         return len(self._histograms)

@@ -14,7 +14,7 @@ trajectory-string terminator of the FM-index.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NetworkError, UnknownEdgeError

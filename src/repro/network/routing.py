@@ -8,7 +8,7 @@ with personal taste perturbations) and by the risk-averse routing example
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..errors import NetworkError
 from .graph import RoadNetwork

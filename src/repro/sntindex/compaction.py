@@ -16,12 +16,13 @@ Shard boundaries coincide with temporal partition boundaries and every
 shard was built with the *global* window bounds, so the members' FM
 partitions are byte-for-byte the partitions the monolithic index would
 hold — the merge reuses them untouched, only renumbering the local
-partition ids.  The per-segment leaf columns are re-sorted stably by
-``t`` after concatenating the members in shard order: members are
-contiguous partition runs, and each member's columns are themselves the
-stable t-sort of its partition-major rows, so the concatenation's
-equal-``t`` rows sit in exactly the monolithic partition-major order
-and the stable re-sort reproduces the monolithic row order bit for bit
+partition ids.  The leaf rows are re-sorted stably by ``(edge, t)``
+after concatenating the members' flat columns in shard order: members
+are contiguous partition runs, and each member's columns are themselves
+the stable ``(edge, t)`` sort of its partition-major rows, so the
+concatenation's rows of one segment with equal ``t`` sit in exactly the
+monolithic partition-major order and the stable re-sort reproduces the
+monolithic row order bit for bit
 (the same argument that makes the router's ``(t, shard)`` merge exact,
 applied at rest instead of per query).  Time-of-day histograms and the
 user container are unions of disjoint keys.  The existing
@@ -42,14 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import ShardError
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import TemporalForest
-from ..temporal.records import TraversalColumns
+from ..temporal.records import COLUMN_DTYPES
 from .index import BuildStats, SNTIndex
 from .persistence import IndexDir
 
@@ -102,8 +103,9 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     (= temporal) order.  The result is exactly the shard a sharded
     build would have produced for the union of their time slices — FM
     partitions reused byte-for-byte with local ids renumbered, leaf
-    columns re-sorted stably per segment, histogram and user containers
-    unioned.  See the module docstring for the bit-identity argument.
+    rows re-sorted stably by ``(edge, t)``, histogram and user
+    containers unioned.  See the module docstring for the bit-identity
+    argument.
     """
     if not indexes:
         raise ShardError("cannot merge zero shards")
@@ -123,37 +125,18 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
         for partition in index.partitions:
             partitions.append(replace(partition, w=partition.w + offset))
 
-    # Per-segment leaf columns: concatenate members in shard order with
-    # partition ids shifted; TraversalColumns.from_arrays re-sorts
-    # stably by t, reproducing the monolithic row order.
-    per_edge: Dict[int, TraversalColumns] = {}
-    edges = sorted(
-        {int(edge) for index in indexes for edge in index.forest.edges()}
-    )
-    for edge in edges:
-        chunks: Dict[str, List[np.ndarray]] = {
-            name: [] for name in ("t", "isa", "d", "tt", "a", "seq", "w")
-        }
-        for index, offset in zip(indexes, offsets):
-            phi = index.forest.get(edge)
-            if phi is None:
-                continue
-            columns = phi.columns
-            for name in ("t", "isa", "d", "tt", "a", "seq"):
-                chunks[name].append(getattr(columns, name))
-            chunks["w"].append(
-                np.asarray(columns.w, dtype=np.int64) + offset
-            )
-        per_edge[edge] = TraversalColumns.from_arrays(
-            t=np.concatenate(chunks["t"]),
-            isa=np.concatenate(chunks["isa"]),
-            d=np.concatenate(chunks["d"]),
-            tt=np.concatenate(chunks["tt"]),
-            a=np.concatenate(chunks["a"]),
-            seq=np.concatenate(chunks["seq"]),
-            w=np.concatenate(chunks["w"]),
-        )
-    forest = TemporalForest.build(per_edge, kind=first.kind)
+    # Leaf rows: the members' flat columns in shard order, partition
+    # ids shifted; the forest's stable (edge, t) sort then reproduces
+    # the monolithic row order.
+    chunks = []
+    for index, offset in zip(indexes, offsets):
+        columns = index.forest.columns
+        chunk = {name: getattr(columns, name) for name in COLUMN_DTYPES}
+        chunk["edge"] = index.forest.row_edges()
+        chunk["w"] = columns.w + offset
+        chunks.append(chunk)
+    forest = TemporalForest.from_rows(chunks, kind=first.kind)
+    del chunks
 
     # Time-of-day histograms: (edge, partition) keys are disjoint
     # across members once partition ids are shifted.
@@ -199,8 +182,7 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
             index.build_stats.n_traversals for index in indexes
         ),
     )
-    bounds = [index.data_time_bounds() for index in indexes]
-    merged = SNTIndex(
+    return SNTIndex(
         partitions=partitions,
         forest=forest,
         users=users,
@@ -212,12 +194,7 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
         partition_days=first.partition_days,
         build_stats=stats,
         tod_bucket_s=first.tod_bucket_s,
-        data_bounds=(
-            min(lo for lo, _ in bounds),
-            max(hi for _, hi in bounds),
-        ),
     )
-    return merged
 
 
 def compact_index_dir(source: IndexDir) -> CompactionReport:

@@ -30,7 +30,6 @@ from ..errors import (
 )
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
-from ..temporal.records import TraversalColumns
 from ..trajectories.model import TrajectorySet
 from . import procedures
 from .partition import IndexPartition, build_partition
@@ -93,6 +92,16 @@ def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     return traj_ids, user_ids
 
 
+def _tod_store(
+    forest: TemporalForest, bucket_width_s: int
+) -> TimeOfDayHistogramStore:
+    """The time-of-day histograms of every ``(edge, w)`` pair of
+    ``forest``, in one pass over its flat columns."""
+    return TimeOfDayHistogramStore.from_traversals(
+        bucket_width_s, forest.row_edges(), forest.columns.w, forest.columns.t
+    )
+
+
 @dataclass
 class BuildStats:
     """Timings and sizes recorded while building the index (Fig. 10c)."""
@@ -124,7 +133,6 @@ class SNTIndex:
         partition_days: Optional[int],
         build_stats: BuildStats,
         tod_bucket_s: Optional[int] = None,
-        data_bounds: Optional[Tuple[int, int]] = None,
     ):
         self.partitions = partitions
         #: Fixed at construction, like ``partitions``; read per scan.
@@ -155,9 +163,6 @@ class SNTIndex:
         self.kind = kind
         self.partition_days = partition_days
         self.build_stats = build_stats
-        #: Traversal-timestamp bounds cached by the persistence layer
-        #: (``None`` for a freshly built index — computed on demand).
-        self._data_bounds = data_bounds
 
     @property
     def tod_store(self) -> TimeOfDayHistogramStore:
@@ -275,49 +280,19 @@ class SNTIndex:
 
         partitions: List[IndexPartition] = []
         row_chunks: List[dict] = []
-        w_chunks: List[np.ndarray] = []
         for w, (lo, hi, members) in enumerate(grouped):
             partition, rows = build_partition(
                 w, members, alphabet_size, lo, hi
             )
+            rows["w"] = np.full(rows["edge"].size, w, dtype=np.int32)
             partitions.append(partition)
             row_chunks.append(rows)
-            w_chunks.append(np.full(rows["edge"].size, w, dtype=np.int32))
-
-        merged = {
-            name: np.concatenate([chunk[name] for chunk in row_chunks])
-            for name in ("edge", "t", "isa", "d", "tt", "a", "seq")
-        }
-        merged_w = np.concatenate(w_chunks)
-
-        # Group rows by edge and build the forest.
-        order = np.argsort(merged["edge"], kind="stable")
-        edges_sorted = merged["edge"][order]
-        unique_edges, first_positions = np.unique(
-            edges_sorted, return_index=True
-        )
-        boundaries = np.append(first_positions, edges_sorted.size)
-        per_edge: Dict[int, TraversalColumns] = {}
-        tod_store = TimeOfDayHistogramStore(bucket_width_s=tod_bucket_s)
-        for i, edge_id in enumerate(unique_edges):
-            rows = order[boundaries[i] : boundaries[i + 1]]
-            columns = TraversalColumns.from_arrays(
-                t=merged["t"][rows],
-                isa=merged["isa"][rows],
-                d=merged["d"][rows],
-                tt=merged["tt"][rows],
-                a=merged["a"][rows],
-                seq=merged["seq"][rows],
-                w=merged_w[rows],
-            )
-            per_edge[int(edge_id)] = columns
-            for w in np.unique(columns.w):
-                tod_store.add_traversals(
-                    int(edge_id),
-                    columns.t[columns.w == w],
-                    partition=int(w),
-                )
-        forest = TemporalForest.build(per_edge, kind=kind)
+        forest = TemporalForest.from_rows(row_chunks, kind=kind)
+        del row_chunks
+        # Every segment's tree is part of the build (Figure 10c's setup
+        # time covers them), so none is left to the first query.
+        forest.materialise()
+        tod_store = _tod_store(forest, tod_bucket_s)
 
         # Associative container U: d -> u (dense trajectory ids).
         users = np.full(int(traj_ids.max()) + 1, -1, dtype=np.int64)
@@ -327,7 +302,7 @@ class SNTIndex:
             setup_seconds=time.perf_counter() - started,
             n_partitions=len(partitions),
             n_trajectories=int(traj_ids.size),
-            n_traversals=int(merged["edge"].size),
+            n_traversals=forest.total_records(),
         )
         return cls(
             partitions=partitions,
@@ -482,22 +457,14 @@ class SNTIndex:
         Unlike ``t_min``/``t_max`` (the corpus span recorded at build
         time, which a sharded wrapper sets globally), these bounds
         describe the rows actually indexed here — the shard router uses
-        them to prune shards that cannot overlap a fixed interval.
+        them to prune shards that cannot overlap a fixed interval.  They
+        are worked out from the forest (each segment's first and last
+        ``t``), never read from a saved meta file.
         """
-        if self._data_bounds is not None:
-            return self._data_bounds
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        for edge in self.forest.edges():
-            phi = self.forest.get(edge)
-            edge_lo, edge_hi = phi.min_t(), phi.max_t()
-            if edge_lo is None:
-                continue
-            lo = edge_lo if lo is None else min(lo, edge_lo)
-            hi = edge_hi if hi is None else max(hi, edge_hi)
-        if lo is None:  # cannot happen for a built index (non-empty)
+        bounds = self.forest.time_bounds()
+        if bounds is None:  # cannot happen for a built index (non-empty)
             return self.t_min, self.t_max
-        return int(lo), int(hi)
+        return bounds
 
     def build_tod_store(self, bucket_width_s: int) -> TimeOfDayHistogramStore:
         """Build a fresh time-of-day histogram store at another grain.
@@ -505,14 +472,7 @@ class SNTIndex:
         Used by the Figure 10b experiment to cost 1/5/10-minute stores
         without rebuilding the FM-indexes and forest.
         """
-        store = TimeOfDayHistogramStore(bucket_width_s=bucket_width_s)
-        for edge in self.forest.edges():
-            columns = self.forest.get(edge).columns
-            for w in np.unique(columns.w):
-                store.add_traversals(
-                    int(edge), columns.t[columns.w == w], partition=int(w)
-                )
-        return store
+        return _tod_store(self.forest, bucket_width_s)
 
     # ------------------------------------------------------------------ #
     # Persistence (service cold start without re-running ``build()``)

@@ -6,20 +6,21 @@ afterwards, so it is built once and shipped as a directory:
 
 ``meta.json``
     Format tag + version, scalar index attributes, the build stats, the
-    cached traversal-time bounds, and one *scalar-only* entry per
+    traversal-time bounds (written for older loaders; this one works
+    them out from the forest), and one *scalar-only* entry per
     temporal partition (``w``, trip/traversal counts, time bounds,
     FM text length).  Deliberately small: parsing it must not scale
     with the alphabet or the corpus.
 ``payload/``
     One standalone ``.npy`` file per bulk array: the user container
-    ``U``, the temporal-forest leaf columns (concatenated across edges
-    with an offset table), the forest's two per-edge sort permutations
-    (``perm_tod.npy``, ``perm_probe.npy`` — v2.1, optional; see
-    :data:`FORMAT_MINOR`), the time-of-day histogram arrays, and — per
-    partition ``k`` — ``p{k}_counts.npy`` (the ``C`` array), the
-    Huffman code table as three arrays (``p{k}_code_symbols.npy``,
-    ``p{k}_code_lengths.npy``, and the concatenated code bits
-    ``p{k}_code_bits.npy``), the per-node bit counts
+    ``U``, the temporal-forest leaf columns (sorted by ``(edge, t)``,
+    with an edge id and offset table), the forest's two per-edge sort
+    permutations (``perm_tod.npy``, ``perm_probe.npy`` — v2.1,
+    optional; see :data:`FORMAT_MINOR`), the time-of-day histogram
+    arrays, and — per partition ``k`` — ``p{k}_counts.npy`` (the ``C``
+    array), the Huffman code table as three arrays
+    (``p{k}_code_symbols.npy``, ``p{k}_code_lengths.npy``, and the
+    concatenated code bits ``p{k}_code_bits.npy``), the per-node bit counts
     ``p{k}_node_bits.npy`` (in sorted-prefix order — the node
     *prefixes* are re-derived from the code table, so they are never
     stored), plus the concatenation of every wavelet-tree node's packed
@@ -34,9 +35,10 @@ and establishes the shared mmaps, and the first query that touches a
 partition rebuilds its wavelet tree around zero-copy *slices* of the
 mapped node concatenations
 (:meth:`~repro.fmindex.bitvector.RankBitvector.from_arrays`).  The
-temporal forest materialises per-edge tree directories lazily
-(:class:`~repro.temporal.forest.SlicedTemporalForest`), and the
-time-of-day store loads on first estimator use.
+temporal forest is the mapped columns themselves, the layout a built
+forest holds too, and builds a segment's tree directory on first use
+(:class:`~repro.temporal.forest.TemporalForest`); the time-of-day store
+loads on first estimator use.
 
 Format version 1 pickled the FM partitions (``partitions.pkl``); loading
 executed whatever the pickle said.  Version 2 removes that file — the
@@ -82,7 +84,8 @@ from ..errors import IndexFormatError, PersistenceError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
 from ..fmindex.bitvector import split_flat
 from ..histogram.tod import TimeOfDayHistogramStore
-from ..temporal.forest import SlicedTemporalForest
+from ..temporal.forest import TemporalForest
+from ..temporal.records import COLUMN_DTYPES, TraversalColumns
 from .partition import IndexPartition
 
 #: A saved index's directory, as every entry point here accepts it.
@@ -103,6 +106,7 @@ __all__ = [
     "read_manifest",
     "validate_meta",
     "validate_identity",
+    "check_integers",
     "atomic_install_dir",
     "write_index_payload",
 ]
@@ -124,7 +128,7 @@ FORMAT_NAME = "snt-index"
 META_FILE = "meta.json"
 PAYLOAD_DIR = "payload"
 
-_COLUMNS = ("t", "isa", "d", "tt", "a", "seq", "w")
+_COLUMNS = tuple(COLUMN_DTYPES)
 _SHARED_ARRAYS = (
     "users",
     "edge_ids",
@@ -340,43 +344,21 @@ def _write_payload(
 ) -> None:
     """Write ``meta.json`` + ``payload/`` into (staging) dir ``target``."""
 
-    edges = sorted(index.forest.edges())
-    chunks: Dict[str, List[Array]] = {name: [] for name in _COLUMNS}
-    perm_tod_chunks: List[Array] = []
-    perm_probe_chunks: List[Array] = []
-    offsets = np.zeros(len(edges) + 1, dtype=np.int64)
-    for i, edge in enumerate(edges):
-        phi = index.forest.get(edge)
-        columns = phi.columns
-        offsets[i + 1] = offsets[i] + len(columns)
-        for name in _COLUMNS:
-            chunks[name].append(getattr(columns, name))
-        # The v2.1 sort permutations (built here if no query has yet):
-        # edge-relative row indices, sharing the edge_offsets table.
-        perm_tod_chunks.append(phi.tod_order)
-        perm_probe_chunks.append(phi.probe_order)
-
+    # The forest's own arrays are the payload; the permutations are
+    # worked out here when the forest holds none yet.
+    forest = index.forest
+    perm_tod, perm_probe = forest.permutations()
     arrays: Dict[str, Array] = {
         "users": index.users,
-        "edge_ids": np.asarray(edges, dtype=np.int64),
-        "edge_offsets": offsets,
+        "edge_ids": forest.edge_ids,
+        "edge_offsets": forest.offsets,
+        **{
+            f"col_{name}": getattr(forest.columns, name)
+            for name in _COLUMNS
+        },
+        "perm_tod": perm_tod,
+        "perm_probe": perm_probe,
     }
-    for name in _COLUMNS:
-        arrays[f"col_{name}"] = (
-            np.concatenate(chunks[name])
-            if chunks[name]
-            else np.empty(0)
-        )
-    arrays["perm_tod"] = (
-        np.concatenate(perm_tod_chunks)
-        if perm_tod_chunks
-        else np.empty(0, dtype=np.int64)
-    )
-    arrays["perm_probe"] = (
-        np.concatenate(perm_probe_chunks)
-        if perm_probe_chunks
-        else np.empty(0, dtype=np.int64)
-    )
     tod_keys, tod_counts = index.tod_store.as_arrays()
     arrays["tod_keys"] = tod_keys
     arrays["tod_counts"] = tod_counts
@@ -409,6 +391,8 @@ def _write_payload(
         "t_max": index.t_max,
         "alphabet_size": index.alphabet_size,
         "tod_bucket_s": index.tod_bucket_s,
+        # Loaders of earlier releases require this field; this one works
+        # the bounds out from the forest and never reads it.
         "data_time_bounds": list(index.data_time_bounds()),
         "partitions": partitions_meta,
         "build_stats": {
@@ -480,6 +464,31 @@ def read_meta(path: IndexDir) -> Dict[str, Any]:
     )
 
 
+def check_integers(
+    meta: Dict[str, Any],
+    minimums: Dict[str, Optional[int]],
+    source: Union[str, Path],
+) -> None:
+    """Prove each field named in ``minimums`` an integer (a bool is
+    not one) no smaller than its minimum (``None``: any integer), else
+    raise :class:`PersistenceError` — shared by the monolithic and the
+    sharded loader, which run it before reading any payload."""
+    for name, minimum in minimums.items():
+        value = meta[name]
+        if (
+            not isinstance(value, int)
+            or isinstance(value, bool)
+            or (minimum is not None and value < minimum)
+        ):
+            expected = "an integer" if minimum is None else (
+                f"an integer >= {minimum}"
+            )
+            raise PersistenceError(
+                f"{source} declares {name} = {value!r}; expected "
+                f"{expected} — refusing before reading any payload"
+            )
+
+
 def validate_identity(
     meta: Dict[str, Any],
     source: Union[str, Path],
@@ -499,14 +508,8 @@ def validate_identity(
             "knows 'css' and 'btree' — refusing before reading the "
             "partition payload"
         )
+    check_integers(meta, {"alphabet_size": 1}, source)
     alphabet = meta["alphabet_size"]
-    if not isinstance(alphabet, int) or isinstance(alphabet, bool) \
-            or alphabet < 1:
-        raise PersistenceError(
-            f"{source} declares alphabet_size {alphabet!r}; expected a "
-            "positive integer — refusing before reading the partition "
-            "payload"
-        )
     if expected_kind is not None and kind != expected_kind:
         raise PersistenceError(
             f"saved index at {source} was built with kind {kind!r}, but "
@@ -541,7 +544,7 @@ def validate_meta(
     """
     required_meta = (
         "kind", "partition_days", "t_min", "t_max", "alphabet_size",
-        "tod_bucket_s", "build_stats", "partitions", "data_time_bounds",
+        "tod_bucket_s", "build_stats", "partitions",
     )
     missing_meta = [name for name in required_meta if name not in meta]
     if missing_meta:
@@ -554,16 +557,12 @@ def validate_meta(
         expected_alphabet_size=expected_alphabet_size,
         expected_kind=expected_kind,
     )
-    partition_days = meta["partition_days"]
-    if partition_days is not None and (
-        not isinstance(partition_days, int)
-        or isinstance(partition_days, bool)
-        or partition_days < 1
-    ):
-        raise PersistenceError(
-            f"{source} declares partition_days {partition_days!r}; "
-            "expected null or a positive integer"
-        )
+    integers: Dict[str, Optional[int]] = {
+        "t_min": None, "t_max": None, "tod_bucket_s": 1,
+    }
+    if meta["partition_days"] is not None:  # null: the FULL layout
+        integers["partition_days"] = 1
+    check_integers(meta, integers, source)
     partition_fields = (
         "w", "n_trajectories", "n_traversals", "t_lo", "t_hi", "fm_n",
     )
@@ -831,15 +830,15 @@ def load_index(
             )
         permutations[name] = permutation
     try:
-        forest = SlicedTemporalForest(
-            kind=meta["kind"],
-            edge_ids=edges,
-            offsets=offsets,
-            columns={
-                name: arrays[f"col_{name}"] for name in _COLUMNS
-            },
-            tod_order=permutations["perm_tod"],
-            probe_order=permutations["perm_probe"],
+        forest = TemporalForest(
+            meta["kind"],
+            edges,
+            offsets,
+            TraversalColumns(
+                **{name: arrays[f"col_{name}"] for name in _COLUMNS}
+            ),
+            perm_tod=permutations["perm_tod"],
+            perm_probe=permutations["perm_probe"],
         )
     except (ValueError, IndexError, KeyError, TypeError) as error:
         raise PersistenceError(
@@ -850,7 +849,6 @@ def load_index(
         meta["partitions"], payload_dir, alphabet_size
     )
 
-    bounds = meta["data_time_bounds"]
     stats_meta = meta["build_stats"]
     return SNTIndex(
         partitions=partitions,
@@ -871,5 +869,4 @@ def load_index(
             n_traversals=int(stats_meta["n_traversals"]),
         ),
         tod_bucket_s=int(meta["tod_bucket_s"]),
-        data_bounds=(int(bounds[0]), int(bounds[1])),
     )

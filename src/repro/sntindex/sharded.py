@@ -60,8 +60,9 @@ Saved layout
 A saved sharded index is ``manifest.json`` plus one monolithic index
 directory per shard, and each fact is stored once.  The manifest keeps
 the scalars, the epoch and, per shard, only ``{dir, bucket_lo,
-bucket_hi}``; a shard's traversal-time bounds (the router's pruning
-bounds) and its partitions are read from the shard's own ``meta.json``.
+bucket_hi}``; a shard's partitions are read from the shard's own
+``meta.json``, and its traversal-time bounds (the router's pruning
+bounds) are worked out from the shard's forest.
 A shard's name is its position — ``shard_0000``, ... for sealed shards,
 ``staging`` after them — and is also its directory.
 """
@@ -93,6 +94,7 @@ from .persistence import (
     META_FILE,
     IndexDir,
     atomic_install_dir,
+    check_integers,
     load_index,
     read_manifest,
     read_meta,
@@ -944,8 +946,9 @@ def save_sharded_index(
         staging_trajectories.pkl staged tail, so appends survive restarts
 
     A shard table entry is ``{dir, bucket_lo, bucket_hi}``: the only
-    facts about a shard that its own ``meta.json`` does not hold.  Its
-    traversal-time bounds and partitions are read back from that meta.
+    facts about a shard that its own directory does not hold.  Its
+    partitions are read back from its meta and its traversal-time
+    bounds from its forest.
 
     The whole tree is staged in a sibling directory and swapped in by
     :func:`~repro.sntindex.persistence.atomic_install_dir`, like the
@@ -1114,22 +1117,12 @@ def load_sharded_index(
     # A sharded index always has temporal partitioning, and every
     # scalar below is fed to int() after the shard payloads load — so
     # prove them sane first, like the monolithic validate_meta does.
-    scalar_checks = {
-        "partition_days": lambda v: isinstance(v, int)
-        and not isinstance(v, bool) and v >= 1,
-        "t_min": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "t_max": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "tod_bucket_s": lambda v: isinstance(v, int)
-        and not isinstance(v, bool) and v >= 1,
-        "epoch": lambda v: isinstance(v, int)
-        and not isinstance(v, bool) and v >= 0,
-    }
-    for name, check in scalar_checks.items():
-        if not check(manifest[name]):
-            raise PersistenceError(
-                f"{source} declares {name} = {manifest[name]!r}; "
-                "refusing before reading any shard payload"
-            )
+    check_integers(
+        manifest,
+        {"partition_days": 1, "t_min": None, "t_max": None,
+         "tod_bucket_s": 1, "epoch": 0},
+        source,
+    )
     if not isinstance(manifest["shards"], list):
         raise PersistenceError(
             f"{MANIFEST_FILE} declares shards = {manifest['shards']!r}; "

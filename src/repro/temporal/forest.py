@@ -42,7 +42,16 @@ in Figure 11b.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -51,20 +60,11 @@ from ..config import SECONDS_PER_DAY
 from ..errors import IndexError_
 from .btree import BPlusTree
 from .css_tree import CSSTree
-from .records import TraversalColumns
+from .records import COLUMN_DTYPES, TraversalColumns
 
-__all__ = ["EdgeTemporalIndex", "TemporalForest", "SlicedTemporalForest"]
+__all__ = ["EdgeTemporalIndex", "TemporalForest"]
 
 Int64Array = npt.NDArray[np.int64]
-
-
-def _adopt_permutation(
-    permutation: Optional[Int64Array], n_rows: int
-) -> Optional[Int64Array]:
-    """Accept a persisted sort permutation if its shape fits the columns."""
-    if permutation is None or int(permutation.size) != n_rows:
-        return None
-    return permutation
 
 
 class EdgeTemporalIndex:
@@ -84,16 +84,13 @@ class EdgeTemporalIndex:
         self.columns = columns
         #: The segment this index belongs to (named in errors).
         self.edge = edge
-        n_rows = self._n_rows = len(columns)
-        self._tod: Int64Array = (
-            np.mod(columns.t, SECONDS_PER_DAY)
-            if n_rows
-            else np.empty(0, np.int64)
-        )
-        # Sorted auxiliary orders: adopted from persistence when offered
-        # (zero-copy mmap slices), else built lazily on first use.
-        self._tod_order = _adopt_permutation(tod_order, n_rows)
-        self._probe_order = _adopt_permutation(probe_order, n_rows)
+        self._n_rows = len(columns)
+        self._tod: Int64Array = np.mod(columns.t, SECONDS_PER_DAY)
+        # Sorted auxiliary orders: the forest's slices of a saved
+        # index's permutations when it holds them (zero-copy), else
+        # built lazily on first use.
+        self._tod_order = tod_order
+        self._probe_order = probe_order
         self.tod_order_adopted = self._tod_order is not None
         self.probe_order_adopted = self._probe_order is not None
         self._tod_sorted: Optional[Int64Array] = None
@@ -308,64 +305,21 @@ class EdgeTemporalIndex:
 
 
 class TemporalForest:
-    """The forest ``F``: one :class:`EdgeTemporalIndex` per segment."""
+    """The forest ``F``: one :class:`EdgeTemporalIndex` per segment.
 
-    def __init__(self, kind: str = "css") -> None:
-        if kind not in ("css", "btree"):
-            raise ValueError(f"unknown temporal index kind {kind!r}")
-        self.kind = kind
-        self._indexes: Dict[int, EdgeTemporalIndex] = {}
+    The leaves of every segment are held as one set of flat columns
+    sorted by ``(edge, t)``: segment ``edge_ids[i]`` owns rows
+    ``offsets[i]:offsets[i + 1]``, already in its ``t`` leaf order.  A
+    built index and a loaded one (whose columns are memory-mapped
+    payload arrays) hold the same layout, and the saved payload *is*
+    these arrays.  A segment's :class:`EdgeTemporalIndex` is built on
+    the first :meth:`get`, around zero-copy slices of the columns.
 
-    @classmethod
-    def build(
-        cls, per_edge_columns: Dict[int, TraversalColumns], kind: str = "css"
-    ) -> "TemporalForest":
-        forest = cls(kind=kind)
-        for edge, columns in per_edge_columns.items():
-            forest._indexes[int(edge)] = EdgeTemporalIndex(
-                columns, kind=kind, edge=int(edge)
-            )
-        return forest
-
-    def __contains__(self, edge: int) -> bool:
-        return int(edge) in self._indexes
-
-    def __len__(self) -> int:
-        return len(self._indexes)
-
-    def edges(self) -> Iterable[int]:
-        return self._indexes.keys()
-
-    def get(self, edge: int) -> Optional[EdgeTemporalIndex]:
-        """Index of ``edge`` or ``None`` when no trajectory traversed it."""
-        return self._indexes.get(int(edge))
-
-    def total_records(self) -> int:
-        return sum(len(index) for index in self._indexes.values())
-
-    def size_in_bytes(self, with_partition_id: bool = True) -> int:
-        return sum(
-            index.size_in_bytes(with_partition_id)
-            for index in self._indexes.values()
-        )
-
-
-class SlicedTemporalForest(TemporalForest):
-    """A forest whose per-edge indexes materialise on first access.
-
-    Backed by the persistence layer's concatenated column arrays (one
-    slice per edge, each slice already sorted by ``t`` — the on-disk
-    order is the forest's leaf order), typically opened with
-    ``mmap_mode="r"``.  Opening a saved index therefore touches no
-    column data; an edge's tree directory is built the first time a
-    query reaches that edge, from zero-copy slices of the mapped
-    arrays, and cached like any built :class:`EdgeTemporalIndex`.
-
-    Format v2.1 payloads additionally carry the two per-edge sort
-    permutations (time-of-day and probe-key order), concatenated with
-    the same offset table; their slices are handed to each edge index
-    zero-copy, so neither order is ever re-sorted after a load.  v2
-    payloads without them pass ``None`` and the orders build lazily.
+    ``perm_tod`` / ``perm_probe`` are the flat time-of-day and
+    probe-key sort permutations, each segment's slice relative to its
+    own first row, as a saved index carries them; a segment's index
+    adopts its slice zero-copy.  Without them each segment sorts its
+    own orders on first use.
     """
 
     def __init__(
@@ -373,60 +327,100 @@ class SlicedTemporalForest(TemporalForest):
         kind: str,
         edge_ids: Int64Array,
         offsets: Int64Array,
-        columns: Dict[str, np.ndarray],
-        tod_order: Optional[Int64Array] = None,
-        probe_order: Optional[Int64Array] = None,
+        columns: TraversalColumns,
+        perm_tod: Optional[Int64Array] = None,
+        perm_probe: Optional[Int64Array] = None,
     ) -> None:
-        super().__init__(kind=kind)
-        self._columns = columns
-        self._perm_tod = tod_order
-        self._perm_probe = probe_order
-        self._bounds: Dict[int, Tuple[int, int]] = {
-            int(edge): (int(offsets[i]), int(offsets[i + 1]))
-            for i, edge in enumerate(edge_ids)
+        if kind not in ("css", "btree"):
+            raise ValueError(f"unknown temporal index kind {kind!r}")
+        self.kind = kind
+        self.edge_ids = edge_ids
+        self.offsets = offsets
+        self.columns = columns
+        self.perm_tod = perm_tod
+        self.perm_probe = perm_probe
+        bounds = offsets.tolist()
+        self._slices: Dict[int, Tuple[int, int]] = {
+            edge: (bounds[i], bounds[i + 1])
+            for i, edge in enumerate(edge_ids.tolist())
         }
+        self._indexes: Dict[int, EdgeTemporalIndex] = {}
+
+    @classmethod
+    def from_rows(
+        cls, chunks: Sequence[Mapping[str, np.ndarray]], kind: str = "css"
+    ) -> "TemporalForest":
+        """The forest over unsorted traversal rows.
+
+        ``chunks`` hold the rows as column dicts: ``edge`` plus every
+        name of :data:`~repro.temporal.records.COLUMN_DTYPES`.  The
+        rows are concatenated in chunk order and sorted stably by
+        ``(edge, t)``, so rows of one segment with equal ``t`` keep
+        their chunk order.  The sort key packs both into one int64,
+        ``(edge << 32) | (t - t_min)``; rows whose edge or time span
+        does not fit it are sorted by ``np.lexsort`` into the same
+        order.  Each column is concatenated only when it is gathered.
+        """
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([chunk[name] for chunk in chunks])
+
+        edge = column("edge").astype(np.int64, copy=False)
+        t = column("t").astype(np.int64, copy=False)
+        t_min = int(t.min()) if t.size else 0
+        if edge.size and (
+            int(edge.max()) >= 1 << 31 or int(t.max()) - t_min >= 1 << 32
+        ):
+            order = np.lexsort((t, edge))
+        else:
+            key = (edge << 32) | (t - t_min)
+            order = np.argsort(key, kind="stable")
+            # Freed before the columns are gathered: it is as large as
+            # any of them.
+            del key
+        edge = edge[order]
+        # Each segment's first row: where the sorted edge column changes.
+        first = np.flatnonzero(np.diff(edge, prepend=edge[:1] - 1))
+        edge_ids, offsets = edge[first], np.append(first, edge.size)
+        del edge
+        gathered = {"t": t[order]}
+        del t
+        for name, dtype in COLUMN_DTYPES.items():
+            if name not in gathered:
+                gathered[name] = column(name)[order].astype(dtype, copy=False)
+        return cls(kind, edge_ids, offsets, TraversalColumns(**gathered))
 
     def __contains__(self, edge: int) -> bool:
-        return int(edge) in self._bounds
+        return int(edge) in self._slices
 
     def __len__(self) -> int:
-        return len(self._bounds)
+        return len(self._slices)
 
     def edges(self) -> Iterable[int]:
-        return self._bounds.keys()
+        return self._slices.keys()
 
     def get(self, edge: int) -> Optional[EdgeTemporalIndex]:
+        """Index of ``edge`` or ``None`` when no trajectory traversed it."""
         edge = int(edge)
         built = self._indexes.get(edge)
         if built is not None:
             return built
-        bounds = self._bounds.get(edge)
+        bounds = self._slices.get(edge)
         if bounds is None:
             return None
         lo, hi = bounds
-        cols = self._columns
-        # The slices are pre-sorted by ``t``; constructing the dataclass
-        # directly skips ``from_arrays``'s argsort (and any copy).
-        columns = TraversalColumns(
-            t=cols["t"][lo:hi],
-            isa=cols["isa"][lo:hi],
-            d=cols["d"][lo:hi],
-            tt=cols["tt"][lo:hi],
-            a=cols["a"][lo:hi],
-            seq=cols["seq"][lo:hi],
-            w=cols["w"][lo:hi],
-        )
+        columns = self.columns
         built = EdgeTemporalIndex(
-            columns,
+            TraversalColumns(**{
+                name: getattr(columns, name)[lo:hi] for name in COLUMN_DTYPES
+            }),
             kind=self.kind,
             tod_order=(
-                self._perm_tod[lo:hi]
-                if self._perm_tod is not None
-                else None
+                self.perm_tod[lo:hi] if self.perm_tod is not None else None
             ),
             probe_order=(
-                self._perm_probe[lo:hi]
-                if self._perm_probe is not None
+                self.perm_probe[lo:hi]
+                if self.perm_probe is not None
                 else None
             ),
             edge=edge,
@@ -434,16 +428,58 @@ class SlicedTemporalForest(TemporalForest):
         self._indexes[edge] = built
         return built
 
+    def materialise(self) -> None:
+        """Build every segment's temporal index now, not on first use."""
+        for edge in self._slices:
+            self.get(edge)
+
     def total_records(self) -> int:
-        return sum(hi - lo for lo, hi in self._bounds.values())
+        return len(self.columns)
+
+    def row_edges(self) -> Int64Array:
+        """The segment of every row of :attr:`columns`."""
+        return np.repeat(self.edge_ids, np.diff(self.offsets))
+
+    def time_bounds(self) -> Optional[Tuple[int, int]]:
+        """``(min, max)`` entry timestamp over every segment, or
+        ``None`` for an empty forest: each segment's first and last
+        ``t``, two reads per segment."""
+        lo, hi = self.offsets[:-1], self.offsets[1:]
+        filled = hi > lo
+        if not filled.any():
+            return None
+        t = self.columns.t
+        return int(t[lo[filled]].min()), int(t[hi[filled] - 1].max())
+
+    def permutations(self) -> Tuple[Int64Array, Int64Array]:
+        """``(perm_tod, perm_probe)``: the stored permutations, or those
+        missing worked out in one pass over the columns.
+
+        Equal to each segment's own stable sort by time of day and by
+        packed ``(d, seq)`` key: sorting every row by ``(edge, key)``
+        keeps a segment's rows together and in that order.
+        """
+        perm_tod, perm_probe = self.perm_tod, self.perm_probe
+        if perm_tod is None or perm_probe is None:
+            edges = self.row_edges()
+            starts = np.repeat(self.offsets[:-1], np.diff(self.offsets))
+            if perm_tod is None:
+                tod = np.mod(self.columns.t, SECONDS_PER_DAY)
+                perm_tod = np.argsort(
+                    edges * SECONDS_PER_DAY + tod, kind="stable"
+                ) - starts
+            if perm_probe is None:
+                perm_probe = np.lexsort(
+                    (self.columns.probe_keys(), edges)
+                ) - starts
+        return perm_tod, perm_probe
 
     def size_in_bytes(self, with_partition_id: bool = True) -> int:
-        # Size accounting is a model over the leaf payload; it forces
-        # materialisation (experiments that cost the structure touch
-        # every edge anyway).
-        total = 0
-        for edge in self.edges():
-            phi = self.get(edge)
-            assert phi is not None
-            total += phi.size_in_bytes(with_partition_id)
-        return total
+        # Size accounting is a model over the leaf payload; it builds
+        # every segment's index (experiments that cost the structure
+        # touch every edge anyway).
+        self.materialise()
+        return sum(
+            index.size_in_bytes(with_partition_id)
+            for index in self._indexes.values()
+        )

@@ -22,7 +22,23 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-__all__ = ["LeafRecord", "TraversalColumns", "pack_probe_keys"]
+__all__ = [
+    "COLUMN_DTYPES",
+    "LeafRecord",
+    "TraversalColumns",
+    "pack_probe_keys",
+]
+
+#: The leaf columns in record order, with the dtype each is held in.
+COLUMN_DTYPES = {
+    "t": np.int64,
+    "isa": np.int64,
+    "d": np.int64,
+    "tt": np.float64,
+    "a": np.float64,
+    "seq": np.int32,
+    "w": np.int32,
+}
 
 
 def pack_probe_keys(d: np.ndarray, seq: np.ndarray) -> np.ndarray:
@@ -55,11 +71,14 @@ class LeafRecord(NamedTuple):
 
 @dataclass
 class TraversalColumns:
-    """Columnar storage for the traversal records of one segment.
+    """Columnar storage for traversal records.
 
-    All arrays share the same length and are sorted by ``t`` (ties broken by
-    insertion order).  The class is append-friendly: :meth:`from_arrays`
-    bulk-loads, and tree structures reference rows by position.
+    All arrays share the same length.  The whole forest's columns
+    (:attr:`TemporalForest.columns
+    <repro.temporal.forest.TemporalForest.columns>`) are sorted by
+    ``(edge, t)``, so one segment's are a zero-copy slice of them,
+    sorted by ``t`` (ties in build order); tree structures reference
+    rows by position.
     """
 
     t: np.ndarray
@@ -71,42 +90,10 @@ class TraversalColumns:
     w: np.ndarray
 
     @classmethod
-    def from_arrays(
-        cls,
-        t: np.ndarray,
-        isa: np.ndarray,
-        d: np.ndarray,
-        tt: np.ndarray,
-        a: np.ndarray,
-        seq: np.ndarray,
-        w: np.ndarray | None = None,
-    ) -> "TraversalColumns":
-        """Bulk-load columns, sorting every column by ``t``."""
-        t = np.asarray(t, dtype=np.int64)
-        order = np.argsort(t, kind="stable")
-        if w is None:
-            w = np.zeros(t.size, dtype=np.int32)
-        return cls(
-            t=t[order],
-            isa=np.asarray(isa, dtype=np.int64)[order],
-            d=np.asarray(d, dtype=np.int64)[order],
-            tt=np.asarray(tt, dtype=np.float64)[order],
-            a=np.asarray(a, dtype=np.float64)[order],
-            seq=np.asarray(seq, dtype=np.int32)[order],
-            w=np.asarray(w, dtype=np.int32)[order],
-        )
-
-    @classmethod
     def empty(cls) -> "TraversalColumns":
-        return cls(
-            t=np.empty(0, np.int64),
-            isa=np.empty(0, np.int64),
-            d=np.empty(0, np.int64),
-            tt=np.empty(0, np.float64),
-            a=np.empty(0, np.float64),
-            seq=np.empty(0, np.int32),
-            w=np.empty(0, np.int32),
-        )
+        return cls(**{
+            name: np.empty(0, dtype) for name, dtype in COLUMN_DTYPES.items()
+        })
 
     def __len__(self) -> int:
         return int(self.t.size)

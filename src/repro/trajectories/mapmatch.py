@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..network.graph import RoadNetwork
 from .gps import GPSPoint

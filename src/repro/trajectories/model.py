@@ -16,7 +16,7 @@ segments; nothing downstream depends on coarser keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import TrajectoryError

@@ -158,19 +158,14 @@ class TestOpenDb:
 
     def test_repr_reports_the_sessions_cache_not_the_spec(self, world):
         """The text follows the cache the session holds: ``cache=None``
-        under the default ``"memory"`` spec is off, and a cache handed
-        in under an ``"off"`` spec is memory."""
+        is off, and a cache handed in is memory."""
         from repro import SubQueryCache
 
         dataset, index = world
         no_cache = open_db(index, network=dataset.network, cache=None)
-        assert no_cache.config.cache == "memory"
         assert "cache='off'" in repr(no_cache)
         given = open_db(
-            index,
-            network=dataset.network,
-            config=EngineConfig(cache="off"),
-            cache=SubQueryCache(),
+            index, network=dataset.network, cache=SubQueryCache(4, 4, 4)
         )
         assert "cache='memory'" in repr(given)
 

@@ -292,12 +292,12 @@ class TestEngineConfig:
             dict(user_selectivity=1.5),
             dict(max_relaxations=0),
             dict(dedup_subqueries=False),
-            dict(cache_entries=0),
+            dict(ladder=("x",)),
             # Numbers that used to construct and then break or silently
             # change queries.
             dict(bucket_width_s=float("inf")),
-            dict(cache_entries=True),
-            dict(cache_entries=2.5),
+            dict(bucket_width_s=float("nan")),
+            dict(user_selectivity=float("nan")),
             dict(max_relaxations=2.5),
             dict(max_relaxations=True),
             dict(ladder=(60.5, 120)),
@@ -320,9 +320,16 @@ class TestEngineConfig:
 
     def test_equality_and_hash(self):
         assert EngineConfig() == EngineConfig()
-        assert hash(EngineConfig(cache_entries=2)) == hash(
-            EngineConfig(cache_entries=2)
+        assert hash(EngineConfig(max_relaxations=2)) == hash(
+            EngineConfig(max_relaxations=2)
         )
+
+    @pytest.mark.parametrize("field", ["cache", "cache_entries"])
+    def test_cache_is_not_configured_here(self, field):
+        """The session's cache is ``open_db``'s ``cache`` argument, not
+        an engine setting."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{field: None})
 
     def test_beta_policy_participates_in_identity(self):
         # Policies change effective betas and therefore answers; two

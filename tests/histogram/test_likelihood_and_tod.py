@@ -54,37 +54,48 @@ class TestSmoothedDensity:
         )
 
 
+def store_of(bucket_width_s, *groups):
+    """A store over ``(edge, timestamps[, partition])`` groups."""
+    edges, partitions, timestamps = [], [], []
+    for edge, times, *partition in groups:
+        times = list(times)
+        edges += [edge] * len(times)
+        partitions += [partition[0] if partition else 0] * len(times)
+        timestamps += times
+    return TimeOfDayHistogramStore.from_traversals(
+        bucket_width_s,
+        np.asarray(edges, dtype=np.int64),
+        np.asarray(partitions, dtype=np.int32),
+        np.asarray(timestamps, dtype=np.int64),
+    )
+
+
 class TestTimeOfDayStore:
     def test_add_and_total(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
-        store.add_traversals(7, np.array([100, 7200, SECONDS_PER_DAY + 100]))
+        store = store_of(3600, (7, [100, 7200, SECONDS_PER_DAY + 100]))
         assert store.total(7) == 3
         assert store.total(8) == 0
         assert len(store) == 1
 
     def test_count_window(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
         # Two traversals at 08:xx, one at 20:xx.
-        store.add_traversals(1, np.array([8 * 3600 + 5, 8 * 3600 + 10, 20 * 3600]))
+        store = store_of(3600, (1, [8 * 3600 + 5, 8 * 3600 + 10, 20 * 3600]))
         assert store.count_window(1, 8 * 3600, 3600) == pytest.approx(2.0)
         assert store.count_window(1, 0, SECONDS_PER_DAY) == pytest.approx(3.0)
 
     def test_count_window_wraps_midnight(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
-        store.add_traversals(1, np.array([23 * 3600 + 100, 600]))
+        store = store_of(3600, (1, [23 * 3600 + 100, 600]))
         count = store.count_window(1, 23 * 3600, 7200)
         assert count == pytest.approx(2.0)
 
     def test_count_window_fractional_buckets(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
-        store.add_traversals(1, np.arange(0, 3600, 60))  # 60 in first hour
+        store = store_of(3600, (1, range(0, 3600, 60)))  # 60 in first hour
         # Half of the first bucket -> expect roughly half the count.
         assert store.count_window(1, 0, 1800) == pytest.approx(30.0)
 
     def test_selectivity_histogram_vs_uniform(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
         # All mass in one hour: selectivity of that hour is 1.0.
-        store.add_traversals(2, np.full(50, 9 * 3600 + 30))
+        store = store_of(3600, (2, [9 * 3600 + 30] * 50))
         assert store.selectivity(2, 9 * 3600, 3600) == pytest.approx(1.0)
         assert store.selectivity(2, 14 * 3600, 3600) == pytest.approx(0.0)
 
@@ -93,12 +104,13 @@ class TestTimeOfDayStore:
         assert store.selectivity(99, 0, 3600) == pytest.approx(1 / 24)
 
     def test_partitioned_histograms_are_separate(self):
-        store = TimeOfDayHistogramStore(bucket_width_s=3600)
-        store.add_traversals(1, np.array([100]), partition=0)
-        store.add_traversals(1, np.array([200, 300]), partition=1)
+        store = store_of(3600, (1, [200], 1), (0, [5], 0), (1, [100], 0),
+                         (1, [300], 1))
         assert store.total(1, partition=0) == 1
         assert store.total(1, partition=1) == 2
-        assert len(store) == 2
+        assert len(store) == 3
+        # Keys come out in ascending (edge, partition) order.
+        assert store.as_arrays()[0].tolist() == [[0, 0], [1, 0], [1, 1]]
 
     def test_bad_bucket_width(self):
         with pytest.raises(ValueError):
@@ -107,15 +119,12 @@ class TestTimeOfDayStore:
             TimeOfDayHistogramStore(bucket_width_s=SECONDS_PER_DAY + 1)
 
     def test_memory_grows_with_finer_buckets(self):
-        coarse = TimeOfDayHistogramStore(bucket_width_s=600)
-        fine = TimeOfDayHistogramStore(bucket_width_s=60)
-        for store in (coarse, fine):
-            store.add_traversals(1, np.array([100]))
+        coarse = store_of(600, (1, [100]))
+        fine = store_of(60, (1, [100]))
         assert fine.size_in_bytes() > coarse.size_in_bytes()
 
-    def test_empty_add_is_noop(self):
-        store = TimeOfDayHistogramStore()
-        store.add_traversals(1, np.empty(0, np.int64))
+    def test_no_traversals_no_histograms(self):
+        store = store_of(600)
         assert len(store) == 0
 
 
@@ -128,8 +137,7 @@ class TestTimeOfDayStore:
     st.integers(1, SECONDS_PER_DAY),
 )
 def test_property_tod_count_matches_model(timestamps, start, duration):
-    store = TimeOfDayHistogramStore(bucket_width_s=60)
-    store.add_traversals(1, np.asarray(timestamps))
+    store = store_of(60, (1, timestamps))
     counted = store.count_window(1, start, duration)
     # Model with bucket-resolution timestamps (store sees 60 s buckets).
     expected = 0.0

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import EngineConfig, EstimatorMode, TripRequest, open_db
+from repro.api import EstimatorMode, TripRequest, open_db
 from repro.core.intervals import PeriodicInterval
 from repro.errors import AdmissionError, RequestValidationError
 from repro.server import BackgroundServer, ServerConfig, ServingClient
@@ -58,11 +58,9 @@ def requests_for(trips, count):
     ]
 
 
-def open_session(world, **config_kwargs):
+def open_session(world, cache="default"):
     dataset, index, _ = world
-    return open_db(
-        index, network=dataset.network, config=EngineConfig(**config_kwargs)
-    )
+    return open_db(index, network=dataset.network, cache=cache)
 
 
 def serialised(result):
@@ -153,7 +151,7 @@ def test_batch_endpoint_matches_query_many(world):
 def test_concurrent_connections_share_dedup_rounds(world):
     # Cache off: any sub-query work absorbed can only come from
     # round-sharing, which is exactly what the assertion targets.
-    db = open_session(world, cache="off")
+    db = open_session(world, cache=None)
     request = requests_for(world[2], 1)[0]
     n_clients = 4
     barrier = threading.Barrier(n_clients)

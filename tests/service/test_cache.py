@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    EngineConfig,
     ShardedSNTIndex,
     SNTIndex,
     TrajectorySet,
@@ -231,25 +230,25 @@ def test_lru_eviction_and_stats():
 def test_cache_spec_resolution(world):
     dataset, index, _ = world
 
-    def session_cache(config):
-        return TravelTimeDB(index, dataset.network, config=config).engine.cache
+    def session_cache(cache):
+        return TravelTimeDB(index, dataset.network, cache=cache).engine.cache
 
-    assert session_cache(EngineConfig(cache="off")) is None
-    assert isinstance(session_cache(EngineConfig()), SubQueryCache)
-    memory = session_cache(EngineConfig(cache="memory", cache_entries=16))
-    assert isinstance(memory, SubQueryCache)
-    assert {
-        section.max_size for section in vars(memory.stats()).values()
-    } == {16}
-    with pytest.raises(ConfigurationError, match="cache must be"):
-        EngineConfig(cache=None)
+    def bounds(cache):
+        return {section.max_size for section in vars(cache.stats()).values()}
+
+    assert session_cache(None) is None
+    default = session_cache("default")
+    assert isinstance(default, SubQueryCache)
+    assert bounds(default) == {65_536}
+    assert bounds(session_cache(SubQueryCache(16, 16, 16))) == {16}
 
 
 @pytest.mark.parametrize("spec", ("bogus", "shared", "shared:", "shared:/x"))
-def test_cache_spec_validation(spec):
-    """Only ``"memory"`` and ``"off"`` name a cache."""
+def test_cache_spec_validation(world, spec):
+    """Only ``"default"`` names a cache; other strings are refused."""
+    dataset, index, _ = world
     with pytest.raises(ConfigurationError, match="cache must be"):
-        EngineConfig(cache=spec)
+        TravelTimeDB(index, dataset.network, cache=spec)
 
 
 def test_binding_rejects_a_second_index_or_network(world):
@@ -292,9 +291,7 @@ def test_append_between_identical_queries_drops_the_memo(world):
         n_shards=2,
         partition_days=PARTITION_DAYS,
     )
-    db = TravelTimeDB(
-        sharded, dataset.network, config=EngineConfig(cache="memory")
-    )
+    db = TravelTimeDB(sharded, dataset.network)
     # A whole-history predicate, so the appended tail changes the answer.
     trip = max(tail, key=len)
     request = TripRequest(

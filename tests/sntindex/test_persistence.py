@@ -198,6 +198,136 @@ class TestPartitionedWorldRoundTrip:
         assert result.histogram == expected.histogram
 
 
+def _forest_arrays(forest):
+    """Everything the forest's saved layout is made of."""
+    perm_tod, perm_probe = forest.permutations()
+    arrays = {
+        "edge_ids": forest.edge_ids,
+        "offsets": forest.offsets,
+        "perm_tod": perm_tod,
+        "perm_probe": perm_probe,
+    }
+    for name in ("t", "isa", "d", "tt", "a", "seq", "w"):
+        arrays[name] = getattr(forest.columns, name)
+    return arrays
+
+
+def _assert_same_forest(actual, expected):
+    actual, expected = _forest_arrays(actual), _forest_arrays(expected)
+    for name, array in expected.items():
+        assert actual[name].dtype == array.dtype, name
+        assert np.array_equal(actual[name], array), name
+
+
+class TestOneForestLayout:
+    """A built, a merged and a loaded index hold one forest layout:
+    flat columns sorted by ``(edge, t)`` with an edge table, which save
+    and load carry unchanged."""
+
+    PARTITION_DAYS = 3
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        from repro import generate_dataset
+
+        return generate_dataset("tiny", seed=0)
+
+    @pytest.fixture(scope="class")
+    def sharded(self, dataset):
+        from repro import ShardedSNTIndex
+
+        index = ShardedSNTIndex.build(
+            dataset.trajectories,
+            dataset.network.alphabet_size,
+            n_shards=3,
+            partition_days=self.PARTITION_DAYS,
+        )
+        assert len(index.entries) == 3
+        return index
+
+    @pytest.mark.parametrize(
+        "build", [{}, {"partition_days": PARTITION_DAYS}, {"kind": "btree"}],
+        ids=["full", "partitioned", "btree"],
+    )
+    def test_monolithic_round_trip(self, dataset, tmp_path, build):
+        index = SNTIndex.build(
+            dataset.trajectories, dataset.network.alphabet_size, **build
+        )
+        index.save(tmp_path / "index")
+        _assert_same_forest(
+            SNTIndex.load(tmp_path / "index").forest, index.forest
+        )
+        self._assert_reference_order(dataset, index)
+
+    def test_each_shard_round_trips(self, sharded, tmp_path):
+        from repro.sntindex.sharded import load_sharded_index
+
+        sharded.save(tmp_path / "index")
+        loaded = load_sharded_index(tmp_path / "index")
+        for before, after in zip(sharded.entries, loaded.entries):
+            _assert_same_forest(after.index.forest, before.index.forest)
+
+    def test_compacted_shard_is_the_one_shard_build(
+        self, dataset, sharded, tmp_path
+    ):
+        from repro import ShardedSNTIndex
+        from repro.sntindex.compaction import merge_shard_indexes
+        from repro.sntindex.sharded import load_sharded_index
+
+        merged = merge_shard_indexes(
+            [entry.index for entry in sharded.entries]
+        )
+        one_shard = ShardedSNTIndex.build(
+            dataset.trajectories,
+            dataset.network.alphabet_size,
+            n_shards=1,
+            partition_days=self.PARTITION_DAYS,
+        )
+        _assert_same_forest(merged.forest, one_shard.entries[0].index.forest)
+
+        sharded.save(tmp_path / "index")
+        loaded = load_sharded_index(tmp_path / "index")
+        loaded.compact()
+        compacted = loaded.entries[0].index
+        _assert_same_forest(compacted.forest, merged.forest)
+        compacted.save(tmp_path / "compacted")
+        _assert_same_forest(
+            SNTIndex.load(tmp_path / "compacted").forest, merged.forest
+        )
+
+    @staticmethod
+    def _assert_reference_order(dataset, index):
+        """Each segment's rows are its traversals in partition-major
+        trajectory order, sorted stably by ``t`` — the order the
+        per-segment build produced before the forest was flat."""
+        from repro.config import SECONDS_PER_DAY
+        from repro.sntindex.index import assign_time_windows
+
+        if index.partition_days is None:
+            groups = [list(dataset.trajectories)]
+        else:
+            window = index.partition_days * SECONDS_PER_DAY
+            by_bucket = assign_time_windows(
+                dataset.trajectories, index.t_min, window
+            )
+            groups = [by_bucket[bucket] for bucket in sorted(by_bucket)]
+        per_edge = {}
+        for w, members in enumerate(groups):
+            for trajectory in members:
+                for seq, point in enumerate(trajectory.points):
+                    per_edge.setdefault(point.edge, []).append(
+                        (point.t, trajectory.traj_id, seq, w)
+                    )
+        assert sorted(index.forest.edges()) == sorted(per_edge)
+        for edge, rows in per_edge.items():
+            rows.sort(key=lambda row: row[0])  # stable: t only
+            columns = index.forest.get(edge).columns
+            assert list(zip(
+                columns.t.tolist(), columns.d.tolist(),
+                columns.seq.tolist(), columns.w.tolist(),
+            )) == rows
+
+
 class TestFormatGuards:
     def test_save_returns_target_and_is_idempotent(
         self, paper_index, tmp_path

@@ -92,17 +92,18 @@ def test_sharded_probe_keys_strictly_increase_through_the_lifecycle(
 
 def test_repeated_probe_key_is_rejected_naming_the_edge():
     from repro.errors import IndexError_
-    from repro.temporal.forest import EdgeTemporalIndex
-    from repro.temporal.records import TraversalColumns
+    from repro.temporal.forest import TemporalForest
 
-    columns = TraversalColumns.from_arrays(
+    forest = TemporalForest.from_rows([dict(
+        edge=np.full(3, 42),
         t=np.asarray([15, 25, 35]),
         isa=np.asarray([0, 1, 2]),
         d=np.asarray([5, 7, 5]),
         tt=np.asarray([2.0, 2.0, 2.0]),
         a=np.asarray([6.0, 5.0, 8.0]),
         seq=np.asarray([1, 1, 1]),
-    )
-    phi = EdgeTemporalIndex(columns, edge=42)
+        w=np.zeros(3, dtype=np.int32),
+    )])
+    phi = forest.get(42)
     with pytest.raises(IndexError_, match="edge 42"):
         phi.probe_keys_sorted()

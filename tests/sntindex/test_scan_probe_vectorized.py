@@ -39,7 +39,7 @@ from repro.sntindex.procedures import (
     probe_travel_times,
 )
 from repro.sntindex.sharded import ShardedSNTIndex
-from repro.temporal.forest import EdgeTemporalIndex
+from repro.temporal.forest import EdgeTemporalIndex, TemporalForest
 from repro.temporal.records import TraversalColumns
 from repro.trajectories import Trajectory, TrajectoryPoint, TrajectorySet
 
@@ -184,6 +184,18 @@ def test_probe_join_matches_dict_oracle(trajectories, query):
     assert np.array_equal(got_t, want_t)
 
 
+def _forest(*edges, kind="css"):
+    """The forest over ``(edge, columns)`` pairs, each edge's rows in
+    any order."""
+    chunks = []
+    for edge, columns in edges:
+        n = len(columns["t"])
+        chunks.append(dict(
+            columns, edge=np.full(n, edge), w=np.zeros(n, dtype=np.int32)
+        ))
+    return TemporalForest.from_rows(chunks, kind=kind)
+
+
 def test_probe_join_keeps_last_duplicate_key():
     """Duplicate ``(d, seq)`` keys are rejected, not joined.
 
@@ -193,34 +205,28 @@ def test_probe_join_keeps_last_duplicate_key():
     unique-key join enforces its invariant: the repeated last-segment key
     raises ``IndexError_`` naming the edge.
     """
-    first = TraversalColumns.from_arrays(
-        t=np.asarray([10, 20, 30]),
-        isa=np.asarray([0, 1, 2]),
-        d=np.asarray([5, 5, 7]),
-        tt=np.asarray([4.0, 6.0, 3.0]),
-        a=np.asarray([4.0, 6.0, 3.0]),
-        seq=np.asarray([0, 0, 0]),
-        w=None,
+    forest = _forest(
+        (1, dict(
+            t=np.asarray([10, 20, 30]),
+            isa=np.asarray([0, 1, 2]),
+            d=np.asarray([5, 5, 7]),
+            tt=np.asarray([4.0, 6.0, 3.0]),
+            a=np.asarray([4.0, 6.0, 3.0]),
+            seq=np.asarray([0, 0, 0]),
+        )),
+        (2, dict(
+            t=np.asarray([15, 25, 35]),
+            isa=np.asarray([0, 1, 2]),
+            d=np.asarray([5, 7, 5]),
+            tt=np.asarray([2.0, 2.0, 2.0]),
+            a=np.asarray([6.0, 5.0, 8.0]),
+            seq=np.asarray([1, 1, 1]),
+        )),
     )
-    last = TraversalColumns.from_arrays(
-        t=np.asarray([15, 25, 35]),
-        isa=np.asarray([0, 1, 2]),
-        d=np.asarray([5, 7, 5]),
-        tt=np.asarray([2.0, 2.0, 2.0]),
-        a=np.asarray([6.0, 5.0, 8.0]),
-        seq=np.asarray([1, 1, 1]),
-        w=None,
-    )
+    first = forest.get(1).columns
 
     class _FakeIndex:
-        def __init__(self):
-            self._phis = {
-                1: EdgeTemporalIndex(first, edge=1),
-                2: EdgeTemporalIndex(last, edge=2),
-            }
-
-        def edge_index(self, edge):
-            return self._phis.get(int(edge))
+        edge_index = staticmethod(forest.get)
 
     index = _FakeIndex()
     query = StrictPathQuery(
@@ -236,34 +242,28 @@ def test_probe_join_duplicate_key_uses_latest_diff():
     twice; the probe rejects that with ``IndexError_`` naming the edge
     instead of choosing between the two diffs (the builder never emits
     such columns)."""
-    first = TraversalColumns.from_arrays(
-        t=np.asarray([10, 20]),
-        isa=np.asarray([0, 1]),
-        d=np.asarray([5, 5]),
-        tt=np.asarray([4.0, 1.0]),
-        a=np.asarray([4.0, 6.0]),  # diffs: 0.0 then 5.0 — keep 5.0
-        seq=np.asarray([0, 0]),
-        w=None,
+    forest = _forest(
+        (1, dict(
+            t=np.asarray([10, 20]),
+            isa=np.asarray([0, 1]),
+            d=np.asarray([5, 5]),
+            tt=np.asarray([4.0, 1.0]),
+            a=np.asarray([4.0, 6.0]),  # diffs: 0.0 then 5.0 — keep 5.0
+            seq=np.asarray([0, 0]),
+        )),
+        (2, dict(
+            t=np.asarray([15]),
+            isa=np.asarray([0]),
+            d=np.asarray([5]),
+            tt=np.asarray([2.0]),
+            a=np.asarray([9.0]),
+            seq=np.asarray([1]),
+        )),
     )
-    last = TraversalColumns.from_arrays(
-        t=np.asarray([15]),
-        isa=np.asarray([0]),
-        d=np.asarray([5]),
-        tt=np.asarray([2.0]),
-        a=np.asarray([9.0]),
-        seq=np.asarray([1]),
-        w=None,
-    )
+    first = forest.get(1).columns
 
     class _FakeIndex:
-        def __init__(self):
-            self._phis = {
-                1: EdgeTemporalIndex(first, edge=1),
-                2: EdgeTemporalIndex(last, edge=2),
-            }
-
-        def edge_index(self, edge):
-            return self._phis.get(int(edge))
+        edge_index = staticmethod(forest.get)
 
     index = _FakeIndex()
     query = StrictPathQuery(
@@ -331,16 +331,16 @@ def edge_timestamps(draw):
 
 def _edge_index_over(timestamps, kind="css"):
     n = len(timestamps)
-    columns = TraversalColumns.from_arrays(
-        t=np.asarray(timestamps, dtype=np.int64),
+    if not n:
+        return EdgeTemporalIndex(TraversalColumns.empty(), kind=kind)
+    return _forest((0, dict(
+        t=timestamps,
         isa=np.arange(n),
         d=np.arange(n),
         tt=np.ones(n),
         a=np.ones(n),
-        seq=np.zeros(n, dtype=np.int64),
-        w=None,
-    )
-    return EdgeTemporalIndex(columns, kind=kind)
+        seq=np.zeros(n, dtype=np.int32),
+    )), kind=kind).get(0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,8 +13,9 @@ first use of the part it holds, in a typed error.
 
 A manifest is outside input: a shard ``dir`` that leaves the index
 directory is refused before any shard is read, and the facts a shard's
-own meta holds (its time bounds, its partitions) are read from that
-meta, never from a manifest copy.  A build refuses the arguments its
+own directory holds (its partitions in its meta, its time bounds in
+its forest) are read from there, never from a manifest copy, nor from
+the bounds that meta still carries.  A build refuses the arguments its
 own loader would refuse, or silently truncate.
 """
 
@@ -358,7 +359,8 @@ class TestKeyHygiene:
 
 class TestManifestEntries:
     """A manifest entry is ``{dir, bucket_lo, bucket_hi}``: a shard's
-    time bounds and partitions come from its own meta."""
+    partitions come from its own meta and its time bounds from its
+    forest."""
 
     def test_entries_hold_only_dir_and_buckets(self, saved_sharded):
         manifest = json.loads((saved_sharded / "manifest.json").read_text())
@@ -409,6 +411,83 @@ class TestManifestEntries:
                          n_partitions=shard.n_partitions)
         manifest_file.write_text(json.dumps(manifest, indent=2))
         assert _answers(saved_sharded, dataset, requests) == expected
+
+
+class TestShardMetaBounds:
+    """A shard's traversal-time bounds are worked out from its forest;
+    the ``data_time_bounds`` its ``meta.json`` still carries (for older
+    loaders) is never read, so no rewrite of it fails a load or prunes
+    a shard."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["a", 1], 5, [1.5e30, 2], "past"],
+        ids=["string", "scalar", "huge-float", "excludes-rows"],
+    )
+    def test_rewritten_bounds_load_and_answer(self, world, tmp_path, bounds):
+        dataset, base, _, _ = world
+        index = _sharded(dataset, base, [])
+        assert len(index.entries) == 3
+        root = index.save(tmp_path / "index")
+        first = min(base, key=lambda tr: tr.start_time)
+        request = TripRequest(
+            path=tuple(first.path[:2]),
+            interval=FixedInterval(first.start_time, first.start_time + 1),
+        )
+        if bounds == "past":
+            past = index.entries[-1].t_hi + 10 * SECONDS_PER_DAY
+            bounds = [past, past + 1]
+        for meta_file in root.glob("shard_*/meta.json"):
+            meta = json.loads(meta_file.read_text())
+            meta["data_time_bounds"] = bounds
+            meta_file.write_text(json.dumps(meta))
+
+        loaded = load_any_index(root)
+        assert [entry.index.data_time_bounds() for entry in loaded.entries] \
+            == [entry.index.data_time_bounds() for entry in index.entries]
+        oracle = SNTIndex.build(
+            TrajectorySet(base),
+            dataset.network.alphabet_size,
+            partition_days=PARTITION_DAYS,
+        )
+        with open_db(oracle, network=dataset.network, cache=None) as db:
+            expected = db.query(request).to_dict()
+        assert loaded.count_matches(request.path, request.interval) == 1
+        with open_db(loaded, network=dataset.network, cache=None) as db:
+            answer = db.query(request).to_dict()
+        expected.pop("elapsed_s")
+        answer.pop("elapsed_s")
+        assert answer == expected
+
+
+class TestMetaScalars:
+    """``meta.json``'s ``t_min``, ``t_max`` and ``tod_bucket_s`` take the
+    checks the sharded manifest's fields take, before any payload is
+    read."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t_max", 1.5), ("t_min", True), ("tod_bucket_s", "600"),
+         ("t_max", "x"), ("tod_bucket_s", 0), ("partition_days", 2.0)],
+    )
+    def test_bad_scalar_refused_before_payload(
+        self, world, tmp_path, monkeypatch, field, value
+    ):
+        dataset = world[0]
+        root = SNTIndex.build(
+            dataset.trajectories, dataset.network.alphabet_size
+        ).save(tmp_path / "index")
+        meta_file = root / "meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta[field] = value
+        meta_file.write_text(json.dumps(meta))
+
+        def read(path, *args, **kwargs):
+            raise AssertionError(f"payload read at {path}")
+
+        monkeypatch.setattr(np, "load", read)
+        with pytest.raises(PersistenceError, match=field):
+            load_any_index(root)
 
 
 # --------------------------------------------------------------------- #

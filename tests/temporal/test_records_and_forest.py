@@ -9,23 +9,32 @@ from repro.config import SECONDS_PER_DAY
 from repro.temporal import EdgeTemporalIndex, TemporalForest, TraversalColumns
 
 
+def make_rows(edges, ts, w=0, tts=None):
+    """One ``from_rows`` chunk: rows in the given (unsorted) order."""
+    edges = np.asarray(edges, dtype=np.int64)
+    n = edges.size
+    return {
+        "edge": edges,
+        "t": np.asarray(ts, dtype=np.int64),
+        "isa": np.arange(n),
+        "d": np.arange(n) % 7,
+        "tt": np.full(n, 5.0) if tts is None else np.asarray(tts),
+        "a": np.arange(n) * 5.0,
+        "seq": np.arange(n, dtype=np.int32),
+        "w": np.full(n, w, dtype=np.int32),
+    }
+
+
 def make_columns(ts, tts=None):
-    ts = np.asarray(ts, dtype=np.int64)
-    n = ts.size
-    if tts is None:
-        tts = np.full(n, 5.0)
-    return TraversalColumns.from_arrays(
-        t=ts,
-        isa=np.arange(n),
-        d=np.arange(n) % 7,
-        tt=tts,
-        a=np.cumsum(tts),
-        seq=np.zeros(n, np.int32),
-    )
+    """One edge's columns over timestamps ``ts``, sorted by time."""
+    if not len(ts):
+        return TraversalColumns.empty()
+    rows = make_rows(np.zeros(len(ts)), ts, tts=tts)
+    return TemporalForest.from_rows([rows]).get(0).columns
 
 
 class TestTraversalColumns:
-    def test_from_arrays_sorts_by_time(self):
+    def test_from_rows_sorts_an_edge_by_time(self):
         columns = make_columns([30, 10, 20])
         assert columns.t.tolist() == [10, 20, 30]
         # isa column permuted consistently
@@ -162,22 +171,89 @@ def test_property_periodic_scan_matches_model(ts, start_tod, duration):
 
 class TestTemporalForest:
     def test_build_and_lookup(self):
-        forest = TemporalForest.build(
-            {1: make_columns([10, 20]), 5: make_columns([30])}, kind="css"
+        forest = TemporalForest.from_rows(
+            [make_rows([5, 1, 1], [30, 20, 10])], kind="css"
         )
         assert len(forest) == 2
         assert 1 in forest and 5 in forest and 3 not in forest
         assert forest.get(3) is None
         assert forest.total_records() == 3
+        assert forest.get(1).columns.t.tolist() == [10, 20]
+        assert forest.edge_ids.tolist() == [1, 5]
+        assert forest.offsets.tolist() == [0, 2, 3]
 
     def test_edges_iteration(self):
-        forest = TemporalForest.build({2: make_columns([1])})
+        forest = TemporalForest.from_rows([make_rows([2], [1])])
         assert list(forest.edges()) == [2]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            TemporalForest(kind="lsm")
+            TemporalForest.from_rows([make_rows([2], [1])], kind="lsm")
 
     def test_size_in_bytes_positive(self):
-        forest = TemporalForest.build({1: make_columns(list(range(50)))})
+        forest = TemporalForest.from_rows(
+            [make_rows([1] * 50, list(range(50)))]
+        )
         assert forest.size_in_bytes() > 0
+
+    @pytest.mark.parametrize("t_scale", [1, 1 << 30])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 40)),
+            min_size=1,
+            max_size=60,
+        ),
+        split=st.integers(0, 60),
+    )
+    def test_rows_sort_stably_by_edge_then_time(self, t_scale, rows, split):
+        """Equal ``(edge, t)`` rows keep their chunk order, for the
+        packed sort key and for spans too wide to pack alike."""
+        edges = [edge for edge, _ in rows]
+        ts = [t * t_scale for _, t in rows]
+        chunks = [
+            make_rows(edges[:split], ts[:split], w=0),
+            make_rows(edges[split:], ts[split:], w=1),
+        ]
+        forest = TemporalForest.from_rows(chunks)
+        ranks = [(edges[i], ts[i], i) for i in range(len(rows))]
+        expected = [i for _, _, i in sorted(ranks)]
+        # make_rows numbers each chunk's rows from 0 in ``seq``.
+        seq = [i if i < split else i - split for i in expected]
+        assert forest.columns.t.tolist() == [ts[i] for i in expected]
+        assert forest.columns.seq.tolist() == seq
+        assert forest.row_edges().tolist() == [edges[i] for i in expected]
+        assert forest.columns.w.tolist() == [
+            int(i >= split) for i in expected
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.integers(0, 5 * SECONDS_PER_DAY),
+                st.integers(0, 9),
+            ),
+            min_size=1,
+            max_size=80,
+            unique_by=lambda row: (row[0], row[2]),
+        )
+    )
+    def test_permutations_equal_each_edges_own_sorts(self, rows):
+        edges, ts, ds = (list(column) for column in zip(*rows))
+        chunk = make_rows(edges, ts)
+        chunk["d"] = np.asarray(ds, dtype=np.int64)
+        forest = TemporalForest.from_rows([chunk])
+        perm_tod, perm_probe = forest.permutations()
+        for i, edge in enumerate(forest.edge_ids.tolist()):
+            lo, hi = forest.offsets[i], forest.offsets[i + 1]
+            phi = forest.get(edge)
+            assert perm_tod[lo:hi].tolist() == phi.tod_order.tolist()
+            assert perm_probe[lo:hi].tolist() == phi.probe_order.tolist()
+
+    def test_time_bounds_read_each_edges_first_and_last_t(self):
+        forest = TemporalForest.from_rows(
+            [make_rows([3, 1, 3, 1], [50, 7, 4, 90])]
+        )
+        assert forest.time_bounds() == (4, 90)

@@ -462,19 +462,17 @@ class TestServe:
         assert config.max_inflight == 32
         assert config.executor_workers == 3
         assert db.config.dedup_subqueries is True
-        assert db.config.cache == "memory"
         assert db.engine.cache is not None
 
     def test_no_cache_turns_the_config_cache_off(
         self, world_dir, monkeypatch
     ):
-        """``--no-cache`` is one switch: the config says ``off`` and the
-        session has no cross-query cache."""
+        """``--no-cache`` is one switch: the session has no cross-query
+        cache."""
         db, _ = self._serve_without_binding(
             monkeypatch,
             ["--world", str(world_dir), "--port", "0", "--no-cache"],
         )
-        assert db.config.cache == "off"
         assert db.engine.cache is None
         assert "cache='off'" in repr(db)
 
