@@ -33,30 +33,36 @@ class TimeOfDayHistogramStore:
         self._histograms: Dict[Tuple[int, int], np.ndarray] = {}
 
     @classmethod
-    def from_traversals(
+    def from_segments(
         cls,
         bucket_width_s: int,
-        edges: np.ndarray,
+        edge_ids: np.ndarray,
+        offsets: np.ndarray,
         partitions: np.ndarray,
         timestamps: np.ndarray,
     ) -> "TimeOfDayHistogramStore":
         """One histogram per ``(edge, partition)`` pair that occurs in
-        the traversal columns, keyed in ascending pair order, counted in
-        one pass."""
+        traversal columns grouped by segment (``edge_ids[i]`` owns rows
+        ``offsets[i]:offsets[i + 1]``), keyed in ascending pair order
+        for ascending ``edge_ids``.  Counted one segment at a time, so
+        no temporary is larger than a segment's rows."""
         store = cls(bucket_width_s=bucket_width_s)
-        if not edges.size:
-            return store
-        width = int(partitions.max()) + 1
-        pairs, group = np.unique(
-            edges.astype(np.int64) * width + partitions, return_inverse=True
-        )
-        buckets = np.mod(timestamps, SECONDS_PER_DAY) // store.bucket_width_s
-        counts = np.bincount(
-            group * store.n_buckets + buckets,
-            minlength=pairs.size * store.n_buckets,
-        ).reshape(pairs.size, store.n_buckets)
-        keys = np.stack((pairs // width, pairs % width), axis=1)
-        return cls.from_arrays(bucket_width_s, keys, counts)
+        n_buckets = store.n_buckets
+        bounds = offsets.tolist()
+        for i, edge in enumerate(edge_ids.tolist()):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
+                continue
+            ws = partitions[lo:hi].astype(np.int64)
+            buckets = np.mod(timestamps[lo:hi], SECONDS_PER_DAY)
+            buckets //= store.bucket_width_s
+            counts = np.bincount(
+                ws * n_buckets + buckets,
+                minlength=(int(ws.max()) + 1) * n_buckets,
+            ).reshape(-1, n_buckets)
+            for partition in np.flatnonzero(counts.any(axis=1)).tolist():
+                store._histograms[(edge, partition)] = counts[partition].copy()
+        return store
 
     def __len__(self) -> int:
         return len(self._histograms)

@@ -24,8 +24,9 @@ concatenation's rows of one segment with equal ``t`` sit in exactly the
 monolithic partition-major order and the stable re-sort reproduces the
 monolithic row order bit for bit
 (the same argument that makes the router's ``(t, shard)`` merge exact,
-applied at rest instead of per query).  Time-of-day histograms and the
-user container are unions of disjoint keys.  The existing
+applied at rest instead of per query).  The time-of-day histograms are
+counted from the merged forest, as a build counts them, and the user
+container is a union of disjoint keys.  The existing
 sharded-equivalence suite is the proof harness: compacted layouts must
 answer every query bit-identically to the uncompacted and monolithic
 indexes.
@@ -48,10 +49,9 @@ from typing import List, Sequence
 import numpy as np
 
 from ..errors import ShardError
-from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import TemporalForest
 from ..temporal.records import COLUMN_DTYPES
-from .index import BuildStats, SNTIndex
+from .index import BuildStats, SNTIndex, _tod_store
 from .persistence import IndexDir
 
 __all__ = [
@@ -103,9 +103,9 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     (= temporal) order.  The result is exactly the shard a sharded
     build would have produced for the union of their time slices — FM
     partitions reused byte-for-byte with local ids renumbered, leaf
-    rows re-sorted stably by ``(edge, t)``, histogram and user
-    containers unioned.  See the module docstring for the bit-identity
-    argument.
+    rows re-sorted stably by ``(edge, t)``, time-of-day histograms
+    recounted from them, user containers unioned.  See the module
+    docstring for the bit-identity argument.
     """
     if not indexes:
         raise ShardError("cannot merge zero shards")
@@ -138,27 +138,9 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     forest = TemporalForest.from_rows(chunks, kind=first.kind)
     del chunks
 
-    # Time-of-day histograms: (edge, partition) keys are disjoint
-    # across members once partition ids are shifted.
-    key_chunks: List[np.ndarray] = []
-    count_chunks: List[np.ndarray] = []
-    for index, offset in zip(indexes, offsets):
-        keys, counts = index.tod_store.as_arrays()
-        if keys.size:
-            shifted = np.array(keys, dtype=np.int64, copy=True)
-            shifted[:, 1] += offset
-            key_chunks.append(shifted)
-            count_chunks.append(np.asarray(counts))
-    if key_chunks:
-        tod_store = TimeOfDayHistogramStore.from_arrays(
-            first.tod_bucket_s,
-            np.concatenate(key_chunks, axis=0),
-            np.concatenate(count_chunks, axis=0),
-        )
-    else:
-        tod_store = TimeOfDayHistogramStore(
-            bucket_width_s=first.tod_bucket_s
-        )
+    # Time-of-day histograms: counted from the merged forest, as a
+    # build counts them.
+    tod_store = _tod_store(forest, first.tod_bucket_s)
 
     # User container U: dense over the union id space, -1 = gap.  Ids
     # are disjoint across shards (append() enforces it), so overlaying

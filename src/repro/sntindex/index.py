@@ -96,9 +96,13 @@ def _tod_store(
     forest: TemporalForest, bucket_width_s: int
 ) -> TimeOfDayHistogramStore:
     """The time-of-day histograms of every ``(edge, w)`` pair of
-    ``forest``, in one pass over its flat columns."""
-    return TimeOfDayHistogramStore.from_traversals(
-        bucket_width_s, forest.row_edges(), forest.columns.w, forest.columns.t
+    ``forest``, counted segment by segment from its flat columns."""
+    return TimeOfDayHistogramStore.from_segments(
+        bucket_width_s,
+        forest.edge_ids,
+        forest.offsets,
+        forest.columns.w,
+        forest.columns.t,
     )
 
 

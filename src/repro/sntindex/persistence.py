@@ -80,6 +80,7 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
+from ..config import SECONDS_PER_DAY
 from ..errors import IndexFormatError, PersistenceError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
 from ..fmindex.bitvector import split_flat
@@ -107,6 +108,7 @@ __all__ = [
     "validate_meta",
     "validate_identity",
     "check_integers",
+    "TOD_BUCKET_BOUNDS",
     "atomic_install_dir",
     "write_index_payload",
 ]
@@ -120,10 +122,14 @@ FORMAT_VERSION = 2
 #: order) — concatenated across edges with the same ``edge_offsets``
 #: table as the leaf columns.  Loaders treat both as optional: a v2.0
 #: directory (no permutation files) opens unchanged and the orders are
-#: rebuilt lazily per edge; a v2.1 directory hands the mmap'd slices to
-#: each edge index zero-copy.
+#: worked out once when it is opened; a v2.1 directory hands the mmap'd
+#: slices to each edge index zero-copy.
 FORMAT_MINOR = 1
 FORMAT_NAME = "snt-index"
+
+#: The ``(minimum, maximum)`` time-of-day bucket width a loader takes:
+#: at most one bucket per day, as the build enforces.
+TOD_BUCKET_BOUNDS = (1, SECONDS_PER_DAY)
 
 META_FILE = "meta.json"
 PAYLOAD_DIR = "payload"
@@ -344,10 +350,8 @@ def _write_payload(
 ) -> None:
     """Write ``meta.json`` + ``payload/`` into (staging) dir ``target``."""
 
-    # The forest's own arrays are the payload; the permutations are
-    # worked out here when the forest holds none yet.
+    # The forest's own arrays are the payload.
     forest = index.forest
-    perm_tod, perm_probe = forest.permutations()
     arrays: Dict[str, Array] = {
         "users": index.users,
         "edge_ids": forest.edge_ids,
@@ -356,8 +360,8 @@ def _write_payload(
             f"col_{name}": getattr(forest.columns, name)
             for name in _COLUMNS
         },
-        "perm_tod": perm_tod,
-        "perm_probe": perm_probe,
+        "perm_tod": forest.perm_tod,
+        "perm_probe": forest.perm_probe,
     }
     tod_keys, tod_counts = index.tod_store.as_arrays()
     arrays["tod_keys"] = tod_keys
@@ -466,23 +470,27 @@ def read_meta(path: IndexDir) -> Dict[str, Any]:
 
 def check_integers(
     meta: Dict[str, Any],
-    minimums: Dict[str, Optional[int]],
+    bounds: Dict[str, Tuple[Optional[int], Optional[int]]],
     source: Union[str, Path],
 ) -> None:
-    """Prove each field named in ``minimums`` an integer (a bool is
-    not one) no smaller than its minimum (``None``: any integer), else
-    raise :class:`PersistenceError` — shared by the monolithic and the
-    sharded loader, which run it before reading any payload."""
-    for name, minimum in minimums.items():
+    """Prove each field named in ``bounds`` an integer (a bool is not
+    one) within its ``(minimum, maximum)`` (``None``: unbounded on that
+    side), else raise :class:`PersistenceError` — shared by the
+    monolithic and the sharded loader, which run it before reading any
+    payload."""
+    for name, (minimum, maximum) in bounds.items():
         value = meta[name]
         if (
             not isinstance(value, int)
             or isinstance(value, bool)
             or (minimum is not None and value < minimum)
+            or (maximum is not None and value > maximum)
         ):
-            expected = "an integer" if minimum is None else (
-                f"an integer >= {minimum}"
-            )
+            expected = "an integer"
+            if maximum is not None:
+                expected += f" in [{minimum}, {maximum}]"
+            elif minimum is not None:
+                expected += f" >= {minimum}"
             raise PersistenceError(
                 f"{source} declares {name} = {value!r}; expected "
                 f"{expected} — refusing before reading any payload"
@@ -508,7 +516,7 @@ def validate_identity(
             "knows 'css' and 'btree' — refusing before reading the "
             "partition payload"
         )
-    check_integers(meta, {"alphabet_size": 1}, source)
+    check_integers(meta, {"alphabet_size": (1, None)}, source)
     alphabet = meta["alphabet_size"]
     if expected_kind is not None and kind != expected_kind:
         raise PersistenceError(
@@ -557,14 +565,18 @@ def validate_meta(
         expected_alphabet_size=expected_alphabet_size,
         expected_kind=expected_kind,
     )
-    integers: Dict[str, Optional[int]] = {
-        "t_min": None, "t_max": None, "tod_bucket_s": 1,
+    integers: Dict[str, Tuple[Optional[int], Optional[int]]] = {
+        "t_min": (None, None),
+        "t_max": (None, None),
+        "tod_bucket_s": TOD_BUCKET_BOUNDS,
     }
     if meta["partition_days"] is not None:  # null: the FULL layout
-        integers["partition_days"] = 1
+        integers["partition_days"] = (1, None)
     check_integers(meta, integers, source)
+    # A partition's id is its position; the stored ``w`` is written for
+    # loaders of earlier releases and never read.
     partition_fields = (
-        "w", "n_trajectories", "n_traversals", "t_lo", "t_hi", "fm_n",
+        "n_trajectories", "n_traversals", "t_lo", "t_hi", "fm_n",
     )
     partitions = meta["partitions"]
     if not isinstance(partitions, list) or any(
@@ -680,7 +692,7 @@ def _load_partition(
         int(entry["fm_n"]), alphabet_size, counts, tree
     )
     return IndexPartition(
-        w=int(entry["w"]),
+        w=k,
         fm=fm,
         n_trajectories=int(entry["n_trajectories"]),
         n_traversals=int(entry["n_traversals"]),
@@ -812,10 +824,10 @@ def load_index(
             f"corrupt payload in {source}: edge_offsets are inconsistent "
             "with the column arrays"
         )
-    # v2.1 sort permutations: optional (a v2.0 dir rebuilds the orders
-    # lazily), but when present they must cover the columns exactly —
-    # a short permutation would silently be ignored per edge, so prove
-    # consistency here instead.
+    # v2.1 sort permutations: optional (the forest works out the orders
+    # of a v2.0 dir), but when present they must cover the columns
+    # exactly — a short one would hand some edge a short slice, so
+    # prove consistency here instead.
     permutations: Dict[str, Optional[Array]] = {}
     for name in ("perm_tod", "perm_probe"):
         permutation = _load_optional_array(payload_dir, name)

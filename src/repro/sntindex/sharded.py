@@ -92,6 +92,7 @@ from ..trajectories.model import TrajectorySet
 from .index import BuildStats, SNTIndex, assign_time_windows, window_bounds
 from .persistence import (
     META_FILE,
+    TOD_BUCKET_BOUNDS,
     IndexDir,
     atomic_install_dir,
     check_integers,
@@ -910,21 +911,6 @@ class ShardedSNTIndex:
         :func:`save_sharded_index`."""
         return save_sharded_index(self, path, extra=extra)
 
-    @classmethod
-    def load(
-        cls,
-        path: IndexDir,
-        expected_alphabet_size: Optional[int] = None,
-        expected_kind: Optional[str] = None,
-    ) -> "ShardedSNTIndex":
-        """Load a sharded manifest directory; see
-        :func:`load_sharded_index`."""
-        return load_sharded_index(
-            path,
-            expected_alphabet_size=expected_alphabet_size,
-            expected_kind=expected_kind,
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Persistence: manifest directory of PR-1 index dirs
@@ -1119,8 +1105,9 @@ def load_sharded_index(
     # prove them sane first, like the monolithic validate_meta does.
     check_integers(
         manifest,
-        {"partition_days": 1, "t_min": None, "t_max": None,
-         "tod_bucket_s": 1, "epoch": 0},
+        {"partition_days": (1, None), "t_min": (None, None),
+         "t_max": (None, None), "tod_bucket_s": TOD_BUCKET_BOUNDS,
+         "epoch": (0, None)},
         source,
     )
     if not isinstance(manifest["shards"], list):

@@ -13,8 +13,9 @@ sets returned here.
 
 Sorted auxiliary orders
 -----------------------
-Besides the primary ``t``-sorted leaf order, each edge index maintains two
-lazily built (and optionally persisted) sort permutations:
+Besides the primary ``t``-sorted leaf order, each edge index holds two
+sort permutations, its slices of the forest's flat ``perm_tod`` /
+``perm_probe``:
 
 * ``tod_order`` — rows sorted by time of day.  A periodic predicate then
   reduces to at most two ``searchsorted`` cuts on the sorted
@@ -26,9 +27,10 @@ lazily built (and optionally persisted) sort permutations:
   probe join binary-searches this order instead of scanning the whole
   ``d`` column per query.
 
-Both orders are pure functions of the (immutable) columns, so adopting
-them from a saved index (format v2.1) is safe and zero-copy; v2 payloads
-without them simply rebuild the orders on first use.
+Both orders are pure functions of the (immutable) columns, worked out
+once when a forest is made without them (a build, an append, a
+compaction, or a v2.0 directory opened) and adopted zero-copy from a
+saved index that carries them (format v2.1).
 
 Periodic scans
 --------------
@@ -60,11 +62,32 @@ from ..config import SECONDS_PER_DAY
 from ..errors import IndexError_
 from .btree import BPlusTree
 from .css_tree import CSSTree
-from .records import COLUMN_DTYPES, TraversalColumns
+from .records import COLUMN_DTYPES, TraversalColumns, pack_probe_keys
 
 __all__ = ["EdgeTemporalIndex", "TemporalForest"]
 
 Int64Array = npt.NDArray[np.int64]
+
+
+def _sort_orders(
+    offsets: Int64Array, columns: TraversalColumns
+) -> Tuple[Int64Array, Int64Array]:
+    """``(perm_tod, perm_probe)`` of flat ``columns`` whose segment
+    ``i`` owns rows ``offsets[i]:offsets[i + 1]``: each segment's stable
+    argsort by time of day and by packed ``(d, seq)`` key, relative to
+    its own first row."""
+    t, d, seq = columns.t, columns.d, columns.seq
+    perm_tod = np.empty(len(columns), dtype=np.int64)
+    perm_probe = np.empty(len(columns), dtype=np.int64)
+    bounds = offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        perm_tod[lo:hi] = np.argsort(
+            np.mod(t[lo:hi], SECONDS_PER_DAY), kind="stable"
+        )
+        perm_probe[lo:hi] = np.argsort(
+            pack_probe_keys(d[lo:hi], seq[lo:hi]), kind="stable"
+        )
+    return perm_tod, perm_probe
 
 
 class EdgeTemporalIndex:
@@ -73,9 +96,9 @@ class EdgeTemporalIndex:
     def __init__(
         self,
         columns: TraversalColumns,
+        tod_order: Int64Array,
+        probe_order: Int64Array,
         kind: str = "css",
-        tod_order: Optional[Int64Array] = None,
-        probe_order: Optional[Int64Array] = None,
         edge: Optional[int] = None,
     ) -> None:
         if kind not in ("css", "btree"):
@@ -85,14 +108,10 @@ class EdgeTemporalIndex:
         #: The segment this index belongs to (named in errors).
         self.edge = edge
         self._n_rows = len(columns)
-        self._tod: Int64Array = np.mod(columns.t, SECONDS_PER_DAY)
-        # Sorted auxiliary orders: the forest's slices of a saved
-        # index's permutations when it holds them (zero-copy), else
-        # built lazily on first use.
-        self._tod_order = tod_order
-        self._probe_order = probe_order
-        self.tod_order_adopted = self._tod_order is not None
-        self.probe_order_adopted = self._probe_order is not None
+        #: Rows sorted by time of day, and by the packed ``(d, seq)``
+        #: key; both stable, so equal keys keep scan order.
+        self.tod_order = tod_order
+        self.probe_order = probe_order
         self._tod_sorted: Optional[Int64Array] = None
         self._probe_keys_sorted: Optional[Int64Array] = None
         if kind == "css":
@@ -121,31 +140,12 @@ class EdgeTemporalIndex:
     # Sorted auxiliary orders
     # ------------------------------------------------------------------ #
 
-    @property
-    def tod_order(self) -> Int64Array:
-        """Permutation sorting rows by time of day (stable, so equal
-        times keep scan order)."""
-        if self._tod_order is None:
-            self._tod_order = np.argsort(self._tod, kind="stable").astype(
-                np.int64, copy=False
-            )
-        return self._tod_order
-
     def _tod_sorted_keys(self) -> Int64Array:
         if self._tod_sorted is None:
-            self._tod_sorted = np.asarray(
-                self._tod[self.tod_order], dtype=np.int64
+            self._tod_sorted = np.mod(
+                self.columns.t[self.tod_order], SECONDS_PER_DAY
             )
         return self._tod_sorted
-
-    @property
-    def probe_order(self) -> Int64Array:
-        """Permutation sorting rows by the packed ``(d, seq)`` key."""
-        if self._probe_order is None:
-            self._probe_order = np.argsort(
-                self.columns.probe_keys(), kind="stable"
-            ).astype(np.int64, copy=False)
-        return self._probe_order
 
     def probe_keys_sorted(self) -> Int64Array:
         """The packed ``(d, seq)`` keys in :attr:`probe_order` order,
@@ -317,9 +317,9 @@ class TemporalForest:
 
     ``perm_tod`` / ``perm_probe`` are the flat time-of-day and
     probe-key sort permutations, each segment's slice relative to its
-    own first row, as a saved index carries them; a segment's index
-    adopts its slice zero-copy.  Without them each segment sorts its
-    own orders on first use.
+    own first row; a segment's index adopts its slices zero-copy.  A
+    forest made without them (a build, or a v2.0 directory) works both
+    out once, each segment's own stable sorts.
     """
 
     def __init__(
@@ -337,8 +337,10 @@ class TemporalForest:
         self.edge_ids = edge_ids
         self.offsets = offsets
         self.columns = columns
-        self.perm_tod = perm_tod
-        self.perm_probe = perm_probe
+        if perm_tod is None or perm_probe is None:
+            perm_tod, perm_probe = _sort_orders(offsets, columns)
+        self.perm_tod: Int64Array = perm_tod
+        self.perm_probe: Int64Array = perm_probe
         bounds = offsets.tolist()
         self._slices: Dict[int, Tuple[int, int]] = {
             edge: (bounds[i], bounds[i + 1])
@@ -388,6 +390,9 @@ class TemporalForest:
         for name, dtype in COLUMN_DTYPES.items():
             if name not in gathered:
                 gathered[name] = column(name)[order].astype(dtype, copy=False)
+        # Freed before the constructor sorts the permutations, each as
+        # large as ``order``.
+        del order
         return cls(kind, edge_ids, offsets, TraversalColumns(**gathered))
 
     def __contains__(self, edge: int) -> bool:
@@ -414,15 +419,9 @@ class TemporalForest:
             TraversalColumns(**{
                 name: getattr(columns, name)[lo:hi] for name in COLUMN_DTYPES
             }),
+            self.perm_tod[lo:hi],
+            self.perm_probe[lo:hi],
             kind=self.kind,
-            tod_order=(
-                self.perm_tod[lo:hi] if self.perm_tod is not None else None
-            ),
-            probe_order=(
-                self.perm_probe[lo:hi]
-                if self.perm_probe is not None
-                else None
-            ),
             edge=edge,
         )
         self._indexes[edge] = built
@@ -450,29 +449,6 @@ class TemporalForest:
             return None
         t = self.columns.t
         return int(t[lo[filled]].min()), int(t[hi[filled] - 1].max())
-
-    def permutations(self) -> Tuple[Int64Array, Int64Array]:
-        """``(perm_tod, perm_probe)``: the stored permutations, or those
-        missing worked out in one pass over the columns.
-
-        Equal to each segment's own stable sort by time of day and by
-        packed ``(d, seq)`` key: sorting every row by ``(edge, key)``
-        keeps a segment's rows together and in that order.
-        """
-        perm_tod, perm_probe = self.perm_tod, self.perm_probe
-        if perm_tod is None or perm_probe is None:
-            edges = self.row_edges()
-            starts = np.repeat(self.offsets[:-1], np.diff(self.offsets))
-            if perm_tod is None:
-                tod = np.mod(self.columns.t, SECONDS_PER_DAY)
-                perm_tod = np.argsort(
-                    edges * SECONDS_PER_DAY + tod, kind="stable"
-                ) - starts
-            if perm_probe is None:
-                perm_probe = np.lexsort(
-                    (self.columns.probe_keys(), edges)
-                ) - starts
-        return perm_tod, perm_probe
 
     def size_in_bytes(self, with_partition_id: bool = True) -> int:
         # Size accounting is a model over the leaf payload; it builds

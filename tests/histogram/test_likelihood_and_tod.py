@@ -55,18 +55,21 @@ class TestSmoothedDensity:
 
 
 def store_of(bucket_width_s, *groups):
-    """A store over ``(edge, timestamps[, partition])`` groups."""
-    edges, partitions, timestamps = [], [], []
+    """A store over ``(edge, timestamps[, partition])`` groups, their
+    rows grouped by edge in ascending edge order."""
+    rows = {}
     for edge, times, *partition in groups:
-        times = list(times)
-        edges += [edge] * len(times)
-        partitions += [partition[0] if partition else 0] * len(times)
-        timestamps += times
-    return TimeOfDayHistogramStore.from_traversals(
+        rows.setdefault(edge, []).extend(
+            (t, partition[0] if partition else 0) for t in times
+        )
+    edge_ids = sorted(rows)
+    ordered = [row for edge in edge_ids for row in rows[edge]]
+    return TimeOfDayHistogramStore.from_segments(
         bucket_width_s,
-        np.asarray(edges, dtype=np.int64),
-        np.asarray(partitions, dtype=np.int32),
-        np.asarray(timestamps, dtype=np.int64),
+        np.asarray(edge_ids, dtype=np.int64),
+        np.cumsum([0] + [len(rows[edge]) for edge in edge_ids]),
+        np.asarray([w for _, w in ordered], dtype=np.int32),
+        np.asarray([t for t, _ in ordered], dtype=np.int64),
     )
 
 

@@ -200,12 +200,11 @@ class TestPartitionedWorldRoundTrip:
 
 def _forest_arrays(forest):
     """Everything the forest's saved layout is made of."""
-    perm_tod, perm_probe = forest.permutations()
     arrays = {
         "edge_ids": forest.edge_ids,
         "offsets": forest.offsets,
-        "perm_tod": perm_tod,
-        "perm_probe": perm_probe,
+        "perm_tod": forest.perm_tod,
+        "perm_probe": forest.perm_probe,
     }
     for name in ("t", "isa", "d", "tt", "a", "seq", "w"):
         arrays[name] = getattr(forest.columns, name)
@@ -294,6 +293,70 @@ class TestOneForestLayout:
         _assert_same_forest(
             SNTIndex.load(tmp_path / "compacted").forest, merged.forest
         )
+
+    def test_compacted_tod_store_is_the_one_shard_builds(
+        self, dataset, sharded
+    ):
+        from repro import ShardedSNTIndex
+        from repro.sntindex.compaction import merge_shard_indexes
+
+        merged = merge_shard_indexes(
+            [entry.index for entry in sharded.entries]
+        )
+        one_shard = ShardedSNTIndex.build(
+            dataset.trajectories,
+            dataset.network.alphabet_size,
+            n_shards=1,
+            partition_days=self.PARTITION_DAYS,
+        )
+        keys, counts = merged.tod_store.as_arrays()
+        want_keys, want_counts = one_shard.entries[0].index.tod_store.as_arrays()
+        assert keys.dtype == want_keys.dtype
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(counts, want_counts)
+
+    @pytest.mark.parametrize(
+        "made", ["built", "loaded v2.1", "loaded v2.0", "compacted"]
+    )
+    def test_sort_orders_are_each_segments_own_sorts(
+        self, dataset, sharded, tmp_path, made
+    ):
+        """However a forest was made, each segment's two orders are its
+        own stable sorts by time of day and by packed ``(d, seq)``."""
+        from repro.config import SECONDS_PER_DAY
+        from repro.sntindex.sharded import load_sharded_index
+
+        if made == "compacted":
+            sharded.save(tmp_path / "index")
+            loaded = load_sharded_index(tmp_path / "index")
+            loaded.compact()
+            index = loaded.entries[0].index
+        else:
+            index = SNTIndex.build(
+                dataset.trajectories,
+                dataset.network.alphabet_size,
+                partition_days=self.PARTITION_DAYS,
+            )
+            if made != "built":
+                index.save(tmp_path / "index")
+                if made == "loaded v2.0":
+                    for name in ("perm_tod", "perm_probe"):
+                        (tmp_path / "index" / PAYLOAD_DIR / f"{name}.npy").unlink()
+                index = SNTIndex.load(tmp_path / "index")
+        forest = index.forest
+        assert len(forest) > 0
+        for edge in forest.edges():
+            phi = forest.get(edge)
+            columns = phi.columns
+            tod = np.mod(columns.t, SECONDS_PER_DAY)
+            keys = (columns.d.astype(np.int64) << 32) + columns.seq
+            assert np.array_equal(
+                phi.tod_order, np.argsort(tod, kind="stable")
+            ), edge
+            assert np.array_equal(
+                phi.probe_order, np.argsort(keys, kind="stable")
+            ), edge
 
     @staticmethod
     def _assert_reference_order(dataset, index):

@@ -39,7 +39,7 @@ from repro.sntindex.procedures import (
     probe_travel_times,
 )
 from repro.sntindex.sharded import ShardedSNTIndex
-from repro.temporal.forest import EdgeTemporalIndex, TemporalForest
+from repro.temporal.forest import TemporalForest
 from repro.temporal.records import TraversalColumns
 from repro.trajectories import Trajectory, TrajectoryPoint, TrajectorySet
 
@@ -332,7 +332,11 @@ def edge_timestamps(draw):
 def _edge_index_over(timestamps, kind="css"):
     n = len(timestamps)
     if not n:
-        return EdgeTemporalIndex(TraversalColumns.empty(), kind=kind)
+        # An edge with no rows: the forest's offsets hold it empty.
+        return TemporalForest(
+            kind, np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64),
+            TraversalColumns.empty(),
+        ).get(0)
     return _forest((0, dict(
         t=timestamps,
         isa=np.arange(n),
@@ -555,13 +559,10 @@ def test_v21_dir_adopts_permutations_zero_copy(tmp_path):
         want = index.get_travel_times(query)
         got = loaded.get_travel_times(query)
         assert_results_identical(got, want)
-    # Any traversed edge adopted both orders from the mapped payload.
     edge = next(iter(loaded.forest.edges()))
     phi = loaded.forest.get(edge)
-    assert phi.tod_order_adopted and phi.probe_order_adopted
-    assert _reaches_memmap(phi.tod_order)
-    assert _reaches_memmap(phi.probe_order)
-    # ... as plain read-only ndarray views of the map: a np.memmap
+    # Any traversed edge adopted both orders from the mapped payload,
+    # as plain read-only ndarray views of the map: a np.memmap
     # instance would run Python-level __getitem__/__array_finalize__ on
     # every slice and fancy index of the scan.
     columns = phi.columns
@@ -590,8 +591,9 @@ def test_v20_dir_without_permutations_still_answers(tmp_path):
         assert_results_identical(got, want)
     edge = next(iter(loaded.forest.edges()))
     phi = loaded.forest.get(edge)
-    # Orders were rebuilt lazily, not adopted — and still answer right.
-    assert not phi.tod_order_adopted and not phi.probe_order_adopted
+    # Orders were worked out when the directory was opened, not adopted
+    # — and still answer right.
+    assert not _reaches_memmap(phi.tod_order)
     assert np.array_equal(
         phi.tod_order, np.argsort(np.mod(phi.columns.t, SECONDS_PER_DAY),
                                   kind="stable")

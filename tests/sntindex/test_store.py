@@ -460,6 +460,55 @@ class TestShardMetaBounds:
         assert answer == expected
 
 
+class TestPartitionIds:
+    """A partition's id is its position among its index's partitions;
+    the ``w`` each ``meta.json`` entry still carries (for older loaders)
+    is never read, so no rewrite of it changes an answer."""
+
+    @staticmethod
+    def _rewrite_ids(meta_file):
+        meta = json.loads(meta_file.read_text())
+        entries = meta["partitions"]
+        for k, entry in enumerate(entries):
+            entry["w"] = (k + 1) % len(entries) if len(entries) > 1 else 1
+        entries[-1]["w"] = 0
+        meta_file.write_text(json.dumps(meta))
+
+    def _assert_answers_unchanged(self, world, built, root, meta_files):
+        dataset, _, _, requests = world
+        with open_db(built, network=dataset.network, cache=None) as db:
+            expected = [
+                {k: v for k, v in result.to_dict().items()
+                 if k != "elapsed_s"}
+                for result in db.query_many(requests)
+            ]
+        assert _answers(root, dataset, requests) == expected
+        for meta_file in meta_files:
+            self._rewrite_ids(meta_file)
+        assert _answers(root, dataset, requests) == expected
+
+    def test_monolithic(self, world, tmp_path):
+        dataset = world[0]
+        built = SNTIndex.build(
+            dataset.trajectories,
+            dataset.network.alphabet_size,
+            partition_days=PARTITION_DAYS,
+        )
+        assert built.n_partitions > 2
+        root = built.save(tmp_path / "index")
+        self._assert_answers_unchanged(
+            world, built, root, [root / "meta.json"]
+        )
+
+    def test_sharded(self, world, tmp_path):
+        dataset, base, tails, _ = world
+        built = _sharded(dataset, base, tails[:1])
+        root = built.save(tmp_path / "index")
+        self._assert_answers_unchanged(
+            world, built, root, sorted(root.glob("*/meta.json"))
+        )
+
+
 class TestMetaScalars:
     """``meta.json``'s ``t_min``, ``t_max`` and ``tod_bucket_s`` take the
     checks the sharded manifest's fields take, before any payload is
@@ -468,7 +517,8 @@ class TestMetaScalars:
     @pytest.mark.parametrize(
         "field, value",
         [("t_max", 1.5), ("t_min", True), ("tod_bucket_s", "600"),
-         ("t_max", "x"), ("tod_bucket_s", 0), ("partition_days", 2.0)],
+         ("t_max", "x"), ("tod_bucket_s", 0), ("partition_days", 2.0),
+         ("tod_bucket_s", SECONDS_PER_DAY + 1), ("tod_bucket_s", 90_000)],
     )
     def test_bad_scalar_refused_before_payload(
         self, world, tmp_path, monkeypatch, field, value
@@ -488,6 +538,18 @@ class TestMetaScalars:
         monkeypatch.setattr(np, "load", read)
         with pytest.raises(PersistenceError, match=field):
             load_any_index(root)
+
+    @pytest.mark.parametrize("value", [SECONDS_PER_DAY + 1, 90_000])
+    def test_manifest_bucket_over_a_day_refused_before_shards(
+        self, saved_sharded, monkeypatch, value
+    ):
+        manifest_file = saved_sharded / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        manifest["tod_bucket_s"] = value
+        manifest_file.write_text(json.dumps(manifest))
+        _forbid_shard_reads(monkeypatch)
+        with pytest.raises(PersistenceError, match="tod_bucket_s"):
+            load_any_index(saved_sharded)
 
 
 # --------------------------------------------------------------------- #

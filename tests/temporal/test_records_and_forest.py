@@ -25,12 +25,23 @@ def make_rows(edges, ts, w=0, tts=None):
     }
 
 
+def make_index(ts, kind="css", tts=None):
+    """One edge's temporal index over timestamps ``ts``, built through
+    the forest (an edge with no rows when ``ts`` is empty)."""
+    if not len(ts):
+        forest = TemporalForest(
+            kind, np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int64),
+            TraversalColumns.empty(),
+        )
+    else:
+        rows = make_rows(np.zeros(len(ts)), ts, tts=tts)
+        forest = TemporalForest.from_rows([rows], kind=kind)
+    return forest.get(0)
+
+
 def make_columns(ts, tts=None):
     """One edge's columns over timestamps ``ts``, sorted by time."""
-    if not len(ts):
-        return TraversalColumns.empty()
-    rows = make_rows(np.zeros(len(ts)), ts, tts=tts)
-    return TemporalForest.from_rows([rows]).get(0).columns
+    return make_index(ts, tts=tts).columns
 
 
 class TestTraversalColumns:
@@ -78,25 +89,25 @@ class TestEdgeTemporalIndex:
         return request.param
 
     def test_rows_fixed(self, kind):
-        index = EdgeTemporalIndex(make_columns([10, 20, 30, 40]), kind=kind)
+        index = make_index([10, 20, 30, 40], kind=kind)
         assert index.rows_fixed(15, 35).tolist() == [1, 2]
         assert index.rows_fixed(0, 100).tolist() == [0, 1, 2, 3]
         assert index.rows_fixed(41, 100).tolist() == []
         assert index.rows_fixed(30, 30).tolist() == []
 
     def test_rows_fixed_empty_index(self, kind):
-        index = EdgeTemporalIndex(TraversalColumns.empty(), kind=kind)
+        index = make_index([], kind=kind)
         assert index.rows_fixed(0, 100).size == 0
 
     def test_count_fixed(self, kind):
-        index = EdgeTemporalIndex(make_columns([10, 10, 20, 30]), kind=kind)
+        index = make_index([10, 10, 20, 30], kind=kind)
         assert index.count_fixed(10, 21) == 3
 
     def test_rows_periodic_basic(self, kind):
         # Two traversals at 08:00 on days 0 and 1; one at 20:00 on day 0.
         eight, twenty = 8 * 3600, 20 * 3600
         ts = [eight, twenty, SECONDS_PER_DAY + eight]
-        index = EdgeTemporalIndex(make_columns(ts), kind=kind)
+        index = make_index(ts, kind=kind)
         rows = index.rows_periodic(eight - 900, 1800)
         assert rows.tolist() == [0, 2]
 
@@ -108,43 +119,42 @@ class TestEdgeTemporalIndex:
             SECONDS_PER_DAY + 600,  # day 1, 00:10
             12 * 3600,  # day 0 noon: outside
         ]
-        index = EdgeTemporalIndex(make_columns(ts), kind=kind)
+        index = make_index(ts, kind=kind)
         rows = index.rows_periodic(23 * 3600 + 1800, 3600)
         assert sorted(rows.tolist()) == [1, 2]
 
     def test_rows_periodic_full_day(self, kind):
-        index = EdgeTemporalIndex(make_columns([5, 500, 50_000]), kind=kind)
+        index = make_index([5, 500, 50_000], kind=kind)
         assert index.rows_periodic(0, SECONDS_PER_DAY).tolist() == [0, 1, 2]
         assert index.rows_periodic(1234, 2 * SECONDS_PER_DAY).tolist() == [0, 1, 2]
 
     def test_rows_periodic_zero_duration(self, kind):
-        index = EdgeTemporalIndex(make_columns([5]), kind=kind)
+        index = make_index([5], kind=kind)
         assert index.rows_periodic(0, 0).size == 0
 
     def test_rows_ascending_by_time(self, kind):
         rng = np.random.default_rng(3)
         ts = rng.integers(0, 10 * SECONDS_PER_DAY, size=200)
-        index = EdgeTemporalIndex(make_columns(ts), kind=kind)
+        index = make_index(ts, kind=kind)
         rows = index.rows_periodic(3600, 7200)
         times = index.columns.t[rows]
         assert np.all(np.diff(times) >= 0)
 
     def test_supports_fast_count(self):
-        columns = make_columns([1])
-        assert EdgeTemporalIndex(columns, kind="css").supports_fast_count
-        assert not EdgeTemporalIndex(columns, kind="btree").supports_fast_count
+        assert make_index([1], kind="css").supports_fast_count
+        assert not make_index([1], kind="btree").supports_fast_count
 
     def test_unknown_kind(self):
+        order = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError):
-            EdgeTemporalIndex(make_columns([1]), kind="hash")
+            EdgeTemporalIndex(make_columns([1]), order, order, kind="hash")
 
 
 def test_css_and_btree_agree_on_periodic_scans():
     rng = np.random.default_rng(17)
     ts = np.sort(rng.integers(0, 30 * SECONDS_PER_DAY, size=500))
-    columns = make_columns(ts)
-    css = EdgeTemporalIndex(columns, kind="css")
-    btree = EdgeTemporalIndex(columns, kind="btree")
+    css = make_index(ts, kind="css")
+    btree = make_index(ts, kind="btree")
     for start, duration in [(0, 3600), (8 * 3600, 1800), (23 * 3600, 7200)]:
         css_rows = set(css.rows_periodic(start, duration).tolist())
         bt_rows = set(btree.rows_periodic(start, duration).tolist())
@@ -158,8 +168,8 @@ def test_css_and_btree_agree_on_periodic_scans():
     st.integers(1, SECONDS_PER_DAY),
 )
 def test_property_periodic_scan_matches_model(ts, start_tod, duration):
-    columns = make_columns(np.sort(np.asarray(ts)))
-    index = EdgeTemporalIndex(columns, kind="css")
+    index = make_index(np.sort(np.asarray(ts)), kind="css")
+    columns = index.columns
     rows = set(index.rows_periodic(start_tod, duration).tolist())
     expected = {
         i
@@ -245,12 +255,17 @@ class TestTemporalForest:
         chunk = make_rows(edges, ts)
         chunk["d"] = np.asarray(ds, dtype=np.int64)
         forest = TemporalForest.from_rows([chunk])
-        perm_tod, perm_probe = forest.permutations()
         for i, edge in enumerate(forest.edge_ids.tolist()):
             lo, hi = forest.offsets[i], forest.offsets[i + 1]
             phi = forest.get(edge)
-            assert perm_tod[lo:hi].tolist() == phi.tod_order.tolist()
-            assert perm_probe[lo:hi].tolist() == phi.probe_order.tolist()
+            tod = np.mod(phi.columns.t, SECONDS_PER_DAY)
+            keys = (phi.columns.d.astype(np.int64) << 32) + phi.columns.seq
+            assert phi.tod_order.tolist() == np.argsort(
+                tod, kind="stable"
+            ).tolist() == forest.perm_tod[lo:hi].tolist()
+            assert phi.probe_order.tolist() == np.argsort(
+                keys, kind="stable"
+            ).tolist() == forest.perm_probe[lo:hi].tolist()
 
     def test_time_bounds_read_each_edges_first_and_last_t(self):
         forest = TemporalForest.from_rows(
