@@ -118,41 +118,6 @@ class TimeOfDayHistogramStore:
             return min(1.0, duration / SECONDS_PER_DAY)
         return self.count_window(edge, start_tod, duration, partition) / total
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dump the store as ``(keys, counts)`` arrays for serialisation.
-
-        ``keys`` is ``(n, 2)`` int64 of ``(edge, partition)`` pairs in
-        insertion order; ``counts`` is ``(n, n_buckets)`` int64.
-        """
-        if not self._histograms:
-            return (
-                np.empty((0, 2), dtype=np.int64),
-                np.empty((0, self.n_buckets), dtype=np.int64),
-            )
-        keys = np.asarray(list(self._histograms), dtype=np.int64)
-        counts = np.vstack(list(self._histograms.values())).astype(np.int64)
-        return keys, counts
-
-    @classmethod
-    def from_arrays(
-        cls, bucket_width_s: int, keys: np.ndarray, counts: np.ndarray
-    ) -> "TimeOfDayHistogramStore":
-        """Rebuild a store from :meth:`as_arrays` output."""
-        store = cls(bucket_width_s=bucket_width_s)
-        if keys.shape[0] != counts.shape[0]:
-            raise ValueError("keys/counts row counts differ")
-        if keys.shape[0] and counts.shape[1] != store.n_buckets:
-            raise ValueError(
-                f"counts have {counts.shape[1]} buckets; bucket width "
-                f"{bucket_width_s} implies {store.n_buckets}"
-            )
-        for row in range(keys.shape[0]):
-            edge, partition = int(keys[row, 0]), int(keys[row, 1])
-            store._histograms[(edge, partition)] = counts[row].astype(
-                np.int64, copy=True
-            )
-        return store
-
     def size_in_bytes(self) -> int:
         """Modelled store size: 4 B per bucket + 32 B per histogram header.
 

@@ -25,8 +25,8 @@ monolithic partition-major order and the stable re-sort reproduces the
 monolithic row order bit for bit
 (the same argument that makes the router's ``(t, shard)`` merge exact,
 applied at rest instead of per query).  The time-of-day histograms are
-counted from the merged forest, as a build counts them, and the user
-container is a union of disjoint keys.  The existing
+counted from the merged forest on first use, as every index counts
+them, and the user container is a union of disjoint keys.  The existing
 sharded-equivalence suite is the proof harness: compacted layouts must
 answer every query bit-identically to the uncompacted and monolithic
 indexes.
@@ -51,7 +51,7 @@ import numpy as np
 from ..errors import ShardError
 from ..temporal.forest import TemporalForest
 from ..temporal.records import COLUMN_DTYPES
-from .index import BuildStats, SNTIndex, _tod_store
+from .index import BuildStats, SNTIndex
 from .persistence import IndexDir
 
 __all__ = [
@@ -103,9 +103,8 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     (= temporal) order.  The result is exactly the shard a sharded
     build would have produced for the union of their time slices — FM
     partitions reused byte-for-byte with local ids renumbered, leaf
-    rows re-sorted stably by ``(edge, t)``, time-of-day histograms
-    recounted from them, user containers unioned.  See the module
-    docstring for the bit-identity argument.
+    rows re-sorted stably by ``(edge, t)``, user containers unioned.
+    See the module docstring for the bit-identity argument.
     """
     if not indexes:
         raise ShardError("cannot merge zero shards")
@@ -138,10 +137,6 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     forest = TemporalForest.from_rows(chunks, kind=first.kind)
     del chunks
 
-    # Time-of-day histograms: counted from the merged forest, as a
-    # build counts them.
-    tod_store = _tod_store(forest, first.tod_bucket_s)
-
     # User container U: dense over the union id space, -1 = gap.  Ids
     # are disjoint across shards (append() enforces it), so overlaying
     # non-gap entries is a union.
@@ -168,7 +163,6 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
         partitions=partitions,
         forest=forest,
         users=users,
-        tod_store=tod_store,
         t_min=first.t_min,
         t_max=max(index.t_max for index in indexes),
         alphabet_size=first.alphabet_size,

@@ -92,20 +92,6 @@ def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     return traj_ids, user_ids
 
 
-def _tod_store(
-    forest: TemporalForest, bucket_width_s: int
-) -> TimeOfDayHistogramStore:
-    """The time-of-day histograms of every ``(edge, w)`` pair of
-    ``forest``, counted segment by segment from its flat columns."""
-    return TimeOfDayHistogramStore.from_segments(
-        bucket_width_s,
-        forest.edge_ids,
-        forest.offsets,
-        forest.columns.w,
-        forest.columns.t,
-    )
-
-
 @dataclass
 class BuildStats:
     """Timings and sizes recorded while building the index (Fig. 10c)."""
@@ -129,38 +115,21 @@ class SNTIndex:
         partitions: Sequence[IndexPartition],
         forest: TemporalForest,
         users: np.ndarray,
-        tod_store,
         t_min: int,
         t_max: int,
         alphabet_size: int,
         kind: str,
         partition_days: Optional[int],
         build_stats: BuildStats,
-        tod_bucket_s: Optional[int] = None,
+        tod_bucket_s: int,
     ):
         self.partitions = partitions
         #: Fixed at construction, like ``partitions``; read per scan.
         self.n_partitions = len(partitions)
         self.forest = forest
         self.users = users
-        if isinstance(tod_store, TimeOfDayHistogramStore):
-            self._tod_store: Optional[TimeOfDayHistogramStore] = tod_store
-            self._tod_loader = None
-            self.tod_bucket_s = tod_store.bucket_width_s
-        else:
-            # A zero-arg loader (persistence hands one over so a loaded
-            # index materialises the histogram dict only when the
-            # estimator first needs it); the bucket width must then be
-            # known up front — the sharded views read it without
-            # touching the store.
-            if not callable(tod_store) or tod_bucket_s is None:
-                raise TypeError(
-                    "tod_store must be a TimeOfDayHistogramStore, or a "
-                    "loader callable accompanied by tod_bucket_s"
-                )
-            self._tod_store = None
-            self._tod_loader = tod_store
-            self.tod_bucket_s = int(tod_bucket_s)
+        self.tod_bucket_s = int(tod_bucket_s)
+        self._tod_store: Optional[TimeOfDayHistogramStore] = None
         self.t_min = t_min
         self.t_max = t_max
         self.alphabet_size = alphabet_size
@@ -170,10 +139,10 @@ class SNTIndex:
 
     @property
     def tod_store(self) -> TimeOfDayHistogramStore:
-        """The time-of-day histogram store (materialised on first use)."""
+        """The time-of-day histogram store, counted from the forest on
+        first use, however the index was made."""
         if self._tod_store is None:
-            assert self._tod_loader is not None
-            self._tod_store = self._tod_loader()
+            self._tod_store = self.build_tod_store(self.tod_bucket_s)
         return self._tod_store
 
     # ------------------------------------------------------------------ #
@@ -296,7 +265,6 @@ class SNTIndex:
         # Every segment's tree is part of the build (Figure 10c's setup
         # time covers them), so none is left to the first query.
         forest.materialise()
-        tod_store = _tod_store(forest, tod_bucket_s)
 
         # Associative container U: d -> u (dense trajectory ids).
         users = np.full(int(traj_ids.max()) + 1, -1, dtype=np.int64)
@@ -312,13 +280,13 @@ class SNTIndex:
             partitions=partitions,
             forest=forest,
             users=users,
-            tod_store=tod_store,
             t_min=t_min,
             t_max=t_max,
             alphabet_size=alphabet_size,
             kind=kind,
             partition_days=partition_days,
             build_stats=stats,
+            tod_bucket_s=tod_bucket_s,
         )
 
     # ------------------------------------------------------------------ #
@@ -471,12 +439,18 @@ class SNTIndex:
         return bounds
 
     def build_tod_store(self, bucket_width_s: int) -> TimeOfDayHistogramStore:
-        """Build a fresh time-of-day histogram store at another grain.
+        """The time-of-day histograms of every ``(edge, w)`` pair,
+        counted segment by segment from the forest's flat columns.
 
-        Used by the Figure 10b experiment to cost 1/5/10-minute stores
-        without rebuilding the FM-indexes and forest.
+        :attr:`tod_store` is this at :attr:`tod_bucket_s`; the Figure
+        10b experiment costs 1/5/10-minute stores through it without
+        rebuilding the FM-indexes and forest.
         """
-        return _tod_store(self.forest, bucket_width_s)
+        forest = self.forest
+        return TimeOfDayHistogramStore.from_segments(
+            bucket_width_s, forest.edge_ids, forest.offsets,
+            forest.columns.w, forest.columns.t,
+        )
 
     # ------------------------------------------------------------------ #
     # Persistence (service cold start without re-running ``build()``)

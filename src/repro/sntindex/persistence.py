@@ -5,20 +5,18 @@ suffix-array construction dominates build time and the index is immutable
 afterwards, so it is built once and shipped as a directory:
 
 ``meta.json``
-    Format tag + version, scalar index attributes, the build stats, the
-    traversal-time bounds (written for older loaders; this one works
-    them out from the forest), and one *scalar-only* entry per
-    temporal partition (``w``, trip/traversal counts, time bounds,
-    FM text length).  Deliberately small: parsing it must not scale
+    Format tag + version, scalar index attributes, the build stats,
+    and one *scalar-only* entry per temporal partition (trip/traversal
+    counts, time bounds, FM text length; the partition id is the
+    entry's position).  Deliberately small: parsing it must not scale
     with the alphabet or the corpus.
 ``payload/``
     One standalone ``.npy`` file per bulk array: the user container
     ``U``, the temporal-forest leaf columns (sorted by ``(edge, t)``,
     with an edge id and offset table), the forest's two per-edge sort
-    permutations (``perm_tod.npy``, ``perm_probe.npy`` — v2.1,
-    optional; see :data:`FORMAT_MINOR`), the time-of-day histogram
-    arrays, and — per partition ``k`` — ``p{k}_counts.npy`` (the ``C``
-    array), the Huffman code table as three arrays
+    permutations (``perm_tod.npy``, ``perm_probe.npy`` — optional; see
+    :data:`FORMAT_MINOR`), and — per partition ``k`` — ``p{k}_counts.npy``
+    (the ``C`` array), the Huffman code table as three arrays
     (``p{k}_code_symbols.npy``, ``p{k}_code_lengths.npy``, and the
     concatenated code bits ``p{k}_code_bits.npy``), the per-node bit counts
     ``p{k}_node_bits.npy`` (in sorted-prefix order — the node
@@ -27,18 +25,21 @@ afterwards, so it is built once and shipped as a directory:
     words (``p{k}_wt_words.npy``) and block-rank directory
     (``p{k}_wt_blocks.npy``), in the same node order.
 
-Every payload file is opened with ``np.load(..., mmap_mode="r")``: a
-sealed index opens in O(1) — no unpickling, no array copies — and fork
-workers share the mapped pages.  The partitions themselves materialise
-lazily (:class:`_LazyPartitionList`): opening parses the small manifest
-and establishes the shared mmaps, and the first query that touches a
-partition rebuilds its wavelet tree around zero-copy *slices* of the
-mapped node concatenations
-(:meth:`~repro.fmindex.bitvector.RankBitvector.from_arrays`).  The
-temporal forest is the mapped columns themselves, the layout a built
-forest holds too, and builds a segment's tree directory on first use
-(:class:`~repro.temporal.forest.TemporalForest`); the time-of-day store
-loads on first estimator use.
+Every payload file is opened with ``np.load(..., mmap_mode="r")``: no
+unpickling, no array copies, and fork workers share the mapped pages.
+A partition rebuilds its wavelet tree around zero-copy *slices* of the
+mapped node concatenations on first touch (:class:`_LazyPartitionList`),
+and a segment its tree directory over the mapped columns
+(:class:`~repro.temporal.forest.TemporalForest`).  The time-of-day
+histograms are never stored: an index counts them from its forest on
+first estimator use.  The open proves what the forest adopts as it is,
+in vectorised passes over the flat arrays (about 23 ms for the
+``small`` world's 460 588 rows on a 2-core host): the offset table,
+strictly increasing edge ids, each segment's ``t`` order, and each
+stored permutation slice, which must permute its segment's rows into
+time-of-day or strictly increasing ``(d, seq)`` order.  A failure is a
+:class:`PersistenceError` naming the array (and the edge, for a
+segment's rows).
 
 Format version 1 pickled the FM partitions (``partitions.pkl``); loading
 executed whatever the pickle said.  Version 2 removes that file — the
@@ -62,7 +63,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from functools import partial
 from pathlib import Path
 from collections.abc import Sequence
 from typing import (
@@ -84,9 +84,8 @@ from ..config import SECONDS_PER_DAY
 from ..errors import IndexFormatError, PersistenceError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
 from ..fmindex.bitvector import split_flat
-from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import TemporalForest
-from ..temporal.records import COLUMN_DTYPES, TraversalColumns
+from ..temporal.records import COLUMN_DTYPES, TraversalColumns, pack_probe_keys
 from .partition import IndexPartition
 
 #: A saved index's directory, as every entry point here accepts it.
@@ -116,15 +115,13 @@ __all__ = [
 #: Bump on any incompatible change to the directory layout or array set.
 #: v2: pickle-free payload of standalone mmap-able ``.npy`` files.
 FORMAT_VERSION = 2
-#: Backwards-compatible additions within v2.  Minor 1 (= "v2.1") adds the
-#: two per-edge sort permutations of the temporal forest — ``perm_tod``
-#: (time-of-day order) and ``perm_probe`` (packed ``(d, seq)`` probe-key
-#: order) — concatenated across edges with the same ``edge_offsets``
-#: table as the leaf columns.  Loaders treat both as optional: a v2.0
-#: directory (no permutation files) opens unchanged and the orders are
-#: worked out once when it is opened; a v2.1 directory hands the mmap'd
-#: slices to each edge index zero-copy.
-FORMAT_MINOR = 1
+#: Backwards-compatible changes within v2.  Minor 1 (= "v2.1") adds the
+#: forest's two sort permutations, ``perm_tod`` and ``perm_probe``
+#: (optional: a v2.0 directory's forest works its orders out).  Minor 2
+#: stops writing the time-of-day histograms (``tod_keys`` /
+#: ``tod_counts``), the meta's ``data_time_bounds`` and each partition's
+#: ``w``; the loader ignores them in older directories.
+FORMAT_MINOR = 2
 FORMAT_NAME = "snt-index"
 
 #: The ``(minimum, maximum)`` time-of-day bucket width a loader takes:
@@ -139,8 +136,6 @@ _SHARED_ARRAYS = (
     "users",
     "edge_ids",
     "edge_offsets",
-    "tod_keys",
-    "tod_counts",
 ) + tuple(f"col_{name}" for name in _COLUMNS)
 
 
@@ -335,7 +330,6 @@ def _partition_payload(
         ),
     }
     entry = {
-        "w": partition.w,
         "n_trajectories": partition.n_trajectories,
         "n_traversals": partition.n_traversals,
         "t_lo": partition.t_lo,
@@ -363,9 +357,6 @@ def _write_payload(
         "perm_tod": forest.perm_tod,
         "perm_probe": forest.perm_probe,
     }
-    tod_keys, tod_counts = index.tod_store.as_arrays()
-    arrays["tod_keys"] = tod_keys
-    arrays["tod_counts"] = tod_counts
 
     partitions_meta: List[Dict[str, Any]] = []
     for k, partition in enumerate(index.partitions):
@@ -395,9 +386,6 @@ def _write_payload(
         "t_max": index.t_max,
         "alphabet_size": index.alphabet_size,
         "tod_bucket_s": index.tod_bucket_s,
-        # Loaders of earlier releases require this field; this one works
-        # the bounds out from the forest and never reads it.
-        "data_time_bounds": list(index.data_time_bounds()),
         "partitions": partitions_meta,
         "build_stats": {
             "setup_seconds": stats.setup_seconds,
@@ -573,8 +561,8 @@ def validate_meta(
     if meta["partition_days"] is not None:  # null: the FULL layout
         integers["partition_days"] = (1, None)
     check_integers(meta, integers, source)
-    # A partition's id is its position; the stored ``w`` is written for
-    # loaders of earlier releases and never read.
+    # A partition's id is its position; the ``w`` older writers stored
+    # is never read.
     partition_fields = (
         "n_trajectories", "n_traversals", "t_lo", "t_hi", "fm_n",
     )
@@ -618,13 +606,6 @@ def _load_array(payload_dir: Path, name: str) -> Array:
             f"failed to read saved index payload from "
             f"{payload_dir.parent}: array {name!r}: {error}"
         ) from error
-
-
-def _load_optional_array(payload_dir: Path, name: str) -> Optional[Array]:
-    """Memory-map a payload array that older minors simply do not have."""
-    if not (payload_dir / f"{name}.npy").is_file():
-        return None
-    return _load_array(payload_dir, name)
 
 
 def _load_codes(payload_dir: Path, k: int) -> Dict[int, Tuple[int, ...]]:
@@ -759,22 +740,29 @@ class _LazyPartitionList(Sequence[IndexPartition]):
         return partition
 
 
-def _load_tod_store(
-    payload_dir: Path, bucket_width_s: int
-) -> TimeOfDayHistogramStore:
-    """Deferred ToD-store loader (module-level so indexes stay
-    picklable when it travels as a ``functools.partial``)."""
-    try:
-        return TimeOfDayHistogramStore.from_arrays(
-            bucket_width_s,
-            _load_array(payload_dir, "tod_keys"),
-            _load_array(payload_dir, "tod_counts"),
-        )
-    except (ValueError, IndexError, KeyError, TypeError) as error:
-        raise PersistenceError(
-            f"failed to reconstruct index from {payload_dir.parent}: "
-            f"{error}"
-        ) from error
+def _descents(keys: Array, offsets: Array, strict: bool = False) -> Array:
+    """Rows where flat ``keys`` fall (or, ``strict``, fail to rise)
+    inside a segment; they may fall where one starts."""
+    later, earlier = keys[1:], keys[:-1]
+    rows = np.flatnonzero(later <= earlier if strict else later < earlier) + 1
+    return rows[~np.isin(rows, offsets)]
+
+
+def _permuted(permutation: Array, starts: Array) -> Tuple[Array, Array]:
+    """``(rows, missed)``: the flat rows a stored permutation names, each
+    entry relative to its row's segment start ``starts``, and rows of
+    segments whose slice is not a permutation of their rows.  With no
+    entry negative, the rows cover ``range(n)`` only if every slice
+    does, and a row left out belongs to a slice that does not."""
+    n = starts.size
+    if permutation.shape != (n,) or permutation.dtype.kind != "i":
+        return starts, starts[:1]  # the whole array is refused
+    if n and (permutation.min() < 0 or permutation.max() >= n):
+        return starts, np.flatnonzero((permutation < 0) | (permutation >= n))
+    rows = starts + permutation
+    seen = np.zeros(2 * n, dtype=bool)
+    seen[rows] = True
+    return rows, np.flatnonzero(~seen[:n])
 
 
 def load_index(
@@ -787,9 +775,11 @@ def load_index(
     ``expected_alphabet_size`` / ``expected_kind`` are checked against
     the manifest before any payload I/O — see :func:`validate_meta`.
     Every payload array is memory-mapped read-only; nothing is copied
-    and nothing is unpickled, so the open cost is independent of the
-    index size (the FM partitions, per-edge tree directories, and the
-    ToD histogram dict all materialise lazily on first use).
+    and nothing is unpickled.  The FM partitions and per-edge tree
+    directories materialise lazily on first use, and the time-of-day
+    histograms are counted from the forest on first estimator use; the
+    open itself proves the forest arrays in a few linear passes (see
+    the module docstring).
     """
     from .index import BuildStats, SNTIndex
 
@@ -812,45 +802,61 @@ def load_index(
 
     edges = arrays["edge_ids"]
     offsets = arrays["edge_offsets"]
+    columns = TraversalColumns(
+        **{name: arrays[f"col_{name}"] for name in _COLUMNS}
+    )
+    n_rows = len(columns)
     # Slicing with bad offsets would silently clamp to empty columns, so
     # the offset table must be proven consistent, not trusted.
     if (
         offsets.size != edges.size + 1
         or (offsets.size and offsets[0] != 0)
         or np.any(np.diff(offsets) < 0)
-        or (offsets.size and offsets[-1] != arrays["col_t"].size)
+        or (offsets.size and offsets[-1] != n_rows)
+        or any(getattr(columns, name).shape != (n_rows,) for name in _COLUMNS)
     ):
         raise PersistenceError(
             f"corrupt payload in {source}: edge_offsets are inconsistent "
             "with the column arrays"
         )
-    # v2.1 sort permutations: optional (the forest works out the orders
-    # of a v2.0 dir), but when present they must cover the columns
-    # exactly — a short one would hand some edge a short slice, so
-    # prove consistency here instead.
-    permutations: Dict[str, Optional[Array]] = {}
-    for name in ("perm_tod", "perm_probe"):
-        permutation = _load_optional_array(payload_dir, name)
-        if (
-            permutation is not None
-            and permutation.size != arrays["col_t"].size
-        ):
+    # A repeated id would give one segment two slices, one unreachable.
+    if np.any(np.diff(edges) <= 0):
+        raise PersistenceError(
+            f"corrupt payload in {source}: edge_ids are not increasing"
+        )
+
+    def refuse(name: str, rule: str, rows: Array) -> None:
+        """Raise naming the edge of the first of ``rows``, if any."""
+        if rows.size:
+            edge = edges[np.searchsorted(offsets, rows[0], side="right") - 1]
             raise PersistenceError(
-                f"corrupt payload in {source}: {name} has "
-                f"{permutation.size} entries for {arrays['col_t'].size} "
-                "traversal rows"
+                f"corrupt payload in {source}: {name} {rule} in edge {edge}"
             )
-        permutations[name] = permutation
+
+    # Stored orders are adopted as they are, so they are proven here; a
+    # v2.0 dir has none, and the forest works its own out.
+    perm_tod, perm_probe = (
+        _load_array(payload_dir, name)
+        if (payload_dir / f"{name}.npy").is_file() else None
+        for name in ("perm_tod", "perm_probe")
+    )
     try:
+        refuse("col_t", "is out of order", _descents(columns.t, offsets))
+        if perm_tod is not None and perm_probe is not None:
+            starts = np.repeat(offsets[:-1], np.diff(offsets))
+            t, d, seq = columns.t, columns.d, columns.seq
+            for name, order, keys_of, strict in (
+                ("perm_tod", perm_tod,
+                 lambda rows: np.mod(t[rows], SECONDS_PER_DAY), False),
+                ("perm_probe", perm_probe,
+                 lambda rows: pack_probe_keys(d[rows], seq[rows]), True),
+            ):
+                rows, missed = _permuted(order, starts)
+                refuse(name, "is not a permutation", missed)
+                descents = _descents(keys_of(rows), offsets, strict)
+                refuse(name, "is out of order", descents)
         forest = TemporalForest(
-            meta["kind"],
-            edges,
-            offsets,
-            TraversalColumns(
-                **{name: arrays[f"col_{name}"] for name in _COLUMNS}
-            ),
-            perm_tod=permutations["perm_tod"],
-            perm_probe=permutations["perm_probe"],
+            meta["kind"], edges, offsets, columns, perm_tod, perm_probe
         )
     except (ValueError, IndexError, KeyError, TypeError) as error:
         raise PersistenceError(
@@ -866,9 +872,6 @@ def load_index(
         partitions=partitions,
         forest=forest,
         users=arrays["users"],
-        tod_store=partial(
-            _load_tod_store, payload_dir, int(meta["tod_bucket_s"])
-        ),
         t_min=int(meta["t_min"]),
         t_max=int(meta["t_max"]),
         alphabet_size=alphabet_size,

@@ -217,7 +217,7 @@ class _ShardedTodStore:
         self._entries = list(entries)
         self._offsets = list(offsets)
         # Read off the index scalar, not the store: touching the store
-        # would materialise a lazily loaded shard's histogram dict.
+        # would count every shard's histograms from its forest.
         self.bucket_width_s = entries[0].index.tod_bucket_s
 
     def _locate(self, partition: int) -> Tuple[SNTIndex, int]:

@@ -30,7 +30,10 @@ sort permutations, its slices of the forest's flat ``perm_tod`` /
 Both orders are pure functions of the (immutable) columns, worked out
 once when a forest is made without them (a build, an append, a
 compaction, or a v2.0 directory opened) and adopted zero-copy from a
-saved index that carries them (format v2.1).
+saved index that carries them (format v2.1 on), once
+:func:`~repro.sntindex.persistence.load_index` has proven them and the
+``t`` order in vectorised passes (about 23 ms for the ``small`` world's
+460 588 rows on a 2-core host).
 
 Periodic scans
 --------------

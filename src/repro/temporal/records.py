@@ -52,9 +52,9 @@ def pack_probe_keys(d: np.ndarray, seq: np.ndarray) -> np.ndarray:
     below 2**31) and ``seq`` a non-negative within-trajectory position
     (well below 2**32) — both invariants of the index builder.
     """
-    return (
-        np.asarray(d, dtype=np.int64) << np.int64(32)
-    ) + np.asarray(seq, dtype=np.int64)
+    keys = np.asarray(d, dtype=np.int64) << np.int64(32)
+    keys += seq
+    return keys
 
 
 class LeafRecord(NamedTuple):

@@ -112,8 +112,10 @@ class TestTimeOfDayStore:
         assert store.total(1, partition=0) == 1
         assert store.total(1, partition=1) == 2
         assert len(store) == 3
-        # Keys come out in ascending (edge, partition) order.
-        assert store.as_arrays()[0].tolist() == [[0, 0], [1, 0], [1, 1]]
+        assert store.total(0, partition=0) == 1
+        assert store.total(0, partition=1) == 0
+        assert store.count_window(1, 0, 3600, partition=0) == 1
+        assert store.count_window(1, 0, 3600, partition=1) == 2
 
     def test_bad_bucket_width(self):
         with pytest.raises(ValueError):

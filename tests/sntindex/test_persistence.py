@@ -175,6 +175,53 @@ class TestPartitionedWorldRoundTrip:
             assert after.histogram == before.histogram
             assert after.estimated_mean == before.estimated_mean
 
+    def test_v21_tod_counts_are_ignored(self, world, tmp_path):
+        """A directory as a v2.1 writer left it — time-of-day arrays,
+        the meta's traversal-time bounds and each partition's ``w`` —
+        opens with its ``tod_counts.npy`` cut short, answers like the
+        built index under the accurate estimator, and counts its
+        time-of-day store afresh from the forest."""
+        dataset, index = world
+        target = index.save(tmp_path / "index")
+        meta_path = target / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["format_minor"] = 1
+        meta["data_time_bounds"] = list(index.data_time_bounds())
+        for w, entry in enumerate(meta["partitions"]):
+            entry["w"] = w
+        meta_path.write_text(json.dumps(meta, indent=2))
+        pairs = _tod_pairs(index.forest)
+        payload = target / PAYLOAD_DIR
+        np.save(payload / "tod_keys.npy", np.asarray(pairs, dtype=np.int64))
+        # One row short of the keys, as a v2.1 loader would refuse.
+        np.save(
+            payload / "tod_counts.npy", np.ones((len(pairs) - 1, 144), np.int64)
+        )
+
+        loaded = SNTIndex.load(target)
+        _assert_same_tod_store(
+            loaded.tod_store, index.build_tod_store(600), index.forest
+        )
+        config = EngineConfig(estimator_mode="CSS-Acc")
+        trips = [tr for tr in dataset.trajectories if len(tr) >= 8][:4]
+        for trip in trips:
+            query = StrictPathQuery(
+                path=trip.path,
+                interval=PeriodicInterval.around(trip.start_time, 900),
+                beta=10,
+            )
+            before, after = (
+                run_trip(
+                    QueryEngine(reader, dataset.network, config),
+                    query,
+                    exclude_ids=(trip.traj_id,),
+                ).to_dict()
+                for reader in (index, loaded)
+            )
+            before.pop("elapsed_s")
+            after.pop("elapsed_s")
+            assert after == before
+
     def test_service_cold_start_from_saved(self, world, tmp_path):
         from repro import open_db
 
@@ -216,6 +263,33 @@ def _assert_same_forest(actual, expected):
     for name, array in expected.items():
         assert actual[name].dtype == array.dtype, name
         assert np.array_equal(actual[name], array), name
+
+
+def _tod_pairs(forest):
+    """Every ``(edge, w)`` pair that occurs among ``forest``'s rows."""
+    bounds = forest.offsets.tolist()
+    return [
+        (edge, w)
+        for i, edge in enumerate(forest.edge_ids.tolist())
+        for w in np.unique(forest.columns.w[bounds[i] : bounds[i + 1]]).tolist()
+    ]
+
+
+def _assert_same_tod_store(actual, expected, forest):
+    """The two stores hold a histogram for exactly the ``(edge, w)``
+    pairs of ``forest``, with equal totals and equal counts in every
+    hour of the day."""
+    from repro.config import SECONDS_PER_DAY
+
+    pairs = _tod_pairs(forest)
+    assert actual.bucket_width_s == expected.bucket_width_s
+    assert len(actual) == len(expected) == len(pairs)
+    for edge, w in pairs:
+        assert actual.total(edge, w) == expected.total(edge, w) > 0
+        for start in range(0, SECONDS_PER_DAY, 3600):
+            assert actual.count_window(edge, start, 3600, w) == (
+                expected.count_window(edge, start, 3600, w)
+            ), (edge, w, start)
 
 
 class TestOneForestLayout:
@@ -294,7 +368,7 @@ class TestOneForestLayout:
             SNTIndex.load(tmp_path / "compacted").forest, merged.forest
         )
 
-    def test_compacted_tod_store_is_the_one_shard_builds(
+    def test_compacted_tod_store_is_the_one_shard_build(
         self, dataset, sharded
     ):
         from repro import ShardedSNTIndex
@@ -309,12 +383,11 @@ class TestOneForestLayout:
             n_shards=1,
             partition_days=self.PARTITION_DAYS,
         )
-        keys, counts = merged.tod_store.as_arrays()
-        want_keys, want_counts = one_shard.entries[0].index.tod_store.as_arrays()
-        assert keys.dtype == want_keys.dtype
-        assert counts.dtype == want_counts.dtype
-        assert np.array_equal(keys, want_keys)
-        assert np.array_equal(counts, want_counts)
+        _assert_same_tod_store(
+            merged.tod_store,
+            one_shard.entries[0].index.tod_store,
+            merged.forest,
+        )
 
     @pytest.mark.parametrize(
         "made", ["built", "loaded v2.1", "loaded v2.0", "compacted"]
@@ -573,18 +646,6 @@ class TestFormatGuards:
         loaded = SNTIndex.load(target)
         with pytest.raises(PersistenceError, match="code-table"):
             loaded.partitions[0]
-
-    def test_corrupt_tod_counts_raise_persistence_error(
-        self, paper_index, tmp_path
-    ):
-        import numpy as np
-
-        target = paper_index.save(tmp_path / "index")
-        counts_path = target / PAYLOAD_DIR / "tod_counts.npy"
-        np.save(counts_path, np.load(counts_path)[:-1])
-        loaded = SNTIndex.load(target)  # lazy: opening succeeds
-        with pytest.raises(PersistenceError, match="reconstruct"):
-            loaded.tod_store
 
     def test_save_refuses_to_destroy_a_foreign_directory(
         self, paper_index, tmp_path

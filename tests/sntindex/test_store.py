@@ -9,7 +9,11 @@ fault seams.  Making the k-th call of a seam raise during a re-save, for
 every k, must leave the directory byte-for-byte the old index, answering
 a fixed request set as before, with no staging or graveyard sibling
 left behind.  A file cut short after the save must end a load, or the
-first use of the part it holds, in a typed error.
+first use of the part it holds, in a typed error.  A forest array a
+loader adopts as it is (the edge ids, the ``t`` order, the two stored
+sort permutations) is proven when the directory opens: a rewrite that
+breaks it ends in :class:`PersistenceError`, never in another answer.
+The file set a save writes is pinned.
 
 A manifest is outside input: a shard ``dir`` that leaves the index
 directory is refused before any shard is read, and the facts a shard's
@@ -74,7 +78,7 @@ def world():
     return dataset, base, tails, requests
 
 
-def _sharded(dataset, base, tails):
+def _sharded(dataset, base, tails, kind="css"):
     """A 3-shard index over ``base`` with ``tails`` appended to its
     staging shard."""
     index = ShardedSNTIndex.build(
@@ -82,6 +86,7 @@ def _sharded(dataset, base, tails):
         dataset.network.alphabet_size,
         n_shards=3,
         partition_days=PARTITION_DAYS,
+        kind=kind,
     )
     for tail in tails:
         index.append(tail)
@@ -309,6 +314,108 @@ class TestTruncatedFiles:
                 path.write_bytes(whole)
         assert untyped == []
         _load_and_force(root)  # the restored index is whole again
+
+
+# --------------------------------------------------------------------- #
+# Forest arrays the loader adopts are proven at open
+# --------------------------------------------------------------------- #
+
+
+def _shuffle_within_segments(t, payload):
+    offsets = np.load(payload / "edge_offsets.npy").tolist()
+    rng = np.random.default_rng(0)
+    shuffled = t.copy()
+    for lo, hi in zip(offsets, offsets[1:]):
+        shuffled[lo:hi] = rng.permutation(t[lo:hi])
+    return shuffled
+
+
+def _repeat_first_id(ids, payload):
+    ids = ids.copy()
+    ids[1] = ids[0]
+    return ids
+
+
+#: Rewrites of one payload array: ``(array name, rewrite(array, payload
+#: dir))``.
+FOREST_REWRITES = {
+    "perm_tod-huge": ("perm_tod", lambda a, _: np.full_like(a, 10**9)),
+    "perm_tod-zero": ("perm_tod", lambda a, _: np.zeros_like(a)),
+    "perm_probe-huge": ("perm_probe", lambda a, _: np.full_like(a, 10**9)),
+    "perm_probe-zero": ("perm_probe", lambda a, _: np.zeros_like(a)),
+    "edge_ids-repeated": ("edge_ids", _repeat_first_id),
+    "col_t-shuffled": ("col_t", _shuffle_within_segments),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_forests(world, tmp_path_factory):
+    """A saved directory per ``(kind, layout)``: the monolithic index
+    partitioned by week, and 3 shards plus staging."""
+    dataset, base, tails, _ = world
+    saved = {}
+    for kind in ("css", "btree"):
+        root = tmp_path_factory.mktemp(f"forest-{kind}")
+        saved[kind, "monolithic"] = SNTIndex.build(
+            dataset.trajectories,
+            dataset.network.alphabet_size,
+            partition_days=PARTITION_DAYS,
+            kind=kind,
+        ).save(root / "monolithic")
+        saved[kind, "sharded"] = _sharded(
+            dataset, base, tails[:1], kind=kind
+        ).save(root / "sharded")
+    return saved
+
+
+class TestForestProofs:
+    @pytest.mark.parametrize("rewrite", sorted(FOREST_REWRITES))
+    @pytest.mark.parametrize("layout", ["monolithic", "sharded"])
+    @pytest.mark.parametrize("kind", ["css", "btree"])
+    def test_rewritten_array_is_refused(
+        self, world, saved_forests, tmp_path, kind, layout, rewrite
+    ):
+        dataset, _, _, requests = world
+        root = tmp_path / "index"
+        shutil.copytree(saved_forests[kind, layout], root)
+        name, change = FOREST_REWRITES[rewrite]
+        files = sorted(root.glob(f"**/payload/{name}.npy"))
+        assert files
+        for path in files:
+            before = np.load(path)
+            after = change(before, path.parent)
+            assert not np.array_equal(after, before)
+            np.save(path, after)
+        with pytest.raises(PersistenceError, match=name):
+            _answers(root, dataset, requests)
+
+    def test_monolithic_file_set_is_pinned(self, world, tmp_path):
+        dataset = world[0]
+        root = SNTIndex.build(
+            dataset.trajectories, dataset.network.alphabet_size
+        ).save(tmp_path / "index")
+        assert sorted(path.name for path in root.iterdir()) == [
+            "meta.json", "payload",
+        ]
+        assert sorted(path.name for path in (root / "payload").iterdir()) \
+            == [
+                "col_a.npy", "col_d.npy", "col_isa.npy", "col_seq.npy",
+                "col_t.npy", "col_tt.npy", "col_w.npy", "edge_ids.npy",
+                "edge_offsets.npy", "p0_code_bits.npy",
+                "p0_code_lengths.npy", "p0_code_symbols.npy",
+                "p0_counts.npy", "p0_node_bits.npy", "p0_wt_blocks.npy",
+                "p0_wt_words.npy", "perm_probe.npy", "perm_tod.npy",
+                "users.npy",
+            ]
+        meta = json.loads((root / "meta.json").read_text())
+        assert sorted(meta) == [
+            "alphabet_size", "build_stats", "extra", "format",
+            "format_minor", "format_version", "kind", "partition_days",
+            "partitions", "t_max", "t_min", "tod_bucket_s",
+        ]
+        assert [sorted(entry) for entry in meta["partitions"]] == [
+            ["fm_n", "n_trajectories", "n_traversals", "t_hi", "t_lo"]
+        ]
 
 
 # --------------------------------------------------------------------- #
