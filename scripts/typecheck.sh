@@ -15,6 +15,7 @@
 #   sntindex/reader.py         the IndexReader protocol both readers answer
 #   sntindex/procedures.py     Procedures 3-5 and the ladder walk over a
 #                              reader's per-shard chunks
+#   temporal/records.py        the leaf columns and each one's dtype
 #   temporal/forest.py         the per-edge temporal trees and permutations
 #   sntindex/persistence.py    the saved-index directory: atomic install,
 #                              manifest checks and the mmap payload loader
@@ -42,7 +43,8 @@ exec python -m mypy --strict \
   src/repro/fmindex/bitvector.py src/repro/fmindex/fm.py \
   src/repro/fmindex/suffix_array.py \
   src/repro/sntindex/partition.py src/repro/sntindex/reader.py \
-  src/repro/sntindex/procedures.py src/repro/temporal/forest.py \
+  src/repro/sntindex/procedures.py src/repro/temporal/records.py \
+  src/repro/temporal/forest.py \
   src/repro/sntindex/persistence.py src/repro/sntindex/compaction.py \
   src/repro/histogram/histogram.py \
   src/repro/server

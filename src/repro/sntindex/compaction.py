@@ -51,7 +51,7 @@ import numpy as np
 from ..errors import ShardError
 from ..temporal.forest import TemporalForest
 from ..temporal.records import COLUMN_DTYPES
-from .index import BuildStats, SNTIndex
+from .index import BuildStats, SNTIndex, check_partition_count
 from .persistence import IndexDir
 
 __all__ = [
@@ -118,6 +118,7 @@ def merge_shard_indexes(indexes: Sequence[SNTIndex]) -> SNTIndex:
     offsets = [0]
     for index in indexes:
         offsets.append(offsets[-1] + index.n_partitions)
+    check_partition_count(offsets[-1])
 
     partitions = []
     for index, offset in zip(indexes, offsets):

@@ -30,6 +30,7 @@ from ..errors import (
 )
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
+from ..temporal.records import COLUMN_DTYPES, column_limit
 from ..trajectories.model import TrajectorySet
 from . import procedures
 from .partition import IndexPartition, build_partition
@@ -68,7 +69,9 @@ def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
 
     ``U`` stores users in a dense array indexed by trajectory id, with
     ``-1`` marking a gap, so a negative id of either kind would corrupt
-    it; such an id raises :class:`TrajectoryError` naming it.
+    it; such an id raises :class:`TrajectoryError` naming it, as does a
+    trajectory id the forest's ``d`` column cannot hold (2**31 or
+    more), before ``U`` is allocated over it.
     """
     traj_ids = np.fromiter(
         (tr.traj_id for tr in trajectories),
@@ -83,6 +86,11 @@ def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
     if traj_ids.min() < 0:
         bad = int(traj_ids[np.argmax(traj_ids < 0)])
         raise TrajectoryError(f"negative trajectory id {bad}")
+    if traj_ids.max() > column_limit("d"):
+        raise TrajectoryError(
+            f"trajectory id {int(traj_ids.max())} is above "
+            f"{column_limit('d')}, the largest the index holds"
+        )
     if user_ids.min() < 0:
         k = int(np.argmax(user_ids < 0))
         raise TrajectoryError(
@@ -90,6 +98,16 @@ def _checked_ids(trajectories: Sequence) -> Tuple[np.ndarray, np.ndarray]:
             f"{int(user_ids[k])}"
         )
     return traj_ids, user_ids
+
+
+def check_partition_count(n_partitions: int) -> None:
+    """Refuse more temporal partitions than the forest's ``w`` column
+    can number (:class:`IndexError_`)."""
+    if n_partitions > column_limit("w"):
+        raise IndexError_(
+            f"{n_partitions} temporal partitions; the index holds at most "
+            f"{column_limit('w')}"
+        )
 
 
 @dataclass
@@ -246,6 +264,7 @@ class SNTIndex:
             raise IndexError_("cannot build an index from zero trajectories")
         if any(not members for _, _, members in grouped):
             raise IndexError_("every partition group needs trajectories")
+        check_partition_count(len(grouped))
         started = time.perf_counter()
         traj_ids, user_ids = _checked_ids(
             [tr for _, _, members in grouped for tr in members]
@@ -257,7 +276,9 @@ class SNTIndex:
             partition, rows = build_partition(
                 w, members, alphabet_size, lo, hi
             )
-            rows["w"] = np.full(rows["edge"].size, w, dtype=np.int32)
+            rows["w"] = np.full(
+                rows["edge"].size, w, dtype=COLUMN_DTYPES["w"]
+            )
             partitions.append(partition)
             row_chunks.append(rows)
         forest = TemporalForest.from_rows(row_chunks, kind=kind)

@@ -17,7 +17,9 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from ..errors import IndexError_
 from ..fmindex import FMIndex
+from ..temporal.records import COLUMN_DTYPES, column_limit
 from ..trajectories.model import Trajectory
 
 __all__ = ["IndexPartition", "build_partition"]
@@ -54,9 +56,13 @@ def build_partition(
     """Build the FM-index of one partition and its traversal rows.
 
     Returns the partition plus a dict of flat numpy row arrays
-    (``edge, t, isa, d, tt, a, seq``) for all traversals, which the index
-    builder merges into the shared temporal forest.  Rows follow the
-    trajectories in order, each trajectory's points in sequence.
+    (``edge, t, isa, d, tt, a, seq``) for all traversals, each column in
+    its :data:`~repro.temporal.records.COLUMN_DTYPES` dtype, which the
+    index builder merges into the shared temporal forest.  Rows follow
+    the trajectories in order, each trajectory's points in sequence.
+    The trajectory ids must fit ``d`` (the builder proves them); a
+    trajectory string too long for ``isa`` to address, 2**31 symbols
+    or more, is an :class:`~repro.errors.IndexError_`.
     """
     count = len(trajectories)
     lengths = np.fromiter(
@@ -65,6 +71,11 @@ def build_partition(
         count=count,
     )
     total = int(lengths.sum())
+    if total + count > column_limit("isa"):
+        raise IndexError_(
+            f"partition {w}'s trajectory string has {total + count} "
+            f"symbols; at most {column_limit('isa')} fit the index"
+        )
     points = np.fromiter(
         itertools.chain.from_iterable(
             trajectory.points for trajectory in trajectories
@@ -89,18 +100,18 @@ def build_partition(
 
     traj_ids = np.fromiter(
         (trajectory.traj_id for trajectory in trajectories),
-        dtype=np.int64,
+        dtype=COLUMN_DTYPES["d"],
         count=count,
     )
     rows: Dict[str, npt.NDArray[np.generic]] = {
         "edge": edge,
         "t": t,
-        "isa": fm.isa[text_pos],
+        "isa": fm.isa[text_pos].astype(COLUMN_DTYPES["isa"]),
         "d": traj_ids[owner],
         "tt": tt,
         "a": _cumulative_durations(tt, first, lengths),
         "seq": (np.arange(total) - np.repeat(first, lengths)).astype(
-            np.int32
+            COLUMN_DTYPES["seq"]
         ),
     }
     partition = IndexPartition(

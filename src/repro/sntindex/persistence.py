@@ -25,6 +25,16 @@ afterwards, so it is built once and shipped as a directory:
     words (``p{k}_wt_words.npy``) and block-rank directory
     (``p{k}_wt_blocks.npy``), in the same node order.
 
+Each array has one width (format v2.3): the leaf columns their
+:data:`~repro.temporal.records.COLUMN_DTYPES` (``col_t`` int64,
+``col_isa`` / ``col_d`` / ``col_seq`` int32, ``col_tt`` / ``col_a``
+float64, ``col_w`` int16), both permutations int32, the code bits uint8,
+the wavelet words uint64, and every other array int64.  A FULL
+``small`` save is 47.9 bytes per traversal record (65.9 at v2.2).  A
+directory of an older minor holds ``col_isa``, ``col_d`` and the
+permutations as int64 and ``col_w`` as int32; the loader casts them
+once, after proving every value fits.
+
 Every payload file is opened with ``np.load(..., mmap_mode="r")``: no
 unpickling, no array copies, and fork workers share the mapped pages.
 A partition rebuilds its wavelet tree around zero-copy *slices* of the
@@ -32,12 +42,22 @@ mapped node concatenations on first touch (:class:`_LazyPartitionList`),
 and a segment its tree directory over the mapped columns
 (:class:`~repro.temporal.forest.TemporalForest`).  The time-of-day
 histograms are never stored: an index counts them from its forest on
-first estimator use.  The open proves what the forest adopts as it is,
-in vectorised passes over the flat arrays (about 23 ms for the
-``small`` world's 460 588 rows on a 2-core host): the offset table,
-strictly increasing edge ids, each segment's ``t`` order, and each
-stored permutation slice, which must permute its segment's rows into
-time-of-day or strictly increasing ``(d, seq)`` order.  A failure is a
+first estimator use.
+
+The open proves what the index adopts as it is.  Each partition's ``C``
+array starts at 0, counts one ``$`` per trajectory, never decreases and
+ends at the text length ``fm_n``; the partitions' traversals add up to
+the forest's rows; the offset table covers the columns; and the edge
+ids increase strictly within the alphabet.  :func:`_prove_rows` then
+proves the rows over blocks of whole segments of about
+:data:`PROOF_BLOCK_ROWS` rows: each segment's ``t`` order, each stored
+permutation slice a permutation of its segment's rows into time-of-day
+or strictly increasing ``(d, seq)`` order, every ``d`` an id of ``U``,
+every ``w`` a partition, and the ``isa`` values of edge ``e``'s rows in
+partition ``w`` a permutation of ``[C_w[e], C_w[e + 1])``.  Its
+temporaries are a few times a block's rows, so an open allocates about
+1 MiB at its peak whatever the index's size; for the ``small`` world's
+460 588 rows it takes about 22 ms on a 2-core host.  A failure is a
 :class:`PersistenceError` naming the array (and the edge, for a
 segment's rows).
 
@@ -70,6 +90,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -85,7 +106,12 @@ from ..errors import IndexFormatError, PersistenceError
 from ..fmindex import FMIndex, RankBitvector, WaveletTree
 from ..fmindex.bitvector import split_flat
 from ..temporal.forest import TemporalForest
-from ..temporal.records import COLUMN_DTYPES, TraversalColumns, pack_probe_keys
+from ..temporal.records import (
+    COLUMN_DTYPES,
+    ORDER_DTYPE,
+    TraversalColumns,
+    pack_probe_keys,
+)
 from .partition import IndexPartition
 
 #: A saved index's directory, as every entry point here accepts it.
@@ -120,9 +146,22 @@ FORMAT_VERSION = 2
 #: (optional: a v2.0 directory's forest works its orders out).  Minor 2
 #: stops writing the time-of-day histograms (``tod_keys`` /
 #: ``tod_counts``), the meta's ``data_time_bounds`` and each partition's
-#: ``w``; the loader ignores them in older directories.
-FORMAT_MINOR = 2
+#: ``w``; the loader ignores them in older directories.  Minor 3 holds
+#: ``col_isa``, ``col_d`` and both permutations as int32 and ``col_w``
+#: as int16 (they were int64, int64, int64 and int32); the loader casts
+#: an older directory's wider arrays once, after proving they fit.
+FORMAT_MINOR = 3
 FORMAT_NAME = "snt-index"
+
+#: The first minor whose every array is held at its
+#: :data:`~repro.temporal.records.COLUMN_DTYPES` width.
+_NARROW_MINOR = 3
+
+#: Rows per block of the open's row proofs.  A block holds whole
+#: segments (more rows only when one segment alone is longer), and
+#: every temporary the proofs allocate is a few times its row count, so
+#: what an open allocates does not grow with the index.
+PROOF_BLOCK_ROWS = 1 << 14
 
 #: The ``(minimum, maximum)`` time-of-day bucket width a loader takes:
 #: at most one bucket per day, as the build enforces.
@@ -560,6 +599,8 @@ def validate_meta(
     }
     if meta["partition_days"] is not None:  # null: the FULL layout
         integers["partition_days"] = (1, None)
+    if "format_minor" in meta:  # absent: v2.0
+        integers["format_minor"] = (0, None)
     check_integers(meta, integers, source)
     # A partition's id is its position; the ``w`` older writers stored
     # is never read.
@@ -638,9 +679,10 @@ def _load_partition(
     payload_dir: Path,
     k: int,
     alphabet_size: int,
+    counts: Array,
 ) -> IndexPartition:
-    """Rebuild one temporal partition around memory-mapped payloads."""
-    counts = _load_array(payload_dir, f"p{k}_counts")
+    """Rebuild one temporal partition around memory-mapped payloads and
+    its ``C`` array ``counts``, which the open has proven."""
     codes = _load_codes(payload_dir, k)
     node_bits = _load_array(payload_dir, f"p{k}_node_bits")
     words_all = _load_array(payload_dir, f"p{k}_wt_words")
@@ -689,8 +731,9 @@ class _LazyPartitionList(Sequence[IndexPartition]):
     partition's wavelet tree (O(partitions x alphabet) Python work) —
     that cost belongs to the first query that touches a partition.
     Materialised partitions are cached, so steady-state access is a
-    list lookup.  Holds only paths and meta scalars, so a loaded index
-    stays picklable and fork-friendly.
+    list lookup.  Holds paths, meta scalars and the ``C`` arrays the
+    open proved (memory-mapped), so a loaded index stays picklable and
+    fork-friendly.
     """
 
     def __init__(
@@ -698,10 +741,12 @@ class _LazyPartitionList(Sequence[IndexPartition]):
         entries: List[Dict[str, Any]],
         payload_dir: Path,
         alphabet_size: int,
+        counts: List[Array],
     ) -> None:
         self._entries = entries
         self._payload_dir = payload_dir
         self._alphabet_size = alphabet_size
+        self._counts = counts
         self._cache: List[Optional[IndexPartition]] = [None] * len(entries)
 
     def __len__(self) -> int:
@@ -727,6 +772,7 @@ class _LazyPartitionList(Sequence[IndexPartition]):
                     self._payload_dir,
                     index,
                     self._alphabet_size,
+                    self._counts[index],
                 )
             except PersistenceError:
                 raise
@@ -740,29 +786,186 @@ class _LazyPartitionList(Sequence[IndexPartition]):
         return partition
 
 
-def _descents(keys: Array, offsets: Array, strict: bool = False) -> Array:
-    """Rows where flat ``keys`` fall (or, ``strict``, fail to rise)
-    inside a segment; they may fall where one starts."""
+def _as_dtype(
+    name: str, array: Array, dtype: Any, minor: int, source: str
+) -> Array:
+    """``array`` held as ``dtype``: adopted as it is when it is one, and
+    cast once, after proving every value fits, when a directory older
+    than v2.3 holds it as a wider integer."""
+    dtype = np.dtype(dtype)
+    if array.dtype == dtype:
+        return array
+    if minor < _NARROW_MINOR and array.dtype.kind in "iu" and dtype.kind == "i":
+        info = np.iinfo(dtype)
+        if array.size and (array.min() < info.min or array.max() > info.max):
+            raise PersistenceError(
+                f"corrupt payload in {source}: {name} holds a value "
+                f"{dtype} cannot"
+            )
+        return array.astype(dtype)
+    raise PersistenceError(
+        f"corrupt payload in {source}: {name} is {array.dtype}, "
+        f"expected {dtype}"
+    )
+
+
+def _proven_counts(
+    payload_dir: Path,
+    k: int,
+    entry: Dict[str, Any],
+    alphabet_size: int,
+    source: str,
+) -> Array:
+    """Partition ``k``'s ``C`` array, proven against its meta entry: one
+    entry per symbol and one more, starting at 0, counting one ``$`` per
+    trajectory before the first edge, never decreasing, and ending at
+    the text length ``fm_n``, which is the partition's trajectories plus
+    traversals."""
+    check_integers(
+        entry,
+        {"n_trajectories": (0, None), "n_traversals": (0, None),
+         "fm_n": (0, None)},
+        source,
+    )
+    counts = _load_array(payload_dir, f"p{k}_counts")
+    if (
+        counts.shape != (alphabet_size + 1,)
+        or counts.dtype.kind != "i"
+        or counts[0] != 0
+        or counts[1] != entry["n_trajectories"]
+        or counts[-1] != entry["fm_n"]
+        or entry["fm_n"] != entry["n_trajectories"] + entry["n_traversals"]
+        or (counts[1:] < counts[:-1]).any()
+    ):
+        raise PersistenceError(
+            f"corrupt payload in {source}: p{k}_counts is not the C array "
+            f"of partition {k}'s text"
+        )
+    return counts
+
+
+def _segment_blocks(
+    offsets: Array, rows: int, segments: int
+) -> Iterator[Tuple[int, int]]:
+    """``(i, j)`` per block of whole segments ``i .. j - 1``: at most
+    ``segments`` of them, holding at most ``rows`` rows together unless
+    one segment alone holds more."""
+    n = offsets.size - 1
+    i = 0
+    while i < n:
+        j = int(np.searchsorted(offsets, offsets[i] + rows, side="right")) - 1
+        j = min(max(j, i + 1), n, i + segments)
+        yield i, j
+        i = j
+
+
+def _descents(keys: Array, bounds: Array, strict: bool = False) -> Array:
+    """Rows where ``keys`` fall (or, ``strict``, fail to rise) inside a
+    segment; they may fall where one starts (at one of ``bounds``)."""
     later, earlier = keys[1:], keys[:-1]
-    rows = np.flatnonzero(later <= earlier if strict else later < earlier) + 1
-    return rows[~np.isin(rows, offsets)]
+    fell = later <= earlier if strict else later < earlier
+    starts = bounds[(bounds > 0) & (bounds < keys.size)]
+    fell[starts - 1] = False
+    return np.flatnonzero(fell) + 1
 
 
 def _permuted(permutation: Array, starts: Array) -> Tuple[Array, Array]:
-    """``(rows, missed)``: the flat rows a stored permutation names, each
+    """``(rows, missed)``: the rows a stored permutation names, each
     entry relative to its row's segment start ``starts``, and rows of
     segments whose slice is not a permutation of their rows.  With no
     entry negative, the rows cover ``range(n)`` only if every slice
     does, and a row left out belongs to a slice that does not."""
     n = starts.size
-    if permutation.shape != (n,) or permutation.dtype.kind != "i":
-        return starts, starts[:1]  # the whole array is refused
     if n and (permutation.min() < 0 or permutation.max() >= n):
         return starts, np.flatnonzero((permutation < 0) | (permutation >= n))
     rows = starts + permutation
     seen = np.zeros(2 * n, dtype=bool)
     seen[rows] = True
     return rows, np.flatnonzero(~seen[:n])
+
+
+def _prove_rows(
+    source: str,
+    edges: Array,
+    offsets: Array,
+    columns: TraversalColumns,
+    orders: Dict[str, Optional[Array]],
+    counts: List[Array],
+    n_users: int,
+) -> None:
+    """Prove the forest's rows, one block of whole segments at a time
+    (:data:`PROOF_BLOCK_ROWS`): each segment's ``t`` order; each stored
+    permutation slice a permutation of its segment's rows into
+    time-of-day or strictly increasing ``(d, seq)`` order; every ``d``
+    an id of ``U``; every ``w`` a partition; and, since each occurrence
+    of edge ``e`` in partition ``w``'s text is one row, the ``isa``
+    values of ``e``'s rows in ``w`` a permutation of
+    ``[C_w[e], C_w[e + 1])``.  The caller has proven the ``C`` arrays
+    and that their edge symbols add up to the row count, so no symbol
+    is left without its rows."""
+    n_partitions = len(counts)
+
+    def refuse(name: str, rule: str, rows: Array, lo: int) -> None:
+        """Raise naming the edge of the first of block ``rows``, if any."""
+        if rows.size:
+            row = lo + int(rows[0])
+            edge = edges[np.searchsorted(offsets, row, side="right") - 1]
+            raise PersistenceError(
+                f"corrupt payload in {source}: {name} {rule} in edge {edge}"
+            )
+
+    t_all, d_all, seq_all = columns.t, columns.d, columns.seq
+    segments = max(1, PROOF_BLOCK_ROWS // max(1, n_partitions))
+    for i, j in _segment_blocks(offsets, PROOF_BLOCK_ROWS, segments):
+        lo, hi = int(offsets[i]), int(offsets[j])
+        bounds = offsets[i : j + 1] - lo
+        segment = np.repeat(np.arange(j - i), np.diff(bounds))
+        starts = bounds[segment]
+        t, d = t_all[lo:hi], d_all[lo:hi]
+        refuse("col_t", "is out of order", _descents(t, bounds), lo)
+        seq = seq_all[lo:hi]
+        for name, keys_of, strict in (
+            ("perm_tod", lambda rows: np.mod(t[rows], SECONDS_PER_DAY),
+             False),
+            ("perm_probe", lambda rows: pack_probe_keys(d[rows], seq[rows]),
+             True),
+        ):
+            order = orders[name]
+            if order is None:
+                continue
+            rows, missed = _permuted(order[lo:hi], starts)
+            refuse(name, "is not a permutation", missed, lo)
+            descents = _descents(keys_of(rows), bounds, strict)
+            refuse(name, "is out of order", descents, lo)
+        refuse("col_d", "names a trajectory U does not hold",
+               np.flatnonzero((d < 0) | (d >= n_users)), lo)
+        w = columns.w[lo:hi]
+        refuse("col_w", f"names a partition outside [0, {n_partitions})",
+               np.flatnonzero((w < 0) | (w >= n_partitions)), lo)
+        # Each (partition, segment) pair of the block, partition-major:
+        # where its edge's ISA range starts and how wide it is.
+        symbols = edges[i:j]
+        first = np.concatenate([c[symbols] for c in counts])
+        width = np.concatenate([c[symbols + 1] for c in counts]) - first
+        pair = w.astype(np.int64) * (j - i) + segment
+        wrong = np.flatnonzero(np.bincount(pair, minlength=width.size) != width)
+        if wrong.size:
+            k, at = divmod(int(wrong[0]), j - i)
+            refuse("col_w", f"and p{k}_counts disagree on the row count",
+                   bounds[at : at + 1], lo)
+        slot = columns.isa[lo:hi] - first[pair]
+        refuse("col_isa", "lies outside its edge's range in its C array",
+               np.flatnonzero((slot < 0) | (slot >= width[pair])), lo)
+        # Every pair holds as many rows as its range is wide, so its rows
+        # fill the range only if no two share a value.
+        base = np.cumsum(width) - width
+        slot += base[pair]
+        seen = np.zeros(hi - lo, dtype=bool)
+        seen[slot] = True
+        unseen = np.flatnonzero(~seen)
+        if unseen.size:
+            at = (np.searchsorted(base, unseen[0], side="right") - 1) % (j - i)
+            refuse("col_isa", "repeats a value", bounds[at : at + 1], lo)
 
 
 def load_index(
@@ -775,11 +978,12 @@ def load_index(
     ``expected_alphabet_size`` / ``expected_kind`` are checked against
     the manifest before any payload I/O — see :func:`validate_meta`.
     Every payload array is memory-mapped read-only; nothing is copied
-    and nothing is unpickled.  The FM partitions and per-edge tree
-    directories materialise lazily on first use, and the time-of-day
-    histograms are counted from the forest on first estimator use; the
-    open itself proves the forest arrays in a few linear passes (see
-    the module docstring).
+    (but an older directory's wider columns, cast once) and nothing is
+    unpickled.  The FM partitions and per-edge tree directories
+    materialise lazily on first use, and the time-of-day histograms are
+    counted from the forest on first estimator use; the open itself
+    proves the ``C`` arrays and the forest's rows in bounded blocks
+    (see the module docstring).
     """
     from .index import BuildStats, SNTIndex
 
@@ -797,14 +1001,17 @@ def load_index(
         raise PersistenceError(
             f"{source} has no {PAYLOAD_DIR}/ directory"
         )
+    minor = meta.get("format_minor", 0)
 
     arrays = {name: _load_array(payload_dir, name) for name in _SHARED_ARRAYS}
 
     edges = arrays["edge_ids"]
     offsets = arrays["edge_offsets"]
-    columns = TraversalColumns(
-        **{name: arrays[f"col_{name}"] for name in _COLUMNS}
-    )
+    columns = TraversalColumns(**{
+        name: _as_dtype(f"col_{name}", arrays[f"col_{name}"], dtype, minor,
+                        source)
+        for name, dtype in COLUMN_DTYPES.items()
+    })
     n_rows = len(columns)
     # Slicing with bad offsets would silently clamp to empty columns, so
     # the offset table must be proven consistent, not trusted.
@@ -819,52 +1026,56 @@ def load_index(
             f"corrupt payload in {source}: edge_offsets are inconsistent "
             "with the column arrays"
         )
-    # A repeated id would give one segment two slices, one unreachable.
-    if np.any(np.diff(edges) <= 0):
+    alphabet_size = int(meta["alphabet_size"])
+    # A repeated id would give one segment two slices, one unreachable;
+    # an id outside [1, alphabet_size) has no range in the C arrays.
+    if np.any(np.diff(edges) <= 0) or (
+        edges.size and (edges[0] < 1 or edges[-1] >= alphabet_size)
+    ):
         raise PersistenceError(
-            f"corrupt payload in {source}: edge_ids are not increasing"
+            f"corrupt payload in {source}: edge_ids are not increasing "
+            f"edge symbols of [1, {alphabet_size})"
         )
-
-    def refuse(name: str, rule: str, rows: Array) -> None:
-        """Raise naming the edge of the first of ``rows``, if any."""
-        if rows.size:
-            edge = edges[np.searchsorted(offsets, rows[0], side="right") - 1]
-            raise PersistenceError(
-                f"corrupt payload in {source}: {name} {rule} in edge {edge}"
-            )
 
     # Stored orders are adopted as they are, so they are proven here; a
     # v2.0 dir has none, and the forest works its own out.
-    perm_tod, perm_probe = (
-        _load_array(payload_dir, name)
-        if (payload_dir / f"{name}.npy").is_file() else None
-        for name in ("perm_tod", "perm_probe")
+    orders: Dict[str, Optional[Array]] = dict.fromkeys(
+        ("perm_tod", "perm_probe")
     )
+    if all((payload_dir / f"{name}.npy").is_file() for name in orders):
+        for name in orders:
+            order = _as_dtype(name, _load_array(payload_dir, name),
+                              ORDER_DTYPE, minor, source)
+            if order.shape != (n_rows,):
+                raise PersistenceError(
+                    f"corrupt payload in {source}: {name} holds "
+                    f"{order.shape} entries for {n_rows} rows"
+                )
+            orders[name] = order
+    entries = meta["partitions"]
+    counts = [
+        _proven_counts(payload_dir, k, entry, alphabet_size, source)
+        for k, entry in enumerate(entries)
+    ]
+    traversals = sum(entry["n_traversals"] for entry in entries)
+    if n_rows != traversals:
+        raise PersistenceError(
+            f"corrupt payload in {source}: the forest holds {n_rows} rows, "
+            f"the partitions' C arrays {traversals} edge symbols"
+        )
     try:
-        refuse("col_t", "is out of order", _descents(columns.t, offsets))
-        if perm_tod is not None and perm_probe is not None:
-            starts = np.repeat(offsets[:-1], np.diff(offsets))
-            t, d, seq = columns.t, columns.d, columns.seq
-            for name, order, keys_of, strict in (
-                ("perm_tod", perm_tod,
-                 lambda rows: np.mod(t[rows], SECONDS_PER_DAY), False),
-                ("perm_probe", perm_probe,
-                 lambda rows: pack_probe_keys(d[rows], seq[rows]), True),
-            ):
-                rows, missed = _permuted(order, starts)
-                refuse(name, "is not a permutation", missed)
-                descents = _descents(keys_of(rows), offsets, strict)
-                refuse(name, "is out of order", descents)
+        _prove_rows(source, edges, offsets, columns, orders, counts,
+                    int(arrays["users"].size))
         forest = TemporalForest(
-            meta["kind"], edges, offsets, columns, perm_tod, perm_probe
+            meta["kind"], edges, offsets, columns,
+            orders["perm_tod"], orders["perm_probe"],
         )
     except (ValueError, IndexError, KeyError, TypeError) as error:
         raise PersistenceError(
             f"failed to reconstruct index from {source}: {error}"
         ) from error
-    alphabet_size = int(meta["alphabet_size"])
     partitions = _LazyPartitionList(
-        meta["partitions"], payload_dir, alphabet_size
+        entries, payload_dir, alphabet_size, counts
     )
 
     stats_meta = meta["build_stats"]

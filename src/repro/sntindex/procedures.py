@@ -226,10 +226,13 @@ def first_segment_matches(
         for w, lo, hi in ranges:
             st_per_w[w], ed_per_w[w] = lo, hi
 
+    # The id columns are narrower than intp, and numpy's fancy indexing
+    # by such an index array is several times slower than ``take`` or
+    # an intp index.
     def matching(candidates: Int64Array) -> Int64Array:
         isa = columns.isa[candidates]
         if several_ranges:
-            w_sel = columns.w[candidates]
+            w_sel = columns.w[candidates].astype(np.intp)
             mask = (isa >= st_per_w[w_sel]) & (isa < ed_per_w[w_sel])
         else:
             mask = (isa >= st) & (isa < ed)
@@ -238,7 +241,7 @@ def first_segment_matches(
         if user is not None or excluded is not None:
             d = columns.d[candidates]
             if user is not None:
-                mask &= index.users[d] == user
+                mask &= index.users.take(d) == user
             if excluded is not None:
                 mask &= _not_excluded(d, excluded)
         return candidates[mask]
@@ -304,7 +307,8 @@ def _probe_entry(
     at = keys_sorted.searchsorted(targets)
     np.minimum(at, keys_sorted.size - 1, out=at)
     hit = keys_sorted[at] == targets
-    rows = phi_last.probe_order[at[hit]]
+    # Widened once: the rows index three gathers below.
+    rows = phi_last.probe_order[at[hit]].astype(np.intp)
     emit = rows.argsort()
     rows = rows[emit]
     if rows.size > 1 and (rows[1:] == rows[:-1]).any():

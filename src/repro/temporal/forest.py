@@ -32,8 +32,10 @@ once when a forest is made without them (a build, an append, a
 compaction, or a v2.0 directory opened) and adopted zero-copy from a
 saved index that carries them (format v2.1 on), once
 :func:`~repro.sntindex.persistence.load_index` has proven them and the
-``t`` order in vectorised passes (about 23 ms for the ``small`` world's
-460 588 rows on a 2-core host).
+``t`` order over bounded blocks of whole segments.  Both are
+:data:`~repro.temporal.records.ORDER_DTYPE` (int32) positions within a
+segment, as is a segment's sorted time-of-day column; the rows they
+select are widened to int64 only where a query takes them.
 
 Periodic scans
 --------------
@@ -65,24 +67,32 @@ from ..config import SECONDS_PER_DAY
 from ..errors import IndexError_
 from .btree import BPlusTree
 from .css_tree import CSSTree
-from .records import COLUMN_DTYPES, TraversalColumns, pack_probe_keys
+from .records import (
+    COLUMN_DTYPES,
+    ORDER_DTYPE,
+    TraversalColumns,
+    pack_probe_keys,
+)
 
 __all__ = ["EdgeTemporalIndex", "TemporalForest"]
 
 Int64Array = npt.NDArray[np.int64]
+OrderArray = npt.NDArray[np.int32]
 
 
 def _sort_orders(
     offsets: Int64Array, columns: TraversalColumns
-) -> Tuple[Int64Array, Int64Array]:
+) -> Tuple[OrderArray, OrderArray]:
     """``(perm_tod, perm_probe)`` of flat ``columns`` whose segment
     ``i`` owns rows ``offsets[i]:offsets[i + 1]``: each segment's stable
     argsort by time of day and by packed ``(d, seq)`` key, relative to
     its own first row."""
     t, d, seq = columns.t, columns.d, columns.seq
-    perm_tod = np.empty(len(columns), dtype=np.int64)
-    perm_probe = np.empty(len(columns), dtype=np.int64)
+    perm_tod = np.empty(len(columns), dtype=ORDER_DTYPE)
+    perm_probe = np.empty(len(columns), dtype=ORDER_DTYPE)
     bounds = offsets.tolist()
+    if int(np.diff(offsets).max(initial=0)) > np.iinfo(ORDER_DTYPE).max:
+        raise IndexError_("a segment holds 2**31 traversals or more")
     for lo, hi in zip(bounds, bounds[1:]):
         perm_tod[lo:hi] = np.argsort(
             np.mod(t[lo:hi], SECONDS_PER_DAY), kind="stable"
@@ -99,8 +109,8 @@ class EdgeTemporalIndex:
     def __init__(
         self,
         columns: TraversalColumns,
-        tod_order: Int64Array,
-        probe_order: Int64Array,
+        tod_order: OrderArray,
+        probe_order: OrderArray,
         kind: str = "css",
         edge: Optional[int] = None,
     ) -> None:
@@ -115,7 +125,7 @@ class EdgeTemporalIndex:
         #: key; both stable, so equal keys keep scan order.
         self.tod_order = tod_order
         self.probe_order = probe_order
-        self._tod_sorted: Optional[Int64Array] = None
+        self._tod_sorted: Optional[OrderArray] = None
         self._probe_keys_sorted: Optional[Int64Array] = None
         if kind == "css":
             self.tree: Union[CSSTree, BPlusTree] = CSSTree(columns.t)
@@ -143,11 +153,13 @@ class EdgeTemporalIndex:
     # Sorted auxiliary orders
     # ------------------------------------------------------------------ #
 
-    def _tod_sorted_keys(self) -> Int64Array:
+    def _tod_sorted_keys(self) -> OrderArray:
         if self._tod_sorted is None:
+            # ``take``: numpy's fancy indexing by an int32 index array
+            # is several times slower than by an intp one; ``take`` is not.
             self._tod_sorted = np.mod(
-                self.columns.t[self.tod_order], SECONDS_PER_DAY
-            )
+                self.columns.t.take(self.tod_order), SECONDS_PER_DAY
+            ).astype(ORDER_DTYPE)
         return self._tod_sorted
 
     def probe_keys_sorted(self) -> Int64Array:
@@ -161,7 +173,7 @@ class EdgeTemporalIndex:
         """
         if self._probe_keys_sorted is None:
             keys: Int64Array = self.columns.probe_keys()
-            ordered = np.asarray(keys[self.probe_order], dtype=np.int64)
+            ordered = np.asarray(keys.take(self.probe_order), dtype=np.int64)
             if ordered.size > 1 and (ordered[1:] == ordered[:-1]).any():
                 raise IndexError_(
                     f"edge {self.edge}: a (d, seq) probe key occurs more "
@@ -187,7 +199,13 @@ class EdgeTemporalIndex:
             else (start_tod, SECONDS_PER_DAY, 0, end - SECONDS_PER_DAY)
         )
         # One search for every bound: positions come out as (a, b) pairs.
-        at: List[int] = self._tod_sorted_keys().searchsorted(bounds).tolist()
+        # The bounds are cast to the keys' dtype: bounds of another would
+        # make numpy cast the whole sorted column on every call.
+        at: List[int] = (
+            self._tod_sorted_keys()
+            .searchsorted(np.asarray(bounds, dtype=ORDER_DTYPE))
+            .tolist()
+        )
         return [(a, b) for a, b in zip(at[::2], at[1::2]) if b > a]
 
     # ------------------------------------------------------------------ #
@@ -331,8 +349,8 @@ class TemporalForest:
         edge_ids: Int64Array,
         offsets: Int64Array,
         columns: TraversalColumns,
-        perm_tod: Optional[Int64Array] = None,
-        perm_probe: Optional[Int64Array] = None,
+        perm_tod: Optional[OrderArray] = None,
+        perm_probe: Optional[OrderArray] = None,
     ) -> None:
         if kind not in ("css", "btree"):
             raise ValueError(f"unknown temporal index kind {kind!r}")
@@ -342,8 +360,8 @@ class TemporalForest:
         self.columns = columns
         if perm_tod is None or perm_probe is None:
             perm_tod, perm_probe = _sort_orders(offsets, columns)
-        self.perm_tod: Int64Array = perm_tod
-        self.perm_probe: Int64Array = perm_probe
+        self.perm_tod: OrderArray = perm_tod
+        self.perm_probe: OrderArray = perm_probe
         bounds = offsets.tolist()
         self._slices: Dict[int, Tuple[int, int]] = {
             edge: (bounds[i], bounds[i + 1])
@@ -358,7 +376,9 @@ class TemporalForest:
         """The forest over unsorted traversal rows.
 
         ``chunks`` hold the rows as column dicts: ``edge`` plus every
-        name of :data:`~repro.temporal.records.COLUMN_DTYPES`.  The
+        name of :data:`~repro.temporal.records.COLUMN_DTYPES`, in its
+        dtype there (the build and a compaction make them so, having
+        refused any id too large for it).  The
         rows are concatenated in chunk order and sorted stably by
         ``(edge, t)``, so rows of one segment with equal ``t`` keep
         their chunk order.  The sort key packs both into one int64,

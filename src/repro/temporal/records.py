@@ -13,32 +13,61 @@ segment within the trajectory, ``a`` the running travel-time aggregate
 
 Records are kept in a column store (:class:`TraversalColumns`) sorted by
 ``t`` so that both tree variants index the same payload rows.
+
+Column widths
+-------------
+:data:`COLUMN_DTYPES` is the one statement of each column's width, in
+memory and on disk alike (the saved payload is these arrays): ``t`` 8 B,
+``isa`` 4 B, ``d`` 4 B (as in the paper's leaf, Figure 4), ``tt`` and
+``a`` 8 B, ``seq`` 4 B and ``w`` 2 B (as in Figure 4): 38 B per record,
+46 B with the forest's two sort permutations (:data:`ORDER_DTYPE`).
+Every id column fits its dtype because the build refuses what would not
+(:func:`column_limit`): a trajectory id of 2**31 or more, a partition
+text of 2**31 symbols or more (an ``isa`` is below its text's length),
+and more than 32 767 partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Dict, Iterator, NamedTuple
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "COLUMN_DTYPES",
+    "ORDER_DTYPE",
     "LeafRecord",
     "TraversalColumns",
+    "column_limit",
     "pack_probe_keys",
 ]
 
-#: The leaf columns in record order, with the dtype each is held in.
-COLUMN_DTYPES = {
+#: The leaf columns in record order, with the dtype each is held in,
+#: in memory and on disk.
+COLUMN_DTYPES: Dict[str, npt.DTypeLike] = {
     "t": np.int64,
-    "isa": np.int64,
-    "d": np.int64,
+    "isa": np.int32,
+    "d": np.int32,
     "tt": np.float64,
     "a": np.float64,
     "seq": np.int32,
-    "w": np.int32,
+    "w": np.int16,
 }
+
+#: The dtype of the forest's per-segment sort permutations (positions
+#: within one segment) and of a segment's sorted time-of-day keys
+#: (seconds of the day).
+ORDER_DTYPE = np.int32
+
+
+def column_limit(name: str) -> int:
+    """The largest value column ``name`` can hold.  The build refuses a
+    trajectory id above it (``d``), a partition text longer than it
+    (an ``isa`` is below its text's length) and more partitions than it
+    (``w`` numbers them from 0)."""
+    return int(np.iinfo(np.dtype(COLUMN_DTYPES[name])).max)
 
 
 def pack_probe_keys(d: np.ndarray, seq: np.ndarray) -> np.ndarray:
@@ -48,9 +77,11 @@ def pack_probe_keys(d: np.ndarray, seq: np.ndarray) -> np.ndarray:
     ``(trajectory id, sequence number)``; packing both into one int64
     lets the join sort and binary-search a single key column.  The
     packing is order-preserving for the lexicographic ``(d, seq)``
-    order because ``d`` is a dense non-negative trajectory id (well
-    below 2**31) and ``seq`` a non-negative within-trajectory position
-    (well below 2**32) — both invariants of the index builder.
+    order because ``d`` is a non-negative trajectory id below 2**31 and
+    ``seq`` a non-negative within-trajectory position below 2**31:
+    both are int32 columns, the build refuses a negative id or one of
+    2**31 or more, and a loaded index proves every ``d`` an id of its
+    user container ``U``.
     """
     keys = np.asarray(d, dtype=np.int64) << np.int64(32)
     keys += seq

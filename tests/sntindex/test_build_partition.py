@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 
 from repro.fmindex import FMIndex
 from repro.sntindex.partition import build_partition
+from repro.temporal.records import COLUMN_DTYPES
 from repro.trajectories import Trajectory, TrajectoryPoint
 
 ALPHABET = 7
+#: The rows' dtypes: ``edge`` as the points hold it, the rest as the
+#: forest holds them.
 COLUMNS = {
     "edge": np.int64,
-    "t": np.int64,
-    "isa": np.int64,
-    "d": np.int64,
-    "tt": np.float64,
-    "a": np.float64,
-    "seq": np.int32,
+    **{name: dtype for name, dtype in COLUMN_DTYPES.items() if name != "w"},
 }
 
 
@@ -48,11 +46,15 @@ def reference_partition(trajectories):
         columns["t"].append(
             np.fromiter((p.t for p in points), dtype=np.int64, count=n)
         )
-        columns["isa"].append(fm.isa[start : start + n])
-        columns["d"].append(np.full(n, trajectory.traj_id, dtype=np.int64))
+        columns["isa"].append(
+            fm.isa[start : start + n].astype(COLUMNS["isa"])
+        )
+        columns["d"].append(
+            np.full(n, trajectory.traj_id, dtype=COLUMNS["d"])
+        )
         columns["tt"].append(tt)
         columns["a"].append(np.cumsum(tt))
-        columns["seq"].append(np.arange(n, dtype=np.int32))
+        columns["seq"].append(np.arange(n, dtype=COLUMNS["seq"]))
         start += n + 1
     rows = {
         name: np.concatenate(columns[name] + [np.zeros(0, dtype=dtype)])

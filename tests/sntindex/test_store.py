@@ -36,17 +36,25 @@ from repro import (
     PeriodicInterval,
     ShardedSNTIndex,
     SNTIndex,
+    Trajectory,
     TrajectorySet,
     TripRequest,
     generate_dataset,
     open_db,
 )
 from repro.config import SECONDS_PER_DAY
-from repro.errors import IndexError_, PersistenceError, ReproError, ShardError
+from repro.errors import (
+    IndexError_,
+    PersistenceError,
+    ReproError,
+    ShardError,
+    TrajectoryError,
+)
 from repro.sntindex import sharded as sharded_module
 from repro.sntindex.compaction import compact_index_dir
 from repro.sntindex.persistence import atomic_install_dir
 from repro.sntindex.sharded import load_any_index, load_sharded_index
+from repro.temporal.records import COLUMN_DTYPES, ORDER_DTYPE
 
 PARTITION_DAYS = 7
 
@@ -345,7 +353,34 @@ FOREST_REWRITES = {
     "perm_probe-zero": ("perm_probe", lambda a, _: np.zeros_like(a)),
     "edge_ids-repeated": ("edge_ids", _repeat_first_id),
     "col_t-shuffled": ("col_t", _shuffle_within_segments),
+    "col_w-99": ("col_w", lambda a, _: np.full_like(a, 99)),
+    "col_w-negative": ("col_w", lambda a, _: np.full_like(a, -1)),
+    "col_isa-huge": ("col_isa", lambda a, _: np.full_like(a, 10**9)),
+    "col_isa-zero": ("col_isa", lambda a, _: np.zeros_like(a)),
+    "p0_counts-zero": ("p0_counts", lambda a, _: np.zeros_like(a)),
 }
+
+#: What a writer before v2.3 held wider than this one: ``col_isa``,
+#: ``col_d`` and the two permutations as int64, ``col_w`` as int32.
+WIDE_DTYPES = {"col_isa": np.int64, "col_d": np.int64, "col_w": np.int32,
+               "perm_tod": np.int64, "perm_probe": np.int64}
+
+
+def _as_older_format(root, minor):
+    """Rewrite every index directory under ``root`` as a writer of
+    format v2.``minor`` left it: the wide arrays, the older minor, and,
+    for v2.0, no stored permutations."""
+    for meta_file in root.glob("**/meta.json"):
+        meta = json.loads(meta_file.read_text())
+        meta["format_minor"] = minor
+        meta_file.write_text(json.dumps(meta))
+        payload = meta_file.parent / "payload"
+        for name, dtype in WIDE_DTYPES.items():
+            path = payload / f"{name}.npy"
+            if minor == 0 and name.startswith("perm_"):
+                path.unlink()
+            else:
+                np.save(path, np.load(path).astype(dtype))
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +424,47 @@ class TestForestProofs:
         with pytest.raises(PersistenceError, match=name):
             _answers(root, dataset, requests)
 
+    @pytest.mark.parametrize("layout", ["monolithic", "sharded"])
+    @pytest.mark.parametrize("kind", ["css", "btree"])
+    def test_wide_id_of_an_older_directory_is_refused(
+        self, world, saved_forests, tmp_path, kind, layout
+    ):
+        dataset, _, _, requests = world
+        root = tmp_path / "index"
+        shutil.copytree(saved_forests[kind, layout], root)
+        _as_older_format(root, 2)
+        for path in root.glob("**/payload/col_d.npy"):
+            wide = np.load(path)
+            wide[0] = 2**31
+            np.save(path, wide)
+        with pytest.raises(
+            PersistenceError, match="col_d holds a value int32 cannot"
+        ):
+            _answers(root, dataset, requests)
+
+    @pytest.mark.parametrize("minor", [0, 1, 2])
+    @pytest.mark.parametrize("layout", ["monolithic", "sharded"])
+    def test_older_directory_opens_and_answers_alike(
+        self, world, saved_forests, tmp_path, layout, minor
+    ):
+        dataset, _, _, requests = world
+        root = tmp_path / "index"
+        shutil.copytree(saved_forests["css", layout], root)
+        _as_older_format(root, minor)
+        assert np.load(next(root.glob("**/payload/col_d.npy"))).dtype \
+            == np.int64
+        assert _answers(root, dataset, requests) == _answers(
+            saved_forests["css", layout], dataset, requests
+        )
+        for shard in getattr(load_any_index(root), "shards", None) or [
+            load_any_index(root)
+        ]:
+            forest = shard.forest
+            for name, dtype in COLUMN_DTYPES.items():
+                assert getattr(forest.columns, name).dtype == dtype, name
+            assert forest.perm_tod.dtype == forest.perm_probe.dtype \
+                == ORDER_DTYPE
+
     def test_monolithic_file_set_is_pinned(self, world, tmp_path):
         dataset = world[0]
         root = SNTIndex.build(
@@ -397,17 +473,23 @@ class TestForestProofs:
         assert sorted(path.name for path in root.iterdir()) == [
             "meta.json", "payload",
         ]
-        assert sorted(path.name for path in (root / "payload").iterdir()) \
-            == [
-                "col_a.npy", "col_d.npy", "col_isa.npy", "col_seq.npy",
-                "col_t.npy", "col_tt.npy", "col_w.npy", "edge_ids.npy",
-                "edge_offsets.npy", "p0_code_bits.npy",
-                "p0_code_lengths.npy", "p0_code_symbols.npy",
-                "p0_counts.npy", "p0_node_bits.npy", "p0_wt_blocks.npy",
-                "p0_wt_words.npy", "perm_probe.npy", "perm_tod.npy",
-                "users.npy",
-            ]
+        assert {
+            path.name: str(np.load(path, mmap_mode="r").dtype)
+            for path in (root / "payload").iterdir()
+        } == {
+            "col_a.npy": "float64", "col_d.npy": "int32",
+            "col_isa.npy": "int32", "col_seq.npy": "int32",
+            "col_t.npy": "int64", "col_tt.npy": "float64",
+            "col_w.npy": "int16", "edge_ids.npy": "int64",
+            "edge_offsets.npy": "int64", "p0_code_bits.npy": "uint8",
+            "p0_code_lengths.npy": "int64", "p0_code_symbols.npy": "int64",
+            "p0_counts.npy": "int64", "p0_node_bits.npy": "int64",
+            "p0_wt_blocks.npy": "int64", "p0_wt_words.npy": "uint64",
+            "perm_probe.npy": "int32", "perm_tod.npy": "int32",
+            "users.npy": "int64",
+        }
         meta = json.loads((root / "meta.json").read_text())
+        assert meta["format_minor"] == 3
         assert sorted(meta) == [
             "alphabet_size", "build_stats", "extra", "format",
             "format_minor", "format_version", "kind", "partition_days",
@@ -820,3 +902,43 @@ class TestBuildArguments:
         loaded = load_any_index(built.save(tmp_path / "index"))
         assert getattr(loaded, name) == value
         assert loaded.alphabet_size == arguments["alphabet_size"]
+
+
+class TestBuildLimits:
+    """A build refuses what the forest's narrow columns cannot hold,
+    before it allocates anything sized by it."""
+
+    def test_trajectory_id_of_2_31_refused(self, world):
+        dataset = world[0]
+        trajectories = list(dataset.trajectories)[:5]
+        last = trajectories[-1]
+        trajectories[-1] = Trajectory(2**31, last.user_id, last.points)
+        with pytest.raises(TrajectoryError, match=str(2**31)):
+            SNTIndex.build(
+                TrajectorySet(trajectories), dataset.network.alphabet_size
+            )
+
+    def test_more_partitions_than_w_holds_refused(self, world):
+        dataset = world[0]
+        trajectory = next(iter(dataset.trajectories))
+        with pytest.raises(IndexError_, match="32768 temporal partitions"):
+            SNTIndex.build_from_groups(
+                [(0, 1, [trajectory])] * 32768,
+                dataset.network.alphabet_size,
+                t_min=0,
+                t_max=1,
+            )
+
+    def test_text_longer_than_isa_holds_refused(self, world, monkeypatch):
+        from repro.sntindex import partition
+
+        dataset = world[0]
+        trajectories = list(dataset.trajectories)[:5]
+        symbols = sum(len(tr) + 1 for tr in trajectories)
+        monkeypatch.setattr(
+            partition, "column_limit", lambda name: symbols - 1
+        )
+        with pytest.raises(IndexError_, match=f"{symbols} symbols"):
+            SNTIndex.build(
+                TrajectorySet(trajectories), dataset.network.alphabet_size
+            )
