@@ -9,18 +9,22 @@ fault seams.  Making the k-th call of a seam raise during a re-save, for
 every k, must leave the directory byte-for-byte the old index, answering
 a fixed request set as before, with no staging or graveyard sibling
 left behind.  A file cut short after the save must end a load, or the
-first use of the part it holds, in a typed error.  A forest array a
-loader adopts as it is (the edge ids, the ``t`` order, the two stored
-sort permutations) is proven when the directory opens: a rewrite that
-breaks it ends in :class:`PersistenceError`, never in another answer.
-The file set a save writes is pinned.
+first use of the part it holds, in a typed error.  An array a loader
+adopts as it is (the edge ids, the ``t`` order, the two stored sort
+permutations, the partition ids, the ISA values and each partition's
+``C`` array they must agree with) is proven when the directory opens: a
+rewrite that breaks it ends in :class:`PersistenceError`, never in
+another answer.  The file set a save writes, and each array's dtype,
+are pinned; a directory an older writer left, with wider arrays, opens
+and answers alike unless a value does not fit.
 
 A manifest is outside input: a shard ``dir`` that leaves the index
 directory is refused before any shard is read, and the facts a shard's
 own directory holds (its partitions in its meta, its time bounds in
 its forest) are read from there, never from a manifest copy, nor from
 the bounds that meta still carries.  A build refuses the arguments its
-own loader would refuse, or silently truncate.
+own loader would refuse, or silently truncate, and the ids its columns
+cannot hold.
 """
 
 import itertools
