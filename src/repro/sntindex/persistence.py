@@ -57,7 +57,7 @@ every ``w`` a partition, and the ``isa`` values of edge ``e``'s rows in
 partition ``w`` a permutation of ``[C_w[e], C_w[e + 1])``.  Its
 temporaries are a few times a block's rows, so an open allocates about
 1 MiB at its peak whatever the index's size; for the ``small`` world's
-460 588 rows it takes about 22 ms on a 2-core host.  A failure is a
+460 588 rows it takes about 17.5 ms on a 2-core host.  A failure is a
 :class:`PersistenceError` naming the array (and the edge, for a
 segment's rows).
 
