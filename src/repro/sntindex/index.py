@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from ..errors import (
 from ..histogram.tod import TimeOfDayHistogramStore
 from ..temporal.forest import EdgeTemporalIndex, TemporalForest
 from ..temporal.records import COLUMN_DTYPES, column_limit
-from ..trajectories.model import TrajectorySet
+from ..trajectories.model import Trajectory, TrajectoryPoint, TrajectorySet
 from . import procedures
 from .partition import IndexPartition, build_partition
 from .persistence import IndexDir, load_index, save_index
@@ -245,6 +246,8 @@ class SNTIndex:
         Every builder and ``append`` ends here, so the build arguments
         are checked here: a value the loader or the time-of-day store
         would refuse, or silently truncate, is an :class:`IndexError_`.
+        A partition's text lists its members in ``traj_id`` order, so
+        its bytes are a function of its trajectory set.
         """
         if not is_count(alphabet_size):
             raise IndexError_(
@@ -266,6 +269,10 @@ class SNTIndex:
             raise IndexError_("every partition group needs trajectories")
         check_partition_count(len(grouped))
         started = time.perf_counter()
+        grouped = [
+            (lo, hi, sorted(members, key=attrgetter("traj_id")))
+            for lo, hi, members in grouped
+        ]
         traj_ids, user_ids = _checked_ids(
             [tr for _, _, members in grouped for tr in members]
         )
@@ -309,6 +316,28 @@ class SNTIndex:
             build_stats=stats,
             tod_bucket_s=tod_bucket_s,
         )
+
+    def trajectories(self) -> List[Trajectory]:
+        """The inverse of :meth:`build_from_groups`: every indexed
+        trajectory, in ``traj_id`` order, its points its rows
+        ``(edge, t, tt)`` in ``seq`` order and its user ``U[d]``."""
+        forest, columns = self.forest, self.forest.columns
+        order = np.lexsort((columns.seq, columns.d))
+        d = columns.d[order]
+        first = np.flatnonzero(np.diff(d, prepend=-1))
+        bounds = np.append(first, d.size).tolist()
+        points = list(map(TrajectoryPoint._make, zip(
+            forest.row_edges()[order].tolist(),
+            columns.t[order].tolist(),
+            columns.tt[order].tolist(),
+        )))
+        ids = d[first]
+        return [
+            Trajectory(traj_id, user, points[lo:hi])
+            for traj_id, user, lo, hi in zip(
+                ids.tolist(), self.users[ids].tolist(), bounds, bounds[1:]
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     # Spatial lookups

@@ -53,13 +53,18 @@ proves the rows over blocks of whole segments of about
 :data:`PROOF_BLOCK_ROWS` rows: each segment's ``t`` order, each stored
 permutation slice a permutation of its segment's rows into time-of-day
 or strictly increasing ``(d, seq)`` order, every ``d`` an id of ``U``,
-every ``w`` a partition, and the ``isa`` values of edge ``e``'s rows in
-partition ``w`` a permutation of ``[C_w[e], C_w[e + 1])``.  Its
-temporaries are a few times a block's rows, so an open allocates about
-1 MiB at its peak whatever the index's size; for the ``small`` world's
-460 588 rows it takes about 17.5 ms on a 2-core host.  A failure is a
-:class:`PersistenceError` naming the array (and the edge, for a
-segment's rows).
+every ``w`` a partition, every ``tt`` finite and positive, and the
+``isa`` values of edge ``e``'s rows in partition ``w`` a permutation of
+``[C_w[e], C_w[e + 1])``; a second pass over row blocks proves each
+trajectory's ``seq`` values ``0 .. n - 1`` and its rows in one
+partition, which is what makes the rows a trajectory record
+(:meth:`~repro.sntindex.index.SNTIndex.trajectories`).  ``a`` is a leaf
+value and is not proven.  The row-sized temporaries are a few times a
+block's rows; only the trajectory proof's byte per row and few words
+per trajectory id grow with the index.  For the ``small`` world's
+460 588 rows the open allocates 1.85 MiB at its peak and takes 25-29 ms
+on a 2-core host.  A failure is a :class:`PersistenceError` naming the
+array (and the edge, for a segment's rows).
 
 Format version 1 pickled the FM partitions (``partitions.pkl``); loading
 executed whatever the pickle said.  Version 2 removes that file — the
@@ -159,8 +164,9 @@ _NARROW_MINOR = 3
 
 #: Rows per block of the open's row proofs.  A block holds whole
 #: segments (more rows only when one segment alone is longer), and
-#: every temporary the proofs allocate is a few times its row count, so
-#: what an open allocates does not grow with the index.
+#: every row-sized temporary the proofs allocate is a few times its row
+#: count; only a byte per row and a few words per trajectory id, for
+#: the trajectory proof, grow with the index.
 PROOF_BLOCK_ROWS = 1 << 14
 
 #: The ``(minimum, maximum)`` time-of-day bucket width a loader takes:
@@ -897,13 +903,22 @@ def _prove_rows(
     (:data:`PROOF_BLOCK_ROWS`): each segment's ``t`` order; each stored
     permutation slice a permutation of its segment's rows into
     time-of-day or strictly increasing ``(d, seq)`` order; every ``d``
-    an id of ``U``; every ``w`` a partition; and, since each occurrence
-    of edge ``e`` in partition ``w``'s text is one row, the ``isa``
-    values of ``e``'s rows in ``w`` a permutation of
-    ``[C_w[e], C_w[e + 1])``.  The caller has proven the ``C`` arrays
-    and that their edge symbols add up to the row count, so no symbol
-    is left without its rows."""
+    an id of ``U``; every ``w`` a partition; every ``tt`` finite and
+    positive; and, since each occurrence of edge ``e`` in partition
+    ``w``'s text is one row, the ``isa`` values of ``e``'s rows in
+    ``w`` a permutation of ``[C_w[e], C_w[e + 1])``.  The caller has
+    proven the ``C`` arrays and that their edge symbols add up to the
+    row count, so no symbol is left without its rows.  A second pass
+    over row blocks proves each trajectory's rows (from which
+    :meth:`~repro.sntindex.index.SNTIndex.trajectories` recovers it):
+    their ``seq`` values are ``0 .. n - 1`` and their ``w`` one
+    partition."""
     n_partitions = len(counts)
+    # Per trajectory id d: the partition of its rows, and its row count
+    # in spans[d + 1], summed after the blocks so that its rows, numbered
+    # trajectory by trajectory, are spans[d] .. spans[d + 1] - 1.
+    partition_of = np.zeros(n_users, dtype=columns.w.dtype)
+    spans = np.zeros(n_users + 1, dtype=np.int64)
 
     def refuse(name: str, rule: str, rows: Array, lo: int) -> None:
         """Raise naming the edge of the first of block ``rows``, if any."""
@@ -924,6 +939,7 @@ def _prove_rows(
         t, d = t_all[lo:hi], d_all[lo:hi]
         refuse("col_t", "is out of order", _descents(t, bounds), lo)
         seq = seq_all[lo:hi]
+        refuse("col_seq", "is negative", np.flatnonzero(seq < 0), lo)
         for name, keys_of, strict in (
             ("perm_tod", lambda rows: np.mod(t[rows], SECONDS_PER_DAY),
              False),
@@ -942,6 +958,14 @@ def _prove_rows(
         w = columns.w[lo:hi]
         refuse("col_w", f"names a partition outside [0, {n_partitions})",
                np.flatnonzero((w < 0) | (w >= n_partitions)), lo)
+        tt = columns.tt[lo:hi]
+        refuse("col_tt", "is not a finite positive time",
+               np.flatnonzero(~((tt > 0) & (tt < np.inf))), lo)
+        # Gathers and scatters by an intp index are several times
+        # faster than by the int32 column.
+        trajectory = d.astype(np.intp)
+        np.add.at(spans[1:], trajectory, 1)
+        partition_of[trajectory] = w
         # Each (partition, segment) pair of the block, partition-major:
         # where its edge's ISA range starts and how wide it is.
         symbols = edges[i:j]
@@ -966,6 +990,27 @@ def _prove_rows(
         if unseen.size:
             at = (np.searchsorted(base, unseen[0], side="right") - 1) % (j - i)
             refuse("col_isa", "repeats a value", bounds[at : at + 1], lo)
+
+    # Trajectory d's rows, numbered spans[d] + seq, fill its span only
+    # if no two share a seq.
+    np.cumsum(spans, out=spans)
+    seen = np.zeros(d_all.size, dtype=bool)
+    for lo in range(0, d_all.size, PROOF_BLOCK_ROWS):
+        hi = lo + PROOF_BLOCK_ROWS
+        trajectory = d_all[lo:hi].astype(np.intp)
+        number = spans.take(trajectory) + seq_all[lo:hi]
+        refuse("col_seq", "runs past its trajectory's row count",
+               np.flatnonzero(number >= spans.take(trajectory + 1)), lo)
+        refuse("col_w", "splits a trajectory across partitions",
+               np.flatnonzero(partition_of.take(trajectory)
+                              != columns.w[lo:hi]), lo)
+        seen[number] = True
+    if not seen.all():
+        traj_id = np.searchsorted(spans, np.argmin(seen), side="right") - 1
+        raise PersistenceError(
+            f"corrupt payload in {source}: col_seq repeats a value in "
+            f"trajectory {traj_id}"
+        )
 
 
 def load_index(

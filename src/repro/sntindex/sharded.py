@@ -45,15 +45,16 @@ Appendable staging shard
 ------------------------
 ``append(trajectories)`` accumulates new trajectories in a small
 *staging* shard that is rebuilt on each call — cheap, because only the
-staged tail is rebuilt; the sealed shards are untouched.  Appends must
-be strictly newer than every sealed shard's time window: that keeps the
-global partition enumeration identical to what a from-scratch monolithic
-build over the combined corpus would produce, preserving bit-identical
-answers *after* appends too.  Each append bumps :attr:`epoch`, which
-:class:`repro.service.SubQueryCache` watches to drop entries cached
-against earlier index states.  ``seal_staging()`` promotes a grown
-staging shard to a sealed one (pure bookkeeping — no epoch bump, since
-no indexed content changes).
+staged tail is rebuilt, from the trajectories its own rows hold
+(:meth:`SNTIndex.trajectories`) and the batch; the sealed shards are
+untouched.  Appends must be strictly newer than every sealed shard's
+time window: that keeps the global partition enumeration identical to
+what a from-scratch monolithic build over the combined corpus would
+produce, preserving bit-identical answers *after* appends too.  Each
+append bumps :attr:`epoch`, which :class:`repro.service.SubQueryCache`
+watches to drop entries cached against earlier index states.
+``seal_staging()`` promotes a grown staging shard to a sealed one (pure
+bookkeeping — no epoch bump, since no indexed content changes).
 
 Saved layout
 ------------
@@ -70,7 +71,6 @@ A shard's name is its position — ``shard_0000``, ... for sealed shards,
 from __future__ import annotations
 
 import json
-import pickle
 import threading
 import time
 from bisect import bisect_right
@@ -124,11 +124,6 @@ SHARDED_FORMAT_NAME = "snt-sharded-index"
 SHARDED_FORMAT_VERSION = 2
 MANIFEST_FILE = "manifest.json"
 STAGING_DIR = "staging"
-#: Pickled staged tail (not the text trajectory format: ``%g`` rounding
-#: there would change rebuilt staging values after a restart, breaking
-#: the bit-identical contract).  The one pickle of the on-disk format —
-#: shard payloads have been pickle-free since format v2.
-STAGED_TRAJECTORIES_FILE = "staging_trajectories.pkl"
 
 
 # ---------------------------------------------------------------------- #
@@ -355,7 +350,6 @@ class ShardedSNTIndex:
         kind: str,
         partition_days: int,
         tod_bucket_s: int,
-        staged_trajectories: Optional[List] = None,
         epoch: int = 0,
         build_wall_seconds: Optional[float] = None,
     ):
@@ -368,7 +362,6 @@ class ShardedSNTIndex:
                 raise ShardError("shards disagree on temporal index kind")
         self._sealed: List[_ShardEntry] = list(sealed)
         self._staging: Optional[_ShardEntry] = staging
-        self._staged: List = list(staged_trajectories or [])
         self.t_min = int(t_min)
         self.t_max = int(t_max)
         self.alphabet_size = int(alphabet_size)
@@ -793,7 +786,9 @@ class ShardedSNTIndex:
                     "Rebuild the index to backfill history."
                 )
 
-        staged = self._staged + batch
+        staged = batch
+        if self._staging is not None:  # the tail's one record is its rows
+            staged = self._staging.index.trajectories() + batch
         groups = assign_time_windows(staged, self.t_min, window)
         grouped = [
             (*window_bounds(bucket, self.t_min, window), groups[bucket])
@@ -818,7 +813,6 @@ class ShardedSNTIndex:
         self._staging = _ShardEntry.wrap(
             staging_index, min(groups), max(groups), n_scans=scans
         )
-        self._staged = staged
         self.t_max = new_t_max
         self.epoch += 1
         self._adopt_entries()
@@ -836,7 +830,6 @@ class ShardedSNTIndex:
             return
         self._sealed.append(self._staging)
         self._staging = None
-        self._staged = []
         self._adopt_entries()
 
     # -- compaction ------------------------------------------------------ #
@@ -926,15 +919,15 @@ def save_sharded_index(
 
     Layout of directory ``path``::
 
-        manifest.json            format tag, scalars, shard table, epoch
-        shard_0000/ ...          save_index() directories, one per shard
-        staging/                 the staging shard (when present)
-        staging_trajectories.pkl staged tail, so appends survive restarts
+        manifest.json   format tag, scalars, shard table, epoch
+        shard_0000/ ... save_index() directories, one per shard
+        staging/        the staging shard (when present)
 
     A shard table entry is ``{dir, bucket_lo, bucket_hi}``: the only
     facts about a shard that its own directory does not hold.  Its
     partitions are read back from its meta and its traversal-time
-    bounds from its forest.
+    bounds from its forest.  The staging shard's rows are the staged
+    tail's one record; no pickle is written.
 
     The whole tree is staged in a sibling directory and swapped in by
     :func:`~repro.sntindex.persistence.atomic_install_dir`, like the
@@ -955,13 +948,7 @@ def save_sharded_index(
                 "bucket_lo": entry.bucket_lo,
                 "bucket_hi": entry.bucket_hi,
             })
-        staging_manifest = None
-        if index._staging is not None:
-            staging_manifest = shard_dirs.pop()
-            with open(target / STAGED_TRAJECTORIES_FILE, "wb") as handle:
-                pickle.dump(
-                    index._staged, handle, protocol=pickle.HIGHEST_PROTOCOL
-                )
+        staging_manifest = shard_dirs.pop() if index.has_staging else None
         manifest = {
             "format": SHARDED_FORMAT_NAME,
             "format_version": SHARDED_FORMAT_VERSION,
@@ -1073,12 +1060,8 @@ def load_sharded_index(
     The manifest scalars are validated (including the optional
     ``expected_*`` cross-checks) before any shard payload is read, and
     each shard load re-checks its own meta against the manifest — so a
-    directory mixing shards of different worlds is rejected.
-
-    .. warning::
-        Shard payloads are pickle-free, but a staged tail
-        (``staging_trajectories.pkl``) is a pickle: only load
-        directories with a staging shard if you wrote them yourself.
+    directory mixing shards of different worlds is rejected.  An older
+    writer's ``staging_trajectories.pkl`` is never read.
     """
     root = Path(path)
     source = str(root)
@@ -1123,22 +1106,8 @@ def load_sharded_index(
         for described in manifest["shards"]
     ]
     staging = None
-    staged: List = []
     if manifest.get("staging") is not None:
         staging = _entry_from_manifest(root, manifest["staging"], manifest)
-        staged_file = root / STAGED_TRAJECTORIES_FILE
-        if not staged_file.is_file():
-            raise PersistenceError(
-                f"{source} has a staging shard but no "
-                f"{STAGED_TRAJECTORIES_FILE}"
-            )
-        try:
-            staged = list(pickle.loads(staged_file.read_bytes()))
-        except (OSError, EOFError, pickle.PickleError) as error:
-            raise PersistenceError(
-                f"failed to read staged trajectories from {source}: "
-                f"{error}"
-            ) from error
     return ShardedSNTIndex(
         sealed=sealed,
         staging=staging,
@@ -1148,7 +1117,6 @@ def load_sharded_index(
         kind=kind,
         partition_days=int(manifest["partition_days"]),
         tod_bucket_s=int(manifest["tod_bucket_s"]),
-        staged_trajectories=staged,
         epoch=int(manifest["epoch"]),
     )
 

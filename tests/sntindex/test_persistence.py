@@ -592,10 +592,37 @@ class TestFormatGuards:
 
     def test_no_pickle_in_saved_directory(self, paper_index, tmp_path):
         """v2 is pickle-free: loading must not execute foreign bytecode,
-        so no .pkl file may appear anywhere in the payload."""
+        so no .pkl file may appear anywhere in the payload — of a
+        monolithic save, a sharded save with a staging shard, or a
+        compacted one."""
+        from repro import ShardedSNTIndex, generate_dataset
+        from repro.config import SECONDS_PER_DAY
+        from repro.sntindex.compaction import compact_index_dir
+
         target = paper_index.save(tmp_path / "index")
-        assert list(target.rglob("*.pkl")) == []
         assert not (target / "arrays.npz").exists()
+
+        dataset = generate_dataset("tiny", seed=0)
+        corpus = sorted(dataset.trajectories, key=lambda tr: tr.start_time)
+        window = 7 * SECONDS_PER_DAY
+        bucket = {
+            tr.traj_id: (tr.start_time - corpus[0].start_time) // window
+            for tr in corpus
+        }
+        last = bucket[corpus[-1].traj_id]
+        sharded = ShardedSNTIndex.build(
+            TrajectorySet([tr for tr in corpus if bucket[tr.traj_id] < last]),
+            dataset.network.alphabet_size,
+            n_shards=3,
+            partition_days=7,
+        )
+        sharded.append([tr for tr in corpus if bucket[tr.traj_id] == last])
+        staged = sharded.save(tmp_path / "staged")
+        assert (staged / "staging").is_dir()
+        compacted = sharded.save(tmp_path / "compacted")
+        assert compact_index_dir(compacted).did_compact
+        for root in (target, staged, compacted):
+            assert list(root.rglob("*.pkl")) == [], root
 
     def test_missing_array_raises_persistence_error(
         self, paper_index, tmp_path

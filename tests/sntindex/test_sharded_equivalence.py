@@ -617,11 +617,58 @@ def test_sharded_persistence_roundtrip(world, tmp_path):
             run_trip(engine_loaded, query, exclude_ids=(trip.traj_id,)),
         )
 
-    # Appends keep working after a cold start: the staged tail was
-    # persisted alongside the staging shard.
-    assert loaded._staged  # noqa: SLF001 - intentional white-box check
     with pytest.raises(ShardError):
         loaded.append([base[0]])
+
+
+def test_append_after_cold_start_is_bit_identical(world, tmp_path):
+    """The staging shard's rows are the staged tail's only record: after
+    a save with staging and a reopen, an append into the staging
+    shard's last window and one into a later window answer as the
+    monolithic oracle and as the same appends never saved."""
+    dataset, mono, _, trips = world
+    base, (shared, later) = _split_by_bucket(dataset)
+    # Interleaved ids, so the reopened append's ids fall among the
+    # staged ones in the shared window's text.
+    before, after = shared[::2], shared[1::2]
+    batches = [after, later]
+
+    def grown():
+        index = ShardedSNTIndex.build(
+            TrajectorySet(base),
+            dataset.network.alphabet_size,
+            n_shards=2,
+            partition_days=PARTITION_DAYS,
+        )
+        index.append(before)
+        return index
+
+    never_saved = grown()
+    for batch in batches:
+        never_saved.append(batch)
+    reopened = load_any_index(grown().save(tmp_path / "index"))
+    assert reopened.has_staging
+    for batch in batches:
+        assert reopened.append(batch) == len(batch)
+    assert reopened.epoch == never_saved.epoch
+    assert reopened.n_partitions == mono.n_partitions
+
+    engines = [
+        QueryEngine(index, dataset.network)
+        for index in (mono, never_saved, reopened)
+    ]
+    for trip in trips[:10] + [later[0], after[0]]:
+        query = StrictPathQuery(
+            path=trip.path,
+            interval=PeriodicInterval.around(trip.start_time, 900),
+            beta=10,
+        )
+        oracle, unsaved, answer = (
+            run_trip(engine, query, exclude_ids=(trip.traj_id,))
+            for engine in engines
+        )
+        assert_bit_identical(oracle, answer)
+        assert_bit_identical(unsaved, answer)
 
 
 def test_load_any_index_detects_monolithic(world, tmp_path):

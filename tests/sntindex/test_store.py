@@ -2,19 +2,22 @@
 
 A save is staged in a sibling directory and swapped in by
 :func:`~repro.sntindex.persistence.atomic_install_dir`; every file is
-written into that staging directory by one of three calls — ``np.save``
+written into that staging directory by one of two calls — ``np.save``
 for payload arrays, ``json.dump`` for each ``meta.json`` and the
-manifest, ``pickle.dump`` for the staged tail — so those calls are the
-fault seams.  Making the k-th call of a seam raise during a re-save, for
-every k, must leave the directory byte-for-byte the old index, answering
-a fixed request set as before, with no staging or graveyard sibling
-left behind.  A file cut short after the save must end a load, or the
+manifest — so those calls are the fault seams; ``pickle.dump`` is
+watched too, and no save calls it (the staged tail is the staging
+shard's own rows).  Making the k-th call of a seam raise during a
+re-save, for every k, must leave the directory byte-for-byte the old
+index, answering a fixed request set as before, with no staging or
+graveyard sibling left behind.  A file cut short after the save must end a load, or the
 first use of the part it holds, in a typed error.  An array a loader
 adopts as it is (the edge ids, the ``t`` order, the two stored sort
 permutations, the partition ids, the ISA values and each partition's
-``C`` array they must agree with) is proven when the directory opens: a
+``C`` array they must agree with, each trajectory's ``seq`` values and
+the sign of every traversal time) is proven when the directory opens: a
 rewrite that breaks it ends in :class:`PersistenceError`, never in
-another answer.  The file set a save writes, and each array's dtype,
+another answer or an untyped error.  A ``staging_trajectories.pkl`` an
+older writer left is never read.  The file set a save writes, and each array's dtype,
 are pinned; a directory an older writer left, with wider arrays, opens
 and answers alike unless a value does not fit.
 
@@ -186,7 +189,7 @@ def _assert_every_fault_keeps_the_old_index(
 
 
 # --------------------------------------------------------------------- #
-# Re-saves faulted at every np.save, json.dump and pickle.dump
+# Re-saves faulted at every np.save and json.dump
 # --------------------------------------------------------------------- #
 
 
@@ -238,8 +241,8 @@ class TestResaveFaults:
         self, world, tmp_path, monkeypatch, case, seam
     ):
         """The same three re-saves, faulted at each meta/manifest
-        ``json.dump`` and at the staged tail's ``pickle.dump`` (a
-        monolithic save pickles nothing)."""
+        ``json.dump``.  None of them calls ``pickle.dump``, with a
+        staged tail or without, so that seam has nothing to fault."""
         dataset, base, tails, _ = world
         if case == "monolithic":
             everything = base + [tr for tail in tails for tr in tail]
@@ -257,6 +260,11 @@ class TestResaveFaults:
         else:
             old = _sharded(dataset, base, tails[:1]).save(tmp_path / "old")
             resave = compact_index_dir
+        if seam == "pickle.dump":
+            probe = tmp_path / "probe"
+            shutil.copytree(old, probe)
+            assert _count_calls(monkeypatch, seam, lambda: resave(probe)) == 0
+            return
         _assert_every_fault_keeps_the_old_index(
             tmp_path, monkeypatch, old, resave, world, seam=seam
         )
@@ -270,8 +278,8 @@ class TestResaveFaults:
 @pytest.fixture(scope="module")
 def saved_two_shards(world, tmp_path_factory):
     """A 2-shard index with a staging shard, and one file of each kind:
-    the manifest, a shard meta, the staged tail and every payload array
-    name (partition arrays from partition 0)."""
+    the manifest, a shard meta and every payload array name (partition
+    arrays from partition 0)."""
     dataset, base, tails, _ = world
     index = ShardedSNTIndex.build(
         TrajectorySet(base),
@@ -286,7 +294,7 @@ def saved_two_shards(world, tmp_path_factory):
               if not path.name.startswith("p") or path.name.startswith("p0_")
               or path.name.startswith("perm_")]
     files = [root / "manifest.json", root / "shard_0000" / "meta.json",
-             root / "staging_trajectories.pkl", *arrays]
+             *arrays]
     assert all(path.is_file() for path in files)
     return root, files
 
@@ -348,6 +356,13 @@ def _repeat_first_id(ids, payload):
     return ids
 
 
+def _repeat_a_seq(seq, payload):
+    """Some trajectory's second row numbered 0, like its first."""
+    seq = seq.copy()
+    seq[np.argmax(seq == 1)] = 0
+    return seq
+
+
 #: Rewrites of one payload array: ``(array name, rewrite(array, payload
 #: dir))``.
 FOREST_REWRITES = {
@@ -361,6 +376,9 @@ FOREST_REWRITES = {
     "col_w-negative": ("col_w", lambda a, _: np.full_like(a, -1)),
     "col_isa-huge": ("col_isa", lambda a, _: np.full_like(a, 10**9)),
     "col_isa-zero": ("col_isa", lambda a, _: np.zeros_like(a)),
+    "col_seq-negative": ("col_seq", lambda a, _: np.full_like(a, -1)),
+    "col_seq-repeated": ("col_seq", _repeat_a_seq),
+    "col_tt-negated": ("col_tt", lambda a, _: -a),
     "p0_counts-zero": ("p0_counts", lambda a, _: np.zeros_like(a)),
 }
 
@@ -604,6 +622,29 @@ class TestManifestEntries:
                          n_partitions=shard.n_partitions)
         manifest_file.write_text(json.dumps(manifest, indent=2))
         assert _answers(saved_sharded, dataset, requests) == expected
+
+
+class TestStagedTail:
+    """The staging shard's rows are the staged tail's only record."""
+
+    def test_junk_pickle_of_an_older_writer_is_never_read(
+        self, world, tmp_path
+    ):
+        """A directory that still holds a ``staging_trajectories.pkl``
+        opens, answers and appends as if it did not."""
+        dataset, base, tails, requests = world
+        root = _sharded(dataset, base, tails[:1]).save(tmp_path / "index")
+        expected = _answers(root, dataset, requests)
+        (root / "staging_trajectories.pkl").write_bytes(b"\x80\x05 junk")
+        assert _answers(root, dataset, requests) == expected
+
+        index = load_any_index(root)
+        assert index.append(tails[1]) == len(tails[1])
+        oracle = _sharded(dataset, base, tails[:2])
+        assert _answers(index.save(tmp_path / "appended"), dataset,
+                        requests) == _answers(
+            oracle.save(tmp_path / "oracle"), dataset, requests
+        )
 
 
 class TestShardMetaBounds:
