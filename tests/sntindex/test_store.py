@@ -9,17 +9,18 @@ watched too, and no save calls it (the staged tail is the staging
 shard's own rows).  Making the k-th call of a seam raise during a
 re-save, for every k, must leave the directory byte-for-byte the old
 index, answering a fixed request set as before, with no staging or
-graveyard sibling left behind.  A file cut short after the save must end a load, or the
-first use of the part it holds, in a typed error.  An array a loader
-adopts as it is (the edge ids, the ``t`` order, the two stored sort
-permutations, the partition ids, the ISA values and each partition's
-``C`` array they must agree with, each trajectory's ``seq`` values and
-the sign of every traversal time) is proven when the directory opens: a
-rewrite that breaks it ends in :class:`PersistenceError`, never in
-another answer or an untyped error.  A ``staging_trajectories.pkl`` an
-older writer left is never read.  The file set a save writes, and each array's dtype,
-are pinned; a directory an older writer left, with wider arrays, opens
-and answers alike unless a value does not fit.
+graveyard sibling left behind.  A file cut short after the save must end
+a load, or the first use of the part it holds, in a typed error.  An
+array a loader adopts as it is (the edge ids, the ``t`` order, the two
+stored sort permutations, the partition ids, the ISA values and each
+partition's ``C`` array they must agree with, each trajectory's ``seq``
+values and the sign of every traversal time) is proven when the
+directory opens: a rewrite that breaks it ends in
+:class:`PersistenceError`, never in another answer or an untyped error.
+A ``staging_trajectories.pkl`` an older writer left is never read.  The
+file set a save writes, and each array's dtype, are pinned; a directory
+an older writer left, with wider arrays, opens and answers alike unless
+a value does not fit.
 
 A manifest is outside input: a shard ``dir`` that leaves the index
 directory is refused before any shard is read, and the facts a shard's
